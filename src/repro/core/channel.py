@@ -232,9 +232,9 @@ class _RecvLane:
     the session stages that produced the items.
     """
 
-    __slots__ = ("chan", "n", "width", "out", "got", "ic", "cur", "items",
-                 "ip", "take_cycles", "pend_takes", "active", "armed",
-                 "proc")
+    __slots__ = ("chan", "n", "width", "out", "got", "ic", "cur", "pkts",
+                 "ready", "ip", "take_cycles", "pend_takes", "active",
+                 "armed", "proc")
     is_send = False
 
     def __init__(self, chan: "RecvChannel", n: int, width: int, out) -> None:
@@ -246,7 +246,10 @@ class _RecvLane:
         self.got = 0        # elements consumed (shared with generator)
         self.ic = 0         # width-pacing carry (shared with generator)
         self.cur = None     # pacing frontier; None until the first plan
-        self.items: list = []   # (pkt, ready) claimable, FIFO order
+        # Claimable supply in FIFO order, columnar: ``pkts[i]`` becomes
+        # visible at ``ready[i]`` (lock-step lists, one row per packet).
+        self.pkts: list = []
+        self.ready: list[int] = []
         self.ip = 0
         self.take_cycles: list[int] = []
         self.pend_takes = 0
@@ -266,14 +269,17 @@ class _RecvLane:
             return
         # Committed items the generator has not consumed yet precede any
         # train-published stage in FIFO order.
-        self.items = list(self.chan.endpoint.iter_present())
+        pkts, ready = self.chan.endpoint.present_schedule(now)
+        self.pkts = list(pkts)
+        self.ready = list(ready)
         self.ip = 0
         self.take_cycles = []
         self.pend_takes = 0
         self.active = True
 
     def note_item(self, pkt, ready: int) -> None:
-        self.items.append((pkt, ready))
+        self.pkts.append(pkt)
+        self.ready.append(ready)
 
     def extend(self):
         """Continue the channel's take plan; returns new take cycles."""
@@ -284,11 +290,13 @@ class _RecvLane:
         got = self.got
         ic = self.ic
         cur = self.cur if self.cur is not None else 0
-        items = self.items
+        pkts = self.pkts
+        ready_col = self.ready
         ip = self.ip
         takes: list[int] = []
-        while ip < len(items) and got < n:
-            pkt, ready = items[ip]
+        while ip < len(pkts) and got < n:
+            pkt = pkts[ip]
+            ready = ready_col[ip]
             use = min(pkt.count, n - got)
             if use < pkt.count and got + use < n:  # pragma: no cover
                 break  # mid-stream partial take: leave it to the generator

@@ -175,16 +175,12 @@ class BoundaryTx:
         (a planner-committed window, a firm sleep).
         """
         fifo = self.fifo
-        log = fifo.drain_stage_log()
+        items, cycles = fifo.drain_stage_log()
         horizon = fifo.supply_horizon(memo)
         floor = bound + fifo.latency
         if horizon < floor:
             horizon = floor
-        if log:
-            items, cycles = zip(*log)
-        else:
-            items = cycles = ()
-        return ShipBatch(self.key, items, cycles, horizon,
+        return ShipBatch(self.key, tuple(items), tuple(cycles), horizon,
                          tx_self_sufficiency(self.link, bound))
 
 

@@ -52,12 +52,29 @@ visible before the earliest producer wake plus the FIFO latency
 (producer-sleep horizons); without one, the bound degrades to
 ``now + latency``; flow-dead FIFOs are empty forever.
 
-Reserved slots and the pairing count
-------------------------------------
+Staged store, reserved slots and the pairing count
+--------------------------------------------------
 
-Two private fields carry the slot economy between burst takes and the
-planners' future stages; their invariants are load-bearing for everything
-in :mod:`repro.transport.planner`:
+Private fields carry the items in flight and the slot economy between
+burst takes and the planners' future stages; their invariants are
+load-bearing for everything in :mod:`repro.transport.planner`:
+
+``_staged`` / ``_ready``
+    The staged store, columnar: two deques in lock step, ``_staged[i]``
+    the item and ``_ready[i]`` the cycle it becomes visible
+    (non-decreasing — single producer). One packet is one *row* of the
+    two columns, never a container object of its own: a bulk stage is
+    two C-level ``extend`` calls, a bulk take drops the same prefix
+    from both, and no per-packet object is left for CPython's cyclic
+    collector to track (a ``(ready, item)`` tuple per packet made the
+    collector more than half of a macro-cruise run's wall time, growing
+    super-linearly with message size). Invariant:
+    ``len(_staged) == len(_ready)`` between any two method calls; every
+    path — per-flit ``stage``/``take``, the burst plane, boundary
+    injection and acks — appends to and pops from both columns together.
+    Rows whose ready cycle has passed move to ``_visible`` lazily
+    (:meth:`_promote`). The sharded boundary ``_stage_log`` is the same
+    layout, an ``(items, visible_cycles)`` pair of lists.
 
 ``_reserved``
     The release cycles (non-decreasing) of slots a burst consumer took
@@ -67,7 +84,8 @@ in :mod:`repro.transport.planner`:
     appended by ``take_burst`` (whose cycle runs are monotone per the
     single-consumer ordering tripwire) and trimmed from the front as the
     clock passes them (:meth:`_trim_reserved`), waking blocked producers
-    through the commit calendar.
+    through the commit calendar. Until a FIFO's first burst take the
+    field is the shared empty tuple, not a deque of its own.
 
 ``_reserved_paired``
     How many *leading* ``_reserved`` entries a producer's committed plan
@@ -97,8 +115,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from itertools import chain, islice
-from operator import gt, itemgetter
+from itertools import chain, islice, repeat
+from operator import gt
 from typing import Any, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -136,6 +154,7 @@ class Fifo:
         "latency",
         "_visible",
         "_staged",
+        "_ready",
         "_reserved",
         "_reserved_paired",
         "can_pop",
@@ -171,10 +190,16 @@ class Fifo:
         self.capacity = capacity
         self.latency = latency
         self._visible: deque = deque()
-        self._staged: deque = deque()  # entries: (ready_cycle, item)
+        # Staged store, columnar: ``_staged[i]`` becomes visible at
+        # ``_ready[i]`` (lock-step; see "Staged store" in the module doc).
+        self._staged: deque = deque()
+        self._ready: deque = deque()
         # Slots taken ahead of schedule by a burst consumer, held occupied
         # until their per-flit take cycle (non-decreasing release cycles).
-        self._reserved: deque = deque()
+        # The shared empty tuple stands in until the first burst take: an
+        # empty deque is 760 bytes, most FIFOs of a fabric never see one,
+        # and every reader only tests, measures or iterates the log.
+        self._reserved: deque | tuple = ()
         # How many leading reserved entries a producer's committed plan has
         # already paired a future stage against. A cascade can commit a
         # stage at ``release + 1`` long before the wall clock reaches the
@@ -234,7 +259,7 @@ class Fifo:
         # peer shard. All three stay None outside sharded builds, so the
         # hot paths pay one is-None branch each.
         self.horizon_pin: int | None = None
-        self._stage_log: list | None = None
+        self._stage_log: tuple[list, list] | None = None  # (items, cycles)
         self._take_log: list | None = None
         engine._register_fifo(self)
 
@@ -262,8 +287,8 @@ class Fifo:
         """
         if self._visible:
             return True
-        staged = self._staged
-        return bool(staged) and staged[0][0] <= self.engine.cycle
+        ready = self._ready
+        return bool(ready) and ready[0] <= self.engine.cycle
 
     def _trim_reserved(self, now: int) -> None:
         """Drop reserved entries whose release cycle has passed, keeping
@@ -329,12 +354,14 @@ class Fifo:
 
     def _promote(self) -> None:
         """Move staged items whose ready cycle has arrived into view."""
-        staged = self._staged
-        if staged:
+        ready = self._ready
+        if ready:
             now = self.engine.cycle
+            staged = self._staged
             visible = self._visible
-            while staged and staged[0][0] <= now:
-                visible.append(staged.popleft()[1])
+            while ready and ready[0] <= now:
+                ready.popleft()
+                visible.append(staged.popleft())
 
     @property
     def free_space(self) -> int:
@@ -402,6 +429,12 @@ class Fifo:
             "derived from it would silently diverge"
         )
 
+    def _reject_early_take(self, cycle: int, ready: int) -> None:
+        raise SimulationError(
+            f"fifo {self.name!r}: take_burst at cycle {cycle} but next "
+            f"item is only visible at {ready}"
+        )
+
     def _check_stage_allowed(self) -> None:
         if self._flow_dead:
             self._reject_flow_dead()
@@ -423,11 +456,14 @@ class Fifo:
             self._check_stage_allowed()
         now = self.engine.cycle
         ready = now + self.latency
-        self._staged.append((ready, item))
-        if self._stage_log is not None:
-            self._stage_log.append((item, ready))
+        self._staged.append(item)
+        self._ready.append(ready)
+        log = self._stage_log
+        if log is not None:
+            log[0].append(item)
+            log[1].append(ready)
         if self.can_pop.waiters:
-            self.engine._schedule_commit(self._staged[0][0], self)
+            self.engine._schedule_commit(self._ready[0], self)
         self.pushes += 1
         if self.first_push_cycle is None:
             self.first_push_cycle = now
@@ -486,10 +522,8 @@ class Fifo:
         planners walk this to compute exact per-flit schedules.
         """
         now = self.engine.cycle
-        return chain(
-            ((item, now) for item in self._visible),
-            ((item, ready) for ready, item in self._staged),
-        )
+        return chain(zip(self._visible, repeat(now)),
+                     zip(self._staged, self._ready))
 
     def present_schedule(self, now: int, limit: int = 0) -> tuple[list, list]:
         """``(items, ready_cycles)`` oldest-first over visible + staged.
@@ -510,10 +544,12 @@ class Fifo:
         ready = [now] * nv
         staged = self._staged
         if limit and nv + len(staged) > limit:
-            staged = islice(staged, limit - nv)
-        for r, item in staged:
-            items.append(item)
-            ready.append(r)
+            cut = limit - nv
+            items.extend(islice(staged, cut))
+            ready.extend(islice(self._ready, cut))
+        else:
+            items.extend(staged)
+            ready.extend(self._ready)
         return items, ready
 
     def stage_burst(self, items: Sequence[Any], cycles: Sequence[int],
@@ -568,23 +604,22 @@ class Fifo:
                     raise SimulationError(
                         f"fifo {self.name!r}: stage_burst cycles not monotone"
                     )
-                staged.extend(zip((cyc_arr + latency).tolist(), items))
+                ready_run = (cyc_arr + latency).tolist()
             else:
                 if k > 1 and any(map(gt, cycles, islice(cycles, 1, None))):
                     raise SimulationError(
                         f"fifo {self.name!r}: stage_burst cycles not monotone"
                     )
-                staged.extend(zip([cyc + latency for cyc in cycles], items))
+                ready_run = [cyc + latency for cyc in cycles]
         else:
             res_idx = 0
             paired = self._reserved_paired
-            for item, cyc in zip(items, cycles):
+            for cyc in cycles:
                 if cyc < prev:
                     raise SimulationError(
                         f"fifo {self.name!r}: stage_burst cycles not monotone"
                     )
                 prev = cyc
-                staged.append((cyc + latency, item))
                 base += 1
                 # Strict: a pre-committed release frees its slot for
                 # stages from release + 1 on (the per-flit wake cycle).
@@ -600,9 +635,14 @@ class Fifo:
                         f"fifo {self.name!r}: stage_burst overcommits at "
                         f"cycle {cyc} ({occ} slots in a {capacity}-deep FIFO)"
                     )
-        if self._stage_log is not None:
-            self._stage_log.extend(
-                zip(items, (cyc + latency for cyc in cycles)))
+            ready_run = [cyc + latency for cyc in cycles]
+        # One packet = one row: two C-level extends, no per-item container.
+        staged.extend(items)
+        self._ready.extend(ready_run)
+        log = self._stage_log
+        if log is not None:
+            log[0].extend(items)
+            log[1].extend(ready_run)
         occ_stages = self._occ_stages
         if occ_stages and cycles[0] < occ_stages[-1]:
             raise SimulationError(
@@ -615,7 +655,7 @@ class Fifo:
         if len(occ_stages) > _OCC_FOLD_LIMIT:
             self._occ_fold()
         if self.can_pop.waiters:
-            self.engine._schedule_commit(self._staged[0][0], self)
+            self.engine._schedule_commit(self._ready[0], self)
         self.pushes += k
         if self.first_push_cycle is None:
             self.first_push_cycle = cycles[0]
@@ -670,30 +710,28 @@ class Fifo:
                 raise SimulationError(
                     f"fifo {self.name!r}: take_burst ran out of items"
                 )
+            ready_q = self._ready
             if not collect and rem > 2048:
                 # Bulk path (a macro-cruise fast-forward commits tens of
                 # thousands of takes in one burst): the per-item
-                # visibility tripwire runs vectorised over the staged
-                # ready cycles, then the consumed prefix drops in one
-                # C-level operation.
-                ready_arr = np.fromiter(
-                    map(itemgetter(0), islice(staged, rem)),
-                    dtype=np.int64, count=rem)
+                # visibility tripwire runs vectorised over the ready
+                # column, then the consumed prefix of both columns drops
+                # in C-level operations.
+                ready_arr = np.fromiter(islice(ready_q, rem),
+                                        dtype=np.int64, count=rem)
                 late = np.nonzero(
                     ready_arr > np.asarray(cycles[nv:], dtype=np.int64))[0]
                 if late.size:
                     b = int(late[0])
-                    raise SimulationError(
-                        f"fifo {self.name!r}: take_burst at cycle "
-                        f"{cycles[nv + b]} but next item is only visible "
-                        f"at {staged[b][0]}"
-                    )
+                    self._reject_early_take(cycles[nv + b], ready_q[b])
                 if rem == len(staged):
                     staged.clear()
+                    ready_q.clear()
                 else:
-                    tail = list(islice(staged, rem, None))
-                    staged.clear()
-                    staged.extend(tail)
+                    for col in (staged, ready_q):
+                        tail = list(islice(col, rem, None))
+                        col.clear()
+                        col.extend(tail)
             else:
                 # Visibility check fused into the pop loop: staged item i
                 # must be ready by its take cycle. (The raise aborts the
@@ -702,24 +740,17 @@ class Fifo:
                 i = nv
                 if collect:
                     for _ in range(rem):
-                        ready, item = staged.popleft()
+                        ready = ready_q.popleft()
                         if ready > cycles[i]:
-                            raise SimulationError(
-                                f"fifo {self.name!r}: take_burst at cycle "
-                                f"{cycles[i]} but next item is only visible "
-                                f"at {ready}"
-                            )
-                        out.append(item)
+                            self._reject_early_take(cycles[i], ready)
+                        out.append(staged.popleft())
                         i += 1
                 else:
                     for _ in range(rem):
-                        ready = staged.popleft()[0]
+                        ready = ready_q.popleft()
                         if ready > cycles[i]:
-                            raise SimulationError(
-                                f"fifo {self.name!r}: take_burst at cycle "
-                                f"{cycles[i]} but next item is only visible "
-                                f"at {ready}"
-                            )
+                            self._reject_early_take(cycles[i], ready)
+                        staged.popleft()
                         i += 1
         # Slot bookkeeping: every take — current-cycle ones included —
         # holds its slot *reserved* until the cycle after its take cycle
@@ -736,7 +767,10 @@ class Fifo:
             else:
                 # A blocked producer needs its wake at the first release.
                 self.engine._schedule_commit(cycles[0], self)
-        self._reserved.extend(cycles)
+        reserved = self._reserved
+        if type(reserved) is tuple:
+            reserved = self._reserved = deque()
+        reserved.extend(cycles)
         self.pops += k
         self.last_pop_cycle = cycles[-1]
         if self._take_log is not None:
@@ -942,9 +976,8 @@ class Fifo:
         now = self.engine.cycle
         if self._visible:
             return now
-        staged = self._staged
-        if staged:
-            ready = staged[0][0]
+        if self._ready:
+            ready = self._ready[0]
             return ready if ready > now else now
         return self.supply_horizon(memo, depth)
 
@@ -965,19 +998,21 @@ class Fifo:
             self.horizon_pin = cycle
 
     def record_boundary_stages(self) -> None:
-        """Start logging ``(item, visible_cycle)`` for every stage."""
+        """Start logging every stage as one row of the columnar pair
+        ``(items, visible_cycles)``."""
         if self._stage_log is None:
-            self._stage_log = []
+            self._stage_log = ([], [])
 
     def record_boundary_takes(self) -> None:
         """Start logging the exact cycle of every take."""
         if self._take_log is None:
             self._take_log = []
 
-    def drain_stage_log(self) -> list:
-        """Return and reset the boundary stage log (exchange helper)."""
+    def drain_stage_log(self) -> tuple[list, list]:
+        """Return ``(items, visible_cycles)`` and reset the boundary
+        stage log (exchange helper)."""
         log = self._stage_log
-        self._stage_log = []
+        self._stage_log = ([], [])
         return log
 
     def drain_take_log(self) -> list:
@@ -1028,13 +1063,14 @@ class Fifo:
             raise SimulationError(
                 f"fifo {self.name!r}: injected cycles not monotone"
             )
-        staged = self._staged
-        if staged and vis0 < staged[-1][0]:
+        ready_q = self._ready
+        if ready_q and vis0 < ready_q[-1]:
             raise SimulationError(
                 f"fifo {self.name!r}: boundary injection at {vis0} behind "
-                f"already-staged item at {staged[-1][0]}"
+                f"already-staged item at {ready_q[-1]}"
             )
-        staged.extend(zip(visible_cycles, items))
+        self._staged.extend(items)
+        ready_q.extend(visible_cycles)
         latency = self.latency
         stage_cycles = [v - latency for v in visible_cycles]
         occ_stages = self._occ_stages
@@ -1050,7 +1086,7 @@ class Fifo:
         if self.first_push_cycle is None:
             self.first_push_cycle = stage_cycles[0]
         if self.can_pop.waiters:
-            self.engine._schedule_commit(self._staged[0][0], self)
+            self.engine._schedule_commit(self._ready[0], self)
         # No burst_stats: an injection batch reflects epoch pacing, not
         # the data plane's batching (and the transmitting half of this
         # boundary FIFO — the stats-authoritative one — already records
@@ -1089,6 +1125,7 @@ class Fifo:
             k = len(past)
             visible = self._visible
             staged = self._staged
+            ready_q = self._ready
             nv = min(k, len(visible))
             for _ in range(nv):
                 visible.popleft()
@@ -1098,7 +1135,8 @@ class Fifo:
                         f"fifo {self.name!r}: boundary takes ran out of "
                         "items"
                     )
-                ready = staged.popleft()[0]
+                staged.popleft()
+                ready = ready_q.popleft()
                 if ready > past[i]:
                     raise SimulationError(
                         f"fifo {self.name!r}: boundary take at {past[i]} "
@@ -1266,8 +1304,8 @@ class Fifo:
         if self.can_pop.waiters:
             if self.readable:
                 self.engine._wake_all(self.can_pop, delay=0)
-            elif self._staged:
-                self.engine._schedule_commit(self._staged[0][0], self)
+            elif self._ready:
+                self.engine._schedule_commit(self._ready[0], self)
         if self.can_push.waiters:
             reserved = self._reserved
             if self.writable or (reserved and
@@ -1283,22 +1321,23 @@ class Fifo:
 
     def _next_commit_cycle(self) -> int | None:
         """Cycle of the earliest pending staged item, if any (test helper)."""
-        return self._staged[0][0] if self._staged else None
+        return self._ready[0] if self._ready else None
 
     def _arm_waiter_wake(self, cond) -> None:
         """Schedule the commit a newly-blocked waiter of ``cond`` needs."""
         if cond is self.can_pop:
-            if self._staged:
-                self.engine._schedule_commit(self._staged[0][0], self)
+            if self._ready:
+                self.engine._schedule_commit(self._ready[0], self)
         elif self._reserved:
             self.engine._schedule_commit(self._reserved[0], self)
 
     def drain(self) -> list:
         """Remove and return all items (visible and staged); test helper."""
-        items = list(self._visible) + [item for _, item in self._staged]
+        items = list(self._visible) + list(self._staged)
         self._visible.clear()
         self._staged.clear()
-        self._reserved.clear()
+        self._ready.clear()
+        self._reserved = ()
         self._reserved_paired = 0
         if items:
             takes = self._occ_takes

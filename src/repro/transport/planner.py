@@ -1679,8 +1679,8 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
 
     def ff_track(chain):
         """Every per-packet list one chain appends to, with its kind:
-        ``'c'`` cycle lattice, ``'p'`` packets, ``'t'`` (pkt, ready) —
-        built by iterating the resolved chain in stream order."""
+        ``'c'`` cycle lattice, ``'p'`` packets — built by iterating the
+        resolved chain in stream order."""
         ls, lr, hops, _epp = chain
         lists = [(ls.rels, 'c'), (ls.pend_cycles, 'c'),
                  (ls.pend_pkts, 'p')]
@@ -1691,7 +1691,7 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
                 (cur.rels, 'c'), (cur.stage_cycles, 'c'),
                 (cur.stage_pkts, 'p'),
             ]
-        lists += [(lr.take_cycles, 'c'), (lr.items, 't')]
+        lists += [(lr.take_cycles, 'c'), (lr.pkts, 'p'), (lr.ready, 'c')]
         return tuple(lists)
 
     def ff_checkpoint(chain, lists):
@@ -1893,17 +1893,8 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
                     return False
                 if w2 and w2[-1] - dT > w2[0]:
                     return False  # extension would break monotonicity
-            elif kind == 'p':
-                if not all(map(attrs_ok, L[a:c])):
-                    return False
-            else:  # (pkt, ready) pairs
-                if [r for _p, r in L[b:c]] != \
-                        [r + dT for _p, r in L[a:b]]:
-                    return False
-                if L[c - 1][1] - dT > L[b][1]:
-                    return False
-                if not all(attrs_ok(p) for p, _r in L[a:c]):
-                    return False
+            elif not all(map(attrs_ok, L[a:c])):
+                return False
         # ---- element conservation along every hop ----------------------
         # Walk the element frontier down the chain: each hop's standing
         # inventory pushes the next-staged element back, and the frontier
@@ -1912,7 +1903,7 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         pend0 = ls.chan._packer.pending
         e_ship0 = ls.i - pend0  # elements inside emitted packets
         g0 = lr.got
-        pend_r = len(lr.items) - lr.ip
+        pend_r = len(lr.pkts) - lr.ip
         if e_ship0 % epp or g0 % epp:
             return False
         e = e_ship0
@@ -1926,7 +1917,7 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         for sess, jc, _tpr, _cur in hops:
             if not all(map(attrs_ok, sess.snap_items[jc][sess.ptr[jc]:])):
                 return False
-        if not all(attrs_ok(p) for p, _r in lr.items[lr.ip:]):
+        if not all(map(attrs_ok, lr.pkts[lr.ip:])):
             return False
         # The sender's release backlog must sit on the Δ lattice:
         # consumed releases *write* the pacing cursor, so one frozen
@@ -1975,13 +1966,13 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         # ready)``, so a frozen ready either side of the lattice would
         # bend the take trajectory (``ip`` advanced ppp per window, so
         # ``ip - ppp`` is in range).
-        items_r = lr.items
+        ready_r = lr.ready
         cap = R * ppp
         m = 0
-        for _p, rdy in items_r[lr.ip:]:
+        for rdy in ready_r[lr.ip:]:
             if m >= cap:
                 break
-            if rdy != items_r[lr.ip + m - ppp][1] + dT:
+            if rdy != ready_r[lr.ip + m - ppp] + dT:
                 cap = m
                 break
             m += 1
@@ -2044,7 +2035,6 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
             S = np.array(L[-ppp:], dtype=np.int64)
             L += (S[None, :] + shifts).ravel().tolist()
 
-        S_r = [r for _p, r in lr.items[-ppp:]]
         # Sender lane: stages into the send endpoint.
         run_in = pkt_run(e_ship0)
         ext_c(ls.pend_cycles)
@@ -2065,10 +2055,8 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
             cur.stage_pkts += run_in
         # Recv lane: takes the endpoint, payload straight to the caller.
         ext_c(lr.take_cycles)
-        lr.items += list(zip(
-            run_in,
-            (np.array(S_r, dtype=np.int64)[None, :] + shifts)
-            .ravel().tolist()))
+        lr.pkts += run_in
+        ext_c(lr.ready)
         lr.out[g0:g0 + R * dE] = np.asarray(values[g0:g0 + R * dE], dt_np)
         # Counters: R per-period deltas each, at every hop.
         for (sess, jc, _tpr, cur), rnd in zip(hops, rnds):
