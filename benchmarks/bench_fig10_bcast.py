@@ -9,10 +9,9 @@ with 8 and 4 ranks, and MPI+OpenCL with 8 ranks. Expected shape:
 * topology (torus vs bus) matters little for SMI broadcast.
 """
 
-import os
-
 import pytest
 
+from repro.core.config import NOCTUA
 from repro.harness import (
     collective_sweep,
     format_table,
@@ -25,17 +24,23 @@ DEFAULT_SIZES = [1, 8, 64, 512, 4096, 16384, 65536, 262144, 1048576]
 FULL_SIZES = [2**k for k in range(0, 21)]
 
 
-def sweep_sizes() -> list[int]:
-    return FULL_SIZES if os.environ.get("REPRO_FULL_SWEEP") else DEFAULT_SIZES
+def sweep_sizes(full: bool = False) -> list[int]:
+    return FULL_SIZES if full else DEFAULT_SIZES
 
 
-def build_fig10_series() -> dict[str, list]:
-    sizes = sweep_sizes()
+def build_fig10_series(config=NOCTUA, full=False,
+                       trace_out=None) -> dict[str, list]:
+    sizes = sweep_sizes(full)
+
+    def smi(topology, ranks):
+        return collective_sweep("bcast", sizes, topology, ranks, config,
+                                trace_out=trace_out)
+
     return {
-        "SMI Torus - 8 Ranks": collective_sweep("bcast", sizes, noctua_torus(), 8),
-        "SMI Torus - 4 Ranks": collective_sweep("bcast", sizes, noctua_torus(), 4),
-        "SMI Bus - 8 Ranks": collective_sweep("bcast", sizes, noctua_bus(), 8),
-        "SMI Bus - 4 Ranks": collective_sweep("bcast", sizes, noctua_bus(), 4),
+        "SMI Torus - 8 Ranks": smi(noctua_torus(), 8),
+        "SMI Torus - 4 Ranks": smi(noctua_torus(), 4),
+        "SMI Bus - 8 Ranks": smi(noctua_bus(), 8),
+        "SMI Bus - 4 Ranks": smi(noctua_bus(), 4),
         "MPI+OpenCL - 8 Ranks": host_collective_sweep("bcast", sizes, 8),
     }
 

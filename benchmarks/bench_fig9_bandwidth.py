@@ -10,8 +10,6 @@ Expected shape (verified):
 * the host path plateaus at roughly one third of SMI's bandwidth.
 """
 
-import os
-
 import pytest
 
 from repro.core.config import NOCTUA
@@ -26,21 +24,26 @@ from repro.hostexec import NOCTUA_HOST, PCIE_PEAK_BPS
 
 #: Sweep sizes: 1 KiB .. 4 MiB simulated/modelled by default; the paper's
 #: full 256 MiB tail is pure model territory and adds no new shape, but can
-#: be enabled with REPRO_FULL_SWEEP=1.
+#: be enabled with ``full=True`` (``smi-bench fig9 --full``).
 DEFAULT_SIZES = [2**k for k in range(10, 23)]
 FULL_SIZES = paperdata.FIG9_SIZES_BYTES
 
 
-def sweep_sizes() -> list[int]:
-    return FULL_SIZES if os.environ.get("REPRO_FULL_SWEEP") else DEFAULT_SIZES
+def sweep_sizes(full: bool = False) -> list[int]:
+    return FULL_SIZES if full else DEFAULT_SIZES
 
 
-def build_fig9_series() -> dict[str, list]:
-    sizes = sweep_sizes()
+def build_fig9_series(config=NOCTUA, full=False,
+                      trace_out=None) -> dict[str, list]:
+    sizes = sweep_sizes(full)
+
+    def smi(hops):
+        return bandwidth_sweep(sizes, hops, config, trace_out=trace_out)
+
     return {
-        "SMI - 1 hop": bandwidth_sweep(sizes, hops=1),
-        "SMI - 4 hops": bandwidth_sweep(sizes, hops=4),
-        "SMI - 7 hops": bandwidth_sweep(sizes, hops=7),
+        "SMI - 1 hop": smi(1),
+        "SMI - 4 hops": smi(4),
+        "SMI - 7 hops": smi(7),
         "MPI+OpenCL": host_bandwidth_sweep(sizes),
     }
 

@@ -2,17 +2,19 @@
 
 import pytest
 
+from repro.core.config import NOCTUA
 from repro.harness import Comparison, measure_pingpong_us, paperdata
 from repro.hostexec import NOCTUA_HOST
 
 
-def build_table3_report() -> Comparison:
+def build_table3_report(config=NOCTUA, trace_out=None) -> Comparison:
     cmp = Comparison("Table 3: one-way latency", unit="us")
     cmp.add("MPI+OpenCL", paperdata.TABLE3_LATENCY_US["MPI+OpenCL"],
             round(NOCTUA_HOST.p2p_latency_us(), 2), "host model")
     for hops in (1, 4, 7):
         cmp.add(f"SMI-{hops}", paperdata.TABLE3_LATENCY_US[f"SMI-{hops}"],
-                round(measure_pingpong_us(hops), 3), "cycle sim")
+                round(measure_pingpong_us(hops, config, trace_out=trace_out),
+                      3), "cycle sim")
     return cmp
 
 

@@ -13,14 +13,15 @@ R = 4 reproduce the paper's 5.0 and 2.5 exactly.
 
 import pytest
 
+from repro.core.config import NOCTUA
 from repro.harness import Comparison, measure_injection_cycles, paperdata
 
 
-def build_table4_report() -> Comparison:
+def build_table4_report(config=NOCTUA, trace_out=None) -> Comparison:
     cmp = Comparison("Table 4: injection rate", unit="cycles/packet")
     for R, paper in paperdata.TABLE4_INJECTION_CYCLES.items():
-        cmp.add(f"R={R}", paper, round(measure_injection_cycles(R), 2),
-                "cycle sim")
+        gap = measure_injection_cycles(R, config=config, trace_out=trace_out)
+        cmp.add(f"R={R}", paper, round(gap, 2), "cycle sim")
     return cmp
 
 

@@ -255,20 +255,15 @@ def run_trace_points(n, repeats, sample_out=None):
     be identical either way. When ``sample_out`` is given, the traced
     arm also writes its merged Perfetto trace there (the CI artifact).
     """
-    import os
-
     off_cfg = NOCTUA_DEEP
     on_cfg = NOCTUA_DEEP.with_(trace=True)
     cycles_off, wall_off = _best_of(
         lambda: measure_stream_sim(n, 1, SMI_FLOAT, off_cfg), repeats)
-    if sample_out is not None:
-        os.environ["REPRO_TRACE_OUT"] = str(sample_out)
-    try:
-        cycles_on, wall_on = _best_of(
-            lambda: measure_stream_sim(n, 1, SMI_FLOAT, on_cfg), repeats)
-    finally:
-        if sample_out is not None:
-            os.environ.pop("REPRO_TRACE_OUT", None)
+    cycles_on, wall_on = _best_of(
+        lambda: measure_stream_sim(
+            n, 1, SMI_FLOAT, on_cfg,
+            trace_out=None if sample_out is None else str(sample_out)),
+        repeats)
     return [{
         "kind": "trace_stream", "elements": int(n), "hops": 1,
         "buffers": "deep", "backend": "sequential", "shards": 1,

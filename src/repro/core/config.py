@@ -74,42 +74,30 @@ class HardwareConfig:
         Reduce root. The root releases new credits to all ranks each time a
         full tile of C elements has been combined and drained.
     max_ranks:
-        The 1-byte packet header limits ranks (and ports) to 256 (§4.2).
+        Ranks the platform addresses; the 1-byte packet header limits
+        ranks (and ports) to 256 (§4.2). The fabric rejects a topology
+        with more ranks.
     max_ports:
-        Maximum distinct communication endpoints per rank (1-byte header).
+        Maximum distinct communication endpoints per rank (1-byte
+        header). The transport builder rejects operations on higher
+        ports.
     burst_mode:
-        Enable the simulator's burst fast path: contiguous runs of packets
-        move through FIFOs, polling arbiters, CKS/CKR and links in a single
-        engine event with analytically computed per-item cycles, instead of
-        one generator step per packet per layer. Cycle counts and per-FIFO
-        push/pop statistics are identical with the flag on or off (enforced
-        by ``tests/test_burst_equivalence.py``); only wall-clock simulation
-        speed changes. Default on; turn off to A/B against the literal
-        per-flit interpretation.
-    pattern_replication:
-        Enable steady-state pattern replication inside the burst planner
-        (:mod:`repro.transport.planner`): when consecutive committed
-        windows of one CK are Δ-shifted copies of each other, further
-        rounds are validated against live supply/slot state and committed
-        in bulk instead of re-running the full polling simulation per
-        round. Like ``burst_mode`` it never changes cycle counts (the
-        equivalence suite covers it); it only changes simulator
-        wall-clock. Only meaningful with ``burst_mode`` on. Turn off to
-        A/B the replication plane in isolation.
-    cruise_induction:
-        Enable cruise-mode induction inside replication trains: once a
-        train round validates, further rounds whose every resource is
-        train-internal or arithmetically bounded (committed supply,
-        free slots and release schedules, supply horizons) commit in
-        bulk with no per-round validation walk. Cycle-exact like the
-        planes beneath it (the equivalence and fuzz suites pin the
-        3-way per-flit / replicated / cruise equality); pays mainly in
-        deep-buffer configurations where trains span many rounds. Only
-        meaningful with ``pattern_replication`` on. Turn off to A/B the
-        induction in isolation.
+        Enable the simulator's burst data plane: contiguous runs of
+        packets move through FIFOs, polling arbiters, CKS/CKR and links
+        in a single engine event with analytically computed per-item
+        cycles, instead of one generator step per packet per layer. The
+        plane includes the supply planner's window planning,
+        steady-state pattern replication and cruise-mode induction
+        (:mod:`repro.transport.planner`) — they are tiers of one plane,
+        not separately selectable. Cycle counts and per-FIFO push/pop
+        statistics are identical with the flag on or off (enforced by
+        ``tests/test_burst_equivalence.py`` and the fuzz suite); only
+        wall-clock simulation speed changes. Default on; off selects the
+        literal per-flit interpretation, which is the specification
+        every other plane is checked against.
     macro_cruise:
         Enable whole-program analytical fast-forward (macro-cruise) on
-        top of cruise induction: the supply planner registers every
+        top of the burst plane: the supply planner registers every
         plane of the program (CK processes, support kernels, the app
         channels' burst endpoints) and, whenever a replication train
         stalls on an application endpoint whose channel is asleep
@@ -119,13 +107,14 @@ class HardwareConfig:
         channel's next wake. Trains then run to the next true
         externality (supply horizon, routing-key drift, pattern
         Δ-exhaustion, train caps) and the engine clock crosses the
-        whole span in one event per plane. Cycle-exact like every
-        plane beneath it (the 6-way fuzz suite pins flit / burst /
-        replicated / cruise / sharded / macro equality); every
-        fast-forward window also asserts its closed-form span against
-        the pattern arithmetic and is reported for the perfmodel
-        residual check. Only meaningful with ``cruise_induction`` on.
-        Default off; the deep-buffer benchmarks switch it on.
+        whole span in one event per plane. Cycle-exact like the plane
+        beneath it (the fuzz suite pins flit / burst / macro / sharded
+        equality); every fast-forward window also asserts its
+        closed-form span against the pattern arithmetic and is reported
+        for the perfmodel residual check. Requires ``burst_mode`` (the
+        gate chain is ``burst_mode ⊃ macro_cruise``; the combination
+        ``macro_cruise=True, burst_mode=False`` is rejected). Default
+        off; the deep-buffer benchmarks switch it on.
     record_accepts:
         Opt-in arbiter instrumentation: when True every CKS/CKR polling
         arbiter keeps a bounded histogram of inter-accept gaps (see
@@ -140,8 +129,9 @@ class HardwareConfig:
         on SupplySchedule horizons (in-process — the cycle-exactness
         reference for the parallel plane); ``"process"`` runs the same
         epoch protocol with one forked worker process per shard,
-        exchanging pickled boundary batches — actual multi-core
-        parallelism. All backends are cycle-exact: on completed runs,
+        exchanging packed boundary records through shared-memory rings
+        (:mod:`repro.shard.wire`) — actual multi-core parallelism. All
+        backends are cycle-exact: on completed runs,
         identical ``RunResult.cycles``, per-rank stores, per-FIFO
         push/pop counts and occupancy peaks (``tests/test_shard.py``
         and the fuzz suite enforce it); only simulator wall-clock
@@ -156,35 +146,6 @@ class HardwareConfig:
         Number of fabric partitions for the sharded backends. Must be 1
         for the sequential backend and ``1 <= shards <= num_ranks``
         otherwise (the partitioner validates against the topology).
-    shard_transport:
-        Boundary-exchange transport of the ``process`` backend.
-        ``"shm"`` ships packed batch records through per-boundary
-        shared-memory rings (:mod:`repro.shard.wire`) and lets workers
-        self-pace mid-epoch — floors publish as soon as they are proven,
-        not at the epoch barrier; ``"pipe"`` sends the same packed
-        records over the control pipe in coordinator-driven epochs (the
-        PR-5 protocol with the pickle cost removed — useful for A/B
-        isolation of codec vs transport wins); ``"auto"`` (default)
-        picks ``shm`` when ``multiprocessing.shared_memory`` works on
-        the platform and falls back to ``pipe``. Ignored by the
-        ``sequential`` and in-process ``sharded`` backends, which move
-        no bytes. All transports are cycle-exact (the shard equivalence
-        and fuzz suites sweep them).
-    shard_ring_bytes:
-        Capacity, in bytes, of each shared-memory ring (two rings —
-        ship and ack — per directed boundary link). A full ring never
-        drops a record: the writer backlogs and retries, and oversized
-        batches are split at item granularity, so this is purely a
-        performance knob. The 1 MiB default holds thousands of epochs
-        of typical boundary traffic.
-    shard_inner_rounds:
-        Maximum self-paced exchange iterations a shared-memory worker
-        runs per coordinator round. Within one iteration a worker
-        drains its rings, recomputes its own conservative bound from
-        the freshest floors, runs to it, and publishes — so deeper
-        values amortise coordinator round-trips further; the cap keeps
-        global termination/deadlock checks (which need a barrier)
-        regularly scheduled.
     trace:
         Cycle-domain tracing (see :mod:`repro.trace`): when True every
         engine carries a flight recorder — a bounded ring buffer of
@@ -222,24 +183,16 @@ class HardwareConfig:
     max_ranks: int = 256
     max_ports: int = 256
     burst_mode: bool = True
-    pattern_replication: bool = True
-    cruise_induction: bool = True
     macro_cruise: bool = False
     record_accepts: bool = False
     backend: str = "sequential"
     shards: int = 1
-    shard_transport: str = "auto"
-    shard_ring_bytes: int = 1 << 20
-    shard_inner_rounds: int = 64
     trace: bool = False
     trace_buffer_events: int = 65536
     trace_sample_stride: int = 4096
 
     #: Valid values of :attr:`backend`.
     BACKENDS = ("sequential", "sharded", "process")
-
-    #: Valid values of :attr:`shard_transport`.
-    SHARD_TRANSPORTS = ("auto", "shm", "pipe")
 
     def __post_init__(self) -> None:
         if self.clock_hz <= 0:
@@ -269,6 +222,11 @@ class HardwareConfig:
             raise ConfigurationError(
                 "packet header encodes rank/port in 1 byte each; max is 256"
             )
+        if self.macro_cruise and not self.burst_mode:
+            raise ConfigurationError(
+                "macro_cruise fast-forwards the burst plane and requires "
+                "burst_mode=True (got burst_mode=False)"
+            )
         if self.backend not in self.BACKENDS:
             known = ", ".join(self.BACKENDS)
             raise ConfigurationError(
@@ -280,21 +238,6 @@ class HardwareConfig:
             raise ConfigurationError(
                 "shards > 1 requires backend='sharded' or 'process' "
                 f"(got backend='sequential', shards={self.shards})"
-            )
-        if self.shard_transport not in self.SHARD_TRANSPORTS:
-            known = ", ".join(self.SHARD_TRANSPORTS)
-            raise ConfigurationError(
-                f"unknown shard_transport {self.shard_transport!r} "
-                f"(known: {known})"
-            )
-        if self.shard_ring_bytes < 4096:
-            raise ConfigurationError(
-                "shard_ring_bytes must be >= 4096 (a ring must hold at "
-                f"least one record comfortably): {self.shard_ring_bytes}"
-            )
-        if self.shard_inner_rounds < 1:
-            raise ConfigurationError(
-                f"shard_inner_rounds must be >= 1: {self.shard_inner_rounds}"
             )
         if self.trace_buffer_events < 1:
             raise ConfigurationError(

@@ -189,7 +189,8 @@ class SMIProgram:
 
         return generate(self.build_plan(), self.topology, self.config)
 
-    def run(self, max_cycles: int | None = None) -> ProgramResult:
+    def run(self, max_cycles: int | None = None,
+            trace_out: str | None = None) -> ProgramResult:
         """Build everything and simulate until all kernels finish.
 
         ``HardwareConfig.backend`` selects the execution engine: the
@@ -198,6 +199,13 @@ class SMIProgram:
         shards on separate engines (optionally in forked worker
         processes) and synchronise them in conservative epochs —
         cycle-exact either way.
+
+        ``trace_out`` names a file to write the run's merged trace
+        timeline to (``HardwareConfig.trace`` must be on for there to be
+        one): ``.json`` gets Chrome/Perfetto trace-event JSON,
+        ``.jsonl`` the compact line form. Programmatic users can skip
+        the file and read ``result.engine.trace`` (sequential) or
+        ``result.transport.trace`` (sharded, pre-merged) directly.
         """
         if not self._kernels:
             raise ConfigurationError("program has no kernels")
@@ -205,7 +213,8 @@ class SMIProgram:
             from ..shard.backend import run_sharded
 
             result = run_sharded(self, max_cycles)
-            self._maybe_export_trace(result)
+            if trace_out:
+                _export_trace(result, trace_out)
             return result
         engine = Engine()
         # Flight recorder (None unless config.trace): the zero-overhead
@@ -258,30 +267,19 @@ class SMIProgram:
             transport=transport,
             routes=routes,
         )
-        self._maybe_export_trace(result)
+        if trace_out:
+            _export_trace(result, trace_out)
         return result
 
-    def _maybe_export_trace(self, result: ProgramResult) -> None:
-        """Write the run's trace to ``$REPRO_TRACE_OUT`` when set.
 
-        The env var is the CLI's only channel into the result objects
-        (``--trace out.json`` plumbs it, mirroring ``--macro-cruise``):
-        ``.json`` gets Chrome/Perfetto trace-event JSON, ``.jsonl`` the
-        compact line form. Programmatic users skip the file and read
-        ``result.engine.trace`` (sequential) or
-        ``result.transport.trace`` (sharded, pre-merged) directly.
-        """
-        import os
+def _export_trace(result: ProgramResult, out: str) -> None:
+    """Write the run's merged trace timeline to ``out`` (if it has one)."""
+    from ..trace import merge_segments, write_trace
 
-        out = os.environ.get("REPRO_TRACE_OUT", "")
-        if not out:
+    merged = getattr(result.transport, "trace", None)
+    if merged is None:
+        recorder = getattr(result.engine, "trace", None)
+        if recorder is None:
             return
-        from ..trace import merge_segments, write_trace
-
-        merged = getattr(result.transport, "trace", None)
-        if merged is None:
-            recorder = getattr(result.engine, "trace", None)
-            if recorder is None:
-                return
-            merged = merge_segments([recorder.segment()])
-        write_trace(merged, out)
+        merged = merge_segments([recorder.segment()])
+    write_trace(merged, out)

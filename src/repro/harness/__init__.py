@@ -7,7 +7,6 @@ from .runners import (
     SweepPoint,
     bandwidth_sweep,
     collective_sweep,
-    default_config,
     host_bandwidth_sweep,
     host_collective_sweep,
     measure_injection_cycles,

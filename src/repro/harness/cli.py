@@ -14,120 +14,94 @@ Usage::
 simulation backend (``sequential`` / ``sharded`` / ``process``, see
 :mod:`repro.shard`) with ``--shards`` fabric partitions — so any
 experiment runs under any buffer regime and execution backend without
-code edits; ``--shard-transport`` additionally picks the process
-backend's boundary transport (shared-memory rings vs the coordinator
-pipe), and ``--macro-cruise`` turns on the whole-program analytical
+code edits; ``--macro-cruise`` turns on the whole-program analytical
 fast-forward (see docs/ARCHITECTURE.md, "Macro-cruise fast-forward")
 on top of the chosen preset. ``--trace out.json`` turns on the
 cycle-domain flight recorder (see docs/ARCHITECTURE.md,
 "Observability & tracing") and writes every simulated point's merged
 timeline to the given file — ``.json`` is Chrome/Perfetto trace-event
-format, ``.jsonl`` the compact line form. The flags reach the
-measurement runners through the
-``REPRO_PRESET`` / ``REPRO_BACKEND`` / ``REPRO_SHARDS`` /
-``REPRO_SHARD_TRANSPORT`` / ``REPRO_MACRO_CRUISE`` / ``REPRO_TRACE`` /
-``REPRO_TRACE_OUT`` environment
-variables (:func:`repro.harness.runners.default_config` and
-``SMIProgram.run``'s export hook).
+format, ``.jsonl`` the compact line form. :func:`main` folds the flags
+into one :class:`~repro.core.config.HardwareConfig` and passes it (with
+``full`` and the trace path) to :func:`run_experiment`, which hands it
+to the ``benchmarks/bench_*.py`` builders; nothing travels through the
+environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
+from functools import partial
 
-EXPERIMENTS = (
-    "table1", "table2", "table3", "table4",
-    "fig9", "fig10", "fig11", "fig13", "fig15", "fig16",
-)
-
-
-def run_experiment(name: str) -> None:
-    # Imports are local so each invocation only pays for what it runs.
-    if name == "table1":
-        import importlib
-
-        mod = importlib.import_module("bench_table1_resources")
-        mod.build_table1_report().print()
-    elif name == "table2":
-        import importlib
-
-        mod = importlib.import_module("bench_table2_collective_resources")
-        mod.build_table2_report().print()
-    elif name == "table3":
-        import importlib
-
-        mod = importlib.import_module("bench_table3_latency")
-        mod.build_table3_report().print()
-    elif name == "table4":
-        import importlib
-
-        mod = importlib.import_module("bench_table4_injection")
-        mod.build_table4_report().print()
-    elif name == "fig9":
-        import importlib
-
-        mod = importlib.import_module("bench_fig9_bandwidth")
-        _print_series(mod.build_fig9_series(), mod.sweep_sizes(), "bytes",
-                      "Fig. 9: bandwidth [Gbit/s]")
-    elif name == "fig10":
-        import importlib
-
-        mod = importlib.import_module("bench_fig10_bcast")
-        _print_series(mod.build_fig10_series(), mod.sweep_sizes(), "elems",
-                      "Fig. 10: Bcast time [usec]")
-    elif name == "fig11":
-        import importlib
-
-        mod = importlib.import_module("bench_fig11_reduce")
-        _print_series(mod.build_fig11_series(), mod.sweep_sizes(), "elems",
-                      "Fig. 11: Reduce time [usec]")
-    elif name == "fig13":
-        import importlib
-
-        mod = importlib.import_module("bench_fig13_gesummv")
-        mod.build_fig13_report().print()
-    elif name == "fig15":
-        import importlib
-
-        mod = importlib.import_module("bench_fig15_stencil_strong")
-        mod.build_fig15_report().print()
-    elif name == "fig16":
-        import importlib
-
-        mod = importlib.import_module("bench_fig16_stencil_weak")
-        from .paperdata import FIG16_GRID_SIZES
-        from .reporting import format_table
-
-        series = mod.build_fig16_series()
-        rows = [
-            [f"{s}x{s}", round(series["4 Ranks"][s], 3),
-             round(series["8 Ranks"][s], 3)]
-            for s in FIG16_GRID_SIZES
-        ]
-        print(format_table(["grid", "4 ranks [ns/pt]", "8 ranks [ns/pt]"],
-                           rows, title="Fig. 16: stencil weak scaling"))
-    else:  # pragma: no cover - guarded by argparse choices
-        raise ValueError(name)
+from ..core.config import HW_PRESETS, NOCTUA, HardwareConfig
+from .paperdata import FIG16_GRID_SIZES
+from .reporting import Comparison, format_table
 
 
-def _print_series(series: dict, sizes: list[int], size_label: str,
-                  title: str) -> None:
-    from .reporting import format_table
-
+def _print_series(series: dict, size_label: str, title: str) -> None:
+    first = next(iter(series.values()))
     rows = [
-        [size] + [f"{series[k][i].value:,.2f} ({series[k][i].source})"
-                  for k in series]
-        for i, size in enumerate(sizes)
+        [point.size] + [f"{series[k][i].value:,.2f} ({series[k][i].source})"
+                        for k in series]
+        for i, point in enumerate(first)
     ]
     print(format_table([size_label] + list(series), rows, title=title))
 
 
-def _preset_names() -> tuple[str, ...]:
-    from repro.core.config import HW_PRESETS
+def _print_fig16(series: dict) -> None:
+    rows = [
+        [f"{s}x{s}", round(series["4 Ranks"][s], 3),
+         round(series["8 Ranks"][s], 3)]
+        for s in FIG16_GRID_SIZES
+    ]
+    print(format_table(["grid", "4 ranks [ns/pt]", "8 ranks [ns/pt]"],
+                       rows, title="Fig. 16: stencil weak scaling"))
 
-    return tuple(sorted(HW_PRESETS))
+
+#: experiment -> (``benchmarks/`` module, builder, printer of what the
+#: builder returns, the run parameters the builder takes). Model-only
+#: experiments take none; the simulated ones take the platform
+#: ``config`` and ``trace_out``, and the size sweeps also ``full``.
+_SIM = ("config", "trace_out")
+_SWEEP = ("config", "full", "trace_out")
+_EXPERIMENTS = {
+    "table1": ("bench_table1_resources", "build_table1_report",
+               Comparison.print, ()),
+    "table2": ("bench_table2_collective_resources", "build_table2_report",
+               Comparison.print, ()),
+    "table3": ("bench_table3_latency", "build_table3_report",
+               Comparison.print, _SIM),
+    "table4": ("bench_table4_injection", "build_table4_report",
+               Comparison.print, _SIM),
+    "fig9": ("bench_fig9_bandwidth", "build_fig9_series",
+             partial(_print_series, size_label="bytes",
+                     title="Fig. 9: bandwidth [Gbit/s]"), _SWEEP),
+    "fig10": ("bench_fig10_bcast", "build_fig10_series",
+              partial(_print_series, size_label="elems",
+                      title="Fig. 10: Bcast time [usec]"), _SWEEP),
+    "fig11": ("bench_fig11_reduce", "build_fig11_series",
+              partial(_print_series, size_label="elems",
+                      title="Fig. 11: Reduce time [usec]"), _SWEEP),
+    "fig13": ("bench_fig13_gesummv", "build_fig13_report",
+              Comparison.print, ()),
+    "fig15": ("bench_fig15_stencil_strong", "build_fig15_report",
+              Comparison.print, ()),
+    "fig16": ("bench_fig16_stencil_weak", "build_fig16_series",
+              _print_fig16, ()),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def run_experiment(name: str, config: HardwareConfig = NOCTUA,
+                   full: bool = False, trace_out: str | None = None) -> None:
+    """Regenerate one experiment on ``config`` and print its table."""
+    module, builder, printer, takes = _EXPERIMENTS[name]
+    # Imported here so each invocation only pays for what it runs.
+    build = getattr(importlib.import_module(module), builder)
+    params = {"config": config, "full": full, "trace_out": trace_out}
+    printer(build(**{key: params[key] for key in takes}))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -139,8 +113,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--full", action="store_true",
                         help="extend sweeps to paper-scale sizes "
                              "(model-backed points)")
-    parser.add_argument("--preset", default=None,
-                        choices=_preset_names(),
+    parser.add_argument("--preset", default="noctua",
+                        choices=tuple(sorted(HW_PRESETS)),
                         help="hardware preset the simulated points run on "
                              "(default: noctua)")
     parser.add_argument("--backend", default=None,
@@ -150,15 +124,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--shards", type=int, default=None,
                         help="fabric partitions for the sharded backends "
                              "(default: 2; requires --backend)")
-    parser.add_argument("--shard-transport", default=None,
-                        choices=("auto", "shm", "pipe"),
-                        help="process-backend boundary transport: "
-                             "shared-memory rings or the coordinator pipe "
-                             "(default: auto; requires --backend process)")
     parser.add_argument("--macro-cruise", action="store_true",
                         help="enable the whole-program analytical "
-                             "fast-forward for the simulated points "
-                             "(implies the full cruise gate chain)")
+                             "fast-forward for the simulated points")
     parser.add_argument("--trace", default=None, metavar="OUT",
                         help="record a cycle-domain trace of the simulated "
                              "points and write the merged timeline to OUT "
@@ -168,31 +136,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.shards is not None and args.backend not in ("sharded",
                                                         "process"):
         parser.error("--shards requires --backend sharded|process")
-    if args.shard_transport is not None and args.backend != "process":
-        parser.error("--shard-transport requires --backend process")
-    if args.full:
-        os.environ["REPRO_FULL_SWEEP"] = "1"
-    if args.preset:
-        os.environ["REPRO_PRESET"] = args.preset
+    config = HW_PRESETS[args.preset].with_(
+        macro_cruise=args.macro_cruise, trace=bool(args.trace))
     if args.backend:
-        os.environ["REPRO_BACKEND"] = args.backend
-        os.environ["REPRO_SHARDS"] = str(args.shards or 2)
-    if args.shard_transport:
-        os.environ["REPRO_SHARD_TRANSPORT"] = args.shard_transport
-    if args.macro_cruise:
-        os.environ["REPRO_MACRO_CRUISE"] = "1"
-    else:
-        # Two-way plumbing: an absent flag must clear a stale opt-in,
-        # or back-to-back in-process invocations leak the setting into
-        # runs that asked for it off.
-        os.environ["REPRO_MACRO_CRUISE"] = "0"
-    if args.trace:
-        os.environ["REPRO_TRACE"] = "1"
-        os.environ["REPRO_TRACE_OUT"] = args.trace
-    else:
-        # Same two-way discipline as --macro-cruise above.
-        os.environ["REPRO_TRACE"] = "0"
-        os.environ["REPRO_TRACE_OUT"] = ""
+        config = config.with_(
+            backend=args.backend,
+            shards=1 if args.backend == "sequential" else args.shards or 2)
     # The benchmark modules live in benchmarks/, importable from the repo
     # root; fall back gracefully when invoked from elsewhere.
     here = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -202,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.path.insert(0, bench_dir)
     names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     for name in names:
-        run_experiment(name)
+        run_experiment(name, config, full=args.full, trace_out=args.trace)
     return 0
 
 

@@ -178,12 +178,12 @@ def burst_summary(engine) -> str:
     moved through the FIFO layer, how many items they carried, and the
     mean burst length. All-zero counters mean the run was per-flit.
     """
-    from ..simulation.stats import collect_burst_stats
-
-    total = collect_burst_stats(engine)
-    if not total.bursts:
+    stats = engine.fifo_stats().values()
+    bursts = sum(s["bursts"] for s in stats)
+    if not bursts:
         return "bursts: none (per-flit data plane)"
+    items = sum(s["burst_items"] for s in stats)
     return (
-        f"bursts: {total.bursts:,} moving {total.items:,} items "
-        f"(mean length {total.mean_length:.2f})"
+        f"bursts: {bursts:,} moving {items:,} items "
+        f"(mean length {items / bursts:.2f})"
     )

@@ -6,25 +6,24 @@ where cycle simulation would be too slow (points are labelled ``sim`` /
 ``model``), adds the host-baseline curve, and returns rows ready for a
 paper-vs-measured report.
 
-When a runner is called without an explicit ``config``, the platform
-model is resolved by :func:`default_config` from the environment —
-``REPRO_PRESET`` (a :data:`repro.core.config.HW_PRESETS` name),
-``REPRO_BACKEND`` and ``REPRO_SHARDS`` — which is how the ``smi-bench``
-CLI's ``--preset``/``--backend`` flags reach every experiment without
-code edits. Runner kernels communicate their measurements through
-``smi.store`` (not closures), so every runner works unchanged under the
-process-sharded backend, where kernels execute in worker processes.
+Every runner takes the platform model as an explicit ``config``
+(default :data:`~repro.core.config.NOCTUA`) — the ``smi-bench`` CLI
+builds one :class:`~repro.core.config.HardwareConfig` from its flags and
+hands it down — and the simulating ones a ``trace_out`` path forwarded
+to :meth:`SMIProgram.run`. Runner kernels communicate their measurements
+through ``smi.store`` (not closures), so every runner works unchanged
+under the process-sharded backend, where kernels execute in worker
+processes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..codegen.metadata import OpDecl
-from ..core.config import HardwareConfig, hardware_preset
+from ..core.config import NOCTUA, HardwareConfig
 from ..core.datatypes import SMI_FLOAT, SMI_INT, SMIDatatype
 from ..core.program import SMIProgram
 from ..hostexec import NOCTUA_HOST, HostPathModel
@@ -39,44 +38,6 @@ from ..perfmodel import (
 #: Element-count threshold above which sweeps switch from the cycle
 #: simulator to the validated analytical model.
 SIM_ELEMENT_LIMIT = 1 << 17  # 128 Ki elements (512 KiB of floats)
-
-
-def default_config() -> HardwareConfig:
-    """The runners' default platform model, environment-overridable.
-
-    ``REPRO_PRESET`` selects a named :data:`~repro.core.config.HW_PRESETS`
-    entry (default ``noctua``); ``REPRO_BACKEND`` and ``REPRO_SHARDS``
-    select the execution backend on top (default sequential), and
-    ``REPRO_SHARD_TRANSPORT`` the process backend's boundary transport
-    (``auto``/``shm``/``pipe``). ``REPRO_MACRO_CRUISE=1`` enables the
-    macro-cruise whole-program fast-forward on top of whichever preset
-    was chosen (``0``/``""``/``false``/``no`` force it off), and
-    ``REPRO_TRACE=1`` the cycle-domain flight recorder (same falsy
-    set forces it off; ``REPRO_TRACE_OUT`` names the export file,
-    consumed by ``SMIProgram.run``). The ``smi-bench`` CLI sets these
-    from ``--preset``/``--backend``/``--shard-transport``/
-    ``--macro-cruise``/``--trace``.
-    """
-    config = hardware_preset(os.environ.get("REPRO_PRESET", "noctua"))
-    backend = os.environ.get("REPRO_BACKEND")
-    if backend:
-        shards = int(os.environ.get("REPRO_SHARDS", "2"))
-        config = config.with_(backend=backend,
-                              shards=1 if backend == "sequential" else shards)
-    transport = os.environ.get("REPRO_SHARD_TRANSPORT")
-    if transport:
-        config = config.with_(shard_transport=transport)
-    macro = os.environ.get("REPRO_MACRO_CRUISE")
-    if macro is not None:
-        # An empty string is an explicit "off", same as "0": the CLI
-        # clears a stale opt-in by writing a falsy value, and a leaked
-        # empty var must not silently keep the previous run's setting.
-        config = config.with_(
-            macro_cruise=macro not in ("", "0", "false", "no"))
-    trace = os.environ.get("REPRO_TRACE")
-    if trace is not None:
-        config = config.with_(trace=trace not in ("", "0", "false", "no"))
-    return config
 
 
 # ----------------------------------------------------------------------
@@ -130,18 +91,19 @@ def measure_stream_sim(
     n_elements: int,
     hops: int,
     dtype: SMIDatatype = SMI_FLOAT,
-    config: HardwareConfig | None = None,
+    config: HardwareConfig = NOCTUA,
     topology: Topology | None = None,
     app_width: int = 8,
     planner_stats: dict | None = None,
+    trace_out: str | None = None,
 ) -> int:
     """Cycle-simulate one stream; returns elapsed cycles at the receiver.
 
     ``planner_stats`` (optional dict) receives the run's aggregate burst
     planner counters — window hit rate, mean committed window length,
-    cascade co-plans — for the perf-trajectory reports.
+    cascade co-plans — for the perf-trajectory reports. ``trace_out``
+    is forwarded to :meth:`SMIProgram.run` (as in every runner below).
     """
-    config = config or default_config()
     topology = topology or noctua_bus()
     prog = SMIProgram(topology, config=config)
 
@@ -157,7 +119,7 @@ def measure_stream_sim(
 
     prog.add_kernel(snd, rank=0, ops=[OpDecl("send", 0, dtype, peer=hops)])
     prog.add_kernel(rcv, rank=hops, ops=[OpDecl("recv", 0, dtype, peer=0)])
-    res = prog.run(max_cycles=500_000_000)
+    res = prog.run(max_cycles=500_000_000, trace_out=trace_out)
     assert res.completed, res.reason
     _snapshot_planner_stats(res.transport, planner_stats)
     return res.store(hops, "end")
@@ -166,17 +128,18 @@ def measure_stream_sim(
 def bandwidth_sweep(
     sizes_bytes: list[int],
     hops: int,
-    config: HardwareConfig | None = None,
+    config: HardwareConfig = NOCTUA,
     dtype: SMIDatatype = SMI_FLOAT,
     sim_limit_elements: int = SIM_ELEMENT_LIMIT,
+    trace_out: str | None = None,
 ) -> list[SweepPoint]:
     """SMI payload bandwidth (Gbit/s) per message size (Fig. 9 series)."""
-    config = config or default_config()
     points = []
     for size in sizes_bytes:
         n = max(1, size // dtype.size)
         if n <= sim_limit_elements:
-            cycles = measure_stream_sim(n, hops, dtype, config)
+            cycles = measure_stream_sim(n, hops, dtype, config,
+                                        trace_out=trace_out)
             secs = config.cycles_to_seconds(cycles)
             bw = n * dtype.size * 8 / secs / 1e9
             points.append(SweepPoint(size, bw, "sim"))
@@ -200,11 +163,11 @@ def host_bandwidth_sweep(
 # ----------------------------------------------------------------------
 def measure_pingpong_us(
     hops: int,
-    config: HardwareConfig | None = None,
+    config: HardwareConfig = NOCTUA,
     topology: Topology | None = None,
+    trace_out: str | None = None,
 ) -> float:
     """Half round-trip of a 1-element message over ``hops`` hops (§5.3.2)."""
-    config = config or default_config()
     topology = topology or noctua_bus()
     prog = SMIProgram(topology, config=config)
 
@@ -228,7 +191,7 @@ def measure_pingpong_us(
     prog.add_kernel(reflector, rank=hops,
                     ops=[OpDecl("recv", 0, SMI_INT, peer=0),
                          OpDecl("send", 1, SMI_INT, peer=0)])
-    res = prog.run(max_cycles=5_000_000)
+    res = prog.run(max_cycles=5_000_000, trace_out=trace_out)
     assert res.completed, res.reason
     return config.cycles_to_us(res.store(0, "rtt")) / 2
 
@@ -237,15 +200,17 @@ def measure_pingpong_us(
 # Table 4 — injection rate
 # ----------------------------------------------------------------------
 def measure_injection_cycles(read_burst: int, packets: int = 400,
-                             config: HardwareConfig | None = None) -> float:
+                             config: HardwareConfig = NOCTUA,
+                             trace_out: str | None = None) -> float:
     """Average cycles per packet injected from one endpoint (§5.3.3).
 
     4 CKS/CKR pairs are instantiated (torus wiring); one application
     endpoint streams continuously; the CKS therefore polls 5 inputs.
     """
-    cfg = (config or default_config()).with_(read_burst=read_burst)
+    cfg = config.with_(read_burst=read_burst)
     n = packets * SMI_FLOAT.elements_per_packet
-    cycles = measure_stream_sim(n, 1, SMI_FLOAT, cfg, topology=noctua_torus())
+    cycles = measure_stream_sim(n, 1, SMI_FLOAT, cfg, topology=noctua_torus(),
+                                trace_out=trace_out)
     # Subtract the constant path latency to isolate the steady-state gap.
     startup = p2p_stream(1, SMI_FLOAT, 1, cfg).cycles
     return (cycles - startup) / packets
@@ -256,10 +221,10 @@ def measure_injection_cycles(read_burst: int, packets: int = 400,
 # ----------------------------------------------------------------------
 def measure_bcast_sim_us(
     n: int, topology: Topology, num_ranks: int,
-    config: HardwareConfig | None = None,
+    config: HardwareConfig = NOCTUA,
     planner_stats: dict | None = None,
+    trace_out: str | None = None,
 ) -> float:
-    config = config or default_config()
     prog = SMIProgram(topology, config=config)
     comm_members = list(range(num_ranks))
 
@@ -275,7 +240,7 @@ def measure_bcast_sim_us(
         smi.store("end", smi.cycle)
 
     prog.add_kernel(kernel, ranks="all", ops=[OpDecl("bcast", 0, SMI_FLOAT)])
-    res = prog.run(max_cycles=500_000_000)
+    res = prog.run(max_cycles=500_000_000, trace_out=trace_out)
     assert res.completed, res.reason
     _snapshot_planner_stats(res.transport, planner_stats)
     ends = [res.store(r, "end") for r in comm_members]
@@ -284,10 +249,10 @@ def measure_bcast_sim_us(
 
 def measure_reduce_sim_us(
     n: int, topology: Topology, num_ranks: int,
-    config: HardwareConfig | None = None,
+    config: HardwareConfig = NOCTUA,
     planner_stats: dict | None = None,
+    trace_out: str | None = None,
 ) -> float:
-    config = config or default_config()
     prog = SMIProgram(topology, config=config)
     comm_members = list(range(num_ranks))
 
@@ -308,7 +273,7 @@ def measure_reduce_sim_us(
 
     prog.add_kernel(kernel, ranks="all",
                     ops=[OpDecl("reduce", 0, SMI_FLOAT, reduce_op=SMI_ADD)])
-    res = prog.run(max_cycles=500_000_000)
+    res = prog.run(max_cycles=500_000_000, trace_out=trace_out)
     assert res.completed, res.reason
     _snapshot_planner_stats(res.transport, planner_stats)
     ends = [res.store(r, "end") for r in comm_members]
@@ -331,19 +296,21 @@ def collective_sweep(
     sizes_elements: list[int],
     topology: Topology,
     num_ranks: int,
-    config: HardwareConfig | None = None,
+    config: HardwareConfig = NOCTUA,
     sim_limit_elements: int = 1 << 13,
+    trace_out: str | None = None,
 ) -> list[SweepPoint]:
     """SMI collective time (us) per message size, sim + model points."""
-    config = config or default_config()
     chain_hops = _chain_hops(topology, num_ranks)
     points = []
     for n in sizes_elements:
         if n <= sim_limit_elements:
             if kind == "bcast":
-                us = measure_bcast_sim_us(n, topology, num_ranks, config)
+                us = measure_bcast_sim_us(n, topology, num_ranks, config,
+                                          trace_out=trace_out)
             elif kind == "reduce":
-                us = measure_reduce_sim_us(n, topology, num_ranks, config)
+                us = measure_reduce_sim_us(n, topology, num_ranks, config,
+                                           trace_out=trace_out)
             else:
                 raise ValueError(f"unknown collective sweep kind {kind!r}")
             points.append(SweepPoint(n, us, "sim"))

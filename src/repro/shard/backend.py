@@ -19,17 +19,14 @@ selected by ``HardwareConfig.backend``:
   but each shard runs in a forked worker process. Boundary batches
   travel in the packed binary wire format of :mod:`repro.shard.wire`
   (one struct header + contiguous ndarray blocks per boundary per
-  exchange — not one pickle per packet), over one of two transports
-  selected by ``HardwareConfig.shard_transport``: per-boundary
-  shared-memory rings (``"shm"``, the default where available), where
-  workers self-pace mid-epoch — draining peers' floors and publishing
-  their own as soon as they are proven, without waiting for a
-  coordinator barrier — or the coordinator pipe (``"pipe"``), which
-  keeps the PR-5 round discipline with the pickle cost removed. Fork
-  (not spawn) start is required: the shard runtimes — application
-  kernel generators included — are built in the parent and inherited
-  by the workers, so only boundary records and final reports ever
-  cross the process boundary.
+  exchange — not one pickle per packet) through per-boundary
+  shared-memory rings, and workers self-pace mid-epoch — draining
+  peers' floors and publishing their own as soon as they are proven,
+  without waiting for a coordinator barrier. Fork (not spawn) start is
+  required: the shard runtimes — application kernel generators
+  included — are built in the parent and inherited by the workers, so
+  only boundary records and final reports ever cross the process
+  boundary.
 
 On completed runs all backends produce identical
 ``ProgramResult.cycles``, identical per-rank stores/returns, and
@@ -69,12 +66,17 @@ from .proxy import BoundaryRx, BoundaryTx
 from .timesync import BoundaryChannel, EpochReport, EpochSynchronizer
 from .wire import (
     ShmFabric,
-    decode_exchange,
-    encode_exchange,
     pack_ack_records,
     pack_ship_records,
     unpack_record,
 )
+
+#: Maximum self-paced exchange iterations a worker runs per coordinator
+#: round (:meth:`_ShardRuntime.epoch_stream`). Deeper values amortise
+#: coordinator round-trips further; the cap keeps the global
+#: termination/deadlock checks, which need a barrier, regularly
+#: scheduled.
+INNER_ROUNDS = 64
 
 
 @dataclass
@@ -89,7 +91,7 @@ class FinalReport:
     #: (:data:`repro.trace.TIMING_FIELDS` — the trace exporter's wall
     #: lanes and ``shard_timing_summary`` both consume it):
     #: ``compute_s`` (engine ``run_until``), ``serialize_s`` (record
-    #: codec + ring/pipe blob work), ``ipc_wait_s`` (blocked on the
+    #: codec + ring work), ``ipc_wait_s`` (blocked on the
     #: control pipe), plus ``inner_rounds`` (self-paced exchange
     #: iterations) and ``outer_rounds`` (coordinator commands served).
     timing: dict = field(default_factory=new_phase)
@@ -313,11 +315,8 @@ class _ShardRuntime:
                 consumer = self.transport.rank(dst_rank).ckr[dst_iface]
                 self.rx[key] = BoundaryRx(key, link, consumer.proc)
         self.phase = new_phase()
-        self.inner_limit = program.config.shard_inner_rounds
         # Process-backend wiring, attached by run_sharded before fork.
         self.links: _ShardLinks | None = None
-        self.wire_key_ids: dict | None = None
-        self.wire_keys_by_id: list | None = None
 
     # ------------------------------------------------------------------
     def epoch(self, bound: int, ships: dict, acks: dict,
@@ -368,7 +367,7 @@ class _ShardRuntime:
         mirrors, runs the engine to it, and publishes what the epoch
         committed. The loop ends when an iteration makes no progress —
         nothing applied, nothing executed, bound not advanced — or
-        after ``shard_inner_rounds`` iterations, so the coordinator's
+        after :data:`INNER_ROUNDS` iterations, so the coordinator's
         global termination/deadlock barrier runs regularly.
         """
         engine = self.engine
@@ -381,7 +380,7 @@ class _ShardRuntime:
         reason = "bound"
         bound = 0
         prev_bound = -1
-        for _ in range(self.inner_limit):
+        for _ in range(INNER_ROUNDS):
             t0 = perf_counter()
             applied = links.drain(self)
             bound = links.compute_bound(cap)
@@ -487,8 +486,8 @@ class _ShardRuntime:
                 "max_occupancy": f.max_occupancy_at(end),
                 "capacity": f.capacity,
                 "latency": f.latency,
-                "bursts": f.burst_stats.bursts,
-                "burst_items": f.burst_stats.items,
+                "bursts": f.bursts,
+                "burst_items": f.burst_items,
             }
         returns = {
             (name, rank): proc.result for name, rank, proc in self.procs
@@ -514,10 +513,9 @@ class _ShardRuntime:
 class LocalHandle:
     """In-process shard: epochs execute synchronously on begin_epoch."""
 
-    #: begin_epoch completes the epoch before returning, so the
-    #: synchroniser may fold this shard's floors before its successors
-    #: run (eager Gauss–Seidel rounds).
-    synchronous = True
+    #: begin_epoch completes the epoch before returning and hands its
+    #: batches to the synchroniser, which may fold this shard's floors
+    #: before its successors run (eager Gauss–Seidel rounds).
     self_exchanging = False
 
     def __init__(self, runtime: _ShardRuntime) -> None:
@@ -550,12 +548,10 @@ class LocalHandle:
 def _worker_main(conn, runtime: _ShardRuntime) -> None:
     """Forked worker loop: serve shard commands over the control pipe.
 
-    Commands: ``("epoch", bound, blob, watermark)`` — the pipe
-    transport's coordinator-driven epoch, batches as one packed record
-    blob each way; ``("stream", cap, watermark)`` /
-    ``("drain", end, watermark)`` — the shared-memory transport's
-    self-paced rounds (batches never touch the pipe); ``("dump",)`` and
-    ``("finish", end)`` as before.
+    Commands: ``("stream", cap, watermark)`` / ``("drain", end,
+    watermark)`` — self-paced rounds over the shared-memory rings
+    (batches never touch the pipe); ``("dump",)`` for deadlock
+    diagnostics and ``("finish", end)`` for the final report.
     """
     phase = runtime.phase
     trace = runtime.engine.trace
@@ -569,26 +565,7 @@ def _worker_main(conn, runtime: _ShardRuntime) -> None:
                 trace.wall_span("ipc_wait", t0, t1)
             cmd = msg[0]
             try:
-                if cmd == "epoch":
-                    t0 = perf_counter()
-                    ships, acks = decode_exchange(msg[2],
-                                                  runtime.wire_keys_by_id)
-                    t1 = perf_counter()
-                    phase["serialize_s"] += t1 - t0
-                    if trace is not None:
-                        trace.wall_span("serialize", t0, t1)
-                    report = runtime.epoch(msg[1], ships, acks, msg[3])
-                    t0 = perf_counter()
-                    blob = encode_exchange(report.ships, report.acks,
-                                           runtime.wire_key_ids)
-                    t1 = perf_counter()
-                    phase["serialize_s"] += t1 - t0
-                    if trace is not None:
-                        trace.wall_span("serialize", t0, t1)
-                    report.ships = {}
-                    report.acks = {}
-                    payload = (report, blob)
-                elif cmd == "stream":
+                if cmd == "stream":
                     payload = runtime.epoch_stream(msg[1], msg[2])
                 elif cmd == "drain":
                     payload = runtime.epoch_drain(msg[1], msg[2])
@@ -614,7 +591,7 @@ def _worker_main(conn, runtime: _ShardRuntime) -> None:
 
 
 class ProcessHandle:
-    """Forked-worker shard: packed boundary records, shm rings or pipe.
+    """Forked-worker shard exchanging packed records over shm rings.
 
     A context manager: ``close`` terminates and joins the worker, and
     ``run_sharded`` enters every handle on an ``ExitStack`` the moment
@@ -623,18 +600,12 @@ class ProcessHandle:
     every worker already started instead of leaking it.
     """
 
-    synchronous = False
+    #: Boundary batches move through shared-memory rings
+    #: worker-to-worker; the synchroniser only runs barriers.
+    self_exchanging = True
 
-    def __init__(self, runtime: _ShardRuntime, ctx,
-                 transport: str = "pipe") -> None:
+    def __init__(self, runtime: _ShardRuntime, ctx) -> None:
         self.index = runtime.index
-        self.transport = transport
-        #: True when boundary batches move through shared-memory rings
-        #: worker-to-worker; the synchroniser then only runs barriers.
-        self.self_exchanging = transport == "shm"
-        self._key_ids = runtime.wire_key_ids
-        self._keys_by_id = runtime.wire_keys_by_id
-        self._mode: str | None = None
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
             target=_worker_main, args=(child, runtime), daemon=True,
@@ -654,28 +625,14 @@ class ProcessHandle:
             raise payload
         return payload
 
-    def begin_epoch(self, bound, ships, acks, watermark=0) -> None:
-        blob = encode_exchange(ships, acks, self._key_ids)
-        self._conn.send(("epoch", bound, blob, watermark))
-        self._mode = "epoch"
-
     def begin_stream(self, cap, watermark=0) -> None:
         self._conn.send(("stream", cap, watermark))
-        self._mode = "stream"
 
     def begin_drain(self, end, watermark=0) -> None:
         self._conn.send(("drain", end, watermark))
-        self._mode = "drain"
 
     def finish_epoch(self) -> EpochReport:
-        payload = self._recv()
-        if self._mode == "epoch":
-            report, blob = payload
-            ships, acks = decode_exchange(blob, self._keys_by_id)
-            report.ships = ships
-            report.acks = acks
-            return report
-        return payload
+        return self._recv()
 
     def dump_blocked(self) -> list[str]:
         self._conn.send(("dump",))
@@ -760,21 +717,6 @@ def resolve_partition(program: SMIProgram) -> Partition:
     return partition_topology(topology, len(explicit), rank_lists=explicit)
 
 
-def _resolve_transport(config: HardwareConfig, keys: list) -> ShmFabric | None:
-    """The shm fabric for this run, or None for the pipe transport."""
-    if config.shard_transport == "pipe":
-        return None
-    try:
-        return ShmFabric(keys, config.shard_ring_bytes)
-    except Exception as exc:
-        if config.shard_transport == "shm":
-            raise ConfigurationError(
-                f"shard_transport='shm' is unavailable here ({exc}); "
-                "use shard_transport='pipe' or 'auto'"
-            ) from exc
-        return None  # auto: fall back to the pipe transport
-
-
 def run_sharded(program: SMIProgram,
                 max_cycles: int | None = None) -> ProgramResult:
     """Partition, build per-shard planes, synchronise, merge results."""
@@ -808,26 +750,23 @@ def run_sharded(program: SMIProgram,
                 dst_shard=shard_of[link.dst[0]],
                 latency=link.fifo.latency,
             ))
-    fabric = None
-    if use_processes:
-        keys = sorted(ch.key for ch in channels)
-        key_ids = {key: i for i, key in enumerate(keys)}
-        fabric = _resolve_transport(config, keys)
-        for i, rt in enumerate(runtimes):
-            rt.wire_key_ids = key_ids
-            rt.wire_keys_by_id = keys
-            if fabric is not None:
-                rt.links = _ShardLinks(i, channels, fabric)
     with contextlib.ExitStack() as stack:
-        if fabric is not None:
+        if use_processes:
+            try:
+                fabric = ShmFabric(ch.key for ch in channels)
+            except (ImportError, OSError) as exc:
+                raise ConfigurationError(
+                    "backend='process' needs multiprocessing shared memory "
+                    f"for its boundary rings, unavailable here ({exc}); "
+                    "use backend='sharded' on this platform"
+                ) from exc
             stack.callback(fabric.close)
+            for i, rt in enumerate(runtimes):
+                rt.links = _ShardLinks(i, channels, fabric)
         handles: list = []
         for rt in runtimes:
-            if use_processes:
-                handle = ProcessHandle(
-                    rt, ctx, "shm" if fabric is not None else "pipe")
-            else:
-                handle = LocalHandle(rt)
+            handle = ProcessHandle(rt, ctx) if use_processes \
+                else LocalHandle(rt)
             handles.append(stack.enter_context(handle))
         sync = EpochSynchronizer(handles, channels)
         outcome = sync.run(max_cycles)

@@ -93,7 +93,7 @@ class EpochReport:
     #: Boundary items the shard itself pushed/applied this round, for
     #: self-exchanging (shared-memory) handles whose batches never
     #: reach the coordinator; -1 means "coordinator counts from the
-    #: batch dicts" (local and pipe handles).
+    #: batch dicts" (in-process handles).
     shipped: int = -1
     delivered: int = -1
     #: Deepest conservative bound the shard ran to this round (used by
@@ -141,30 +141,30 @@ class EpochSynchronizer:
         finish_epoch() -> EpochReport    # collect its report
         dump_blocked() -> list[str]      # deadlock diagnostics
 
-    and two capability flags that select the round discipline:
+    and one capability flag, ``self_exchanging``, that selects between
+    the two round disciplines:
 
-    * ``synchronous`` — ``begin_epoch`` runs the epoch to completion
-      before returning (the in-process :class:`LocalHandle`). Such
-      rounds fold *eagerly* (Gauss–Seidel): each shard's bound is
-      recomputed from the floors its predecessors published moments
-      ago, and their batches are delivered in the same round — fresher
-      information, deeper epochs, identical cycle trajectories (floors
-      are sound whenever published; ``max``-merging keeps them
-      monotone).
-    * ``self_exchanging`` — the handle moves boundary batches itself
-      (shared-memory rings) and self-paces *mid-epoch*: within one
-      coordinator round a worker repeatedly drains its rings,
-      recomputes its own conservative bound from the freshest floors,
-      runs, and publishes — floors post as soon as they are proven,
-      not at the round barrier, pushing effective lookahead past the
-      ~L/2 a half-duplex epoch exchange yields. The coordinator then
-      only supplies the barrier: termination, deadlock and
-      ``max_cycles`` detection from the per-round reports (which carry
-      ``shipped``/``delivered``/``bound_reached`` instead of batches).
-
-    For plain asynchronous handles (pipe transport), ``begin_epoch`` on
-    every handle before any ``finish_epoch`` is what overlaps the
-    epochs of all shards.
+    * *eager* (``self_exchanging`` false — the in-process
+      :class:`LocalHandle`, whose ``begin_epoch`` runs the epoch to
+      completion before returning). Main rounds fold Gauss–Seidel
+      style: each shard's bound is recomputed from the floors its
+      predecessors published moments ago, and their batches are
+      delivered in the same round — fresher information, deeper epochs,
+      identical cycle trajectories (floors are sound whenever
+      published; ``max``-merging keeps them monotone).
+    * *streaming* (``self_exchanging`` true — the forked
+      :class:`ProcessHandle`, with ``begin_stream``/``begin_drain`` in
+      place of ``begin_epoch``). The handle moves boundary batches
+      itself through shared-memory rings and self-paces *mid-epoch*:
+      within one coordinator round a worker repeatedly drains its
+      rings, recomputes its own conservative bound from the freshest
+      floors, runs, and publishes — floors post as soon as they are
+      proven, not at the round barrier, pushing effective lookahead
+      past the ~L/2 a half-duplex epoch exchange yields. The
+      coordinator then only supplies the barrier: termination, deadlock
+      and ``max_cycles`` detection from the per-round reports (which
+      carry ``shipped``/``delivered``/``bound_reached`` instead of
+      batches).
     """
 
     def __init__(self, handles, channels: list[BoundaryChannel]) -> None:
@@ -181,10 +181,7 @@ class EpochSynchronizer:
         self.rounds = 0
         self.epochs_executed = 0
         self.streaming = bool(handles) and all(
-            getattr(h, "self_exchanging", False) for h in handles
-        )
-        self.eager = not self.streaming and all(
-            getattr(h, "synchronous", False) for h in handles
+            h.self_exchanging for h in handles
         )
 
     # ------------------------------------------------------------------
@@ -236,16 +233,17 @@ class EpochSynchronizer:
 
     def _round(self, bounds: list[int],
                ceiling: int | None = None) -> tuple[list[EpochReport], int, bool]:
-        """One round: deliver, run all shards, collect.
+        """One round over in-process handles: deliver, run, collect.
 
-        With synchronous handles and a ``ceiling`` (main rounds), each
-        shard's bound is recomputed just before it runs, folding in the
-        floors earlier shards published within this very round.
+        With a ``ceiling`` (main rounds), each shard's bound is
+        recomputed just before it runs, folding in the floors earlier
+        shards published within this very round; without one (drain
+        rounds at a fixed bound) reports fold after every shard has run.
         """
         handles = self.handles
         delivered = 0
         shipped = 0
-        if self.eager and ceiling is not None:
+        if ceiling is not None:
             reports = []
             for i, handle in enumerate(handles):
                 delivered += self._deliver(i, handle,

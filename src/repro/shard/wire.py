@@ -34,10 +34,7 @@ binary codec and a shared-memory transport:
 
 The coordinator creates the fabric before forking and unlinks it
 immediately, so workers inherit the one mapping and no name can leak —
-crash-safe by construction. Record streams are also the pipe
-transport's payload (:func:`encode_exchange` / :func:`decode_exchange`):
-with ``shard_transport="pipe"`` the same codec rides the control pipe,
-isolating codec wins from transport wins in A/B runs.
+crash-safe by construction.
 
 Channel keys (the ``(src rank, iface)`` tuples of
 :class:`~repro.shard.timesync.BoundaryChannel`) never cross the wire:
@@ -66,6 +63,13 @@ KIND_ACK = 3          # ack: cycles block only
 #: for acks), and two kind-specific ``int64`` floors — horizon+slack for
 #: ships, take-floor+0 for acks.
 RECORD_HEADER = struct.Struct("<BBHIIqq")
+
+#: Capacity, in bytes, of each shared-memory ring (two rings — ship and
+#: ack — per directed boundary link). A full ring never drops a record:
+#: the writer backlogs and retries, and oversized batches are split at
+#: item granularity, so the size only trades memory against retries;
+#: 1 MiB holds thousands of epochs of typical boundary traffic.
+RING_BYTES = 1 << 20
 
 #: Datatype-id sidecar values: 0 is "no datatype" (control packets),
 #: ids 1.. index the sorted registry — identical in every process that
@@ -195,8 +199,8 @@ def _split(batch, max_bytes: int, packer, splitter, sizer) -> list:
     if halves is None:
         raise SimulationError(
             f"boundary record of {len(record)} B cannot fit a "
-            f"{max_bytes} B ring even as a single item; raise "
-            "HardwareConfig.shard_ring_bytes"
+            f"{max_bytes} B ring even as a single item "
+            "(ring capacity is repro.shard.wire.RING_BYTES)"
         )
     return (_split(halves[0], max_bytes, packer, splitter, sizer)
             + _split(halves[1], max_bytes, packer, splitter, sizer))
@@ -252,36 +256,6 @@ def pack_ack_records(key_id: int, ack,
 
     return _split(ack, max_bytes, lambda b: pack_ack(key_id, b),
                   splitter, lambda b: len(b.cycles))
-
-
-# ----------------------------------------------------------------------
-# Exchange blobs (pipe transport payload)
-# ----------------------------------------------------------------------
-def encode_exchange(ships: dict, acks: dict, key_ids: dict) -> bytes:
-    """All of one exchange's batches as one length-prefixed record blob."""
-    parts = []
-    for key in sorted(ships):
-        parts.append(pack_ship(key_ids[key], ships[key]))
-    for key in sorted(acks):
-        parts.append(pack_ack(key_ids[key], acks[key]))
-    return b"".join(
-        len(p).to_bytes(4, "little") + p for p in parts
-    )
-
-
-def decode_exchange(blob: bytes, keys_by_id) -> tuple[dict, dict]:
-    """Inverse of :func:`encode_exchange`; returns (ships, acks)."""
-    ships: dict = {}
-    acks: dict = {}
-    offset = 0
-    total = len(blob)
-    while offset < total:
-        n = int.from_bytes(blob[offset : offset + 4], "little")
-        offset += 4
-        kind, batch = unpack_record(blob[offset : offset + n], keys_by_id)
-        offset += n
-        (ships if kind == "ship" else acks)[batch.key] = batch
-    return ships, acks
 
 
 # ----------------------------------------------------------------------
@@ -366,12 +340,12 @@ class ShmFabric:
     and mapping; forked workers exit via ``os._exit`` and never need to.
     """
 
-    def __init__(self, keys, ring_bytes: int) -> None:
+    def __init__(self, keys) -> None:
         from multiprocessing import shared_memory
 
         self.keys_by_id = sorted(keys)
         self.key_ids = {key: i for i, key in enumerate(self.keys_by_id)}
-        self.ring_bytes = ring_bytes
+        self.ring_bytes = ring_bytes = RING_BYTES
         slot = ShmRing.CTRL_BYTES + ring_bytes
         size = max(1, 2 * slot * len(self.keys_by_id))
         self._shm = shared_memory.SharedMemory(create=True, size=size)

@@ -10,19 +10,15 @@ from .engine import Engine, Process, RunResult
 from .fifo import Fifo
 from .memory import BoardMemory, MemoryBank, MemoryPort
 from .stats import (
-    BurstStats,
     CycleHistogram,
     GapHistogram,
     Stopwatch,
-    collect_burst_stats,
     link_utilization,
     payload_bandwidth_gbit_s,
 )
 
 __all__ = [
-    "BurstStats",
     "GapHistogram",
-    "collect_burst_stats",
     "TICK",
     "CanPop",
     "CanPush",

@@ -600,8 +600,8 @@ class Engine:
                 "max_occupancy": f.max_occupancy,
                 "capacity": f.capacity,
                 "latency": f.latency,
-                "bursts": f.burst_stats.bursts,
-                "burst_items": f.burst_stats.items,
+                "bursts": f.bursts,
+                "burst_items": f.burst_items,
             }
             for f in self._fifos
         }

@@ -124,7 +124,6 @@ import numpy as np
 from ..core.errors import SimulationError
 from .conditions import TICK, CanPop, CanPush, WaitCycles
 from .engine import FOREVER
-from .stats import BurstStats
 
 #: Fold the occupancy delta log into (base, peak) once it grows past this
 #: many events, so long-running kernels carry O(1) state.
@@ -171,7 +170,8 @@ class Fifo:
         "macro_host",
         "first_push_cycle",
         "last_pop_cycle",
-        "burst_stats",
+        "bursts",
+        "burst_items",
         "_flow_dead",
         "producers",
         "_stage_guard",
@@ -237,7 +237,10 @@ class Fifo:
         self.macro_host = None
         self.first_push_cycle: int | None = None
         self.last_pop_cycle: int | None = None
-        self.burst_stats = BurstStats()
+        # Burst data-plane counters: multi-item stage/take bursts and
+        # the items they moved (``fifo_stats()`` "bursts"/"burst_items").
+        self.bursts = 0
+        self.burst_items = 0
         # Static flow liveness (set by the transport builder): True means no
         # declared communication flow can ever route a packet through this
         # FIFO, so a burst planner may treat it as empty at any future cycle.
@@ -660,7 +663,8 @@ class Fifo:
         if self.first_push_cycle is None:
             self.first_push_cycle = cycles[0]
         if k > 1:
-            self.burst_stats.record(k)
+            self.bursts += 1
+            self.burst_items += k
         trace = self.engine.trace
         if trace is not None:
             trace.emit(cycles[0], "stage", self.name, "stage-burst",
@@ -787,7 +791,8 @@ class Fifo:
         if len(occ_takes) > _OCC_FOLD_LIMIT:
             self._occ_fold()
         if k > 1:
-            self.burst_stats.record(k)
+            self.bursts += 1
+            self.burst_items += k
         trace = self.engine.trace
         if trace is not None:
             trace.emit(cycles[0], "take", self.name, "take-burst",
@@ -1087,7 +1092,7 @@ class Fifo:
             self.first_push_cycle = stage_cycles[0]
         if self.can_pop.waiters:
             self.engine._schedule_commit(self._ready[0], self)
-        # No burst_stats: an injection batch reflects epoch pacing, not
+        # No burst counters: an injection batch reflects epoch pacing, not
         # the data plane's batching (and the transmitting half of this
         # boundary FIFO — the stats-authoritative one — already records
         # the producer's real bursts).
@@ -1153,7 +1158,7 @@ class Fifo:
             occ_takes.extend(past)
             if len(occ_takes) > _OCC_FOLD_LIMIT:
                 self._occ_fold()
-            # No burst_stats: ack batches reflect epoch pacing, not the
+            # No burst counters: ack batches reflect epoch pacing, not the
             # consumer's real burst structure.
         rest = cycles[split:]
         if rest:

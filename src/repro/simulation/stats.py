@@ -162,34 +162,6 @@ class GapHistogram:
 
 
 @dataclass
-class BurstStats:
-    """Counters for the burst fast path (bursts taken, items moved)."""
-
-    bursts: int = 0
-    items: int = 0
-
-    def record(self, length: int) -> None:
-        self.bursts += 1
-        self.items += length
-
-    @property
-    def mean_length(self) -> float:
-        return self.items / self.bursts if self.bursts else 0.0
-
-    def merge(self, other: "BurstStats") -> "BurstStats":
-        return BurstStats(self.bursts + other.bursts, self.items + other.items)
-
-
-def collect_burst_stats(engine) -> BurstStats:
-    """Aggregate burst counters over every FIFO owned by ``engine``."""
-    total = BurstStats()
-    for fifo in engine.fifos:
-        total.bursts += fifo.burst_stats.bursts
-        total.items += fifo.burst_stats.items
-    return total
-
-
-@dataclass
 class PlannerStats:
     """Counters for one CK's burst window planner (supply-schedule plane).
 

@@ -316,6 +316,11 @@ def build_transport(
     # the flow-liveness analysis (which consumes them) will run.
     for rank, rank_plan in plan.rank_plans.items():
         for decl in rank_plan.ops:
+            if decl.port >= config.max_ports:
+                raise CodegenError(
+                    f"rank {rank}: port {decl.port} exceeds the platform's "
+                    f"{config.max_ports} ports per rank"
+                )
             if decl.peer is not None and decl.peer >= plan.num_ranks:
                 raise CodegenError(
                     f"rank {rank} port {decl.port}: declared peer "
@@ -499,10 +504,7 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
     ``ctrl``) stay unregistered: kernels may push from helper processes
     the metadata cannot see, so their producer sets are not closed.
 
-    ``config.pattern_replication`` gates the planner's steady-state
-    replication plane for the whole cluster, and
-    ``config.cruise_induction`` the cruise plane riding on it. Once the
-    plane is wired, every arbiter's futility backoff is reset — a
+    Once the plane is wired, every arbiter's futility backoff is reset — a
     formality here (this builder always constructs fresh arbiters) that
     pins the invariant for every wiring path: a newly wired plane never
     inherits skip lengths escalated under another configuration.
@@ -518,9 +520,7 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
     before raising the per-train take budget (an unfinished support
     kernel is an unproven plane, so macro degrades to ordinary cruise).
     """
-    sp = SupplyPlanner(replication=config.pattern_replication,
-                       cruise=config.cruise_induction,
-                       macro=config.macro_cruise)
+    sp = SupplyPlanner(macro=config.macro_cruise)
     for rt in ranks.values():
         for rank_cks in rt.cks.values():
             rank_cks.supply_planner = sp

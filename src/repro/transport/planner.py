@@ -888,11 +888,11 @@ class _ReplicaSession:
         self.dirty = True       # something changed since the last failure
         self.last_fail = None   # (event, X, detail) of the last failure
         # Cruise-mode induction state: the pattern's compiled tables
-        # (None while cruise is off or the pattern is ineligible), the
-        # routing keys of the last validated round's takes (the drift
-        # check's reference), whether that round armed the induction, and
-        # the externality that ended the last cruise scan (diagnostics).
-        self.ct = None
+        # (None when the pattern is ineligible), the routing keys of the
+        # last validated round's takes (the drift check's reference),
+        # whether that round armed the induction, and the externality
+        # that ended the last cruise scan (diagnostics).
+        self.ct = _cruise_tables(pattern)
         self.op_keys = None
         self.cruise_armed = False
         self.cruise_stop = None
@@ -990,7 +990,6 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
     ``planner._extra_results`` for the cascade to fan out from.
     """
     now = engine.cycle
-    cruise_on = planner.cruise
     # Macro-cruise: app-side channel lanes this train may extend. The
     # take budget is raised only under the global cruise condition (see
     # SupplyPlanner.macro_take_budget); each lane still proves itself
@@ -1000,8 +999,6 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
     lanes_used: dict = {}   # id(lane) -> lane joined to this train
     lane_extends = 0
     origin = _ReplicaSession(ck, ck.arbiter._pattern, start, now)
-    if cruise_on:
-        origin.ct = _cruise_tables(origin.pattern)
     sessions: dict = {id(ck): origin}
     order = [origin]
     feeds: dict = {}    # id(fifo) -> (consumer session, its input index)
@@ -1077,8 +1074,6 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
             if f.present_count + len(v_items.get(id(f), ())) < need:
                 return
         sess = _ReplicaSession(peer, pat, arb._plan_until, now)
-        if cruise_on:
-            sess.ct = _cruise_tables(pat)
         sessions[id(peer)] = sess
         order.append(sess)
         hook_inputs(sess)  # also replays earlier sessions' virtual items
@@ -2147,7 +2142,7 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
                 continue
             if validate_round(sess):
                 progress = True
-                if cruise_on and sess.cruise_armed:
+                if sess.cruise_armed:
                     cruise(sess)
             else:
                 sess.dirty = False
@@ -2200,12 +2195,7 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
             if not lane.is_send:
                 lane.commit()
         for lane in lanes_used.values():
-            proc = lane.proc
-            end = lane.proc_end
-            if (proc is not None and end is not None
-                    and not proc.finished and proc._waiting_on is None
-                    and end > proc._scheduled_for):
-                engine.preempt(proc, end)
+            _wake_lane_kernel(engine, lane)
             lane.finish()
         if lane_extends:
             origin.arb.planner_stats.lane_extends += lane_extends
@@ -2250,11 +2240,7 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
             end = lane.proc_end
             if end is not None and end > ff_end:
                 ff_end = end
-            proc = lane.proc
-            if (proc is not None and end is not None
-                    and not proc.finished and proc._waiting_on is None
-                    and end > proc._scheduled_for):
-                engine.preempt(proc, end)
+            _wake_lane_kernel(engine, lane)
             lane.finish()
         stats = origin.arb.planner_stats
         stats.lane_extends += lane_extends
@@ -2340,6 +2326,26 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
     return origin_res
 
 
+def _wake_lane_kernel(engine, lane) -> None:
+    """Firm-wake a lane's kernel at the frontier the train extended it to.
+
+    A kernel sleeping off its own plan is moved to the later frontier. A
+    ``pop_vec`` blocked on its empty endpoint is normally woken by the
+    next item turning visible — unless the train consumed the rest of
+    its message, after which no item is coming: per-flit it returns at
+    the frontier, so it is woken there.
+    """
+    proc = lane.proc
+    end = lane.proc_end
+    if proc is None or end is None or proc.finished:
+        return
+    if proc._waiting_on is None:
+        if end > proc._scheduled_for:
+            engine.preempt(proc, end)
+    elif not lane.is_send and lane.got >= lane.n:
+        engine.preempt(proc, end)
+
+
 class SupplyPlanner:
     """Cascaded co-planning across CK boundaries (one per transport).
 
@@ -2353,9 +2359,9 @@ class SupplyPlanner:
     out. A standalone CK (unit tests) uses an instance with empty maps,
     which degrades to exactly the single-CK planner.
 
-    **Steady-state pattern replication** (``replication=True``, the
-    default; gated by ``HardwareConfig.pattern_replication`` through the
-    builder). Every committed window carries a decision trace;
+    **Steady-state pattern replication.** Every committed window carries
+    a decision trace (dropped only while the futility backoff below has
+    quiesced the CK);
     :meth:`_observe` compares consecutive, contiguous windows of each CK
     and compiles a :class:`WindowPattern` when two of them are exact
     Δ-shifted copies with identical arbiter boundary state. From then on
@@ -2370,13 +2376,17 @@ class SupplyPlanner:
     steady-state trains, exactly as the paper's pipelined SMI_Push/Pop
     channels amortise per-message control overhead in hardware.
 
-    **Cruise-mode induction** (``cruise=True``, the default; gated by
-    ``HardwareConfig.cruise_induction``) removes the remaining per-round
+    **Cruise-mode induction** removes the remaining per-round
     validation walk inside those trains: after a validated round, the
     rounds whose every resource is train-internal or arithmetically
     bounded (see :func:`replicate_train`'s cruise step) commit in bulk
     with O(1) comparisons per event. It pays in deep-buffer regimes,
     where the per-event information quantum spans many pattern rounds.
+
+    Replication and cruise are part of the burst plane, not switches on
+    it. The one selectable tier is **macro-cruise** (``macro=True``, from
+    ``HardwareConfig.macro_cruise`` through the builder): app-side
+    channel lanes register here and trains extend them arithmetically.
     """
 
     cascade_budget = CASCADE_BUDGET
@@ -2393,19 +2403,10 @@ class SupplyPlanner:
     REP_MISS_LIMIT = 2
     REP_SKIP_MAX = 4096
 
-    def __init__(self, replication: bool = True,
-                 cruise: bool = True, macro: bool = False) -> None:
+    def __init__(self, macro: bool = False) -> None:
         self.consumer_ck: dict[int, object] = {}  # id(fifo) -> reading CK
         self.producer_ck: dict[int, object] = {}  # id(fifo) -> writing CK
-        self.replication = replication
-        # Cruise-mode induction rides on replication trains; gated by
-        # ``HardwareConfig.cruise_induction`` through the builder.
-        self.cruise = cruise and replication
-        # Macro-cruise (whole-program fast-forward) rides on cruise:
-        # app-side channel lanes register here and replication trains
-        # extend them arithmetically; gated by ``HardwareConfig
-        # .macro_cruise`` through the builder.
-        self.macro = macro and self.cruise
+        self.macro = macro
         #: id(app endpoint FIFO) -> live channel lane (see
         #: :class:`repro.core.channel._SendLane` / ``_RecvLane``); a lane
         #: registers for the duration of one sleeping vector burst.
@@ -2527,18 +2528,17 @@ class SupplyPlanner:
         # results into ours.
         self._extra_results.clear()
         try:
-            if self.replication:
-                rep = self._try_replicate(ck, engine, start, resume_reads,
-                                          arb._idx, memo, cursors)
-                if rep is not None:
-                    self._cascade(ck, engine, rep, memo, cursors)
-                    return True
+            rep = self._try_replicate(ck, engine, start, resume_reads,
+                                      arb._idx, memo, cursors)
+            if rep is not None:
+                self._cascade(ck, engine, rep, memo, cursors)
+                return True
             stats.attempts += 1
             self._stamp += 1
             res = plan_window(ck, engine, start, resume_reads, memo=memo,
                               cursors=cursors, stamp=self._stamp,
-                              trace=self.replication and
-                              (not arb._rep_skip or self._macro_probing()))
+                              trace=not arb._rep_skip
+                              or self._macro_probing())
             if res is None:
                 return None
             self._commit(arb, res, start, "window", arb._idx, resume_reads)
@@ -2569,15 +2569,14 @@ class SupplyPlanner:
             if stats.attempts:
                 trace.sample("planner/hit_rate", res.end,
                              round(stats.windows / stats.attempts, 4))
-        if self.replication:
-            self._train_stuck.clear()  # new supply/slots: trains may move
-            if res.trace is not None or arb._pattern is not None \
-                    or arb._pattern_hist:
-                self._observe(arb, res, start, sidx, sreads)
-            else:
-                # Quiesced (futility backoff): untraced window, no live
-                # pattern, empty history — just track the frontier.
-                arb._pattern_end = res.end
+        self._train_stuck.clear()  # new supply/slots: trains may move
+        if res.trace is not None or arb._pattern is not None \
+                or arb._pattern_hist:
+            self._observe(arb, res, start, sidx, sreads)
+        else:
+            # Quiesced (futility backoff): untraced window, no live
+            # pattern, empty history — just track the frontier.
+            arb._pattern_end = res.end
 
     # ------------------------------------------------------------------
     # Pattern detection and replication
@@ -2750,16 +2749,14 @@ class SupplyPlanner:
         start = arb._plan_until
         sidx = arb._idx
         sreads = arb._resume_reads
-        if self.replication:
-            rep = self._try_replicate(ck, engine, start, sreads, sidx,
-                                      memo, cursors)
-            if rep is not None:
-                return rep
+        rep = self._try_replicate(ck, engine, start, sreads, sidx,
+                                  memo, cursors)
+        if rep is not None:
+            return rep
         self._stamp += 1
         res = plan_window(ck, engine, start, sreads, memo=memo,
                           cursors=cursors, stamp=self._stamp,
-                          trace=self.replication and
-                              (not arb._rep_skip or self._macro_probing()))
+                          trace=not arb._rep_skip or self._macro_probing())
         if res is None:
             return None
         self._commit(arb, res, start, "extension", sidx, sreads)
@@ -2786,17 +2783,14 @@ class SupplyPlanner:
             start = arb._plan_until
             sidx = arb._idx
             sreads = arb._resume_reads
-            res = None
-            if self.replication:
-                res = self._try_replicate(peer, engine, start, sreads,
-                                          sidx, memo, cursors)
+            res = self._try_replicate(peer, engine, start, sreads,
+                                      sidx, memo, cursors)
             if res is None:
                 self._stamp += 1
                 res = plan_window(peer, engine, start, sreads, memo=memo,
                                   cursors=cursors, stamp=self._stamp,
-                                  trace=self.replication
-                                  and (not arb._rep_skip
-                                       or self._macro_probing()))
+                                  trace=not arb._rep_skip
+                                  or self._macro_probing())
                 if res is None:
                     return None
                 self._commit(arb, res, start, "coplan", sidx, sreads)
@@ -2817,8 +2811,7 @@ class SupplyPlanner:
         self._stamp += 1
         res = plan_window(peer, engine, start, -1, idx=idx, memo=memo,
                           cursors=cursors, stamp=self._stamp,
-                          trace=self.replication and
-                              (not arb._rep_skip or self._macro_probing()))
+                          trace=not arb._rep_skip or self._macro_probing())
         if res is None or not res.takes:
             return None
         self._commit(arb, res, start, "coplan", idx, -1)

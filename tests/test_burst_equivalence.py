@@ -553,88 +553,37 @@ def test_replication_across_parked_ck():
     assert stats.replicated_rounds >= stats.replications
 
 
-def test_replication_disabled_stays_exact_and_silent():
-    """``pattern_replication=False`` must keep the burst plane cycle-exact
-    (the --fail-below-parity CI workloads run both ways) and commit zero
-    trains, with identical cycles to the replication-enabled plane."""
-    n = 2048
-    cfg_off = _cfg(True).with_(pattern_replication=False)
-    ref, _ = _stream_cycles(_cfg(False), n, 4)
-    off, stats_off = _stream_cycles(cfg_off, n, 4)
-    on, _ = _stream_cycles(_cfg(True), n, 4)
-    assert off == ref == on
-    assert stats_off.replications == 0
-    assert stats_off.pattern_checks == 0
-
-
-@pytest.mark.slow
-def test_replication_disabled_collective_parity():
-    """Collective workloads (the parity-gated smoke kind) stay cycle-exact
-    with replication on, off, and per-flit."""
-    n = 128
-    num_ranks = 4
-
-    def run(config):
-        prog = SMIProgram(noctua_bus(), config=config)
-        op = OpDecl("reduce", 0, SMI_FLOAT, reduce_op=SMI_ADD)
-        marks = {}
-
-        def kernel(smi):
-            comm = smi.comm_world.sub(list(range(num_ranks)))
-            if not comm.contains(smi.rank):
-                return
-                yield  # pragma: no cover
-            chan = smi.open_reduce_channel(n, SMI_FLOAT, SMI_ADD, 0, 0, comm)
-            for i in range(n):
-                yield from chan.reduce(float(smi.rank + i))
-            marks[smi.rank] = smi.cycle
-
-        prog.add_kernel(kernel, ranks="all", ops=[op])
-        res = prog.run(max_cycles=50_000_000)
-        assert res.completed, res.reason
-        return max(marks.values())
-
-    ref = run(_cfg(False))
-    assert run(_cfg(True)) == ref
-    assert run(_cfg(True).with_(pattern_replication=False)) == ref
-
-
 # ----------------------------------------------------------------------
 # Cruise-mode induction (deep-buffer regime)
 # ----------------------------------------------------------------------
 def test_cruise_three_way_equivalence_deep_buffers():
     """The acceptance bar for cruise-mode induction: at deep buffer
     depths (where trains exceed one round and the induction engages) the
-    per-flit, validated-replication, and cruise planes must agree on
-    every cycle — and cruise must actually have committed rounds."""
+    burst plane must agree with the per-flit specification on every
+    cycle — and cruise must actually have committed rounds."""
     from repro import NOCTUA_DEEP
 
     n = 2048
     flit, _ = _stream_cycles(NOCTUA_DEEP.with_(burst_mode=False), n, 4)
-    validated, stats_v = _stream_cycles(
-        NOCTUA_DEEP.with_(cruise_induction=False), n, 4)
-    cruise, stats_c = _stream_cycles(NOCTUA_DEEP, n, 4)
-    assert flit == validated == cruise
-    assert stats_v.cruise_rounds == 0
-    assert stats_c.cruise_rounds > 0
-    # Cruise replaces validation work, never train reach: both planes
-    # replicate, and the cruise rounds are a subset of replicated rounds.
-    assert stats_c.replicated_rounds >= stats_c.cruise_rounds
-    assert stats_c.replications > 0
+    cruise, stats = _stream_cycles(NOCTUA_DEEP, n, 4)
+    assert flit == cruise
+    assert stats.cruise_rounds > 0
+    # Cruise replaces validation work, never train reach: the cruise
+    # rounds are a subset of the replicated rounds.
+    assert stats.replicated_rounds >= stats.cruise_rounds
+    assert stats.replications > 0
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("hops", [1, 4, 6])
 def test_cruise_three_way_equivalence_deep_sweep(hops):
-    """Full-size deep-buffer sweep of the 3-way equality (nightly job)."""
+    """Full-size deep-buffer sweep of the same equality (nightly job)."""
     from repro import NOCTUA_XDEEP
 
     n = 8192
     flit, _ = _stream_cycles(NOCTUA_XDEEP.with_(burst_mode=False), n, hops)
-    validated, _ = _stream_cycles(
-        NOCTUA_XDEEP.with_(cruise_induction=False), n, hops)
     cruise, stats = _stream_cycles(NOCTUA_XDEEP, n, hops)
-    assert flit == validated == cruise
+    assert flit == cruise
     if hops > 1:
         assert stats.cruise_rounds > 0
 

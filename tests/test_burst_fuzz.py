@@ -3,18 +3,16 @@
 Each seeded case draws a topology span (1-6 hops on the Noctua bus), FIFO
 depths (shallow through deep-buffer regimes), a polling parameter, a
 workload (p2p / credited p2p / bcast / reduce / scatter / mixed
-stencil+collective), and a random fabric cut, then runs it under six
-data planes:
+stencil+collective), and a random fabric cut, then runs it under the
+four selectable data planes:
 
 * ``flit`` — the per-flit reference interpretation (``burst_mode=False``);
-* ``burst`` — window planning only (``pattern_replication=False``);
-* ``replicated`` — pattern replication, no induction
-  (``cruise_induction=False``);
-* ``cruise`` — the full plane (replication + cruise-mode induction);
-* ``macro`` — cruise plus the whole-program analytical fast-forward
+* ``burst`` — the burst plane (window planning, pattern replication
+  and cruise-mode induction — one plane, the default);
+* ``macro`` — burst plus the whole-program analytical fast-forward
   (``macro_cruise=True``): steady-state spans commit as closed-form
   Δ-shift extrapolations with no per-packet replay;
-* ``sharded`` — the full plane on the sharded backend
+* ``sharded`` — the burst plane on the sharded backend
   (:mod:`repro.shard`), partitioned by the case's randomly drawn cut (a
   random contiguous split into 2-4 shards, occasionally scrambled by
   per-rank overrides), synchronised in conservative epochs.
@@ -24,7 +22,7 @@ wait) injections on either side of the stream that break the periodic
 steady state partway through. These fuzz the fast-forward's abort
 paths — a jump proven before the injection must re-arm and re-prove
 after it, and a jump whose guard battery sees the perturbed backlog
-must refuse (fall back to ordinary cruise) rather than extrapolate
+must refuse (fall back to the ordinary burst plane) rather than extrapolate
 through it.
 
 Every plane must produce identical simulated cycles per rank and
@@ -46,26 +44,24 @@ from repro import NOCTUA, SMI_FLOAT, SMI_INT, SMIProgram, noctua_bus
 from repro.codegen.metadata import OpDecl
 from repro.core.ops import SMI_ADD
 
-#: The six data planes whose cycle trajectories must coincide. The
-#: ``sharded`` plane additionally sets ``backend``/``shards`` from the
-#: case's drawn cut inside ``_assert_planes_agree``.
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
+#: The four data planes whose cycle trajectories must coincide. The
+#: ``sharded`` plane additionally sets ``backend``/``shards`` from the
+#: case's drawn cut inside ``_assert_planes_agree``.
 PLANES = {
-    "flit": dict(burst_mode=False),
-    "burst": dict(pattern_replication=False),
-    "replicated": dict(cruise_induction=False),
-    "cruise": dict(),
+    "flit": dict(burst_mode=False, macro_cruise=False),
+    "burst": dict(),
     "macro": dict(macro_cruise=True),
     "sharded": dict(),
 }
 
 #: CI's slow job runs the sweep twice, with ``REPRO_MACRO_CRUISE`` off
 #: and on. The ambient flag folds the fast-forward into the base config
-#: of every plane — inert below ``cruise_induction`` (the gate chain
-#: ignores it there), a no-op on the explicit ``macro`` plane, and new
-#: coverage on ``cruise``/``sharded``: the macro path gets fuzzed under
-#: sharded epoch synchronisation too.
+#: of the burst planes (``flit`` pins it off — macro without burst is a
+#: rejected configuration): a no-op on the explicit ``macro`` plane, and
+#: new coverage on ``sharded``, where the macro path gets fuzzed under
+#: epoch synchronisation too.
 AMBIENT_MACRO = os.environ.get("REPRO_MACRO_CRUISE", "") == "1"
 
 #: Same ambient pattern for the flight recorder (``REPRO_TRACE=1``):
@@ -365,13 +361,22 @@ def test_fuzz_cycle_equivalence_seeded(seed):
     _assert_planes_agree(_gen_case(random.Random(seed)))
 
 
-#: Deterministic deep-buffer multi-hop anchors for the 6-way plane: at
+@pytest.mark.parametrize("seed", [1025, 1060])
+def test_fuzz_blocked_pop_vec_finished_by_lane(seed):
+    """Tier-1 anchors from the extended sweep: a receiver segment that
+    ends mid-packet, then waits. A macro train that consumes the rest of
+    a blocked ``pop_vec``'s segment must wake the kernel at the lane's
+    frontier — left to the next arrival it returned 2 cycles late."""
+    _assert_planes_agree(_gen_case(random.Random(seed)))
+
+
+#: Deterministic deep-buffer multi-hop anchors for the 4-way plane: at
 #: 32-deep FIFOs and 8k-element streams the macro plane's relay-chain
 #: fast-forward demonstrably arms on 2- and 4-hop chains (the random
 #: sweep's short streams rarely reach the fingerprint depth), and the
 #: injected variant breaks the steady state mid-run so the armed guard
 #: battery must refuse and fall back. ``arms`` pins whether the jump
-#: must land (cycle-equality across all six planes is required either
+#: must land (cycle-equality across all four planes is required either
 #: way).
 DEEP_MACRO_CASES = [
     dict(kind="p2p", hops=2, n=8192, width=8, declare_peer=True,
@@ -391,7 +396,7 @@ DEEP_MACRO_CASES = [
 
 @pytest.mark.parametrize("idx", range(len(DEEP_MACRO_CASES)))
 def test_deep_multihop_macro_planes_agree(idx):
-    """Tier-1: the 6-way plane on deep multi-hop streams where the
+    """Tier-1: the 4-way plane on deep multi-hop streams where the
     relay-chain fast-forward actually fires."""
     case = DEEP_MACRO_CASES[idx]
     _assert_planes_agree(case)
@@ -418,7 +423,7 @@ def test_fuzz_cycle_equivalence_extended(request):
         _assert_planes_agree(_gen_case(random.Random(seed)))
 
 
-def _assert_process_plane_agrees(case: dict, transport: str) -> None:
+def _assert_process_plane_agrees(case: dict) -> None:
     """The forked-worker plane vs the in-process reference on one case."""
     base = NOCTUA.with_(
         inter_ck_fifo_depth=case["inter_ck_fifo_depth"],
@@ -431,28 +436,22 @@ def _assert_process_plane_agrees(case: dict, transport: str) -> None:
     ref_marks, ref_counts = _run_case(case, base)
     marks, counts = _run_case(
         case,
-        base.with_(backend="process", shards=len(partition),
-                   shard_transport=transport),
+        base.with_(backend="process", shards=len(partition)),
         partition,
     )
-    assert marks == ref_marks, f"process/{transport} diverged on {case}"
-    assert counts == ref_counts, (
-        f"process/{transport} FIFO stats diverged on {case}"
-    )
+    assert marks == ref_marks, f"process diverged on {case}"
+    assert counts == ref_counts, f"process FIFO stats diverged on {case}"
 
 
 @pytest.mark.slow
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
-@pytest.mark.parametrize("transport", ("shm", "pipe"))
-def test_fuzz_process_equivalence(request, transport):
-    """Nightly: forked workers over random cuts, both boundary transports.
+def test_fuzz_process_equivalence(request):
+    """Nightly: forked workers over random cuts.
 
     Fork + IPC makes each case ~10x the in-process cost, so this sweeps
-    a handful of seeds per transport from its own region of seed space
-    (tier-1 pins the deterministic process cases in ``test_shard.py``).
+    a handful of seeds from its own region of seed space (tier-1 pins
+    the deterministic process cases in ``test_shard.py``).
     """
     iters = min(5, request.config.getoption("--fuzz-iters"))
-    start = 2000 if transport == "shm" else 2500
-    for seed in range(start, start + iters):
-        _assert_process_plane_agrees(_gen_case(random.Random(seed)),
-                                     transport)
+    for seed in range(2000, 2000 + iters):
+        _assert_process_plane_agrees(_gen_case(random.Random(seed)))

@@ -1,7 +1,13 @@
 """Unit tests for the hardware configuration model."""
 
+import itertools
+import multiprocessing
+
+import numpy as np
 import pytest
 
+from repro import SMI_FLOAT, SMIProgram, bus
+from repro.codegen.metadata import OpDecl
 from repro.core.config import (
     HW_PRESETS,
     NOCTUA,
@@ -75,8 +81,7 @@ def test_deep_buffer_presets():
         assert preset.clock_hz == NOCTUA.clock_hz
         assert preset.link_latency_cycles == NOCTUA.link_latency_cycles
         assert preset.read_burst == NOCTUA.read_burst
-        assert preset.burst_mode and preset.pattern_replication
-        assert preset.cruise_induction
+        assert preset.burst_mode and not preset.macro_cruise
 
 
 def test_hardware_preset_lookup():
@@ -86,12 +91,6 @@ def test_hardware_preset_lookup():
     assert set(HW_PRESETS) == {"noctua", "noctua-deep", "noctua-xdeep"}
     with pytest.raises(ConfigurationError, match="unknown hardware preset"):
         hardware_preset("noctua-bottomless")
-
-
-def test_cruise_induction_flag_round_trips():
-    cfg = NOCTUA.with_(cruise_induction=False)
-    assert not cfg.cruise_induction
-    assert NOCTUA.cruise_induction  # default on
 
 
 def test_memory_config_defaults():
@@ -132,23 +131,58 @@ def test_kernel_clock_empty_model_uses_default():
     assert model.fmax(16) == pytest.approx(100e6)
 
 
-def test_shard_transport_knobs_round_trip():
-    cfg = NOCTUA.with_(shard_transport="shm", shard_ring_bytes=8192,
-                       shard_inner_rounds=16)
-    assert cfg.shard_transport == "shm"
-    assert cfg.shard_ring_bytes == 8192
-    assert cfg.shard_inner_rounds == 16
-    assert NOCTUA.shard_transport == "auto"
+# ----------------------------------------------------------------------
+# The run-configuration lattice: every selectable point is rejected by
+# ``HardwareConfig`` or runs cycle-exact against the per-flit plane.
+# ----------------------------------------------------------------------
+LATTICE_N = 256
+
+
+def _lattice_stream(config):
+    """2-rank 1-hop stream of LATTICE_N floats under ``config``."""
+    prog = SMIProgram(bus(2), config=config)
+    data = np.arange(LATTICE_N, dtype=np.float32)
+
+    def snd(smi):
+        ch = smi.open_send_channel(LATTICE_N, SMI_FLOAT, 1, 0)
+        yield from ch.push_vec(data)
+
+    def rcv(smi):
+        ch = smi.open_recv_channel(LATTICE_N, SMI_FLOAT, 0, 0)
+        got = yield from ch.pop_vec(LATTICE_N)
+        smi.store("sum", float(np.sum(got)))
+
+    prog.add_kernel(snd, rank=0, ops=[OpDecl("send", 0, SMI_FLOAT, peer=1)])
+    prog.add_kernel(rcv, rank=1, ops=[OpDecl("recv", 0, SMI_FLOAT, peer=0)])
+    res = prog.run(max_cycles=1_000_000)
+    assert res.completed, res.reason
+    counts = {name: (st["pushes"], st["pops"])
+              for name, st in res.engine.fifo_stats().items()}
+    return res.cycles, res.store(1, "sum"), counts
+
+
+@pytest.fixture(scope="module")
+def lattice_reference():
+    return _lattice_stream(NOCTUA.with_(burst_mode=False))
 
 
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"shard_transport": "tcp"},
-        {"shard_ring_bytes": 64},
-        {"shard_inner_rounds": 0},
-    ],
+    "burst_mode, macro_cruise, backend, shards, trace",
+    itertools.product((False, True), (False, True),
+                      HardwareConfig.BACKENDS, (1, 2), (False, True)),
 )
-def test_invalid_shard_transport_knobs_rejected(kwargs):
-    with pytest.raises(ConfigurationError):
-        NOCTUA.with_(**kwargs)
+def test_config_lattice_rejects_or_runs_cycle_exact(
+        lattice_reference, burst_mode, macro_cruise, backend, shards, trace):
+    point = dict(burst_mode=burst_mode, macro_cruise=macro_cruise,
+                 backend=backend, shards=shards, trace=trace)
+    invalid = (macro_cruise and not burst_mode) or (
+        backend == "sequential" and shards > 1)
+    if invalid:
+        with pytest.raises(ConfigurationError):
+            NOCTUA.with_(**point)
+        return
+    config = NOCTUA.with_(**point)
+    if backend == "process" and \
+            "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("process backend needs the fork start method")
+    assert _lattice_stream(config) == lattice_reference

@@ -114,17 +114,6 @@ def test_deep_buffer_park_wake_race():
     assert stats.replications > 0
 
 
-def test_cruise_disabled_is_silent_and_exact():
-    cfg_off = NOCTUA_DEEP.with_(cruise_induction=False)
-    ref, _, _ = _stream(NOCTUA_DEEP.with_(burst_mode=False), 4096, 4)
-    off, stats_off, _ = _stream(cfg_off, 4096, 4)
-    on, stats_on, _ = _stream(NOCTUA_DEEP, 4096, 4)
-    assert off == ref == on
-    assert stats_off.cruise_checks == 0
-    assert stats_off.cruise_rounds == 0
-    assert stats_on.cruise_rounds > 0
-
-
 # ----------------------------------------------------------------------
 # PlannerStats cruise counters
 # ----------------------------------------------------------------------

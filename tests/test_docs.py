@@ -2,8 +2,9 @@
 
 Runs the same checks as the CI docs job (``tools/check_docs.py``):
 internal anchors of ``docs/ARCHITECTURE.md`` resolve, relative links in
-the checked markdown files exist, and every ``src/repro/transport``
-module carries a non-empty docstring.
+the checked markdown files exist, every ``src/repro/transport`` module
+carries a non-empty docstring, and every ``HardwareConfig`` field has a
+reader and a README entry.
 """
 
 import sys
@@ -49,3 +50,22 @@ def test_required_sections_present_in_real_doc():
     errors = check_docs.check_required_anchors(
         check_docs.ROOT / "docs" / "ARCHITECTURE.md")
     assert not errors, "\n".join(errors)
+
+
+def test_checker_flags_orphan_and_undocumented_knob(tmp_path):
+    """A field nobody reads, or the README omits, fails the lint."""
+    core = tmp_path / "src" / "repro" / "core"
+    core.mkdir(parents=True)
+    (core / "config.py").write_text(
+        "class HardwareConfig:\n"
+        "    used: int = 1\n    orphan: int = 2\n    hidden: int = 3\n"
+        "    def check(self):\n        return self.orphan\n")
+    (tmp_path / "src" / "repro" / "user.py").write_text(
+        '"""Mentions config.orphan in prose only."""\n'
+        "def f(config):\n    return config.used + config.hidden\n")
+    (tmp_path / "README.md").write_text(
+        "# T\n\n## Configuration\n\n`used`, `orphan`\n\n## Other\n\n`hidden`\n")
+    errors = check_docs.check_config_knobs(tmp_path)
+    assert len(errors) == 2
+    assert any("orphan" in e and "read nowhere" in e for e in errors)
+    assert any("hidden" in e and "README" in e for e in errors)

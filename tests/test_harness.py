@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from repro.core.config import NOCTUA, NOCTUA_DEEP
 from repro.harness import (
     Comparison,
     SweepPoint,
@@ -192,47 +193,53 @@ def test_cli_rejects_unknown_experiment():
         cli_main(["fig99"])
 
 
-def test_cli_macro_cruise_round_trip(monkeypatch, capsys):
-    """--macro-cruise reaches the runners' config via REPRO_MACRO_CRUISE."""
+def _received_configs(monkeypatch, *argvs):
+    """Run the CLI on each argv; returns what ``run_experiment`` received."""
+    from repro.harness import cli
+
+    calls = []
+    monkeypatch.setattr(
+        cli, "run_experiment",
+        lambda name, config, full, trace_out:
+        calls.append((name, config, full, trace_out)))
+    for argv in argvs:
+        assert cli_main(list(argv)) == 0
+    return calls
+
+
+def test_cli_macro_cruise_round_trip(monkeypatch):
+    """Every flag lands on the one config object ``run_experiment`` gets."""
+    ((name, cfg, full, trace_out),) = _received_configs(monkeypatch, (
+        "fig9", "--preset", "noctua-deep", "--macro-cruise", "--full",
+        "--backend", "process", "--shards", "4", "--trace", "t.json"))
+    assert name == "fig9" and full and trace_out == "t.json"
+    assert cfg == NOCTUA_DEEP.with_(macro_cruise=True, trace=True,
+                                    backend="process", shards=4)
+    ((_, cfg, full, trace_out),) = _received_configs(
+        monkeypatch, ("fig9", "--backend", "sharded"))
+    assert cfg == NOCTUA.with_(backend="sharded", shards=2)
+    assert not full and trace_out is None
+
+
+def test_cli_macro_cruise_cleared_without_flag(monkeypatch):
+    """Back-to-back in-process invocations share nothing: an earlier
+    ``--macro-cruise --trace`` must not leak into a later plain run."""
+    _, (_, cfg, _, trace_out) = _received_configs(
+        monkeypatch, ("table3", "--macro-cruise", "--trace", "t.json"),
+        ("table3",))
+    assert cfg == NOCTUA and trace_out is None
+
+
+def test_cli_hands_config_down_without_touching_environ(tmp_path, capsys):
+    """End to end: the table is printed on the requested plane, the
+    trace file is written, and ``os.environ`` is exactly as it was."""
+    import json
     import os
 
-    from repro.harness.runners import default_config
-
-    monkeypatch.delenv("REPRO_MACRO_CRUISE", raising=False)
-    assert default_config().macro_cruise is False
-    assert cli_main(["table1", "--macro-cruise"]) == 0
-    capsys.readouterr()
-    assert os.environ["REPRO_MACRO_CRUISE"] == "1"
-    cfg = default_config()
-    assert cfg.macro_cruise
-    # The full gate chain rides along: macro-cruise implies cruise
-    # induction implies pattern replication implies burst mode.
-    assert cfg.cruise_induction and cfg.pattern_replication and cfg.burst_mode
-    monkeypatch.setenv("REPRO_MACRO_CRUISE", "0")
-    assert default_config().macro_cruise is False
-
-
-def test_cli_macro_cruise_cleared_without_flag(monkeypatch, capsys):
-    """Two-way plumbing: a stale ``REPRO_MACRO_CRUISE=1`` from an earlier
-    in-process invocation must not leak into a later one that did not
-    pass ``--macro-cruise`` — the CLI writes "0" explicitly."""
-    import os
-
-    from repro.harness.runners import default_config
-
-    monkeypatch.setenv("REPRO_MACRO_CRUISE", "1")
-    assert cli_main(["table1"]) == 0
-    capsys.readouterr()
-    assert os.environ["REPRO_MACRO_CRUISE"] == "0"
-    assert default_config().macro_cruise is False
-
-
-def test_macro_cruise_env_falsy_spellings_are_off(monkeypatch):
-    """The runners treat ""/"0"/"false"/"no" as off, not merely unset."""
-    from repro.harness.runners import default_config
-
-    for value in ("", "0", "false", "no"):
-        monkeypatch.setenv("REPRO_MACRO_CRUISE", value)
-        assert default_config().macro_cruise is False, repr(value)
-    monkeypatch.setenv("REPRO_MACRO_CRUISE", "1")
-    assert default_config().macro_cruise is True
+    out = tmp_path / "t.json"
+    before = dict(os.environ)
+    assert cli_main(["table3", "--preset", "noctua-deep", "--macro-cruise",
+                     "--trace", str(out)]) == 0
+    assert "Table 3" in capsys.readouterr().out
+    assert json.loads(out.read_text())["traceEvents"]
+    assert dict(os.environ) == before

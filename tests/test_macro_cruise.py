@@ -6,7 +6,8 @@ jumping the engine clock in bulk. Two contracts are pinned here:
 
 * **tier-2 A/B exactness** — on the deep-buffer preset at a size where
   the fast-forward demonstrably fires (``ff_bulk_rounds > 0``), the
-  macro plane must match the burst and cruise planes bit-for-bit: same
+  macro plane must match the per-flit specification and the burst
+  plane bit-for-bit: same
   end cycle, same payload, same per-FIFO push/pop counts and occupancy
   peaks. (The randomized sweep lives in ``test_burst_fuzz.py``; this is
   the deterministic anchor.)
@@ -65,8 +66,8 @@ def _run_stream(config, n=N, width=8, fold_watermark=None, hops=1):
 
 def test_macro_cruise_exact_vs_burst_and_cruise_deep_preset():
     planes = {
-        "burst": DEEP.with_(pattern_replication=False),
-        "cruise": DEEP,
+        "flit": DEEP.with_(burst_mode=False),
+        "burst": DEEP,
         "macro": DEEP.with_(macro_cruise=True),
     }
     runs = {name: _run_stream(cfg) for name, cfg in planes.items()}
@@ -76,9 +77,9 @@ def test_macro_cruise_exact_vs_burst_and_cruise_deep_preset():
     assert macro_stats.ff_windows > 0
     assert macro_stats.ff_cycles > 0
 
-    ref, _ = runs["burst"]
+    ref, _ = runs["flit"]
     ref_fifos = ref.engine.fifo_stats()
-    for name in ("cruise", "macro"):
+    for name in ("burst", "macro"):
         res, _ = runs[name]
         assert res.store(1, "end") == ref.store(1, "end"), name
         assert res.cycles == ref.cycles, name
@@ -97,12 +98,12 @@ def test_macro_cruise_arms_on_four_hop_relay_chain():
     sessions (each transit rank contributes its CKR plus two CKS
     sessions); the analytic jump must land (``ff_jumps``), span the
     whole chain (``mean_ff_chain_len``), commit bulk rounds, and stay
-    bit-for-bit exact against the burst and cruise planes.
+    bit-for-bit exact against the per-flit and burst planes.
     """
     hops, n = 4, 32768
     planes = {
-        "burst": DEEP.with_(pattern_replication=False),
-        "cruise": DEEP,
+        "flit": DEEP.with_(burst_mode=False),
+        "burst": DEEP,
         "macro": DEEP.with_(macro_cruise=True),
     }
     runs = {name: _run_stream(cfg, n=n, hops=hops)
@@ -114,9 +115,9 @@ def test_macro_cruise_arms_on_four_hop_relay_chain():
     assert stats.mean_ff_chain_len >= 3, \
         "jump did not span a multi-session relay chain"
 
-    ref, _ = runs["burst"]
+    ref, _ = runs["flit"]
     ref_fifos = ref.engine.fifo_stats()
-    for name in ("cruise", "macro"):
+    for name in ("burst", "macro"):
         res, _ = runs[name]
         assert res.store(hops, "end") == ref.store(hops, "end"), name
         assert res.cycles == ref.cycles, name
@@ -169,19 +170,19 @@ def test_macro_cruise_concurrent_disjoint_streams():
     The resolver claims every session and lane into exactly one chain
     per send lane; with two independent streams on disjoint ranks both
     chains arm (one jump each) and the run stays cycle-exact against
-    the burst and cruise planes.
+    the per-flit and burst planes.
     """
     n = 32768
-    ref, _ = _run_disjoint_pair(DEEP.with_(pattern_replication=False), n)
-    cruise, _ = _run_disjoint_pair(DEEP, n)
+    ref, _ = _run_disjoint_pair(DEEP.with_(burst_mode=False), n)
+    burst, _ = _run_disjoint_pair(DEEP, n)
     macro, stats = _run_disjoint_pair(DEEP.with_(macro_cruise=True), n)
 
     assert stats.ff_jumps >= 2, "both disjoint chains should jump"
     assert stats.ff_bulk_rounds > 0
     for rank in (1, 3):
         assert macro.store(rank, "end") == ref.store(rank, "end")
-        assert cruise.store(rank, "end") == ref.store(rank, "end")
-    assert macro.cycles == cruise.cycles == ref.cycles
+        assert burst.store(rank, "end") == ref.store(rank, "end")
+    assert macro.cycles == burst.cycles == ref.cycles
     ref_fifos = ref.engine.fifo_stats()
     fifos = macro.engine.fifo_stats()
     for fname, rstats in ref_fifos.items():
@@ -242,18 +243,18 @@ def test_macro_no_arm_program_pays_zero_ff_overhead():
     patterns poll two inputs and stage into two targets, and pattern
     shapes are fixed for the whole train), so the first permanent
     refusal flips ``SupplyPlanner.ff_disarmed``: no fast-forward
-    window is ever counted, and the trajectory is identical to plain
-    cruise — the macro flag costs nothing here.
+    window is ever counted, and the trajectory is identical to the
+    burst plane — the macro flag costs nothing here.
     """
     n = 16384
-    cruise, _ = _run_two_port(DEEP, n)
+    burst, _ = _run_two_port(DEEP, n)
     macro, stats = _run_two_port(DEEP.with_(macro_cruise=True), n)
 
     assert stats.ff_windows == 0, "no-arm program counted an ff window"
     assert stats.ff_jumps == 0
     assert stats.ff_bulk_rounds == 0
-    assert macro.store(1, "end") == cruise.store(1, "end")
-    assert macro.cycles == cruise.cycles
+    assert macro.store(1, "end") == burst.store(1, "end")
+    assert macro.cycles == burst.cycles
     # The permanent refusal disarmed the probing machinery for good.
     planners = {
         id(ck.supply_planner): ck.supply_planner
@@ -271,18 +272,18 @@ def test_counts_at_exact_across_fast_forwarded_fold_boundary():
     Both planes pin ``stats_fold_limit`` to a mid-stream cycle (well
     inside the macro plane's steady state, so the surrounding span is
     committed by bulk extrapolation); ``counts_at``/``max_occupancy_at``
-    at that watermark must then agree exactly between the per-window
-    burst replay and the fast-forwarded run.
+    at that watermark must then agree exactly between the per-flit
+    interpretation and the fast-forwarded run.
     """
     watermark = 10_000
-    burst, _ = _run_stream(DEEP.with_(pattern_replication=False),
-                           fold_watermark=watermark)
+    flit, _ = _run_stream(DEEP.with_(burst_mode=False),
+                          fold_watermark=watermark)
     macro, stats = _run_stream(DEEP.with_(macro_cruise=True),
                                fold_watermark=watermark)
     assert stats.ff_bulk_rounds > 0, "fast-forward never fired"
     assert watermark < macro.cycles
 
-    ref = {f.name: f for f in burst.engine.fifos}
+    ref = {f.name: f for f in flit.engine.fifos}
     checked = 0
     for f in macro.engine.fifos:
         r = ref[f.name]
@@ -291,7 +292,7 @@ def test_counts_at_exact_across_fast_forwarded_fold_boundary():
                 == r.max_occupancy_at(watermark)), f.name
         # End-of-run queries must stay answerable too (the watermark
         # clamps folds below the global end).
-        assert f.counts_at(macro.cycles) == r.counts_at(burst.cycles), f.name
+        assert f.counts_at(macro.cycles) == r.counts_at(flit.cycles), f.name
         checked += 1
     assert checked > 0
 

@@ -443,17 +443,10 @@ def test_explicit_partition_and_unbalanced_cut():
 
 
 # ----------------------------------------------------------------------
-# Process backend (forked workers, packed boundary records)
+# Process backend (forked workers, packed records over shm rings)
 # ----------------------------------------------------------------------
-#: Both boundary transports of the process backend: shared-memory rings
-#: (self-paced mid-epoch exchange) and the coordinator pipe (PR-5 round
-#: discipline over the packed codec).
-TRANSPORTS = ("shm", "pipe")
-
-
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_process_backend_equivalence(transport):
+def test_process_backend_equivalence():
     n, hops = 1024, 4
 
     def build(config):
@@ -477,8 +470,7 @@ def test_process_backend_equivalence(transport):
         return res
 
     ref = build(NOCTUA_DEEP)
-    fast = build(NOCTUA_DEEP.with_(backend="process", shards=2,
-                                   shard_transport=transport))
+    fast = build(NOCTUA_DEEP.with_(backend="process", shards=2))
     assert fast.cycles == ref.cycles
     assert fast.store(hops, "end") == ref.store(hops, "end")
     assert fast.store(hops, "sum") == ref.store(hops, "sum")
@@ -493,12 +485,10 @@ def test_process_backend_equivalence(transport):
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_process_backend_collective(transport):
+def test_process_backend_collective():
     build, num_ranks = _collective_build("reduce", n=48)
     ref = build(NOCTUA)
-    fast = build(NOCTUA.with_(backend="process", shards=2,
-                              shard_transport=transport))
+    fast = build(NOCTUA.with_(backend="process", shards=2))
     assert fast.cycles == ref.cycles
     for rank in range(num_ranks):
         assert fast.store(rank, "end") == ref.store(rank, "end")
@@ -506,7 +496,7 @@ def test_process_backend_collective(transport):
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
-def test_process_backend_tiny_rings_split_and_backlog():
+def test_process_backend_tiny_rings_split_and_backlog(monkeypatch):
     """A minimum-size ring forces record splitting and backlog retries.
 
     With 4 KiB rings a few-thousand-element stream cannot ship an
@@ -536,9 +526,9 @@ def test_process_backend_tiny_rings_split_and_backlog():
         return res
 
     ref = build(NOCTUA_DEEP)
-    fast = build(NOCTUA_DEEP.with_(backend="process", shards=2,
-                                   shard_transport="shm",
-                                   shard_ring_bytes=4096))
+    # The coordinator sizes the rings before it forks the workers.
+    monkeypatch.setattr("repro.shard.wire.RING_BYTES", 4096)
+    fast = build(NOCTUA_DEEP.with_(backend="process", shards=2))
     assert fast.cycles == ref.cycles
     assert fast.store(hops, "sum") == ref.store(hops, "sum")
     assert _fifo_counts(fast.engine) == _fifo_counts(ref.engine)
@@ -559,8 +549,7 @@ def _assert_no_live_workers():
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_no_worker_leak_on_kernel_exception(transport):
+def test_no_worker_leak_on_kernel_exception():
     """A kernel raising mid-run must not leave forked workers behind."""
     n, hops = 256, 4
 
@@ -574,8 +563,7 @@ def test_no_worker_leak_on_kernel_exception(transport):
         raise RuntimeError("injected mid-run failure")
 
     prog = SMIProgram(noctua_bus(),
-                      config=NOCTUA.with_(backend="process", shards=2,
-                                          shard_transport=transport))
+                      config=NOCTUA.with_(backend="process", shards=2))
     prog.add_kernel(snd, rank=0, ops=[OpDecl("send", 0, SMI_FLOAT)])
     prog.add_kernel(rcv, rank=hops, ops=[OpDecl("recv", 0, SMI_FLOAT)])
     with pytest.raises(RuntimeError, match="injected mid-run failure"):
@@ -596,10 +584,10 @@ def test_no_worker_leak_on_partial_construction(monkeypatch):
     real_init = backend_mod.ProcessHandle.__init__
     started = []
 
-    def failing_init(self, runtime, ctx, transport="pipe"):
+    def failing_init(self, runtime, ctx):
         if runtime.index == 1:
             raise OSError("injected fork failure")
-        real_init(self, runtime, ctx, transport)
+        real_init(self, runtime, ctx)
         started.append(self)
 
     monkeypatch.setattr(backend_mod.ProcessHandle, "__init__", failing_init)
@@ -624,12 +612,30 @@ def test_no_worker_leak_on_partial_construction(monkeypatch):
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_process_backend_deadlock_detected(transport):
+def test_process_backend_without_shared_memory_fails_loudly(monkeypatch):
+    """No rings, no run: the one transport failing is a typed error that
+    names the OS failure and the in-process backend to use instead —
+    raised before any worker is forked."""
+    from repro.shard.wire import ShmFabric
+
+    def no_shm(self, keys):
+        raise OSError("no /dev/shm")
+
+    monkeypatch.setattr(ShmFabric, "__init__", no_shm)
+    with pytest.raises(ConfigurationError) as exc:
+        _deadlocking_program(
+            NOCTUA.with_(backend="process", shards=2)
+        ).run(max_cycles=1_000_000)
+    assert "no /dev/shm" in str(exc.value)
+    assert "sharded" in str(exc.value)
+    _assert_no_live_workers()
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+def test_process_backend_deadlock_detected():
     with pytest.raises(DeadlockError, match="Blocked processes"):
         _deadlocking_program(
-            NOCTUA.with_(backend="process", shards=2,
-                         shard_transport=transport)
+            NOCTUA.with_(backend="process", shards=2)
         ).run(max_cycles=1_000_000)
     _assert_no_live_workers()
 
@@ -694,12 +700,9 @@ def test_sharded_max_cycles():
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_process_backend_max_cycles(transport):
+def test_process_backend_max_cycles():
     ref = _run_truncated(NOCTUA)
-    fast = _run_truncated(
-        NOCTUA.with_(backend="process", shards=2,
-                     shard_transport=transport))
+    fast = _run_truncated(NOCTUA.with_(backend="process", shards=2))
     assert ref.reason == fast.reason == "max_cycles"
     assert ref.cycles == fast.cycles == 5_000
     _assert_no_live_workers()

@@ -1,7 +1,7 @@
 """Packed boundary wire format and shared-memory rings (repro.shard.wire).
 
 The process backend's correctness rests on this layer being *faithful*:
-every batch that crosses a ring or the control pipe must come back
+every batch that crosses a ring must come back
 bit-identical — packets (payloads included, for every registered
 datatype), visibility cycles, and the horizon/slack/floor bounds the
 epoch protocol computes bounds from. These tests pin the codec round
@@ -22,8 +22,6 @@ from repro.shard.wire import (
     RECORD_HEADER,
     ShmFabric,
     ShmRing,
-    decode_exchange,
-    encode_exchange,
     pack_ack_records,
     pack_ship_records,
     unpack_record,
@@ -126,22 +124,6 @@ def test_unpack_kind_mismatch_raises():
         ShipBatch.unpack(ack.pack(0), KEYS)
 
 
-def test_exchange_blob_roundtrip():
-    dtype = DATATYPES["SMI_INT"]
-    ships = {
-        (0, 0): ShipBatch((0, 0), (_data_packet(dtype, 1),), (4,), 9, 2),
-        (0, 1): ShipBatch((0, 1), (), (), 11),
-    }
-    acks = {(3, 0): AckBatch((3, 0), (5, 6), 6)}
-    blob = encode_exchange(ships, acks, KEY_IDS)
-    got_ships, got_acks = decode_exchange(blob, KEYS)
-    assert set(got_ships) == set(ships) and set(got_acks) == set(acks)
-    for key in ships:
-        _assert_ship_equal(ships[key], got_ships[key])
-    assert got_acks[(3, 0)].cycles == (5, 6)
-    assert decode_exchange(b"", KEYS) == ({}, {})
-
-
 # ----------------------------------------------------------------------
 # Record splitting
 # ----------------------------------------------------------------------
@@ -189,7 +171,7 @@ def test_ack_record_splitting_roundtrip():
 def test_unsplittable_record_raises():
     """A single item that cannot fit the ring is a hard config error."""
     ship = ShipBatch((0, 0), ({"blob": "x" * 4096},), (1,), horizon=2)
-    with pytest.raises(SimulationError, match="shard_ring_bytes"):
+    with pytest.raises(SimulationError, match="RING_BYTES"):
         pack_ship_records(0, ship, max_bytes=256)
 
 
@@ -227,7 +209,7 @@ def test_ring_full_refuses_without_corruption():
 
 
 def test_fabric_rings_are_independent_and_closeable():
-    fabric = ShmFabric(KEYS, ring_bytes=4096)
+    fabric = ShmFabric(KEYS)
     try:
         assert fabric.keys_by_id == sorted(KEYS)
         assert fabric.key_ids[(0, 0)] == 0

@@ -220,7 +220,7 @@ def test_write_trace_picks_format_from_extension(tmp_path):
 # ----------------------------------------------------------------------
 # Integration: zero-overhead-off, deadlock dumps, reporting
 # ----------------------------------------------------------------------
-def _stream_end(config, n=512, hops=2):
+def _stream_end(config, n=512, hops=2, trace_out=None):
     prog = SMIProgram(noctua_bus(), config=config)
     data = np.arange(n, dtype=np.float32)
 
@@ -236,7 +236,7 @@ def _stream_end(config, n=512, hops=2):
 
     prog.add_kernel(snd, rank=0, ops=[OpDecl("send", 0, SMI_FLOAT, peer=hops)])
     prog.add_kernel(rcv, rank=hops, ops=[OpDecl("recv", 0, SMI_FLOAT, peer=0)])
-    res = prog.run(max_cycles=50_000_000)
+    res = prog.run(max_cycles=50_000_000, trace_out=trace_out)
     assert res.completed and res.store(hops, "ok")
     return res
 
@@ -260,16 +260,14 @@ def test_sequential_run_attaches_recorder_only_when_enabled():
     assert {"dispatch", "stage", "take", "xfer"} <= kinds
 
 
-def test_trace_export_env_hook(tmp_path, monkeypatch):
+def test_run_writes_trace_to_trace_out(tmp_path):
     out = tmp_path / "run.json"
-    monkeypatch.setenv("REPRO_TRACE_OUT", str(out))
-    _stream_end(NOCTUA.with_(trace=True))
+    _stream_end(NOCTUA.with_(trace=True), trace_out=str(out))
     doc = json.loads(out.read_text())
     assert doc["traceEvents"]
-    # Tracing off: the hook must not write anything.
+    # Tracing off: there is no timeline, so nothing is written.
     out2 = tmp_path / "off.json"
-    monkeypatch.setenv("REPRO_TRACE_OUT", str(out2))
-    _stream_end(NOCTUA)
+    _stream_end(NOCTUA, trace_out=str(out2))
     assert not out2.exists()
 
 

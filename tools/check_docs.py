@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Docs lint for CI: anchors, relative links, and module docstrings.
+"""Docs lint for CI: anchors, relative links, docstrings, orphan knobs.
 
 Checks, with no dependencies beyond the standard library:
 
@@ -11,7 +11,11 @@ Checks, with no dependencies beyond the standard library:
   existing file;
 * every module under ``src/repro/transport/`` has a non-empty module
   docstring (the transport layer is the subsystem the architecture doc
-  narrates, so its modules must be self-describing).
+  narrates, so its modules must be self-describing);
+* every ``HardwareConfig`` field is read as an attribute somewhere under
+  ``src/repro/`` outside ``core/config.py`` and is named in the README's
+  "Configuration" section — a knob cannot outlive its last reader, nor
+  exist undocumented.
 
 Exit status 0 when clean, 1 with one ``ERROR:`` line per finding —
 suitable both for the CI docs job and for ``tests/test_docs.py``.
@@ -120,6 +124,47 @@ def check_required_anchors(path: Path) -> list[str]:
     ]
 
 
+def config_fields(path: Path, cls: str = "HardwareConfig") -> list[str]:
+    """Field names of dataclass ``cls`` in ``path``, without importing it."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            return [stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)]
+    return []
+
+
+def markdown_section(text: str, heading: str) -> str:
+    """Body of the ``## heading`` section of ``text`` ("" when absent)."""
+    match = re.search(rf"^## {re.escape(heading)}\s*$(.*?)(?=^## |\Z)", text,
+                      re.MULTILINE | re.DOTALL)
+    return match.group(1) if match else ""
+
+
+def check_config_knobs(root: Path = ROOT) -> list[str]:
+    """``HardwareConfig`` fields nobody reads, or the README omits."""
+    config = root / "src/repro/core/config.py"
+    fields = config_fields(config)
+    if not fields:
+        return [f"{config.relative_to(root)}: no HardwareConfig fields found"]
+    read: set[str] = set()
+    for path in (root / "src/repro").rglob("*.py"):
+        if path != config:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read.update(node.attr for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute))
+    section = markdown_section(
+        (root / "README.md").read_text(encoding="utf-8"), "Configuration")
+    errors = []
+    for name in fields:
+        if name not in read:
+            errors.append(f"HardwareConfig.{name}: read nowhere under "
+                          "src/repro/ outside core/config.py")
+        if f"`{name}`" not in section:
+            errors.append(f"HardwareConfig.{name}: not named in the "
+                          'README "Configuration" section')
+    return errors
+
+
 def run_checks() -> list[str]:
     """All findings across docs and docstrings (empty when clean)."""
     errors = []
@@ -131,6 +176,7 @@ def run_checks() -> list[str]:
             errors.extend(check_markdown(path))
     errors.extend(check_required_anchors(ROOT / "docs/ARCHITECTURE.md"))
     errors.extend(check_docstrings())
+    errors.extend(check_config_knobs())
     return errors
 
 
@@ -140,8 +186,8 @@ def main() -> int:
         print(f"ERROR: {error}", file=sys.stderr)
     checked = ", ".join(CHECKED_DOCS)
     n_mods = len(list(ROOT.glob(DOCSTRING_GLOB)))
-    print(f"checked {checked} + {n_mods} transport module docstrings: "
-          f"{len(errors)} error(s)")
+    print(f"checked {checked} + {n_mods} transport module docstrings + "
+          f"HardwareConfig knobs: {len(errors)} error(s)")
     return 1 if errors else 0
 
 

@@ -32,12 +32,8 @@ BASELINE = Path(__file__).resolve().parent / "test_counts.json"
 JOBS: dict[str, list[str]] = {
     "tier1": ["-m", "not slow"],
     "slow": ["-m", "slow"],
-    "shard-shm": ["tests/test_shard.py", "tests/test_shard_wire.py",
-                  "tests/test_burst_fuzz.py", "-m", "not slow",
-                  "-k", "not (shm or pipe) or shm"],
-    "shard-pipe": ["tests/test_shard.py", "tests/test_shard_wire.py",
-                   "tests/test_burst_fuzz.py", "-m", "not slow",
-                   "-k", "not (shm or pipe) or pipe"],
+    "shard": ["tests/test_shard.py", "tests/test_shard_wire.py",
+              "tests/test_burst_fuzz.py", "-m", "not slow"],
 }
 
 
