@@ -73,14 +73,6 @@ class HardwareConfig:
         C of §4.4: the number of *elements* of accumulation buffer at the
         Reduce root. The root releases new credits to all ranks each time a
         full tile of C elements has been combined and drained.
-    max_ranks:
-        Ranks the platform addresses; the 1-byte packet header limits
-        ranks (and ports) to 256 (§4.2). The fabric rejects a topology
-        with more ranks.
-    max_ports:
-        Maximum distinct communication endpoints per rank (1-byte
-        header). The transport builder rejects operations on higher
-        ports.
     burst_mode:
         Enable the simulator's burst data plane: contiguous runs of
         packets move through FIFOs, polling arbiters, CKS/CKR and links
@@ -125,12 +117,13 @@ class HardwareConfig:
         Simulation execution backend (see :mod:`repro.shard`):
         ``"sequential"`` (default) runs the whole fabric on one engine;
         ``"sharded"`` partitions the fabric into ``shards`` pieces, each
-        on its own engine, advanced in conservative epochs synchronised
-        on SupplySchedule horizons (in-process — the cycle-exactness
-        reference for the parallel plane); ``"process"`` runs the same
-        epoch protocol with one forked worker process per shard,
-        exchanging packed boundary records through shared-memory rings
-        (:mod:`repro.shard.wire`) — actual multi-core parallelism. All
+        on its own engine, exchanging packed boundary records through
+        SPSC rings (:mod:`repro.shard.wire`) and advancing to
+        conservative bounds derived from SupplySchedule horizons
+        (in-process and deterministic — the cycle-exactness reference
+        for the parallel plane); ``"process"`` runs the same exchange
+        protocol with one forked worker process per shard and the rings
+        in shared memory — actual multi-core parallelism. All
         backends are cycle-exact: on completed runs,
         identical ``RunResult.cycles``, per-rank stores, per-FIFO
         push/pop counts and occupancy peaks (``tests/test_shard.py``
@@ -158,17 +151,6 @@ class HardwareConfig:
         not None`` check per instrumented site, so cycles stay
         bit-identical and wall clock stays within noise (the fuzz
         suite and the smoke ``trace_overhead_off`` headline pin both).
-    trace_buffer_events:
-        Flight-recorder ring capacity in events (per engine). When
-        full the oldest events are overwritten (and counted), so long
-        runs keep the *last* window of history — what a post-mortem
-        (``DeadlockError`` dumps, guard aborts) actually wants.
-    trace_sample_stride:
-        Metrics sampling stride in cycles: time-series gauges (FIFO
-        occupancy, link utilization) keep at most one point per stride
-        bucket, snapped to the bucket boundary. Sampling is
-        emit-driven (the engine has no global tick), so a macro-cruise
-        bulk jump contributes at most one point however far it jumps.
     """
 
     clock_hz: float = DEFAULT_CLOCK_HZ
@@ -180,16 +162,12 @@ class HardwareConfig:
     endpoint_fifo_depth: int = 8
     inter_ck_fifo_depth: int = 8
     reduce_credits: int = 256
-    max_ranks: int = 256
-    max_ports: int = 256
     burst_mode: bool = True
     macro_cruise: bool = False
     record_accepts: bool = False
     backend: str = "sequential"
     shards: int = 1
     trace: bool = False
-    trace_buffer_events: int = 65536
-    trace_sample_stride: int = 4096
 
     #: Valid values of :attr:`backend`.
     BACKENDS = ("sequential", "sharded", "process")
@@ -218,10 +196,6 @@ class HardwareConfig:
         for name in ("endpoint_fifo_depth", "inter_ck_fifo_depth", "reduce_credits"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
-        if self.max_ranks > 256 or self.max_ports > 256:
-            raise ConfigurationError(
-                "packet header encodes rank/port in 1 byte each; max is 256"
-            )
         if self.macro_cruise and not self.burst_mode:
             raise ConfigurationError(
                 "macro_cruise fast-forwards the burst plane and requires "
@@ -238,14 +212,6 @@ class HardwareConfig:
             raise ConfigurationError(
                 "shards > 1 requires backend='sharded' or 'process' "
                 f"(got backend='sequential', shards={self.shards})"
-            )
-        if self.trace_buffer_events < 1:
-            raise ConfigurationError(
-                f"trace_buffer_events must be >= 1: {self.trace_buffer_events}"
-            )
-        if self.trace_sample_stride < 1:
-            raise ConfigurationError(
-                f"trace_sample_stride must be >= 1: {self.trace_sample_stride}"
             )
 
     # ------------------------------------------------------------------

@@ -45,5 +45,15 @@ class SimulationError(SMIError):
     """Internal simulation failure (invalid process state, corrupted FIFO...)."""
 
 
+class ShardWorkerError(SimulationError):
+    """A forked shard worker died (was killed, crashed) before reporting."""
+
+    def __init__(self, message: str, shard: int,
+                 exitcode: int | None) -> None:
+        super().__init__(message)
+        self.shard = shard
+        self.exitcode = exitcode
+
+
 class CodegenError(SMIError):
     """Metadata extraction or transport generation failed."""

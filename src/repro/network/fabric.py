@@ -30,11 +30,6 @@ class Fabric:
                 f"topology {topology.name!r} needs {topology.num_interfaces} "
                 f"interfaces but the platform has {config.num_interfaces}"
             )
-        if topology.num_ranks > config.max_ranks:
-            raise TopologyError(
-                f"topology {topology.name!r} has {topology.num_ranks} ranks "
-                f"but the platform addresses {config.max_ranks}"
-            )
         self.engine = engine
         self.topology = topology
         self.config = config

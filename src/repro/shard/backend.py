@@ -8,22 +8,25 @@ selected by ``HardwareConfig.backend``:
   (this is the path inside ``SMIProgram.run`` itself; this module never
   sees it).
 * **sharded** — the fabric is partitioned
-  (:mod:`repro.shard.partitioner`), each shard gets its own engine and
-  its own transport plane with boundary proxies at the cut
-  (:mod:`repro.shard.proxy`), and the epoch synchroniser
-  (:mod:`repro.shard.timesync`) advances them in conservative rounds —
-  all inside the current process. No parallelism; this backend exists as
-  the deterministic cycle-exactness reference for the epoch protocol
-  and is what the equivalence/fuzz suites sweep.
-* **process** — the same shards and the same conservative protocol,
-  but each shard runs in a forked worker process. Boundary batches
-  travel in the packed binary wire format of :mod:`repro.shard.wire`
-  (one struct header + contiguous ndarray blocks per boundary per
-  exchange — not one pickle per packet) through per-boundary
-  shared-memory rings, and workers self-pace mid-epoch — draining
-  peers' floors and publishing their own as soon as they are proven,
-  without waiting for a coordinator barrier. Fork (not spawn) start is
-  required: the shard runtimes — application kernel generators
+  (:mod:`repro.shard.partitioner`) and each shard gets its own engine
+  and its own transport plane with boundary proxies at the cut
+  (:mod:`repro.shard.proxy`). Shards exchange boundary batches in the
+  packed binary wire format of :mod:`repro.shard.wire` (one struct
+  header + contiguous ndarray blocks per boundary per exchange — not
+  one pickle per packet) through per-boundary SPSC rings, and self-pace
+  between barriers — draining peers' floors and publishing their own
+  as soon as they are proven; the epoch synchroniser
+  (:mod:`repro.shard.timesync`) is only the barrier that decides
+  termination, deadlock and ``max_cycles``. Here every shard's loop is
+  called synchronously, in shard order, inside the current process and
+  the rings live in a private buffer: no parallelism, fully
+  deterministic — the cycle-exactness reference for the exchange
+  protocol and what the equivalence/fuzz suites sweep.
+* **process** — the same shards and the *same* exchange loop over the
+  same rings; only where the loop runs (a forked worker process per
+  shard, commanded over a control pipe) and which buffer the rings are
+  carved from (a pre-fork shared-memory block) differ. Fork (not spawn)
+  start is required: the shard runtimes — application kernel generators
   included — are built in the parent and inherited by the workers, so
   only boundary records and final reports ever cross the process
   boundary.
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import signal
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -53,7 +57,7 @@ from time import perf_counter
 from ..core.comm import SMIComm
 from ..core.config import HardwareConfig
 from ..core.context import SMIContext
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, ShardWorkerError
 from ..core.program import ProgramResult, SMIProgram
 from ..network.routing import compute_routes
 from ..simulation.engine import FOREVER, Engine
@@ -103,7 +107,7 @@ class FinalReport:
 
 
 class _ShardLinks:
-    """One worker's half of the shared-memory boundary fabric.
+    """One shard's half of the boundary ring fabric.
 
     Holds the rings this shard reads and writes, local mirrors of the
     floors its conservative bound depends on (floors travel *inside*
@@ -130,12 +134,12 @@ class _ShardLinks:
             if ch.src_shard == index:
                 self.out_ship[ch.key] = fabric.ship_rings[ch.key]
                 self.in_ack[ch.key] = fabric.ack_rings[ch.key]
-                self.ack_floor[ch.key] = ch.ack_floor
-                self.slack[ch.key] = ch.slack
+                self.ack_floor[ch.key] = ch.latency
+                self.slack[ch.key] = 0
             if ch.dst_shard == index:
                 self.in_ship[ch.key] = fabric.ship_rings[ch.key]
                 self.out_ack[ch.key] = fabric.ack_rings[ch.key]
-                self.horizon[ch.key] = ch.horizon
+                self.horizon[ch.key] = ch.latency
         self._backlog: dict = {}
         self._last_pub: dict = {}
 
@@ -171,9 +175,11 @@ class _ShardLinks:
     def compute_bound(self, cap: int | None) -> int:
         """This shard's conservative bound from the mirrored floors.
 
-        The same formula the coordinator's ``compute_bounds`` applies,
-        restricted to this shard's cut links — incoming horizons
-        forward, ``max(ack_floor + 1, slack)`` reverse.
+        Incoming horizons bound it forward. In reverse (backpressure)
+        an unknown remote take can matter no earlier than the published
+        take floor's wake — and no earlier than the producer exhausting
+        its provable slot budget at line rate (the slack), whichever is
+        later.
         """
         bound = FOREVER if cap is None else cap
         for horizon in self.horizon.values():
@@ -189,8 +195,7 @@ class _ShardLinks:
         return bound
 
     # -- outbound -----------------------------------------------------
-    def publish(self, runtime: "_ShardRuntime", bound: int,
-                memo: dict) -> int:
+    def publish(self, runtime: "_ShardRuntime", bound: int) -> int:
         """Collect and push this epoch's batches; returns items pushed.
 
         Items are counted when they reach a ring (not when collected):
@@ -198,7 +203,8 @@ class _ShardLinks:
         actually see them, which keeps the coordinator's
         progress/deadlock accounting exact.
         """
-        pushed = self._flush_backlog()
+        pushed = self.flush_backlog()
+        memo: dict = {}
         for key in sorted(runtime.tx):
             ship = runtime.tx[key].collect(runtime.engine, bound, memo)
             self.slack[key] = ship.slack
@@ -240,7 +246,8 @@ class _ShardLinks:
                 break
         return pushed
 
-    def _flush_backlog(self) -> int:
+    def flush_backlog(self) -> int:
+        """Retry backlogged records in order; returns items pushed."""
         pushed = 0
         for ring, backlog in self._backlog.items():
             while backlog:
@@ -315,51 +322,14 @@ class _ShardRuntime:
                 consumer = self.transport.rank(dst_rank).ckr[dst_iface]
                 self.rx[key] = BoundaryRx(key, link, consumer.proc)
         self.phase = new_phase()
-        # Process-backend wiring, attached by run_sharded before fork.
+        # Ring wiring, attached by run_sharded (before any fork) once
+        # every shard's boundaries are known.
         self.links: _ShardLinks | None = None
 
     # ------------------------------------------------------------------
-    def epoch(self, bound: int, ships: dict, acks: dict,
-              watermark: int = 0) -> EpochReport:
-        """Apply inbound boundary batches, run one epoch, collect."""
-        if watermark > self.engine.stats_fold_limit:
-            self.engine.stats_fold_limit = watermark
-        for key in sorted(acks):
-            self.tx[key].apply(acks[key])
-        for key in sorted(ships):
-            self.rx[key].apply(ships[key])
-        trace = self.engine.trace
-        if trace is not None:
-            trace.emit(self.engine.cycle, "epoch", "shard", "epoch",
-                       args={"bound": bound})
-        t0 = perf_counter()
-        reason, executed = self.engine.run_until(bound)
-        t1 = perf_counter()
-        self.phase["compute_s"] += t1 - t0
-        self.phase["outer_rounds"] += 1
-        if trace is not None:
-            trace.wall_span("compute", t0, t1)
-        memo: dict = {}
-        out_ships = {
-            key: self.tx[key].collect(self.engine, bound, memo)
-            for key in sorted(self.tx)
-        }
-        out_acks = {
-            key: self.rx[key].collect(self.engine, bound, memo)
-            for key in sorted(self.rx)
-        }
-        return EpochReport(
-            reason=reason,
-            executed=executed,
-            ships=out_ships,
-            acks=out_acks,
-            live_workers=self.engine.live_workers,
-            last_worker_finish=self.engine.last_worker_finish,
-            worker_floor=self.engine.live_worker_floor(memo),
-        )
-
-    def epoch_stream(self, cap: int | None, watermark: int) -> EpochReport:
-        """Self-paced exchange loop over the shared-memory rings.
+    def epoch_stream(self, cap: int | None, watermark: int,
+                     fixed: int | None = None) -> EpochReport:
+        """Self-paced exchange loop over the boundary rings.
 
         Each iteration drains the rings (floors ride inside the
         records, so everything drained is sound to use immediately),
@@ -368,7 +338,9 @@ class _ShardRuntime:
         committed. The loop ends when an iteration makes no progress —
         nothing applied, nothing executed, bound not advanced — or
         after :data:`INNER_ROUNDS` iterations, so the coordinator's
-        global termination/deadlock barrier runs regularly.
+        global termination/deadlock barrier runs regularly. With a
+        ``fixed`` bound (the drain phase) it is exactly one iteration
+        to that bound.
         """
         engine = self.engine
         if watermark > engine.stats_fold_limit:
@@ -380,14 +352,18 @@ class _ShardRuntime:
         reason = "bound"
         bound = 0
         prev_bound = -1
-        for _ in range(INNER_ROUNDS):
+        for _ in range(INNER_ROUNDS if fixed is None else 1):
             t0 = perf_counter()
             applied = links.drain(self)
-            bound = links.compute_bound(cap)
+            bound = links.compute_bound(cap) if fixed is None else fixed
             t1 = perf_counter()
             reason, executed = engine.run_until(bound)
             t2 = perf_counter()
-            pushed = links.publish(self, bound, {})
+            stalled = not applied and not executed and bound <= prev_bound
+            # A stalled iteration has no new batch and no moved floor
+            # to publish; only a backlogged record may still fit.
+            pushed = (links.flush_backlog() if stalled
+                      else links.publish(self, bound))
             t3 = perf_counter()
             phase["serialize_s"] += (t1 - t0) + (t3 - t2)
             phase["compute_s"] += t2 - t1
@@ -396,7 +372,7 @@ class _ShardRuntime:
                 trace.wall_span("serialize", t0, t1)
                 trace.wall_span("compute", t1, t2)
                 trace.wall_span("serialize", t2, t3)
-                if bound > prev_bound:
+                if fixed is None and bound > prev_bound:
                     # One bound-update event per inner round that moved
                     # the conservative bound (not per drained record).
                     trace.emit(engine.cycle, "epoch", "shard", "bound",
@@ -404,7 +380,7 @@ class _ShardRuntime:
             delivered += applied
             total_executed += executed
             shipped += pushed
-            if not applied and not executed and bound <= prev_bound:
+            if stalled:
                 break
             prev_bound = bound
         phase["outer_rounds"] += 1
@@ -420,41 +396,12 @@ class _ShardRuntime:
         )
 
     def epoch_drain(self, end: int, watermark: int) -> EpochReport:
-        """One drain iteration at bound ``end + 1`` over the rings."""
-        engine = self.engine
-        if watermark > engine.stats_fold_limit:
-            engine.stats_fold_limit = watermark
-        links = self.links
-        phase = self.phase
-        trace = engine.trace
+        """One exchange iteration at the fixed bound ``end + 1``."""
+        trace = self.engine.trace
         if trace is not None:
-            trace.emit(engine.cycle, "drain", "shard", "drain",
+            trace.emit(self.engine.cycle, "drain", "shard", "drain",
                        args={"end": end})
-        t0 = perf_counter()
-        applied = links.drain(self)
-        t1 = perf_counter()
-        reason, executed = engine.run_until(end + 1)
-        t2 = perf_counter()
-        pushed = links.publish(self, end + 1, {})
-        t3 = perf_counter()
-        phase["serialize_s"] += (t1 - t0) + (t3 - t2)
-        phase["compute_s"] += t2 - t1
-        phase["inner_rounds"] += 1
-        phase["outer_rounds"] += 1
-        if trace is not None:
-            trace.wall_span("serialize", t0, t1)
-            trace.wall_span("compute", t1, t2)
-            trace.wall_span("serialize", t2, t3)
-        return EpochReport(
-            reason=reason,
-            executed=executed,
-            live_workers=engine.live_workers,
-            last_worker_finish=engine.last_worker_finish,
-            worker_floor=engine.live_worker_floor({}),
-            shipped=pushed,
-            delivered=applied,
-            bound_reached=end + 1,
-        )
+        return self.epoch_stream(None, watermark, fixed=end + 1)
 
     def dump_blocked(self) -> list[str]:
         lines = self.engine.blocked_process_dump()
@@ -511,19 +458,17 @@ class _ShardRuntime:
 # Shard handles: where a shard actually runs
 # ----------------------------------------------------------------------
 class LocalHandle:
-    """In-process shard: epochs execute synchronously on begin_epoch."""
-
-    #: begin_epoch completes the epoch before returning and hands its
-    #: batches to the synchroniser, which may fold this shard's floors
-    #: before its successors run (eager Gauss–Seidel rounds).
-    self_exchanging = False
+    """In-process shard: a round runs synchronously when it is begun."""
 
     def __init__(self, runtime: _ShardRuntime) -> None:
         self.runtime = runtime
         self._report: EpochReport | None = None
 
-    def begin_epoch(self, bound, ships, acks, watermark=0) -> None:
-        self._report = self.runtime.epoch(bound, ships, acks, watermark)
+    def begin_stream(self, cap, watermark=0) -> None:
+        self._report = self.runtime.epoch_stream(cap, watermark)
+
+    def begin_drain(self, end, watermark=0) -> None:
+        self._report = self.runtime.epoch_drain(end, watermark)
 
     def finish_epoch(self) -> EpochReport:
         report, self._report = self._report, None
@@ -549,8 +494,8 @@ def _worker_main(conn, runtime: _ShardRuntime) -> None:
     """Forked worker loop: serve shard commands over the control pipe.
 
     Commands: ``("stream", cap, watermark)`` / ``("drain", end,
-    watermark)`` — self-paced rounds over the shared-memory rings
-    (batches never touch the pipe); ``("dump",)`` for deadlock
+    watermark)`` — self-paced rounds over the boundary rings (batches
+    never touch the pipe); ``("dump",)`` for deadlock
     diagnostics and ``("finish", end)`` for the final report.
     """
     phase = runtime.phase
@@ -591,7 +536,7 @@ def _worker_main(conn, runtime: _ShardRuntime) -> None:
 
 
 class ProcessHandle:
-    """Forked-worker shard exchanging packed records over shm rings.
+    """Forked-worker shard, commanded over a control pipe.
 
     A context manager: ``close`` terminates and joins the worker, and
     ``run_sharded`` enters every handle on an ``ExitStack`` the moment
@@ -599,10 +544,6 @@ class ProcessHandle:
     being forked (or any mid-run coordinator exception) tears down
     every worker already started instead of leaking it.
     """
-
-    #: Boundary batches move through shared-memory rings
-    #: worker-to-worker; the synchroniser only runs barriers.
-    self_exchanging = True
 
     def __init__(self, runtime: _ShardRuntime, ctx) -> None:
         self.index = runtime.index
@@ -614,32 +555,49 @@ class ProcessHandle:
         self._proc.start()
         child.close()
 
-    def _recv(self):
+    def _pipe(self, op, *args):
+        """Every coordinator-side pipe operation: a dead worker is one
+        typed error naming the shard and how the worker ended."""
         try:
-            status, payload = self._conn.recv()
-        except EOFError:
-            raise RuntimeError(
-                f"shard worker {self.index} died without reporting"
+            return op(*args)
+        except (EOFError, BrokenPipeError, ConnectionResetError):
+            self._proc.join(timeout=1)
+            code = self._proc.exitcode
+            if code is None:
+                how = "closed its control pipe"
+            elif code < 0:
+                how = f"was killed by {signal.Signals(-code).name}"
+            else:
+                how = f"exited with code {code}"
+            raise ShardWorkerError(
+                f"shard worker {self.index} {how} without reporting",
+                shard=self.index, exitcode=code,
             ) from None
+
+    def _send(self, *msg) -> None:
+        self._pipe(self._conn.send, msg)
+
+    def _recv(self):
+        status, payload = self._pipe(self._conn.recv)
         if status == "error":
             raise payload
         return payload
 
     def begin_stream(self, cap, watermark=0) -> None:
-        self._conn.send(("stream", cap, watermark))
+        self._send("stream", cap, watermark)
 
     def begin_drain(self, end, watermark=0) -> None:
-        self._conn.send(("drain", end, watermark))
+        self._send("drain", end, watermark)
 
     def finish_epoch(self) -> EpochReport:
         return self._recv()
 
     def dump_blocked(self) -> list[str]:
-        self._conn.send(("dump",))
+        self._send("dump")
         return self._recv()
 
     def finish(self, end: int) -> FinalReport:
-        self._conn.send(("finish", end))
+        self._send("finish", end)
         return self._recv()
 
     def close(self) -> None:
@@ -751,25 +709,24 @@ def run_sharded(program: SMIProgram,
                 latency=link.fifo.latency,
             ))
     with contextlib.ExitStack() as stack:
-        if use_processes:
-            try:
-                fabric = ShmFabric(ch.key for ch in channels)
-            except (ImportError, OSError) as exc:
-                raise ConfigurationError(
-                    "backend='process' needs multiprocessing shared memory "
-                    f"for its boundary rings, unavailable here ({exc}); "
-                    "use backend='sharded' on this platform"
-                ) from exc
-            stack.callback(fabric.close)
-            for i, rt in enumerate(runtimes):
-                rt.links = _ShardLinks(i, channels, fabric)
+        try:
+            fabric = ShmFabric((ch.key for ch in channels),
+                               shared=use_processes)
+        except (ImportError, OSError) as exc:
+            # Only the shared block asks the OS for anything.
+            raise ConfigurationError(
+                "backend='process' needs multiprocessing shared memory "
+                f"for its boundary rings, unavailable here ({exc}); "
+                "use backend='sharded' on this platform"
+            ) from exc
+        stack.callback(fabric.close)
         handles: list = []
-        for rt in runtimes:
+        for i, rt in enumerate(runtimes):
+            rt.links = _ShardLinks(i, channels, fabric)
             handle = ProcessHandle(rt, ctx) if use_processes \
                 else LocalHandle(rt)
             handles.append(stack.enter_context(handle))
-        sync = EpochSynchronizer(handles, channels)
-        outcome = sync.run(max_cycles)
+        outcome = EpochSynchronizer(handles).run(max_cycles)
         finals = [handle.finish(outcome.cycles) for handle in handles]
     stores: dict = {}
     returns: dict = {}

@@ -30,8 +30,8 @@ uses (:meth:`Engine.process_floor` /
 :meth:`Fifo.supply_horizon` / :meth:`Fifo.earliest_readable`), clamped
 to the epoch bound: no unshipped stage can be visible before
 :attr:`ShipBatch.horizon`, and no unreported take can happen before
-:attr:`AckBatch.floor`. Those floors are exactly what
-:mod:`repro.shard.timesync` turns into the next epoch's bounds.
+:attr:`AckBatch.floor`. Those floors ride inside the ring records and
+are exactly what the peer shard turns into its next conservative bound.
 """
 
 from __future__ import annotations
@@ -58,28 +58,6 @@ class ShipBatch:
     #: information below this cycle.
     slack: int = 0
 
-    def pack(self, key_id: int) -> bytes:
-        """Encode as one packed wire record (see :mod:`repro.shard.wire`).
-
-        Items that are plain :class:`~repro.network.packet.Packet`
-        objects with registered scalar datatypes take the contiguous
-        ndarray fast path; anything else falls back to pickle inside the
-        same record framing.
-        """
-        from .wire import pack_ship
-
-        return pack_ship(key_id, self)
-
-    @staticmethod
-    def unpack(record: bytes, keys_by_id) -> "ShipBatch":
-        """Decode one record produced by :meth:`pack`."""
-        from .wire import unpack_record
-
-        kind, batch = unpack_record(record, keys_by_id)
-        if kind != "ship":
-            raise TypeError(f"record holds an {kind} batch, not a ship")
-        return batch
-
 
 @dataclass
 class AckBatch:
@@ -95,22 +73,6 @@ class AckBatch:
     key: tuple[int, int]
     cycles: tuple
     floor: int
-
-    def pack(self, key_id: int) -> bytes:
-        """Encode as one packed wire record (see :mod:`repro.shard.wire`)."""
-        from .wire import pack_ack
-
-        return pack_ack(key_id, self)
-
-    @staticmethod
-    def unpack(record: bytes, keys_by_id) -> "AckBatch":
-        """Decode one record produced by :meth:`pack`."""
-        from .wire import unpack_record
-
-        kind, batch = unpack_record(record, keys_by_id)
-        if kind != "ack":
-            raise TypeError(f"record holds a {kind} batch, not an ack")
-        return batch
 
 
 def tx_self_sufficiency(link, bound: int) -> int:

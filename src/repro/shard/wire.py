@@ -1,10 +1,10 @@
-"""Packed boundary wire format and shared-memory rings (process backend).
+"""Packed boundary wire format and SPSC rings (both sharded backends).
 
-The process backend's unit of IPC is one :class:`~repro.shard.proxy`
-batch per boundary link per exchange. PR 5 pickled each batch — one
-Python object graph per packet — which made serialization the dominant
-cost of a process-sharded run. This module replaces that with a packed
-binary codec and a shared-memory transport:
+The unit of exchange between two shards is one
+:class:`~repro.shard.proxy` batch per boundary link per exchange. PR 5
+pickled each batch — one Python object graph per packet — which made
+serialization the dominant cost of a process-sharded run. This module
+replaces that with a packed binary codec and a ring transport:
 
 * **Record codec** — one struct-packed header plus contiguous
   ``numpy`` payload blocks per batch. A :class:`ShipBatch` of ``k``
@@ -19,8 +19,9 @@ binary codec and a shared-memory transport:
   either way, the fast path is just faster.
 
 * **SPSC byte rings** (:class:`ShmRing`) — single-producer
-  single-consumer rings of length-prefixed records over one
-  ``multiprocessing.shared_memory`` block (:class:`ShmFabric`), two per
+  single-consumer rings of length-prefixed records carved out of one
+  buffer (:class:`ShmFabric` — a ``multiprocessing.shared_memory``
+  block for forked workers, a private zero buffer in-process), two per
   boundary channel (ship and ack directions). Head/tail are monotone
   ``int64`` counters; the producer writes the record body before
   publishing the new head, which on the total-store-order memory model
@@ -32,9 +33,9 @@ binary codec and a shared-memory transport:
   :func:`pack_ack_records` (applying a split batch in segments is
   equivalent: cycles stay monotone and floors are per-record).
 
-The coordinator creates the fabric before forking and unlinks it
-immediately, so workers inherit the one mapping and no name can leak —
-crash-safe by construction.
+For the process backend the coordinator creates the fabric before
+forking and unlinks it immediately, so workers inherit the one mapping
+and no name can leak — crash-safe by construction.
 
 Channel keys (the ``(src rank, iface)`` tuples of
 :class:`~repro.shard.timesync.BoundaryChannel`) never cross the wire:
@@ -52,6 +53,7 @@ import numpy as np
 from ..core.datatypes import DATATYPES, PACKET_BYTES, PAYLOAD_BYTES
 from ..core.errors import SimulationError
 from ..network.packet import OpType, Packet
+from .proxy import AckBatch, ShipBatch
 
 #: Record kinds (header field 0).
 KIND_SHIP = 1         # packed ship: cycles + dtype ids + 32-byte packets
@@ -167,8 +169,6 @@ def pack_ack(key_id: int, ack) -> bytes:
 
 def unpack_record(record: bytes, keys_by_id) -> tuple[str, object]:
     """Decode one record; returns ``("ship"|"ack", batch)``."""
-    from .proxy import AckBatch, ShipBatch
-
     kind, _flags, _pad, key_id, n, f0, f1 = RECORD_HEADER.unpack_from(record)
     key = keys_by_id[key_id]
     body = record[RECORD_HEADER.size:]
@@ -221,8 +221,6 @@ def pack_ship_records(key_id: int, ship,
     caller account shipped items at the moment a record actually
     reaches its ring.
     """
-    from .proxy import ShipBatch
-
     def splitter(b):
         if len(b.items) < 2:
             return None
@@ -244,8 +242,6 @@ def pack_ack_records(key_id: int, ack,
     next segment's earliest cycle so a backlogged tail can never be
     outrun by the bound its own head published.
     """
-    from .proxy import AckBatch
-
     def splitter(b):
         if len(b.cycles) < 2:
             return None
@@ -332,34 +328,42 @@ class ShmRing:
 
 
 class ShmFabric:
-    """One shared-memory block holding a ship+ack ring per channel key.
+    """One buffer holding a ship+ack ring per channel key.
 
-    Created by the coordinator *before* forking — workers inherit the
-    mapping — and unlinked immediately, so the name cannot leak even if
-    every process crashes. ``close`` releases the coordinator's views
-    and mapping; forked workers exit via ``os._exit`` and never need to.
+    ``shared`` picks the buffer. For forked workers it is a
+    shared-memory block, created by the coordinator *before* forking —
+    workers inherit the mapping — and unlinked immediately, so the name
+    cannot leak even if every process crashes. In-process it is a
+    private ``np.zeros`` buffer (calloc: a ring page costs memory only
+    once written). ``close`` releases the coordinator's views and
+    mapping; forked workers exit via ``os._exit`` and never need to.
     """
 
-    def __init__(self, keys) -> None:
-        from multiprocessing import shared_memory
-
+    def __init__(self, keys, shared: bool) -> None:
         self.keys_by_id = sorted(keys)
         self.key_ids = {key: i for i, key in enumerate(self.keys_by_id)}
         self.ring_bytes = ring_bytes = RING_BYTES
         slot = ShmRing.CTRL_BYTES + ring_bytes
         size = max(1, 2 * slot * len(self.keys_by_id))
-        self._shm = shared_memory.SharedMemory(create=True, size=size)
-        self._shm.buf[:size] = bytes(size)
+        if shared:
+            from multiprocessing import shared_memory
+
+            self._shm = shared_memory.SharedMemory(create=True, size=size)
+            self._shm.unlink()  # the mapping outlives the name
+            buf = self._shm.buf
+            buf[:size] = bytes(size)
+        else:
+            self._shm = None
+            buf = np.zeros(size, dtype=np.uint8)
         self.ship_rings: dict = {}
         self.ack_rings: dict = {}
         for i, key in enumerate(self.keys_by_id):
-            self.ship_rings[key] = ShmRing(self._shm.buf, 2 * i * slot,
-                                           ring_bytes)
-            self.ack_rings[key] = ShmRing(self._shm.buf,
-                                          (2 * i + 1) * slot, ring_bytes)
-        self._shm.unlink()
+            self.ship_rings[key] = ShmRing(buf, 2 * i * slot, ring_bytes)
+            self.ack_rings[key] = ShmRing(buf, (2 * i + 1) * slot,
+                                          ring_bytes)
 
     def close(self) -> None:
         for ring in (*self.ship_rings.values(), *self.ack_rings.values()):
             ring.release()
-        self._shm.close()
+        if self._shm is not None:
+            self._shm.close()

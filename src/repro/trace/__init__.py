@@ -24,12 +24,10 @@ defaults to ``None``, so with tracing off no event is built, cycles
 stay bit-identical, and wall clock stays within noise (the smoke
 benchmark records ``trace_overhead_off`` to keep that honest).
 
-The per-engine recorder (``engine.trace``) is authoritative — the
-in-process sharded backend runs several engines per interpreter, so
-recorder state cannot be global. The module-level API below
-(:func:`install` / :func:`emit`) is a convenience handle over the
-*current* recorder for code without an engine reference; it is a no-op
-while nothing is installed.
+The per-engine recorder (``engine.trace``) is the one way to a
+recorder — the in-process sharded backend runs several engines per
+interpreter, so recorder state cannot be global and there is no
+module-level switch.
 """
 
 from __future__ import annotations
@@ -41,41 +39,13 @@ from .recorder import EVENT_KINDS, TraceRecorder
 
 __all__ = [
     "EVENT_KINDS", "MetricsRegistry", "TIMING_FIELDS", "TraceRecorder",
-    "WALL_PHASES", "emit", "install", "installed", "merge_segments",
+    "WALL_PHASES", "merge_segments",
     "merge_snapshots", "new_phase", "recorder_from_config", "to_jsonl",
     "to_perfetto", "validate_timing", "write_trace",
 ]
-
-#: The currently-installed module-level recorder (or ``None`` = no-op).
-_RECORDER: TraceRecorder | None = None
-
-
-def install(recorder: TraceRecorder | None) -> TraceRecorder | None:
-    """Install (or clear, with ``None``) the module-level recorder.
-
-    Returns the previous recorder so callers can restore it.
-    """
-    global _RECORDER
-    prev = _RECORDER
-    _RECORDER = recorder
-    return prev
-
-
-def installed() -> TraceRecorder | None:
-    """The module-level recorder, or ``None`` when tracing is off."""
-    return _RECORDER
-
-
-def emit(cycle: int, kind: str, track: str, name: str,
-         dur: int = 0, args: dict | None = None) -> None:
-    """Emit through the module-level recorder; no-op when none installed."""
-    if _RECORDER is not None:
-        _RECORDER.emit(cycle, kind, track, name, dur, args)
-
 
 def recorder_from_config(config, shard: int = 0) -> TraceRecorder | None:
     """Build a recorder from ``HardwareConfig`` — ``None`` when off."""
     if not getattr(config, "trace", False):
         return None
-    return TraceRecorder(capacity=config.trace_buffer_events,
-                         stride=config.trace_sample_stride, shard=shard)
+    return TraceRecorder(shard=shard)

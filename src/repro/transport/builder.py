@@ -316,11 +316,6 @@ def build_transport(
     # the flow-liveness analysis (which consumes them) will run.
     for rank, rank_plan in plan.rank_plans.items():
         for decl in rank_plan.ops:
-            if decl.port >= config.max_ports:
-                raise CodegenError(
-                    f"rank {rank}: port {decl.port} exceeds the platform's "
-                    f"{config.max_ports} ports per rank"
-                )
             if decl.peer is not None and decl.peer >= plan.num_ranks:
                 raise CodegenError(
                     f"rank {rank} port {decl.port}: declared peer "

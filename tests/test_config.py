@@ -62,8 +62,6 @@ def test_with_replaces_fields():
         {"endpoint_fifo_depth": 0},
         {"inter_ck_fifo_depth": 0},
         {"reduce_credits": 0},
-        {"max_ranks": 300},
-        {"max_ports": 1000},
     ],
 )
 def test_invalid_config_rejected(kwargs):

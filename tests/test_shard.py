@@ -11,6 +11,9 @@ cut. ``tests/test_burst_fuzz.py`` additionally sweeps random cuts.
 """
 
 import multiprocessing
+import os
+import signal
+import threading
 import time
 
 import numpy as np
@@ -29,13 +32,21 @@ from repro import (
     torus2d,
 )
 from repro.codegen.metadata import OpDecl
-from repro.core.errors import ConfigurationError, TopologyError
+from repro.core.errors import (
+    ConfigurationError,
+    ShardWorkerError,
+    SimulationError,
+    TopologyError,
+)
 from repro.core.ops import SMI_ADD
 from repro.shard import Partition, partition_topology, validate_cut
 from repro.simulation import Engine
 from repro.simulation.conditions import WaitCycles
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_fork = pytest.mark.skipif(not HAVE_FORK,
+                                reason="needs fork start method")
+BOTH_BACKENDS = ["sharded", pytest.param("process", marks=needs_fork)]
 
 
 def _fifo_counts(engine):
@@ -443,12 +454,10 @@ def test_explicit_partition_and_unbalanced_cut():
 
 
 # ----------------------------------------------------------------------
-# Process backend (forked workers, packed records over shm rings)
+# One exchange protocol, run in-process or by forked workers
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
-def test_process_backend_equivalence():
-    n, hops = 1024, 4
-
+def _stream_build(n, hops=4):
+    """``build(config)`` for an ``n``-float stream over ``hops`` bus hops."""
     def build(config):
         prog = SMIProgram(noctua_bus(), config=config)
         data = np.arange(n, dtype=np.float32)
@@ -469,6 +478,35 @@ def test_process_backend_equivalence():
         assert res.completed, res.reason
         return res
 
+    return build
+
+
+@pytest.mark.parametrize("backend", BOTH_BACKENDS)
+def test_both_backends_run_the_ring_exchange(backend, monkeypatch):
+    """``sharded`` and ``process`` reach the same ``_ShardLinks.publish``."""
+    from repro.shard.backend import _ShardLinks
+
+    published = []
+    real_publish = _ShardLinks.publish
+
+    def spy(self, runtime, bound):
+        published.append(self.index)
+        return real_publish(self, runtime, bound)
+
+    monkeypatch.setattr(_ShardLinks, "publish", spy)
+    build = _stream_build(256)
+    ref = build(NOCTUA)
+    fast = build(NOCTUA.with_(backend=backend, shards=2))
+    assert fast.cycles == ref.cycles
+    assert all(t["inner_rounds"] > 0 for t in fast.transport.shard_timing)
+    if backend == "sharded":  # forked workers' spies die with them
+        assert set(published) == {0, 1}
+
+
+@needs_fork
+def test_process_backend_equivalence():
+    hops = 4
+    build = _stream_build(1024, hops)
     ref = build(NOCTUA_DEEP)
     fast = build(NOCTUA_DEEP.with_(backend="process", shards=2))
     assert fast.cycles == ref.cycles
@@ -484,7 +522,7 @@ def test_process_backend_equivalence():
         assert t["outer_rounds"] > 0
 
 
-@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+@needs_fork
 def test_process_backend_collective():
     build, num_ranks = _collective_build("reduce", n=48)
     ref = build(NOCTUA)
@@ -495,43 +533,46 @@ def test_process_backend_collective():
     assert _fifo_counts(fast.engine) == _fifo_counts(ref.engine)
 
 
-@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
-def test_process_backend_tiny_rings_split_and_backlog(monkeypatch):
+@pytest.mark.parametrize("backend", BOTH_BACKENDS)
+def test_process_backend_tiny_rings_split_and_backlog(backend, monkeypatch):
     """A minimum-size ring forces record splitting and backlog retries.
 
     With 4 KiB rings a few-thousand-element stream cannot ship an
     epoch's batch in one record — it must split, fill the ring, backlog
     the remainder and retry across inner rounds — and the run must stay
-    cycle-exact through all of it.
+    cycle-exact through all of it. In-process the interleaving is
+    deterministic, so the test also proves both actually happened.
     """
-    n, hops = 2048, 4
+    from repro.shard import backend as backend_mod
+    from repro.shard.wire import ShmRing
 
-    def build(config):
-        prog = SMIProgram(noctua_bus(), config=config)
-        data = np.arange(n, dtype=np.float32)
-
-        def snd(smi):
-            ch = smi.open_send_channel(n, SMI_FLOAT, hops, 0)
-            yield from ch.push_vec(data, width=8)
-
-        def rcv(smi):
-            ch = smi.open_recv_channel(n, SMI_FLOAT, 0, 0)
-            out = yield from ch.pop_vec(n, width=8)
-            smi.store("sum", float(np.sum(out)))
-
-        prog.add_kernel(snd, rank=0, ops=[OpDecl("send", 0, SMI_FLOAT)])
-        prog.add_kernel(rcv, rank=hops, ops=[OpDecl("recv", 0, SMI_FLOAT)])
-        res = prog.run(max_cycles=50_000_000)
-        assert res.completed, res.reason
-        return res
-
+    hops = 4
+    build = _stream_build(2048, hops)
     ref = build(NOCTUA_DEEP)
-    # The coordinator sizes the rings before it forks the workers.
+    # The rings are sized when the run is set up (before any fork).
     monkeypatch.setattr("repro.shard.wire.RING_BYTES", 4096)
-    fast = build(NOCTUA_DEEP.with_(backend="process", shards=2))
+    pushes, splits = [], []
+    real_push = ShmRing.try_push
+    real_pack = backend_mod.pack_ship_records
+
+    def counting_push(ring, record):
+        pushes.append(real_push(ring, record))
+        return pushes[-1]
+
+    def counting_pack(key_id, ship, max_bytes):
+        records = real_pack(key_id, ship, max_bytes)
+        splits.append(len(records))
+        return records
+
+    monkeypatch.setattr(ShmRing, "try_push", counting_push)
+    monkeypatch.setattr(backend_mod, "pack_ship_records", counting_pack)
+    fast = build(NOCTUA_DEEP.with_(backend=backend, shards=2))
     assert fast.cycles == ref.cycles
     assert fast.store(hops, "sum") == ref.store(hops, "sum")
     assert _fifo_counts(fast.engine) == _fifo_counts(ref.engine)
+    if backend == "sharded":  # forked workers' spies die with them
+        assert pushes.count(False) >= 1, "no push was ever refused"
+        assert max(splits) >= 2, "no batch was ever split"
 
 
 # ----------------------------------------------------------------------
@@ -548,7 +589,7 @@ def _assert_no_live_workers():
     raise AssertionError(f"leaked shard workers: {alive}")
 
 
-@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+@needs_fork
 def test_no_worker_leak_on_kernel_exception():
     """A kernel raising mid-run must not leave forked workers behind."""
     n, hops = 256, 4
@@ -571,7 +612,7 @@ def test_no_worker_leak_on_kernel_exception():
     _assert_no_live_workers()
 
 
-@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+@needs_fork
 def test_no_worker_leak_on_partial_construction(monkeypatch):
     """A handle failing to start must tear down the already-forked ones.
 
@@ -611,14 +652,15 @@ def test_no_worker_leak_on_partial_construction(monkeypatch):
     _assert_no_live_workers()
 
 
-@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+@needs_fork
 def test_process_backend_without_shared_memory_fails_loudly(monkeypatch):
     """No rings, no run: the one transport failing is a typed error that
     names the OS failure and the in-process backend to use instead —
     raised before any worker is forked."""
     from repro.shard.wire import ShmFabric
 
-    def no_shm(self, keys):
+    def no_shm(self, keys, shared):
+        assert shared
         raise OSError("no /dev/shm")
 
     monkeypatch.setattr(ShmFabric, "__init__", no_shm)
@@ -631,7 +673,38 @@ def test_process_backend_without_shared_memory_fails_loudly(monkeypatch):
     _assert_no_live_workers()
 
 
-@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+@needs_fork
+def test_process_backend_killed_worker_fails_typed():
+    """SIGKILL one worker mid-run: a typed error naming the shard, soon."""
+    victim = 1
+
+    def kill_when_running():
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            for child in multiprocessing.active_children():
+                if child.name == f"smi-shard-{victim}":
+                    time.sleep(0.2)  # let it get into its rounds
+                    os.kill(child.pid, signal.SIGKILL)
+                    return
+            time.sleep(0.005)
+
+    killer = threading.Thread(target=kill_when_running)
+    build = _stream_build(1 << 18)
+    t0 = time.monotonic()
+    killer.start()
+    try:
+        with pytest.raises(ShardWorkerError, match="SIGKILL") as exc:
+            build(NOCTUA_DEEP.with_(backend="process", shards=2))
+    finally:
+        killer.join()
+    assert time.monotonic() - t0 < 5.0
+    assert exc.value.shard == victim
+    assert exc.value.exitcode == -signal.SIGKILL
+    assert isinstance(exc.value, SimulationError)
+    _assert_no_live_workers()
+
+
+@needs_fork
 def test_process_backend_deadlock_detected():
     with pytest.raises(DeadlockError, match="Blocked processes"):
         _deadlocking_program(
@@ -699,7 +772,7 @@ def test_sharded_max_cycles():
     assert ref.cycles == fast.cycles == 5_000
 
 
-@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+@needs_fork
 def test_process_backend_max_cycles():
     ref = _run_truncated(NOCTUA)
     fast = _run_truncated(NOCTUA.with_(backend="process", shards=2))
@@ -712,23 +785,7 @@ def test_sharded_planner_stats_populated():
     """The merged transport facade reports cluster-wide planner counters."""
     from repro.simulation.stats import collect_planner_stats
 
-    n, hops = 1024, 4
-    prog = SMIProgram(noctua_bus(),
-                      config=NOCTUA.with_(backend="sharded", shards=2))
-    data = np.arange(n, dtype=np.float32)
-
-    def snd(smi):
-        ch = smi.open_send_channel(n, SMI_FLOAT, hops, 0)
-        yield from ch.push_vec(data, width=8)
-
-    def rcv(smi):
-        ch = smi.open_recv_channel(n, SMI_FLOAT, 0, 0)
-        yield from ch.pop_vec(n, width=8)
-
-    prog.add_kernel(snd, rank=0, ops=[OpDecl("send", 0, SMI_FLOAT)])
-    prog.add_kernel(rcv, rank=hops, ops=[OpDecl("recv", 0, SMI_FLOAT)])
-    res = prog.run(max_cycles=50_000_000)
-    assert res.completed
+    res = _stream_build(1024)(NOCTUA.with_(backend="sharded", shards=2))
     stats = collect_planner_stats(res.transport)
     assert stats.windows > 0 and stats.takes > 0
 

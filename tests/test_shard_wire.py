@@ -1,6 +1,6 @@
-"""Packed boundary wire format and shared-memory rings (repro.shard.wire).
+"""Packed boundary wire format and SPSC rings (repro.shard.wire).
 
-The process backend's correctness rests on this layer being *faithful*:
+Both sharded backends' correctness rests on this layer being *faithful*:
 every batch that crosses a ring must come back
 bit-identical — packets (payloads included, for every registered
 datatype), visibility cycles, and the horizon/slack/floor bounds the
@@ -22,13 +22,22 @@ from repro.shard.wire import (
     RECORD_HEADER,
     ShmFabric,
     ShmRing,
+    pack_ack,
     pack_ack_records,
+    pack_ship,
     pack_ship_records,
     unpack_record,
 )
 
 KEYS = [(0, 0), (0, 1), (3, 0)]
 KEY_IDS = {key: i for i, key in enumerate(KEYS)}
+
+
+def _unpack(record, kind):
+    """The decoded batch, after checking the record's kind tag."""
+    tag, batch = unpack_record(record, KEYS)
+    assert tag == kind
+    return batch
 
 
 def _data_packet(dtype, seed=0):
@@ -73,9 +82,9 @@ def test_ship_roundtrip_every_datatype(name):
     dtype = DATATYPES[name]
     items = tuple(_data_packet(dtype, seed) for seed in range(4))
     ship = ShipBatch((0, 1), items, (10, 11, 13, 20), horizon=37, slack=19)
-    record = ship.pack(KEY_IDS[(0, 1)])
+    record = pack_ship(KEY_IDS[(0, 1)], ship)
     assert RECORD_HEADER.unpack_from(record)[0] == KIND_SHIP
-    _assert_ship_equal(ship, ShipBatch.unpack(record, KEYS))
+    _assert_ship_equal(ship, _unpack(record, "ship"))
 
 
 def test_ship_roundtrip_control_packets():
@@ -84,20 +93,19 @@ def test_ship_roundtrip_control_packets():
                   for seed, op in enumerate((OpType.CREDIT, OpType.DATA,
                                              OpType.PING, OpType.PONG)))
     ship = ShipBatch((3, 0), items, (5, 5, 6, 9), horizon=12)
-    record = ship.pack(KEY_IDS[(3, 0)])
+    record = pack_ship(KEY_IDS[(3, 0)], ship)
     assert RECORD_HEADER.unpack_from(record)[0] == KIND_SHIP
-    _assert_ship_equal(ship, ShipBatch.unpack(record, KEYS))
+    _assert_ship_equal(ship, _unpack(record, "ship"))
 
 
 def test_empty_ship_roundtrip():
     ship = ShipBatch((0, 0), (), (), horizon=64, slack=128)
-    got = ShipBatch.unpack(ship.pack(0), KEYS)
-    _assert_ship_equal(ship, got)
+    _assert_ship_equal(ship, _unpack(pack_ship(0, ship), "ship"))
 
 
 def test_ack_roundtrip():
     ack = AckBatch((0, 1), tuple(range(100, 164)), floor=163)
-    got = AckBatch.unpack(ack.pack(KEY_IDS[(0, 1)]), KEYS)
+    got = _unpack(pack_ack(KEY_IDS[(0, 1)], ack), "ack")
     assert got.key == ack.key
     assert got.cycles == ack.cycles
     assert got.floor == ack.floor
@@ -107,21 +115,22 @@ def test_pickle_fallback_for_non_packet_items():
     """Anything but plain registered-dtype Packets survives via pickle."""
     items = ({"not": "a packet"}, (1, 2, 3))
     ship = ShipBatch((0, 0), items, (7, 8), horizon=20, slack=3)
-    record = ship.pack(0)
+    record = pack_ship(0, ship)
     assert RECORD_HEADER.unpack_from(record)[0] == KIND_SHIP_PICKLE
-    got = ShipBatch.unpack(record, KEYS)
+    got = _unpack(record, "ship")
     assert got.items == items
     assert got.cycles == ship.cycles
     assert got.horizon == 20 and got.slack == 3
 
 
 def test_unpack_kind_mismatch_raises():
+    """A record's kind tag, not the caller's expectation, types the batch."""
     ship = ShipBatch((0, 0), (), (), horizon=1)
-    with pytest.raises(TypeError, match="not an ack"):
-        AckBatch.unpack(ship.pack(0), KEYS)
+    tag, batch = unpack_record(pack_ship(0, ship), KEYS)
+    assert tag == "ship" and isinstance(batch, ShipBatch)
     ack = AckBatch((0, 0), (), floor=1)
-    with pytest.raises(TypeError, match="not a ship"):
-        ShipBatch.unpack(ack.pack(0), KEYS)
+    tag, batch = unpack_record(pack_ack(0, ack), KEYS)
+    assert tag == "ack" and isinstance(batch, AckBatch)
 
 
 # ----------------------------------------------------------------------
@@ -131,14 +140,14 @@ def test_ship_record_splitting_roundtrip():
     dtype = DATATYPES["SMI_FLOAT"]
     items = tuple(_data_packet(dtype, seed) for seed in range(32))
     ship = ShipBatch((0, 1), items, tuple(range(32)), horizon=99, slack=7)
-    whole = ship.pack(1)
+    whole = pack_ship(1, ship)
     max_bytes = len(whole) // 3
     records = pack_ship_records(1, ship, max_bytes)
     assert len(records) > 1
     assert all(len(r) <= max_bytes for r, _ in records)
     assert sum(count for _, count in records) == 32
     rebuilt_items, rebuilt_cycles = [], []
-    segments = [ShipBatch.unpack(record, KEYS) for record, _ in records]
+    segments = [_unpack(record, "ship") for record, _ in records]
     for i, seg in enumerate(segments):
         assert seg.slack == 7
         # A segment may only promise up to the next segment's earliest
@@ -159,7 +168,7 @@ def test_ack_record_splitting_roundtrip():
     assert len(records) > 1
     assert sum(count for _, count in records) == 64
     cycles = []
-    segments = [AckBatch.unpack(record, KEYS) for record, _ in records]
+    segments = [_unpack(record, "ack") for record, _ in records]
     for i, seg in enumerate(segments):
         if i + 1 < len(segments):
             assert seg.floor < segments[i + 1].cycles[0]
@@ -176,7 +185,7 @@ def test_unsplittable_record_raises():
 
 
 # ----------------------------------------------------------------------
-# Shared-memory rings
+# SPSC rings
 # ----------------------------------------------------------------------
 def test_ring_wraparound_preserves_records():
     """Records crossing the physical end of the buffer come back intact."""
@@ -209,16 +218,17 @@ def test_ring_full_refuses_without_corruption():
 
 
 def test_fabric_rings_are_independent_and_closeable():
-    fabric = ShmFabric(KEYS)
-    try:
-        assert fabric.keys_by_id == sorted(KEYS)
-        assert fabric.key_ids[(0, 0)] == 0
-        fabric.ship_rings[(0, 0)].try_push(b"ship00")
-        fabric.ack_rings[(0, 0)].try_push(b"ack00")
-        fabric.ship_rings[(3, 0)].try_push(b"ship30")
-        assert fabric.ship_rings[(0, 1)].try_pop() is None
-        assert fabric.ship_rings[(0, 0)].try_pop() == b"ship00"
-        assert fabric.ack_rings[(0, 0)].try_pop() == b"ack00"
-        assert fabric.ship_rings[(3, 0)].try_pop() == b"ship30"
-    finally:
-        fabric.close()  # must not raise BufferError (views released)
+    for shared in (True, False):  # the shared block, the private buffer
+        fabric = ShmFabric(KEYS, shared)
+        try:
+            assert fabric.keys_by_id == sorted(KEYS)
+            assert fabric.key_ids[(0, 0)] == 0
+            fabric.ship_rings[(0, 0)].try_push(b"ship00")
+            fabric.ack_rings[(0, 0)].try_push(b"ack00")
+            fabric.ship_rings[(3, 0)].try_push(b"ship30")
+            assert fabric.ship_rings[(0, 1)].try_pop() is None
+            assert fabric.ship_rings[(0, 0)].try_pop() == b"ship00"
+            assert fabric.ack_rings[(0, 0)].try_pop() == b"ack00"
+            assert fabric.ship_rings[(3, 0)].try_pop() == b"ship30"
+        finally:
+            fabric.close()  # must not raise BufferError (views released)
