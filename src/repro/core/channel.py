@@ -334,7 +334,7 @@ class _RecvLane:
     def commit(self) -> None:
         """Bulk-commit the train's lane takes (take phase of the train
         commit — the sessions' stages are physically present by now)."""
-        if self.take_cycles:
+        if len(self.take_cycles):
             self.chan.endpoint.take_burst(self.take_cycles, collect=False)
             self.take_cycles = []
             self.pend_takes = 0

@@ -88,25 +88,24 @@ class HardwareConfig:
         literal per-flit interpretation, which is the specification
         every other plane is checked against.
     macro_cruise:
-        Enable whole-program analytical fast-forward (macro-cruise) on
-        top of the burst plane: the supply planner registers every
-        plane of the program (CK processes, support kernels, the app
-        channels' burst endpoints) and, whenever a replication train
-        stalls on an application endpoint whose channel is asleep
-        inside a proven deterministic burst plan, extends that plan
-        arithmetically in the same engine event — staging/taking with
-        the exact per-flit cycles — instead of waiting for the
-        channel's next wake. Trains then run to the next true
-        externality (supply horizon, routing-key drift, pattern
-        Δ-exhaustion, train caps) and the engine clock crosses the
-        whole span in one event per plane. Cycle-exact like the plane
-        beneath it (the fuzz suite pins flit / burst / macro / sharded
-        equality); every fast-forward window also asserts its
-        closed-form span against the pattern arithmetic and is reported
-        for the perfmodel residual check. Requires ``burst_mode`` (the
-        gate chain is ``burst_mode ⊃ macro_cruise``; the combination
-        ``macro_cruise=True, burst_mode=False`` is rejected). Default
-        off; the deep-buffer benchmarks switch it on.
+        Whole-program analytical fast-forward (macro-cruise) on the
+        burst plane: the supply planner registers every plane of the
+        program (CK processes, support kernels, the app channels' burst
+        endpoints) and, whenever a replication train stalls on an
+        application endpoint whose channel is asleep inside a proven
+        deterministic burst plan, extends that plan arithmetically in
+        the same engine event — staging/taking with the exact per-flit
+        cycles — instead of waiting for the channel's next wake. Once
+        a train's sweeps settle into a proven period the planner jumps
+        whole spans of the steady state in closed form, and the engine
+        clock crosses each span in one event per plane. Cycle-exact
+        like the plane beneath it (the fuzz suite pins flit / burst /
+        default / sharded equality); every fast-forward window also
+        asserts its closed-form span against the pattern arithmetic.
+        Read only by the burst plane: with ``burst_mode=False`` no
+        planner is built and the flag is inert. Default on; ``False``
+        keeps the burst plane without the fast-forward, the fuzz
+        suite's middle plane.
     record_accepts:
         Opt-in arbiter instrumentation: when True every CKS/CKR polling
         arbiter keeps a bounded histogram of inter-accept gaps (see
@@ -163,7 +162,7 @@ class HardwareConfig:
     inter_ck_fifo_depth: int = 8
     reduce_credits: int = 256
     burst_mode: bool = True
-    macro_cruise: bool = False
+    macro_cruise: bool = True
     record_accepts: bool = False
     backend: str = "sequential"
     shards: int = 1
@@ -196,11 +195,6 @@ class HardwareConfig:
         for name in ("endpoint_fifo_depth", "inter_ck_fifo_depth", "reduce_credits"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
-        if self.macro_cruise and not self.burst_mode:
-            raise ConfigurationError(
-                "macro_cruise fast-forwards the burst plane and requires "
-                "burst_mode=True (got burst_mode=False)"
-            )
         if self.backend not in self.BACKENDS:
             known = ", ".join(self.BACKENDS)
             raise ConfigurationError(

@@ -14,9 +14,9 @@ Usage::
 simulation backend (``sequential`` / ``sharded`` / ``process``, see
 :mod:`repro.shard`) with ``--shards`` fabric partitions — so any
 experiment runs under any buffer regime and execution backend without
-code edits; ``--macro-cruise`` turns on the whole-program analytical
-fast-forward (see docs/ARCHITECTURE.md, "Macro-cruise fast-forward")
-on top of the chosen preset. ``--trace out.json`` turns on the
+code edits; ``--no-macro-cruise`` switches the whole-program analytical
+fast-forward (see docs/ARCHITECTURE.md, "Macro-cruise fast-forward";
+on by default) off for the chosen preset. ``--trace out.json`` turns on the
 cycle-domain flight recorder (see docs/ARCHITECTURE.md,
 "Observability & tracing") and writes every simulated point's merged
 timeline to the given file — ``.json`` is Chrome/Perfetto trace-event
@@ -124,9 +124,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--shards", type=int, default=None,
                         help="fabric partitions for the sharded backends "
                              "(default: 2; requires --backend)")
-    parser.add_argument("--macro-cruise", action="store_true",
-                        help="enable the whole-program analytical "
-                             "fast-forward for the simulated points")
+    parser.add_argument("--no-macro-cruise", dest="macro_cruise",
+                        action="store_false",
+                        help="run the simulated points on the burst plane "
+                             "without the whole-program analytical "
+                             "fast-forward (on by default)")
     parser.add_argument("--trace", default=None, metavar="OUT",
                         help="record a cycle-domain trace of the simulated "
                              "points and write the merged timeline to OUT "

@@ -113,6 +113,13 @@ def planner_summary(stats) -> str:
             if stats.ff_windows else ""
         )
         + (
+            # A plane that probes without arming is just as silent in
+            # the ff counters: say which precondition kept failing.
+            f" | macro: probing, {stats.ff_miss_reason} "
+            f"({stats.ff_misses:,} trains)"
+            if stats.ff_misses and not stats.ff_jumps else ""
+        )
+        + (
             # A disarmed plane looks identical to a never-tried one in
             # the counters (all ff zeros); say "permanently refused" and
             # why, so the zeros read as a verdict, not an absence.

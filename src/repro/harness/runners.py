@@ -82,6 +82,7 @@ def _snapshot_planner_stats(transport, out: dict | None) -> None:
         ff_jumps=stats.ff_jumps,
         ff_chain_hops=stats.ff_chain_hops,
         ff_disarms=stats.ff_disarms,
+        ff_misses=stats.ff_misses,
         mean_ff_chain_len=round(stats.mean_ff_chain_len, 2),
         mean_ff_span=round(stats.mean_ff_span, 2),
     )

@@ -138,6 +138,8 @@ class Link:
         """
         if not packets:
             return
+        if not isinstance(cycles, list):
+            cycles = cycles.tolist()  # columnar lattice: pacing state below
         if cycles[0] < self._next_free:
             raise SimulationError(
                 f"link {self.fifo.name}: burst starts at {cycles[0]} but the "

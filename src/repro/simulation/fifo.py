@@ -578,6 +578,13 @@ class Fifo:
             raise SimulationError(
                 f"fifo {self.name!r}: stage_burst items/cycles length mismatch"
             )
+        cyc_arr = None
+        if type(cycles) is np.ndarray:
+            # A columnar lattice (the analytic fast-forward hands its
+            # spans over as int64 columns): box it once, here — the
+            # occupancy log below keeps these very objects.
+            cyc_arr = cycles
+            cycles = cycles.tolist()
         now = self.engine.cycle
         if cycles[0] < now:
             raise SimulationError(
@@ -602,7 +609,8 @@ class Fifo:
             # caller is the planner, which already paced each stage) — the
             # monotonicity check runs at C speed over cycle pairs.
             if k > 2048:
-                cyc_arr = np.asarray(cycles, dtype=np.int64)
+                if cyc_arr is None:
+                    cyc_arr = np.asarray(cycles, dtype=np.int64)
                 if np.any(cyc_arr[1:] < cyc_arr[:-1]):
                     raise SimulationError(
                         f"fifo {self.name!r}: stage_burst cycles not monotone"
@@ -686,6 +694,8 @@ class Fifo:
         k = len(cycles)
         if k == 0:
             return []
+        if type(cycles) is np.ndarray:
+            cycles = cycles.tolist()  # columnar lattice: boxed once, here
         now = self.engine.cycle
         if cycles[0] < now:
             raise SimulationError(

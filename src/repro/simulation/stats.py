@@ -213,6 +213,15 @@ class PlannerStats:
     ``ff_disarm_reason`` carries the resolver's reason string — merged
     first-non-empty-wins so reports can say *why* a plane permanently
     refused instead of showing zero ff counters as "never tried".
+
+    ``ff_misses`` counts the trains that probed for a fast-forward and
+    ended on a *silent* no-arm outcome — the chains did not resolve
+    (``unresolved``) or resolved without a provable period
+    (``no-period``) — and ``ff_miss_reason`` carries the outcome of one
+    of them in report wording (``"no period"``, ``"unresolved —
+    consumer not joined"``; merged like the disarm reason). Named guard
+    refusals of ``ff_apply`` and permanent disarms are not misses: they
+    report themselves.
     """
 
     attempts: int = 0
@@ -236,6 +245,8 @@ class PlannerStats:
     ff_chain_hops: int = 0
     ff_disarms: int = 0
     ff_disarm_reason: str = ""
+    ff_misses: int = 0
+    ff_miss_reason: str = ""
 
     @property
     def hit_rate(self) -> float:
@@ -300,6 +311,8 @@ class PlannerStats:
             self.ff_chain_hops + other.ff_chain_hops,
             self.ff_disarms + other.ff_disarms,
             self.ff_disarm_reason or other.ff_disarm_reason,
+            self.ff_misses + other.ff_misses,
+            self.ff_miss_reason or other.ff_miss_reason,
         )
 
 

@@ -86,6 +86,26 @@ per-event information quantum spans many pattern rounds, and cruise
 makes committing them O(1) checks per round instead of a full
 re-validation walk.
 
+**Analytic fast-forward** (``HardwareConfig.macro_cruise``, on by
+default). Cruise is still O(1) work per packet. When a whole program
+resolves into app-stream relay chains (``send lane -> sessions ->
+recv lane``) the steady state is a periodic object: *plan window ->
+prove period -> jump*. The train fingerprints each chain at every
+sweep boundary and :class:`_FFHistory` finds the shortest *hyperperiod*
+— sessions advance at equal rates but, at the paper's 8-deep buffers,
+unequal round sizes, so the frontiers re-align only every
+lcm(round sizes) packets; ``ff_apply``'s guard battery reduces the
+candidate to committed facts (conservation along every hop, Δ-shift of
+every tracked list, horizon / budget / slot bounds) and lands ``R``
+periods as ``S + k·ΔT`` int64 columns through the train's ordinary bulk
+commit. Two things make it hold at zero slack: the train-frontier
+silence proof (``ff_silent`` — a session's validated round frontier is
+its process floor, so a relay stopped on its full output proves its
+consumer's observation), and a footprint cap on ``R`` with the jump as
+the train's last act (memory independent of message size; the next
+train re-proves the period). A program that cannot arm stops probing on
+measured futility (:meth:`SupplyPlanner.note_probing`).
+
 All of the planner's cross-event state lives on the
 :class:`~repro.transport.arbiter.PollingArbiter` (``_idx`` /
 ``_resume_reads`` / ``_plan_until`` / ``_resume_state`` and the
@@ -955,6 +975,105 @@ def _ff_veto(guard: str, hop: int = -1) -> bool:
     return p is not None and p(guard, hop)
 
 
+#: Longest sweep period the fast-forward detector resolves. Sessions of
+#: one chain advance at equal *rates* but, at shallow depths, unequal
+#: round sizes (a CKS moving 16 packets / 32 cycles on one sweep, the CKR
+#: 22 packets / 44 cycles on the next), so the first sweep boundary at
+#: which every frontier has moved by one common ΔT is the *hyperperiod*
+#: of the round sizes — lcm(16, 22) = 176 packets, 19 sweeps — not one of
+#: the first few sweeps.
+FF_MAX_P = 64
+FF_KEEP = 2 * FF_MAX_P + 1  # checkpoints retained per chain
+
+#: Footprint bound of one analytic jump, in commit-lattice entries
+#: (packets x per-packet cycle columns: one take and one stage column
+#: per relay session plus the lanes'). A jump is ``S + k·ΔT`` whatever
+#: its length, so a longer one buys nothing but memory — every FIFO it
+#: lands in logs each packet's stage and take until the clock passes
+#: them. Bounding the span keeps a run's footprint independent of the
+#: message size; the next train re-proves the period and jumps again.
+FF_MAX_ENTRIES = 1 << 17
+
+#: Candidate periods examined per sweep (nearest first): the checkpoints
+#: that share the newest one's frontier skew. Lock-step trains share one
+#: skew at every sweep, so this is the old ``P = 1..4`` probe there.
+FF_TRIES = 4
+
+
+class _FFHistory:
+    """Sweep-boundary fingerprints of one relay chain, indexed by skew.
+
+    A fingerprint is ``(counts, cycles, lens)`` (see ``ff_checkpoint``).
+    Two checkpoints can bound a period only if every cycle frontier
+    moved by one common ΔT between them — equivalently, if their *skew*
+    (each frontier relative to the first) is equal. Indexing the history
+    by skew makes the detector's per-sweep cost one dict lookup when
+    nothing is periodic, and makes the candidate periods exactly the
+    sweeps at which the frontiers re-aligned, however far apart.
+    """
+
+    __slots__ = ("cps", "n", "by_skew")
+
+    def __init__(self) -> None:
+        self.cps: list = []        # (counts, cycles, lens, skew), oldest first
+        self.n = 0                 # sweeps fingerprinted so far
+        self.by_skew: dict = {}    # skew -> sweep numbers, ascending
+
+    def ff_detect(self, cp):
+        """Record fingerprint ``cp``; return the shortest period ending
+        at it, or ``None``.
+
+        A period of ``P`` sweeps holds when the checkpoints ``P`` and
+        ``2P`` sweeps back share the newest one's skew, both windows
+        advanced the frontiers by the same ``ΔT > 0``, and every counter
+        and tracked-list length advanced equally in both. Returns
+        ``(ΔT, count deltas, lens at the three checkpoints)``.
+        """
+        counts, cycles, lens = cp
+        c0 = cycles[0]
+        skew = tuple(c - c0 for c in cycles)
+        cps = self.cps
+        by_skew = self.by_skew
+        n = self.n
+        self.n = n + 1
+        if len(cps) == FF_KEEP:
+            # Evict the oldest fingerprint; it heads its skew's list.
+            gone = cps.pop(0)[3]
+            old = by_skew[gone]
+            if len(old) > 1:
+                del old[0]
+            else:
+                del by_skew[gone]
+        cps.append((counts, cycles, lens, skew))
+        seen = by_skew.get(skew)
+        if seen is None:
+            by_skew[skew] = [n]
+            return None
+        first = n - len(cps) + 1  # sweep number of cps[0]
+        found = None
+        for m in seen[:-FF_TRIES - 1:-1]:
+            a = 2 * m - n  # sweep number of the checkpoint 2P back
+            if a < first:
+                break
+            cA = cps[a - first]
+            cB = cps[m - first]
+            if cA[3] != skew:
+                continue
+            dT = c0 - cB[1][0]
+            if dT <= 0 or cB[1][0] - cA[1][0] != dT:
+                continue
+            dn = tuple(y - x for x, y in zip(cB[0], counts))
+            if dn != tuple(y - x for x, y in zip(cA[0], cB[0])):
+                continue
+            if tuple(y - x for x, y in zip(cB[2], lens)) != \
+                    tuple(y - x for x, y in zip(cA[2], cB[2])):
+                continue
+            found = (dT, dn, cA[2], cB[2], lens)
+            break
+        seen.append(n)
+        return found
+
+
 def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
     """Co-replicate confirmed patterns along a pipeline and bulk-commit.
 
@@ -1043,12 +1162,6 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         its own planner call right now and re-reads ``_plan_until`` the
         moment control returns, exactly as after a cascade extension.
         """
-        if ff_done:
-            # The analytic fast-forward extrapolated per-FIFO state
-            # without mirroring it into v_items/v_rels; a session joining
-            # now would replay a corrupted virtual history. The jump
-            # already banked the steady state — new peers wait one event.
-            return
         if peer is None or id(peer) in sessions:
             return
         arb = peer.arbiter
@@ -1130,6 +1243,34 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
             lane = lane_of(fifo)
             if lane is not None and lane.is_send:
                 lane.note_release(x)
+
+    def ff_silent(sess, j, X) -> bool:
+        """Zero-slack silence proof: is ``sess``'s drained input ``j``
+        provably unreadable through ``X`` under the train's own frontiers?
+
+        The engine-level producer-sleep horizon only knows where each
+        producer process sleeps *now* — its last committed window end.
+        Inside a train the producer session has already validated
+        rounds far past that, and everything it validated is published
+        (fed into ``sess``'s snapshot, which is drained): whatever it
+        stages next lands at or after its round frontier ``T``, because
+        the train commits every session through its ``T`` before any
+        other process runs (the same floor ``process_floor`` reports
+        once the train's firm wakes are in place). So the supply-horizon
+        query may seed every train session's process with its ``T`` —
+        and the observer with ``X``, as :func:`_silent_hz` does — in a
+        throwaway memo. This is what breaks the circular proof at zero
+        slack: a relay whose 8-deep output is full cannot stage until
+        its consumer takes, and the consumer cannot end its round until
+        it knows the relay is silent; the relay's ``T`` (it validated
+        up to the full FIFO and stopped on its slots) *is* that
+        knowledge. Macro-only: the plain burst plane keeps its trains.
+        """
+        if macro_lanes is None or _ff_veto('silence'):
+            return False
+        floors = {id(s.ck.proc): s.T for s in order}
+        floors[id(sess.ck.proc)] = X
+        return sess.arb.inputs[j].supply_horizon(floors) > X
 
     def validate_round(sess) -> bool:
         ck_s = sess.ck
@@ -1268,7 +1409,8 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
                     if hz is None:
                         hz = sess.hz_cache[j] = \
                             inputs[j].supply_horizon(memo)
-                    if hz <= X and _silent_hz(ck_s, inputs[j], X) <= X:
+                    if hz <= X and _silent_hz(ck_s, inputs[j], X) <= X \
+                            and not ff_silent(sess, j, X):
                         sess.starved_on = inputs[j]
                         sess.blocked_on = None
                         fail = ('no-horizon', j, X, hz)
@@ -1556,14 +1698,13 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
     # and budget bounds); any guard failing just leaves the train on
     # per-packet replication, and the committed lattices still face the
     # stage/take monotonicity and visibility tripwires at commit time.
-    FF_MAX_P = 4                # longest sweep period probed
-    FF_KEEP = 2 * FF_MAX_P + 1  # checkpoints retained
-    ff_done = False             # one jump per train; also locks try_join
     ff_dead = False             # permanent no-arm: stop probing the train
+    ff_miss = None              # last silent no-arm outcome (guard, why)
+    ff_probes = 0               # sweeps that probed without a jump
     ff_armed = False            # chains resolved at least once (stats)
     ff_chains = None            # resolved relay chains, one per stream
     ff_lists = None             # per chain: tracked (list, kind) registry
-    ff_cps = None               # per chain: sweep-boundary fingerprints
+    ff_hist = None              # per chain: fingerprint history (_FFHistory)
     ff_shape = None             # (sessions, lanes) chains resolved under
 
     def ff_resolve():
@@ -1588,15 +1729,18 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         on one input, two chains through one session or endpoint) is an
         overlap refusal that falls back to per-packet replication.
 
-        Returns ``(chains, permanent)``: ``chains`` is the resolved
-        list or ``None``; ``permanent`` is falsy for refusals a later
-        sweep can heal and a short reason string for ones it never can
-        (a compiled pattern's shape — its input/target counts — is
-        fixed for the whole train), which disarms probing for the rest
-        of the train instead of re-fingerprinting every sweep. The
-        reason string survives on ``planner.ff_disarm_reason`` /
-        ``PlannerStats.ff_disarm_reason`` so reports can say *why* the
-        program refused instead of showing silent zero counters.
+        Returns ``(chains, refusal, permanent)``: ``chains`` is the
+        resolved list or ``None``; ``refusal`` names the precondition
+        that failed (consumer not joined, lane inactive, snapshot not
+        drained, ...), and ``permanent`` tells refusals a later sweep
+        can heal from ones it never can (a compiled pattern's shape —
+        its input/target counts — is fixed for the whole train). A
+        permanent refusal disarms probing for the rest of the program
+        instead of re-fingerprinting every sweep, and its reason
+        survives on ``planner.ff_disarm_reason`` /
+        ``PlannerStats.ff_disarm_reason``; a transient one is reported
+        once per train (guard ``unresolved``), so a run that never arms
+        says *why* instead of showing silent zero counters.
         """
         sends = [la for la in lanes_used.values() if la.is_send]
         recvs = {}
@@ -1604,19 +1748,20 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
             if not la.is_send:
                 recvs[id(la.chan.endpoint)] = la
         if not sends or len(recvs) != len(sends):
-            return None, False
+            return None, "app lanes not joined", False
         by_input = {}
         for sess in order:
             tpi = sess.pattern.takes_per_input
             if len(tpi) != 1 or len(sess.pattern.target_fifos) != 1:
                 # Pattern shape fixed for the train: never a relay.
-                return None, "pattern shape (multi-input/target session)"
+                return None, "pattern shape (multi-input/target session)", \
+                    True
             if sess.done:
-                return None, False
+                return None, "session diverged from its pattern", False
             j, tpr = tpi[0]
             fin = sess.arb.inputs[j]
             if id(fin) in by_input:
-                return None, "overlap (two sessions on one input)"
+                return None, "overlap (two sessions on one input)", True
             by_input[id(fin)] = (sess, j, tpr)
         relay = planner.relay_fifos
         chains = []
@@ -1624,26 +1769,27 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         claimed_eps: set = set()  # recv endpoints claimed by a chain
         for ls in sends:
             chan_s = ls.chan
-            if not ls.active or ls.cur is None or ls.rel_ptr < ls.rels0 \
-                    or chan_s._sent != ls.i:
-                return None, False
+            if not ls.active or ls.cur is None:
+                return None, "send lane inactive", False
+            if ls.rel_ptr < ls.rels0 or chan_s._sent != ls.i:
+                return None, "send lane history not in the train", False
             hops = []
             f = chan_s.endpoint
             while True:
                 ent = by_input.get(id(f))
                 if ent is None:
-                    return None, False  # consumer not joined (yet)
+                    return None, "consumer not joined", False
                 sess, j, tpr = ent
                 if id(sess) in taken:
-                    return None, "overlap (chains share a session)"
+                    return None, "overlap (chains share a session)", True
                 taken.add(id(sess))
                 if len(sess.stage_cursors) != 1 \
                         or sess.snap_iter[j] is not None:
-                    return None, False
+                    return None, "snapshot not drained", False
                 cur = next(iter(sess.stage_cursors.values()))
                 tgt = sess.pattern.target_fifos[0]
                 if cur.stamp != stamp or cur.fifo is not tgt:
-                    return None, False
+                    return None, "stage cursor not live", False
                 hops.append((sess, j, tpr, cur))
                 if id(tgt) in relay:
                     f = tgt  # transit hop: keep walking the chain
@@ -1652,25 +1798,26 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
                 break
             if lr is None:
                 if id(tgt) in claimed_eps:
-                    return None, "overlap (two chains on one endpoint)"
+                    return None, "overlap (two chains on one endpoint)", \
+                        True
                 if id(tgt) in planner.boundary_fifos:
                     # Cross-shard boundary: the consumer lives in another
                     # shard's planner, so this walk can never reach a
                     # recv lane — a permanent refusal.
-                    return None, "cross-shard boundary chain"
-                return None, False  # recv lane not registered (yet)
+                    return None, "cross-shard boundary chain", True
+                return None, "recv lane not joined", False
             claimed_eps.add(id(tgt))
             chan_r = lr.chan
             if not lr.active or lr.cur is None \
                     or chan_r._received != lr.got \
                     or chan_r._current is not None \
                     or chan_s.dtype is not chan_r.dtype:
-                return None, False
+                return None, "recv lane inactive", False
             chains.append((ls, lr, hops,
                            chan_s.dtype.elements_per_packet))
         if len(taken) != len(order) or recvs:
-            return None, False  # sessions/lanes outside every chain
-        return chains, False
+            return None, "sessions outside every chain", False
+        return chains, None, False
 
     def ff_track(chain):
         """Every per-packet list one chain appends to, with its kind:
@@ -1710,33 +1857,6 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
                 counts.append(len(sess.snap_items[j]))
         lens = tuple(len(L) for L, _k in lists)
         return (tuple(counts), tuple(cycles), lens)
-
-    def ff_detect(cps):
-        """Find the shortest period P whose last two windows advanced
-        every counter equally and every cycle frontier by one common
-        ΔT > 0 in one chain's fingerprint history. Returns ``(ΔT,
-        count deltas, lens at the three checkpoints)`` or ``None``."""
-        n_cp = len(cps)
-        for P in range(1, FF_MAX_P + 1):
-            if n_cp < 2 * P + 1:
-                break
-            cpA = cps[-1 - 2 * P]
-            cpB = cps[-1 - P]
-            cpC = cps[-1]
-            dn = tuple(y - x for x, y in zip(cpA[0], cpB[0]))
-            if dn != tuple(y - x for x, y in zip(cpB[0], cpC[0])):
-                continue
-            dc = tuple(y - x for x, y in zip(cpA[1], cpB[1]))
-            if dc != tuple(y - x for x, y in zip(cpB[1], cpC[1])):
-                continue
-            dT = dc[0]
-            if dT <= 0 or any(d != dT for d in dc):
-                continue
-            if tuple(y - x for x, y in zip(cpA[2], cpB[2])) != \
-                    tuple(y - x for x, y in zip(cpB[2], cpC[2])):
-                continue
-            return (dT, dn, cpA[2], cpB[2], cpC[2])
-        return None
 
     def ff_obs_bound(sess, jc):
         """Rounds for which every non-chain observation provably holds.
@@ -1816,6 +1936,8 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         returns False so callers fall back to per-packet replication —
         exactly what an unguarded ``return False`` did before.
         """
+        nonlocal ff_miss
+        ff_miss = None  # reported here, not by the per-train summary
         if engine.trace is not None:
             engine.trace.emit(engine.cycle, "abort", "planner", "ff-abort",
                               args={"guard": guard, "hop": hop})
@@ -1937,7 +2059,11 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
             r_b = (max_takes - sess.takes) // ppp - 1
             if r_b < R:
                 R = r_b
-        r_b = (1 << 22) // dE  # commit-list sanity cap
+        # Footprint cap: the jump materialises one cycle column per
+        # commit lattice (and every FIFO it lands in logs the same
+        # per-packet facts), so the span is bounded by entries, not by
+        # message size; the steady state re-arms in the next train.
+        r_b = FF_MAX_ENTRIES // (ppp * (3 + 2 * len(hops)))
         if r_b < R:
             R = r_b
         if _ff_veto('budget'):
@@ -1997,6 +2123,14 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         if R < 2:
             return ff_abort('slots')
         # ---- apply: R periods in closed form ---------------------------
+        # Only the *commit lattices* are materialised — the per-packet
+        # stage/take cycles the train's bulk commit hands to the FIFOs —
+        # and each as one int64 column (``S + k·ΔT`` by construction, so
+        # never a Python list of boxed cycles). The ledgers the sweeps
+        # validate against (session snapshots, release lists, the lanes'
+        # supply and slot ledgers) are not extended: the jump ends the
+        # train, nothing reads them again, and only the counters the
+        # commit needs (release pairings) advance.
         e_tail0 = g0 + R * dE            # first element left in-chain
         dt_np = ls.chan.dtype.np_dtype
         values = ls.values
@@ -2027,46 +2161,44 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         shifts = (np.arange(1, R + 1, dtype=np.int64) * dT)[:, None]
 
         def ext_c(L):
-            S = np.array(L[-ppp:], dtype=np.int64)
-            L += (S[None, :] + shifts).ravel().tolist()
+            """Commit lattice ``L`` plus ``R`` Δ-shifted copies of its
+            last period, as one int64 column."""
+            n0 = len(L)
+            col = np.empty(n0 + total_p, dtype=np.int64)
+            col[:n0] = L
+            np.add(col[n0 - ppp:n0], shifts,
+                   out=col[n0:].reshape(R, ppp))
+            return col
 
         # Sender lane: stages into the send endpoint.
-        run_in = pkt_run(e_ship0)
-        ext_c(ls.pend_cycles)
-        ls.pend_pkts += run_in
-        ext_c(ls.rels)
+        ls.pend_cycles = ext_c(ls.pend_cycles)
+        ls.pend_pkts += pkt_run(e_ship0)
         # Each hop takes its input's run and stages the run shifted by
         # its own standing inventory, handing it to the next hop.
         e = e_ship0
         for sess, jc, _tpr, cur in hops:
-            ext_c(sess.take_cycles[jc])
-            ext_c(sess.all_takes)
-            ext_c(sess.snap_ready[jc])
-            sess.snap_items[jc] += run_in
+            sess.take_cycles[jc] = tc = ext_c(sess.take_cycles[jc])
+            if sess.arb.accept_hist is not None:
+                # Opt-in arbiter instrumentation records every accept;
+                # a relay's accepts are exactly its chain-input takes.
+                sess.all_takes = tc.tolist()
             e -= epp * sess.avail[jc]
-            run_in = pkt_run(e)
-            ext_c(cur.rels)
-            ext_c(cur.stage_cycles)
-            cur.stage_pkts += run_in
+            cur.stage_cycles = ext_c(cur.stage_cycles)
+            cur.stage_pkts += pkt_run(e)
         # Recv lane: takes the endpoint, payload straight to the caller.
-        ext_c(lr.take_cycles)
-        lr.pkts += run_in
-        ext_c(lr.ready)
+        lr.take_cycles = ext_c(lr.take_cycles)
         lr.out[g0:g0 + R * dE] = np.asarray(values[g0:g0 + R * dE], dt_np)
         # Counters: R per-period deltas each, at every hop.
         for (sess, jc, _tpr, cur), rnd in zip(hops, rnds):
             sess.rounds += R * rnd
             sess.takes += R * ppp
             sess.T += R * dT
-            sess.ptr[jc] += total_p
             sess.blocked_on = sess.starved_on = None
-            sess.dirty = True
             cur.rel_ptr += total_p
             if cur.is_link:
                 cur.next_free += R * dT
         ls.i += R * dE
         ls.cur += R * dT
-        ls.rel_ptr += total_p
         ls.claimed += total_p
         ls.chan._sent += R * dE
         ls.chan._packer._emitted += total_p
@@ -2077,8 +2209,6 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
                 np.asarray(values[ls.i - pend0:ls.i], dt_np))
         lr.got += R * dE
         lr.cur += R * dT
-        lr.ip += total_p
-        lr.pend_takes += total_p
         lr.chan._received += R * dE
         stats = origin.arb.planner_stats
         stats.ff_bulk_rounds += R * sum(rnds)
@@ -2087,43 +2217,81 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         return True
 
     def ff_try():
-        nonlocal ff_chains, ff_lists, ff_cps, ff_shape, \
-            ff_done, ff_dead, ff_armed
+        nonlocal ff_chains, ff_lists, ff_hist, ff_shape, ff_dead, \
+            ff_armed, ff_miss
         shape = (len(order), len(lanes_used))
         if ff_chains is not None and shape != ff_shape:
             ff_chains = None  # a session or lane joined: chains staled
         if ff_chains is None:
-            chains, permanent = ff_resolve()
+            chains, refusal, permanent = ff_resolve()
             if chains is None:
                 if permanent:
                     # Shape can never materialize: stop fingerprinting
                     # this train AND drop the program-wide probing taxes
                     # (chain closure, futility-backoff override).
                     ff_dead = True
+                    ff_miss = None
                     planner.ff_disarmed = True
-                    planner.ff_disarm_reason = permanent
+                    planner.ff_disarm_reason = refusal
                     stats = origin.arb.planner_stats
                     stats.ff_disarms += 1
-                    stats.ff_disarm_reason = permanent
+                    stats.ff_disarm_reason = refusal
                     if engine.trace is not None:
                         engine.trace.emit(
                             engine.cycle, "disarm", "planner", "ff-disarm",
-                            args={"reason": permanent})
+                            args={"reason": refusal})
+                else:
+                    ff_miss = ("unresolved", refusal)
                 return False
             ff_shape = shape
             ff_armed = True
             ff_chains = chains
             ff_lists = [ff_track(c) for c in chains]
-            ff_cps = [[] for _ in chains]
-        for chain, lists, cps in zip(ff_chains, ff_lists, ff_cps):
-            cps.append(ff_checkpoint(chain, lists))
-            if len(cps) > FF_KEEP:
-                del cps[0]
-            det = ff_detect(cps)
-            if det is not None and ff_apply(chain, lists, *det):
-                ff_done = True
-                return True
+            ff_hist = [_FFHistory() for _ in chains]
+        ff_miss = ("no-period", "")
+        for chain, lists, hist in zip(ff_chains, ff_lists, ff_hist):
+            det = hist.ff_detect(ff_checkpoint(chain, lists))
+            if _ff_veto('no-period'):
+                det = None
+            if det is not None:
+                ff_miss = ("no-period",
+                           "candidate period is not a provable Δ-shift")
+                if ff_apply(chain, lists, *det):
+                    ff_miss = None
+                    return True
         return False
+
+    def ff_report_miss():
+        """One ``abort`` event per train for the silent no-arm outcomes.
+
+        A train that probed but neither landed a jump nor had a guard
+        of ``ff_apply`` refuse one ended on ``unresolved`` (the
+        ``ff_resolve`` precondition that failed) or ``no-period`` (the
+        chains resolved, no two sweep boundaries bounded a period; the
+        event carries the distinct per-sweep advances seen per cycle
+        frontier — equal rates at unequal round sizes read as e.g.
+        ``[32]`` beside ``[44]``). Counted in ``PlannerStats`` so
+        ``planner_summary`` can say "probing, no period (k trains)".
+        """
+        guard, why = ff_miss
+        reason = "no period" if guard == "no-period" else guard
+        if why:
+            reason = f"{reason} — {why}"
+        stats = origin.arb.planner_stats
+        stats.ff_misses += 1
+        stats.ff_miss_reason = reason
+        if engine.trace is not None:
+            args = {"guard": guard, "hop": -1}
+            if why:
+                args["reason"] = why
+            else:
+                args["steps"] = [
+                    sorted({b[1][i] - a[1][i]
+                            for a, b in zip(h.cps, h.cps[1:])} - {0})
+                    for h in ff_hist for i in range(len(h.cps[-1][1]))]
+            engine.trace.emit(engine.cycle, "abort", "planner", "ff-abort",
+                              args=args)
+        return reason
 
     # ---- ping-pong: sweep sessions until no round makes progress.
     # A failed session goes quiet (``dirty = False``) until a peer's
@@ -2172,13 +2340,26 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
                                 for pkt, s in ext:
                                     publish_stage(sess.starved_on, pkt, s)
                                 progress = True
-        if not ff_done and not ff_dead and not planner.ff_disarmed \
+        if not ff_dead and not planner.ff_disarmed \
                 and macro_lanes is not None \
                 and max_takes == MACRO_MAX_TAKES:
+            ff_probes += 1
             if ff_close_chain():
                 progress = True  # new sessions need a sweep before ff
-            elif len(lanes_used) >= 2 and ff_try():
-                progress = True
+            elif ff_try():
+                # A landed jump is the train's last act: it extrapolated
+                # the commit lattices only (no ledger — snapshot, release
+                # or lane supply list — was mirrored), so nothing may
+                # validate against this train's virtual state again. The
+                # bulk commit below lands the span; the steady state
+                # re-arms from committed facts in the next train.
+                planner.ff_futile = ff_probes = 0  # probing repaid
+                break
+    if ff_probes:
+        planner.note_probing(
+            ff_probes, len(order),
+            ff_report_miss() if ff_miss is not None else "",
+            origin.arb.planner_stats, engine)
 
     committed = [sess for sess in order if sess.rounds]
     if not committed:
@@ -2224,7 +2405,7 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
             inputs = sess.arb.inputs
             for j in sess.pattern.inputs_used:
                 tc = sess.take_cycles[j]
-                if tc:
+                if len(tc):
                     inputs[j].take_burst(tc, collect=False)
         for lane in lanes_used.values():
             if not lane.is_send:
@@ -2235,11 +2416,7 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
     # each lane's sleeping kernel at its extended frontier, and account
     # the fast-forwarded span. ----------------------------------------
     if lanes_used:
-        ff_end = 0
         for lane in lanes_used.values():
-            end = lane.proc_end
-            if end is not None and end > ff_end:
-                ff_end = end
             _wake_lane_kernel(engine, lane)
             lane.finish()
         stats = origin.arb.planner_stats
@@ -2248,9 +2425,11 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
             # Only count the train as a fast-forward window when the
             # chain resolver actually armed: un-armable programs ride
             # ordinary cruise and must not inflate ff coverage.
-            ff_start = min(sess.start for sess in committed)
-            span = max(ff_end, max(sess.T for sess in committed)) \
-                - ff_start
+            # The span is the longest per-session advance, not last
+            # frontier minus first start: the frontiers of a chain are
+            # skewed by its link latencies, and back-to-back jump trains
+            # would count that skew once per train (coverage > 1).
+            span = max(sess.T - sess.start for sess in committed)
             stats.ff_windows += 1
             stats.ff_cycles += span
             stats.ff_takes += sum(sess.takes for sess in committed)
@@ -2262,7 +2441,7 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         pattern = sess.pattern
         inputs = sess.arb.inputs
         sources = [inputs[j] for j in pattern.inputs_used
-                   if sess.take_cycles[j]]
+                   if len(sess.take_cycles[j])]
         targets = [cur.fifo for cur in sess.stage_cursors.values()]
         res = PlanResult(sess.T, pattern.idx0, pattern.reads0, sess.takes,
                          sources, targets, sess.blocked_on,
@@ -2385,8 +2564,12 @@ class SupplyPlanner:
 
     Replication and cruise are part of the burst plane, not switches on
     it. The one selectable tier is **macro-cruise** (``macro=True``, from
-    ``HardwareConfig.macro_cruise`` through the builder): app-side
-    channel lanes register here and trains extend them arithmetically.
+    ``HardwareConfig.macro_cruise`` through the builder — the default):
+    app-side channel lanes register here, trains extend them
+    arithmetically and jump proven periods in closed form.
+    ``macro=False`` is the burst plane without any of it; a program on
+    which the fast-forward proves futile drops to exactly that
+    (:meth:`note_probing`).
     """
 
     cascade_budget = CASCADE_BUDGET
@@ -2439,6 +2622,10 @@ class SupplyPlanner:
         #: disarmed run reads "permanently refused (<reason>)" instead
         #: of a silent row of zero ff counters.
         self.ff_disarm_reason = ""
+        #: Measured futility (see :meth:`note_probing`): sweeps probed
+        #: since the last landed jump, and the largest train seen.
+        self.ff_futile = 0
+        self.ff_sessions = 0
         self._stamp = 0  # plan-call counter (cursor refresh generation)
         self._extra_results: list = []  # peer-session train results
         self._cascade_origin = None     # CK whose event we are inside
@@ -2484,6 +2671,42 @@ class SupplyPlanner:
             if proc is not None and not proc.finished:
                 return PLAN_MAX_TAKES
         return MACRO_MAX_TAKES
+
+    def note_probing(self, sweeps: int, sessions: int, why: str,
+                     stats, engine) -> None:
+        """Account one train's fast-forward probing; give up when futile.
+
+        ``sweeps`` is the number of sweeps a train spent probing (chain
+        closure, resolution, fingerprinting) without landing a jump; a
+        landed jump clears the account. Probing is a tax — traces
+        and replication attempts held on through the futility backoff,
+        whole pipelines pulled into every train — that only a landed
+        jump repays, so it ends on *measured* futility: once the sweeps
+        probed since the last jump exceed one full detector history
+        (``FF_KEEP``) per session of the largest train seen, the
+        program is a plain burst-plane program from here on
+        (``macro`` off: no lanes, no closure, no override — exactly the
+        code path of ``macro_cruise=False``). Growing trains raise the
+        allowance, so a long pipeline gets the sweeps its fill takes;
+        trains that neither land a jump nor grow exhaust it. The
+        verdict is reported like a resolver refusal (``disarm`` event,
+        ``ff_disarm_reason``) with the last no-arm outcome attached.
+        """
+        if sessions > self.ff_sessions:
+            self.ff_sessions = sessions
+        self.ff_futile += sweeps
+        if self.ff_futile <= FF_KEEP * self.ff_sessions:
+            return
+        self.macro = False
+        self.ff_disarmed = True
+        self.ff_disarm_reason = reason = (
+            f"gave up after {self.ff_futile} probing sweeps"
+            + (f" ({why})" if why else ""))
+        stats.ff_disarms += 1
+        stats.ff_disarm_reason = reason
+        if engine.trace is not None:
+            engine.trace.emit(engine.cycle, "disarm", "planner",
+                              "ff-disarm", args={"reason": reason})
 
     def reset_backoff(self) -> None:
         """Reset futility backoff on every wired CK.
@@ -2638,10 +2861,11 @@ class SupplyPlanner:
         rounds — untraced windows, no replication attempts — which is
         exactly what starves a relay chain's interior hops of the
         confirmed patterns the chain resolver needs (their per-CK trains
-        are short even when the whole chain is steady). While probing,
-        traces and replication attempts stay on for every CK; the first
-        permanent resolve refusal (``ff_disarmed``) ends the override
-        for the rest of the program.
+        are short while the whole chain is still filling). While
+        probing, traces and replication attempts stay on for every CK.
+        The override ends with the probing itself: on the first
+        permanent resolve refusal (``ff_disarmed``), or when
+        :meth:`note_probing` measures it futile and turns ``macro`` off.
         """
         return self.macro and not self.ff_disarmed
 

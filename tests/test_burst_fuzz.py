@@ -7,12 +7,13 @@ stencil+collective), and a random fabric cut, then runs it under the
 four selectable data planes:
 
 * ``flit`` — the per-flit reference interpretation (``burst_mode=False``);
-* ``burst`` — the burst plane (window planning, pattern replication
-  and cruise-mode induction — one plane, the default);
-* ``macro`` — burst plus the whole-program analytical fast-forward
-  (``macro_cruise=True``): steady-state spans commit as closed-form
-  Δ-shift extrapolations with no per-packet replay;
-* ``sharded`` — the burst plane on the sharded backend
+* ``burst`` — the burst plane without the fast-forward
+  (``macro_cruise=False``: window planning, pattern replication and
+  cruise-mode induction);
+* ``default`` — the default configuration: the burst plane plus the
+  whole-program analytical fast-forward, steady-state spans committed
+  as closed-form Δ-shift extrapolations with no per-packet replay;
+* ``sharded`` — the default plane on the sharded backend
   (:mod:`repro.shard`), partitioned by the case's randomly drawn cut (a
   random contiguous split into 2-4 shards, occasionally scrambled by
   per-rank overrides), synchronised in conservative epochs.
@@ -50,21 +51,13 @@ HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 #: ``sharded`` plane additionally sets ``backend``/``shards`` from the
 #: case's drawn cut inside ``_assert_planes_agree``.
 PLANES = {
-    "flit": dict(burst_mode=False, macro_cruise=False),
-    "burst": dict(),
-    "macro": dict(macro_cruise=True),
+    "flit": dict(burst_mode=False),
+    "burst": dict(macro_cruise=False),
+    "default": dict(),
     "sharded": dict(),
 }
 
-#: CI's slow job runs the sweep twice, with ``REPRO_MACRO_CRUISE`` off
-#: and on. The ambient flag folds the fast-forward into the base config
-#: of the burst planes (``flit`` pins it off — macro without burst is a
-#: rejected configuration): a no-op on the explicit ``macro`` plane, and
-#: new coverage on ``sharded``, where the macro path gets fuzzed under
-#: epoch synchronisation too.
-AMBIENT_MACRO = os.environ.get("REPRO_MACRO_CRUISE", "") == "1"
-
-#: Same ambient pattern for the flight recorder (``REPRO_TRACE=1``):
+#: Ambient flight recorder (``REPRO_TRACE=1``, CI's slow job):
 #: tracing folds into every plane's base config, and the sweep's
 #: cross-plane cycle/count identity then *is* the zero-overhead
 #: contract — a recorder that changed any simulated outcome would
@@ -333,7 +326,6 @@ def _assert_planes_agree(case: dict) -> None:
         inter_ck_fifo_depth=case["inter_ck_fifo_depth"],
         endpoint_fifo_depth=case["endpoint_fifo_depth"],
         read_burst=case["read_burst"],
-        macro_cruise=AMBIENT_MACRO,
         trace=AMBIENT_TRACE,
     )
     ref = None
@@ -405,7 +397,6 @@ def test_deep_multihop_macro_planes_agree(idx):
             inter_ck_fifo_depth=case["inter_ck_fifo_depth"],
             endpoint_fifo_depth=case["endpoint_fifo_depth"],
             read_burst=case["read_burst"],
-            macro_cruise=True,
         )
         stats_out: dict = {}
         _run_case(case, base, stats_out=stats_out)
@@ -413,6 +404,36 @@ def test_deep_multihop_macro_planes_agree(idx):
         assert st.ff_bulk_rounds > 0, "deep case stopped arming"
         assert st.ff_jumps >= 1
         assert st.mean_ff_chain_len >= 3
+
+
+#: The same anchors at the paper's own depths (``NOCTUA``: 8-deep
+#: endpoint and inter-CK FIFOs), where the fast-forward could not arm
+#: before the hyperperiod detector and the zero-slack silence proof:
+#: 2^15-element streams with a mid-run externality, so the jump must
+#: land at least once on either side of a broken steady state.
+SHALLOW_MACRO_CASES = [
+    dict(kind="p2p", hops=1, n=1 << 15, width=8, declare_peer=True,
+         stall=0, inject=[(0.5, 61, False)], inter_ck_fifo_depth=8,
+         endpoint_fifo_depth=8, read_burst=8,
+         cut=[[0], [1, 2, 3, 4, 5, 6, 7]]),
+    dict(kind="p2p", hops=4, n=1 << 15, width=8, declare_peer=True,
+         stall=0, inject=[(0.6, 140, True)], inter_ck_fifo_depth=8,
+         endpoint_fifo_depth=8, read_burst=8,
+         cut=[[0, 1, 2, 3, 4], [5, 6, 7]]),
+]
+
+
+@pytest.mark.parametrize("idx", range(len(SHALLOW_MACRO_CASES)))
+def test_shallow_macro_planes_agree(idx):
+    """Tier-1: the 4-way plane at 8/8 depths, where the default plane
+    must fast-forward (and still agree with per-flit to the cycle)."""
+    case = SHALLOW_MACRO_CASES[idx]
+    _assert_planes_agree(case)
+    stats_out: dict = {}
+    _run_case(case, NOCTUA, stats_out=stats_out)
+    st = stats_out["planner"]
+    assert st.ff_jumps >= 1, "shallow case stopped arming"
+    assert st.mean_ff_chain_len == (2 if case["hops"] == 1 else 11)
 
 
 @pytest.mark.slow
@@ -429,7 +450,6 @@ def _assert_process_plane_agrees(case: dict) -> None:
         inter_ck_fifo_depth=case["inter_ck_fifo_depth"],
         endpoint_fifo_depth=case["endpoint_fifo_depth"],
         read_burst=case["read_burst"],
-        macro_cruise=AMBIENT_MACRO,
         trace=AMBIENT_TRACE,
     )
     partition = case["cut"]

@@ -72,6 +72,27 @@ def test_planner_summary_renders_macro_segment():
     assert "macro" not in planner_summary(PlannerStats())
 
 
+def test_planner_summary_explains_a_run_that_probed_without_arming():
+    """The silent no-arm outcomes render as a verdict, not as nothing."""
+    from repro.harness import planner_summary
+    from repro.simulation.stats import PlannerStats
+
+    line = planner_summary(PlannerStats(ff_misses=7,
+                                        ff_miss_reason="no period"))
+    assert "macro: probing, no period (7 trains)" in line
+    line = planner_summary(PlannerStats(
+        ff_misses=3, ff_miss_reason="unresolved — consumer not joined"))
+    assert "macro: probing, unresolved — consumer not joined (3 trains)" \
+        in line
+    # Early misses of a run that armed later are not the story.
+    armed = PlannerStats(ff_misses=3, ff_miss_reason="no period",
+                         ff_windows=1, ff_jumps=1, ff_chain_hops=2)
+    assert "probing" not in planner_summary(armed)
+    merged = PlannerStats(ff_misses=2, ff_miss_reason="no period").merge(
+        PlannerStats(ff_misses=5, ff_miss_reason="unresolved — x"))
+    assert (merged.ff_misses, merged.ff_miss_reason) == (7, "no period")
+
+
 def test_shard_timing_summary_survives_empty_and_partial_entries():
     """Aborted workers report no timing dict (or a partial one with
     ``None`` phase values); the table renders placeholder rows and
@@ -210,24 +231,26 @@ def _received_configs(monkeypatch, *argvs):
 def test_cli_macro_cruise_round_trip(monkeypatch):
     """Every flag lands on the one config object ``run_experiment`` gets."""
     ((name, cfg, full, trace_out),) = _received_configs(monkeypatch, (
-        "fig9", "--preset", "noctua-deep", "--macro-cruise", "--full",
+        "fig9", "--preset", "noctua-deep", "--no-macro-cruise", "--full",
         "--backend", "process", "--shards", "4", "--trace", "t.json"))
     assert name == "fig9" and full and trace_out == "t.json"
-    assert cfg == NOCTUA_DEEP.with_(macro_cruise=True, trace=True,
+    assert cfg == NOCTUA_DEEP.with_(macro_cruise=False, trace=True,
                                     backend="process", shards=4)
     ((_, cfg, full, trace_out),) = _received_configs(
         monkeypatch, ("fig9", "--backend", "sharded"))
     assert cfg == NOCTUA.with_(backend="sharded", shards=2)
-    assert not full and trace_out is None
+    assert cfg.macro_cruise and not full and trace_out is None
 
 
 def test_cli_macro_cruise_cleared_without_flag(monkeypatch):
     """Back-to-back in-process invocations share nothing: an earlier
-    ``--macro-cruise --trace`` must not leak into a later plain run."""
-    _, (_, cfg, _, trace_out) = _received_configs(
-        monkeypatch, ("table3", "--macro-cruise", "--trace", "t.json"),
+    ``--no-macro-cruise --trace`` must not leak into a later plain run
+    (which gets the fast-forward back, it being the default)."""
+    (_, off, _, _), (_, cfg, _, trace_out) = _received_configs(
+        monkeypatch, ("table3", "--no-macro-cruise", "--trace", "t.json"),
         ("table3",))
-    assert cfg == NOCTUA and trace_out is None
+    assert not off.macro_cruise and off.trace
+    assert cfg == NOCTUA and cfg.macro_cruise and trace_out is None
 
 
 def test_cli_hands_config_down_without_touching_environ(tmp_path, capsys):
@@ -238,7 +261,7 @@ def test_cli_hands_config_down_without_touching_environ(tmp_path, capsys):
 
     out = tmp_path / "t.json"
     before = dict(os.environ)
-    assert cli_main(["table3", "--preset", "noctua-deep", "--macro-cruise",
+    assert cli_main(["table3", "--preset", "noctua-deep",
                      "--trace", str(out)]) == 0
     assert "Table 3" in capsys.readouterr().out
     assert json.loads(out.read_text())["traceEvents"]

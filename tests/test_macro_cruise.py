@@ -1,8 +1,9 @@
 """Macro-cruise fast-forward: tier-2 exactness and fold-watermark stats.
 
-The whole-program analytical fast-forward (``HardwareConfig.macro_cruise``)
-commits long steady-state spans as closed-form Δ-shift extrapolations,
-jumping the engine clock in bulk. Two contracts are pinned here:
+The whole-program analytical fast-forward (``HardwareConfig.macro_cruise``,
+on by default) commits long steady-state spans as closed-form Δ-shift
+extrapolations, jumping the engine clock in bulk. The contracts pinned
+here:
 
 * **tier-2 A/B exactness** — on the deep-buffer preset at a size where
   the fast-forward demonstrably fires (``ff_bulk_rounds > 0``), the
@@ -21,18 +22,30 @@ jumping the engine clock in bulk. Two contracts are pinned here:
   inside a fast-forwarded span; without it, queries below an
   already-folded prefix must fail loudly instead of returning lumped
   counts.
+
+* **arming at the paper's depths** — on ``NOCTUA`` (8-deep FIFOs) the
+  default configuration lands jumps on the 1-hop stream and over the
+  whole 11-session 4-hop chain: the hyperperiod detector
+  (``_FFHistory.ff_detect``) is pinned on synthetic fingerprints, the
+  probing tax of a program that cannot arm is bounded against the plain
+  burst plane, and the jump's memory footprint is pinned by count and
+  shown independent of the message size.
 """
 
 import numpy as np
 import pytest
 
-from repro import SMI_FLOAT, SMIProgram, noctua_bus
+from repro import NOCTUA, SMI_FLOAT, SMIProgram, noctua_bus
 from repro.codegen.metadata import OpDecl
 from repro.core.config import hardware_preset
 from repro.core.errors import SimulationError
 from repro.simulation.stats import collect_planner_stats
+from repro.transport import planner as planner_mod
 
 DEEP = hardware_preset("noctua-deep")
+#: The fast-forward is on by default; ``macro_cruise=False`` is the
+#: burst plane without it (the comparison plane of every A/B here).
+BURST = DEEP.with_(macro_cruise=False)
 N = 65536
 
 
@@ -67,8 +80,8 @@ def _run_stream(config, n=N, width=8, fold_watermark=None, hops=1):
 def test_macro_cruise_exact_vs_burst_and_cruise_deep_preset():
     planes = {
         "flit": DEEP.with_(burst_mode=False),
-        "burst": DEEP,
-        "macro": DEEP.with_(macro_cruise=True),
+        "burst": BURST,
+        "macro": DEEP,
     }
     runs = {name: _run_stream(cfg) for name, cfg in planes.items()}
 
@@ -103,8 +116,8 @@ def test_macro_cruise_arms_on_four_hop_relay_chain():
     hops, n = 4, 32768
     planes = {
         "flit": DEEP.with_(burst_mode=False),
-        "burst": DEEP,
-        "macro": DEEP.with_(macro_cruise=True),
+        "burst": BURST,
+        "macro": DEEP,
     }
     runs = {name: _run_stream(cfg, n=n, hops=hops)
             for name, cfg in planes.items()}
@@ -174,8 +187,8 @@ def test_macro_cruise_concurrent_disjoint_streams():
     """
     n = 32768
     ref, _ = _run_disjoint_pair(DEEP.with_(burst_mode=False), n)
-    burst, _ = _run_disjoint_pair(DEEP, n)
-    macro, stats = _run_disjoint_pair(DEEP.with_(macro_cruise=True), n)
+    burst, _ = _run_disjoint_pair(BURST, n)
+    macro, stats = _run_disjoint_pair(DEEP, n)
 
     assert stats.ff_jumps >= 2, "both disjoint chains should jump"
     assert stats.ff_bulk_rounds > 0
@@ -247,8 +260,8 @@ def test_macro_no_arm_program_pays_zero_ff_overhead():
     burst plane — the macro flag costs nothing here.
     """
     n = 16384
-    burst, _ = _run_two_port(DEEP, n)
-    macro, stats = _run_two_port(DEEP.with_(macro_cruise=True), n)
+    burst, _ = _run_two_port(BURST, n)
+    macro, stats = _run_two_port(DEEP, n)
 
     assert stats.ff_windows == 0, "no-arm program counted an ff window"
     assert stats.ff_jumps == 0
@@ -278,8 +291,7 @@ def test_counts_at_exact_across_fast_forwarded_fold_boundary():
     watermark = 10_000
     flit, _ = _run_stream(DEEP.with_(burst_mode=False),
                           fold_watermark=watermark)
-    macro, stats = _run_stream(DEEP.with_(macro_cruise=True),
-                               fold_watermark=watermark)
+    macro, stats = _run_stream(DEEP, fold_watermark=watermark)
     assert stats.ff_bulk_rounds > 0, "fast-forward never fired"
     assert watermark < macro.cycles
 
@@ -300,7 +312,7 @@ def test_counts_at_exact_across_fast_forwarded_fold_boundary():
 def test_time_filtered_query_below_folded_prefix_raises():
     """Without a watermark, a bulk clock jump folds the occupancy log
     far ahead; queries below the folded prefix must fail loudly."""
-    macro, stats = _run_stream(DEEP.with_(macro_cruise=True))
+    macro, stats = _run_stream(DEEP)
     assert stats.ff_bulk_rounds > 0
     folded = [f for f in macro.engine.fifos if f._occ_folded_through > 2]
     assert folded, "no fifo folded its occupancy log during the bulk run"
@@ -309,3 +321,178 @@ def test_time_filtered_query_below_folded_prefix_raises():
         f.counts_at(f._occ_folded_through - 2)
     with pytest.raises(SimulationError, match="folded through"):
         f.max_occupancy_at(f._occ_folded_through - 2)
+
+
+# ----------------------------------------------------------------------
+# Arming at the paper's own buffer depths (NOCTUA: 8-deep FIFOs)
+# ----------------------------------------------------------------------
+def _assert_same_trajectory(res, ref, hops):
+    assert res.store(hops, "end") == ref.store(hops, "end")
+    assert res.cycles == ref.cycles
+    ref_fifos = ref.engine.fifo_stats()
+    fifos = res.engine.fifo_stats()
+    for fname, rstats in ref_fifos.items():
+        for key in ("pushes", "pops", "max_occupancy"):
+            assert fifos[fname][key] == rstats[key], (fname, key)
+
+
+def test_arms_at_noctua_depths():
+    """``HardwareConfig()`` untouched: the 1-hop stream fast-forwards
+    >= 90 % of its cycles and the 4-hop stream jumps over its whole
+    11-session relay chain — both cycle-equal to the burst plane
+    without the fast-forward."""
+    res, stats = _run_stream(NOCTUA, n=1 << 18, hops=1)
+    ref, _ = _run_stream(NOCTUA.with_(macro_cruise=False), n=1 << 18,
+                         hops=1)
+    assert stats.ff_jumps >= 1
+    assert stats.mean_ff_chain_len == 2
+    assert stats.ff_cycles / res.cycles >= 0.9
+    _assert_same_trajectory(res, ref, 1)
+
+    res, stats = _run_stream(NOCTUA, n=1 << 16, hops=4)
+    ref, _ = _run_stream(NOCTUA.with_(macro_cruise=False), n=1 << 16,
+                         hops=4)
+    assert stats.ff_jumps >= 1
+    assert stats.mean_ff_chain_len == 11
+    assert stats.ff_cycles / res.cycles >= 0.5
+    _assert_same_trajectory(res, ref, 4)
+
+
+def _ping_pong_fingerprints(steps_a, steps_b, sweeps):
+    """Fingerprints of two frontiers that advance ``(packets, cycles)``
+    per sweep, the one behind in simulated time going next — a relay
+    pair at equal rates and unequal round sizes."""
+    (pa, ca), (pb, cb) = steps_a, steps_b
+    na = nb = ta = tb = 0
+    for _ in range(sweeps):
+        if ta <= tb:
+            na += pa
+            ta += ca
+        else:
+            nb += pb
+            tb += cb
+        yield ((na, nb), (ta, tb), (na, nb))
+
+
+def test_ff_detect_finds_the_hyperperiod():
+    """(16 packets, 32 cycles) against (22, 44): equal rates, and the
+    first sweep boundaries that bound a period are lcm(16, 22) = 176
+    packets = 19 sweeps apart — found as soon as two periods are in the
+    history, at no lock-step candidate before."""
+    hist = planner_mod._FFHistory()
+    found = [hist.ff_detect(cp) for cp in
+             _ping_pong_fingerprints((16, 32), (22, 44), 2 * 19 + 1)]
+    assert found[:-1] == [None] * (2 * 19)
+    dT, dn, lens_a, lens_b, lens_c = found[-1]
+    assert dT == 352 and dn == (176, 176)
+    assert [b - a for a, b in zip(lens_a, lens_b)] == [176, 176]
+    assert [c - b for b, c in zip(lens_b, lens_c)] == [176, 176]
+
+
+def test_ff_detect_refuses_unequal_rates():
+    """(16, 32) against (22, 45): the frontiers never re-align within
+    the detector's history, so no period is ever offered — and the
+    history and its skew index stay bounded while it looks."""
+    hist = planner_mod._FFHistory()
+    for cp in _ping_pong_fingerprints((16, 32), (22, 45), 1000):
+        assert hist.ff_detect(cp) is None
+    assert len(hist.cps) == planner_mod.FF_KEEP
+    assert sum(map(len, hist.by_skew.values())) == planner_mod.FF_KEEP
+
+
+def test_unarmable_program_costs_the_burst_plane():
+    """A program the resolver can only refuse transiently stops paying
+    for the probe.
+
+    With the silence proof vetoed, the shallow 4-hop chain is back in
+    the circular regime: one-round trains, the resolver refusing on a
+    consumer that never joins. Probing must end on that measured
+    futility — the planner reports the verdict and is a plain
+    burst-plane planner from there on — after which the run dispatches
+    no more ``validate_round`` calls than the whole ``macro_cruise=False``
+    run does, at identical cycles.
+    """
+    import sys
+
+    n, hops = 1 << 15, 4
+    gave_up = []
+    original = planner_mod.SupplyPlanner.note_probing
+
+    def note_probing(self, *args):
+        original(self, *args)
+        if not self.macro and not gave_up:
+            gave_up.append(self)
+
+    def counted(config, probe):
+        calls = {False: 0, True: 0}
+
+        def profiler(frame, event, _arg):
+            if event == "call" and frame.f_code.co_name == "validate_round":
+                calls[bool(gave_up)] += 1
+
+        del gave_up[:]
+        planner_mod._ff_guard_probe = probe
+        planner_mod.SupplyPlanner.note_probing = note_probing
+        sys.setprofile(profiler)
+        try:
+            res, stats = _run_stream(config, n=n, hops=hops)
+        finally:
+            sys.setprofile(None)
+            planner_mod.SupplyPlanner.note_probing = original
+            planner_mod._ff_guard_probe = None
+        return res, stats, calls
+
+    plain, _, plain_calls = counted(NOCTUA.with_(macro_cruise=False), None)
+    res, stats, calls = counted(NOCTUA, lambda g, _h: g == "silence")
+
+    assert stats.ff_jumps == 0
+    assert stats.ff_disarms == 1
+    assert stats.ff_disarm_reason.startswith("gave up after ")
+    assert "unresolved" in stats.ff_disarm_reason
+    assert calls[True] <= plain_calls[False], (calls, plain_calls)
+    _assert_same_trajectory(res, plain, hops)
+
+
+def test_jump_footprint_is_columnar_and_bounded():
+    """The jump's lattices are int64 columns up to the commit, and a
+    jump's length is capped by footprint, not by message size.
+
+    By count, like ``tests/test_fifo.py`` did for tuples: at the end of
+    every jump train of a 2^17-float 1-hop stream, the memory blocks
+    attributable to ``transport/planner*.py`` (boxed cycles included)
+    number a small multiple of one period of the tracked lattices — a
+    Python list of boxed cycles for the span would be ~37 k blocks per
+    lattice. And the traced peak of a 4x longer stream stays within 2x:
+    past the footprint cap a longer message means more jumps, not
+    bigger ones.
+    """
+    import tracemalloc
+
+    planner_files = tracemalloc.Filter(True, "*/transport/planner*.py")
+    blocks = []
+
+    def at_train_end(order):
+        if sum(sess.rounds for sess in order) > 1000:  # a jump landed
+            snap = tracemalloc.take_snapshot().filter_traces(
+                [planner_files])
+            blocks.append(sum(st.count for st in
+                              snap.statistics("filename")))
+
+    def traced_peak(n, hook):
+        planner_mod._train_debug = hook
+        tracemalloc.start()
+        try:
+            _res, stats = _run_stream(NOCTUA, n=n, hops=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            planner_mod._train_debug = None
+        assert stats.ff_jumps >= 1
+        return peak
+
+    small = traced_peak(1 << 17, at_train_end)
+    period = 176 * 17  # packets per hyperperiod x tracked lists (1 hop)
+    assert blocks and max(blocks) <= 4 * period, blocks
+    large = traced_peak(1 << 19, None)
+    assert large < 2 * small, (small, large)
+    assert large < 16 << 20

@@ -25,7 +25,7 @@ from repro.core.config import hardware_preset
 from repro.simulation.stats import collect_planner_stats
 from repro.transport import planner as planner_mod
 
-DEEP = hardware_preset("noctua-deep")
+DEEP = hardware_preset("noctua-deep").with_(macro_cruise=False)
 MACRO = DEEP.with_(macro_cruise=True)
 N = 16384
 HOPS = 4
@@ -96,6 +96,7 @@ def reference():
     ("recv-lattice", -1),   # off-lattice recv-lane readiness
     ("budget", -1),         # closed-form take-budget floor
     ("standing", 0),        # frozen standing backlog on the first hop
+    ("no-period", -1),      # the detector never offers a period
 ])
 def test_guard_veto_falls_back_bit_identical(reference, guard, hop):
     probe, fired = _veto(guard, hop)
@@ -120,6 +121,39 @@ def test_guard_veto_falls_back_bit_identical(reference, guard, hop):
             assert fstats[key] == rstats[key], (fname, key)
 
 
+def test_silence_proof_veto_falls_back_bit_identical():
+    """The zero-slack silence proof is a guard site like the others.
+
+    At the paper's 8-deep FIFOs the 4-hop chain only sustains multi-round
+    trains — and so only resolves and jumps — because a relay's
+    unreadable-observation may lean on its producer *session's* round
+    frontier. Vetoed, every such observation falls back to the
+    engine-level horizon: the chain is back to one-round trains, no jump
+    lands, and the trajectory is bit-identical to the burst plane.
+    """
+    from repro import NOCTUA
+
+    plain = NOCTUA.with_(macro_cruise=False)
+    ref, _ = _run(plain)
+    armed, stats = _run(NOCTUA)
+    assert stats.ff_jumps >= 1, "precondition: jump must land un-vetoed"
+    assert stats.mean_ff_chain_len == LAST_HOP + 1
+    assert armed.cycles == ref.cycles
+
+    probe, fired = _veto("silence", None)
+    vetoed, stats = _run(NOCTUA, probe=probe)
+    assert fired, "silence-proof site was never consulted"
+    assert stats.ff_jumps == 0 and stats.ff_bulk_rounds == 0
+    assert stats.mean_train_rounds < 2, "trains grew without the proof"
+    assert vetoed.store(HOPS, "end") == ref.store(HOPS, "end")
+    assert vetoed.cycles == ref.cycles
+    ref_fifos = ref.engine.fifo_stats()
+    fifos = vetoed.engine.fifo_stats()
+    for fname, rstats in ref_fifos.items():
+        for key in ("pushes", "pops", "max_occupancy"):
+            assert fifos[fname][key] == rstats[key], (fname, key)
+
+
 def test_probe_observes_every_hop_of_the_chain():
     """A passive probe (never vetoes) sees per-hop guards consulted at
     every chain position, pinning the chain length the battery walks."""
@@ -137,5 +171,5 @@ def test_probe_observes_every_hop_of_the_chain():
     assert {h for g, h in seen if g == "horizon"} == cons_hops
     assert {g for g, _h in seen} >= {
         "conservation", "rel-lattice", "budget", "horizon",
-        "standing", "recv-lattice", "slots",
+        "standing", "recv-lattice", "slots", "no-period",
     }
