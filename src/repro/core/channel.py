@@ -428,16 +428,37 @@ class SendChannel:
         if self._burst:
             yield from self._push_vec_burst(values, width)
             return
-        for start in range(0, len(values), width):
-            chunk = values[start : start + width]
-            for v in chunk:
-                pkt = self._packer.add(v)
-                self._sent += 1
-                if pkt is None and self._sent == self.count:
-                    pkt = self._packer.flush()
-                if pkt is not None:
-                    yield from self._stage_packet(pkt)
+        # Per-flit plane: the element-by-element ``push`` loop — ``width``
+        # elements, then a TICK — without a Python-level step per
+        # element. Payloads are sliced out of ``values`` as ``pack_run``
+        # does, but each packet is still staged (stalling on a full
+        # endpoint) in the chunk that pushes its last element, and at
+        # every yield ``_sent`` counts exactly the elements pushed so far.
+        packer = self._packer
+        n = len(values)
+        base = self._sent
+        last = self.count - base    # index past the message's final element
+        epp = packer.epp
+        done = 0                    # elements of ``values`` in emitted packets
+        full = epp - packer.pending  # index past the next packet's last element
+        for start in range(0, n, width):
+            stop = min(start + width, n)
+            while full <= stop:
+                pkt = packer.pack_slice(values[done:full])
+                self._sent = base + full
+                done = full
+                full += epp
+                yield from self._stage_packet(pkt)
+            if stop == last and (done < stop or packer.pending):
+                # The message ends mid-packet: final flush.
+                pkt = packer.pack_slice(values[done:stop])
+                self._sent = base + stop
+                done = stop
+                yield from self._stage_packet(pkt)
+            self._sent = base + stop
             yield TICK
+        if done < n:
+            packer.buffer(values[done:])
 
     def _push_vec_burst(self, values, width: int) -> Generator:
         """Burst fast path for :meth:`push_vec`: per-flit-identical cycles.
@@ -621,10 +642,21 @@ class RecvChannel:
             return out
         got = 0
         in_cycle = 0
+        ep = self.endpoint
+        dtype = self.dtype
+        source = self.source_global
         while got < n:
-            if self._current is None:
-                yield from self._next_packet()
             pkt = self._current
+            if pkt is None:
+                # _next_packet, inline (one packet per 28 payload bytes).
+                while not ep.readable:
+                    yield ep.can_pop
+                pkt = ep.take()
+                if (pkt.op is not OpType.DATA or pkt.src != source
+                        or pkt.dtype is not dtype):
+                    self._check_packet(pkt)  # the full check; may raise
+                self._current = pkt
+                self._offset = 0
             take = min(n - got, pkt.count - self._offset, width - in_cycle)
             out[got : got + take] = pkt.payload[self._offset : self._offset + take]
             self._offset += take

@@ -117,7 +117,9 @@ class Link:
         self.fifo.stage(packet)
         self._next_free = self.fifo.engine.cycle + self.cycles_per_packet
         self.packets += 1
-        self.payload_bytes += packet.payload_bytes
+        dtype = packet.dtype  # Packet.payload_bytes, inline
+        if dtype is not None:
+            self.payload_bytes += packet.count * dtype.size
         trace = self.fifo.engine.trace
         if trace is not None:
             now = self.fifo.engine.cycle

@@ -51,6 +51,13 @@ class OpType(IntEnum):
 MAX_VALID_COUNT = 31
 
 
+def _reject_header_field(name: str, value: int) -> None:
+    raise ConfigurationError(
+        f"packet {name}={value} does not fit the 1-byte header "
+        "field (§4.2 truncates ranks and ports to 8 bits)"
+    )
+
+
 @dataclass
 class Packet:
     """One 32-byte network packet.
@@ -70,22 +77,26 @@ class Packet:
     dtype: SMIDatatype | None = None
 
     def __post_init__(self) -> None:
-        for name, value in (("src", self.src), ("dst", self.dst), ("port", self.port)):
-            if not 0 <= value <= 255:
-                raise ConfigurationError(
-                    f"packet {name}={value} does not fit the 1-byte header "
-                    "field (§4.2 truncates ranks and ports to 8 bits)"
-                )
-        if not 0 <= self.count <= MAX_VALID_COUNT:
+        # Straight-line header validation: one packet is built per 28
+        # payload bytes moved, so no loop and no property call here.
+        if not 0 <= self.src <= 255:
+            _reject_header_field("src", self.src)
+        if not 0 <= self.dst <= 255:
+            _reject_header_field("dst", self.dst)
+        if not 0 <= self.port <= 255:
+            _reject_header_field("port", self.port)
+        count = self.count
+        if not 0 <= count <= MAX_VALID_COUNT:
             raise ConfigurationError(
-                f"packet count={self.count} does not fit the 5-bit field"
+                f"packet count={count} does not fit the 5-bit field"
             )
-        if self.dtype is not None:
-            if self.count > self.dtype.elements_per_packet:
-                raise ConfigurationError(
-                    f"count={self.count} exceeds capacity "
-                    f"{self.dtype.elements_per_packet} of {self.dtype.name}"
-                )
+        dtype = self.dtype
+        # count > PAYLOAD_BYTES // size, without the division.
+        if dtype is not None and count * dtype.size > PAYLOAD_BYTES:
+            raise ConfigurationError(
+                f"count={count} exceeds capacity "
+                f"{dtype.elements_per_packet} of {dtype.name}"
+            )
 
     # ------------------------------------------------------------------
     # Wire codec

@@ -9,13 +9,39 @@ to run again:
 * ``fifo.can_pop`` / ``fifo.can_push`` — run when the FIFO becomes readable /
   writable (interned per FIFO; see :mod:`repro.simulation.fifo`).
 * :class:`SimEvent` — a broadcast event other processes can trigger.
+* a tuple (or list) of the three above — run when any of them holds.
+* :class:`AnyReadable` — run when any FIFO of a *fixed* input set becomes
+  readable; built once by the owner of the set and yielded on every park.
 
 Processes normally do not yield FIFO conditions directly; they use the
 ``yield from fifo.push(x)`` / ``item = yield from fifo.pop()`` helpers which
 implement the one-item-per-cycle handshake of a hardware FIFO port.
+
+Waiters
+-------
+
+A condition is also where the processes parked on it are found. The
+engine (:mod:`repro.simulation.engine`) maintains two kinds of
+registration, and both exist only while the process is parked:
+
+* ``waiters`` — on ``CanPop`` / ``CanPush`` / ``SimEvent``: the processes
+  parked on this condition, alone or inside a tuple. A wake through one
+  condition of a tuple removes the process from the others.
+* ``watch`` — on ``CanPop``: the :class:`AnyReadable` whose input set the
+  FIFO belongs to (each input FIFO knows its watcher). The watcher is
+  *armed* while ``watch.proc`` is the parked process and disarmed
+  (``None``) otherwise, so parking on n inputs is one store and allocates
+  nothing; FIFOs outside any input set share the never-armed
+  :data:`NO_WATCH`.
+
+So a FIFO has somebody to wake exactly when ``can_pop.waiters`` is
+non-empty or ``can_pop.watch.proc`` is set — which is the only case in
+which a stage schedules a commit event.
 """
 
 from __future__ import annotations
+
+from ..core.errors import SimulationError
 
 
 class _Tick:
@@ -45,17 +71,62 @@ class WaitCycles:
         return f"WaitCycles({self.cycles})"
 
 
+class AnyReadable:
+    """Condition: resume when any FIFO of a fixed input set is readable.
+
+    The persistent form of ``yield tuple(f.can_pop for f in fifos)`` for
+    a consumer whose input set never changes (a CK's polling arbiter):
+    built once, it registers itself as the watcher of every input FIFO,
+    and from then on a park is ``self.proc = process`` and a wake (or
+    :meth:`Engine.preempt`) is ``self.proc = None``. One process parks on
+    it at a time, and a FIFO belongs to at most one input set (it has a
+    single consumer).
+    """
+
+    __slots__ = ("fifos", "conds", "proc")
+
+    def __init__(self, fifos) -> None:
+        self.conds = tuple(f.can_pop for f in fifos)
+        self.fifos = tuple(cond.fifo for cond in self.conds)
+        self.proc = None  # the parked process while armed
+        for cond in self.conds:
+            if cond.watch is not NO_WATCH:
+                raise SimulationError(
+                    f"fifo {cond.fifo.name!r} already belongs to the "
+                    f"input set of {cond.watch!r}")
+        for cond in self.conds:
+            cond.watch = self
+
+    def holds(self, now: int) -> bool:
+        """Whether any input has an item visible at cycle ``now``."""
+        for fifo in self.fifos:
+            if fifo._visible:
+                return True
+            ready = fifo._ready
+            if ready and ready[0] <= now:
+                return True
+        return False
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return repr(self.conds)
+
+
+#: The watcher of every FIFO outside an input set: never armed.
+NO_WATCH = AnyReadable(())
+
+
 class CanPop:
     """Condition: resume when the FIFO has at least one visible item.
 
     Interned: obtain via ``fifo.can_pop``, never constructed by user code.
     """
 
-    __slots__ = ("fifo", "waiters")
+    __slots__ = ("fifo", "waiters", "watch")
 
     def __init__(self, fifo) -> None:
         self.fifo = fifo
         self.waiters: list = []
+        self.watch: AnyReadable = NO_WATCH
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"CanPop({self.fifo.name})"

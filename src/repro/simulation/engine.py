@@ -8,9 +8,36 @@ runnable in the current cycle it jumps directly to the next scheduled cycle,
 so idle periods (e.g. a packet in flight on a 100-cycle link) cost O(1)
 instead of O(cycles).
 
+Calendar: almost every wake lands in the current cycle (a satisfied
+wait, a commit wake, ``set_event``) or the next one (``TICK``, the
+delay-1 producer wake), so the calendar is a *this-cycle* / *next-cycle*
+pair of plain run lists — one pair for process resumptions, one for FIFO
+commits — beside a small heap of the distinct *far* cycles (link latency,
+``WaitCycles(k > 1)``, ``preempt``), each with its own bucket. An entry
+is the process (or FIFO) itself: no sequence number, no tuple. One
+executor, :meth:`Engine._run_cycle`, runs a cycle for :meth:`Engine.run`
+and :meth:`Engine.run_until` alike: FIFO commits first, then every process
+of the cycle with the step and the dispatch of what it yielded inlined
+(``TICK`` / ``WaitCycles`` tested first).
+
 Determinism: processes scheduled for the same cycle run in the order they
-were scheduled (a monotonically increasing sequence number breaks ties), so a
-simulation is exactly reproducible run-to-run.
+were scheduled, so a simulation is exactly reproducible run-to-run. The
+run lists keep that order by construction: a far entry for cycle *c* was
+scheduled at cycle *c - 2* or earlier, a next-cycle entry during *c - 1*,
+a this-cycle entry during *c* itself — so "the far bucket, then the next
+list, then same-cycle appends" *is* global scheduling order
+(``tests/test_engine.py`` checks it against a sorted reference model).
+A process has at most one pending calendar entry; :meth:`Engine.preempt`
+of a sleeping process removes the old entry instead of leaving a stale
+one behind, and nothing may be scheduled before ``engine.cycle``.
+
+Waits: a process that yields an unsatisfied condition *parks*. A single
+condition or a tuple of conditions registers the process with each
+condition's ``waiters`` and the wake through one of them withdraws the
+others; a persistent :class:`~repro.simulation.conditions.AnyReadable`
+(a CK's fixed input set) is armed by storing the process on it — O(1),
+nothing allocated. Either way the registrations that exist are exactly
+those of currently parked processes.
 
 Burst timing: the burst fast path (gated by ``HardwareConfig.burst_mode``)
 moves whole runs of items in a single process step and then yields one
@@ -44,12 +71,14 @@ about in §3.3.
 
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable
 
 from ..core.errors import DeadlockError, SimulationError
-from .conditions import TICK, CanPop, CanPush, SimEvent, WaitCycles
+from .conditions import (TICK, AnyReadable, CanPop, CanPush, SimEvent,
+                         WaitCycles)
 
 #: Safety bound on process steps within a single cycle (combinational loop).
 MAX_STEPS_PER_CYCLE = 10_000
@@ -59,8 +88,15 @@ MAX_STEPS_PER_CYCLE = 10_000
 FOREVER = 1 << 62
 
 
-def _cond_desc(conds) -> str:
-    """Compact wait-condition label for trace events (tracing-on only)."""
+def _cond_desc(waiting) -> str:
+    """Compact label of what a process parked on (tracing-on only)."""
+    kind = type(waiting)
+    if kind is AnyReadable:
+        conds = waiting.conds
+    elif kind is tuple or kind is list:
+        conds = waiting
+    else:
+        conds = (waiting,)
     parts = []
     for cond in conds:
         kind = type(cond)
@@ -85,7 +121,6 @@ class Process:
         "finished",
         "result",
         "done",
-        "_token",
         "_last_step_cycle",
         "_steps_this_cycle",
         "_waiting_on",
@@ -99,9 +134,11 @@ class Process:
         self.finished = False
         self.result: Any = None
         self.done = SimEvent(f"{name}.done")
-        self._token = 0
         self._last_step_cycle = -1
         self._steps_this_cycle = 0
+        # What the process is parked on (a condition, the tuple of
+        # conditions it yielded, or an AnyReadable), None when it is
+        # running or has a calendar entry; and the cycle of that entry.
         self._waiting_on: Any = None
         self._scheduled_for = 0
 
@@ -129,10 +166,22 @@ class Engine:
 
     def __init__(self) -> None:
         self.cycle = 0
-        self._seq = 0
-        self._proc_heap: list = []  # (cycle, seq, process, token)
-        self._commit_heap: list = []  # (cycle, seq, fifo)
-        self._commit_pending: set = set()  # (cycle, id(fifo)) dedupe
+        # The calendar (see the module docstring). Run lists hold the
+        # processes to step / the FIFOs to commit in scheduling order:
+        # ``_now`` for ``self.cycle``, ``_next`` for ``_next_at``
+        # (``self.cycle + 1`` whenever a next list is non-empty); every
+        # later cycle has a bucket in ``_far_procs`` / ``_far_commits``,
+        # and the ``_far_heap`` holds each bucket's cycle (a cycle with
+        # a bucket in both is listed twice).
+        self._now: list = []
+        self._next: list = []
+        self._commit_now: list = []
+        self._commit_next: list = []
+        self._commit_spare: list = []  # always empty between cycles
+        self._next_at = 1
+        self._far_heap: list[int] = []
+        self._far_procs: defaultdict[int, list] = defaultdict(list)
+        self._far_commits: defaultdict[int, list] = defaultdict(list)
         self._processes: list[Process] = []
         self._fifos: list = []
         self._live_workers = 0
@@ -152,7 +201,7 @@ class Engine:
         # Macro-cruise accounting: cycle spans the planner committed in
         # closed form (bulk take/stage logs, no per-event dispatch) and
         # how many fast-forward windows did so. Reporting only — the
-        # clock itself still moves heap-top to heap-top.
+        # clock itself still moves from one calendar cycle to the next.
         self.ff_windows = 0
         self.ff_cycles = 0
         # Flight recorder (repro.trace.TraceRecorder) or None. None is
@@ -212,35 +261,125 @@ class Engine:
     # ------------------------------------------------------------------
     # Scheduling internals
     # ------------------------------------------------------------------
+    def _next_lists_at(self, cycle: int) -> bool:
+        """Whether the next-cycle run lists stand for ``cycle``
+        (``self.cycle + 1``). Outside the run loop they may still be
+        dated by an earlier clock; empty ones are simply re-dated."""
+        if self._next_at == cycle:
+            return True
+        if self._next or self._commit_next:
+            return False
+        self._next_at = cycle
+        return True
+
+    def _calendar_list(self, cycle: int, now_list: list, next_list: list,
+                       far: dict) -> list:
+        """The list an entry for ``cycle`` is appended to: this cycle's,
+        the next cycle's, or the far bucket of ``cycle`` (created, and
+        its cycle pushed on the far heap, on first use)."""
+        now = self.cycle
+        if cycle == now:
+            return now_list
+        if cycle < now:
+            raise SimulationError(
+                f"event scheduled for cycle {cycle}, before the clock "
+                f"({now}): the calendar never moves backwards")
+        if cycle == now + 1 and self._next_lists_at(cycle):
+            return next_list
+        if cycle not in far:
+            heappush(self._far_heap, cycle)
+        return far[cycle]
+
+    def _run_list(self, cycle: int) -> list:
+        """The run list a process scheduled for ``cycle`` is appended to."""
+        return self._calendar_list(cycle, self._now, self._next,
+                                   self._far_procs)
+
     def _schedule(self, proc: Process, cycle: int) -> None:
-        proc._token += 1
+        """Give ``proc`` its one pending calendar entry, at ``cycle``."""
+        self._run_list(cycle).append(proc)
         proc._scheduled_for = cycle
-        self._seq += 1
-        heapq.heappush(self._proc_heap, (cycle, self._seq, proc, proc._token))
+
+    def _unschedule(self, proc: Process) -> None:
+        """Remove the pending calendar entry of a sleeping process."""
+        cycle = proc._scheduled_for
+        far = self._far_procs.get(cycle)
+        if far is not None and proc in far:
+            far.remove(proc)
+            if not far:
+                del self._far_procs[cycle]
+                self._far_heap.remove(cycle)
+                # list.remove keeps the order, not the heap shape.
+                self._far_heap.sort()
+            return
+        # This cycle's list keeps the entries already stepped until the
+        # cycle ends; the pending one is the last occurrence.
+        run = self._now if cycle == self.cycle else self._next
+        for i in range(len(run) - 1, -1, -1):
+            if run[i] is proc:
+                del run[i]
+                return
 
     def _schedule_commit(self, cycle: int, fifo) -> None:
-        key = (cycle, id(fifo))
-        if key in self._commit_pending:
-            return
-        self._commit_pending.add(key)
-        self._seq += 1
-        heapq.heappush(self._commit_heap, (cycle, self._seq, fifo))
+        """Run ``fifo._commit`` in phase 1 of ``cycle`` (once per cycle
+        and FIFO, at the position of the first request). A commit armed
+        for the cycle already in its process phase leaves that cycle
+        pending: it is entered again — commits, then the processes they
+        woke — once every process already listed has run."""
+        commits = self._calendar_list(cycle, self._commit_now,
+                                      self._commit_next, self._far_commits)
+        if fifo not in commits:
+            commits.append(fifo)
 
-    def _wake_all(self, condition, delay: int) -> None:
-        """Wake every valid waiter of ``condition`` after ``delay`` cycles."""
+    def _wake(self, condition, delay: int) -> None:
+        """Wake every process parked on ``condition`` (alone or within a
+        tuple of conditions) after ``delay`` cycles."""
         waiters = condition.waiters
         if not waiters:
             return
-        target = self.cycle + delay
+        now = self.cycle
+        target = now + delay
+        run = self._run_list(target)
         trace = self.trace
-        for proc, token in waiters:
-            if not proc.finished and token == proc._token:
-                proc._waiting_on = None
-                self._schedule(proc, target)
-                if trace is not None:
-                    trace.emit(self.cycle, "wake", proc.name, "wake",
-                               args={"at": target} if delay else None)
+        for proc in waiters:
+            waiting = proc._waiting_on
+            if waiting is not condition:
+                if waiting is None:
+                    continue  # listed twice in its tuple: already woken
+                # Parked on a tuple: withdraw the sibling registrations.
+                for other in waiting:
+                    if other is not condition:
+                        other.waiters.remove(proc)
+            proc._waiting_on = None
+            proc._scheduled_for = target
+            run.append(proc)
+            if trace is not None:
+                trace.emit(now, "wake", proc.name, "wake",
+                           args={"at": target} if delay else None)
         waiters.clear()
+
+    def _wake_watcher(self, watch: AnyReadable) -> None:
+        """Wake (this cycle) the process armed on ``watch``; disarms it."""
+        proc = watch.proc
+        watch.proc = None
+        proc._waiting_on = None
+        proc._scheduled_for = self.cycle
+        self._now.append(proc)
+        if self.trace is not None:
+            self.trace.emit(self.cycle, "wake", proc.name, "wake")
+
+    def _disarm(self, proc: Process) -> None:
+        """Withdraw every registration of a parked process."""
+        waiting = proc._waiting_on
+        kind = type(waiting)
+        if kind is AnyReadable:
+            waiting.proc = None
+        elif kind is tuple or kind is list:
+            for cond in waiting:
+                cond.waiters.remove(proc)
+        else:
+            waiting.waiters.remove(proc)
+        proc._waiting_on = None
 
     def set_event(self, event: SimEvent) -> None:
         """Trigger ``event``, waking all waiters in the current cycle."""
@@ -248,7 +387,7 @@ class Engine:
             return
         event._set = True
         event.set_at_cycle = self.cycle
-        self._wake_all(event, delay=0)
+        self._wake(event, delay=0)
 
     def _register_fifo(self, fifo) -> None:
         self._fifos.append(fifo)
@@ -300,7 +439,10 @@ class Engine:
         # Break producer/consumer cycles at the conservative bound; the
         # final value below can only be later.
         memo[key] = self.cycle
-        if type(waiting) not in (tuple, list):
+        kind = type(waiting)
+        if kind is AnyReadable:
+            waiting = waiting.conds
+        elif kind is not tuple and kind is not list:
             waiting = (waiting,)
         floor = FOREVER
         for cond in waiting:
@@ -323,18 +465,37 @@ class Engine:
         Used by the cascade planner after it has planned a parked CK's
         window on its behalf: the conditions the process waited on may
         never fire now that the planned takes emptied its inputs, so the
-        planner hands it a firm wake instead. Bumping the token
-        invalidates the stale waiter entries left in condition lists.
+        planner hands it a firm wake instead. A parked process is
+        disarmed (its registrations withdrawn) and a sleeping one gives
+        up its old calendar entry, so neither leaves anything stale
+        behind. The process running this very step cannot be preempted:
+        what it yields next is what schedules it.
         """
-        proc._waiting_on = None
-        self._schedule(proc, max(cycle, self.cycle))
+        if proc is self._current_proc:
+            raise SimulationError(
+                f"process {proc.name!r} preempted from within its own "
+                "step: what it yields next schedules it")
+        if cycle < self.cycle:
+            cycle = self.cycle
         if self.trace is not None:
             self.trace.emit(self.cycle, "wake", proc.name, "preempt",
-                            args={"at": max(cycle, self.cycle)})
+                            args={"at": cycle})
+        if proc.finished:
+            return
+        if proc._waiting_on is not None:
+            self._disarm(proc)
+        else:
+            self._unschedule(proc)
+        self._schedule(proc, cycle)
 
     # ------------------------------------------------------------------
-    # Condition dispatch
+    # Condition dispatch, the generic half (TICK / WaitCycles and the
+    # single-FIFO and AnyReadable waits are inline in ``_run_cycle``)
     # ------------------------------------------------------------------
+    def _trace_park(self, proc: Process, waiting) -> None:
+        self.trace.emit(self.cycle, "park", proc.name, "park",
+                        args={"on": _cond_desc(waiting)})
+
     @staticmethod
     def _satisfied(cond) -> bool:
         kind = type(cond)
@@ -346,80 +507,229 @@ class Engine:
             return cond._set
         raise SimulationError(f"process yielded unsupported condition: {cond!r}")
 
-    def _block(self, proc: Process, conds) -> None:
-        entry = (proc, proc._token)
+    def _wait_any(self, proc: Process, conds) -> bool:
+        """A process yielded a tuple/list of conditions: True when one
+        already holds (it runs again this cycle), else it is parked on
+        all of them.
+
+        FIFO visibility/space is computed lazily from the clock, so a
+        blocking process must arm the commit event that will wake it
+        (items already staged / slots already reserved have known
+        deadlines; later stages and takes arm their own wakes).
+        """
         for cond in conds:
-            cond.waiters.append(entry)
-            # FIFO visibility/space is computed lazily from the clock, so a
-            # blocking process must arm the commit event that will wake it
-            # (items already staged / slots already reserved have known
-            # deadlines; later stages and takes arm their own wakes).
+            if self._satisfied(cond):
+                return True
+        for cond in conds:
+            cond.waiters.append(proc)
             kind = type(cond)
-            if kind is CanPop or kind is CanPush:
-                cond.fifo._arm_waiter_wake(cond)
-        proc._waiting_on = conds if len(conds) > 1 else conds[0]
-        if self.trace is not None:
-            self.trace.emit(self.cycle, "park", proc.name, "park",
-                            args={"on": _cond_desc(conds)})
-
-    def _dispatch(self, proc: Process, cond) -> None:
-        """Handle the condition a process yielded."""
-        kind = type(cond)
-        if kind is WaitCycles:
-            self._schedule(proc, self.cycle + cond.cycles)
-            return
-        if cond is TICK or cond is None:
-            self._schedule(proc, self.cycle + 1)
-            return
-        if kind is tuple or kind is list:
-            if any(self._satisfied(c) for c in cond):
-                self._schedule(proc, self.cycle)
+            if kind is CanPop:
+                deadlines = cond.fifo._ready
+            elif kind is CanPush:
+                deadlines = cond.fifo._reserved
             else:
-                self._block(proc, cond)
-            return
-        if self._satisfied(cond):
-            self._schedule(proc, self.cycle)
-        else:
-            self._block(proc, (cond,))
-
-    def _step(self, proc: Process) -> None:
-        if proc._last_step_cycle == self.cycle:
-            proc._steps_this_cycle += 1
-            if proc._steps_this_cycle > MAX_STEPS_PER_CYCLE:
-                raise SimulationError(
-                    f"process {proc.name!r} stepped >{MAX_STEPS_PER_CYCLE} "
-                    f"times in cycle {self.cycle}: combinational loop? "
-                    "(a process must yield TICK to make progress)"
-                )
-        else:
-            proc._last_step_cycle = self.cycle
-            proc._steps_this_cycle = 1
-        if self.trace is not None:
-            self.trace.emit(self.cycle, "dispatch", proc.name, "step")
-        self._current_proc = proc
-        try:
-            cond = proc.gen.send(None)
-        except StopIteration as stop:
-            proc.finished = True
-            proc.result = stop.value
-            if not proc.daemon:
-                self._live_workers -= 1
-                self.last_worker_finish = self.cycle
-            self.set_event(proc.done)
-            return
-        except Exception as exc:
-            exc.add_note(
-                f"(raised by simulated process {proc.name!r} at cycle "
-                f"{self.cycle})"
-            )
-            raise
-        finally:
-            self._current_proc = None
-        self._dispatch(proc, cond)
+                continue
+            if deadlines:
+                self._schedule_commit(deadlines[0], cond.fifo)
+        proc._waiting_on = conds if len(conds) > 1 else conds[0]
+        return False
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
+    def _finish(self, proc: Process, result) -> None:
+        proc.finished = True
+        proc.result = result
+        if not proc.daemon:
+            self._live_workers -= 1
+            self.last_worker_finish = self.cycle
+        self.set_event(proc.done)
+
+    def _run_cycle(self, cycle: int) -> int:
+        """Execute every event of ``cycle`` (the next pending one).
+
+        Phase 1 runs the FIFO commits due, phase 2 steps every process
+        scheduled for the cycle — including those woken or resumed
+        within it — in scheduling order. A commit armed for this same
+        cycle during phase 2 leaves the cycle pending: the caller's next
+        ``next_pending_cycle()`` re-enters it (commits, then the
+        processes they woke). Returns the number of commits and process
+        steps executed.
+        """
+        # --- assemble the cycle's lists in scheduling order: the far
+        # bucket (filled before cycle - 1 began), the next lists (filled
+        # during cycle - 1), whatever is already listed for this cycle.
+        # The common case — next lists only — swaps list objects: nothing
+        # is copied or allocated.
+        heap = self._far_heap
+        run = commits = None
+        if heap and heap[0] == cycle:
+            heappop(heap)
+            while heap and heap[0] == cycle:
+                heappop(heap)
+            run = self._far_procs.pop(cycle, None)
+            if self._far_commits:
+                commits = self._far_commits.pop(cycle, None)
+        if self._next_at == cycle:
+            nxt = self._next
+            if nxt:
+                if run is None and not self._now:
+                    self._now, self._next = nxt, self._now
+                else:
+                    run = (run or []) + nxt
+                    nxt.clear()
+            nxt = self._commit_next
+            if nxt:
+                if commits is None and not self._commit_now:
+                    self._commit_now, self._commit_next = \
+                        nxt, self._commit_now
+                else:
+                    commits = (commits or []) + nxt
+                    nxt.clear()
+        if run is not None:
+            run += self._now
+            self._now = run
+        if commits is not None:
+            commits += self._commit_now
+            self._commit_now = commits
+        self.cycle = cycle
+        self._next_at = nxt_at = cycle + 1
+        executed = 0
+        trace = self.trace
+        far_procs = self._far_procs
+        try:
+            # --- phase 1: FIFO commits due this cycle ----------------
+            commits = self._commit_now
+            if commits:
+                # Commits armed from here on belong to a later pass.
+                self._commit_now = self._commit_spare
+                for fifo in commits:
+                    fifo._commit(cycle)
+                executed += len(commits)
+                commits.clear()
+                self._commit_spare = commits
+            # --- phase 2: step every process of this cycle -----------
+            run = self._now
+            nxt = self._next
+            for proc in run:
+                if proc._last_step_cycle == cycle:
+                    proc._steps_this_cycle += 1
+                    if proc._steps_this_cycle > MAX_STEPS_PER_CYCLE:
+                        raise SimulationError(
+                            f"process {proc.name!r} stepped "
+                            f">{MAX_STEPS_PER_CYCLE} times in cycle "
+                            f"{cycle}: combinational loop? (a process "
+                            "must yield TICK to make progress)"
+                        )
+                else:
+                    proc._last_step_cycle = cycle
+                    proc._steps_this_cycle = 1
+                if trace is not None:
+                    trace.emit(cycle, "dispatch", proc.name, "step")
+                self._current_proc = proc
+                try:
+                    cond = proc.gen.send(None)
+                except StopIteration as stop:
+                    self._finish(proc, stop.value)
+                    continue
+                except Exception as exc:
+                    # Python >= 3.11; older interpreters surface the
+                    # kernel's exception untouched.
+                    if hasattr(exc, "add_note"):
+                        exc.add_note(
+                            f"(raised by simulated process "
+                            f"{proc.name!r} at cycle {cycle})"
+                        )
+                    raise
+                # --- dispatch what the process yielded ---------------
+                if cond is TICK or cond is None:
+                    proc._scheduled_for = nxt_at
+                    nxt.append(proc)
+                    continue
+                kind = type(cond)
+                if kind is WaitCycles:
+                    wake = cycle + cond.cycles
+                    proc._scheduled_for = wake
+                    if wake == nxt_at:
+                        nxt.append(proc)
+                    else:
+                        if wake not in far_procs:
+                            heappush(heap, wake)
+                        far_procs[wake].append(proc)
+                    continue
+                if kind is AnyReadable:
+                    if not cond.holds(cycle):
+                        # Park, O(1): arm the persistent watcher, then
+                        # the commits of items already staged.
+                        if cond.proc is not None:
+                            raise SimulationError(
+                                f"process {proc.name!r} parked on "
+                                f"{cond!r}, which {cond.proc.name!r} "
+                                "is already parked on")
+                        cond.proc = proc
+                        proc._waiting_on = cond
+                        for fifo in cond.fifos:
+                            ready = fifo._ready
+                            if ready:
+                                self._schedule_commit(ready[0], fifo)
+                        if trace is not None:
+                            self._trace_park(proc, cond)
+                        continue
+                elif kind is CanPop:
+                    fifo = cond.fifo
+                    if not fifo._visible:
+                        ready = fifo._ready
+                        if not ready or ready[0] > cycle:
+                            cond.waiters.append(proc)
+                            proc._waiting_on = cond
+                            if ready:
+                                self._schedule_commit(ready[0], fifo)
+                            if trace is not None:
+                                self._trace_park(proc, cond)
+                            continue
+                elif kind is CanPush:
+                    fifo = cond.fifo
+                    if not fifo.writable:
+                        cond.waiters.append(proc)
+                        proc._waiting_on = cond
+                        if fifo._reserved:
+                            self._schedule_commit(fifo._reserved[0],
+                                                  fifo)
+                        if trace is not None:
+                            self._trace_park(proc, cond)
+                        continue
+                elif kind is tuple or kind is list:
+                    if not self._wait_any(proc, cond):
+                        if trace is not None:
+                            self._trace_park(proc, cond)
+                        continue
+                elif not self._satisfied(cond):
+                    cond.waiters.append(proc)
+                    proc._waiting_on = cond
+                    if trace is not None:
+                        self._trace_park(proc, cond)
+                    continue
+                # The condition already holds: run again this cycle.
+                proc._scheduled_for = cycle
+                run.append(proc)
+            executed += len(run)
+            run.clear()
+            return executed
+        finally:
+            self._current_proc = None
+
+    def next_pending_cycle(self) -> int | None:
+        """Cycle of the earliest pending event, or None when idle."""
+        if self._now or self._commit_now:
+            return self.cycle
+        heap = self._far_heap
+        if self._next or self._commit_next:
+            cycle = self._next_at
+            if heap and heap[0] < cycle:
+                return heap[0]
+            return cycle
+        return heap[0] if heap else None
+
     def run(self, max_cycles: int | None = None) -> RunResult:
         """Run until all non-daemon processes finish (or ``max_cycles``).
 
@@ -428,61 +738,16 @@ class Engine:
         DeadlockError
             If live non-daemon processes remain but nothing can ever run.
         """
-        proc_heap = self._proc_heap
-        commit_heap = self._commit_heap
         while True:
             if self._live_workers == 0:
                 return self._result("completed")
-            # --- find the next cycle with activity -----------------------
-            next_cycle = None
-            # Skip stale process entries at the heap top.
-            while proc_heap:
-                cyc, _seq, proc, token = proc_heap[0]
-                if proc.finished or token != proc._token:
-                    heapq.heappop(proc_heap)
-                    continue
-                next_cycle = cyc
-                break
-            if commit_heap and (next_cycle is None or commit_heap[0][0] < next_cycle):
-                next_cycle = commit_heap[0][0]
+            next_cycle = self.next_pending_cycle()
             if next_cycle is None:
                 raise self._deadlock()
             if max_cycles is not None and next_cycle > max_cycles:
                 self.cycle = max_cycles
                 return self._result("max_cycles")
-            self.cycle = next_cycle
-            # --- phase 1: FIFO commits due this cycle ---------------------
-            while commit_heap and commit_heap[0][0] <= next_cycle:
-                cyc, _seq, fifo = heapq.heappop(commit_heap)
-                self._commit_pending.discard((cyc, id(fifo)))
-                fifo._commit(next_cycle)
-            # --- phase 2: step every process scheduled for this cycle ----
-            while proc_heap and proc_heap[0][0] == next_cycle:
-                _cyc, _seq, proc, token = heapq.heappop(proc_heap)
-                if proc.finished or token != proc._token:
-                    continue
-                self._step(proc)
-
-    def next_pending_cycle(self) -> int | None:
-        """Cycle of the earliest valid pending event, or None when idle.
-
-        Skips stale heap entries (finished processes, invalidated tokens)
-        destructively, so repeated calls stay cheap.
-        """
-        proc_heap = self._proc_heap
-        next_cycle = None
-        while proc_heap:
-            cyc, _seq, proc, token = proc_heap[0]
-            if proc.finished or token != proc._token:
-                heapq.heappop(proc_heap)
-                continue
-            next_cycle = cyc
-            break
-        commit_heap = self._commit_heap
-        if commit_heap and (next_cycle is None
-                            or commit_heap[0][0] < next_cycle):
-            next_cycle = commit_heap[0][0]
-        return next_cycle
+            self._run_cycle(next_cycle)
 
     def run_until(self, bound: int) -> tuple[str, int]:
         """Run every event scheduled strictly before ``bound``.
@@ -504,8 +769,6 @@ class Engine:
         steps and FIFO commits executed. The clock is left at the last
         executed event's cycle; it never reaches ``bound``.
         """
-        proc_heap = self._proc_heap
-        commit_heap = self._commit_heap
         executed = 0
         while True:
             next_cycle = self.next_pending_cycle()
@@ -513,18 +776,7 @@ class Engine:
                 return "idle", executed
             if next_cycle >= bound:
                 return "bound", executed
-            self.cycle = next_cycle
-            while commit_heap and commit_heap[0][0] <= next_cycle:
-                cyc, _seq, fifo = heapq.heappop(commit_heap)
-                self._commit_pending.discard((cyc, id(fifo)))
-                fifo._commit(next_cycle)
-                executed += 1
-            while proc_heap and proc_heap[0][0] == next_cycle:
-                _cyc, _seq, proc, token = heapq.heappop(proc_heap)
-                if proc.finished or token != proc._token:
-                    continue
-                self._step(proc)
-                executed += 1
+            executed += self._run_cycle(next_cycle)
 
     @property
     def live_workers(self) -> int:

@@ -16,6 +16,22 @@ Semantics (matching a hardware FIFO with registered full/empty flags):
   generators each consume one simulated cycle per item, exactly like an HLS
   pipeline with initiation interval 1.
 
+Waiters and commits
+-------------------
+
+Visibility and free space are computed lazily from the clock
+(:attr:`Fifo.readable`, :attr:`Fifo.writable`), so the engine's *commit*
+events exist only to wake parked processes. Who is parked is recorded on
+the FIFO's two interned conditions: ``can_pop.waiters`` /
+``can_push.waiters`` list the processes parked on the condition (alone
+or inside a tuple), and ``can_pop.watch`` is the
+:class:`~repro.simulation.conditions.AnyReadable` input set the FIFO
+belongs to, armed while its owner is parked (see "Waiters" in
+:mod:`repro.simulation.conditions`). Every registration is a live park —
+wakes and ``preempt`` withdraw theirs — so ``stage`` schedules a commit
+only when there is somebody to wake, and a FIFO nobody is parked on
+costs the calendar nothing.
+
 Burst fast path
 ---------------
 
@@ -293,6 +309,13 @@ class Fifo:
         ready = self._ready
         return bool(ready) and ready[0] <= self.engine.cycle
 
+    @property
+    def _consumer_parked(self) -> bool:
+        """Somebody to wake when an item turns visible: a process listed
+        on ``can_pop``, or the armed watcher of this FIFO's input set."""
+        can_pop = self.can_pop
+        return bool(can_pop.waiters) or can_pop.watch.proc is not None
+
     def _trim_reserved(self, now: int) -> None:
         """Drop reserved entries whose release cycle has passed, keeping
         the paired-prefix count aligned (paired entries are the oldest).
@@ -453,56 +476,68 @@ class Fifo:
         The caller must have checked :attr:`writable`; staging into a full
         FIFO is a simulation bug and raises.
         """
-        if not self.writable:
+        now = self.engine.cycle
+        staged = self._staged
+        if self._reserved:
+            self._trim_reserved(now)
+        present = len(self._visible) + len(staged)
+        if present + len(self._reserved) >= self.capacity:
             raise SimulationError(f"fifo {self.name!r}: stage() while full")
         if self._stage_guard:
             self._check_stage_allowed()
-        now = self.engine.cycle
         ready = now + self.latency
-        self._staged.append(item)
+        staged.append(item)
         self._ready.append(ready)
         log = self._stage_log
         if log is not None:
             log[0].append(item)
             log[1].append(ready)
-        if self.can_pop.waiters:
+        can_pop = self.can_pop  # _consumer_parked, inline
+        if can_pop.waiters or can_pop.watch.proc is not None:
             self.engine._schedule_commit(self._ready[0], self)
         self.pushes += 1
         if self.first_push_cycle is None:
             self.first_push_cycle = now
-        self._occ_stages.append(now)
-        if len(self._occ_stages) > _OCC_FOLD_LIMIT:
+        occ = self._occ_stages
+        occ.append(now)
+        if len(occ) > _OCC_FOLD_LIMIT:
             self._occ_fold()
         trace = self.engine.trace
         if trace is not None:
             trace.emit(now, "stage", self.name, "stage")
-            trace.sample(f"fifo_occ/{self.name}", now,
-                         len(self._visible) + len(self._staged))
+            trace.sample(f"fifo_occ/{self.name}", now, present + 1)
 
     def take(self) -> Any:
         """Remove and return the oldest visible item (must be readable)."""
-        if not self._visible:
-            self._promote()
-        if not self._visible:
-            raise SimulationError(f"fifo {self.name!r}: take() while empty")
-        item = self._visible.popleft()
-        self.pops += 1
+        visible = self._visible
         now = self.engine.cycle
+        if not visible:
+            # Promote: staged items whose ready cycle has arrived.
+            ready = self._ready
+            staged = self._staged
+            while ready and ready[0] <= now:
+                ready.popleft()
+                visible.append(staged.popleft())
+        if not visible:
+            raise SimulationError(f"fifo {self.name!r}: take() while empty")
+        item = visible.popleft()
+        self.pops += 1
         self.last_pop_cycle = now
         if self._take_log is not None:
             self._take_log.append(now)
-        self._occ_takes.append(now)
-        if len(self._occ_takes) > _OCC_FOLD_LIMIT:
+        occ = self._occ_takes
+        occ.append(now)
+        if len(occ) > _OCC_FOLD_LIMIT:
             self._occ_fold()
         trace = self.engine.trace
         if trace is not None:
             trace.emit(now, "take", self.name, "take")
             trace.sample(f"fifo_occ/{self.name}", now,
-                         len(self._visible) + len(self._staged))
+                         len(visible) + len(self._staged))
         # Space freed: wake any blocked producers (registered flag -> next
         # cycle, handled by the engine's wake scheduling).
         if self.can_push.waiters:
-            self.engine._wake_all(self.can_push, delay=1)
+            self.engine._wake(self.can_push, delay=1)
         return item
 
     def peek(self) -> Any:
@@ -665,7 +700,7 @@ class Fifo:
         occ_stages.extend(cycles)
         if len(occ_stages) > _OCC_FOLD_LIMIT:
             self._occ_fold()
-        if self.can_pop.waiters:
+        if self._consumer_parked:
             self.engine._schedule_commit(self._ready[0], self)
         self.pushes += k
         if self.first_push_cycle is None:
@@ -777,7 +812,7 @@ class Fifo:
         # it are always parked, never polling mid-cycle.)
         if self.can_push.waiters:
             if cycles[0] == now:
-                self.engine._wake_all(self.can_push, delay=1)
+                self.engine._wake(self.can_push, delay=1)
             else:
                 # A blocked producer needs its wake at the first release.
                 self.engine._schedule_commit(cycles[0], self)
@@ -1100,7 +1135,7 @@ class Fifo:
         self.pushes += k
         if self.first_push_cycle is None:
             self.first_push_cycle = stage_cycles[0]
-        if self.can_pop.waiters:
+        if self._consumer_parked:
             self.engine._schedule_commit(self._ready[0], self)
         # No burst counters: an injection batch reflects epoch pacing, not
         # the data plane's batching (and the transmitting half of this
@@ -1126,17 +1161,17 @@ class Fifo:
         split = bisect_right(cycles, now - 1)
         past = cycles[:split]
         if past:
-            # Waiter entries can be stale (a preempted process bumps its
-            # token but leaves the entry); only a *live* waiter falsifies
-            # the self-sufficiency proof.
-            for proc, token in self.can_push.waiters:
-                if not proc.finished and token == proc._token:
-                    raise SimulationError(
-                        f"fifo {self.name!r}: past-dated boundary takes "
-                        f"(first {past[0]}, now {now}) with blocked "
-                        f"producer {proc.name!r} — the self-sufficiency "
-                        "bound was unsound"
-                    )
+            # Every registered waiter is a live parked producer (wakes
+            # and preempts withdraw theirs), and one falsifies the
+            # self-sufficiency proof.
+            if self.can_push.waiters:
+                proc = self.can_push.waiters[0]
+                raise SimulationError(
+                    f"fifo {self.name!r}: past-dated boundary takes "
+                    f"(first {past[0]}, now {now}) with blocked "
+                    f"producer {proc.name!r} — the self-sufficiency "
+                    "bound was unsound"
+                )
             k = len(past)
             visible = self._visible
             staged = self._staged
@@ -1312,13 +1347,17 @@ class Fifo:
         Item visibility and reserved-slot release are computed lazily from
         the current cycle (:attr:`readable` / :attr:`occupancy`), so commit
         events exist purely to wake blocked processes. They are scheduled
-        only when a process blocks (``Engine._block``) or when state changes
-        while waiters exist; if a wake target is still unsatisfied (e.g. a
-        second producer refilled the space), re-arm at the next deadline.
+        only when a process parks (``Engine._run_cycle``) or when state
+        changes while somebody is parked; if a wake target is still
+        unsatisfied (e.g. a second producer refilled the space), re-arm at
+        the next deadline.
         """
-        if self.can_pop.waiters:
+        if self._consumer_parked:
             if self.readable:
-                self.engine._wake_all(self.can_pop, delay=0)
+                self.engine._wake(self.can_pop, delay=0)
+                watch = self.can_pop.watch
+                if watch.proc is not None:
+                    self.engine._wake_watcher(watch)
             elif self._ready:
                 self.engine._schedule_commit(self._ready[0], self)
         if self.can_push.waiters:
@@ -1330,21 +1369,13 @@ class Fifo:
                 # releasing *this* cycle wakes them for the next one too
                 # — the strict trim keeps it counted until then, so the
                 # woken producer is the first observer to see it free.
-                self.engine._wake_all(self.can_push, delay=1)
+                self.engine._wake(self.can_push, delay=1)
             elif reserved:
                 self.engine._schedule_commit(reserved[0], self)
 
     def _next_commit_cycle(self) -> int | None:
         """Cycle of the earliest pending staged item, if any (test helper)."""
         return self._ready[0] if self._ready else None
-
-    def _arm_waiter_wake(self, cond) -> None:
-        """Schedule the commit a newly-blocked waiter of ``cond`` needs."""
-        if cond is self.can_pop:
-            if self._ready:
-                self.engine._schedule_commit(self._ready[0], self)
-        elif self._reserved:
-            self.engine._schedule_commit(self._reserved[0], self)
 
     def drain(self) -> list:
         """Remove and return all items (visible and staged); test helper."""

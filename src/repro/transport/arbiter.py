@@ -65,7 +65,7 @@ from __future__ import annotations
 from typing import Callable, Generator
 
 from ..core.errors import SimulationError
-from ..simulation.conditions import TICK, WaitCycles
+from ..simulation.conditions import TICK, AnyReadable, WaitCycles
 from ..simulation.fifo import Fifo
 from ..simulation.stats import GapHistogram, PlannerStats
 
@@ -79,7 +79,7 @@ class PollingArbiter:
     """
 
     __slots__ = ("inputs", "read_burst", "_idx", "packets_accepted",
-                 "_wait_conds", "accept_hist", "_plan_miss", "_plan_skip",
+                 "_wait_any", "accept_hist", "_plan_miss", "_plan_skip",
                  "_plan_skip_len", "_resume_reads", "_plan_until",
                  "_resume_state", "_coplanned", "_blocked_on",
                  "_starved_on", "_pattern", "_pattern_hist",
@@ -113,7 +113,9 @@ class PollingArbiter:
         self.accept_hist: GapHistogram | None = (
             GapHistogram() if record_accepts else None
         )
-        self._wait_conds = tuple(f.can_pop for f in inputs)
+        # The persistent wait over the fixed input set: built once, armed
+        # on every park (see repro.simulation.conditions.AnyReadable).
+        self._wait_any = AnyReadable(inputs)
         self._plan_miss = 0
         self._plan_skip = 0
         self._plan_skip_len = self.PLAN_SKIP_POLLS
@@ -224,7 +226,9 @@ class PollingArbiter:
                 self._resume_reads = -1
                 if reads < burst and fifo.readable:
                     pkt = fifo.take()
-                    self.record_accept(engine.cycle)
+                    self.packets_accepted += 1  # record_accept, inline
+                    if self.accept_hist is not None:
+                        self.accept_hist.record(engine.cycle)
                     if engine.trace is not None:
                         engine.trace.emit(engine.cycle, "grant", fifo.name,
                                           "grant", args={"input": self._idx})
@@ -238,7 +242,7 @@ class PollingArbiter:
                 self._idx = (self._idx + 1) % n
             else:
                 self._idx = (self._idx + 1) % n
-                if any(f.readable for f in inputs):
+                if self._wait_any.holds(engine.cycle):
                     # Some other input has data: the scan costs this cycle.
                     yield TICK
                 else:
@@ -246,7 +250,7 @@ class PollingArbiter:
                     # readable, then charge the scan distance the hardware
                     # pointer would have travelled.
                     self._resume_state = "parked"
-                    yield self._wait_conds
+                    yield self._wait_any
                     self._resume_state = "run"
                     if self._coplanned:
                         # A peer's cascade planned our window while we were

@@ -23,13 +23,15 @@ from ..simulation.fifo import Fifo
 class PacketPacker:
     """Accumulates elements and emits full (or final partial) packets."""
 
-    __slots__ = ("src", "dst", "port", "dtype", "_buf", "_emitted")
+    __slots__ = ("src", "dst", "port", "dtype", "epp", "_buf", "_emitted")
 
     def __init__(self, src: int, dst: int, port: int, dtype: SMIDatatype) -> None:
         self.src = src
         self.dst = dst
         self.port = port
         self.dtype = dtype
+        #: ``dtype.elements_per_packet``, computed once (it is a division).
+        self.epp = dtype.elements_per_packet
         self._buf: list = []
         self._emitted = 0
 
@@ -50,8 +52,9 @@ class PacketPacker:
 
     def add(self, value) -> Packet | None:
         """Buffer one element; return a full packet when one completes."""
-        self._buf.append(value)
-        if len(self._buf) == self.dtype.elements_per_packet:
+        buf = self._buf
+        buf.append(value)
+        if len(buf) == self.epp:
             return self._make()
         return None
 
@@ -60,6 +63,26 @@ class PacketPacker:
         if self._buf:
             return self._make()
         return None
+
+    def pack_slice(self, values: np.ndarray) -> Packet:
+        """Emit one packet carrying the buffered elements followed by
+        ``values`` — what :meth:`add` returns on the last of them, without
+        a Python-level step per element. The caller has sliced ``values``
+        so that the packet is full (or is the message's final flush);
+        the payload is a copy, never a view of the caller's array.
+        """
+        if self._buf:
+            payload = np.concatenate(
+                [np.array(self._buf, dtype=self.dtype.np_dtype), values]
+            )
+            self._buf.clear()
+        else:
+            payload = values.copy()
+        return self._from_payload(payload)
+
+    def buffer(self, values: np.ndarray) -> None:
+        """Buffer a trailing run of elements too short to fill a packet."""
+        self._buf.extend(values.tolist())
 
     def pack_run(self, values: np.ndarray, flush_tail: bool = False) -> list[Packet]:
         """Vectorised :meth:`add` over a whole array (burst fast path).
@@ -77,7 +100,7 @@ class PacketPacker:
                 [np.array(self._buf, dtype=self.dtype.np_dtype), vals]
             )
             self._buf.clear()
-        epp = self.dtype.elements_per_packet
+        epp = self.epp
         full = len(vals) // epp
         packets = [
             self._from_payload(np.array(vals[k * epp : (k + 1) * epp]))
@@ -98,10 +121,8 @@ class PacketPacker:
 
     def _from_payload(self, payload: np.ndarray) -> Packet:
         self._emitted += 1
-        return Packet(
-            src=self.src, dst=self.dst, port=self.port, op=OpType.DATA,
-            count=len(payload), payload=payload, dtype=self.dtype,
-        )
+        return Packet(self.src, self.dst, self.port, OpType.DATA,
+                      len(payload), payload, self.dtype)
 
 
 class PacketUnpacker:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro import (
     NOCTUA,
+    SMI_CHAR,
     SMI_DOUBLE,
     SMI_FLOAT,
     SMI_INT,
@@ -288,3 +289,86 @@ def test_property_any_pair_any_size_delivers_in_order(n, src, dst):
     if src == dst:
         return  # covered by the loopback test; sender/receiver share a rank
     assert [int(v) for v in out] == list(range(n))
+
+
+# ----------------------------------------------------------------------
+# Per-flit push_vec slices payloads; the element loop is its reference
+# ----------------------------------------------------------------------
+def _push_vec_element_loop(chan, values, width):
+    """The per-flit ``push_vec`` as it was written before payloads were
+    sliced out of the array: one ``packer.add`` per element."""
+    from repro.simulation import TICK
+
+    values = np.asarray(values, dtype=chan.dtype.np_dtype)
+    chan._check_open(len(values))
+    for start in range(0, len(values), width):
+        for v in values[start:start + width]:
+            pkt = chan._packer.add(v)
+            chan._sent += 1
+            if pkt is None and chan._sent == chan.count:
+                pkt = chan._packer.flush()
+            if pkt is not None:
+                yield from chan._stage_packet(pkt)
+        yield TICK
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dtype=st.sampled_from([SMI_FLOAT, SMI_DOUBLE, SMI_CHAR]),
+    pieces=st.lists(
+        st.tuples(st.sampled_from(["vec", "push"]), st.integers(1, 40),
+                  st.integers(1, 16)),
+        min_size=1, max_size=5),
+    short=st.integers(0, 5),
+    depth=st.integers(1, 8),
+)
+def test_per_flit_push_vec_matches_the_element_loop(dtype, pieces, short,
+                                                    depth):
+    """Mixed ``push_vec`` / ``push`` calls on one message — partial packets
+    carried across calls, a final mid-packet flush, endpoints shallow
+    enough to stall mid-chunk — stage every packet in the same cycle with
+    the same payload, and report the same ``elements_sent`` at every
+    resumption, as the element-by-element loop."""
+    total = sum(n for _, n, _ in pieces)
+    count = total + short        # the message may be left open
+    data = (np.arange(total) % 100).astype(dtype.np_dtype)
+    config = NOCTUA.with_(burst_mode=False, endpoint_fifo_depth=depth)
+    ops = [OpDecl("send", 0, dtype), OpDecl("recv", 0, dtype)]
+
+    def run(sliced):
+        prog = SMIProgram(bus(2), config=config)
+        seen = []
+
+        def sender(smi):
+            ch = smi.open_send_channel(count, dtype, 1, 0)
+            at = 0
+            for kind, n, width in pieces:
+                chunk = data[at:at + n]
+                at += n
+                if kind == "push":
+                    for v in chunk:
+                        yield from ch.push(v)
+                        seen.append((smi.cycle, ch.elements_sent))
+                    continue
+                gen = (ch.push_vec(chunk, width=width) if sliced
+                       else _push_vec_element_loop(ch, chunk, width))
+                for cond in gen:
+                    seen.append((smi.cycle, ch.elements_sent))
+                    yield cond
+            seen.append((smi.cycle, ch.elements_sent, ch._packer.pending))
+
+        def receiver(smi):
+            ch = smi.open_recv_channel(count, dtype, 0, 0)
+            got = total - total % dtype.elements_per_packet \
+                if short else total
+            smi.store("got", (yield from ch.pop_vec(got, width=3)))
+
+        prog.add_kernel(sender, rank=0, ops=ops)
+        prog.add_kernel(receiver, rank=1, ops=ops)
+        res = prog.run(max_cycles=1_000_000)
+        assert res.completed
+        stats = {name: (st_["pushes"], st_["pops"], st_["max_occupancy"])
+                 for name, st_ in res.engine.fifo_stats().items()}
+        return res.cycles, seen, stats, res.store(1, "got").tobytes()
+
+    assert run(sliced=True) == run(sliced=False)

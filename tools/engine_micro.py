@@ -1,0 +1,215 @@
+#!/usr/bin/env python3
+"""Micro-benchmarks of the event substrate, with their event counts.
+
+Loops over :mod:`repro.simulation` and the polling arbiter only — no
+transport, no planner::
+
+    PYTHONPATH=src python tools/engine_micro.py [--repeat N] [--json]
+
+``tick``        60 processes yielding ``TICK`` (ns per dispatch): the
+                calendar and the dispatch loop, nothing else.
+``pushpop``     a ``fifo.push`` / ``fifo.pop`` producer–consumer pair in
+                lock step (ns per item): per-item stage/take, no parks.
+``pushpop_full`` the same pair over a 1-deep FIFO: producer and consumer
+                both park on every item (single-condition park/wake and
+                the commit that wakes the consumer).
+``park5_dense`` sixteen groups of a :class:`PollingArbiter` parking on
+                its 5 inputs once per item, one item per group every 8
+                cycles (ns per item): the multi-input park/wake on a
+                calendar that holds ~8 events per cycle.
+``park5_sparse`` one such group: a calendar with at most one event per
+                cycle, where a bucket per cycle would cost more than a
+                heap entry per event.
+
+Seconds are printed next to ``calib`` (the frozen calibration loop of
+the repo benchmark) because this box is too noisy for a threshold; the
+*counts* — dispatches, parks and commits scheduled per loop — are exact
+and asserted: a substrate change that adds an event per item fails here
+before it shows up as seconds anywhere.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks" / "profile"))
+
+import calib  # noqa: E402
+
+from repro.simulation.conditions import TICK, WaitCycles  # noqa: E402
+from repro.simulation.engine import Engine  # noqa: E402
+from repro.transport.arbiter import PollingArbiter  # noqa: E402
+
+TICK_PROCS, TICK_CYCLES = 60, 2000
+PUSHPOP_ITEMS = 20_000
+PARK_INPUTS = 5
+PARK_ITEMS = 4000          # per group
+PARK_GAP = 8               # cycles between items: wake + scan + forward
+DENSE_GROUPS = 16
+
+#: Exact event counts per loop: trace events by kind, and the distinct
+#: ``(cycle, fifo)`` commits ``Engine._schedule_commit`` was asked for.
+#: Per item that is 2 dispatches for ``pushpop``; 4 dispatches, 2 parks
+#: and 1 commit for ``pushpop_full``; 4 dispatches, 1 park and 1 commit
+#: for the ``park5`` loops (the heap-of-tuples scheduler they replaced
+#: armed the same commits here, but one per *stage* on real workloads,
+#: where dead waiter entries made every FIFO look waited-on).
+EXPECTED = {
+    "tick": {"dispatch": 120_060, "park": 0, "commits": 0},
+    "pushpop": {"dispatch": 40_003, "park": 1, "commits": 1},
+    "pushpop_full": {"dispatch": 80_001, "park": 39_999, "commits": 20_000},
+    "park5_dense": {"dispatch": 256_032, "park": 64_016, "commits": 64_000},
+    "park5_sparse": {"dispatch": 16_002, "park": 4001, "commits": 4000},
+}
+
+
+def build_tick(engine):
+    def proc():
+        for _ in range(TICK_CYCLES):
+            yield TICK
+
+    for _ in range(TICK_PROCS):
+        engine.spawn(proc())
+    return TICK_PROCS * (TICK_CYCLES + 1)   # dispatches
+
+
+def build_pushpop(engine, capacity=4):
+    fifo = engine.fifo("f", capacity=capacity)
+
+    def producer():
+        for i in range(PUSHPOP_ITEMS):
+            yield from fifo.push(i)
+
+    def consumer():
+        for _ in range(PUSHPOP_ITEMS):
+            yield from fifo.pop()
+
+    engine.spawn(producer())
+    engine.spawn(consumer())
+    return PUSHPOP_ITEMS
+
+
+def build_pushpop_full(engine):
+    return build_pushpop(engine, capacity=1)
+
+
+def _park_group(engine, g):
+    fifos = [engine.fifo(f"g{g}.in{i}", capacity=4)
+             for i in range(PARK_INPUTS)]
+    arbiter = PollingArbiter(fifos, read_burst=1)
+
+    def forward(_pkt):
+        yield TICK
+
+    def producer():
+        for i in range(PARK_ITEMS):
+            fifos[i % PARK_INPUTS].stage(i)
+            yield WaitCycles(PARK_GAP)
+
+    engine.spawn(arbiter.run(forward, engine), daemon=True)
+    engine.spawn(producer())
+
+
+def build_park5_dense(engine):
+    for g in range(DENSE_GROUPS):
+        _park_group(engine, g)
+    return DENSE_GROUPS * PARK_ITEMS
+
+
+def build_park5_sparse(engine):
+    _park_group(engine, 0)
+    return PARK_ITEMS
+
+
+LOOPS = {
+    "tick": build_tick,
+    "pushpop": build_pushpop,
+    "pushpop_full": build_pushpop_full,
+    "park5_dense": build_park5_dense,
+    "park5_sparse": build_park5_sparse,
+}
+
+
+class _EventCounter:
+    """Stands in for the flight recorder: counts emits by kind."""
+
+    def __init__(self):
+        self.kinds = Counter()
+
+    def emit(self, _cycle, kind, *_rest, **_kwargs):
+        self.kinds[kind] += 1
+
+    def sample(self, *_args):
+        pass
+
+
+def time_loop(name: str) -> float:
+    """Nanoseconds per unit (dispatch or item) of one run, tracing off."""
+    engine = Engine()
+    units = LOOPS[name](engine)
+    t0 = time.perf_counter()
+    result = engine.run()
+    wall = time.perf_counter() - t0
+    assert result.completed
+    return wall * 1e9 / units
+
+
+def count_loop(name: str) -> dict:
+    """Exact event counts of one run (a counting recorder attached)."""
+    engine = Engine()
+    engine.trace = counter = _EventCounter()
+    armed = set()
+    original = engine._schedule_commit
+
+    def schedule_commit(cycle, fifo):
+        armed.add((cycle, id(fifo)))
+        return original(cycle, fifo)
+
+    engine._schedule_commit = schedule_commit
+    LOOPS[name](engine)
+    assert engine.run().completed
+    return {"dispatch": counter.kinds["dispatch"],
+            "park": counter.kinds["park"], "commits": len(armed)}
+
+
+def _calib_seconds() -> float:
+    t0 = time.perf_counter()
+    calib.calibrate()
+    return time.perf_counter() - t0
+
+
+def main(argv: list[str]) -> int:
+    repeat = int(argv[argv.index("--repeat") + 1]) if "--repeat" in argv \
+        else 5
+    report = {"calib_s": round(min(_calib_seconds() for _ in range(3)), 4)}
+    failures = []
+    for name in LOOPS:
+        counts = count_loop(name)
+        if counts != EXPECTED[name]:
+            failures.append(f"{name}: counts {counts} != {EXPECTED[name]}")
+        report[name] = {
+            "ns_per_unit": round(min(time_loop(name)
+                                     for _ in range(repeat)), 1),
+            **counts}
+    if "--json" in argv:
+        print(json.dumps(report))
+    else:
+        print(f"calib {report['calib_s']} s (min of 3)")
+        for name in LOOPS:
+            row = report[name]
+            unit = "dispatch" if name == "tick" else "item"
+            print(f"{name:13s} {row['ns_per_unit']:9.1f} ns/{unit}  "
+                  f"dispatches {row['dispatch']}  parks {row['park']}  "
+                  f"commits {row['commits']}")
+    for line in failures:
+        print("COUNT MISMATCH", line, file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
