@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..simulation.conditions import TICK, WaitCycles
+from ..simulation.conditions import TICK
 from ..simulation.fifo import Fifo
 from ..transport.collectives import CollectiveDescriptor
 from .comm import SMIComm
@@ -51,7 +51,6 @@ class CollectiveChannel:
         app_in: Fifo,
         app_out: Fifo,
         reduce_op: SMIOp | None = None,
-        burst_mode: bool = True,
     ) -> None:
         if count < 0:
             raise ChannelError(f"collective count must be >= 0: {count}")
@@ -64,7 +63,6 @@ class CollectiveChannel:
         self.app_in = app_in
         self.app_out = app_out
         self.reduce_op = reduce_op
-        self._burst = burst_mode
         self._pushed = 0
         self._popped = 0
         descriptor = CollectiveDescriptor(
@@ -96,61 +94,40 @@ class CollectiveChannel:
         yield TICK
         return value
 
-    def _stream_interleave_burst(self, values, want: int) -> Generator:
-        """Burst-mode root interleave: per-flit-identical cycles.
+    def _stream_interleave(self, values, want: int) -> Generator:
+        """Push all of ``values`` while concurrently popping ``want``
+        elements; returns the popped elements in order.
 
-        The app-side supply contract for a collective root: runs of
-        elements are *committed early* into ``app_in`` (publishing their
-        exact cycles for the support kernel and, transitively, the burst
-        planner), and every element already committed to ``app_out`` is
-        drained against its known visibility schedule. Batching is only
-        sound where the per-flit interleave's next decision is provable:
-
-        * while ``app_in`` has free slots, the push-priority loop pushes
-          one element per cycle regardless of what the support kernel
-          does (its takes only *add* space), so a whole free-space run
-          commits in one event;
-        * at the full boundary, whether the next cycle pushes or pops
-          depends on the support kernel's unknowable take timing, so the
-          loop falls back to literal single steps;
-        * once everything is pushed, pops follow the known visibility
-          schedule of ``app_out`` (FIFO order: nothing can overtake it),
-          so every present element drains in one event.
+        On hardware a root's feed and drain would be two concurrent
+        kernels; in a single sequential kernel they must interleave, or
+        the finite support-kernel buffers deadlock once ``count`` exceeds
+        them (§3.3's no-reliance-on-buffering rule). Pushes have
+        priority; one element moves per cycle.
         """
         app_in = self.app_in
         app_out = self.app_out
-        engine = app_in.engine
         total = len(values)
         pushed = 0
         out: list = []
         while pushed < total or len(out) < want:
-            if pushed < total:
-                free = min(app_in.free_space, total - pushed)
-                if free > 0:
-                    now = engine.cycle
-                    app_in.stage_burst(values[pushed:pushed + free],
-                                       range(now, now + free))
-                    pushed += free
-                    self._pushed += free
-                    yield WaitCycles(free)
-                    continue
-                # Full: the per-flit loop would pop if it can, else block.
-                if want > len(out) and app_out.readable:
-                    out.append(app_out.take())
-                    self._popped += 1
-                    yield TICK
-                    continue
-                conds = [app_in.can_push]
-                if want > len(out):
+            want_push = pushed < total
+            want_pop = len(out) < want
+            if want_push and app_in.writable:
+                app_in.stage(values[pushed])
+                pushed += 1
+                self._pushed += 1
+                yield TICK
+            elif want_pop and app_out.readable:
+                out.append(app_out.take())
+                self._popped += 1
+                yield TICK
+            else:
+                conds = []
+                if want_push:
+                    conds.append(app_in.can_push)
+                if want_pop:
                     conds.append(app_out.can_pop)
                 yield tuple(conds)
-                continue
-            # Pure drain phase: every element already committed drains
-            # against its known visibility schedule (Fifo.pop_burst is
-            # exactly the per-flit pop loop, batched).
-            rest = yield from app_out.pop_burst(want - len(out))
-            out.extend(rest)
-            self._popped += len(rest)
         return out
 
 
@@ -207,11 +184,7 @@ class ReduceChannel(CollectiveChannel):
         :meth:`ScatterChannel.stream_root` — a sequential root must not
         rely on the support kernel's finite buffers, §3.3) and returns
         the reduced elements in order; non-roots stream their
-        contribution and return ``None``. In burst mode whole runs of
-        elements are committed against the collective FIFOs' supply and
-        slot schedules in single engine events, so the application side
-        stops rate-limiting the support kernels' batched combine loop.
-        Cycle counts are identical in both modes.
+        contribution and return ``None``.
         """
         values = list(values)
         if len(values) != self.count:
@@ -224,32 +197,8 @@ class ReduceChannel(CollectiveChannel):
                 "reduce_stream on a channel that already contributed "
                 f"{self._pushed} element(s)"
             )
-        want = self.count if self.is_root else 0
-        if self._burst:
-            out = yield from self._stream_interleave_burst(values, want)
-            return out if self.is_root else None
-        out: list = []
-        pushed = 0
-        total = self.count
-        while pushed < total or len(out) < want:
-            want_push = pushed < total
-            want_pop = len(out) < want
-            if want_push and self.app_in.writable:
-                self.app_in.stage(values[pushed])
-                pushed += 1
-                self._pushed += 1
-                yield TICK
-            elif want_pop and self.app_out.readable:
-                out.append(self.app_out.take())
-                self._popped += 1
-                yield TICK
-            else:
-                conds = []
-                if want_push:
-                    conds.append(self.app_in.can_push)
-                if want_pop:
-                    conds.append(self.app_out.can_pop)
-                yield tuple(conds)
+        out = yield from self._stream_interleave(
+            values, self.count if self.is_root else 0)
         return out if self.is_root else None
 
 
@@ -262,10 +211,8 @@ class ScatterChannel(CollectiveChannel):
         """Root helper: push all ``count * P`` elements while concurrently
         collecting the root's own segment; returns that segment.
 
-        On hardware the root's feed and drain would be two concurrent
-        kernels; in a single sequential kernel they must interleave, or the
-        finite support-kernel buffers deadlock once ``count`` exceeds them
-        (§3.3's no-reliance-on-buffering rule).
+        See :meth:`CollectiveChannel._stream_interleave` for why the root
+        must interleave its two streams.
         """
         if not self.is_root:
             raise ChannelError("stream_root is for the scatter root")
@@ -275,31 +222,7 @@ class ScatterChannel(CollectiveChannel):
                 f"scatter root must provide count*P = {total} elements, "
                 f"got {len(values)}"
             )
-        if self._burst:
-            mine = yield from self._stream_interleave_burst(
-                values, self.count)
-            return mine
-        mine: list = []
-        pushed = 0
-        while pushed < total or len(mine) < self.count:
-            want_push = pushed < total
-            want_pop = len(mine) < self.count
-            if want_push and self.app_in.writable:
-                self.app_in.stage(values[pushed])
-                pushed += 1
-                self._pushed += 1
-                yield TICK
-            elif want_pop and self.app_out.readable:
-                mine.append(self.app_out.take())
-                self._popped += 1
-                yield TICK
-            else:
-                conds = []
-                if want_push:
-                    conds.append(self.app_in.can_push)
-                if want_pop:
-                    conds.append(self.app_out.can_pop)
-                yield tuple(conds)
+        mine = yield from self._stream_interleave(values, self.count)
         return mine
 
     def push(self, value) -> Generator:
@@ -335,8 +258,8 @@ class GatherChannel(CollectiveChannel):
         collecting the full gathered sequence; returns all count*P
         elements sorted by communicator rank.
 
-        See :meth:`ScatterChannel.stream_root` for why the root must
-        interleave its two streams.
+        See :meth:`CollectiveChannel._stream_interleave` for why the root
+        must interleave its two streams.
         """
         if not self.is_root:
             raise ChannelError("collect_root is for the gather root")
@@ -345,31 +268,8 @@ class GatherChannel(CollectiveChannel):
                 f"gather root must contribute count = {self.count} "
                 f"elements, got {len(my_values)}"
             )
-        total = self.count * self.comm.size
-        if self._burst:
-            out = yield from self._stream_interleave_burst(my_values, total)
-            return out
-        out: list = []
-        pushed = 0
-        while pushed < self.count or len(out) < total:
-            want_push = pushed < self.count
-            want_pop = len(out) < total
-            if want_push and self.app_in.writable:
-                self.app_in.stage(my_values[pushed])
-                pushed += 1
-                self._pushed += 1
-                yield TICK
-            elif want_pop and self.app_out.readable:
-                out.append(self.app_out.take())
-                self._popped += 1
-                yield TICK
-            else:
-                conds = []
-                if want_push:
-                    conds.append(self.app_in.can_push)
-                if want_pop:
-                    conds.append(self.app_out.can_pop)
-                yield tuple(conds)
+        out = yield from self._stream_interleave(
+            my_values, self.count * self.comm.size)
         return out
 
     def push(self, value) -> Generator:

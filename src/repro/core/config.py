@@ -77,11 +77,14 @@ class HardwareConfig:
         Enable the simulator's burst data plane: contiguous runs of
         packets move through FIFOs, polling arbiters, CKS/CKR and links
         in a single engine event with analytically computed per-item
-        cycles, instead of one generator step per packet per layer. The
-        plane includes the supply planner's window planning,
-        steady-state pattern replication and cruise-mode induction
-        (:mod:`repro.transport.planner`) — they are tiers of one plane,
-        not separately selectable. Cycle counts and per-FIFO push/pop
+        cycles, instead of one generator step per packet per layer. It
+        selects two things and nothing else: the CKs' supply planner —
+        window planning and validated steady-state trains
+        (:mod:`repro.transport.planner`), tiers of one plane, not
+        separately selectable — and the point-to-point channels'
+        ``push_vec`` / ``pop_vec`` vector lanes. Collective support
+        kernels and collective channels have one interpretation, the
+        paper's per-element one, on every plane. Cycle counts and per-FIFO push/pop
         statistics are identical with the flag on or off (enforced by
         ``tests/test_burst_equivalence.py`` and the fuzz suite); only
         wall-clock simulation speed changes. Default on; off selects the
@@ -253,8 +256,8 @@ NOCTUA = HardwareConfig()
 #: fraction of one block); the paper fixes the shallow depths for the
 #: resource tables, but nothing in the transport requires them. Deeper
 #: buffers grow the per-event information quantum, which is the regime
-#: where replication trains exceed one round and cruise-mode induction
-#: pays — see ``docs/ARCHITECTURE.md`` ("Cruise mode & induction").
+#: where replication trains exceed one round — see
+#: ``docs/ARCHITECTURE.md`` ("Pattern replication").
 NOCTUA_DEEP = HardwareConfig(endpoint_fifo_depth=32, inter_ck_fifo_depth=32)
 
 #: Extra-deep variant (64-deep everywhere): one full M20K per FIFO.

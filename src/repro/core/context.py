@@ -220,7 +220,7 @@ class SMIContext:
         ctrl, app_in, app_out = self._collective_resources(port, "bcast")
         return BcastChannel(
             count, dtype, self.rank, comm.global_rank(root), port, comm,
-            ctrl, app_in, app_out, burst_mode=self.config.burst_mode,
+            ctrl, app_in, app_out,
         )
 
     def open_reduce_channel(
@@ -238,7 +238,6 @@ class SMIContext:
         return ReduceChannel(
             count, dtype, self.rank, comm.global_rank(root), port, comm,
             ctrl, app_in, app_out, reduce_op=op,
-            burst_mode=self.config.burst_mode,
         )
 
     def open_scatter_channel(
@@ -254,7 +253,7 @@ class SMIContext:
         ctrl, app_in, app_out = self._collective_resources(port, "scatter")
         return ScatterChannel(
             count, dtype, self.rank, comm.global_rank(root), port, comm,
-            ctrl, app_in, app_out, burst_mode=self.config.burst_mode,
+            ctrl, app_in, app_out,
         )
 
     def open_gather_channel(
@@ -270,7 +269,7 @@ class SMIContext:
         ctrl, app_in, app_out = self._collective_resources(port, "gather")
         return GatherChannel(
             count, dtype, self.rank, comm.global_rank(root), port, comm,
-            ctrl, app_in, app_out, burst_mode=self.config.burst_mode,
+            ctrl, app_in, app_out,
         )
 
     # ------------------------------------------------------------------

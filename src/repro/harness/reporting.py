@@ -95,16 +95,14 @@ def planner_summary(stats) -> str:
 
     Takes an aggregate :class:`~repro.simulation.stats.PlannerStats`
     (e.g. from ``collect_planner_stats``) and renders the planning,
-    replication, and cruise-induction counters in one scannable line.
+    replication and fast-forward counters in one scannable line.
     """
     return (
         f"planner: hit {stats.hit_rate:.2f} "
         f"meanwin {stats.mean_window:.1f}cy "
         f"coplans {stats.coplans:,} | replication: "
         f"{stats.replications:,} trains x {stats.mean_train_rounds:.2f} "
-        f"rounds (hit {stats.replication_hit_rate:.2f}) | cruise: "
-        f"{stats.cruise_rounds:,} rounds in {stats.cruise_commits:,} "
-        f"bursts (induction hit {stats.cruise_hit_rate:.2f})"
+        f"rounds (hit {stats.replication_hit_rate:.2f})"
         + (
             f" | macro: {stats.ff_jumps:,} jumps x "
             f"{stats.mean_ff_chain_len:.1f} relay sessions, "

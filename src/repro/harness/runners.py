@@ -70,10 +70,6 @@ def _snapshot_planner_stats(transport, out: dict | None) -> None:
         replicated_rounds=stats.replicated_rounds,
         replication_hit_rate=round(stats.replication_hit_rate, 4),
         mean_train_rounds=round(stats.mean_train_rounds, 2),
-        cruise_checks=stats.cruise_checks,
-        cruise_commits=stats.cruise_commits,
-        cruise_rounds=stats.cruise_rounds,
-        cruise_hit_rate=round(stats.cruise_hit_rate, 4),
         ff_windows=stats.ff_windows,
         ff_cycles=stats.ff_cycles,
         ff_takes=stats.ff_takes,

@@ -35,8 +35,7 @@ costs the calendar nothing.
 Burst fast path
 ---------------
 
-``stage_burst``/``take_burst`` (and the ``push_burst``/``pop_burst``
-generator helpers built on them) move a whole run of items in a single
+``stage_burst``/``take_burst`` move a whole run of items in a single
 engine event while reproducing the per-flit cycle trajectory exactly:
 
 * a burst *stage* records each item with the ready cycle the one-per-cycle
@@ -138,7 +137,7 @@ from typing import Any, Generator, Iterable, Iterator, Sequence
 import numpy as np
 
 from ..core.errors import SimulationError
-from .conditions import TICK, CanPop, CanPush, WaitCycles
+from .conditions import TICK, CanPop, CanPush
 from .engine import FOREVER
 
 #: Fold the occupancy delta log into (base, peak) once it grows past this
@@ -906,7 +905,7 @@ class Fifo:
         ``(base, peak)`` — they are final, since every logging path stamps
         cycles at or after the wall clock.
 
-        Bulk cruise/replication commits can push the logs past the fold
+        Bulk replication commits can push the logs past the fold
         limit with *future-dated* entries only (whole trains commit in
         one engine event); nothing is foldable then, so bail before the
         sweep instead of re-walking the log on every subsequent burst.
@@ -1296,46 +1295,6 @@ class Fifo:
                 yield self.can_pop
             out.append(self.take())
             yield TICK
-        return out
-
-    def push_burst(self, items) -> Generator:
-        """Burst-mode ``push_many``: identical cycle behaviour, one engine
-        event per run of ``min(remaining, free_space)`` items."""
-        items = list(items)
-        i = 0
-        n = len(items)
-        while i < n:
-            free = self.free_space
-            if free == 0:
-                yield self.can_push
-                continue
-            k = min(free, n - i)
-            start = self.engine.cycle
-            self.stage_burst(items[i : i + k], range(start, start + k))
-            i += k
-            yield WaitCycles(k)
-
-    def pop_burst(self, count: int) -> Generator:
-        """Burst-mode ``pop_many``: identical cycle behaviour, draining every
-        present item (visible *and* staged, via its known ready cycle) in one
-        engine event per run."""
-        out: list = []
-        while len(out) < count:
-            if not self.present_count:
-                yield self.can_pop
-                continue
-            cycles = []
-            c = self.engine.cycle
-            for _item, ready in self.iter_present():
-                if len(out) + len(cycles) >= count:
-                    break
-                c = max(c, ready)
-                cycles.append(c)
-                c += 1
-            out.extend(self.take_burst(cycles))
-            end = cycles[-1] + 1
-            if end > self.engine.cycle:
-                yield WaitCycles(end - self.engine.cycle)
         return out
 
     # ------------------------------------------------------------------

@@ -179,14 +179,6 @@ class PlannerStats:
     total number of Δ-shifted pattern rounds committed in bulk (the sum
     of all train lengths).
 
-    Cruise-mode induction adds three more: ``cruise_checks`` counts the
-    times a validated round armed the induction and the arithmetic bound
-    scan ran, ``cruise_commits`` the scans that proved at least one
-    further round (K >= 1), and ``cruise_rounds`` the total rounds
-    committed by cruise (a subset of ``replicated_rounds`` — every
-    cruise round is a replicated round, committed without the per-round
-    validation walk).
-
     Macro-cruise (whole-program fast-forward) adds four: ``ff_windows``
     counts trains that extended at least one app-side channel lane,
     ``ff_cycles`` the cycle span those trains committed in closed form
@@ -198,7 +190,7 @@ class PlannerStats:
     committed by the analytic stream fast-forward (the tier-2 macro
     path: whole steady-state spans extrapolated as Δ-shift lattices with
     no per-packet replay), summed over every session of the train; it is
-    a subset of ``replicated_rounds``, disjoint from ``cruise_rounds``.
+    a subset of ``replicated_rounds``.
 
     The generalized relay-chain resolver adds two: ``ff_jumps`` counts
     the analytic jumps that landed (at most one per train), and
@@ -233,9 +225,6 @@ class PlannerStats:
     pattern_checks: int = 0
     replications: int = 0
     replicated_rounds: int = 0
-    cruise_checks: int = 0
-    cruise_commits: int = 0
-    cruise_rounds: int = 0
     ff_windows: int = 0
     ff_cycles: int = 0
     ff_takes: int = 0
@@ -273,12 +262,6 @@ class PlannerStats:
                 if self.replications else 0.0)
 
     @property
-    def cruise_hit_rate(self) -> float:
-        """Cruise commits per induction attempt (the induction hit-rate)."""
-        return (self.cruise_commits / self.cruise_checks
-                if self.cruise_checks else 0.0)
-
-    @property
     def mean_ff_span(self) -> float:
         """Mean fast-forwarded span per macro-cruise window, in cycles."""
         return self.ff_cycles / self.ff_windows if self.ff_windows else 0.0
@@ -288,32 +271,24 @@ class PlannerStats:
         """Mean relay sessions per landed analytic jump (chain depth)."""
         return self.ff_chain_hops / self.ff_jumps if self.ff_jumps else 0.0
 
+    # Cruise induction is deleted; benchmarks/profile/run_profile.py (which
+    # this tree may not edit) still reads these two — a [benchmark] PR
+    # drops its rows, then these.
+    cruise_rounds = property(lambda self: 0)
+    cruise_hit_rate = property(lambda self: 0.0)
+
     def merge(self, other: "PlannerStats") -> "PlannerStats":
-        return PlannerStats(
-            self.attempts + other.attempts,
-            self.windows + other.windows,
-            self.window_cycles + other.window_cycles,
-            self.takes + other.takes,
-            self.extensions + other.extensions,
-            self.coplans + other.coplans,
-            self.pattern_checks + other.pattern_checks,
-            self.replications + other.replications,
-            self.replicated_rounds + other.replicated_rounds,
-            self.cruise_checks + other.cruise_checks,
-            self.cruise_commits + other.cruise_commits,
-            self.cruise_rounds + other.cruise_rounds,
-            self.ff_windows + other.ff_windows,
-            self.ff_cycles + other.ff_cycles,
-            self.ff_takes + other.ff_takes,
-            self.lane_extends + other.lane_extends,
-            self.ff_bulk_rounds + other.ff_bulk_rounds,
-            self.ff_jumps + other.ff_jumps,
-            self.ff_chain_hops + other.ff_chain_hops,
-            self.ff_disarms + other.ff_disarms,
-            self.ff_disarm_reason or other.ff_disarm_reason,
-            self.ff_misses + other.ff_misses,
-            self.ff_miss_reason or other.ff_miss_reason,
-        )
+        """Field-wise fold: counters add, reason strings first-non-empty.
+
+        Driven by the instance dict (exactly the dataclass fields), so a
+        field added or dropped needs no edit here; the fold runs once per
+        CK per collected run, hence no ``dataclasses.fields`` walk.
+        """
+        theirs = vars(other)
+        return PlannerStats(**{
+            name: (mine or theirs[name]) if isinstance(mine, str)
+            else mine + theirs[name]
+            for name, mine in vars(self).items()})
 
 
 def collect_planner_stats(transport) -> PlannerStats:

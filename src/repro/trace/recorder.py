@@ -51,7 +51,7 @@ EVENT_KINDS = (
     "take",        # FIFO take (per item, or one event per burst)
     "grant",       # arbiter accepted a packet from an input
     "xfer",        # link transfer (per packet, or one event per burst)
-    "span",        # planner phase span: plan/cascade/replicate/cruise
+    "span",        # planner phase span: plan/cascade/replicate
     "ff",          # macro-cruise fast-forward jump (span over the jump)
     "abort",       # macro-ff guard veto (instant; args: guard, hop)
     "disarm",      # macro-ff permanent refusal (instant; args: reason)

@@ -513,7 +513,7 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
     and the shard drops the macro probe tax), and records every support
     kernel in the planner's plane registry — the global cruise condition consults it
     before raising the per-train take budget (an unfinished support
-    kernel is an unproven plane, so macro degrades to ordinary cruise).
+    kernel is an unproven plane, so macro degrades to ordinary trains).
     """
     sp = SupplyPlanner(macro=config.macro_cruise)
     for rt in ranks.values():

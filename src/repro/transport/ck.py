@@ -35,24 +35,6 @@ from .arbiter import PollingArbiter
 from .planner import SOLO_PLANNER, SupplyPlanner
 
 
-def _plane_proven(ck) -> bool:
-    """One CK's entry in the macro-cruise plane registry: provably quiet.
-
-    A plane is *proven* when its future is already committed arithmetic:
-    the kernel finished (or never ran), it is sleeping off a planned
-    window (every stage/take in the window is committed with exact
-    cycles), or it is parked on provably silent inputs (its next act is
-    bounded by the supply horizons the planner consults anyway). A CK in
-    the ``"run"`` state is mid-decision — nothing about its next cycle
-    is committed — so any train that meets one of its resources falls
-    back to per-resource proofs at the ordinary take budget.
-    """
-    proc = ck.proc
-    if proc is None or proc.finished:
-        return True
-    return ck.arbiter._resume_state in ("window", "parked")
-
-
 def _stage_with_backpressure(out, pkt) -> Generator:
     """Stage ``pkt`` into ``out`` (FIFO or link), stalling on backpressure.
 
@@ -122,10 +104,6 @@ class CKS:
     def _planner(self, arbiter, engine, resume_reads, skip):
         return self.supply_planner.plan(self, engine, resume_reads, skip)
 
-    def plane_proven(self) -> bool:
-        """See :func:`_plane_proven` (macro-cruise plane registry)."""
-        return _plane_proven(self)
-
     def process(self, engine) -> Generator:
         """The kernel's forever-serving main loop (spawned as a daemon)."""
         planner = self._planner if self.burst_mode else None
@@ -192,10 +170,6 @@ class CKR:
 
     def _planner(self, arbiter, engine, resume_reads, skip):
         return self.supply_planner.plan(self, engine, resume_reads, skip)
-
-    def plane_proven(self) -> bool:
-        """See :func:`_plane_proven` (macro-cruise plane registry)."""
-        return _plane_proven(self)
 
     def process(self, engine) -> Generator:
         """The kernel's forever-serving main loop (spawned as a daemon)."""

@@ -41,7 +41,7 @@ from ..core.datatypes import SMIDatatype
 from ..core.errors import ChannelError, SimulationError
 from ..core.ops import SMIOp
 from ..network.packet import OpType, Packet
-from ..simulation.conditions import TICK, WaitCycles
+from ..simulation.conditions import TICK
 from ..simulation.fifo import Fifo
 from .packing import PacketPacker
 
@@ -103,11 +103,8 @@ class SupportKernel:
     # ------------------------------------------------------------------
     def _send_control(self, op: OpType, dst: int) -> Generator:
         """Emit a zero-payload control packet (1 cycle + backpressure)."""
-        pkt = Packet(src=self.rank, dst=dst, port=self.port, op=op)
-        while not self.send_ep.writable:
-            yield self.send_ep.can_push
-        self.send_ep.stage(pkt)
-        yield TICK
+        yield from self._send_packet(
+            Packet(src=self.rank, dst=dst, port=self.port, op=op))
 
     def _send_packet(self, pkt: Packet) -> Generator:
         while not self.send_ep.writable:
@@ -144,216 +141,48 @@ class SupportKernel:
     def _stream_app_to_network(self, dst: int, count: int) -> Generator:
         """Pack ``count`` app elements into DATA packets towards ``dst``.
 
-        In burst mode, whole packet runs are planned against ``app_in``'s
-        committed element schedule and ``send_ep``'s slot schedule and
-        staged in one engine event with the exact per-flit cycles — the
-        support kernel's side of the supply-schedule contract. The
-        committed multi-packet runs (and the kernel's sleep over them)
-        are what give the CKS window planner something to batch on
-        collective workloads, whose transit FIFOs static flow-liveness
-        cannot help. Falls back to literal element steps wherever the
-        next decision is not provable (mid-packet state, unknown
-        endpoint backpressure, drained ``app_in``).
+        One element per cycle; a filled packet stages into ``send_ep`` in
+        its last element's cycle, later under endpoint backpressure.
         """
+        app_in = self.app_in
+        send_ep = self.send_ep
         packer = PacketPacker(self.rank, dst, self.port, self.dtype)
-        if self.config.burst_mode:
-            yield from self._stream_app_to_network_burst(packer, count)
-        else:
-            for _ in range(count):
-                yield from self._literal_element_step(packer)
+        for _ in range(count):
+            while not app_in.readable:
+                yield app_in.can_pop
+            pkt = packer.add(app_in.take())
+            if pkt is not None:
+                while not send_ep.writable:
+                    yield send_ep.can_push
+                send_ep.stage(pkt)
+            yield TICK
         tail = packer.flush()
         if tail is not None:
             yield from self._send_packet(tail)
-
-    def _literal_element_step(self, packer: PacketPacker) -> Generator:
-        """One per-flit iteration of the app->network stream."""
-        while not self.app_in.readable:
-            yield self.app_in.can_pop
-        value = self.app_in.take()
-        pkt = packer.add(value)
-        if pkt is not None:
-            while not self.send_ep.writable:
-                yield self.send_ep.can_push
-            self.send_ep.stage(pkt)
-        yield TICK
-
-    def _stream_app_to_network_burst(self, packer: PacketPacker,
-                                     count: int) -> Generator:
-        """Burst fast path for :meth:`_stream_app_to_network` (no tail)."""
-        app_in = self.app_in
-        send_ep = self.send_ep
-        engine = app_in.engine
-        epp = self.dtype.elements_per_packet
-        sent = 0
-        while sent < count:
-            groups = min(app_in.present_count, count - sent) // epp
-            if groups == 0 or packer.pending:
-                yield from self._literal_element_step(packer)
-                sent += 1
-                continue
-            now = engine.cycle
-            items, ready = app_in.present_schedule(now)
-            free, rels = send_ep.slot_plan(now)
-            rel_idx = 0
-            c = now
-            take_cycles: list[int] = []
-            stage_cycles: list[int] = []
-            planned = 0
-            for g in range(groups):
-                base = g * epp
-                g_takes = []
-                gc = c  # group-local cursor: an aborted group commits
-                # nothing, so it must not advance the window either
-                for j in range(epp):
-                    r = ready[base + j]
-                    if r > gc:
-                        gc = r  # stall until the element turns visible
-                    g_takes.append(gc)
-                    if j < epp - 1:
-                        gc += 1  # per-element TICK
-                # The packet stages in the last element's cycle, pushed
-                # later by endpoint backpressure with a known release.
-                if free > 0:
-                    free -= 1
-                    s = gc
-                elif rel_idx < len(rels):
-                    s = max(gc, rels[rel_idx] + 1)
-                    rel_idx += 1
-                else:
-                    break  # unknown backpressure: stop at this boundary
-                take_cycles.extend(g_takes)
-                stage_cycles.append(s)
-                planned += epp
-                c = s + 1  # the closing TICK of the staging element
-            if planned == 0:
-                yield from self._literal_element_step(packer)
-                sent += 1
-                continue
-            pkts = packer.pack_run(items[:planned])
-            app_in.take_burst(take_cycles, collect=False)
-            send_ep.stage_burst(pkts, stage_cycles)
-            sent += planned
-            if c > now:
-                yield WaitCycles(c - now)
 
     def _stream_network_to_app(self, count: int) -> Generator:
         """Unpack ``count`` DATA elements from recv_ep into app_out.
 
         The receive-side counterpart of :meth:`_stream_app_to_network`:
-        in burst mode, whole packet runs are planned against
-        ``recv_ep``'s committed packet schedule (including packets still
-        staged, whose visibility cycles are known) and ``app_out``'s slot
-        schedule, then taken/staged in one engine event with the exact
-        per-flit cycles. This is what stops collectives from
-        rate-limiting window extension at the consumer end: the bulk
-        takes free ``recv_ep`` slots with known release cycles, which the
-        CKR window planner pairs its next stages against. Falls back to
-        literal steps at every unknown boundary (no packet committed,
-        unknown ``app_out`` backpressure, a non-DATA packet).
+        one cycle to take a packet, then one element per cycle into
+        ``app_out``.
         """
-        if self.config.burst_mode:
-            received = yield from self._stream_network_to_app_burst(count)
-            return received
-        received = 0
-        while received < count:
-            received += yield from self._literal_packet_to_app_step()
-        return received
-
-    @staticmethod
-    def _plan_element_stages(count, ec, free, rels, rel_i):
-        """Slot-walk one packet's per-element delivery schedule.
-
-        Mirrors the per-flit element loop's stall model against a
-        ``slot_plan`` snapshot: a free slot stages at the running cycle,
-        a reserved slot at the release plus one, and an exhausted budget
-        means unknown backpressure. Returns ``(stage_cycles, next_cycle,
-        free, rel_i)`` with ``stage_cycles=None`` when the packet is not
-        fully plannable — shared by every receive-side burst path so the
-        formula cannot drift between them.
-        """
-        stages: list[int] = []
-        for _ in range(count):
-            if free > 0:
-                free -= 1
-                sc = ec
-            elif rel_i < len(rels):
-                sc = max(ec, rels[rel_i] + 1)
-                rel_i += 1
-            else:
-                return None, ec, free, rel_i
-            stages.append(sc)
-            ec = sc + 1
-        return stages, ec, free, rel_i
-
-    def _literal_packet_to_app_step(self) -> Generator:
-        """One per-flit packet iteration of the network->app stream."""
-        while not self.recv_ep.readable:
-            yield self.recv_ep.can_pop
-        pkt = self.recv_ep.take()
-        if pkt.op != OpType.DATA:
-            raise ChannelError(f"{self.name}: unexpected {pkt!r}")
-        yield TICK
-        delivered = 0
-        for value in pkt.elements():
-            while not self.app_out.writable:
-                yield self.app_out.can_push
-            self.app_out.stage(value)
-            yield TICK
-            delivered += 1
-        return delivered
-
-    def _stream_network_to_app_burst(self, count: int) -> Generator:
-        """Burst fast path for :meth:`_stream_network_to_app`."""
         recv_ep = self.recv_ep
         app_out = self.app_out
-        engine = recv_ep.engine
         received = 0
         while received < count:
-            if recv_ep.present_count == 0:
-                # Nothing committed: block exactly like the literal path.
-                received += yield from self._literal_packet_to_app_step()
-                continue
-            now = engine.cycle
-            items, ready = recv_ep.present_schedule(now)
-            free, rels = app_out.slot_plan(now)
-            rel_i = 0
-            cur = now
-            take_cycles: list[int] = []
-            stage_cycles: list[int] = []
-            stage_vals: list = []
-            got = 0
-            for pkt, rdy in zip(items, ready):
-                if received + got >= count:
-                    break
-                if pkt.op != OpType.DATA:
-                    # Stop before the offending packet: the literal step
-                    # below reaches it at its own cycle and raises with
-                    # identical FIFO state.
-                    break
-                # Take at visibility (the blocked per-flit pop wakes
-                # then), unpack one element per cycle from the next one.
-                tc = max(cur, rdy)
-                el_stages, ec, f2, r2 = self._plan_element_stages(
-                    pkt.count, tc + 1, free, rels, rel_i)
-                if el_stages is None:
-                    break  # unknown backpressure: stop before this packet
-                take_cycles.append(tc)
-                free, rel_i = f2, r2
-                stage_cycles.extend(el_stages)
-                stage_vals.extend(pkt.elements())
-                got += pkt.count
-                cur = ec
-            if not take_cycles:
-                # The head packet is not plannable (backpressure with no
-                # known release, or fails validation): literal per-flit
-                # steps keep the cycle trajectory exact.
-                received += yield from self._literal_packet_to_app_step()
-                continue
-            recv_ep.take_burst(take_cycles, collect=False)
-            app_out.stage_burst(stage_vals, stage_cycles)
-            received += got
-            if cur > now:
-                yield WaitCycles(cur - now)
+            while not recv_ep.readable:
+                yield recv_ep.can_pop
+            pkt = recv_ep.take()
+            if pkt.op != OpType.DATA:
+                raise ChannelError(f"{self.name}: unexpected {pkt!r}")
+            yield TICK
+            for value in pkt.elements():
+                while not app_out.writable:
+                    yield app_out.can_push
+                app_out.stage(value)
+                yield TICK
+                received += 1
         return received
 
     # ------------------------------------------------------------------
@@ -369,10 +198,10 @@ class SupportKernel:
                     f"{self.name}: descriptor kind {desc.kind!r} does not "
                     f"match this support kernel"
                 )
-            yield from self._serve(desc, engine)
+            yield from self._serve(desc)
             self.operations_served += 1
 
-    def _serve(self, desc: CollectiveDescriptor, engine) -> Generator:
+    def _serve(self, desc: CollectiveDescriptor) -> Generator:
         raise NotImplementedError  # pragma: no cover
 
 
@@ -381,7 +210,7 @@ class BcastKernel(SupportKernel):
 
     kind = "bcast"
 
-    def _serve(self, desc: CollectiveDescriptor, engine) -> Generator:
+    def _serve(self, desc: CollectiveDescriptor) -> Generator:
         comm = desc.comm_ranks
         root_idx = comm.index(desc.root)
         chain = comm[root_idx:] + comm[:root_idx]
@@ -405,17 +234,11 @@ class BcastKernel(SupportKernel):
             yield from self._send_control(OpType.SYNC_READY, desc.root)
             # Receive, deliver locally, and relay down the chain.
             received = 0
-            if self.config.burst_mode:
-                while received < desc.count:
-                    received += yield from self._relay_deliver_burst(
-                        desc.count - received, successor)
-            else:
-                while received < desc.count:
-                    received += yield from self._relay_deliver_step(
-                        successor)
+            while received < desc.count:
+                received += yield from self._relay_deliver_step(successor)
 
     def _relay_deliver_step(self, successor) -> Generator:
-        """One per-flit packet iteration of the bcast relay+deliver loop."""
+        """One packet of the bcast relay+deliver loop."""
         while not self.recv_ep.readable:
             yield self.recv_ep.can_pop
         pkt = self.recv_ep.take()
@@ -440,88 +263,12 @@ class BcastKernel(SupportKernel):
             delivered += 1
         return delivered
 
-    def _relay_deliver_burst(self, want: int, successor) -> Generator:
-        """Batch the relay+deliver loop over committed packet runs.
-
-        Mirrors :meth:`SupportKernel._stream_network_to_app_burst` with
-        the extra relay stage: a packet is taken at its visibility, its
-        relay copy staged against ``send_ep``'s slot schedule in the same
-        cycle (or the known release stall — where the per-flit loop
-        blocks on ``can_push``), and its elements delivered one per cycle
-        against ``app_out``'s schedule. Any unknown boundary falls back
-        to one literal packet step.
-        """
-        recv_ep = self.recv_ep
-        app_out = self.app_out
-        send_ep = self.send_ep
-        engine = recv_ep.engine
-        if recv_ep.present_count == 0:
-            delivered = yield from self._relay_deliver_step(successor)
-            return delivered
-        now = engine.cycle
-        items, ready = recv_ep.present_schedule(now)
-        fo, ro = app_out.slot_plan(now)
-        ro_i = 0
-        fs, rs = (send_ep.slot_plan(now) if successor is not None
-                  else (0, ()))
-        rs_i = 0
-        cur = now
-        take_cycles: list[int] = []
-        out_vals: list = []
-        out_cycles: list[int] = []
-        relay_pkts: list = []
-        relay_cycles: list[int] = []
-        got = 0
-        for pkt, rdy in zip(items, ready):
-            if got >= want:
-                break
-            if pkt.op != OpType.DATA:
-                break  # the literal step raises at this exact cycle
-            tc = max(cur, rdy)
-            rc = tc
-            if successor is not None:
-                if fs > 0:
-                    fs -= 1
-                elif rs_i < len(rs):
-                    rc = max(tc, rs[rs_i] + 1)
-                    rs_i += 1
-                else:
-                    break  # unknown relay backpressure
-            el, ec, f2, r2 = self._plan_element_stages(
-                pkt.count, rc + 1, fo, ro, ro_i)
-            if el is None:
-                break  # unknown delivery backpressure
-            take_cycles.append(tc)
-            if successor is not None:
-                relay_pkts.append(Packet(
-                    src=self.rank, dst=successor, port=self.port,
-                    op=OpType.DATA, count=pkt.count,
-                    payload=pkt.payload.copy(), dtype=pkt.dtype,
-                ))
-                relay_cycles.append(rc)
-            fo, ro_i = f2, r2
-            out_cycles.extend(el)
-            out_vals.extend(pkt.elements())
-            got += pkt.count
-            cur = ec
-        if not take_cycles:
-            delivered = yield from self._relay_deliver_step(successor)
-            return delivered
-        recv_ep.take_burst(take_cycles, collect=False)
-        if relay_pkts:
-            send_ep.stage_burst(relay_pkts, relay_cycles)
-        app_out.stage_burst(out_vals, out_cycles)
-        if cur > now:
-            yield WaitCycles(cur - now)
-        return got
-
-
 class ScatterKernel(SupportKernel):
     """Linear scatter: per-rank rendezvous, segments sent in order (Fig. 5)."""
 
     kind = "scatter"
 
-    def _serve(self, desc: CollectiveDescriptor, engine) -> Generator:
+    def _serve(self, desc: CollectiveDescriptor) -> Generator:
         if self.rank == desc.root:
             ready: set[int] = set()
             for target in desc.comm_ranks:
@@ -545,7 +292,7 @@ class GatherKernel(SupportKernel):
 
     kind = "gather"
 
-    def _serve(self, desc: CollectiveDescriptor, engine) -> Generator:
+    def _serve(self, desc: CollectiveDescriptor) -> Generator:
         if self.rank == desc.root:
             for source in desc.comm_ranks:
                 if source == self.rank:
@@ -563,39 +310,19 @@ class ReduceKernel(SupportKernel):
 
     kind = "reduce"
 
-    def _serve(self, desc: CollectiveDescriptor, engine) -> Generator:
+    def _serve(self, desc: CollectiveDescriptor) -> Generator:
         if desc.reduce_op is None:
             raise ChannelError(f"{self.name}: reduce descriptor without op")
         tile = self.config.reduce_credits
         if self.rank == desc.root:
-            yield from self._serve_root(desc, tile, engine)
+            yield from self._serve_root(desc, tile)
         else:
             yield from self._serve_leaf(desc, tile)
 
-    def _serve_root(self, desc: CollectiveDescriptor, tile: int,
-                    engine) -> Generator:
+    def _serve_root(self, desc: CollectiveDescriptor, tile: int) -> Generator:
         """Root side: combine arrivals into the tile buffer, emit the
-        reduced frontier, release credits.
-
-        In burst mode the three per-flit inner loops run batched — each
-        batch is decision-identical to the literal loop, so cycles stay
-        exact:
-
-        * a received packet's combine loop touches no FIFO, so its
-          ``pkt.count`` per-element TICKs collapse into one sleep;
-        * an emit run stages up to ``min(frontier - emitted, free)``
-          elements back-to-back (the emit branch has priority while
-          ``emitted < frontier``, and the frontier cannot move during
-          the run since nothing is received meanwhile);
-        * a local-combine run takes one ``app_in`` element per cycle for
-          as long as the per-flit loop provably stays in that branch:
-          the emit branch stays closed while the remote frontier is at
-          or below ``emitted``, and the recv branch while ``recv_ep``
-          is provably unreadable (committed head visibility, or its
-          producer-sleep supply horizon).
-        """
+        reduced frontier, release credits."""
         op = desc.reduce_op
-        burst = self.config.burst_mode
         app_in = self.app_in
         app_out = self.app_out
         recv_ep = self.recv_ep
@@ -623,16 +350,6 @@ class ReduceKernel(SupportKernel):
             # application's per-element SMI_Reduce calls stream naturally.
             while emitted < tile_size:
                 if emitted < frontier():
-                    if burst:
-                        run = min(frontier() - emitted, app_out.free_space)
-                        if run > 1:
-                            now = engine.cycle
-                            app_out.stage_burst(
-                                list(acc[emitted:emitted + run]),
-                                range(now, now + run))
-                            emitted += run
-                            yield WaitCycles(run)
-                            continue
                     while not app_out.writable:
                         yield app_out.can_push
                     app_out.stage(acc[emitted])
@@ -650,40 +367,16 @@ class ReduceKernel(SupportKernel):
                             f"({off}+{pkt.count} > {tile_size}) — credit "
                             "protocol violation"
                         )
-                    if burst and pkt.count > 1:
-                        # The combine loop touches no FIFO: batch all of
-                        # its per-element cycles into one event.
-                        for value in pkt.elements():
-                            acc[off] = op.combine(acc[off], value)
-                            off += 1
-                        progress[pkt.src] = off
-                        yield WaitCycles(pkt.count)
-                    else:
-                        for value in pkt.elements():
-                            acc[off] = op.combine(acc[off], value)
-                            off += 1
-                            yield TICK
-                        progress[pkt.src] = off
-                elif app_in.readable and local_done < tile_size:
-                    run = 1
-                    if burst and app_in.present_count > 1:
-                        run = self._local_combine_run(
-                            engine, tile_size - local_done,
-                            min(progress.values(), default=tile_size),
-                            emitted)
-                    if run > 1:
-                        values = app_in.take_burst(
-                            range(engine.cycle, engine.cycle + run))
-                        for value in values:
-                            acc[local_done] = op.combine(
-                                acc[local_done], value)
-                            local_done += 1
-                        yield WaitCycles(run)
-                    else:
-                        value = app_in.take()
-                        acc[local_done] = op.combine(acc[local_done], value)
-                        local_done += 1
+                    for value in pkt.elements():
+                        acc[off] = op.combine(acc[off], value)
+                        off += 1
                         yield TICK
+                    progress[pkt.src] = off
+                elif app_in.readable and local_done < tile_size:
+                    value = app_in.take()
+                    acc[local_done] = op.combine(acc[local_done], value)
+                    local_done += 1
+                    yield TICK
                 elif local_done < tile_size:
                     yield (recv_ep.can_pop, app_in.can_pop)
                 else:
@@ -696,35 +389,6 @@ class ReduceKernel(SupportKernel):
             if remaining > 0:
                 for target in others:
                     yield from self._send_control(OpType.CREDIT, target)
-
-    def _local_combine_run(self, engine, want: int, remote_min: int,
-                           emitted: int) -> int:
-        """Longest provably decision-identical local-combine run.
-
-        The per-flit loop re-evaluates its branch order every cycle, so a
-        batched run is only sound while (a) the emit branch stays closed:
-        the remote frontier is at or below ``emitted`` (local combines
-        only raise ``local_done``, which then cannot be the minimum), and
-        (b) the recv branch stays closed: ``recv_ep`` provably unreadable
-        for the whole run (known head visibility, else the supply
-        horizon — its producer set is registered by the builder). The
-        run is further bounded by ``app_in``'s committed one-per-cycle
-        availability.
-        """
-        if remote_min > emitted:
-            return 1  # one combine may open the emit branch
-        now = engine.cycle
-        recv_next = self.recv_ep.earliest_readable()
-        limit = min(want, recv_next - now)
-        if limit <= 1:
-            return 1
-        _, ready = self.app_in.present_schedule(now, limit)
-        run = 0
-        for i, rdy in enumerate(ready):
-            if rdy > now + i:
-                break
-            run += 1
-        return max(run, 1)
 
     def _serve_leaf(self, desc: CollectiveDescriptor, tile: int) -> Generator:
         remaining = desc.count

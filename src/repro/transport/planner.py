@@ -64,32 +64,10 @@ saves nothing over the planner — a futility backoff quiesces the whole
 plane, traces included, until a multi-round catch-up regime (accumulated
 link inventories, post-stall drains) re-arms it.
 
-**Cruise-mode induction.** Validated replication still walks every event
-of every round. But once one round of a train validates, everything that
-could invalidate the *next* round is an externality with a computable
-bound: committed supply depth and readiness on each input, routing-key
-drift in the consumed packets, free slots plus the materialised release
-schedule of each target, link pacing (internal — it Δ-shifts with the
-committed stages), and the supply horizons that silence observations
-lean on. :func:`replicate_train`'s cruise step scans those bounds once
-(pure comparisons over already-materialised arrays — no routing calls,
-no cursor stall walk, no per-event dispatch) to find the largest ``K``
-for which rounds ``1..K`` are provably exact, then commits all ``K`` in
-one arithmetic replay. Patterns whose stall model embeds release-floor
-raises cannot be cruised (the floor value is per-release information)
-and are rejected at pattern-compile time; anything else the scan cannot
-prove simply bounds ``K`` and validated replication resumes at the first
-unproven round. ``CRUISE_MAX_ROUNDS`` caps each burst so a validated
-round periodically re-anchors the induction against live state (the
-Δ-drift guard). This is the deep-buffer lever: with 32/64-deep FIFOs the
-per-event information quantum spans many pattern rounds, and cruise
-makes committing them O(1) checks per round instead of a full
-re-validation walk.
-
 **Analytic fast-forward** (``HardwareConfig.macro_cruise``, on by
-default). Cruise is still O(1) work per packet. When a whole program
-resolves into app-stream relay chains (``send lane -> sessions ->
-recv lane``) the steady state is a periodic object: *plan window ->
+default). A validated train is still O(1) work per packet. When a whole
+program resolves into app-stream relay chains (``send lane -> sessions
+-> recv lane``) the steady state is a periodic object: *plan window ->
 prove period -> jump*. The train fingerprints each chain at every
 sweep boundary and :class:`_FFHistory` finds the shortest *hyperperiod*
 — sessions advance at equal rates but, at the paper's 8-deep buffers,
@@ -142,12 +120,6 @@ CASCADE_BUDGET = 64
 #: R-round window, then the partial window that drains an injection's
 #: tail) before repeating.
 PATTERN_MAX_PERIOD = 3
-
-#: Δ-drift guard: the most rounds one cruise burst may commit before the
-#: next validated round re-anchors the induction against live state. The
-#: arithmetic scan is believed complete, but bounding each burst keeps
-#: any unmodelled drift from compounding past one re-validation period.
-CRUISE_MAX_ROUNDS = 512
 
 #: Take budget per train when macro-cruise has every live plane proven
 #: (registered app lanes on both stream ends, support planes quiet):
@@ -664,28 +636,11 @@ class WindowPattern:
     """
 
     __slots__ = ("delta", "idx0", "reads0", "events", "n_takes",
-                 "inputs_used", "takes_per_input", "target_fifos", "sigs",
-                 "cruise")
-
-    #: Sentinel value of :attr:`cruise` meaning "induction tables not yet
-    #: compiled". :attr:`cruise` is a lazy three-state cache:
-    #:
-    #: * :data:`CRUISE_TODO` — no cruise attempt has touched this pattern
-    #:   yet; the first :func:`_cruise_tables` call compiles it (patterns
-    #:   are compiled eagerly on confirmation, but cruise eligibility is
-    #:   only decided when the induction first arms);
-    #: * ``None`` — compilation ran and proved the pattern *ineligible*:
-    #:   its stall model embeds a release-floor raise, whose value is
-    #:   per-release information the arithmetic replay cannot re-derive,
-    #:   so every round of this pattern stays on validated replication;
-    #: * a :class:`_CruiseTables` instance — the compiled induction
-    #:   tables, cached for the pattern's lifetime.
-    CRUISE_TODO: object = object()
+                 "inputs_used", "takes_per_input", "target_fifos", "sigs")
 
     def __init__(self, delta, idx0, reads0, ops_rel, obs_rel,
                  sigs=()) -> None:
         self.sigs = sigs  # the window signatures one round cycles through
-        self.cruise = self.CRUISE_TODO  # see the CRUISE_TODO state table
         self.delta = delta    # round length in cycles
         self.idx0 = idx0      # arbiter pointer at every round boundary
         self.reads0 = reads0  # open R-round reads at every round boundary
@@ -745,93 +700,6 @@ class WindowPattern:
         self.target_fifos = tuple(tfifos)
 
 
-class _CruiseTables:
-    """Static per-pattern tables driving cruise-mode induction.
-
-    ``ops`` — the round's takes in event order as ``(j, rel_c, rel_s,
-    target)``; ``per_input`` — per polled input, the take count per round
-    and the constraint list ``(slot, kind, rel_c, op_idx)`` the scan
-    checks per round (``slot`` = takes on that input earlier in the
-    round, so the head the constraint refers to is item
-    ``ptr + k*tpr + slot``); ``per_cursor`` — per staged-into target, the
-    stages per round and their relative stage cycles, for the free-slot /
-    release-schedule bound.
-    """
-
-    __slots__ = ("ops", "per_input", "per_cursor")
-
-    def __init__(self, ops, per_input, per_cursor) -> None:
-        self.ops = ops
-        self.per_input = per_input
-        self.per_cursor = per_cursor
-
-
-def _compile_cruise(pattern):
-    """Compile cruise-induction tables for ``pattern`` (None: ineligible).
-
-    Cruise replays rounds by pure arithmetic, so the pattern's stall
-    model must be *floor-free*: every stage cycle must follow from the
-    take cycle and link pacing alone (``s = max(X, next_free)``), never
-    from a release floor raising it — a floor's value is per-release
-    information the arithmetic replay cannot re-derive. For non-link
-    targets that means ``rel_s == rel_c``; for links the steady-state
-    pacing recurrence (seeded with the previous round's last link stage,
-    Δ-shifted back — exact for every round after a validated one) must
-    reproduce each ``rel_s``. Patterns that fail stay on validated
-    replication.
-    """
-    delta = pattern.delta
-    ops: list = []
-    cons: dict = {}        # j -> [(slot, kind, rel_c, op_idx)]
-    takes_seen: dict = {}  # j -> takes earlier in the round
-    cursor_ops: dict = {}  # id(target) -> (target, [(rel_c, rel_s)])
-    cursor_order: list = []
-    for rel_c, kind, j, rel_s, target in pattern.events:
-        slot = takes_seen.get(j, 0)
-        if kind == 0:
-            cons.setdefault(j, []).append((slot, 0, rel_c, len(ops)))
-            ops.append((j, rel_c, rel_s, target))
-            takes_seen[j] = slot + 1
-            ent = cursor_ops.get(id(target))
-            if ent is None:
-                cursor_ops[id(target)] = (target, [(rel_c, rel_s)])
-                cursor_order.append(id(target))
-            else:
-                ent[1].append((rel_c, rel_s))
-        else:
-            cons.setdefault(j, []).append((slot, kind, rel_c, -1))
-    if not ops:
-        return None
-    for cid in cursor_order:
-        target, tops = cursor_ops[cid]
-        if isinstance(target, Link):
-            pace = target.cycles_per_packet
-            nf = tops[-1][1] - delta + pace
-            for rel_c, rel_s in tops:
-                s = nf if nf > rel_c else rel_c
-                if s != rel_s:
-                    return None  # a release floor shaped this stage
-                nf = rel_s + pace
-        else:
-            for rel_c, rel_s in tops:
-                if rel_s != rel_c:
-                    return None  # a release floor shaped this stage
-    per_input = tuple((j, takes_seen.get(j, 0), tuple(cl))
-                      for j, cl in cons.items())
-    per_cursor = tuple(
-        (target, len(tops), tuple(rs for _rc, rs in tops))
-        for target, tops in (cursor_ops[cid] for cid in cursor_order))
-    return _CruiseTables(tuple(ops), per_input, per_cursor)
-
-
-def _cruise_tables(pattern):
-    """Cached cruise tables of ``pattern`` (compiled on first request)."""
-    ct = pattern.cruise
-    if ct is WindowPattern.CRUISE_TODO:
-        ct = pattern.cruise = _compile_cruise(pattern)
-    return ct
-
-
 def _compile_pattern(entries):
     """Fold ``p`` contiguous window signatures into one round's pattern.
 
@@ -871,8 +739,7 @@ class _ReplicaSession:
     __slots__ = ("ck", "arb", "pattern", "start", "T", "snap_items",
                  "snap_ready", "snap_iter", "ptr", "avail", "take_cycles",
                  "all_takes", "rounds", "takes", "blocked_on", "starved_on",
-                 "hz_cache", "stage_cursors", "done", "dirty", "last_fail",
-                 "ct", "op_keys", "cruise_armed", "cruise_stop")
+                 "hz_cache", "stage_cursors", "done", "dirty", "last_fail")
 
     def __init__(self, ck, pattern, start, now) -> None:
         self.ck = ck
@@ -907,15 +774,6 @@ class _ReplicaSession:
         self.done = False
         self.dirty = True       # something changed since the last failure
         self.last_fail = None   # (event, X, detail) of the last failure
-        # Cruise-mode induction state: the pattern's compiled tables
-        # (None when the pattern is ineligible), the routing keys of the
-        # last validated round's takes (the drift check's reference),
-        # whether that round armed the induction, and the externality
-        # that ended the last cruise scan (diagnostics).
-        self.ct = _cruise_tables(pattern)
-        self.op_keys = None
-        self.cruise_armed = False
-        self.cruise_stop = None
 
     def ensure(self, j, k) -> bool:
         """Extend input ``j``'s snapshot to >= ``k`` items if they exist."""
@@ -1291,9 +1149,6 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         snap_ready = sess.snap_ready
         ptr = sess.ptr
         T = sess.T
-        # A fully validated round arms cruise-mode induction; record the
-        # routing key of every take as the drift check's reference.
-        round_keys: list | None = [] if sess.ct is not None else None
         ok = True
         fail = None
         fatal = False          # shape divergence: never retry
@@ -1333,8 +1188,6 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
                     ok = False  # traffic shape changed: not this pattern
                     fatal = True
                     break
-                if round_keys is not None:
-                    round_keys.append(key)
                 cid = id(out)
                 cur = cursors.get(cid)
                 if cur is None:
@@ -1438,7 +1291,6 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
             if fatal:
                 sess.done = True
             sess.last_fail = fail
-            sess.cruise_armed = False  # induction needs a fresh base round
             return False
         for cid, (cur, pkts, cycles) in stage_buf.items():
             cur.stage_pkts.extend(pkts)
@@ -1456,235 +1308,10 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         sess.T += sess.pattern.delta
         sess.blocked_on = None
         sess.starved_on = None
-        if round_keys is not None:
-            sess.op_keys = round_keys
-            sess.cruise_armed = True
         return True
 
-    def cruise(sess) -> int:
-        """Cruise-mode induction: commit K further rounds arithmetically.
-
-        Runs directly after a validated round armed the induction (so
-        every target cursor is live and link pacing state is exactly the
-        pattern's Δ-shift). The scan walks the session's *externality
-        ledger* — every resource the next rounds touch that is not
-        train-internal — and bounds K by the first external limit:
-
-        * committed/fed supply per input — item existence, readiness by
-          the shifted take/witness cycle, and routing-key equality with
-          the validated round (a key drift means the traffic shape may
-          route elsewhere: re-validate);
-        * silence observations — an early arrival among materialised
-          items, or a drained input's supply horizon (producer-sleep
-          floors included) overtaking the shifted observation cycle;
-        * slots per target — free budget plus the materialised release
-          schedule, each release usable only where it cannot raise the
-          stage above the pattern's cycle (floor-raising patterns were
-          already rejected at compile time);
-        * the train's take budget (``PLAN_MAX_TAKES``, or
-          ``MACRO_MAX_TAKES`` under the macro-cruise global condition)
-          and the ``CRUISE_MAX_ROUNDS`` Δ-drift guard.
-
-        Everything checked is a monotone consequence of committed facts,
-        so the K committed rounds are cycle-exact by the same argument
-        as ``validate_round``; the first unproven round falls back to
-        validated replication (or ends the train).
-        """
-        ct = sess.ct
-        if ct is None or not sess.cruise_armed:
-            return 0
-        pat = sess.pattern
-        n_takes = pat.n_takes
-        K = (max_takes - sess.takes) // n_takes
-        if K > CRUISE_MAX_ROUNDS:
-            K = CRUISE_MAX_ROUNDS  # Δ-drift guard: re-anchor via validation
-        if K <= 0:
-            return 0
-        stats = sess.arb.planner_stats
-        stats.cruise_checks += 1
-        T = sess.T
-        delta = pat.delta
-        inputs = sess.arb.inputs
-        keys = sess.op_keys
-        stop = None
-        # ---- supply-side externality: materialised items and horizons.
-        # Taken-from inputs are pre-bounded by the unconsumed inventory
-        # (so the refining scan only ever walks items that exist);
-        # observation-only inputs reduce to closed-form bounds — their
-        # head never advances, so one readiness or horizon comparison
-        # bounds every round at once. ------------------------------------
-        for j, tpr, cons in ct.per_input:
-            if tpr:
-                k_sup = sess.avail[j] // tpr
-                if k_sup < K:
-                    K = k_sup
-                    stop = ('supply', j)
-                    if K <= 0:
-                        break
-            items = sess.snap_items[j]
-            ready = sess.snap_ready[j]
-            p0 = sess.ptr[j]
-            if not tpr:
-                # Observation-only input: closed-form per constraint.
-                have = len(items) > p0 or sess.ensure(j, p0 + 1)
-                for _slot, kind, rel_c, _op in cons:
-                    if have:
-                        r = ready[p0]
-                        if kind == 1:
-                            # silence: X = T + k*delta + rel_c < r
-                            bound = (r - T - rel_c - 1) // delta + 1
-                            tag = 'early'
-                        elif r <= T + rel_c:
-                            continue  # witness readable: holds as X grows
-                        else:
-                            bound = 0
-                            tag = 'ready'
-                    elif kind == 1:
-                        hz = sess.hz_cache.get(j)
-                        if hz is None:
-                            hz = sess.hz_cache[j] = \
-                                inputs[j].supply_horizon(memo)
-                        bound = (hz - T - rel_c - 1) // delta + 1
-                        tag = 'supply'
-                    else:
-                        bound = 0
-                        tag = 'supply'
-                    if bound < K:
-                        K = bound
-                        stop = (tag, j)
-                        if K <= 0:
-                            break
-                if K <= 0:
-                    break
-                continue
-            hz = None
-            k = 0
-            while k < K:
-                base = T + k * delta
-                pbase = p0 + k * tpr
-                for slot, kind, rel_c, op_idx in cons:
-                    idx = pbase + slot
-                    X = base + rel_c
-                    if idx >= len(items) and not sess.ensure(j, idx + 1):
-                        if kind == 1:
-                            if hz is None:
-                                hz = sess.hz_cache.get(j)
-                                if hz is None:
-                                    hz = sess.hz_cache[j] = \
-                                        inputs[j].supply_horizon(memo)
-                            if hz > X:
-                                continue  # provably silent through X
-                        K = k
-                        stop = ('supply', j)
-                        break
-                    if kind == 1:
-                        if ready[idx] <= X:
-                            K = k  # an arrival would beat the rhythm
-                            stop = ('early', j)
-                            break
-                    elif ready[idx] > X:
-                        K = k  # head not provably readable in time
-                        stop = ('ready', j)
-                        break
-                    elif kind == 0:
-                        pkt = items[idx]
-                        if ((pkt.dst << 8) | pkt.port) != keys[op_idx]:
-                            K = k  # routing-key drift: re-validate
-                            stop = ('key', j)
-                            break
-                else:
-                    k += 1
-                    continue
-                break
-            if K <= 0:
-                break
-        if K <= 0:
-            sess.cruise_stop = stop
-            return 0
-        # ---- slot-side externality: free budget + release schedules ----
-        curs = []
-        for target, spr, rel_ss in ct.per_cursor:
-            cur = cursors.get(id(target))
-            if cur is None or cur.stamp != stamp:
-                return 0  # pragma: no cover - armed implies live cursors
-            curs.append(cur)
-            free = cur.free
-            rels = cur.rels
-            rp = cur.rel_ptr
-            n_r = len(rels)
-            k_slot = (free + n_r - rp) // spr  # budget upper bound
-            if k_slot < K:
-                K = k_slot
-                stop = ('slots', cur.fifo)
-                if K <= 0:
-                    break
-            k = 0
-            while k < K:
-                base = T + k * delta
-                q = k * spr - free
-                for m in range(spr):
-                    r = q + m
-                    if r < 0:
-                        continue  # covered by the free-slot budget
-                    r += rp
-                    if rels[r] + 1 > base + rel_ss[m]:
-                        K = k
-                        stop = ('slots', cur.fifo)
-                        break
-                else:
-                    k += 1
-                    continue
-                break
-            if K <= 0:
-                break
-        sess.cruise_stop = stop
-        if K <= 0:
-            return 0
-        # ---- commit: arithmetic replay of the K proven rounds ----------
-        op_cur = [cursors[id(t)] for (_j, _rc, _rs, t) in ct.ops]
-        snap_items = sess.snap_items
-        ptr = sess.ptr
-        avail = sess.avail
-        take_cycles = sess.take_cycles
-        all_takes = sess.all_takes
-        stage_cursors = sess.stage_cursors
-        for k in range(K):
-            base = T + k * delta
-            for (j, rel_c, rel_s, target), cur in zip(ct.ops, op_cur):
-                X = base + rel_c
-                p = ptr[j]
-                pkt = snap_items[j][p]
-                ptr[j] = p + 1
-                s = base + rel_s
-                if cur.free > 0:
-                    cur.free -= 1
-                else:
-                    cur.rel_ptr += 1
-                cur.stage_pkts.append(pkt)
-                cur.stage_cycles.append(s)
-                # Same key as validate_round (the routing target), so a
-                # cursor both planes touched stays a single entry.
-                stage_cursors[id(target)] = cur
-                take_cycles[j].append(X)
-                all_takes.append(X)
-                avail[j] -= 1
-                publish_take(inputs[j], X)
-                publish_stage(cur.fifo, pkt, s)
-        last = T + (K - 1) * delta
-        for cur, (_target, spr, rel_ss) in zip(curs, ct.per_cursor):
-            if cur.is_link and spr:
-                cur.next_free = last + rel_ss[-1] + cur.pace
-        sess.takes += K * n_takes
-        sess.rounds += K
-        sess.T += K * delta
-        sess.blocked_on = None
-        sess.starved_on = None
-        stats.cruise_commits += 1
-        stats.cruise_rounds += K
-        return K
-
     # ---- analytic stream fast-forward (the tier-2 macro path) ----------
-    # Validated replication and cruise still do O(1) work *per packet*;
+    # Validated replication still does O(1) work *per packet*;
     # on a long steady stream that per-packet constant is the wall-clock
     # bound. But once the train's sweeps settle into an exact periodic
     # regime — every scalar advancing by the same per-period delta,
@@ -1861,8 +1488,7 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
     def ff_obs_bound(sess, jc):
         """Rounds for which every non-chain observation provably holds.
 
-        Same closed forms as the cruise scan's observation-only inputs:
-        nothing in the chain stages into or takes from these inputs (the
+        Nothing in the chain stages into or takes from these inputs (the
         fingerprint pinned their pointers and inventories), so their
         heads never move and one readiness or horizon comparison bounds
         every round at once. ``None`` = unbounded.
@@ -2296,9 +1922,7 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
     # ---- ping-pong: sweep sessions until no round makes progress.
     # A failed session goes quiet (``dirty = False``) until a peer's
     # validated round publishes supply or slots it depends on, so stuck
-    # sessions cost nothing while the rest of the train advances. A
-    # validated round arms cruise-mode induction, which immediately
-    # commits every further round it can prove arithmetically. ---------
+    # sessions cost nothing while the rest of the train advances. ------
     sweeps = 0
     progress = True
     while progress and sweeps < TRAIN_SWEEP_LIMIT:
@@ -2310,8 +1934,6 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
                 continue
             if validate_round(sess):
                 progress = True
-                if sess.cruise_armed:
-                    cruise(sess)
             else:
                 sess.dirty = False
                 if sess.blocked_on is not None:
@@ -2424,7 +2046,7 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
         if ff_armed:
             # Only count the train as a fast-forward window when the
             # chain resolver actually armed: un-armable programs ride
-            # ordinary cruise and must not inflate ff coverage.
+            # ordinary trains and must not inflate ff coverage.
             # The span is the longest per-session advance, not last
             # frontier minus first start: the frontiers of a chain are
             # skewed by its link latencies, and back-to-back jump trains
@@ -2555,15 +2177,8 @@ class SupplyPlanner:
     steady-state trains, exactly as the paper's pipelined SMI_Push/Pop
     channels amortise per-message control overhead in hardware.
 
-    **Cruise-mode induction** removes the remaining per-round
-    validation walk inside those trains: after a validated round, the
-    rounds whose every resource is train-internal or arithmetically
-    bounded (see :func:`replicate_train`'s cruise step) commit in bulk
-    with O(1) comparisons per event. It pays in deep-buffer regimes,
-    where the per-event information quantum spans many pattern rounds.
-
-    Replication and cruise are part of the burst plane, not switches on
-    it. The one selectable tier is **macro-cruise** (``macro=True``, from
+    Replication is part of the burst plane, not a switch on it. The one
+    selectable tier is **macro-cruise** (``macro=True``, from
     ``HardwareConfig.macro_cruise`` through the builder — the default):
     app-side channel lanes register here, trains extend them
     arithmetically and jump proven periods in closed form.
@@ -2662,7 +2277,7 @@ class SupplyPlanner:
         kernels by registered lanes (checked per resource at extension
         time) and every support plane provably silent (finished, or never
         started). Any unproven plane keeps the ordinary budget — the
-        macro fast-forward degrades to PR-4 cruise, never guesses.
+        macro fast-forward degrades to ordinary trains, never guesses.
         """
         if not (self.macro and self.app_lanes):
             return PLAN_MAX_TAKES

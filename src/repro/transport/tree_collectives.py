@@ -52,7 +52,7 @@ class TreeBcastKernel(SupportKernel):
     kind = "bcast"
     scheme = "tree"
 
-    def _serve(self, desc: CollectiveDescriptor, engine) -> Generator:
+    def _serve(self, desc: CollectiveDescriptor) -> Generator:
         _chain, pos, parent, children = _tree_position(desc, self.rank)
         # Readiness aggregates bottom-up: wait for children, then report.
         for _ in children:
@@ -118,7 +118,7 @@ class TreeReduceKernel(SupportKernel):
     kind = "reduce"
     scheme = "tree"
 
-    def _serve(self, desc: CollectiveDescriptor, engine) -> Generator:
+    def _serve(self, desc: CollectiveDescriptor) -> Generator:
         if desc.reduce_op is None:
             raise ChannelError(f"{self.name}: reduce descriptor without op")
         op = desc.reduce_op

@@ -8,8 +8,8 @@ four selectable data planes:
 
 * ``flit`` — the per-flit reference interpretation (``burst_mode=False``);
 * ``burst`` — the burst plane without the fast-forward
-  (``macro_cruise=False``: window planning, pattern replication and
-  cruise-mode induction);
+  (``macro_cruise=False``: window planning and validated pattern
+  replication);
 * ``default`` — the default configuration: the burst plane plus the
   whole-program analytical fast-forward, steady-state spans committed
   as closed-form Δ-shift extrapolations with no per-packet replay;

@@ -22,7 +22,7 @@ from repro.codegen.metadata import OpDecl
 
 
 def run_bcast(topology, n, root, dtype=SMI_FLOAT, comm_indices=None,
-              config=NOCTUA, port=0):
+              config=NOCTUA, port=0, scheme="linear"):
     """Run a broadcast; return {rank: received list} and the result."""
     prog = SMIProgram(topology, config=config)
     world = list(range(topology.num_ranks))
@@ -45,7 +45,7 @@ def run_bcast(topology, n, root, dtype=SMI_FLOAT, comm_indices=None,
         smi.store("bcast", out)
 
     prog.add_kernel(kernel, ranks="all",
-                    ops=[OpDecl("bcast", port, dtype)])
+                    ops=[OpDecl("bcast", port, dtype, scheme=scheme)])
     res = prog.run(max_cycles=5_000_000)
     assert res.completed, res.reason
     actual_members = [members[i] for i in range(len(members))] if comm_indices else world
@@ -89,7 +89,7 @@ def test_bcast_subcommunicator():
 
 
 def run_reduce(topology, n, root, op, dtype=SMI_FLOAT, config=NOCTUA,
-               contributions=None, port=0):
+               contributions=None, port=0, scheme="linear"):
     prog = SMIProgram(topology, config=config)
     P = topology.num_ranks
 
@@ -109,7 +109,7 @@ def run_reduce(topology, n, root, op, dtype=SMI_FLOAT, config=NOCTUA,
 
     prog.add_kernel(
         kernel, ranks="all",
-        ops=[OpDecl("reduce", port, dtype, reduce_op=op)],
+        ops=[OpDecl("reduce", port, dtype, reduce_op=op, scheme=scheme)],
     )
     res = prog.run(max_cycles=5_000_000)
     assert res.completed, res.reason
@@ -153,8 +153,8 @@ def test_reduce_int_overflow_free_sum():
     assert [int(v) for v in out] == expect
 
 
-def run_scatter(topology, n, root, dtype=SMI_INT, port=0):
-    prog = SMIProgram(topology)
+def run_scatter(topology, n, root, dtype=SMI_INT, port=0, config=NOCTUA):
+    prog = SMIProgram(topology, config=config)
     P = topology.num_ranks
 
     def kernel(smi):
@@ -186,8 +186,8 @@ def test_scatter_nonzero_root():
         assert outs[r] == list(range(r * 9, (r + 1) * 9))
 
 
-def run_gather(topology, n, root, dtype=SMI_INT, port=0):
-    prog = SMIProgram(topology)
+def run_gather(topology, n, root, dtype=SMI_INT, port=0, config=NOCTUA):
+    prog = SMIProgram(topology, config=config)
     P = topology.num_ranks
 
     def kernel(smi):
@@ -446,3 +446,55 @@ def test_collect_root_only_for_root():
     prog.add_kernel(kernel, ranks="all", ops=[OpDecl("gather", 0, SMI_INT)])
     with pytest.raises(ChannelError, match="root"):
         prog.run(max_cycles=100_000)
+
+
+@pytest.mark.parametrize("kind,scheme", [
+    ("bcast", "linear"), ("reduce", "linear"), ("scatter", "linear"),
+    ("gather", "linear"), ("bcast", "tree"), ("reduce", "tree"),
+])
+def test_support_kernels_have_one_interpretation(kind, scheme):
+    """``burst_mode`` selects the CK planner and the p2p vector lanes,
+    nothing else: support kernels and collective channels run the same
+    per-element code on every plane. Executed as a check: the traced
+    ``(cycle, kind)`` event sequence of every collective ``app_in`` /
+    ``app_out`` (both ends per-element) is identical with the flag on
+    and off, and so is the support kernel's side of its endpoints — its
+    stages into ``send_ep`` and its takes from ``recv_ep`` (the CK's
+    side of those may be one planned bulk commit)."""
+    n, root = 20, 1
+
+    def run(config):
+        if kind == "bcast":
+            return run_bcast(bus(4), n, root, config=config, scheme=scheme)
+        if kind == "reduce":
+            return run_reduce(bus(4), n, root, SMI_ADD, config=config,
+                              scheme=scheme)
+        if kind == "scatter":
+            return run_scatter(bus(4), n, root, config=config)
+        return run_gather(bus(4), n, root, config=config)
+
+    def kernel_side_events(config):
+        res = run(config.with_(trace=True))[0]
+        rec = res.engine.trace
+        assert rec.dropped == 0, "ring too small for this run"
+        by_fifo: dict = {}
+        for cycle, _seq, ev, track, _name, _dur, _args in rec.events():
+            if ev in ("stage", "take"):
+                by_fifo.setdefault(track, []).append((cycle, ev))
+        out = {}
+        for rt in res.transport.ranks.values():
+            for sk in rt.support_kernels.values():
+                for role, keep in (("app_in", ("stage", "take")),
+                                   ("app_out", ("stage", "take")),
+                                   ("send_ep", ("stage",)),
+                                   ("recv_ep", ("take",))):
+                    name = getattr(sk, role).name
+                    out[role, name] = [e for e in by_fifo.get(name, ())
+                                       if e[1] in keep]
+        return out
+
+    ref = kernel_side_events(NOCTUA.with_(burst_mode=False))
+    fast = kernel_side_events(NOCTUA)
+    for role in ("app_in", "app_out", "send_ep", "recv_ep"):
+        assert any(evs for (r, _name), evs in ref.items() if r == role), role
+    assert fast == ref

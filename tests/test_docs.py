@@ -36,12 +36,12 @@ def test_checker_flags_broken_anchor(tmp_path):
 
 
 def test_checker_flags_missing_required_section(tmp_path):
-    """Dropping a contract section (e.g. 'Cruise mode & induction') from
+    """Dropping a contract section (e.g. 'Macro-cruise fast-forward') from
     the architecture doc is a lint error, not a silent doc rot."""
     doc = tmp_path / "ARCHITECTURE.md"
     doc.write_text("# Architecture\n\n## Pattern replication\n\ntext\n")
     errors = check_docs.check_required_anchors(doc)
-    assert any("Cruise mode & induction" in e for e in errors)
+    assert any("Macro-cruise fast-forward" in e for e in errors)
     assert any("Horizon semantics" in e for e in errors)
     assert not any("Pattern replication" in e for e in errors)
 

@@ -59,6 +59,19 @@ def test_comparison_render_contains_units():
     assert "paper [us]" in text and "measured [us]" in text
 
 
+def test_planner_summary_renders_replication_counters():
+    from repro.harness import planner_summary
+    from repro.simulation.stats import PlannerStats
+
+    stats = PlannerStats(attempts=4, windows=3, window_cycles=300,
+                         coplans=7, pattern_checks=5, replications=4,
+                         replicated_rounds=10)
+    line = planner_summary(stats)
+    assert "hit 0.75" in line and "coplans 7" in line
+    assert "replication: 4 trains x 2.50 rounds (hit 0.80)" in line
+    assert "cruise" not in line
+
+
 def test_planner_summary_renders_macro_segment():
     from repro.harness import planner_summary
     from repro.simulation.stats import PlannerStats

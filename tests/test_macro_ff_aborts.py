@@ -80,7 +80,7 @@ def _veto(guard, hop):
 
 @pytest.fixture(scope="module")
 def reference():
-    """Plain-cruise trajectory plus the un-vetoed macro precondition."""
+    """No-macro trajectory plus the un-vetoed macro precondition."""
     ref, _ = _run(DEEP)
     macro, stats = _run(MACRO)
     assert stats.ff_jumps >= 1, "precondition: jump must land un-vetoed"
@@ -110,7 +110,7 @@ def test_guard_veto_falls_back_bit_identical(reference, guard, hop):
     assert stats.ff_bulk_rounds == 0
 
     # Bit-identical per-packet fallback: same end cycle, same per-FIFO
-    # push/pop counts and occupancy peaks as plain cruise.
+    # push/pop counts and occupancy peaks as the no-macro plane.
     assert vetoed.store(HOPS, "end") == reference.store(HOPS, "end")
     assert vetoed.cycles == reference.cycles
     ref_fifos = reference.engine.fifo_stats()

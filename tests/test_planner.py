@@ -1,16 +1,19 @@
 """Unit tests for the supply-schedule planner subsystem.
 
 Covers the contract primitives (producer registration, sleep horizons,
-process floors, exact occupancy) and the cascade behaviours (co-planning
-across CK boundaries, planner statistics on real transports). The
-cycle-exactness of everything the planner commits is enforced separately
-by ``tests/test_burst_equivalence.py``.
+process floors, exact occupancy), the cascade behaviours (co-planning
+across CK boundaries, planner statistics on real transports), trains
+across sender stalls at deep buffers, and the futility-backoff reset on
+plane (re)wiring. The cycle-exactness of everything the planner commits
+is enforced separately by ``tests/test_burst_equivalence.py``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro import NOCTUA, SMI_FLOAT, SMIProgram, bus, noctua_bus
+from repro import NOCTUA, NOCTUA_DEEP, SMI_FLOAT, SMIProgram, bus, noctua_bus
 from repro.codegen.metadata import OpDecl
 from repro.core.ops import SMI_ADD
 from repro.simulation import Engine, TICK, WaitCycles
@@ -20,6 +23,8 @@ from repro.simulation.stats import (
     PlannerStats,
     collect_planner_stats,
 )
+from repro.transport.arbiter import PollingArbiter
+from repro.transport.planner import SupplyPlanner
 
 
 # ----------------------------------------------------------------------
@@ -200,17 +205,24 @@ def test_max_occupancy_same_cycle_netting():
 # ----------------------------------------------------------------------
 # Cascade behaviour on real transports
 # ----------------------------------------------------------------------
-def _stream_program(hops, n, config):
+def _stream_program(hops, n, config, stall_at=None, stall_for=0):
+    """One p2p stream, optionally with a sender stall mid-message."""
     prog = SMIProgram(noctua_bus(), config=config)
-    data = np.zeros(n, dtype=np.float32)
+    data = np.arange(n, dtype=np.float32)
 
     def snd(smi):
         ch = smi.open_send_channel(n, SMI_FLOAT, hops, 0)
-        yield from ch.push_vec(data, width=8)
+        if stall_at is None:
+            yield from ch.push_vec(data, width=8)
+        else:
+            yield from ch.push_vec(data[:stall_at], width=8)
+            yield smi.wait(stall_for)
+            yield from ch.push_vec(data[stall_at:], width=8)
 
     def rcv(smi):
         ch = smi.open_recv_channel(n, SMI_FLOAT, 0, 0)
-        yield from ch.pop_vec(n, width=8)
+        out = yield from ch.pop_vec(n, width=8)
+        np.testing.assert_array_equal(out, data)
 
     prog.add_kernel(snd, rank=0, ops=[OpDecl("send", 0, SMI_FLOAT,
                                              peer=hops)])
@@ -288,6 +300,90 @@ def test_collective_workload_planner_hit_rate():
 
 
 # ----------------------------------------------------------------------
+# Trains across sender stalls at deep buffers
+# ----------------------------------------------------------------------
+def test_externality_appears_mid_train():
+    """A sender stall breaks the Δ-shift exactly where deep-buffer
+    trains run many rounds: validation must stop at the externality
+    (drifted supply), fall back to planning, and stay cycle-exact."""
+    n = 8192
+    stall = dict(stall_at=4096, stall_for=171)
+    ref = _stream_program(4, n, NOCTUA_DEEP.with_(burst_mode=False), **stall)
+    fast = _stream_program(4, n, NOCTUA_DEEP, **stall)
+    assert fast.cycles == ref.cycles
+    assert collect_planner_stats(fast.transport).replications > 0
+
+
+def test_deep_buffer_park_wake_race():
+    """Repeated sender stalls at deep depths park mid-pipeline CKs while
+    inventories drain; the park/wake races replicate across the stall
+    boundaries cycle-exactly."""
+    n = 4096
+    stall = dict(stall_at=1024, stall_for=613)
+    ref = _stream_program(4, n, NOCTUA_DEEP.with_(burst_mode=False), **stall)
+    fast = _stream_program(4, n, NOCTUA_DEEP, **stall)
+    assert fast.cycles == ref.cycles
+    assert collect_planner_stats(fast.transport).replications > 0
+
+
+# ----------------------------------------------------------------------
+# Futility backoff reset on plane (re)wiring
+# ----------------------------------------------------------------------
+def test_arbiter_reset_backoff_restores_initial_state():
+    eng = Engine()
+    f = eng.fifo("f", capacity=4)
+    arb = PollingArbiter([f], read_burst=8)
+    arb._plan_miss = 1
+    arb._plan_skip = 100
+    arb._plan_skip_len = 4096
+    arb._rep_miss = 1
+    arb._rep_skip = 99
+    arb._rep_skip_len = 2048
+    arb.reset_backoff()
+    assert arb._plan_miss == 0 and arb._plan_skip == 0
+    assert arb._plan_skip_len == PollingArbiter.PLAN_SKIP_POLLS
+    assert arb._rep_miss == 0 and arb._rep_skip == 0
+    assert arb._rep_skip_len == PollingArbiter.REP_SKIP_POLLS
+
+
+def test_supply_planner_reset_backoff_covers_wired_cks():
+    """A rebuilt plane must not inherit escalated skip lengths from an
+    earlier run in the same process: ``SupplyPlanner.reset_backoff``
+    (called by the builder after wiring) restores every wired arbiter."""
+    transport = _stream_program(2, 2048, NOCTUA).transport
+    cks = [ck for rt in transport.ranks.values()
+           for ck in list(rt.cks.values()) + list(rt.ckr.values())]
+    sp = cks[0].supply_planner
+    assert isinstance(sp, SupplyPlanner)
+    # The run escalated backoff somewhere (idle CKs plan nothing).
+    escalated = [ck for ck in cks
+                 if ck.arbiter._plan_skip or ck.arbiter._rep_skip
+                 or ck.arbiter._plan_skip_len
+                 != PollingArbiter.PLAN_SKIP_POLLS
+                 or ck.arbiter._rep_skip_len
+                 != PollingArbiter.REP_SKIP_POLLS]
+    assert escalated, "expected some arbiter to have escalated its backoff"
+    sp.reset_backoff()
+    for ck in cks:
+        arb = ck.arbiter
+        assert arb._plan_skip == 0 and arb._rep_skip == 0
+        assert arb._plan_skip_len == PollingArbiter.PLAN_SKIP_POLLS
+        assert arb._rep_skip_len == PollingArbiter.REP_SKIP_POLLS
+
+
+def test_builder_resets_backoff_on_fresh_wiring():
+    """Freshly built transports start from the initial backoff state
+    even after other builds escalated theirs in the same process."""
+    _stream_program(2, 2048, NOCTUA)  # escalate somewhere, then rebuild:
+    transport = _stream_program(1, 64, NOCTUA).transport
+    for rt in transport.ranks.values():
+        for ck in list(rt.cks.values()) + list(rt.ckr.values()):
+            # Short run: whatever state remains must be self-earned, and
+            # skip lengths never exceed one escalation step per miss run.
+            assert ck.arbiter._plan_skip_len <= PollingArbiter.PLAN_SKIP_MAX
+
+
+# ----------------------------------------------------------------------
 # Statistics helpers
 # ----------------------------------------------------------------------
 def test_planner_stats_merge_and_rates():
@@ -301,6 +397,53 @@ def test_planner_stats_merge_and_rates():
     assert m.mean_window == pytest.approx(100 / 6)
     assert PlannerStats().hit_rate == 0.0
     assert PlannerStats().mean_window == 0.0
+
+
+def _primes():
+    n = 1
+    while True:
+        n += 1
+        if all(n % d for d in range(2, int(n ** 0.5) + 1)):
+            yield n
+
+
+def test_planner_stats_merge_is_fieldwise():
+    """Every field folds under its own name: with a distinct prime in
+    every field of both operands, a shifted or dropped argument cannot
+    produce the field-wise sum. The two reason strings fold
+    first-non-empty-wins. Like ``trace.metrics.merge_snapshots`` (whose
+    docstring leans on this), ``merge`` is a pure fold with the empty
+    instance as identity."""
+    from repro.trace.metrics import merge_snapshots
+
+    names = [f.name for f in dataclasses.fields(PlannerStats)]
+    counters = [n for n in names if not n.endswith("_reason")]
+    reasons = [n for n in names if n.endswith("_reason")]
+    assert len(reasons) == 2 and len(counters) == len(names) - 2
+    gen = _primes()
+    a = PlannerStats(**{n: next(gen) for n in counters},
+                     **{n: "" for n in reasons})
+    b = PlannerStats(**{n: next(gen) for n in counters},
+                     **{n: f"b's {n}" for n in reasons})
+    before = (dataclasses.asdict(a), dataclasses.asdict(b))
+    m = a.merge(b)
+    for n in counters:
+        assert getattr(m, n) == getattr(a, n) + getattr(b, n), n
+    for n in reasons:
+        assert getattr(m, n) == f"b's {n}", n
+        assert getattr(b.merge(a), n) == f"b's {n}", n
+        assert getattr(b.merge(dataclasses.replace(a, **{n: "late"})), n) \
+            == f"b's {n}", n
+    assert (dataclasses.asdict(a), dataclasses.asdict(b)) == before
+    assert PlannerStats().merge(a) == a == a.merge(PlannerStats())
+    snap = {"occ": [(0, 1.0), (4096, 2.0)]}
+    assert merge_snapshots({}, snap) == snap == merge_snapshots(snap, {})
+    # benchmarks/profile/run_profile.py still reads the deleted cruise
+    # tier's two rows: constant zero, not fields, not writable.
+    assert (m.cruise_rounds, m.cruise_hit_rate) == (0, 0.0)
+    assert not {"cruise_rounds", "cruise_hit_rate"} & set(names)
+    with pytest.raises(AttributeError):
+        m.cruise_rounds = 1
 
 
 def test_gap_histogram_percentiles():

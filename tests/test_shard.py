@@ -251,7 +251,7 @@ def test_p2p_stream_sharded_equivalence(hops):
 
 
 def test_p2p_deep_buffers_sharded_equivalence():
-    """Deep buffers: replication trains and cruise commits cross epochs."""
+    """Deep buffers: multi-round replication trains cross epochs."""
     n = 2048
     hops = 4
 

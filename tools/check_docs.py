@@ -41,7 +41,6 @@ REQUIRED_ARCHITECTURE_HEADINGS = (
     "Horizon semantics",
     "Slot economy: reserved slots and pairing",
     "Pattern replication",
-    "Cruise mode & induction",
     "Macro-cruise fast-forward",
     "Sharded execution & time sync",
     "Boundary wire format & shared-memory rings",
