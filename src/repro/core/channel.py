@@ -159,9 +159,55 @@ class _SendLane:
             self.chan.endpoint._reserved_paired = self.rel_base + self.claimed
         self.active = False
 
+    # -- chain member of the analytic fast-forward: the same three
+    # methods as :class:`repro.transport.planner_ff._RelayHop`. ----------
     @property
-    def proc_end(self):
-        return self.cur
+    def owns_history(self) -> bool:
+        """The channel's whole history sits in this burst, so a stream
+        element's position identifies its payload."""
+        return self.chan._sent == self.i
+
+    @property
+    def shipped(self) -> int:
+        """Elements inside emitted packets (planned, not still packing)."""
+        return self.i - self.chan._packer.pending
+
+    def ff_fingerprint(self):
+        """``(counters, cycle frontiers, tracked (list, kind) lattices)``
+        at a sweep boundary — kind ``'c'`` cycle lattice, ``'p'`` packets."""
+        return ((self.i, self.free, self.rel_ptr, self.claimed,
+                 self.chan._packer.pending),
+                (self.cur,),
+                ((self.rels, 'c'), (self.pend_cycles, 'c'),
+                 (self.pend_pkts, 'p')))
+
+    def ff_check(self, dn, _dT, tmpl) -> int:
+        """Packets staged per period, or 0 to refuse: the deltas ``dn``
+        of the counters above must be whole chunks and whole packets
+        shaped like ``tmpl``, each claiming one train release, with the
+        packer and the free budget back where they started."""
+        d_i, d_free, d_rp, d_cl, d_pend = dn
+        epp = self.chan.dtype.elements_per_packet
+        ppp = d_i // epp
+        if d_i <= 0 or d_i % epp or d_i % self.width or d_pend or d_free \
+                or d_rp != ppp or d_cl != ppp \
+                or tmpl.count != epp or tmpl.dtype is not self.chan.dtype:
+            return 0
+        return ppp
+
+    def ff_advance(self, R, dT, ext, run) -> None:
+        """Land ``R`` periods: ``run`` (packets) staged on the extended
+        lattice ``ext(pend_cycles)``, the plan frontier moved past them."""
+        chan = self.chan
+        n = len(run) * chan.dtype.elements_per_packet
+        self.pend_cycles = ext(self.pend_cycles)
+        self.pend_pkts += run
+        self.claimed += len(run)
+        self.cur += R * dT
+        self.i += n
+        chan._sent += n
+        pend = chan._packer.pending
+        chan._packer.fast_forward(len(run), self.values[self.i - pend:self.i])
 
 
 def _plan_push_chunks(pending, sent, count, values, i, width, epp, cur,
@@ -342,9 +388,43 @@ class _RecvLane:
     def finish(self) -> None:
         self.active = False
 
+    # -- chain member of the analytic fast-forward (see _SendLane) -------
     @property
-    def proc_end(self):
-        return self.cur
+    def owns_history(self) -> bool:
+        return self.chan._received == self.got \
+            and self.chan._current is None
+
+    def ff_fingerprint(self):
+        return ((self.got, self.ic, self.ip, self.pend_takes),
+                (self.cur,),
+                ((self.take_cycles, 'c'), (self.pkts, 'p'),
+                 (self.ready, 'c')))
+
+    def ff_check(self, dn, _dT, tmpl) -> int:
+        """Packets taken per period, or 0 to refuse: whole packets the
+        channel accepts (``tmpl``), the width-pacing carry back where it
+        started."""
+        d_got, d_ic, d_ip, d_ptk = dn
+        chan = self.chan
+        epp = chan.dtype.elements_per_packet
+        ppp = d_got // epp
+        if d_got <= 0 or d_got % epp or d_ic or d_ip != ppp \
+                or d_ptk != ppp or chan._current is not None:
+            return 0
+        try:
+            chan._check_packet(tmpl)
+        except ChannelError:
+            return 0
+        return ppp
+
+    def ff_advance(self, R, dT, ext, run) -> None:
+        """Land ``R`` periods: ``run`` (elements) delivered straight to
+        the caller, their packets taken on ``ext(take_cycles)``."""
+        self.take_cycles = ext(self.take_cycles)
+        self.out[self.got:self.got + len(run)] = run
+        self.got += len(run)
+        self.cur += R * dT
+        self.chan._received += len(run)
 
 
 class SendChannel:

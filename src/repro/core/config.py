@@ -80,7 +80,8 @@ class HardwareConfig:
         cycles, instead of one generator step per packet per layer. It
         selects two things and nothing else: the CKs' supply planner —
         window planning and validated steady-state trains
-        (:mod:`repro.transport.planner`), tiers of one plane, not
+        (:mod:`repro.transport.planner` driving ``planner_window`` and
+        ``planner_train``), tiers of one plane, not
         separately selectable — and the point-to-point channels'
         ``push_vec`` / ``pop_vec`` vector lanes. Collective support
         kernels and collective channels have one interpretation, the

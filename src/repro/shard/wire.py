@@ -13,10 +13,10 @@ replaces that with a packed binary codec and a ring transport:
   format drops the payload's element type, which in SMI is per-port
   knowledge — see :meth:`repro.network.packet.Packet.decode`), and the
   packets themselves in the bit-exact 32-byte wire layout of §4.1–4.2.
-  Batches whose items are not plain :class:`Packet` objects with
-  registered scalar datatypes (test doubles, oversized payloads) fall
-  back to pickle, flagged in the record header — the codec is faithful
-  either way, the fast path is just faster.
+  A cut link carries plain :class:`Packet` objects of registered scalar
+  datatypes and nothing else; anything different (a test double, an
+  unregistered datatype, an oversized payload) is rejected where it
+  enters the codec with a :class:`SimulationError` naming it.
 
 * **SPSC byte rings** (:class:`ShmRing`) — single-producer
   single-consumer rings of length-prefixed records carved out of one
@@ -45,7 +45,6 @@ partition, and records carry the 32-bit table index.
 
 from __future__ import annotations
 
-import pickle
 import struct
 
 import numpy as np
@@ -56,14 +55,13 @@ from ..network.packet import OpType, Packet
 from .proxy import AckBatch, ShipBatch
 
 #: Record kinds (header field 0).
-KIND_SHIP = 1         # packed ship: cycles + dtype ids + 32-byte packets
-KIND_SHIP_PICKLE = 2  # fallback ship: pickled (items, cycles)
-KIND_ACK = 3          # ack: cycles block only
+KIND_SHIP = 1  # packed ship: cycles + dtype ids + 32-byte packets
+KIND_ACK = 3   # ack: cycles block only
 
 #: Record header: kind (u8), flags (u8, reserved), pad (u16), key id
-#: (u32), count (u32; items for ships, bytes for pickled ships, cycles
-#: for acks), and two kind-specific ``int64`` floors — horizon+slack for
-#: ships, take-floor+0 for acks.
+#: (u32), count (u32; items for ships, cycles for acks), and two
+#: kind-specific ``int64`` floors — horizon+slack for ships,
+#: take-floor+0 for acks.
 RECORD_HEADER = struct.Struct("<BBHIIqq")
 
 #: Capacity, in bytes, of each shared-memory ring (two rings — ship and
@@ -87,21 +85,23 @@ DTYPE_IDS: dict[str, int] = {
 # ----------------------------------------------------------------------
 # Packet block codec
 # ----------------------------------------------------------------------
-def _pack_items(items) -> tuple[np.ndarray, np.ndarray] | None:
-    """Items as (k, 32) wire rows + dtype-id sidecar, or None to fall back."""
+def _pack_items(items) -> tuple[np.ndarray, np.ndarray]:
+    """Items as (k, 32) wire rows + dtype-id sidecar."""
     k = len(items)
     rows = np.zeros((k, PACKET_BYTES), dtype=np.uint8)
     ids = np.zeros(k, dtype=np.uint8)
     for i, pkt in enumerate(items):
         if type(pkt) is not Packet:
-            return None
+            raise SimulationError(
+                f"boundary item {i} is a {type(pkt).__name__}, not a Packet")
         dtype = pkt.dtype
         if dtype is None:
             did = 0
         else:
             did = DTYPE_IDS.get(dtype.name, 0)
             if did == 0:
-                return None
+                raise SimulationError(
+                    f"boundary item {i}: unregistered datatype {dtype.name}")
         row = rows[i]
         row[0] = pkt.src
         row[1] = pkt.dst
@@ -112,7 +112,9 @@ def _pack_items(items) -> tuple[np.ndarray, np.ndarray] | None:
                 pkt.payload[: pkt.count], dtype=dtype.np_dtype
             ).view(np.uint8)
             if body.size > PAYLOAD_BYTES:
-                return None
+                raise SimulationError(
+                    f"boundary item {i}: {body.size}-byte payload exceeds "
+                    f"the {PAYLOAD_BYTES}-byte packet body")
             row[4 : 4 + body.size] = body
         ids[i] = did
     return rows, ids
@@ -145,15 +147,8 @@ def _unpack_items(rows: np.ndarray, ids: np.ndarray) -> list[Packet]:
 # Record codec
 # ----------------------------------------------------------------------
 def pack_ship(key_id: int, ship) -> bytes:
-    """One ShipBatch as a wire record (packed fast path or pickle)."""
-    packed = _pack_items(ship.items)
-    if packed is None:
-        blob = pickle.dumps((tuple(ship.items), tuple(ship.cycles)),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        head = RECORD_HEADER.pack(KIND_SHIP_PICKLE, 0, 0, key_id,
-                                  len(blob), ship.horizon, ship.slack)
-        return head + blob
-    rows, ids = packed
+    """One ShipBatch as a wire record."""
+    rows, ids = _pack_items(ship.items)
     head = RECORD_HEADER.pack(KIND_SHIP, 0, 0, key_id, len(ids),
                               ship.horizon, ship.slack)
     cycles = np.asarray(ship.cycles, dtype=np.int64)
@@ -177,9 +172,6 @@ def unpack_record(record: bytes, keys_by_id) -> tuple[str, object]:
             int(c) for c in np.frombuffer(body, np.int64, count=n)
         )
         return "ack", AckBatch(key, cycles, f0)
-    if kind == KIND_SHIP_PICKLE:
-        items, cycles = pickle.loads(body[:n])
-        return "ship", ShipBatch(key, tuple(items), tuple(cycles), f0, f1)
     if kind != KIND_SHIP:  # pragma: no cover - protocol guard
         raise SimulationError(f"unknown boundary record kind {kind}")
     cycles = tuple(int(c) for c in np.frombuffer(body, np.int64, count=n))

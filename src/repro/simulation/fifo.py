@@ -116,7 +116,7 @@ load-bearing for everything in :mod:`repro.transport.planner`:
     schedule *and* adds their double-counted slot back into the free
     budget (the reservation and the future-dated staged item paired to it
     otherwise both occupy). Only
-    :meth:`repro.transport.planner._TargetCursor.commit_pairings`
+    :meth:`repro.transport.planner_window._TargetCursor.commit`
     advances it, and only at commit time — speculative plans that roll
     back never touch it.
 

@@ -180,8 +180,9 @@ class PlannerStats:
     of all train lengths).
 
     Macro-cruise (whole-program fast-forward) adds four: ``ff_windows``
-    counts trains that extended at least one app-side channel lane,
-    ``ff_cycles`` the cycle span those trains committed in closed form
+    counts trains whose sessions and lanes resolved into relay chains
+    (the fast-forward armed; a train that merely extended a lane does
+    not count), ``ff_cycles`` the cycle span those trains committed
     (the engine dispatched no events inside it), ``ff_takes`` the packet
     takes committed inside fast-forward windows, and ``lane_extends``
     the app-lane extension calls that produced work. All four are
@@ -196,8 +197,9 @@ class PlannerStats:
     the analytic jumps that landed (at most one per train), and
     ``ff_chain_hops`` the total relay sessions those jumps spanned, so
     ``mean_ff_chain_len`` reports how deep the chains that actually
-    fast-forwarded were (a 4-hop deep stream resolves as one chain of 8
-    relay sessions: CKS and CKR at every hop).
+    fast-forwarded were (a 4-hop stream resolves as one chain of 11
+    relay sessions: the CKR plus both CKS stages at every transit rank,
+    between the source's CKS and the destination's CKR).
 
     ``ff_disarms`` counts permanent resolve refusals (each sets
     ``SupplyPlanner.ff_disarmed``; at most one per planner, so the

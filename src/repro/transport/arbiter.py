@@ -52,9 +52,9 @@ Resume-state fields (the contract between this loop and the planner):
     whose blocker actually changed.
 ``_pattern`` / ``_pattern_hist`` / ``_pattern_phase`` / ``_pattern_end``
     The steady-state replication plane: the confirmed
-    :class:`~repro.transport.planner.WindowPattern` (or ``None``), the
-    recent contiguous window signatures the detector folds periods out
-    of, the index of the next window expected in a live pattern's
+    :class:`~repro.transport.planner_window.WindowPattern` (or ``None``),
+    the recent contiguous window signatures the detector folds periods
+    out of, the index of the next window expected in a live pattern's
     cycle, and the absolute cycle the pattern's last committed round
     ends at — replication only ever continues a pattern contiguously
     from ``_pattern_end`` at phase 0.
@@ -156,6 +156,15 @@ class PollingArbiter:
         self._rep_miss = 0
         self._rep_skip = 0
         self._rep_skip_len = self.REP_SKIP_POLLS
+
+    def commit_resume(self, res) -> None:
+        """Store the resume state a committed window or train session
+        ends in (``res``: the planner's ``PlanResult``)."""
+        self._idx = res.idx
+        self._resume_reads = res.resume_reads
+        self._plan_until = res.end
+        self._blocked_on = res.blocked_on
+        self._starved_on = res.starved_on
 
     def record_accept(self, cycle: int) -> None:
         """Count one accepted packet (histogram only if opted in)."""

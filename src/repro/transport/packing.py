@@ -114,6 +114,13 @@ class PacketPacker:
                 self._buf = list(tail)
         return packets
 
+    def fast_forward(self, packets: int, buffered) -> None:
+        """Account ``packets`` emitted in closed form (the planner's
+        analytic jump builds them itself); the partial packet now holds
+        ``buffered``, the elements just before the advanced frontier."""
+        self._emitted += packets
+        self._buf[:] = list(buffered)
+
     def _make(self) -> Packet:
         payload = np.array(self._buf, dtype=self.dtype.np_dtype)
         self._buf.clear()

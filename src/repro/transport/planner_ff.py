@@ -1,0 +1,844 @@
+"""Prove period & jump: the analytic stream fast-forward.
+
+Last stage of the planner pipeline (``HardwareConfig.macro_cruise``, on
+by default). A validated train is still O(1) work per packet. When a
+whole program resolves into app-stream relay chains (``send lane ->
+sessions -> recv lane``) the steady state is a periodic object. The
+train fingerprints each chain at every sweep boundary and
+:class:`_FFHistory` finds the shortest *hyperperiod* — sessions advance
+at equal rates but, at the paper's 8-deep buffers, unequal round sizes,
+so the frontiers re-align only every lcm(round sizes) packets;
+:meth:`_FastForward.ff_apply`'s guard battery reduces the candidate to
+committed facts (conservation along every hop, Δ-shift of every tracked
+list, horizon / budget / slot bounds) and lands ``R`` periods as
+``S + k·ΔT`` int64 columns through the train's ordinary bulk commit.
+Two things make it hold at zero slack: the train-frontier silence proof
+(:func:`ff_silent` — a session's validated round frontier is its
+process floor, so a relay stopped on its full output proves its
+consumer's observation), and a footprint cap on ``R`` with the jump as
+the train's last act (memory independent of message size; the next
+train re-proves the period).
+
+A chain has three member kinds — send lane, relay hop, recv lane — with
+the same three methods: ``ff_fingerprint`` (counters, frontiers, tracked
+lattices at a sweep boundary), ``ff_check`` (is my slice of a candidate
+period's deltas one period of lockstep advance?) and ``ff_advance``
+(land ``R`` periods). :class:`_RelayHop` is the planner's; the lanes'
+live with the lanes (:class:`repro.core.channel._SendLane` /
+``_RecvLane``), so nothing here knows a channel's or packer's internals.
+
+**This module owns** :class:`_FFHistory`, the guard seam
+(``_ff_guard_probe``), :class:`_RelayHop`, :class:`_FastForward` and the
+``FF_*`` bounds — every fast-forward function of the planner, under the
+``ff_`` / ``_ff_`` prefix the profile benchmark attributes
+``planner.ff_s`` by. **It reads** the train's sessions, cursors and
+joined lanes, supply horizons under the train's own frontiers, the
+planner's relay / boundary registries. **It may mutate**, on a proven
+jump only, what the train's commit then lands — the members' commit
+lattices and counters, the origin's ff counters — plus the planner's
+disarm verdict and, through ``_Train.try_join``, the session list.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..network.packet import Packet
+
+#: Test seam for the fast-forward guard battery: a callable
+#: ``probe(guard, hop) -> bool`` consulted at every guard site of the
+#: analytic jump's proof (``hop`` is the chain position the guard
+#: concerns, ``-1`` for chain-wide guards). Returning True forces that
+#: guard to report failure, so tests can drive each abort path
+#: deterministically and pin the per-packet-replication fallback
+#: bit-exact (``tests/test_macro_ff_aborts.py``); None in production.
+_ff_guard_probe = None
+
+
+def _ff_veto(guard: str, hop: int = -1) -> bool:
+    """True when the test probe vetoes this guard site (see above)."""
+    p = _ff_guard_probe
+    return p is not None and p(guard, hop)
+
+
+#: Longest sweep period the fast-forward detector resolves. Sessions of
+#: one chain advance at equal *rates* but, at shallow depths, unequal
+#: round sizes (a CKS moving 16 packets / 32 cycles on one sweep, the CKR
+#: 22 packets / 44 cycles on the next), so the first sweep boundary at
+#: which every frontier has moved by one common ΔT is the *hyperperiod*
+#: of the round sizes — lcm(16, 22) = 176 packets, 19 sweeps — not one of
+#: the first few sweeps.
+FF_MAX_P = 64
+FF_KEEP = 2 * FF_MAX_P + 1  # checkpoints retained per chain
+
+#: Footprint bound of one analytic jump, in commit-lattice entries
+#: (packets x per-packet cycle columns: one take and one stage column
+#: per relay session plus the lanes'). A jump is ``S + k·ΔT`` whatever
+#: its length, so a longer one buys nothing but memory — every FIFO it
+#: lands in logs each packet's stage and take until the clock passes
+#: them. Bounding the span keeps a run's footprint independent of the
+#: message size; the next train re-proves the period and jumps again.
+FF_MAX_ENTRIES = 1 << 17
+
+#: Candidate periods examined per sweep (nearest first): the checkpoints
+#: that share the newest one's frontier skew. Lock-step trains share one
+#: skew at every sweep, so this is the old ``P = 1..4`` probe there.
+FF_TRIES = 4
+
+
+class _FFHistory:
+    """Sweep-boundary fingerprints of one relay chain, indexed by skew.
+
+    A fingerprint is ``(counts, cycles, lens)`` (see ``ff_checkpoint``).
+    Two checkpoints can bound a period only if every cycle frontier
+    moved by one common ΔT between them — equivalently, if their *skew*
+    (each frontier relative to the first) is equal. Indexing the history
+    by skew makes the detector's per-sweep cost one dict lookup when
+    nothing is periodic, and makes the candidate periods exactly the
+    sweeps at which the frontiers re-aligned, however far apart.
+    """
+
+    __slots__ = ("cps", "n", "by_skew")
+
+    def __init__(self) -> None:
+        self.cps: list = []        # (counts, cycles, lens, skew), oldest first
+        self.n = 0                 # sweeps fingerprinted so far
+        self.by_skew: dict = {}    # skew -> sweep numbers, ascending
+
+    def ff_detect(self, cp):
+        """Record fingerprint ``cp``; return the shortest period ending
+        at it, or ``None``.
+
+        A period of ``P`` sweeps holds when the checkpoints ``P`` and
+        ``2P`` sweeps back share the newest one's skew, both windows
+        advanced the frontiers by the same ``ΔT > 0``, and every counter
+        and tracked-list length advanced equally in both. Returns
+        ``(ΔT, count deltas, lens at the three checkpoints)``.
+        """
+        counts, cycles, lens = cp
+        c0 = cycles[0]
+        skew = tuple(c - c0 for c in cycles)
+        cps = self.cps
+        by_skew = self.by_skew
+        n = self.n
+        self.n = n + 1
+        if len(cps) == FF_KEEP:
+            # Evict the oldest fingerprint; it heads its skew's list.
+            gone = cps.pop(0)[3]
+            old = by_skew[gone]
+            if len(old) > 1:
+                del old[0]
+            else:
+                del by_skew[gone]
+        cps.append((counts, cycles, lens, skew))
+        seen = by_skew.get(skew)
+        if seen is None:
+            by_skew[skew] = [n]
+            return None
+        first = n - len(cps) + 1  # sweep number of cps[0]
+        found = None
+        for m in seen[:-FF_TRIES - 1:-1]:
+            a = 2 * m - n  # sweep number of the checkpoint 2P back
+            if a < first:
+                break
+            cA = cps[a - first]
+            cB = cps[m - first]
+            if cA[3] != skew:
+                continue
+            dT = c0 - cB[1][0]
+            if dT <= 0 or cB[1][0] - cA[1][0] != dT:
+                continue
+            dn = tuple(y - x for x, y in zip(cB[0], counts))
+            if dn != tuple(y - x for x, y in zip(cA[0], cB[0])):
+                continue
+            if tuple(y - x for x, y in zip(cB[2], lens)) != \
+                    tuple(y - x for x, y in zip(cA[2], cB[2])):
+                continue
+            found = (dT, dn, cA[2], cB[2], lens)
+            break
+        seen.append(n)
+        return found
+
+
+class _RelayHop:
+    """One relay session of a resolved chain, as a chain member.
+
+    ``sess`` takes ``tpr`` packets per pattern round from its chain
+    input ``jc`` and stages them through its one live cursor ``cur``;
+    ``rnd`` is the pattern rounds per period the last ``ff_check``
+    accepted. The three ``ff_`` methods are the member interface the
+    lanes share (see the module docstring), so the layout of a hop's
+    fingerprint has this one definition.
+    """
+
+    __slots__ = ("sess", "jc", "tpr", "cur", "rnd")
+
+    def __init__(self, sess, jc, tpr, cur) -> None:
+        self.sess = sess
+        self.jc = jc
+        self.tpr = tpr
+        self.cur = cur
+        self.rnd = 0
+
+    def ff_fingerprint(self):
+        """``(counters, cycle frontiers, tracked (list, kind) lattices)``
+        at a sweep boundary — kind ``'c'`` cycle lattice, ``'p'`` packets."""
+        sess = self.sess
+        cur = self.cur
+        jc = self.jc
+        counts = [sess.rounds, sess.takes, cur.free, cur.rel_ptr]
+        for j in sess.pattern.inputs_used:
+            counts += (sess.ptr[j], sess.avail[j], len(sess.snap_items[j]))
+        return (counts,
+                (sess.T, cur.next_free) if cur.is_link else (sess.T,),
+                ((sess.take_cycles[jc], 'c'), (sess.all_takes, 'c'),
+                 (sess.snap_items[jc], 'p'), (sess.snap_ready[jc], 'c'),
+                 (cur.rels, 'c'), (cur.stage_cycles, 'c'),
+                 (cur.stage_pkts, 'p')))
+
+    def ff_check(self, dn, dT, _tmpl) -> int:
+        """Packets this hop moved per period, or 0 to refuse.
+
+        The period must be a whole number of the session's pattern
+        rounds with the common ΔT, and its chain-input bookkeeping must
+        advance in lockstep with its takes while every other input
+        stays frozen.
+        """
+        sess = self.sess
+        rnd, tpp, d_cfree, d_crp = dn[:4]
+        if rnd <= 0 or tpp != rnd * self.tpr \
+                or dT != rnd * sess.pattern.delta \
+                or d_cfree or d_crp != tpp:
+            return 0
+        ei = 4
+        for j in sess.pattern.inputs_used:
+            d_ptr, d_avail, d_len = dn[ei:ei + 3]
+            ei += 3
+            if j == self.jc:
+                if d_ptr != tpp or d_avail or d_len != tpp:
+                    return 0
+            elif d_ptr or d_avail or d_len:
+                return 0
+        self.rnd = rnd
+        return tpp
+
+    def ff_advance(self, R, dT, ext, run) -> None:
+        """Land ``R`` periods: the hop takes its input's run and stages
+        ``run`` (the same packets, shifted by its standing inventory)."""
+        sess = self.sess
+        cur = self.cur
+        sess.take_cycles[self.jc] = tc = ext(sess.take_cycles[self.jc])
+        if sess.arb.accept_hist is not None:
+            # Opt-in arbiter instrumentation records every accept;
+            # a relay's accepts are exactly its chain-input takes.
+            sess.all_takes = tc.tolist()
+        cur.stage_cycles = ext(cur.stage_cycles)
+        cur.stage_pkts += run
+        sess.rounds += R * self.rnd
+        sess.takes += len(run)
+        sess.T += R * dT
+        sess.blocked_on = sess.starved_on = None
+        cur.rel_ptr += len(run)
+        if cur.is_link:
+            cur.next_free += R * dT
+
+    def ff_obs_bound(self, memo):
+        """Rounds for which every non-chain observation provably holds.
+
+        Nothing in the chain stages into or takes from these inputs (the
+        fingerprint pinned their pointers and inventories), so their
+        heads never move and one readiness or horizon comparison bounds
+        every round at once. ``None`` = unbounded.
+        """
+        sess = self.sess
+        T = sess.T
+        delta = sess.pattern.delta
+        inputs = sess.arb.inputs
+        bound = None
+        for rel_c, kind, j, _rs, _tg in sess.pattern.events:
+            if kind == 0 or j == self.jc:
+                continue
+            if sess.ensure(j, sess.ptr[j] + 1):
+                r = sess.snap_ready[j][sess.ptr[j]]
+                if kind == 1:
+                    b = (r - T - rel_c - 1) // delta + 1
+                elif r <= T + rel_c:
+                    continue  # witness readable: holds as X grows
+                else:
+                    b = 0
+            elif kind == 1:
+                hz = sess.hz_cache.get(j)
+                if hz is None:
+                    hz = sess.hz_cache[j] = inputs[j].supply_horizon(memo)
+                b = (hz - T - rel_c - 1) // delta + 1
+            else:
+                b = 0  # witness needs an item that is not there
+            if bound is None or b < bound:
+                bound = b
+        return bound
+
+    def ff_standing_rounds(self, max_rounds):
+        """Rounds whose chain-input references to *already present*
+        items all hold explicitly. Items the jump itself appends are
+        the verified Δ-shift lattice — induction covers those — but the
+        standing backlog holds frozen cycles the shift argument says
+        nothing about, so each reference is checked against its shifted
+        pattern cycle directly (O(backlog), the region is bounded by
+        the constant chain occupancy)."""
+        sess = self.sess
+        jc = self.jc
+        tpr = self.tpr
+        items = sess.snap_items[jc]
+        ready = sess.snap_ready[jc]
+        p0 = sess.ptr[jc]
+        n_it = len(items)
+        T = sess.T
+        delta = sess.pattern.delta
+        ok = max_rounds
+        slot = 0
+        for rel_c, kind, j, _rs, _tg in sess.pattern.events:
+            if j != jc:
+                continue
+            s = slot
+            if kind == 0:
+                slot += 1
+            k = 0
+            while k < ok:
+                idx = p0 + k * tpr + s
+                if idx >= n_it:
+                    break
+                X = T + k * delta + rel_c
+                bad = (ready[idx] <= X) if kind == 1 else (ready[idx] > X)
+                if bad:
+                    ok = k
+                    break
+                k += 1
+        return ok
+
+
+def ff_silent(train, sess, j, X) -> bool:
+    """Zero-slack silence proof: is ``sess``'s drained input ``j``
+    provably unreadable through ``X`` under the train's own frontiers?
+
+    The engine-level producer-sleep horizon only knows where each
+    producer process sleeps *now* — its last committed window end.
+    Inside a train the producer session has already validated
+    rounds far past that, and everything it validated is published
+    (fed into ``sess``'s snapshot, which is drained): whatever it
+    stages next lands at or after its round frontier ``T``, because
+    the train commits every session through its ``T`` before any
+    other process runs (the same floor ``process_floor`` reports
+    once the train's firm wakes are in place). So the supply-horizon
+    query may seed every train session's process with its ``T`` —
+    and the observer with ``X``, as
+    :func:`~repro.transport.planner_window._silent_hz` does — in a
+    throwaway memo. This is what breaks the circular proof at zero
+    slack: a relay whose 8-deep output is full cannot stage until
+    its consumer takes, and the consumer cannot end its round until
+    it knows the relay is silent; the relay's ``T`` (it validated
+    up to the full FIFO and stopped on its slots) *is* that
+    knowledge. Macro-only: the plain burst plane keeps its trains.
+    """
+    if train.macro_lanes is None or _ff_veto('silence'):
+        return False
+    floors = {id(s.ck.proc): s.T for s in train.order}
+    floors[id(sess.ck.proc)] = X
+    return sess.arb.inputs[j].supply_horizon(floors) > X
+
+
+def ff_close_chain(train) -> bool:
+    """Join the whole relay pipeline around the train (macro only).
+
+    Ordinary trains grow on demand — a peer joins when a session
+    blocks on its slots or starves on its supply. In a deep-buffer
+    steady state the interior hops of a relay chain do neither
+    (every FIFO holds its bandwidth-delay product), so a multi-hop
+    program shatters into per-CK trains and the chain resolver
+    never sees the whole stream. Under the raised macro budget,
+    walk every session's inputs upstream and targets downstream
+    and invite those CKs too; ``try_join``'s own preconditions
+    (confirmed contiguous pattern, demand precheck) still decide.
+    Returns True when the train grew.
+    """
+    order = train.order
+    planner = train.planner
+    n0 = len(order)
+    for sess in order:  # appends during iteration close transitively
+        inputs = sess.arb.inputs
+        for j in sess.pattern.inputs_used:
+            train.try_join(planner.producer_ck.get(id(inputs[j])))
+        for tgt in sess.pattern.target_fifos:
+            train.try_join(planner.consumer_ck.get(id(tgt)))
+    return len(order) > n0
+
+
+def ff_resolve(train):
+    """Resolve the train as app-stream relay chains.
+
+    Each chain is ``send lane -> session_0 -> ... -> session_n ->
+    recv lane``, found by walking every session's single
+    ``target_fifos[0]`` into the next session's input — transit CK
+    relays included, so a 4-hop stream resolves as one chain of 11
+    relay sessions (the CKR plus both CKS stages at every transit
+    rank, between the source's CKS and the destination's CKR).
+    Interior hops must be builder-wired relay FIFOs
+    (``planner.relay_fifos``: CK-internal transit, no app writer
+    can reach them), the whole channel history must sit
+    inside the lanes (a stream element's position identifies its
+    payload — the element-indexed packet runs depend on it), and no
+    frozen-value release may be left in front of a sender's pacing
+    cursor (a consumed release *writes* the cursor via ``max(cur,
+    rel + 1)``, so only Δ-shifting train releases may feed it).
+
+    Concurrent independent streams resolve as one chain per send
+    lane; disjointness is structural — every session and recv lane
+    is claimed by at most one walk, and any sharing (two sessions
+    on one input, two chains through one session or endpoint) is an
+    overlap refusal that falls back to per-packet replication.
+
+    Returns ``(chains, refusal, permanent)``: ``chains`` is the
+    resolved list of ``(send lane, hops, recv lane)`` or ``None``;
+    ``refusal`` names the precondition that failed (consumer not
+    joined, lane inactive, snapshot not drained, ...), and
+    ``permanent`` tells refusals a later sweep
+    can heal from ones it never can (a compiled pattern's shape —
+    its input/target counts — is fixed for the whole train). A
+    permanent refusal disarms probing for the rest of the program
+    instead of re-fingerprinting every sweep, and its reason
+    survives on ``planner.ff_disarm_reason`` /
+    ``PlannerStats.ff_disarm_reason``; a transient one is reported
+    once per train (guard ``unresolved``), so a run that never arms
+    says *why* instead of showing silent zero counters.
+    """
+    planner = train.planner
+    order = train.order
+    lanes = train.lanes_used.values()
+    sends = [la for la in lanes if la.is_send]
+    recvs = {}
+    for la in lanes:
+        if not la.is_send:
+            recvs[id(la.chan.endpoint)] = la
+    if not sends or len(recvs) != len(sends):
+        return None, "app lanes not joined", False
+    by_input = {}
+    for sess in order:
+        tpi = sess.pattern.takes_per_input
+        if len(tpi) != 1 or len(sess.pattern.target_fifos) != 1:
+            # Pattern shape fixed for the train: never a relay.
+            return None, "pattern shape (multi-input/target session)", \
+                True
+        if sess.done:
+            return None, "session diverged from its pattern", False
+        j, tpr = tpi[0]
+        fin = sess.arb.inputs[j]
+        if id(fin) in by_input:
+            return None, "overlap (two sessions on one input)", True
+        by_input[id(fin)] = (sess, j, tpr)
+    relay = planner.relay_fifos
+    chains = []
+    taken: set = set()        # sessions claimed by an earlier walk
+    claimed_eps: set = set()  # recv endpoints claimed by a chain
+    for ls in sends:
+        if not ls.active or ls.cur is None:
+            return None, "send lane inactive", False
+        if ls.rel_ptr < ls.rels0 or not ls.owns_history:
+            return None, "send lane history not in the train", False
+        hops = []
+        f = ls.chan.endpoint
+        while True:
+            ent = by_input.get(id(f))
+            if ent is None:
+                return None, "consumer not joined", False
+            sess, j, tpr = ent
+            if id(sess) in taken:
+                return None, "overlap (chains share a session)", True
+            taken.add(id(sess))
+            if len(sess.stage_cursors) != 1 \
+                    or sess.snap_iter[j] is not None:
+                return None, "snapshot not drained", False
+            cur = next(iter(sess.stage_cursors.values()))
+            tgt = sess.pattern.target_fifos[0]
+            if cur.stamp != train.stamp or cur.fifo is not tgt:
+                return None, "stage cursor not live", False
+            hops.append(_RelayHop(sess, j, tpr, cur))
+            if id(tgt) in relay:
+                f = tgt  # transit hop: keep walking the chain
+                continue
+            lr = recvs.pop(id(tgt), None)
+            break
+        if lr is None:
+            if id(tgt) in claimed_eps:
+                return None, "overlap (two chains on one endpoint)", \
+                    True
+            if id(tgt) in planner.boundary_fifos:
+                # Cross-shard boundary: the consumer lives in another
+                # shard's planner, so this walk can never reach a
+                # recv lane — a permanent refusal.
+                return None, "cross-shard boundary chain", True
+            return None, "recv lane not joined", False
+        claimed_eps.add(id(tgt))
+        if not lr.active or lr.cur is None or not lr.owns_history \
+                or ls.chan.dtype is not lr.chan.dtype:
+            return None, "recv lane inactive", False
+        chains.append((ls, hops, lr))
+    if len(taken) != len(order) or recvs:
+        return None, "sessions outside every chain", False
+    return chains, None, False
+
+
+def ff_checkpoint(chain):
+    """Fingerprint one chain at a sweep boundary: every member's
+    counters, cycle-valued frontiers and tracked list lengths, in
+    stream order."""
+    ls, hops, lr = chain
+    counts: list = []
+    cycles: list = []
+    lens: list = []
+    for member in (ls, *hops, lr):
+        m_counts, m_cycles, lattices = member.ff_fingerprint()
+        counts += m_counts
+        cycles += m_cycles
+        lens += [len(L) for L, _k in lattices]
+    return (tuple(counts), tuple(cycles), tuple(lens))
+
+
+class _FastForward:
+    """Fast-forward state of one train (``_Train.ff``; every method
+    takes the train — the state holds no reference back to it).
+
+    Validated replication still does O(1) work *per packet*; on a long
+    steady stream that per-packet constant is the wall-clock bound. But
+    once the train's sweeps settle into an exact periodic regime —
+    every scalar advancing by the same per-period delta, every tracked
+    list appending a Δ-shifted copy of its previous period's appends —
+    the next R periods are closed-form arithmetic: extend every cycle
+    lattice by slice-shifting, advance every counter by R deltas,
+    append the packet runs by stream position, and let the train's
+    ordinary bulk commit land the whole span. The guard battery of
+    :meth:`ff_apply` reduces that induction to committed facts
+    (conservation along the chain, frozen-value monotonicity, horizon
+    and budget bounds); any guard failing just leaves the train on
+    per-packet replication, and the committed lattices still face the
+    stage/take monotonicity and visibility tripwires at commit time.
+    """
+
+    __slots__ = ("dead", "miss", "probes", "armed", "chains", "hist",
+                 "shape")
+
+    def __init__(self) -> None:
+        self.dead = False    # permanent no-arm: stop probing the train
+        self.miss = None     # last silent no-arm outcome (guard, why)
+        self.probes = 0      # sweeps that probed without a jump
+        self.armed = False   # chains resolved at least once (stats)
+        self.chains = None   # resolved relay chains, one per stream
+        self.hist = None     # per chain: fingerprint history (_FFHistory)
+        self.shape = None    # (sessions, lanes) chains resolved under
+
+    def ff_abort(self, engine, guard, hop=-1) -> bool:
+        """Report one failed guard of the analytic jump's proof.
+
+        Trace-only: emits an ``abort`` event carrying the guard name and
+        the chain hop it concerns (``-1`` for chain-wide guards), then
+        returns False so callers fall back to per-packet replication —
+        exactly what an unguarded ``return False`` did before.
+        """
+        self.miss = None  # reported here, not by the per-train summary
+        if engine.trace is not None:
+            engine.trace.emit(engine.cycle, "abort", "planner", "ff-abort",
+                              args={"guard": guard, "hop": hop})
+        return False
+
+    def ff_apply(self, train, chain, dT, dn, lensA, lensB, lensC) -> bool:
+        """Verify the period is a provable Δ-shift and bulk-apply R of
+        them along the whole relay chain. Returns True when the jump
+        landed (False leaves the train on ordinary replication with
+        nothing mutated)."""
+        ls, hops, lr = chain
+        engine = train.engine
+        if not ls.pend_pkts:
+            return False
+        tmpl = ls.pend_pkts[-1]
+        # Each member checks its own slice of the deltas and names the
+        # packets it moved per period, which must be uniform along the
+        # chain (per-hop element conservation in the deltas).
+        lists: list = []
+        ppp = ci = 0
+        for member in (ls, *hops, lr):
+            counts, _cycles, lattices = member.ff_fingerprint()
+            moved = member.ff_check(dn[ci:ci + len(counts)], dT, tmpl)
+            if not moved or (ppp and moved != ppp):
+                return False
+            ppp = moved
+            ci += len(counts)
+            lists += lattices
+        epp = ls.chan.dtype.elements_per_packet
+        dE = ppp * epp  # stream elements shipped per period
+        # Every tracked list appended exactly one period's packets.
+        if any(c - b != ppp for b, c in zip(lensB, lensC)):
+            return False
+
+        def attrs_ok(p):
+            return (p.count == epp and p.dst == tmpl.dst
+                    and p.src == tmpl.src and p.port == tmpl.port
+                    and p.op == tmpl.op and p.dtype is tmpl.dtype)
+
+        # ---- Δ-shift verification of the two observed windows ----------
+        for (L, kind), a, b, c in zip(lists, lensA, lensB, lensC):
+            if len(L) != c:
+                return False
+            if kind == 'c':
+                w2 = L[b:c]
+                if w2 != [x + dT for x in L[a:b]]:
+                    return False
+                if w2 and w2[-1] - dT > w2[0]:
+                    return False  # extension would break monotonicity
+            elif not all(map(attrs_ok, L[a:c])):
+                return False
+        # ---- element conservation along every hop ----------------------
+        # Walk the element frontier down the chain: each hop's standing
+        # inventory pushes the next-staged element back, and the frontier
+        # must stay packet-aligned and ahead of the receiver at every
+        # hop, landing exactly on the receiver's pending backlog.
+        e_ship0 = ls.shipped  # elements inside emitted packets
+        g0 = lr.got
+        pend_r = len(lr.pkts) - lr.ip
+        if e_ship0 % epp or g0 % epp:
+            return False
+        e = e_ship0
+        for k, hop in enumerate(hops):
+            e -= epp * hop.sess.avail[hop.jc]
+            if e < g0 or _ff_veto('conservation', k):
+                return self.ff_abort(engine, 'conservation', k)
+        if e != g0 + epp * pend_r:
+            return False
+        # Standing (pre-window, frozen) items must look like the stream.
+        for hop in hops:
+            sess = hop.sess
+            if not all(map(attrs_ok,
+                           sess.snap_items[hop.jc][sess.ptr[hop.jc]:])):
+                return False
+        if not all(map(attrs_ok, lr.pkts[lr.ip:])):
+            return False
+        # The sender's release backlog must sit on the Δ lattice:
+        # consumed releases *write* the pacing cursor, so one frozen
+        # off-lattice value would bend the whole trajectory. The scan
+        # starts one period back to tie the first extension period to
+        # the releases the last observed period consumed (``rel_ptr``
+        # advanced ppp per window, so the start never dips into the
+        # frozen slot-plan prefix below ``rels0``).
+        rels_s = ls.rels
+        for idx in range(ls.rel_ptr - ppp, len(rels_s) - ppp):
+            if rels_s[idx + ppp] != rels_s[idx] + dT:
+                return self.ff_abort(engine, 'rel-lattice')
+        if _ff_veto('rel-lattice'):
+            return self.ff_abort(engine, 'rel-lattice')
+        # ---- every externality bounds R (in periods); the closed-form
+        # horizon/budget bounds are the min over the whole chain. -------
+        R = (len(ls.values) - ls.i) // dE - 1  # message end: leave the
+        r_b = (lr.n - g0) // dE - 1            # tail to the sweeps
+        if r_b < R:
+            R = r_b
+        for hop in hops:
+            r_b = (train.max_takes - hop.sess.takes) // ppp - 1
+            if r_b < R:
+                R = r_b
+        # Footprint cap: the jump materialises one cycle column per
+        # commit lattice (and every FIFO it lands in logs the same
+        # per-packet facts), so the span is bounded by entries, not by
+        # message size; the steady state re-arms in the next train.
+        r_b = FF_MAX_ENTRIES // (ppp * (3 + 2 * len(hops)))
+        if r_b < R:
+            R = r_b
+        if _ff_veto('budget'):
+            return self.ff_abort(engine, 'budget')
+        for k, hop in enumerate(hops):
+            rpd = hop.rnd
+            ob = hop.ff_obs_bound(train.memo)
+            if ob is not None and ob // rpd < R:
+                R = ob // rpd
+            if R < 2 or _ff_veto('horizon', k):
+                return self.ff_abort(engine, 'horizon', k)
+            st = hop.ff_standing_rounds(R * rpd)
+            if st // rpd < R:
+                R = st // rpd
+            if _ff_veto('standing', k):
+                return self.ff_abort(engine, 'standing', k)
+        if R < 2:
+            return self.ff_abort(engine, 'standing')
+        # Standing recv-lane items must continue the readiness lattice
+        # one-for-one against the items the last observed period
+        # consumed: the lane take rule *writes* ``cur = max(cur,
+        # ready)``, so a frozen ready either side of the lattice would
+        # bend the take trajectory (``ip`` advanced ppp per window, so
+        # ``ip - ppp`` is in range).
+        ready_r = lr.ready
+        cap = R * ppp
+        m = 0
+        for rdy in ready_r[lr.ip:]:
+            if m >= cap:
+                break
+            if rdy != ready_r[lr.ip + m - ppp] + dT:
+                cap = m
+                break
+            m += 1
+        if cap // ppp < R:
+            R = cap // ppp
+        if _ff_veto('recv-lattice'):
+            return self.ff_abort(engine, 'recv-lattice')
+        # Cursor release backlogs only *floor* the pattern's stage
+        # cycles (frozen values are older, hence smaller — but each
+        # consumed release must still free its slot in time, at every
+        # hop of the chain).
+        for k, hop in enumerate(hops):
+            cur = hop.cur
+            w2_sc = cur.stage_cycles[-ppp:]
+            rels = cur.rels
+            cap = R * ppp
+            m = 0
+            for idx in range(cur.rel_ptr,
+                             min(len(rels), cur.rel_ptr + cap)):
+                if rels[idx] + 1 > w2_sc[m % ppp] + (m // ppp + 1) * dT:
+                    cap = m
+                    break
+                m += 1
+            if cap // ppp < R:
+                R = cap // ppp
+            if _ff_veto('slots', k):
+                return self.ff_abort(engine, 'slots', k)
+        if R < 2:
+            return self.ff_abort(engine, 'slots')
+        # ---- apply: R periods in closed form ---------------------------
+        # Only the *commit lattices* are materialised — the per-packet
+        # stage/take cycles the train's bulk commit hands to the FIFOs —
+        # and each as one int64 column (``S + k·ΔT`` by construction, so
+        # never a Python list of boxed cycles). The ledgers the sweeps
+        # validate against (session snapshots, release lists, the lanes'
+        # supply and slot ledgers) are not extended: the jump ends the
+        # train, nothing reads them again, and only the counters the
+        # commit needs (release pairings) advance.
+        e_tail0 = g0 + R * dE            # first element left in-chain
+        dt_np = ls.chan.dtype.np_dtype
+        values = ls.values
+        total_p = R * ppp
+        # One private copy of the whole surviving tail; each clone's
+        # payload is a view into it (cheaper than per-packet np.array).
+        tail_arr = np.array(values[e_tail0:e_ship0 + R * dE], dtype=dt_np)
+        tail_pkts = [
+            Packet(src=tmpl.src, dst=tmpl.dst, port=tmpl.port, op=tmpl.op,
+                   count=epp, payload=tail_arr[k * epp:(k + 1) * epp],
+                   dtype=tmpl.dtype)
+            for k in range((e_ship0 + R * dE - e_tail0) // epp)]
+
+        def pkt_run(e0):
+            """The jump's packet appends for a list whose next append
+            carries element ``e0``. Elements consumed inside the jump
+            never have their payload read again (their queues drain
+            within the span), so they share one template packet; the
+            elements still in-chain at the end get real payload clones,
+            shared across every list that holds them."""
+            n_t = (e_tail0 - e0) // epp
+            if n_t >= total_p:
+                return [tmpl] * total_p
+            if n_t <= 0:
+                return tail_pkts[-n_t:total_p - n_t]
+            return [tmpl] * n_t + tail_pkts[:total_p - n_t]
+
+        shifts = (np.arange(1, R + 1, dtype=np.int64) * dT)[:, None]
+
+        def ext_c(L):
+            """Commit lattice ``L`` plus ``R`` Δ-shifted copies of its
+            last period, as one int64 column."""
+            n0 = len(L)
+            col = np.empty(n0 + total_p, dtype=np.int64)
+            col[:n0] = L
+            np.add(col[n0 - ppp:n0], shifts,
+                   out=col[n0:].reshape(R, ppp))
+            return col
+
+        # Sender lane: stages its run into the send endpoint. Each hop
+        # takes its input's run and stages the run shifted by its own
+        # standing inventory, handing it to the next hop. Recv lane:
+        # takes the endpoint, payload straight to the caller.
+        ls.ff_advance(R, dT, ext_c, pkt_run(e_ship0))
+        e = e_ship0
+        for hop in hops:
+            e -= epp * hop.sess.avail[hop.jc]
+            hop.ff_advance(R, dT, ext_c, pkt_run(e))
+        lr.ff_advance(R, dT, ext_c,
+                      np.asarray(values[g0:g0 + R * dE], dt_np))
+        stats = train.origin.arb.planner_stats
+        stats.ff_bulk_rounds += R * sum(hop.rnd for hop in hops)
+        stats.ff_jumps += 1
+        stats.ff_chain_hops += len(hops)
+        return True
+
+    def ff_try(self, train) -> bool:
+        """Resolve the chains (once per train shape), fingerprint each
+        at this sweep boundary, and jump the first provable period."""
+        shape = (len(train.order), len(train.lanes_used))
+        if self.chains is not None and shape != self.shape:
+            self.chains = None  # a session or lane joined: chains staled
+        if self.chains is None:
+            chains, refusal, permanent = ff_resolve(train)
+            if chains is None:
+                if permanent:
+                    # Shape can never materialize: stop fingerprinting
+                    # this train AND drop the program-wide probing taxes
+                    # (chain closure, futility-backoff override).
+                    self.dead = True
+                    self.miss = None
+                    train.planner.disarm(
+                        refusal, train.origin.arb.planner_stats,
+                        train.engine)
+                else:
+                    self.miss = ("unresolved", refusal)
+                return False
+            self.shape = shape
+            self.armed = True
+            self.chains = chains
+            self.hist = [_FFHistory() for _ in chains]
+        self.miss = ("no-period", "")
+        for chain, hist in zip(self.chains, self.hist):
+            det = hist.ff_detect(ff_checkpoint(chain))
+            if _ff_veto('no-period'):
+                det = None
+            if det is not None:
+                self.miss = ("no-period",
+                             "candidate period is not a provable Δ-shift")
+                if self.ff_apply(train, chain, *det):
+                    self.miss = None
+                    return True
+        return False
+
+    def ff_report_miss(self, train) -> str:
+        """One ``abort`` event per train for the silent no-arm outcomes.
+
+        A train that probed but neither landed a jump nor had a guard
+        of ``ff_apply`` refuse one ended on ``unresolved`` (the
+        ``ff_resolve`` precondition that failed) or ``no-period`` (the
+        chains resolved, no two sweep boundaries bounded a period; the
+        event carries the distinct per-sweep advances seen per cycle
+        frontier — equal rates at unequal round sizes read as e.g.
+        ``[32]`` beside ``[44]``). Counted in ``PlannerStats`` so
+        ``planner_summary`` can say "probing, no period (k trains)".
+        """
+        guard, why = self.miss
+        reason = "no period" if guard == "no-period" else guard
+        if why:
+            reason = f"{reason} — {why}"
+        stats = train.origin.arb.planner_stats
+        stats.ff_misses += 1
+        stats.ff_miss_reason = reason
+        engine = train.engine
+        if engine.trace is not None:
+            args = {"guard": guard, "hop": -1}
+            if why:
+                args["reason"] = why
+            else:
+                args["steps"] = [
+                    sorted({b[1][i] - a[1][i]
+                            for a, b in zip(h.cps, h.cps[1:])} - {0})
+                    for h in self.hist for i in range(len(h.cps[-1][1]))]
+            engine.trace.emit(engine.cycle, "abort", "planner", "ff-abort",
+                              args=args)
+        return reason

@@ -1,0 +1,711 @@
+"""Train: verify confirmed window patterns in bulk along a pipeline.
+
+Middle stage of the planner pipeline. When a CK's recent windows turn
+out to be exact Δ-shifted repeats of each other, the compiled
+:class:`~repro.transport.planner_window.WindowPattern` replaces the
+planning *search* with straight-line *verification*:
+:func:`replicate_train` replays pattern rounds against live committed
+state, ping-pongs sessions across producer/consumer CKs (validated
+stages become the next hop's virtual supply, validated takes the
+previous hop's virtual slot releases) and bulk-commits whole trains
+with one ``take_burst``/``stage_burst`` pair per FIFO and one firm wake
+per sleeping peer. Everything is re-proved from committed facts, so
+cycle-exactness holds by the same argument as ``plan_window``; any
+deviation ends the train at the last valid round and planning resumes.
+
+**This module owns** :class:`_ReplicaSession` (one CK's validated
+rounds), :class:`_Train` (one train's sessions, their virtual supply /
+slot exchange, the app lanes joined to it), :func:`replicate_train` and
+the bulk commit with its wakes; a train lives for one call. **It reads**
+each session input's ``iter_present`` / ``present_count`` /
+``supply_horizon``, the cascade's cursors, the CKs' routing memos, the
+arbiters' pattern fields, the planner's wiring maps and app lanes. **It
+may mutate**, while sweeping, only cursor budgets (rolled back per
+failed round) and the joined lanes' train-scoped ledgers; at commit the
+FIFOs, ``Fifo._reserved_paired``, each session arbiter's resume state,
+counters and ``PlannerStats``, the planner's backoff / ``_train_stuck``
+/ ``_extra_results`` and the engine's wake schedule.
+"""
+
+from __future__ import annotations
+
+from ..core.errors import RoutingError
+from .planner_ff import _FastForward, ff_close_chain, ff_silent
+from .planner_window import (PLAN_MAX_TAKES, PlanResult, _silent_hz,
+                             _TargetCursor)
+
+#: Take budget per train when macro-cruise has every live plane proven
+#: (registered app lanes on both stream ends, support planes quiet):
+#: with the app endpoints extending arithmetically inside the train,
+#: the only externalities left are message boundaries, so a train may
+#: fast-forward the whole steady state of a message in one event.
+MACRO_MAX_TAKES = 1 << 22
+
+
+class _ReplicaSession:
+    """Per-CK state of one replication train (see :func:`replicate_train`).
+
+    Holds the CK's full input inventory snapshot (extended in place as
+    peer sessions publish their tentative stages), the validated-round
+    accumulators, and the per-round accept cycles — everything needed to
+    bulk-commit the session at train end. ``done`` marks a session whose
+    last failure was a *shape divergence* (routing change, a stall
+    landing off-pattern early, a silence observation broken by an
+    already-visible item): no amount of further train progress can
+    un-fail those, unlike slot or supply exhaustion.
+    """
+
+    __slots__ = ("ck", "arb", "pattern", "start", "T", "snap_items",
+                 "snap_ready", "snap_iter", "ptr", "avail", "take_cycles",
+                 "all_takes", "rounds", "takes", "blocked_on", "starved_on",
+                 "hz_cache", "stage_cursors", "done", "dirty", "last_fail")
+
+    def __init__(self, ck, pattern, start, now) -> None:
+        self.ck = ck
+        self.arb = ck.arbiter
+        self.pattern = pattern
+        self.start = start
+        self.T = start  # next round's base cycle
+        inputs = self.arb.inputs
+        # Lazy committed-inventory snapshots: items are pulled from the
+        # FIFO's present iterator only as validation reaches them, so a
+        # short train against a deep link inventory never materialises
+        # the whole bandwidth-delay product.
+        self.snap_items: dict = {}
+        self.snap_ready: dict = {}
+        self.snap_iter: dict = {}
+        self.ptr: dict = {}
+        self.avail: dict = {}  # un-taken items per input (count precheck)
+        for j in pattern.inputs_used:
+            self.snap_items[j] = []
+            self.snap_ready[j] = []
+            self.snap_iter[j] = inputs[j].iter_present()
+            self.ptr[j] = 0
+            self.avail[j] = inputs[j].present_count
+        self.take_cycles: dict = {j: [] for j in pattern.inputs_used}
+        self.all_takes: list = []
+        self.rounds = 0
+        self.takes = 0
+        self.blocked_on = None
+        self.starved_on = None
+        self.hz_cache: dict = {}
+        self.stage_cursors: dict = {}  # id(cursor) -> cursor (this CK's)
+        self.done = False
+        self.dirty = True       # something changed since the last failure
+        self.last_fail = None   # (event, X, detail) of the last failure
+
+    def ensure(self, j, k) -> bool:
+        """Extend input ``j``'s snapshot to >= ``k`` items if they exist."""
+        items = self.snap_items[j]
+        if len(items) >= k:
+            return True
+        it = self.snap_iter[j]
+        if it is None:
+            return False  # committed side drained; only feeds extend now
+        ready = self.snap_ready[j]
+        for item, r in it:
+            items.append(item)
+            ready.append(r)
+            if len(items) >= k:
+                return True
+        self.snap_iter[j] = None
+        return False
+
+    def feed(self, j, pkt, ready) -> None:
+        """Append a peer session's validated stage as virtual supply."""
+        it = self.snap_iter[j]
+        if it is not None:
+            # FIFO order: every committed item precedes the train's
+            # stages, so the lazy iterator must drain first.
+            items = self.snap_items[j]
+            rdy = self.snap_ready[j]
+            for item, r in it:
+                items.append(item)
+                rdy.append(r)
+            self.snap_iter[j] = None
+        self.snap_items[j].append(pkt)
+        self.snap_ready[j].append(ready)
+        self.avail[j] += 1
+
+
+#: Safety bound on coordinator sweeps per train (each sweep advances at
+#: least one session by one round, so real trains end far earlier).
+TRAIN_SWEEP_LIMIT = 4096
+
+#: Optional diagnostics hook: a callable invoked once per finished train
+#: with the session list (tests and ad-hoc profiling; None in production).
+_train_debug = None
+
+
+class _Train:
+    """One replication train: its sessions, the virtual supply / slot
+    ledgers they exchange, and the app lanes joined so far (see
+    :func:`replicate_train`). ``sweep`` validates, ``commit`` lands."""
+
+    __slots__ = ("planner", "engine", "memo", "cursors", "stamp", "now",
+                 "macro_lanes", "max_takes", "lanes_used", "lane_extends",
+                 "origin", "sessions", "order", "feeds", "stager", "v_rels",
+                 "v_items", "cursor_fifo", "ff")
+
+    def __init__(self, planner, ck, engine, start, memo, cursors,
+                 stamp) -> None:
+        self.planner = planner
+        self.engine = engine
+        self.memo = memo
+        self.cursors = cursors
+        self.stamp = stamp
+        self.now = now = engine.cycle
+        # Macro-cruise: app-side channel lanes this train may extend. The
+        # take budget is raised only under the global cruise condition (see
+        # SupplyPlanner.macro_take_budget); each lane still proves itself
+        # per resource before any extension.
+        self.macro_lanes = planner.app_lanes if planner.macro else None
+        self.max_takes = planner.macro_take_budget() if self.macro_lanes \
+            else PLAN_MAX_TAKES
+        self.lanes_used: dict = {}   # id(lane) -> lane joined to this train
+        self.lane_extends = 0
+        self.origin = origin = _ReplicaSession(ck, ck.arbiter._pattern,
+                                               start, now)
+        self.sessions: dict = {id(ck): origin}
+        self.order = [origin]
+        self.feeds: dict = {}    # id(fifo) -> (consumer session, input idx)
+        self.stager: dict = {}   # id(fifo) -> session staging into it
+        self.v_rels: dict = {}   # id(fifo) -> virtual release cycles
+        self.v_items: dict = {}  # id(fifo) -> [(pkt, ready)] train stages
+        self.cursor_fifo: dict = {}  # id(fifo) -> live cursor staging into it
+        self.ff = _FastForward()
+        self.hook_inputs(origin)
+
+    def lane_of(self, fifo):
+        """The extendable app lane on ``fifo``, joined to the train."""
+        if self.macro_lanes is None:
+            return None
+        lane = self.macro_lanes.get(id(fifo))
+        if lane is None or not lane.extendable():
+            return None
+        if id(lane) not in self.lanes_used:
+            lane.begin(self.now)
+            self.lanes_used[id(lane)] = lane
+        return lane
+
+    def hook_inputs(self, sess) -> None:
+        inputs = sess.arb.inputs
+        for j in sess.pattern.inputs_used:
+            fifo = inputs[j]
+            self.feeds[id(fifo)] = (sess, j)
+            # Stages other sessions validated before this one joined are
+            # not in the committed snapshot yet: replay them.
+            pend = self.v_items.get(id(fifo))
+            if pend:
+                for pkt, r in pend:
+                    sess.feed(j, pkt, r)
+        for fifo in sess.pattern.target_fifos:
+            self.stager[id(fifo)] = sess
+
+    def try_join(self, peer) -> None:
+        """Add a peer CK's session if its pattern can continue the train.
+
+        Sleeping-window peers join like a co-plan would; the cascade's
+        *origin* CK may join even in the ``"run"`` state — it is inside
+        its own planner call right now and re-reads ``_plan_until`` the
+        moment control returns, exactly as after a cascade extension.
+        """
+        if peer is None or id(peer) in self.sessions:
+            return
+        arb = peer.arbiter
+        pat = arb._pattern
+        proc = peer.proc
+        state_ok = (arb._resume_state == "window"
+                    or peer is self.planner._cascade_origin)
+        if (pat is None or proc is None or proc.finished
+                or not state_ok
+                or arb._plan_until != arb._pattern_end
+                or arb._pattern_phase != 0
+                or arb._idx != pat.idx0
+                or arb._resume_reads != pat.reads0):
+            return
+        # Cheap demand precheck before building any session state: the
+        # peer's first round needs its full take counts from committed
+        # items plus whatever the train has already published. A peer
+        # rejected here is retried on every later failure of the session
+        # that wanted it, by which time more may have been published.
+        inputs = arb.inputs
+        v_items = self.v_items
+        for j, need in pat.takes_per_input:
+            f = inputs[j]
+            if f.present_count + len(v_items.get(id(f), ())) < need:
+                return
+        sess = _ReplicaSession(peer, pat, arb._plan_until, self.now)
+        self.sessions[id(peer)] = sess
+        self.order.append(sess)
+        self.hook_inputs(sess)  # also replays earlier sessions' virtual items
+
+    def publish_stage(self, fifo, pkt, s) -> None:
+        ready = s + fifo.latency
+        self.v_items.setdefault(id(fifo), []).append((pkt, ready))
+        hooked = self.feeds.get(id(fifo))
+        if hooked is not None:
+            sess, j = hooked
+            sess.feed(j, pkt, ready)
+            sess.dirty = True  # new supply may unblock a starved round
+        elif self.macro_lanes is not None:
+            # A stage into an app receive endpoint: virtual supply for
+            # the sleeping pop_vec's lane.
+            lane = self.lane_of(fifo)
+            if lane is not None and not lane.is_send:
+                lane.note_item(pkt, ready)
+
+    def publish_take(self, fifo, x) -> None:
+        self.v_rels.setdefault(id(fifo), []).append(x)
+        cur = self.cursor_fifo.get(id(fifo))
+        if cur is not None:
+            cur.rels.append(x)
+        peer = self.stager.get(id(fifo))
+        if peer is not None:
+            peer.dirty = True  # a freed slot may unblock a blocked round
+        elif self.macro_lanes is not None:
+            # A take from an app send endpoint: a virtual slot release
+            # for the sleeping push_vec's lane.
+            lane = self.lane_of(fifo)
+            if lane is not None and lane.is_send:
+                lane.note_release(x)
+
+    def validate_round(self, sess) -> bool:
+        ck_s = sess.ck
+        inputs = sess.arb.inputs
+        avail = sess.avail
+        # O(inputs) demand precheck: a round needs its full take count
+        # per input (committed plus already-published virtual supply) —
+        # without it, walking the events just to fail is wasted work.
+        for j, need in sess.pattern.takes_per_input:
+            if avail[j] < need:
+                sess.starved_on = inputs[j]
+                sess.blocked_on = None
+                sess.last_fail = ('precheck', j, need, avail[j])
+                return False
+        cursors = self.cursors
+        stamp = self.stamp
+        route = ck_s._route
+        route_memo = ck_s._route_memo
+        snap_items = sess.snap_items
+        snap_ready = sess.snap_ready
+        ptr = sess.ptr
+        T = sess.T
+        fatal = False          # shape divergence: never retry
+        saves: dict = {}       # id(cursor) -> (cursor, free, rel_ptr, nf)
+        stage_buf: dict = {}   # id(cursor) -> (cursor, [pkts], [cycles])
+        round_takes: list = []  # (input_idx, fifo, take_cycle) event order
+        round_stages: list = []  # (fifo, pkt, stage_cycle) in event order
+        for ev in sess.pattern.events:
+            rel_c, kind, j, rel_s, target = ev
+            X = T + rel_c
+            if kind != 1:
+                # A take, or (kind 2) the readable witness of a rotation:
+                # the head must be visible by X.
+                p = ptr[j]
+                if not sess.ensure(j, p + 1) or snap_ready[j][p] > X:
+                    sess.starved_on = inputs[j]
+                    sess.blocked_on = None
+                    fail = ('witness-missing' if kind else 'take-starved',
+                            j, X, snap_ready[j][p]
+                            if p < len(snap_items[j]) else None)
+                    break
+                if kind:
+                    continue
+                pkt = snap_items[j][p]
+                key = (pkt.dst << 8) | pkt.port
+                out = route_memo.get(key)
+                if out is None:
+                    try:
+                        out = route(pkt)
+                    except RoutingError:
+                        # plan_window stops here too; the per-flit path
+                        # raises at this exact cycle after the fallback.
+                        fail = ('route-error', j, X, None)
+                        fatal = True
+                        break
+                    route_memo[key] = out
+                if out is not target:
+                    fail = ('target-mismatch', j, X, None)
+                    fatal = True  # traffic shape changed: not this pattern
+                    break
+                cid = id(out)
+                cur = cursors.get(cid)
+                if cur is None:
+                    cur = cursors[cid] = _TargetCursor(out, self.now, stamp)
+                    fresh = True
+                elif cur.stamp != stamp:
+                    cur.refresh(self.now)
+                    cur.stamp = stamp
+                    fresh = True
+                else:
+                    fresh = False
+                if fresh:
+                    # First touch in this train: graft the virtual
+                    # releases other sessions already validated.
+                    pend = self.v_rels.get(id(cur.fifo))
+                    if pend:
+                        cur.rels = cur.rels + pend
+                    self.cursor_fifo[id(cur.fifo)] = cur
+                if cid not in saves:
+                    saves[cid] = (cur, cur.free, cur.rel_ptr, cur.next_free)
+                # Exact plan_window stall model; the outcome must land on
+                # the pattern's relative stage cycle or the round is off.
+                s = cur.next_free if (cur.is_link and cur.next_free > X) \
+                    else X
+                if cur.free > 0:
+                    cur.free -= 1
+                elif cur.rel_ptr < len(cur.rels):
+                    floor = cur.rels[cur.rel_ptr] + 1
+                    cur.rel_ptr += 1
+                    if floor > s:
+                        s = floor
+                else:
+                    sess.blocked_on = cur.fifo
+                    sess.starved_on = None
+                    fail = ('no-slot', j, X, cur.fifo.name)
+                    break
+                expected = T + rel_s
+                if s != expected:
+                    if s > expected:
+                        sess.blocked_on = cur.fifo  # stall worsened
+                        sess.starved_on = None
+                    else:
+                        fatal = True  # a stall the pattern had vanished
+                    fail = ('stage-cycle', j, X, (s, expected))
+                    break
+                if cur.is_link:
+                    cur.next_free = s + cur.pace
+                buf = stage_buf.get(cid)
+                if buf is None:
+                    buf = stage_buf[cid] = (cur, [], [])
+                buf[1].append(pkt)
+                buf[2].append(s)
+                ptr[j] = p + 1
+                round_takes.append((j, inputs[j], X))
+                round_stages.append((cur.fifo, pkt, s))
+            else:
+                # Pattern polled this input and found it unreadable: the
+                # replica must re-prove it. With items (real or virtual)
+                # present the head's visibility is exact; drained inputs
+                # need a horizon past X (retrying under self-silence).
+                p = ptr[j]
+                if sess.ensure(j, p + 1):
+                    if snap_ready[j][p] <= X:
+                        fail = ('early-arrival', j, X, snap_ready[j][p])
+                        fatal = True  # an arrival beat the pattern's rhythm
+                        break
+                else:
+                    hz = sess.hz_cache.get(j)
+                    if hz is None:
+                        hz = sess.hz_cache[j] = \
+                            inputs[j].supply_horizon(self.memo)
+                    if hz <= X and _silent_hz(ck_s, inputs[j], X) <= X \
+                            and not ff_silent(self, sess, j, X):
+                        sess.starved_on = inputs[j]
+                        sess.blocked_on = None
+                        fail = ('no-horizon', j, X, hz)
+                        break
+        else:
+            for cid, (cur, pkts, cycles) in stage_buf.items():
+                cur.stage_pkts.extend(pkts)
+                cur.stage_cycles.extend(cycles)
+                sess.stage_cursors[cid] = cur
+            publish_take = self.publish_take
+            for j, fifo, x in round_takes:
+                sess.take_cycles[j].append(x)
+                sess.all_takes.append(x)
+                avail[j] -= 1
+                publish_take(fifo, x)
+            publish_stage = self.publish_stage
+            for fifo, pkt, s in round_stages:
+                publish_stage(fifo, pkt, s)
+            sess.takes += sess.pattern.n_takes
+            sess.rounds += 1
+            sess.T += sess.pattern.delta
+            sess.blocked_on = None
+            sess.starved_on = None
+            return True
+        # A check failed (the loop broke): roll the round back — cursor
+        # budgets to their round-start state, input pointers past
+        # validated takes only.
+        for cur, free, rel_ptr, nf in saves.values():
+            cur.free = free
+            cur.rel_ptr = rel_ptr
+            cur.next_free = nf
+        for j, _f, _x in round_takes:
+            ptr[j] -= 1
+        if fatal:
+            sess.done = True
+        sess.last_fail = fail
+        return False
+
+    def extend_lane(self, fifo, is_send: bool) -> bool:
+        """No CK behind ``fifo``: maybe a sleeping app kernel whose lane
+        can help — a ``push_vec`` (``is_send``) staging more supply into
+        the endpoint a session starved on, or a ``pop_vec`` freeing slots
+        by taking from the endpoint a session is blocked on. Publishes
+        the extension to the train; True when the lane produced work."""
+        lane = self.lane_of(fifo)
+        if lane is None or lane.is_send is not is_send:
+            return False
+        ext = lane.extend()
+        if not ext:
+            return False
+        self.lane_extends += 1
+        if is_send:
+            for pkt, s in ext:
+                self.publish_stage(fifo, pkt, s)
+        else:
+            for x in ext:
+                self.publish_take(fifo, x)
+        return True
+
+    def sweep(self) -> None:
+        """Ping-pong: sweep sessions until no round makes progress.
+
+        A failed session goes quiet (``dirty = False``) until a peer's
+        validated round publishes supply or slots it depends on, so stuck
+        sessions cost nothing while the rest of the train advances.
+        """
+        planner = self.planner
+        order = self.order
+        max_takes = self.max_takes
+        macro = self.macro_lanes is not None
+        ff = self.ff
+        sweeps = 0
+        progress = True
+        while progress and sweeps < TRAIN_SWEEP_LIMIT:
+            sweeps += 1
+            progress = False
+            for sess in order:
+                if sess.done or not sess.dirty or \
+                        sess.takes + sess.pattern.n_takes > max_takes:
+                    continue
+                if self.validate_round(sess):
+                    progress = True
+                else:
+                    sess.dirty = False
+                    if sess.blocked_on is not None:
+                        self.try_join(
+                            planner.consumer_ck.get(id(sess.blocked_on)))
+                        if macro and self.extend_lane(sess.blocked_on,
+                                                      False):
+                            progress = True
+                    elif sess.starved_on is not None:
+                        self.try_join(
+                            planner.producer_ck.get(id(sess.starved_on)))
+                        if macro and self.extend_lane(sess.starved_on,
+                                                      True):
+                            progress = True
+            if not ff.dead and not planner.ff_disarmed and macro \
+                    and max_takes == MACRO_MAX_TAKES:
+                ff.probes += 1
+                if ff_close_chain(self):
+                    progress = True  # new sessions need a sweep before ff
+                elif ff.ff_try(self):
+                    # A landed jump is the train's last act: it extrapolated
+                    # the commit lattices only (no ledger — snapshot, release
+                    # or lane supply list — was mirrored), so nothing may
+                    # validate against this train's virtual state again. The
+                    # bulk commit lands the span; the steady state
+                    # re-arms from committed facts in the next train.
+                    planner.ff_futile = ff.probes = 0  # probing repaid
+                    break
+        if ff.probes:
+            planner.note_probing(
+                ff.probes, len(order),
+                ff.ff_report_miss(self) if ff.miss is not None else "",
+                self.origin.arb.planner_stats, self.engine)
+
+    def commit(self):
+        """Bulk-commit every session that proved a round; returns the
+        origin's :class:`PlanResult` (``None`` if it proved none).
+
+        All stages first (cross-session takes must find their items),
+        then all takes; each stage run under its CK's own identity for
+        the producer-set tripwire. Lane stages land between the two
+        phases (their consumers' takes must find them); lane takes land
+        after every session stage they consume is physical. With no
+        session committed the lanes still commit: extensions may already
+        have advanced the app channels (elements drained from a sleeping
+        push_vec, endpoint items claimed for a sleeping pop_vec) to
+        unblock the sweep, and that work is real — left virtual, the
+        stream silently loses elements.
+        """
+        planner = self.planner
+        engine = self.engine
+        origin = self.origin
+        order = self.order
+        lanes = self.lanes_used.values()
+        committed = [sess for sess in order if sess.rounds]
+        prev_proc = engine._current_proc
+        try:
+            for sess in committed:
+                if sess.ck.proc is not None:
+                    engine._current_proc = sess.ck.proc
+                for cur in sess.stage_cursors.values():
+                    if cur.stage_pkts:
+                        cur.commit()
+            for lane in lanes:
+                if lane.is_send:
+                    lane.commit()
+            for sess in committed:
+                inputs = sess.arb.inputs
+                for j in sess.pattern.inputs_used:
+                    tc = sess.take_cycles[j]
+                    if len(tc):
+                        inputs[j].take_burst(tc, collect=False)
+            for lane in lanes:
+                if not lane.is_send:
+                    lane.commit()
+        finally:
+            engine._current_proc = prev_proc
+        # ---- macro-cruise epilogue: persist lane slot pairings, firm-wake
+        # each lane's sleeping kernel at its extended frontier, and account
+        # the fast-forwarded span. ----------------------------------------
+        for lane in lanes:
+            _wake_lane_kernel(engine, lane)
+            lane.finish()
+        stats = origin.arb.planner_stats
+        stats.lane_extends += self.lane_extends
+        if not committed:
+            return None
+        if self.ff.armed:
+            # Only count the train as a fast-forward window when the
+            # chain resolver actually armed: un-armable programs ride
+            # ordinary trains and must not inflate ff coverage.
+            # The span is the longest per-session advance, not last
+            # frontier minus first start: the frontiers of a chain are
+            # skewed by its link latencies, and back-to-back jump trains
+            # would count that skew once per train (coverage > 1).
+            span = max(sess.T - sess.start for sess in committed)
+            stats.ff_windows += 1
+            stats.ff_cycles += span
+            stats.ff_takes += sum(sess.takes for sess in committed)
+            engine.note_fast_forward(span)
+        # ---- per-session resume state, stats, and wakes --------------------
+        origin_res = None
+        for sess in committed:
+            arb = sess.arb
+            pattern = sess.pattern
+            inputs = sess.arb.inputs
+            sources = [inputs[j] for j in pattern.inputs_used
+                       if len(sess.take_cycles[j])]
+            targets = [cur.fifo for cur in sess.stage_cursors.values()]
+            res = PlanResult(sess.T, pattern.idx0, pattern.reads0, sess.takes,
+                             sources, targets, sess.blocked_on,
+                             sess.starved_on)
+            if res.end - sess.start != sess.rounds * pattern.delta:
+                # Checked prediction: a train's span is Δ per round in closed
+                # form; any deviation means a committed round was not the
+                # exact Δ-shift the proof assumed. Fail loudly, never commit
+                # a resume state the arithmetic cannot vouch for.
+                raise RuntimeError(
+                    f"replication train span mismatch on {sess.ck!r}: "
+                    f"committed {res.end - sess.start} cycles over "
+                    f"{sess.rounds} round(s) of Δ={pattern.delta}")
+            if engine.trace is not None:
+                track = sess.ck.proc.name if sess.ck.proc is not None \
+                    else "planner"
+                engine.trace.emit(
+                    sess.start, "span", track, "train",
+                    dur=res.end - sess.start,
+                    args={"rounds": sess.rounds, "takes": sess.takes})
+            arb.packets_accepted += sess.takes
+            hist = arb.accept_hist
+            if hist is not None:
+                for cyc in sess.all_takes:
+                    hist.record(cyc)
+            stats = arb.planner_stats
+            stats.replications += 1
+            stats.replicated_rounds += sess.rounds
+            stats.window_cycles += res.end - sess.start
+            stats.takes += sess.takes
+            planner._note_train(arb, sess.rounds)
+            arb.commit_resume(res)
+            arb._pattern_end = res.end  # the pattern stays live past the train
+            if sess is origin:
+                origin_res = res
+            else:
+                stats.pattern_checks += 1  # a train visit counts as a check
+                arb._plan_miss = 0
+                arb._plan_skip = 0
+                proc = sess.ck.proc
+                if sess.ck is not planner._cascade_origin \
+                        and proc._waiting_on is None \
+                        and res.end > proc._scheduled_for:
+                    # Skip the intermediate wake at the old window end, like
+                    # a co-plan would. The cascade origin needs no preempt:
+                    # it is inside its own planner call and re-reads
+                    # ``_plan_until`` the moment control returns.
+                    engine.preempt(proc, res.end)
+                planner._extra_results.append(res)
+        # Every session is stuck by construction when the sweep loop ends;
+        # only a plan_window commit can change that within this cascade.
+        stuck = planner._train_stuck
+        for sess in order:
+            stuck.add(id(sess.ck))
+        if _train_debug is not None:
+            _train_debug(order)
+        return origin_res
+
+
+def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
+    """Co-replicate confirmed patterns along a pipeline and bulk-commit.
+
+    The train starts from ``ck``'s confirmed pattern at ``start`` and
+    validates Δ-shifted rounds against *live committed state only* — the
+    full input inventories (no snapshot truncation: replication consumes
+    facts, so a deep link FIFO replicates its whole bandwidth-delay
+    product in one call), the shared cascade cursors' slot budgets with
+    the exact :func:`~repro.transport.planner_window.plan_window` stall
+    formula, and the supply horizons (with the self-silence retry) for
+    every silence observation.
+
+    When a session's round fails on *slot exhaustion* in a FIFO whose
+    consumer CK also has a live, contiguous pattern — or on *supply
+    exhaustion* in a FIFO whose producer CK does — that peer joins the
+    train as its own session, and the sessions ping-pong: a validated
+    round's stages are published to the consumer session as virtual
+    supply (the exact items with their exact visibility cycles), its
+    takes to the producer's cursor as virtual slot releases. This is
+    sound for the same reason the cascade is: everything published will
+    be committed before any other process runs, with exactly the cycles
+    it was validated at. A round whose computed schedule deviates from
+    its pattern by even one cycle is rolled back and never committed;
+    ``plan_window`` handles the deviation exactly on the next visit.
+
+    At train end every session bulk-commits — all stages first (so
+    cross-session takes find their items), then all takes — one
+    ``stage_burst``/``take_burst`` pair per FIFO for the whole train,
+    with persistent slot pairing on ``Fifo._reserved_paired`` and a
+    single firm wake (:meth:`Engine.preempt`) per sleeping peer.
+
+    Returns the origin's :class:`PlanResult` (or ``None`` if the origin
+    proved no full round); peer sessions' results are appended to
+    ``planner._extra_results`` for the cascade to fan out from.
+    """
+    train = _Train(planner, ck, engine, start, memo, cursors, stamp)
+    train.sweep()
+    return train.commit()
+
+
+def _wake_lane_kernel(engine, lane) -> None:
+    """Firm-wake a lane's kernel at the frontier the train extended it to.
+
+    A kernel sleeping off its own plan is moved to the later frontier. A
+    ``pop_vec`` blocked on its empty endpoint is normally woken by the
+    next item turning visible — unless the train consumed the rest of
+    its message, after which no item is coming: per-flit it returns at
+    the frontier, so it is woken there.
+    """
+    proc = lane.proc
+    end = lane.cur  # the lane's pacing frontier
+    if proc is None or end is None or proc.finished:
+        return
+    if proc._waiting_on is None:
+        if end > proc._scheduled_for:
+            engine.preempt(proc, end)
+    elif not lane.is_send and lane.got >= lane.n:
+        engine.preempt(proc, end)

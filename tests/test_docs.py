@@ -3,8 +3,9 @@
 Runs the same checks as the CI docs job (``tools/check_docs.py``):
 internal anchors of ``docs/ARCHITECTURE.md`` resolve, relative links in
 the checked markdown files exist, every ``src/repro/transport`` module
-carries a non-empty docstring, and every ``HardwareConfig`` field has a
-reader and a README entry.
+carries a non-empty docstring, every docstring cross-reference into the
+transport layer names something that exists, and every
+``HardwareConfig`` field has a reader and a README entry.
 """
 
 import sys
@@ -69,3 +70,38 @@ def test_checker_flags_orphan_and_undocumented_knob(tmp_path):
     assert len(errors) == 2
     assert any("orphan" in e and "read nowhere" in e for e in errors)
     assert any("hidden" in e and "README" in e for e in errors)
+
+
+def test_checker_flags_dangling_cross_reference(tmp_path):
+    """The two stale ``replicate_window`` roles the planner split would
+    have carried along (the check fails on its parent commit), and a
+    reference from outside ``transport/`` to a name that moved out of
+    ``repro.transport.planner``; roles that resolve — bare, against the
+    enclosing class, or absolute — and foreign ones are left alone."""
+    transport = tmp_path / "src" / "repro" / "transport"
+    transport.mkdir(parents=True)
+    for pkg in (transport.parent, transport):
+        (pkg / "__init__.py").write_text("")
+    (transport / "planner.py").write_text(
+        '"""First tries :func:`replicate_window`, see :mod:`repro.transport`.\n'
+        '"""\nfrom .planner_train import replicate_train\n\n'
+        "class SupplyPlanner:\n"
+        '    """:meth:`plan` calls :func:`replicate_train`; cursors are\n'
+        '    :class:`~repro.transport.planner_train._Cursor` objects."""\n'
+        "    __slots__ = ('budget',)\n"
+        "    def plan(self):\n"
+        '        """Spends :data:`budget` via :func:`replicate_window`."""\n')
+    (transport / "planner_train.py").write_text(
+        '"""Trains."""\nclass _Cursor:\n    def commit(self):\n        pass\n'
+        "def replicate_train():\n    pass\n")
+    (transport.parent / "fifo.py").write_text(
+        '"""Only :meth:`repro.transport.planner._Cursor.commit` advances\n'
+        'it (:meth:`repro.transport.planner_train._Cursor.commit` does);\n'
+        ':func:`nowhere_at_all` is outside the checked scope."""\n')
+    errors = check_docs.check_cross_references(tmp_path)
+    assert len(errors) == 3, errors
+    assert sum("planner.py" in e and "`replicate_window`" in e
+               for e in errors) == 2
+    assert any("fifo.py" in e
+               and "`repro.transport.planner._Cursor.commit`" in e
+               for e in errors)

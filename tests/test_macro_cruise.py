@@ -41,6 +41,7 @@ from repro.core.config import hardware_preset
 from repro.core.errors import SimulationError
 from repro.simulation.stats import collect_planner_stats
 from repro.transport import planner as planner_mod
+from repro.transport import planner_ff, planner_train
 
 DEEP = hardware_preset("noctua-deep")
 #: The fast-forward is on by default; ``macro_cruise=False`` is the
@@ -379,7 +380,7 @@ def test_ff_detect_finds_the_hyperperiod():
     first sweep boundaries that bound a period are lcm(16, 22) = 176
     packets = 19 sweeps apart — found as soon as two periods are in the
     history, at no lock-step candidate before."""
-    hist = planner_mod._FFHistory()
+    hist = planner_ff._FFHistory()
     found = [hist.ff_detect(cp) for cp in
              _ping_pong_fingerprints((16, 32), (22, 44), 2 * 19 + 1)]
     assert found[:-1] == [None] * (2 * 19)
@@ -393,11 +394,11 @@ def test_ff_detect_refuses_unequal_rates():
     """(16, 32) against (22, 45): the frontiers never re-align within
     the detector's history, so no period is ever offered — and the
     history and its skew index stay bounded while it looks."""
-    hist = planner_mod._FFHistory()
+    hist = planner_ff._FFHistory()
     for cp in _ping_pong_fingerprints((16, 32), (22, 45), 1000):
         assert hist.ff_detect(cp) is None
-    assert len(hist.cps) == planner_mod.FF_KEEP
-    assert sum(map(len, hist.by_skew.values())) == planner_mod.FF_KEEP
+    assert len(hist.cps) == planner_ff.FF_KEEP
+    assert sum(map(len, hist.by_skew.values())) == planner_ff.FF_KEEP
 
 
 def test_unarmable_program_costs_the_burst_plane():
@@ -431,7 +432,7 @@ def test_unarmable_program_costs_the_burst_plane():
                 calls[bool(gave_up)] += 1
 
         del gave_up[:]
-        planner_mod._ff_guard_probe = probe
+        planner_ff._ff_guard_probe = probe
         planner_mod.SupplyPlanner.note_probing = note_probing
         sys.setprofile(profiler)
         try:
@@ -439,7 +440,7 @@ def test_unarmable_program_costs_the_burst_plane():
         finally:
             sys.setprofile(None)
             planner_mod.SupplyPlanner.note_probing = original
-            planner_mod._ff_guard_probe = None
+            planner_ff._ff_guard_probe = None
         return res, stats, calls
 
     plain, _, plain_calls = counted(NOCTUA.with_(macro_cruise=False), None)
@@ -479,14 +480,14 @@ def test_jump_footprint_is_columnar_and_bounded():
                               snap.statistics("filename")))
 
     def traced_peak(n, hook):
-        planner_mod._train_debug = hook
+        planner_train._train_debug = hook
         tracemalloc.start()
         try:
             _res, stats = _run_stream(NOCTUA, n=n, hops=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            planner_mod._train_debug = None
+            planner_train._train_debug = None
         assert stats.ff_jumps >= 1
         return peak
 

@@ -1,13 +1,13 @@
 """Deterministic abort-path coverage for the macro-cruise guard battery.
 
-The analytic jump (``ff_apply`` in :mod:`repro.transport.planner`) only
+The analytic jump (``ff_apply`` in :mod:`repro.transport.planner_ff`) only
 commits after a battery of guards proves the extrapolation sound along
 the whole relay chain: per-hop element conservation, release/readiness
 lattice checks, the closed-form horizon/budget bounds (min over the
 chain), and per-hop slot-release caps. The randomized fuzz sweep
 (``tests/test_burst_fuzz.py``) perturbs these paths stochastically;
 this module drives each guard *deterministically* through the
-``planner._ff_guard_probe`` test seam — a probe that forces a chosen
+``planner_ff._ff_guard_probe`` test seam — a probe that forces a chosen
 guard at a chosen hop to report failure — and pins the contract that a
 refused jump falls back to per-packet replication with bit-identical
 cycles and FIFO trajectories.
@@ -23,7 +23,7 @@ from repro import SMI_FLOAT, SMIProgram, noctua_bus
 from repro.codegen.metadata import OpDecl
 from repro.core.config import hardware_preset
 from repro.simulation.stats import collect_planner_stats
-from repro.transport import planner as planner_mod
+from repro.transport import planner_ff
 
 DEEP = hardware_preset("noctua-deep").with_(macro_cruise=False)
 MACRO = DEEP.with_(macro_cruise=True)
@@ -53,12 +53,12 @@ def _run(config, n=N, hops=HOPS, probe=None):
                     ops=[OpDecl("send", 0, SMI_FLOAT, peer=hops)])
     prog.add_kernel(rcv, rank=hops,
                     ops=[OpDecl("recv", 0, SMI_FLOAT, peer=0)])
-    assert planner_mod._ff_guard_probe is None
-    planner_mod._ff_guard_probe = probe
+    assert planner_ff._ff_guard_probe is None
+    planner_ff._ff_guard_probe = probe
     try:
         res = prog.run(max_cycles=200_000_000)
     finally:
-        planner_mod._ff_guard_probe = None
+        planner_ff._ff_guard_probe = None
     assert res.completed, res.reason
     assert res.store(hops, "ok"), "payload mismatch"
     return res, collect_planner_stats(res.transport)

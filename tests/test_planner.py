@@ -8,7 +8,10 @@ plane (re)wiring. The cycle-exactness of everything the planner commits
 is enforced separately by ``tests/test_burst_equivalence.py``.
 """
 
+import ast
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,7 +255,7 @@ def test_equivalence_under_tiny_snapshot(monkeypatch):
     (not even a producer-sleep one) may let a plan park past a
     physically present item. A snapshot depth of 2 forces truncation on
     every multi-item input."""
-    import repro.transport.planner as planner_mod
+    import repro.transport.planner_window as planner_mod
 
     ref = _stream_program(3, 1024, NOCTUA.with_(burst_mode=False))
     monkeypatch.setattr(planner_mod, "PLAN_SNAPSHOT", 2)
@@ -492,3 +495,70 @@ def test_planner_stats_replication_counters():
     assert m.mean_window == pytest.approx(32 / 4)
     assert PlannerStats().replication_hit_rate == 0.0
     assert PlannerStats().mean_train_rounds == 0.0
+
+
+# ----------------------------------------------------------------------
+# Structure: the closure nest cannot grow back, and the names the
+# profile benchmark attributes planner time by stay where it looks
+# ----------------------------------------------------------------------
+def test_planner_structure_contract():
+    """``benchmarks/profile/layers.py`` splits planner time by the
+    innermost frame named ``plan_window`` / ``replicate_train`` /
+    ``ff_*`` *within the innermost planner frame's own file*: so each
+    entry name has one definition, ``replicate_train`` shares a file with
+    the train methods it calls, and every ``ff_`` / ``_ff_`` name lives
+    in ``planner_ff.py``. And the train is an object: no closure nest
+    under ``replicate_train``, no ``nonlocal``, no 1 000-line function.
+    Checked on the AST, then on the frames a jumping stream enters."""
+    import repro.transport
+
+    defs: dict = {}       # function name -> [(file, node)]
+    ff_homes = set()      # files defining an ff_/_ff_ name
+    for path in sorted(Path(repro.transport.__file__).parent
+                       .glob("planner*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Nonlocal), path.name
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append((path.name, node))
+                assert node.end_lineno - node.lineno < 350, \
+                    (path.name, node.name)
+                names = [node.name]
+            elif isinstance(node, ast.ClassDef):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            if any(n.startswith(("ff_", "_ff_")) for n in names):
+                ff_homes.add(path.name)
+    for name in ("plan_window", "replicate_train", "validate_round"):
+        assert len(defs[name]) == 1, (name, defs.get(name))
+    (train_file, train), = defs["replicate_train"]
+    assert defs["validate_round"][0][0] == train_file
+    nested = [n.name for n in ast.walk(train) if n is not train
+              and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert not nested, nested
+    assert ff_homes == {"planner_ff.py"}, ff_homes
+
+    # At runtime: a stream that jumps enters every frame the profile
+    # attributes by, each from the planner file that defines it.
+    wanted = {"plan_window", "replicate_train", "validate_round", "ff_apply"}
+    seen: dict = {}
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name in wanted:
+            seen.setdefault(frame.f_code.co_name, set()).add(
+                frame.f_code.co_filename)
+
+    sys.setprofile(profiler)
+    try:
+        res = _stream_program(4, 1 << 15, NOCTUA)
+    finally:
+        sys.setprofile(None)
+    assert collect_planner_stats(res.transport).ff_jumps >= 1
+    assert set(seen) == wanted, seen
+    for name, files in seen.items():
+        (home, _node), = defs[name]
+        assert all(f.endswith(f"/transport/{home}") for f in files), \
+            (name, files)  # ``home`` matched transport/planner*.py above

@@ -5,20 +5,19 @@ every batch that crosses a ring must come back
 bit-identical — packets (payloads included, for every registered
 datatype), visibility cycles, and the horizon/slack/floor bounds the
 epoch protocol computes bounds from. These tests pin the codec round
-trip, the pickle fallback for non-fast-path items, record splitting,
+trip, the loud rejection of anything but packets, record splitting,
 ring wraparound and full-ring refusal, and the fabric lifecycle.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.datatypes import DATATYPES, PACKET_BYTES
+from repro.core.datatypes import DATATYPES, PACKET_BYTES, SMIDatatype
 from repro.core.errors import SimulationError
 from repro.network.packet import OpType, Packet
 from repro.shard.proxy import AckBatch, ShipBatch
 from repro.shard.wire import (
     KIND_SHIP,
-    KIND_SHIP_PICKLE,
     RECORD_HEADER,
     ShmFabric,
     ShmRing,
@@ -111,16 +110,32 @@ def test_ack_roundtrip():
     assert got.floor == ack.floor
 
 
-def test_pickle_fallback_for_non_packet_items():
-    """Anything but plain registered-dtype Packets survives via pickle."""
-    items = ({"not": "a packet"}, (1, 2, 3))
-    ship = ShipBatch((0, 0), items, (7, 8), horizon=20, slack=3)
-    record = pack_ship(0, ship)
-    assert RECORD_HEADER.unpack_from(record)[0] == KIND_SHIP_PICKLE
-    got = _unpack(record, "ship")
-    assert got.items == items
-    assert got.cycles == ship.cycles
-    assert got.horizon == 20 and got.slack == 3
+def test_non_packet_items_are_rejected_loudly():
+    """A cut link carries plain registered-dtype Packets and nothing
+    else: anything different is refused where it enters the codec, by
+    name — there is no second, slower encoding to fall back to."""
+    def ship(*items):
+        return ShipBatch((0, 0), items, tuple(range(len(items))),
+                         horizon=20, slack=3)
+
+    ok = Packet(0, 1, 0, OpType.DATA, 1, np.zeros(1, np.float32),
+                DATATYPES["SMI_FLOAT"])
+    with pytest.raises(SimulationError, match="item 1 is a dict, not a "
+                                              "Packet"):
+        pack_ship(0, ship(ok, {"not": "a packet"}))
+    with pytest.raises(SimulationError, match="item 0 is a tuple"):
+        pack_ship(0, ship((1, 2, 3)))
+    odd = SMIDatatype("SMI_HALF", 2, np.dtype(np.float16))
+    with pytest.raises(SimulationError,
+                       match="item 0: unregistered datatype SMI_HALF"):
+        pack_ship(0, ship(Packet(0, 1, 0, OpType.DATA, 1,
+                                 np.zeros(1, np.float16), odd)))
+    wide = Packet(0, 1, 0, OpType.DATA, 7, np.zeros(8, np.float32),
+                  DATATYPES["SMI_FLOAT"])
+    wide.count = 8  # past the constructor's capacity check
+    with pytest.raises(SimulationError,
+                       match="item 0: 32-byte payload exceeds the 28-byte"):
+        pack_ship(0, ship(wide))
 
 
 def test_unpack_kind_mismatch_raises():
@@ -179,9 +194,11 @@ def test_ack_record_splitting_roundtrip():
 
 def test_unsplittable_record_raises():
     """A single item that cannot fit the ring is a hard config error."""
-    ship = ShipBatch((0, 0), ({"blob": "x" * 4096},), (1,), horizon=2)
+    pkt = Packet(0, 1, 0, OpType.DATA, 7, np.zeros(7, np.float32),
+                 DATATYPES["SMI_FLOAT"])
+    ship = ShipBatch((0, 0), (pkt,), (1,), horizon=2)
     with pytest.raises(SimulationError, match="RING_BYTES"):
-        pack_ship_records(0, ship, max_bytes=256)
+        pack_ship_records(0, ship, max_bytes=64)  # one packet is 69 B
 
 
 # ----------------------------------------------------------------------

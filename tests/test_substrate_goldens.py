@@ -1,4 +1,5 @@
-"""The per-flit plane pinned against literals from an earlier commit.
+"""The per-flit and default planes pinned against literals from earlier
+commits.
 
 Every other equivalence check in this suite (and the benchmark's
 verification pass) recomputes its reference from the tree under test,
@@ -7,7 +8,10 @@ planes alike passes them all. ``tests/substrate_goldens.json`` holds
 the end cycle, every FIFO's ``(pushes, pops, max_occupancy)`` and the
 trace event counts of eight small per-flit programs as measured by
 ``tools/substrate_goldens.py`` on the parent of the substrate rewrite;
-this test re-measures them on the working tree.
+``tests/planner_goldens.json`` holds the same for the default plane —
+plus every ``PlannerStats`` field and the ordered abort guards, the
+planner's host-side behaviour — as measured on the parent of the
+planner split. This test re-measures both on the working tree.
 """
 
 import json
@@ -20,18 +24,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import substrate_goldens  # noqa: E402
 
-PINS = json.loads(substrate_goldens.GOLDENS.read_text())
+PINS = {plane: json.loads(path.read_text())
+        for plane, (_config, path, _kinds) in substrate_goldens.PLANES.items()}
 
 
 def test_every_program_is_pinned():
-    assert sorted(PINS) == sorted(substrate_goldens.PROGRAMS)
+    for plane, pins in PINS.items():
+        assert sorted(pins) == sorted(substrate_goldens.programs(plane))
 
 
-@pytest.mark.parametrize("name", sorted(substrate_goldens.PROGRAMS))
+def _assert_matches_pins(plane, name):
+    got = substrate_goldens.measure(name, plane)
+    want = PINS[plane][name]
+    for key in want:  # cycles, events, fifos, idle_fifos (+ planner, aborts)
+        assert got[key] == want[key], key
+    assert sorted(got) == sorted(want)
+
+
+@pytest.mark.parametrize("name", sorted(substrate_goldens.programs("flit")))
 def test_per_flit_plane_matches_pins(name):
-    got = substrate_goldens.measure(name)
-    want = PINS[name]
-    assert got["cycles"] == want["cycles"]
-    assert got["events"] == want["events"]
-    assert got["fifos"] == want["fifos"]
-    assert got["idle_fifos"] == want["idle_fifos"]
+    _assert_matches_pins("flit", name)
+
+
+@pytest.mark.parametrize("name",
+                         sorted(substrate_goldens.programs("default")))
+def test_default_plane_matches_pins(name):
+    _assert_matches_pins("default", name)

@@ -325,7 +325,7 @@ def test_planner_stats_merge_folds_disarms_first_reason_wins():
 def test_macro_ff_jump_and_guard_abort_are_traced():
     """Sequential deep stream: the trace shows the jump — and, with a
     one-shot guard veto installed, the abort that preceded it."""
-    from repro.transport import planner as planner_mod
+    from repro.transport import planner_ff
 
     fired = []
 
@@ -336,12 +336,12 @@ def test_macro_ff_jump_and_guard_abort_are_traced():
         return False
 
     cfg = DEEP.with_(macro_cruise=True, trace=True)
-    assert planner_mod._ff_guard_probe is None
-    planner_mod._ff_guard_probe = veto_once
+    assert planner_ff._ff_guard_probe is None
+    planner_ff._ff_guard_probe = veto_once
     try:
         res = _stream_end(cfg, n=16384, hops=1)
     finally:
-        planner_mod._ff_guard_probe = None
+        planner_ff._ff_guard_probe = None
     assert fired, "probe never consulted — macro-ff did not arm"
     kinds = {ev[2] for ev in res.engine.trace.events()}
     stats = collect_planner_stats(res.transport)
@@ -368,7 +368,7 @@ def test_four_shard_process_trace_merges_onto_one_timeline(tmp_path):
     whose permanent refusal disarms that shard's resolver. The merged
     trace must carry per-shard cycle tracks, the ff/abort/disarm
     events, and wall-clock lanes."""
-    from repro.transport import planner as planner_mod
+    from repro.transport import planner_ff
 
     n = 8192
     cfg = DEEP.with_(backend="process", shards=4, trace=True,
@@ -405,12 +405,12 @@ def test_four_shard_process_trace_merges_onto_one_timeline(tmp_path):
         return False
 
     # The fork start method makes the workers inherit the probe.
-    assert planner_mod._ff_guard_probe is None
-    planner_mod._ff_guard_probe = veto_once
+    assert planner_ff._ff_guard_probe is None
+    planner_ff._ff_guard_probe = veto_once
     try:
         res = prog.run(max_cycles=200_000_000)
     finally:
-        planner_mod._ff_guard_probe = None
+        planner_ff._ff_guard_probe = None
     assert res.completed, res.reason
     assert res.store(1, "ok0")
     assert res.store(3, "ok1") and res.store(5, "ok2")

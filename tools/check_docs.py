@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Docs lint for CI: anchors, relative links, docstrings, orphan knobs.
+"""Docs lint for CI: anchors, links, docstrings, cross-references, knobs.
 
 Checks, with no dependencies beyond the standard library:
 
@@ -12,6 +12,12 @@ Checks, with no dependencies beyond the standard library:
 * every module under ``src/repro/transport/`` has a non-empty module
   docstring (the transport layer is the subsystem the architecture doc
   narrates, so its modules must be self-describing);
+* every ``:func:`` / ``:meth:`` / ``:class:`` / ``:data:`` / ``:mod:``
+  target in a docstring under ``src/repro/transport/`` — and every such
+  target anywhere under ``src/repro`` that starts with
+  ``repro.transport.planner`` — resolves to an existing module,
+  top-level name or ``Class.member`` (AST only, nothing is imported), so
+  a rename or a module split cannot leave a docstring pointing nowhere;
 * every ``HardwareConfig`` field is read as an attribute somewhere under
   ``src/repro/`` outside ``core/config.py`` and is named in the README's
   "Configuration" section — a knob cannot outlive its last reader, nor
@@ -123,6 +129,108 @@ def check_required_anchors(path: Path) -> list[str]:
     ]
 
 
+#: A Sphinx cross-reference role and its target (``~`` prefix dropped).
+ROLE = re.compile(r":(?:func|meth|class|data|mod):`~?([\w.]+)`")
+
+#: Docstrings under this directory have every role checked; elsewhere
+#: only targets under this dotted prefix are (the planner split's names).
+XREF_DIR = "transport"
+XREF_PREFIX = "repro.transport.planner"
+
+
+def _defined(body) -> tuple[set[str], dict[str, set[str]]]:
+    """Names a module or class body defines: ``(names, class -> members)``
+    — defs, classes, assignment targets, imported names; a class's
+    members include its ``__slots__`` and every ``self.x`` it assigns."""
+    names: set[str] = set()
+    classes: dict[str, set[str]] = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names.add(node.name)
+            members = _defined(node.body)[0]
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and \
+                        isinstance(sub.ctx, ast.Store) and \
+                        isinstance(sub.value, ast.Name) and \
+                        sub.value.id == "self":
+                    members.add(sub.attr)
+                elif isinstance(sub, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in sub.targets):
+                    members.update(c.value for c in ast.walk(sub.value)
+                                   if isinstance(c, ast.Constant))
+            classes[node.name] = members
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+    return names, classes
+
+
+def _docstrings(node, cls=None):
+    """``(docstring, enclosing class)`` of ``node`` and everything in it."""
+    doc = ast.get_docstring(node, clean=False)
+    if doc:
+        yield doc, cls
+    for child in node.body:
+        if isinstance(child, ast.ClassDef):
+            yield from _docstrings(child, child.name)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _docstrings(child, cls)
+
+
+def check_cross_references(root: Path = ROOT) -> list[str]:
+    """Docstring roles whose target does not exist (see module docstring).
+
+    An absolute target (``repro.…``) must name a module, ``module.name``
+    or ``module.Class.member``. A bare one resolves against the
+    enclosing class, then the same module, then any module under
+    ``src/repro`` — lenient about *where*, strict about *whether*.
+    """
+    src = root / "src"
+    trees: dict[str, tuple[Path, ast.Module]] = {}
+    index: dict[str, tuple[set[str], dict[str, set[str]]]] = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        rel = path.relative_to(src).with_suffix("")
+        parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        trees[".".join(parts)] = (path, tree)
+        index[".".join(parts)] = _defined(tree.body)
+
+    def lookup(rest, scope) -> bool:
+        names, classes = scope
+        if len(rest) == 1:
+            return rest[0] in names
+        return len(rest) == 2 and rest[1] in classes.get(rest[0], ())
+
+    def resolves(parts, module, cls) -> bool:
+        if parts[0] == "repro":
+            for cut in range(len(parts), 0, -1):
+                scope = index.get(".".join(parts[:cut]))
+                if scope is not None:
+                    return cut == len(parts) or lookup(parts[cut:], scope)
+            return False
+        if len(parts) == 1 and parts[0] in index[module][1].get(cls, ()):
+            return True
+        return any(lookup(parts, scope) for scope in index.values())
+
+    errors = []
+    for module, (path, tree) in trees.items():
+        everything = XREF_DIR in path.relative_to(src).parts
+        for doc, cls in _docstrings(tree):
+            for target in ROLE.findall(doc):
+                if (everything or target.startswith(XREF_PREFIX)) and \
+                        not resolves(target.split("."), module, cls):
+                    errors.append(f"{path.relative_to(root)}: dangling "
+                                  f"cross-reference `{target}`")
+    return errors
+
+
 def config_fields(path: Path, cls: str = "HardwareConfig") -> list[str]:
     """Field names of dataclass ``cls`` in ``path``, without importing it."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -175,6 +283,7 @@ def run_checks() -> list[str]:
             errors.extend(check_markdown(path))
     errors.extend(check_required_anchors(ROOT / "docs/ARCHITECTURE.md"))
     errors.extend(check_docstrings())
+    errors.extend(check_cross_references())
     errors.extend(check_config_knobs())
     return errors
 
@@ -186,7 +295,8 @@ def main() -> int:
     checked = ", ".join(CHECKED_DOCS)
     n_mods = len(list(ROOT.glob(DOCSTRING_GLOB)))
     print(f"checked {checked} + {n_mods} transport module docstrings + "
-          f"HardwareConfig knobs: {len(errors)} error(s)")
+          f"docstring cross-references + HardwareConfig knobs: "
+          f"{len(errors)} error(s)")
     return 1 if errors else 0
 
 
