@@ -51,7 +51,7 @@ class _SendLane:
 
     __slots__ = ("chan", "values", "width", "i", "cur", "rels", "rel_ptr",
                  "free", "rel_base", "claimed", "pend_pkts", "pend_cycles",
-                 "active", "proc", "rels0")
+                 "active", "proc", "rels0", "ff_spent")
     is_send = True
 
     def __init__(self, chan: "SendChannel", values, width: int) -> None:
@@ -72,6 +72,9 @@ class _SendLane:
         self.pend_pkts: list = []
         self.pend_cycles: list = []
         self.active = False  # True between begin() and commit()
+        # The fast-forward refused this burst on its message end (what
+        # remains only shrinks): its chain is not probed again.
+        self.ff_spent = False
 
     def extendable(self) -> bool:
         return self.cur is not None and self.i < len(self.values)
@@ -195,19 +198,19 @@ class _SendLane:
             return 0
         return ppp
 
-    def ff_advance(self, R, dT, ext, run) -> None:
-        """Land ``R`` periods: ``run`` (packets) staged on the extended
-        lattice ``ext(pend_cycles)``, the plan frontier moved past them."""
+    def ff_advance(self, R, dT, ppp) -> None:
+        """Land ``R`` periods of ``ppp`` packets: the plan frontier and
+        the packer move past them. The endpoint takes the span as a time
+        shift (release pairings unchanged), so ``claimed`` and the
+        pending run stay the validated prefix's."""
         chan = self.chan
-        n = len(run) * chan.dtype.elements_per_packet
-        self.pend_cycles = ext(self.pend_cycles)
-        self.pend_pkts += run
-        self.claimed += len(run)
+        n = R * ppp
+        elements = n * chan.dtype.elements_per_packet
         self.cur += R * dT
-        self.i += n
-        chan._sent += n
+        self.i += elements
+        chan._sent += elements
         pend = chan._packer.pending
-        chan._packer.fast_forward(len(run), self.values[self.i - pend:self.i])
+        chan._packer.fast_forward(n, self.values[self.i - pend:self.i])
 
 
 def _plan_push_chunks(pending, sent, count, values, i, width, epp, cur,
@@ -417,10 +420,10 @@ class _RecvLane:
             return 0
         return ppp
 
-    def ff_advance(self, R, dT, ext, run) -> None:
+    def ff_advance(self, R, dT, run) -> None:
         """Land ``R`` periods: ``run`` (elements) delivered straight to
-        the caller, their packets taken on ``ext(take_cycles)``."""
-        self.take_cycles = ext(self.take_cycles)
+        the caller — the one O(message) step of a jump, a NumPy slice;
+        the endpoint takes their packets as a time shift."""
         self.out[self.got:self.got + len(run)] = run
         self.got += len(run)
         self.cur += R * dT

@@ -140,8 +140,6 @@ class Link:
         """
         if not packets:
             return
-        if not isinstance(cycles, list):
-            cycles = cycles.tolist()  # columnar lattice: pacing state below
         if cycles[0] < self._next_free:
             raise SimulationError(
                 f"link {self.fifo.name}: burst starts at {cycles[0]} but the "
@@ -153,9 +151,9 @@ class Link:
         self.fifo.stage_burst(packets, cycles, verify_occupancy)
         self._next_free = cycles[-1] + self.cycles_per_packet
         self.packets += len(packets)
-        # Inlined Packet.payload_bytes (count * dtype.size): a macro-cruise
-        # commit pushes tens of thousands of packets through here and the
-        # property dispatch dominates the accounting.
+        # Inlined Packet.payload_bytes (count * dtype.size): a long train
+        # commits thousands of packets through here and the property
+        # dispatch dominates the accounting.
         pb = 0
         for p in packets:
             dt = p.dtype
@@ -170,6 +168,16 @@ class Link:
             trace.sample(
                 f"link_util/{self.fifo.name}", cycles[-1],
                 self.utilization(max(cycles[-1], 1)))
+
+    def shift(self, n: int, delta: int, period: int, floor: int,
+              packets: list[Packet], like: Packet) -> None:
+        """Transmit ``n`` packets shaped like ``like`` over ``delta``
+        cycles as a time shift (:meth:`Fifo.shift`): the line's pacing
+        state moves with the FIFO's rows, the counters by count."""
+        self.fifo.shift(n, delta, period, floor, packets)
+        self._next_free += delta
+        self.packets += n
+        self.payload_bytes += n * like.payload_bytes
 
     def take(self) -> Packet:
         return self.fifo.take()

@@ -53,6 +53,43 @@ peak is the maximum end-of-cycle prefix sum, so the statistic depends only
 on the per-item cycle trajectory (which burst mode reproduces exactly),
 not on the wall-time order commits happen to execute in.
 
+Time shift
+----------
+
+:meth:`Fifo.shift` lands a *proven periodic span* without its items. The
+planner's fast-forward proves that from this FIFO's frontiers to the same
+frontiers ``delta`` cycles later ``n`` items pass through, nothing
+outside the proving chain touches the FIFO, and every process inside the
+chain sleeps to its own shifted frontier — so the only observable things
+are the state at the shifted frontiers, which is the state at the
+frontiers *shifted*, and the statistics, which are exact from counts:
+
+* ``pushes`` / ``pops`` (and the folded log counts) advance by ``n``;
+* both occupancy logs are *complete* below ``floor = min(producer
+  frontier, consumer frontier)`` — no later event can land under it — so
+  the prefix below ``floor`` folds ahead of the clock, exactly; the
+  occupancy trajectory is periodic from one period below ``floor`` on, so
+  the peak over the skipped span is the peak the fold already holds;
+* what lies at or above ``floor`` — the rows' ready cycles, the pending
+  releases (their pairing count untouched), the log entries — moves by
+  ``delta``, the rows now carrying the packets ``n`` later in the stream;
+* ``_occ_folded_through`` moves to ``floor``: time-filtered queries at
+  or above it answer exactly — inside the span from the recorded period
+  (the span's events are that period, ``delta / period`` times) — and
+  below it they raise (:meth:`Fifo._check_fold_watermark`, the existing
+  contract).
+
+What cannot be shifted exactly — a visible row whose ready cycle was
+never recorded, a boundary ``_stage_log`` / ``_take_log``, a parked
+waiter — is refused before anything is mutated
+(:meth:`Fifo.shift_refusal`). A run cut by ``max_cycles`` inside a
+shifted span sees what it sees after any early bulk commit: the raw
+``pushes`` / ``pops`` include the committed future events, and
+``max_occupancy`` reports the peak through the fold — by periodicity the
+peak of every period of the span. Time-filtered queries at the cut (a
+sharded run's stats merge) stay exact as long as the span is the FIFO's
+last; below an older span they raise.
+
 Supply schedules
 ----------------
 
@@ -128,7 +165,7 @@ burst window.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import chain, islice, repeat
 from operator import gt
@@ -182,6 +219,7 @@ class Fifo:
         "_occ_folded_stages",
         "_occ_folded_takes",
         "_occ_folded_through",
+        "_occ_span",
         "macro_host",
         "first_push_cycle",
         "last_pop_cycle",
@@ -246,6 +284,10 @@ class Fifo:
         # clock jumps (macro-cruise trains, sharded run_until) can move
         # folds far ahead of any previously observed clock in one event.
         self._occ_folded_through = 0
+        # The last time shift's span (see :meth:`shift`): ``(floor,
+        # period, periods, stage cycles, take cycles of the period below
+        # floor)`` — what answers ``counts_at`` inside the span.
+        self._occ_span: tuple | None = None
         # Macro-cruise host: the SupplyPlanner app-side channel lanes on
         # this endpoint register with (set by the transport builder on
         # app send/recv endpoints when ``HardwareConfig.macro_cruise``).
@@ -612,13 +654,6 @@ class Fifo:
             raise SimulationError(
                 f"fifo {self.name!r}: stage_burst items/cycles length mismatch"
             )
-        cyc_arr = None
-        if type(cycles) is np.ndarray:
-            # A columnar lattice (the analytic fast-forward hands its
-            # spans over as int64 columns): box it once, here — the
-            # occupancy log below keeps these very objects.
-            cyc_arr = cycles
-            cycles = cycles.tolist()
         now = self.engine.cycle
         if cycles[0] < now:
             raise SimulationError(
@@ -643,8 +678,10 @@ class Fifo:
             # caller is the planner, which already paced each stage) — the
             # monotonicity check runs at C speed over cycle pairs.
             if k > 2048:
-                if cyc_arr is None:
-                    cyc_arr = np.asarray(cycles, dtype=np.int64)
+                # A long *validated* train (a stream the fast-forward
+                # cannot arm on, a cross-shard chain) still commits
+                # thousands of stages per burst; a jump no longer does.
+                cyc_arr = np.asarray(cycles, dtype=np.int64)
                 if np.any(cyc_arr[1:] < cyc_arr[:-1]):
                     raise SimulationError(
                         f"fifo {self.name!r}: stage_burst cycles not monotone"
@@ -728,8 +765,6 @@ class Fifo:
         k = len(cycles)
         if k == 0:
             return []
-        if type(cycles) is np.ndarray:
-            cycles = cycles.tolist()  # columnar lattice: boxed once, here
         now = self.engine.cycle
         if cycles[0] < now:
             raise SimulationError(
@@ -760,11 +795,12 @@ class Fifo:
                 )
             ready_q = self._ready
             if not collect and rem > 2048:
-                # Bulk path (a macro-cruise fast-forward commits tens of
-                # thousands of takes in one burst): the per-item
-                # visibility tripwire runs vectorised over the ready
-                # column, then the consumed prefix of both columns drops
-                # in C-level operations.
+                # Bulk path (a long *validated* train — a stream the
+                # fast-forward cannot arm on, a cross-shard chain — still
+                # commits thousands of takes in one burst; a jump no
+                # longer does): the per-item visibility tripwire runs
+                # vectorised over the ready column, then the consumed
+                # prefix of both columns drops in C-level operations.
                 ready_arr = np.fromiter(islice(ready_q, rem),
                                         dtype=np.int64, count=rem)
                 late = np.nonzero(
@@ -846,6 +882,88 @@ class Fifo:
         return out
 
     # ------------------------------------------------------------------
+    # Time shift: land a proven periodic span as arithmetic on the state
+    # at the frontiers (see "Time shift" in the module docstring).
+    # ------------------------------------------------------------------
+    def shift_refusal(self, pending_takes: int = 0) -> str | None:
+        """Why :meth:`shift` could not move this FIFO exactly (``None``
+        when it can), once the caller's ``pending_takes`` have landed."""
+        if self._stage_log is not None or self._take_log is not None:
+            return "boundary log records every item"
+        if self.can_push.waiters or self._consumer_parked:
+            return "parked waiter"
+        if len(self._visible) > pending_takes:
+            return "visible row whose ready cycle was never recorded"
+        return None
+
+    def shift(self, n: int, delta: int, period: int, floor: int,
+              items: Sequence[Any]) -> None:
+        """Land ``n`` items passing through over ``delta`` cycles — whole
+        periods of ``period`` cycles — as a time shift of the state at
+        ``floor``.
+
+        The caller has proven the contract in the module docstring:
+        ``floor`` is the lower of this FIFO's producer and consumer
+        frontiers, nobody observes the FIFO before the shifted frontiers,
+        and everything at or above ``floor`` (plus the logs one period
+        below it) is on the period lattice. ``items`` are the packets the
+        surviving rows carry at the end — the ones ``n`` later in the
+        stream, oldest first. Refuses (raises, nothing mutated) what
+        :meth:`shift_refusal` names.
+        """
+        stages = self._occ_stages
+        takes = self._occ_takes
+        occ, peak, i, j = self._occ_sweep(floor)
+        # The skipped span repeats the period just below the floor.
+        span_stages = stages[bisect_left(stages, floor - period, 0, i):i]
+        span_takes = takes[bisect_left(takes, floor - period, 0, j):j]
+        refusal = self.shift_refusal()
+        if refusal is None and len(items) != len(self._staged):
+            refusal = (f"{len(items)} replacement items for "
+                       f"{len(self._staged)} rows")
+        per_period = len(span_stages)
+        if refusal is None and (len(span_takes) != per_period
+                                or per_period * delta != n * period):
+            refusal = (f"the period below cycle {floor} logged "
+                       f"{per_period} stages and {len(span_takes)} "
+                       f"takes, not {n} per {delta} cycles")
+        if refusal is not None:
+            raise SimulationError(
+                f"fifo {self.name!r}: time shift refused — {refusal}")
+        # Fold the complete log prefix ahead of the clock. This may pass
+        # the sharded ``stats_fold_limit`` watermark: every shifted event
+        # precedes the receiving kernel's last pop (the prover leaves the
+        # message's tail outside the span), hence the global end cycle
+        # the watermark stands for — and a query inside the span, e.g. a
+        # run cut there, is still answered from the recorded period.
+        self._occ_base = occ
+        self._occ_peak = peak
+        self._occ_folded_stages += i + n
+        self._occ_folded_takes += j + n
+        self._occ_stages = [c + delta for c in stages[i:]]
+        self._occ_takes = [c + delta for c in takes[j:]]
+        self._occ_folded_through = floor
+        self._occ_span = (floor, period, delta // period,
+                          span_stages, span_takes)
+        # Releases below the floor are unobservable (the producer sleeps
+        # past them); the pending ones move, pairing count in step.
+        self._trim_reserved(floor)
+        if self._reserved:
+            self._reserved = deque([c + delta for c in self._reserved])
+        self._ready = deque([r + delta for r in self._ready])
+        self._staged = deque(items)
+        self.pushes += n
+        self.pops += n
+        self.burst_items += 2 * n  # staged and taken on the burst plane
+        self.last_pop_cycle += delta
+        trace = self.engine.trace
+        if trace is not None:
+            trace.emit(floor, "shift", self.name, "shift", dur=delta,
+                       args={"n": n})
+            trace.sample(f"fifo_occ/{self.name}", floor + delta,
+                         len(self._staged))
+
+    # ------------------------------------------------------------------
     # Exact occupancy accounting (time-indexed delta log)
     # ------------------------------------------------------------------
     def _occ_sweep(self, stop: int) -> tuple[int, int, int, int]:
@@ -862,9 +980,11 @@ class Fifo:
         ns_w = bisect_right(stages, stop - 1)
         nt_w = bisect_right(takes, stop - 1)
         if ns_w + nt_w > 4096:
-            # Bulk path for large windows (a macro-cruise fast-forward
-            # commits tens of thousands of per-item cycles in one event):
-            # group both sorted logs by unique cycle, net each cycle's
+            # Bulk path for large windows (the per-flit plane folds 8192
+            # events at a time, a long validated train commits thousands
+            # of per-item cycles in one event, and a time shift sweeps
+            # the whole prefix it folds): group both sorted logs by
+            # unique cycle, net each cycle's
             # stages against its takes, and take the running peak — the
             # same registered-FIFO view as the scalar merge below.
             # Occupancy only rises at stage cycles, so the end-of-cycle
@@ -905,11 +1025,6 @@ class Fifo:
         ``(base, peak)`` — they are final, since every logging path stamps
         cycles at or after the wall clock.
 
-        Bulk replication commits can push the logs past the fold
-        limit with *future-dated* entries only (whole trains commit in
-        one engine event); nothing is foldable then, so bail before the
-        sweep instead of re-walking the log on every subsequent burst.
-
         Under a sharded backend the engine carries a ``stats_fold_limit``
         watermark (a proven lower bound on the global end cycle): folds
         never cross it, so even on a shard whose clock runs ahead of the
@@ -920,11 +1035,6 @@ class Fifo:
         limit = self.engine.stats_fold_limit
         if limit is not None and limit + 1 < now:
             now = limit + 1
-        stages = self._occ_stages
-        takes = self._occ_takes
-        if (not stages or stages[0] >= now) and (not takes or
-                                                 takes[0] >= now):
-            return
         occ, peak, i, j = self._occ_sweep(now)
         self._occ_base = occ
         self._occ_peak = peak
@@ -1256,10 +1366,22 @@ class Fifo:
         raise instead of returning lumped counts).
         """
         self._check_fold_watermark(cycle)
-        return (
-            self._occ_folded_stages + bisect_right(self._occ_stages, cycle),
-            self._occ_folded_takes + bisect_right(self._occ_takes, cycle),
-        )
+        pushes = self._occ_folded_stages + bisect_right(self._occ_stages,
+                                                        cycle)
+        pops = self._occ_folded_takes + bisect_right(self._occ_takes, cycle)
+        if self._occ_span is not None:
+            floor, period, periods, span_stages, span_takes = self._occ_span
+            q = (cycle - floor) // period
+            if q < periods:
+                # Inside the last shifted span, all of whose events the
+                # folded counts already hold: ``q`` whole periods lie at
+                # or before ``cycle``, then part of the recorded one.
+                at = cycle - (q + 1) * period
+                pushes += ((q - periods) * len(span_stages)
+                           + bisect_right(span_stages, at))
+                pops += ((q - periods) * len(span_takes)
+                         + bisect_right(span_takes, at))
+        return pushes, pops
 
     # ------------------------------------------------------------------
     # Handshake helpers: one item per cycle, blocking on full/empty.

@@ -103,6 +103,21 @@ class GapHistogram:
             self.counts[gap] = self.counts.get(gap, 0) + 1
         self.last_cycle = cycle
 
+    def repeat(self, cycles, period: int, times: int) -> None:
+        """Record ``times`` more periods of a periodic event train.
+
+        ``cycles`` are the events of the last period recorded (the last
+        of them is ``last_cycle``) and the train repeats every ``period``
+        cycles, so each further period adds one copy of its gaps — the
+        wrap-around gap into the next period included.
+        """
+        gaps = [b - a for a, b in zip(cycles, cycles[1:])]
+        gaps.append(cycles[0] + period - cycles[-1])
+        counts = self.counts
+        for gap in gaps:
+            counts[gap] = counts.get(gap, 0) + times
+        self.last_cycle += period * times
+
     @property
     def count(self) -> int:
         """Number of gaps recorded (events - 1)."""

@@ -53,6 +53,7 @@ EVENT_KINDS = (
     "xfer",        # link transfer (per packet, or one event per burst)
     "span",        # planner phase span: plan/cascade/replicate
     "ff",          # macro-cruise fast-forward jump (span over the jump)
+    "shift",       # one chain FIFO landing a jump as a time shift (span)
     "abort",       # macro-ff guard veto (instant; args: guard, hop)
     "disarm",      # macro-ff permanent refusal (instant; args: reason)
     "epoch",       # shard epoch begin / bound update

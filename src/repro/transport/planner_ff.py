@@ -10,22 +10,27 @@ at equal rates but, at the paper's 8-deep buffers, unequal round sizes,
 so the frontiers re-align only every lcm(round sizes) packets;
 :meth:`_FastForward.ff_apply`'s guard battery reduces the candidate to
 committed facts (conservation along every hop, Δ-shift of every tracked
-list, horizon / budget / slot bounds) and lands ``R`` periods as
-``S + k·ΔT`` int64 columns through the train's ordinary bulk commit.
-Two things make it hold at zero slack: the train-frontier silence proof
-(:func:`ff_silent` — a session's validated round frontier is its
-process floor, so a relay stopped on its full output proves its
-consumer's observation), and a footprint cap on ``R`` with the jump as
-the train's last act (memory independent of message size; the next
-train re-proves the period).
+list, horizon / budget / slot bounds) and lands ``R`` periods as what
+the proof says they are — **a time shift, not packets**: the train's
+commit lands the validated prefix through its ordinary bursts, then
+every chain FIFO takes ``(n = R·ppp, δ = R·ΔT, floor)`` through
+:meth:`repro.simulation.fifo.Fifo.shift` (rows, pending releases and
+log entries above the floor move by ``δ``, the complete log prefix
+below it folds, the counts advance by ``n``). A jump costs O(period +
+chain occupancy) on the host whatever the message size, so there is one
+per stream and nothing to re-prove after it. What makes it hold at zero
+slack is the train-frontier silence proof (:func:`ff_silent` — a
+session's validated round frontier is its process floor, so a relay
+stopped on its full output proves its consumer's observation).
 
 A chain has three member kinds — send lane, relay hop, recv lane — with
 the same three methods: ``ff_fingerprint`` (counters, frontiers, tracked
 lattices at a sweep boundary), ``ff_check`` (is my slice of a candidate
 period's deltas one period of lockstep advance?) and ``ff_advance``
-(land ``R`` periods). :class:`_RelayHop` is the planner's; the lanes'
-live with the lanes (:class:`repro.core.channel._SendLane` /
-``_RecvLane``), so nothing here knows a channel's or packer's internals.
+(move counters and frontiers past ``R`` periods). :class:`_RelayHop` is
+the planner's; the lanes' live with the lanes
+(:class:`repro.core.channel._SendLane` / ``_RecvLane``), so nothing here
+knows a channel's or packer's internals.
 
 **This module owns** :class:`_FFHistory`, the guard seam
 (``_ff_guard_probe``), :class:`_RelayHop`, :class:`_FastForward` and the
@@ -34,12 +39,15 @@ live with the lanes (:class:`repro.core.channel._SendLane` /
 ``planner.ff_s`` by. **It reads** the train's sessions, cursors and
 joined lanes, supply horizons under the train's own frontiers, the
 planner's relay / boundary registries. **It may mutate**, on a proven
-jump only, what the train's commit then lands — the members' commit
-lattices and counters, the origin's ff counters — plus the planner's
-disarm verdict and, through ``_Train.try_join``, the session list.
+jump only, the members' counters and frontiers, the origin's ff counters
+and the shift list the train's commit then lands — plus the planner's
+disarm verdict, a send lane's ``ff_spent`` mark and, through
+``_Train.try_join``, the session list.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -70,15 +78,6 @@ def _ff_veto(guard: str, hop: int = -1) -> bool:
 #: the first few sweeps.
 FF_MAX_P = 64
 FF_KEEP = 2 * FF_MAX_P + 1  # checkpoints retained per chain
-
-#: Footprint bound of one analytic jump, in commit-lattice entries
-#: (packets x per-packet cycle columns: one take and one stage column
-#: per relay session plus the lanes'). A jump is ``S + k·ΔT`` whatever
-#: its length, so a longer one buys nothing but memory — every FIFO it
-#: lands in logs each packet's stage and take until the clock passes
-#: them. Bounding the span keeps a run's footprint independent of the
-#: message size; the next train re-proves the period and jumps again.
-FF_MAX_ENTRIES = 1 << 17
 
 #: Candidate periods examined per sweep (nearest first): the checkpoints
 #: that share the newest one's frontier skew. Lock-step trains share one
@@ -222,25 +221,27 @@ class _RelayHop:
         self.rnd = rnd
         return tpp
 
-    def ff_advance(self, R, dT, ext, run) -> None:
-        """Land ``R`` periods: the hop takes its input's run and stages
-        ``run`` (the same packets, shifted by its standing inventory)."""
+    def ff_advance(self, R, dT, ppp) -> None:
+        """Land ``R`` periods of ``ppp`` packets: counters and the round
+        frontier only — both FIFOs take the span as a time shift
+        (release pairings unchanged), so the commit lattices and the
+        cursor's pairing pointer stay the validated prefix's."""
         sess = self.sess
-        cur = self.cur
-        sess.take_cycles[self.jc] = tc = ext(sess.take_cycles[self.jc])
-        if sess.arb.accept_hist is not None:
-            # Opt-in arbiter instrumentation records every accept;
-            # a relay's accepts are exactly its chain-input takes.
-            sess.all_takes = tc.tolist()
-        cur.stage_cycles = ext(cur.stage_cycles)
-        cur.stage_pkts += run
+        hist = sess.arb.accept_hist
+        if hist is not None:
+            # Opt-in arbiter instrumentation records every accept; a
+            # relay's accepts are exactly its chain-input takes. The
+            # prefix goes in now (the commit would record it next, and
+            # the CK sleeps until then), the span as R copies of the
+            # last period's gaps.
+            for cyc in sess.all_takes:
+                hist.record(cyc)
+            hist.repeat(sess.all_takes[-ppp:], dT, R)
+            sess.all_takes = []
         sess.rounds += R * self.rnd
-        sess.takes += len(run)
+        sess.takes += R * ppp
         sess.T += R * dT
         sess.blocked_on = sess.starved_on = None
-        cur.rel_ptr += len(run)
-        if cur.is_link:
-            cur.next_free += R * dT
 
     def ff_obs_bound(self, memo):
         """Rounds for which every non-chain observation provably holds.
@@ -486,6 +487,39 @@ def ff_resolve(train):
     return chains, None, False
 
 
+def ff_shift_refusal(fifo, stages, takes, inv, floor, ppp, dT):
+    """Why chain FIFO ``fifo`` cannot land a jump as a time shift from
+    ``floor``, or ``None``.
+
+    ``stages`` / ``takes`` are the train's commit lattices for the FIFO
+    (the validated prefix the commit lands first), ``inv`` the rows it
+    holds at the frontiers. A shift is exact when everything it carries
+    over — those rows, the releases and log entries at or above
+    ``floor`` — and the logs one period below ``floor`` (the peak of the
+    skipped span is that period's) sit on the period lattice. The two
+    observed windows are verified already; this extends the same Δ-shift
+    check back to the oldest survivor, which a link FIFO's
+    bandwidth-delay product can put before the windows and — under a
+    young train — before the train, in the FIFO's own committed log.
+    """
+    why = fifo.shift_refusal(len(takes))
+    if why is not None:
+        return why
+    lo = floor - dT
+    for log, cycles, rows in ((fifo._occ_stages, stages, inv),
+                              (fifo._occ_takes, takes, 0)):
+        k = bisect_left(cycles, lo)
+        if not k or rows > len(cycles):
+            cycles = log + cycles  # survivors older than the train
+            k = bisect_left(cycles, lo)
+        if k == len(cycles) or cycles[k] >= floor or rows > len(cycles):
+            return "survivors older than the log"
+        k = min(k, len(cycles) - rows)  # the oldest survivor
+        if cycles[k + ppp:] != [c + dT for c in cycles[k:-ppp]]:
+            return "survivors off the period lattice"
+    return None
+
+
 def ff_checkpoint(chain):
     """Fingerprint one chain at a sweep boundary: every member's
     counters, cycle-valued frontiers and tracked list lengths, in
@@ -511,19 +545,19 @@ class _FastForward:
     once the train's sweeps settle into an exact periodic regime —
     every scalar advancing by the same per-period delta, every tracked
     list appending a Δ-shifted copy of its previous period's appends —
-    the next R periods are closed-form arithmetic: extend every cycle
-    lattice by slice-shifting, advance every counter by R deltas,
-    append the packet runs by stream position, and let the train's
-    ordinary bulk commit land the whole span. The guard battery of
-    :meth:`ff_apply` reduces that induction to committed facts
-    (conservation along the chain, frozen-value monotonicity, horizon
-    and budget bounds); any guard failing just leaves the train on
-    per-packet replication, and the committed lattices still face the
-    stage/take monotonicity and visibility tripwires at commit time.
+    the next R periods are closed-form arithmetic: advance every counter
+    by R deltas and every frontier by R·ΔT, and hand each chain FIFO one
+    time shift for the train's commit to land after the validated
+    prefix. The guard battery of :meth:`ff_apply` reduces that induction
+    to committed facts (conservation along the chain, frozen-value
+    monotonicity, horizon and budget bounds, shiftability of every
+    FIFO); any guard failing just leaves the train on per-packet
+    replication, and the prefix still faces the stage/take monotonicity
+    and visibility tripwires at commit time.
     """
 
     __slots__ = ("dead", "miss", "probes", "armed", "chains", "hist",
-                 "shape")
+                 "shape", "shifts")
 
     def __init__(self) -> None:
         self.dead = False    # permanent no-arm: stop probing the train
@@ -533,26 +567,31 @@ class _FastForward:
         self.chains = None   # resolved relay chains, one per stream
         self.hist = None     # per chain: fingerprint history (_FFHistory)
         self.shape = None    # (sessions, lanes) chains resolved under
+        self.shifts = ()     # a proven jump: (stage target, shift args)
 
-    def ff_abort(self, engine, guard, hop=-1) -> bool:
+    def ff_abort(self, engine, guard, hop=-1, reason=None) -> bool:
         """Report one failed guard of the analytic jump's proof.
 
-        Trace-only: emits an ``abort`` event carrying the guard name and
-        the chain hop it concerns (``-1`` for chain-wide guards), then
-        returns False so callers fall back to per-packet replication —
-        exactly what an unguarded ``return False`` did before.
+        Trace-only: emits an ``abort`` event carrying the guard name,
+        the chain hop it concerns (``-1`` for chain-wide guards) and,
+        where the guard has several causes, the ``reason``; then returns
+        False so callers fall back to per-packet replication — exactly
+        what an unguarded ``return False`` did before.
         """
         self.miss = None  # reported here, not by the per-train summary
         if engine.trace is not None:
+            args = {"guard": guard, "hop": hop}
+            if reason:
+                args["reason"] = reason
             engine.trace.emit(engine.cycle, "abort", "planner", "ff-abort",
-                              args={"guard": guard, "hop": hop})
+                              args=args)
         return False
 
     def ff_apply(self, train, chain, dT, dn, lensA, lensB, lensC) -> bool:
-        """Verify the period is a provable Δ-shift and bulk-apply R of
-        them along the whole relay chain. Returns True when the jump
-        landed (False leaves the train on ordinary replication with
-        nothing mutated)."""
+        """Verify the period is a provable Δ-shift and advance the whole
+        relay chain by R of them, leaving ``self.shifts`` for the commit.
+        Returns True when the jump is proven (False leaves the train on
+        ordinary replication with nothing mutated)."""
         ls, hops, lr = chain
         engine = train.engine
         if not ls.pend_pkts:
@@ -573,6 +612,27 @@ class _FastForward:
             lists += lattices
         epp = ls.chan.dtype.elements_per_packet
         dE = ppp * epp  # stream elements shipped per period
+        # ---- the O(1) bounds on R (in periods) come first: message end
+        # on both lanes — the tail is left to the sweeps — and the take
+        # budget. A message-end refusal is final: the remainder only
+        # shrinks, so the chain is not probed again for this message
+        # (a stream ending just below arming pays one cheap refusal, not
+        # an O(lattice) proof per sweep).
+        g0 = lr.got
+        R = (len(ls.values) - ls.i) // dE - 1
+        r_b = (lr.n - g0) // dE - 1
+        if r_b < R:
+            R = r_b
+        if R < 2:
+            ls.ff_spent = True
+            return self.ff_abort(engine, 'budget', -1,
+                                 "message ends within three periods")
+        for hop in hops:
+            r_b = (train.max_takes - hop.sess.takes) // ppp - 1
+            if r_b < R:
+                R = r_b
+        if R < 2 or _ff_veto('budget'):
+            return self.ff_abort(engine, 'budget')
         # Every tracked list appended exactly one period's packets.
         if any(c - b != ppp for b, c in zip(lensB, lensC)):
             return False
@@ -600,7 +660,6 @@ class _FastForward:
         # must stay packet-aligned and ahead of the receiver at every
         # hop, landing exactly on the receiver's pending backlog.
         e_ship0 = ls.shipped  # elements inside emitted packets
-        g0 = lr.got
         pend_r = len(lr.pkts) - lr.ip
         if e_ship0 % epp or g0 % epp:
             return False
@@ -632,25 +691,8 @@ class _FastForward:
                 return self.ff_abort(engine, 'rel-lattice')
         if _ff_veto('rel-lattice'):
             return self.ff_abort(engine, 'rel-lattice')
-        # ---- every externality bounds R (in periods); the closed-form
-        # horizon/budget bounds are the min over the whole chain. -------
-        R = (len(ls.values) - ls.i) // dE - 1  # message end: leave the
-        r_b = (lr.n - g0) // dE - 1            # tail to the sweeps
-        if r_b < R:
-            R = r_b
-        for hop in hops:
-            r_b = (train.max_takes - hop.sess.takes) // ppp - 1
-            if r_b < R:
-                R = r_b
-        # Footprint cap: the jump materialises one cycle column per
-        # commit lattice (and every FIFO it lands in logs the same
-        # per-packet facts), so the span is bounded by entries, not by
-        # message size; the steady state re-arms in the next train.
-        r_b = FF_MAX_ENTRIES // (ppp * (3 + 2 * len(hops)))
-        if r_b < R:
-            R = r_b
-        if _ff_veto('budget'):
-            return self.ff_abort(engine, 'budget')
+        # ---- every other externality bounds R too; the closed-form
+        # horizon bounds are the min over the whole chain. ---------------
         for k, hop in enumerate(hops):
             rpd = hop.rnd
             ob = hop.ff_obs_bound(train.memo)
@@ -707,19 +749,44 @@ class _FastForward:
                 return self.ff_abort(engine, 'slots', k)
         if R < 2:
             return self.ff_abort(engine, 'slots')
+        # ---- one time shift per chain FIFO ------------------------------
+        # FIFO k sits between its stager (the send lane, then each hop's
+        # cursor) and its taker (each hop, then the recv lane); it holds
+        # ``inv`` rows at the frontiers and shifts from the lower of the
+        # two. What a shift cannot carry exactly refuses the jump.
+        spans = []  # per chain FIFO: (stage target, is a link, floor, inv)
+        target = fifo = ls.chan.endpoint
+        stages, f_p = ls.pend_cycles, ls.cur
+        for k, hop in enumerate((*hops, None)):
+            if hop is not None:
+                sess = hop.sess
+                takes, f_c, inv = (sess.take_cycles[hop.jc], sess.T,
+                                   sess.avail[hop.jc])
+            else:
+                takes, f_c, inv = lr.take_cycles, lr.cur, pend_r
+            floor = f_p if f_p < f_c else f_c
+            why = ff_shift_refusal(fifo, stages, takes, inv, floor, ppp, dT)
+            if why is not None or _ff_veto('shift', k):
+                return self.ff_abort(engine, 'shift', k, why)
+            spans.append((target, target is not fifo, floor, inv))
+            if hop is not None:
+                cur = hop.cur
+                target, fifo = cur.target, cur.fifo
+                stages, f_p = cur.stage_cycles, sess.T
         # ---- apply: R periods in closed form ---------------------------
-        # Only the *commit lattices* are materialised — the per-packet
-        # stage/take cycles the train's bulk commit hands to the FIFOs —
-        # and each as one int64 column (``S + k·ΔT`` by construction, so
-        # never a Python list of boxed cycles). The ledgers the sweeps
-        # validate against (session snapshots, release lists, the lanes'
-        # supply and slot ledgers) are not extended: the jump ends the
-        # train, nothing reads them again, and only the counters the
-        # commit needs (release pairings) advance.
+        # Nothing is materialised per packet. The train's commit lands
+        # the validated prefix through the ordinary bursts, then each
+        # chain FIFO takes ``(n, δ, floor)`` and the real packets of the
+        # rows still in it at the end — the in-chain elements, cloned
+        # once and dealt out from the receiver's end of the chain. The
+        # ledgers the sweeps validate against (session snapshots, release
+        # lists, the lanes' supply and slot ledgers) are not extended:
+        # the jump ends the train, nothing reads them again.
+        n = R * ppp
+        delta = R * dT
         e_tail0 = g0 + R * dE            # first element left in-chain
         dt_np = ls.chan.dtype.np_dtype
         values = ls.values
-        total_p = R * ppp
         # One private copy of the whole surviving tail; each clone's
         # payload is a view into it (cheaper than per-packet np.array).
         tail_arr = np.array(values[e_tail0:e_ship0 + R * dE], dtype=dt_np)
@@ -727,45 +794,17 @@ class _FastForward:
             Packet(src=tmpl.src, dst=tmpl.dst, port=tmpl.port, op=tmpl.op,
                    count=epp, payload=tail_arr[k * epp:(k + 1) * epp],
                    dtype=tmpl.dtype)
-            for k in range((e_ship0 + R * dE - e_tail0) // epp)]
-
-        def pkt_run(e0):
-            """The jump's packet appends for a list whose next append
-            carries element ``e0``. Elements consumed inside the jump
-            never have their payload read again (their queues drain
-            within the span), so they share one template packet; the
-            elements still in-chain at the end get real payload clones,
-            shared across every list that holds them."""
-            n_t = (e_tail0 - e0) // epp
-            if n_t >= total_p:
-                return [tmpl] * total_p
-            if n_t <= 0:
-                return tail_pkts[-n_t:total_p - n_t]
-            return [tmpl] * n_t + tail_pkts[:total_p - n_t]
-
-        shifts = (np.arange(1, R + 1, dtype=np.int64) * dT)[:, None]
-
-        def ext_c(L):
-            """Commit lattice ``L`` plus ``R`` Δ-shifted copies of its
-            last period, as one int64 column."""
-            n0 = len(L)
-            col = np.empty(n0 + total_p, dtype=np.int64)
-            col[:n0] = L
-            np.add(col[n0 - ppp:n0], shifts,
-                   out=col[n0:].reshape(R, ppp))
-            return col
-
-        # Sender lane: stages its run into the send endpoint. Each hop
-        # takes its input's run and stages the run shifted by its own
-        # standing inventory, handing it to the next hop. Recv lane:
-        # takes the endpoint, payload straight to the caller.
-        ls.ff_advance(R, dT, ext_c, pkt_run(e_ship0))
-        e = e_ship0
+            for k in range(len(tail_arr) // epp)]
+        shifts = self.shifts = []
+        hi = len(tail_pkts)
+        for target, is_link, floor, inv in spans:
+            args = (n, delta, dT, floor, tail_pkts[hi - inv:hi])
+            shifts.append((target, (*args, tmpl) if is_link else args))
+            hi -= inv
+        ls.ff_advance(R, dT, ppp)
         for hop in hops:
-            e -= epp * hop.sess.avail[hop.jc]
-            hop.ff_advance(R, dT, ext_c, pkt_run(e))
-        lr.ff_advance(R, dT, ext_c,
-                      np.asarray(values[g0:g0 + R * dE], dt_np))
+            hop.ff_advance(R, dT, ppp)
+        lr.ff_advance(R, dT, np.asarray(values[g0:g0 + R * dE], dt_np))
         stats = train.origin.arb.planner_stats
         stats.ff_bulk_rounds += R * sum(hop.rnd for hop in hops)
         stats.ff_jumps += 1
@@ -799,6 +838,8 @@ class _FastForward:
             self.hist = [_FFHistory() for _ in chains]
         self.miss = ("no-period", "")
         for chain, hist in zip(self.chains, self.hist):
+            if chain[0].ff_spent:
+                continue  # its message ends too soon: refused for good
             det = hist.ff_detect(ff_checkpoint(chain))
             if _ff_veto('no-period'):
                 det = None
@@ -808,6 +849,9 @@ class _FastForward:
                 if self.ff_apply(train, chain, *det):
                     self.miss = None
                     return True
+        if all(chain[0].ff_spent for chain in self.chains):
+            self.dead = True
+            self.miss = None
         return False
 
     def ff_report_miss(self, train) -> str:

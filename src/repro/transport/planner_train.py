@@ -8,8 +8,8 @@ planning *search* with straight-line *verification*:
 state, ping-pongs sessions across producer/consumer CKs (validated
 stages become the next hop's virtual supply, validated takes the
 previous hop's virtual slot releases) and bulk-commits whole trains
-with one ``take_burst``/``stage_burst`` pair per FIFO and one firm wake
-per sleeping peer. Everything is re-proved from committed facts, so
+with one ``take_burst``/``stage_burst`` pair per FIFO — plus, for a
+proven jump, one ``shift`` — and one firm wake per sleeping peer. Everything is re-proved from committed facts, so
 cycle-exactness holds by the same argument as ``plan_window``; any
 deviation ends the train at the last valid round and planning resumes.
 
@@ -504,12 +504,12 @@ class _Train:
                 if ff_close_chain(self):
                     progress = True  # new sessions need a sweep before ff
                 elif ff.ff_try(self):
-                    # A landed jump is the train's last act: it extrapolated
-                    # the commit lattices only (no ledger — snapshot, release
-                    # or lane supply list — was mirrored), so nothing may
-                    # validate against this train's virtual state again. The
-                    # bulk commit lands the span; the steady state
-                    # re-arms from committed facts in the next train.
+                    # A proven jump is the train's last act: it advanced
+                    # counters and frontiers only (no ledger — snapshot,
+                    # release or lane supply list — was mirrored), so
+                    # nothing may validate against this train's virtual
+                    # state again. The commit lands the validated prefix,
+                    # then the span as one time shift per chain FIFO.
                     planner.ff_futile = ff.probes = 0  # probing repaid
                     break
         if ff.probes:
@@ -531,7 +531,10 @@ class _Train:
         have advanced the app channels (elements drained from a sleeping
         push_vec, endpoint items claimed for a sleeping pop_vec) to
         unblock the sweep, and that work is real — left virtual, the
-        stream silently loses elements.
+        stream silently loses elements. A proven jump
+        (:meth:`~repro.transport.planner_ff._FastForward.ff_apply`) lands
+        last, on top of that validated prefix: one time shift per chain
+        FIFO, nothing per packet.
         """
         planner = self.planner
         engine = self.engine
@@ -567,6 +570,10 @@ class _Train:
         for lane in lanes:
             _wake_lane_kernel(engine, lane)
             lane.finish()
+        # A proven jump: the prefix and its release pairings are in, so
+        # each chain FIFO now takes the span as one time shift.
+        for target, args in self.ff.shifts:
+            target.shift(*args)
         stats = origin.arb.planner_stats
         stats.lane_extends += self.lane_extends
         if not committed:

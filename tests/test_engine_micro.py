@@ -15,3 +15,11 @@ import engine_micro  # noqa: E402
 @pytest.mark.parametrize("name", sorted(engine_micro.LOOPS))
 def test_micro_loop_event_counts(name):
     assert engine_micro.count_loop(name) == engine_micro.EXPECTED[name]
+
+
+def test_jump_land_touches_the_same_entries_at_any_span_length():
+    """A time shift is O(state at the frontiers): landing 10 periods and
+    landing 10 000 read and write the same list / deque entries."""
+    counts = engine_micro.count_jump_land()
+    assert counts == engine_micro.EXPECTED["jump_land"]
+    assert len(set(counts.values())) == 1

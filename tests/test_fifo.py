@@ -1,5 +1,6 @@
 """Unit tests for registered FIFO semantics (the hardware handoff model)."""
 
+import copy
 import gc
 
 import numpy as np
@@ -487,3 +488,157 @@ def test_columnar_store_matches_row_model(data):
     assert f.pushes - f.pops == len(model.rows)
     assert f.drain() == [x for _r, x in model.rows]
     assert len(f._staged) == len(f._ready) == f.present_count == 0
+
+
+# ----------------------------------------------------------------------
+# Time shift: a proven periodic span lands as arithmetic, not as items
+# ----------------------------------------------------------------------
+def _fifo_state(f):
+    """Every data field of a FIFO, containers copied."""
+    return {name: copy.deepcopy(getattr(f, name)) for name in (
+        "_visible", "_staged", "_ready", "_reserved", "_reserved_paired",
+        "pushes", "pops", "_occ_stages", "_occ_takes", "_occ_base",
+        "_occ_peak", "_occ_folded_stages", "_occ_folded_takes",
+        "_occ_folded_through", "_occ_span", "first_push_cycle",
+        "last_pop_cycle", "bursts", "burst_items")}
+
+
+@st.composite
+def _steady_lattices(draw):
+    """A FIFO in a periodic steady state: ``ppp`` items per ``period``
+    cycles staged at sorted offsets, each taken a per-slot lag after it
+    turns visible; producer and consumer frontiers at a random phase."""
+    latency = draw(st.integers(1, 12))
+    ppp = draw(st.integers(1, 6))
+    period = draw(st.integers(ppp, 40))
+    stage_off = sorted(draw(st.lists(st.integers(0, period - 1),
+                                     min_size=ppp, max_size=ppp)))
+    base_lag = draw(st.integers(0, 2 * period))
+    lag = [base_lag + draw(st.integers(0, 3)) for _ in range(ppp)]
+    R = draw(st.integers(2, 500))
+    periods = (latency + max(lag)) // period + 4
+    total = (periods + R) * ppp
+    stages = [(i // ppp) * period + stage_off[i % ppp] for i in range(total)]
+    takes, prev = [], 0
+    for i, s in enumerate(stages):
+        prev = max(prev, s + latency + lag[i % ppp])
+        takes.append(prev)
+    n_prefix = periods * ppp
+    f_p = periods * period            # the next stage lands at or past it
+    # The consumer frontier: past one period of takes, never past the
+    # take of the first item not staged yet.
+    f_c = draw(st.integers(takes[0] + 2 * period, takes[n_prefix]))
+    n_taken = sum(1 for t in takes[:n_prefix] if t < f_c)
+    return dict(latency=latency, ppp=ppp, period=period, R=R,
+                stages=stages, takes=takes, n_prefix=n_prefix,
+                n_taken=n_taken, floor=min(f_p, f_c),
+                spare=draw(st.integers(0, 5)),
+                paired=draw(st.integers(0, 1 << 30)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(lat=_steady_lattices(), data=st.data())
+def test_time_shift_matches_the_materialised_lattices(lat, data):
+    """Prefix + shift against a twin that lands every item of the span
+    through ``stage_burst`` / ``take_burst``: at the shifted frontiers
+    the two agree on everything a process or a statistic can read."""
+    ppp, period, R = lat["ppp"], lat["period"], lat["R"]
+    stages, takes = lat["stages"], lat["takes"]
+    n_prefix, n_taken, floor = lat["n_prefix"], lat["n_taken"], lat["floor"]
+    n, delta = R * ppp, R * period
+    inv = n_prefix - n_taken
+    capacity = inv + lat["spare"] + 1
+
+    def landed(n_stages, n_takes):
+        eng = Engine()
+        f = eng.fifo("f", capacity=capacity, latency=lat["latency"])
+        f.stage_burst(list(range(n_stages)), stages[:n_stages],
+                      verify_occupancy=False)
+        f.take_burst(takes[:n_takes], collect=False)
+        return eng, f
+
+    eng, f = landed(n_prefix, n_taken)
+    f._reserved_paired = paired = min(lat["paired"], len(f._reserved))
+    f.shift(n, delta, period, floor,
+            list(range(n_taken + n, n_prefix + n)))
+    twin_eng, twin = landed(n_prefix + n, n_taken + n)
+    twin._reserved_paired = paired + n  # each span stage paired a release
+
+    assert (f.pushes, f.pops, f.bursts, f.burst_items) == (
+        twin.pushes, twin.pops, twin.bursts, twin.burst_items)
+    assert (f.first_push_cycle, f.last_pop_cycle) == (
+        twin.first_push_cycle, twin.last_pop_cycle)
+    assert list(f._staged) == list(twin._staged)
+    assert list(f._ready) == list(twin._ready)
+    assert not f._visible and not twin._visible
+    # Time-filtered statistics: exact from the fold on, span included.
+    end = takes[-1] + 2
+    cycles = {floor - 1, floor, floor + delta - 1, floor + delta, end}
+    cycles.update(range(floor, floor + 2 * period + 1))
+    cycles.update(range(floor + delta - 2 * period, floor + delta + 1))
+    cycles.update(data.draw(st.lists(st.integers(floor - 1, end),
+                                     max_size=40)))
+    for c in sorted(cycles):
+        assert f.counts_at(c) == twin.counts_at(c), c
+        assert f.max_occupancy_at(c) == twin.max_occupancy_at(c), c
+    with pytest.raises(SimulationError, match="folded through"):
+        f.counts_at(floor - 2)
+    # The slot economy at and after the shifted floor.
+    for now in sorted({floor + delta, floor + delta + period // 2,
+                       floor + delta + period, end}):
+        eng.cycle = twin_eng.cycle = now
+        assert f.slot_plan(now) == twin.slot_plan(now), now
+        assert list(f._reserved) == list(twin._reserved), now
+        assert f._reserved_paired == twin._reserved_paired, now
+        assert f.free_space == twin.free_space, now
+        assert f.max_occupancy == twin.max_occupancy, now
+
+
+def test_time_shift_refusals_leave_the_fifo_untouched():
+    """What cannot be shifted exactly is refused before any mutation."""
+    period, ppp, latency = 8, 2, 3
+    stages = [(i // ppp) * period + 3 * (i % ppp) for i in range(12)]
+    takes = [s + latency + 1 for s in stages[:10]]
+
+    def landed():
+        eng = Engine()
+        f = eng.fifo("f", capacity=16, latency=latency)
+        f.stage_burst(list(range(12)), stages)
+        f.take_burst(takes, collect=False)
+        return eng, f
+
+    floor = 44  # the consumer's next take; the producer's frontier is 48
+    good = (20, 80, period, floor, [30, 31])
+    eng, f = landed()
+    f.shift(*good)  # the unspoiled FIFO shifts
+    assert (f.pushes, f.pops, list(f._staged)) == (32, 30, [30, 31])
+
+    def promote(eng, f):   # a visible row lost its ready cycle
+        eng.cycle = stages[-1] + latency
+        assert len(f) == 2
+
+    def park(eng, f):      # a process waits on the FIFO's condition
+        f.can_pop.waiters.append(object())
+
+    spoilers = {
+        "visible row": promote,
+        "parked waiter": park,
+        "boundary log": lambda eng, f: f.record_boundary_takes(),
+    }
+    bad_args = {
+        "replacement items": (20, 80, period, floor, [30]),
+        "per 80 cycles": (30, 80, period, floor, [30, 31]),
+    }
+    for match, spoil in spoilers.items():
+        eng, f = landed()
+        spoil(eng, f)
+        before = _fifo_state(f)
+        with pytest.raises(SimulationError, match=match):
+            f.shift(*good)
+        assert _fifo_state(f) == before, match
+    for match, args in bad_args.items():
+        eng, f = landed()
+        before = _fifo_state(f)
+        with pytest.raises(SimulationError, match=match):
+            f.shift(*args)
+        assert _fifo_state(f) == before, match

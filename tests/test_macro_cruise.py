@@ -28,8 +28,13 @@ here:
   whole 11-session 4-hop chain: the hyperperiod detector
   (``_FFHistory.ff_detect``) is pinned on synthetic fingerprints, the
   probing tax of a program that cannot arm is bounded against the plain
-  burst plane, and the jump's memory footprint is pinned by count and
-  shown independent of the message size.
+  burst plane.
+
+* **a jump is a time shift** — one jump per stream whatever its length,
+  landed as one ``Fifo.shift`` per chain FIFO: nothing per packet is
+  left behind (pinned by count and shown independent of the message
+  size), no re-detection follows it, a run cut inside the span and the
+  opt-in accept histograms stay exact.
 """
 
 import numpy as np
@@ -454,46 +459,179 @@ def test_unarmable_program_costs_the_burst_plane():
     _assert_same_trajectory(res, plain, hops)
 
 
-def test_jump_footprint_is_columnar_and_bounded():
-    """The jump's lattices are int64 columns up to the commit, and a
-    jump's length is capped by footprint, not by message size.
+def test_accept_histograms_are_exact_across_a_jump():
+    """Opt-in ``record_accepts``: a jump adds ``R`` copies of one
+    period's accept gaps to every relay arbiter's histogram — the same
+    counters, and the same last accept cycle, as the per-flit plane
+    recording every packet."""
+    def histograms(config):
+        res, stats = _run_stream(config.with_(record_accepts=True),
+                                 n=1 << 15, hops=4)
+        return stats, {
+            (rank, kind, name): (ck.arbiter.accept_hist.counts,
+                                 ck.arbiter.accept_hist.last_cycle)
+            for rank, rt in res.transport.ranks.items()
+            for kind, cks in (("cks", rt.cks), ("ckr", rt.ckr))
+            for name, ck in cks.items()}
+
+    _, ref = histograms(NOCTUA.with_(burst_mode=False))
+    stats, got = histograms(NOCTUA)
+    assert stats.ff_jumps == 1 and stats.ff_chain_hops == 11
+    assert got == ref
+    assert sum(sum(counts.values()) for counts, _last in got.values()) \
+        > 11 * 4000, "every relay session accepted the whole stream"
+
+
+def _fifo_entries(engine):
+    """Every per-item entry the FIFOs hold: rows, pending releases, log
+    entries and the recorded period of the last time shift."""
+    total = 0
+    for f in engine.fifos:
+        total += (len(f._visible) + len(f._staged) + len(f._ready)
+                  + len(f._reserved) + len(f._occ_stages)
+                  + len(f._occ_takes))
+        if f._occ_span is not None:
+            total += len(f._occ_span[3]) + len(f._occ_span[4])
+    return total
+
+
+def test_jump_is_one_shift_per_stream():
+    """A jump lands as one time shift per chain FIFO: one jump per
+    stream whatever its length, and nothing per packet left behind.
 
     By count, like ``tests/test_fifo.py`` did for tuples: at the end of
-    every jump train of a 2^17-float 1-hop stream, the memory blocks
-    attributable to ``transport/planner*.py`` (boxed cycles included)
-    number a small multiple of one period of the tracked lattices — a
-    Python list of boxed cycles for the span would be ~37 k blocks per
-    lattice. And the traced peak of a 4x longer stream stays within 2x:
-    past the footprint cap a longer message means more jumps, not
-    bigger ones.
+    the jump train of a 1-hop stream, the memory blocks attributable to
+    ``transport/planner*.py`` (boxed cycles included) number a small
+    multiple of one period of the tracked lattices, and the per-item
+    entries held by *all* FIFOs (rows, reserved, logs, the recorded
+    period) are the same few hundred for 2^17 floats and for 2^20 —
+    materialised, the longer span alone would be ~150 k packets in
+    every log. The traced peak follows: net of the one O(message)
+    allocation a run makes (``pop_vec``'s output array), the 8x longer
+    stream peaks within 1.25x of the short one.
     """
     import tracemalloc
 
     planner_files = tracemalloc.Filter(True, "*/transport/planner*.py")
-    blocks = []
 
-    def at_train_end(order):
-        if sum(sess.rounds for sess in order) > 1000:  # a jump landed
-            snap = tracemalloc.take_snapshot().filter_traces(
-                [planner_files])
-            blocks.append(sum(st.count for st in
-                              snap.statistics("filename")))
+    def traced(n):
+        data = np.arange(n, dtype=np.float32) % 1024
+        got, blocks, entries = [], [], []
 
-    def traced_peak(n, hook):
-        planner_train._train_debug = hook
+        def at_train_end(order):
+            if sum(sess.rounds for sess in order) > 1000:  # the jump
+                snap = tracemalloc.take_snapshot().filter_traces(
+                    [planner_files])
+                blocks.append(sum(st.count for st in
+                                  snap.statistics("filename")))
+                entries.append(
+                    _fifo_entries(order[0].arb.inputs[0].engine))
+
+        prog = SMIProgram(noctua_bus(), config=NOCTUA)
+
+        def snd(smi):
+            ch = smi.open_send_channel(n, SMI_FLOAT, 1, 0)
+            yield from ch.push_vec(data, width=8)
+
+        def rcv(smi):
+            ch = smi.open_recv_channel(n, SMI_FLOAT, 0, 0)
+            got.append((yield from ch.pop_vec(n, width=8)))
+
+        prog.add_kernel(snd, rank=0,
+                        ops=[OpDecl("send", 0, SMI_FLOAT, peer=1)])
+        prog.add_kernel(rcv, rank=1,
+                        ops=[OpDecl("recv", 0, SMI_FLOAT, peer=0)])
+        planner_train._train_debug = at_train_end
         tracemalloc.start()
         try:
-            _res, stats = _run_stream(NOCTUA, n=n, hops=1)
+            res = prog.run(max_cycles=200_000_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             planner_train._train_debug = None
-        assert stats.ff_jumps >= 1
-        return peak
+        assert res.completed and np.array_equal(got[0], data)
+        assert collect_planner_stats(res.transport).ff_jumps == 1
+        assert len(blocks) == 1, "one jump train per stream"
+        return peak - got[0].nbytes, blocks[0], entries[0]
 
-    small = traced_peak(1 << 17, at_train_end)
+    small, small_blocks, small_entries = traced(1 << 17)
+    large, large_blocks, large_entries = traced(1 << 20)
     period = 176 * 17  # packets per hyperperiod x tracked lists (1 hop)
-    assert blocks and max(blocks) <= 4 * period, blocks
-    large = traced_peak(1 << 19, None)
-    assert large < 2 * small, (small, large)
-    assert large < 16 << 20
+    assert max(small_blocks, large_blocks) <= 4 * period
+    assert small_entries == large_entries <= 2048
+    assert large <= 1.25 * small, (small, large)
+    assert large < 4 << 20
+
+
+def test_four_hop_stream_lands_one_jump_after_one_arming():
+    """No re-detection: a 4-hop 2^17-float ``NOCTUA`` stream validates
+    its arming prefix and its tail round by round and nothing between —
+    one jump over all 11 relay sessions (four capped jumps and 4 074
+    ``validate_round`` calls when a jump materialised its packets)."""
+    import sys
+
+    calls = [0]
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name == "validate_round":
+            calls[0] += 1
+
+    sys.setprofile(profiler)
+    try:
+        res, stats = _run_stream(NOCTUA, n=1 << 17, hops=4)
+    finally:
+        sys.setprofile(None)
+    assert stats.ff_jumps == 1 and stats.ff_chain_hops == 11
+    assert calls[0] <= 2300, calls
+    ref, _ = _run_stream(NOCTUA.with_(macro_cruise=False), n=1 << 17, hops=4)
+    _assert_same_trajectory(res, ref, 4)
+
+
+def test_max_cycles_inside_a_shifted_span():
+    """A run cut inside a shifted span: the cut lands on the cycle, the
+    raw counters hold the committed future events (as after any early
+    bulk commit), ``max_occupancy`` is the peak of every period of the
+    span, and time-filtered queries at the cut answer exactly — from the
+    recorded period — on every FIFO of the chain."""
+    n, cut = 1 << 17, 20_000
+
+    def build(config):
+        prog = SMIProgram(noctua_bus(), config=config)
+        data = np.arange(n, dtype=np.float32) % 1024
+
+        def snd(smi):
+            ch = smi.open_send_channel(n, SMI_FLOAT, 1, 0)
+            yield from ch.push_vec(data, width=8)
+
+        def rcv(smi):
+            ch = smi.open_recv_channel(n, SMI_FLOAT, 0, 0)
+            yield from ch.pop_vec(n, width=8)
+
+        prog.add_kernel(snd, rank=0,
+                        ops=[OpDecl("send", 0, SMI_FLOAT, peer=1)])
+        prog.add_kernel(rcv, rank=1,
+                        ops=[OpDecl("recv", 0, SMI_FLOAT, peer=0)])
+        return prog
+
+    full = build(NOCTUA).run(max_cycles=200_000_000)
+    assert full.completed and cut < full.cycles
+    flit = build(NOCTUA.with_(burst_mode=False)).run(max_cycles=cut)
+    res = build(NOCTUA).run(max_cycles=cut)
+    assert res.reason == flit.reason == "max_cycles"
+    assert res.cycles == flit.cycles == cut
+    assert collect_planner_stats(res.transport).ff_jumps == 1
+
+    ref = {f.name: f for f in flit.engine.fifos}
+    shifted = [f for f in res.engine.fifos if f._occ_span is not None]
+    assert len(shifted) == 3, "send endpoint, link, recv endpoint"
+    for f in shifted:
+        floor, period, periods = f._occ_span[:3]
+        assert floor < cut < floor + period * periods, "cut inside the span"
+        r = ref[f.name]
+        assert f.counts_at(cut) == r.counts_at(cut) == (r.pushes, r.pops)
+        assert f.max_occupancy_at(cut) == r.max_occupancy
+        assert f.max_occupancy == r.max_occupancy
+        # Committed future events are in the raw counters already.
+        assert f.pushes > r.pushes and f.pops > r.pops
+        with pytest.raises(SimulationError, match="folded through"):
+            f.counts_at(floor - 2)

@@ -4,7 +4,8 @@ The analytic jump (``ff_apply`` in :mod:`repro.transport.planner_ff`) only
 commits after a battery of guards proves the extrapolation sound along
 the whole relay chain: per-hop element conservation, release/readiness
 lattice checks, the closed-form horizon/budget bounds (min over the
-chain), and per-hop slot-release caps. The randomized fuzz sweep
+chain), per-hop slot-release caps, and the shiftability of every chain
+FIFO (a jump lands as one time shift per FIFO). The randomized fuzz sweep
 (``tests/test_burst_fuzz.py``) perturbs these paths stochastically;
 this module drives each guard *deterministically* through the
 ``planner_ff._ff_guard_probe`` test seam — a probe that forces a chosen
@@ -14,6 +15,12 @@ cycles and FIFO trajectories.
 
 The vetoed run must also never count a jump (``ff_jumps == 0``): a
 guard refusal aborts the whole analytic commit, not just a bound.
+
+Two refusals have deterministic causes of their own, driven here without
+the probe: a chain FIFO the shift cannot carry exactly (guard ``shift``,
+with the FIFO's reason), and a message that ends within three periods of
+the first provable one (guard ``budget``) — final for the message, so it
+is reported once and the chain is not probed again.
 """
 
 import numpy as np
@@ -64,6 +71,14 @@ def _run(config, n=N, hops=HOPS, probe=None):
     return res, collect_planner_stats(res.transport)
 
 
+def _assert_same_fifo_stats(res, ref):
+    """Same per-FIFO push/pop counts and occupancy peaks as ``ref``."""
+    fifos = res.engine.fifo_stats()
+    for fname, rstats in ref.engine.fifo_stats().items():
+        for key in ("pushes", "pops", "max_occupancy"):
+            assert fifos[fname][key] == rstats[key], (fname, key)
+
+
 def _veto(guard, hop):
     """A probe failing ``guard`` at ``hop`` (any hop when ``None``),
     plus the list of (guard, hop) sites it actually fired at."""
@@ -96,6 +111,7 @@ def reference():
     ("recv-lattice", -1),   # off-lattice recv-lane readiness
     ("budget", -1),         # closed-form take-budget floor
     ("standing", 0),        # frozen standing backlog on the first hop
+    ("shift", 7),           # a mid-chain FIFO that cannot take the shift
     ("no-period", -1),      # the detector never offers a period
 ])
 def test_guard_veto_falls_back_bit_identical(reference, guard, hop):
@@ -113,12 +129,7 @@ def test_guard_veto_falls_back_bit_identical(reference, guard, hop):
     # push/pop counts and occupancy peaks as the no-macro plane.
     assert vetoed.store(HOPS, "end") == reference.store(HOPS, "end")
     assert vetoed.cycles == reference.cycles
-    ref_fifos = reference.engine.fifo_stats()
-    fifos = vetoed.engine.fifo_stats()
-    for fname, rstats in ref_fifos.items():
-        fstats = fifos[fname]
-        for key in ("pushes", "pops", "max_occupancy"):
-            assert fstats[key] == rstats[key], (fname, key)
+    _assert_same_fifo_stats(vetoed, reference)
 
 
 def test_silence_proof_veto_falls_back_bit_identical():
@@ -147,11 +158,7 @@ def test_silence_proof_veto_falls_back_bit_identical():
     assert stats.mean_train_rounds < 2, "trains grew without the proof"
     assert vetoed.store(HOPS, "end") == ref.store(HOPS, "end")
     assert vetoed.cycles == ref.cycles
-    ref_fifos = ref.engine.fifo_stats()
-    fifos = vetoed.engine.fifo_stats()
-    for fname, rstats in ref_fifos.items():
-        for key in ("pushes", "pops", "max_occupancy"):
-            assert fifos[fname][key] == rstats[key], (fname, key)
+    _assert_same_fifo_stats(vetoed, ref)
 
 
 def test_probe_observes_every_hop_of_the_chain():
@@ -169,7 +176,67 @@ def test_probe_observes_every_hop_of_the_chain():
     assert cons_hops == set(range(LAST_HOP + 1)), \
         "conservation guard must walk every hop of the 4-hop chain"
     assert {h for g, h in seen if g == "horizon"} == cons_hops
+    # One shift per chain FIFO: the send endpoint, then each hop's target.
+    assert {h for g, h in seen if g == "shift"} == set(range(LAST_HOP + 2))
     assert {g for g, _h in seen} >= {
         "conservation", "rel-lattice", "budget", "horizon",
-        "standing", "recv-lattice", "slots", "no-period",
+        "standing", "recv-lattice", "slots", "shift", "no-period",
     }
+
+
+def _abort_events(res):
+    return [ev[6] for ev in res.engine.trace.events() if ev[2] == "abort"]
+
+
+def test_unshiftable_fifo_refuses_the_jump_by_name(monkeypatch):
+    """A chain FIFO that cannot be time-shifted exactly — here the
+    receive endpoint claims a boundary log, which records every item —
+    refuses the jump before anything is mutated: guard ``shift`` at
+    that FIFO's chain position with the FIFO's own reason, and the run
+    stays on per-packet replication, bit-identical."""
+    from repro.simulation.fifo import Fifo
+
+    original = Fifo.shift_refusal
+
+    def refusal(self, pending_takes=0):
+        if self.name.endswith("recv_ep0"):
+            return "boundary log records every item"
+        return original(self, pending_takes)
+
+    ref, _ = _run(DEEP, hops=1)
+    monkeypatch.setattr(Fifo, "shift_refusal", refusal)
+    res, stats = _run(MACRO.with_(trace=True), hops=1)
+    assert stats.ff_jumps == 0 and stats.ff_bulk_rounds == 0
+    shift = [a for a in _abort_events(res) if a["guard"] == "shift"]
+    assert shift and all(
+        a["hop"] == 2 and a["reason"] == "boundary log records every item"
+        for a in shift)
+    assert res.cycles == ref.cycles
+    _assert_same_fifo_stats(res, ref)
+
+
+def test_message_end_refusal_is_final(monkeypatch):
+    """The threshold tax, closed: a 4-hop 2^13-float ``NOCTUA`` stream
+    proves its first period with fewer than three left. The O(1)
+    message-end bound refuses before the O(lattice) proof, once — one
+    ``abort`` (guard ``budget``, with the reason) — and the chain is not
+    probed again for the rest of the message (16 futile proofs before)."""
+    from repro import NOCTUA
+
+    applied = []
+    original = planner_ff._FastForward.ff_apply
+
+    def ff_apply(self, *args):
+        applied.append(original(self, *args))
+        return applied[-1]
+
+    monkeypatch.setattr(planner_ff._FastForward, "ff_apply", ff_apply)
+    ref, _ = _run(NOCTUA.with_(macro_cruise=False), n=1 << 13)
+    res, stats = _run(NOCTUA.with_(trace=True), n=1 << 13)
+    assert applied == [False]
+    assert stats.ff_jumps == 0
+    named = [a for a in _abort_events(res)
+             if a["guard"] not in ("unresolved", "no-period")]
+    assert named == [{"guard": "budget", "hop": -1,
+                      "reason": "message ends within three periods"}]
+    assert res.cycles == ref.cycles

@@ -467,6 +467,22 @@ def test_gap_histogram_percentiles():
         h.percentile(1.5)
 
 
+def test_gap_histogram_repeat_is_recording_every_period():
+    """``repeat`` adds R copies of one period's gaps — wrap-around gap
+    included — exactly as recording every event of the R periods would."""
+    period, dT, R = [3, 4, 9, 10], 12, 37
+    explicit, closed = GapHistogram(), GapHistogram()
+    for h in (explicit, closed):
+        for cyc in [1] + period:
+            h.record(cyc)
+    for k in range(1, R + 1):
+        for cyc in period:
+            explicit.record(cyc + k * dT)
+    closed.repeat(period, dT, R)
+    assert closed == explicit
+    assert closed.count == 4 + 4 * R and closed.last_cycle == 10 + R * dT
+
+
 def test_gap_histogram_empty_percentile_message():
     """Regression: percentiles of an empty histogram raise a clear,
     self-explanatory error — including the one-event case, which records

@@ -790,6 +790,46 @@ def test_sharded_planner_stats_populated():
     assert stats.windows > 0 and stats.takes > 0
 
 
+def test_jump_inside_a_shard_is_exact_at_the_global_end():
+    """A time shift folds a chain FIFO's log ahead of the clock — and,
+    in a shard, past the ``stats_fold_limit`` watermark (0 when the jump
+    lands). It may: every shifted event precedes the receiving kernel's
+    last pop, hence the global end the watermark stands for. Two
+    intra-shard streams of unequal length each land a jump; the merged
+    stats — ``counts_at`` / ``max_occupancy_at`` at the global end, which
+    only the longer stream's shard reaches by its own clock — equal the
+    sequential run's on every FIFO."""
+    from repro.simulation.stats import collect_planner_stats
+
+    def build(config):
+        prog = SMIProgram(noctua_bus(), config=config)
+        for src, n in ((0, 1 << 15), (4, 1 << 14)):
+            data = np.arange(n, dtype=np.float32) % 1024
+
+            def snd(smi, n=n, data=data, dst=src + 1):
+                ch = smi.open_send_channel(n, SMI_FLOAT, dst, 0)
+                yield from ch.push_vec(data, width=8)
+
+            def rcv(smi, n=n, data=data, src=src):
+                ch = smi.open_recv_channel(n, SMI_FLOAT, src, 0)
+                out = yield from ch.pop_vec(n, width=8)
+                smi.store("ok", bool(np.array_equal(out, data)))
+
+            prog.add_kernel(snd, rank=src,
+                            ops=[OpDecl("send", 0, SMI_FLOAT, peer=src + 1)])
+            prog.add_kernel(rcv, rank=src + 1,
+                            ops=[OpDecl("recv", 0, SMI_FLOAT, peer=src)])
+        res = prog.run(max_cycles=50_000_000)
+        assert res.completed, res.reason
+        assert res.store(1, "ok") and res.store(5, "ok")
+        return res
+
+    ref = _assert_sharded_equal(build, _shard_configs(2))
+    assert collect_planner_stats(ref.transport).ff_jumps == 2
+    sharded = build(NOCTUA.with_(backend="sharded", shards=2))
+    assert collect_planner_stats(sharded.transport).ff_jumps == 2
+
+
 def test_sharded_on_ring_topology():
     """A ring cut into 2 shards has two boundary cables (4 directed)."""
     n = 128

@@ -21,6 +21,13 @@ transport, no planner::
                 cycle, where a bucket per cycle would cost more than a
                 heap entry per event.
 
+``jump_land``   a synthetic 3-FIFO steady chain landing a proven span as
+                one ``Fifo.shift`` per FIFO, for ``R`` = 10 and ``R`` =
+                10 000 periods (ns per shift): the two must cost the
+                same, so what is asserted is the number of list / deque
+                entries the FIFOs hold going in plus coming out — what a
+                shift reads and writes — which must not depend on ``R``.
+
 Seconds are printed next to ``calib`` (the frozen calibration loop of
 the repo benchmark) because this box is too noisy for a threshold; the
 *counts* — dispatches, parks and commits scheduled per loop — are exact
@@ -65,7 +72,15 @@ EXPECTED = {
     "pushpop_full": {"dispatch": 80_001, "park": 39_999, "commits": 20_000},
     "park5_dense": {"dispatch": 256_032, "park": 64_016, "commits": 64_000},
     "park5_sparse": {"dispatch": 16_002, "park": 4001, "commits": 4000},
+    # Entries held before + after the three shifts, per span length.
+    "jump_land": {"r10": 918, "r10000": 918},
 }
+
+JUMP_FIFOS = 3
+JUMP_PPP, JUMP_PERIOD = 16, 32      # one packet per link slot
+JUMP_LATENCY, JUMP_LAG = 14, 5      # take = stage + latency + lag
+JUMP_PREFIX = 6                     # validated periods landed first
+JUMP_RS = (10, 10_000)
 
 
 def build_tick(engine):
@@ -177,6 +192,44 @@ def count_loop(name: str) -> dict:
             "park": counter.kinds["park"], "commits": len(armed)}
 
 
+def _fifo_entries(fifo) -> int:
+    return (len(fifo._staged) + len(fifo._ready) + len(fifo._reserved)
+            + len(fifo._occ_stages) + len(fifo._occ_takes))
+
+
+def jump_land(periods: int) -> tuple[int, float]:
+    """Land ``periods`` periods on a steady 3-FIFO chain as one time
+    shift per FIFO; ``(entries held before + after, ns per shift)``."""
+    engine = Engine()
+    n_prefix = JUMP_PREFIX * JUMP_PPP
+    stages = [i * JUMP_PERIOD // JUMP_PPP for i in range(n_prefix)]
+    floor = JUMP_PREFIX * JUMP_PERIOD   # the producer's frontier
+    takes = [s + JUMP_LATENCY + JUMP_LAG for s in stages]
+    takes = takes[:sum(1 for t in takes if t < floor)]
+    n = periods * JUMP_PPP
+    fifos = []
+    for k in range(JUMP_FIFOS):
+        fifo = engine.fifo(f"hop{k}", capacity=n_prefix,
+                           latency=JUMP_LATENCY)
+        fifo.stage_burst(list(range(n_prefix)), stages)
+        fifo.take_burst(takes, collect=False)
+        fifos.append(fifo)
+    rows = list(range(len(takes) + n, n_prefix + n))
+    entries = sum(map(_fifo_entries, fifos))
+    t0 = time.perf_counter()
+    for fifo in fifos:
+        fifo.shift(n, periods * JUMP_PERIOD, JUMP_PERIOD, floor, rows)
+    wall = time.perf_counter() - t0
+    for fifo in fifos:
+        assert (fifo.pushes, fifo.pops) == (n_prefix + n, len(takes) + n)
+    entries += sum(map(_fifo_entries, fifos))
+    return entries, wall * 1e9 / JUMP_FIFOS
+
+
+def count_jump_land() -> dict:
+    return {f"r{periods}": jump_land(periods)[0] for periods in JUMP_RS}
+
+
 def _calib_seconds() -> float:
     t0 = time.perf_counter()
     calib.calibrate()
@@ -196,6 +249,15 @@ def main(argv: list[str]) -> int:
             "ns_per_unit": round(min(time_loop(name)
                                      for _ in range(repeat)), 1),
             **counts}
+    counts = count_jump_land()
+    if counts != EXPECTED["jump_land"]:
+        failures.append(f"jump_land: entries {counts} != "
+                        f"{EXPECTED['jump_land']}")
+    report["jump_land"] = {
+        **{f"ns_per_shift_r{periods}": round(min(
+            jump_land(periods)[1] for _ in range(repeat)), 1)
+           for periods in JUMP_RS},
+        **counts}
     if "--json" in argv:
         print(json.dumps(report))
     else:
@@ -206,6 +268,10 @@ def main(argv: list[str]) -> int:
             print(f"{name:13s} {row['ns_per_unit']:9.1f} ns/{unit}  "
                   f"dispatches {row['dispatch']}  parks {row['park']}  "
                   f"commits {row['commits']}")
+        row = report["jump_land"]
+        print("jump_land     " + "  ".join(
+            f"R={periods}: {row[f'ns_per_shift_r{periods}']:.1f} ns/shift, "
+            f"{row[f'r{periods}']} entries" for periods in JUMP_RS))
     for line in failures:
         print("COUNT MISMATCH", line, file=sys.stderr)
     return 1 if failures else 0
