@@ -5,7 +5,8 @@ Setup per the paper: 4 CKS/CKR pairs (torus wiring), one application
 endpoint streaming continuously; the CKS polls 5 inputs (the application,
 the paired CKR, and the 3 sibling CKS modules).
 
-Known fidelity limit (see EXPERIMENTS.md): at R >= 8 the measured gap
+Known fidelity limit (this bench prints the comparison; see
+``benchmarks/README.md`` for how to run it): at R >= 8 the measured gap
 saturates at our fixed 2-cycle link slot instead of the paper's 1.8/1.69 —
 their kernel-to-link clock ratio is higher than the modelled 2x. R = 1 and
 R = 4 reproduce the paper's 5.0 and 2.5 exactly.

@@ -18,7 +18,8 @@ Two fidelities:
   Fig. 13 at paper scale (calibrated constant:
   ``MemoryConfig.gesummv_stream_bandwidth_Bps`` = 24 GB/s effective per
   board, which reproduces the paper's reported 0.7/2.8/10.8 ms almost
-  exactly; see EXPERIMENTS.md).
+  exactly; ``benchmarks/bench_fig13_gesummv.py`` prints the comparison,
+  see ``benchmarks/README.md``).
 """
 
 from __future__ import annotations

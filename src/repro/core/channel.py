@@ -508,15 +508,19 @@ class SendChannel:
         width = width if width is not None else len(values)
         if width < 1:
             raise ChannelError("vector width must be >= 1")
-        if self._burst:
+        host = getattr(self.endpoint, "macro_host", None)
+        if self._burst and (host is None or host.reads(len(values))):
             yield from self._push_vec_burst(values, width)
-            return
-        # Per-flit plane: the element-by-element ``push`` loop — ``width``
-        # elements, then a TICK — without a Python-level step per
-        # element. Payloads are sliced out of ``values`` as ``pack_run``
-        # does, but each packet is still staged (stalling on a full
-        # endpoint) in the chunk that pushes its last element, and at
-        # every yield ``_sent`` counts exactly the elements pushed so far.
+        else:
+            yield from self._push_vec_flit(values, width)
+
+    def _push_vec_flit(self, values, width: int) -> Generator:
+        """Per-flit plane: the element-by-element ``push`` loop — ``width``
+        elements, then a TICK — without a Python-level step per element.
+        Payloads are sliced out of ``values`` as ``pack_run`` does, but
+        each packet is still staged (stalling on a full endpoint) in the
+        chunk that pushes its last element, and at every yield ``_sent``
+        counts exactly the elements pushed so far."""
         packer = self._packer
         n = len(values)
         base = self._sent
@@ -563,7 +567,7 @@ class SendChannel:
         lane = None
         if host is not None:
             lane = _SendLane(self, values, width)
-            host.register_lane(ep, lane)
+            host.register_lane(ep, lane, n)
         try:
             i = 0
             while True:
@@ -587,23 +591,16 @@ class SendChannel:
                                       start, free, rels, 0)
                 )
                 if planned == 0:
-                    # The very next chunk's packets exceed free space: run it
-                    # element by element so the stall lands mid-chunk exactly
-                    # as in the per-flit path.
+                    # The very next chunk's packets exceed free space: run
+                    # it as the per-flit path does, so the stall lands
+                    # mid-chunk exactly there.
                     if lane is not None:
                         lane.cur = None  # mid-chunk: frontier unknown
                     w_j = min(width, n - i)
-                    for v in values[i : i + w_j]:
-                        pkt = self._packer.add(v)
-                        self._sent += 1
-                        if pkt is None and self._sent == self.count:
-                            pkt = self._packer.flush()
-                        if pkt is not None:
-                            yield from self._stage_packet(pkt)
+                    yield from self._push_vec_flit(values[i : i + w_j], w_j)
                     i += w_j
                     if lane is not None:
                         lane.i = i
-                    yield TICK
                     continue
                 packets = self._packer.pack_run(
                     values[i : i + planned], flush_tail=flush_tail
@@ -720,7 +717,8 @@ class RecvChannel:
         if width < 1:
             raise ChannelError("vector width must be >= 1")
         out = np.empty(n, dtype=self.dtype.np_dtype)
-        if self._burst:
+        host = getattr(self.endpoint, "macro_host", None)
+        if self._burst and (host is None or host.reads(n)):
             yield from self._pop_vec_burst(n, width, out)
             return out
         got = 0
@@ -770,7 +768,7 @@ class RecvChannel:
         lane = None
         if host is not None:
             lane = _RecvLane(self, n, width, out)
-            host.register_lane(ep, lane)
+            host.register_lane(ep, lane, n)
         try:
             yield from self._pop_vec_burst_loop(n, width, out, lane)
         finally:

@@ -1,9 +1,9 @@
 """Reference values digitised from the paper's tables and figures.
 
-Every benchmark prints its measurements side by side with these, and
-EXPERIMENTS.md records the comparison. Table values are exact (copied from
-the text); figure values are approximate reads of the plotted curves and
-are marked as such.
+Every paper-regeneration benchmark prints its measurements side by side
+with these (``benchmarks/README.md`` says how to run them). Table values
+are exact (copied from the text); figure values are approximate reads of
+the plotted curves and are marked as such.
 """
 
 from __future__ import annotations

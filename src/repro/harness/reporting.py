@@ -104,6 +104,12 @@ def planner_summary(stats) -> str:
         f"{stats.replications:,} trains x {stats.mean_train_rounds:.2f} "
         f"rounds (hit {stats.replication_hit_rate:.2f})"
         + (
+            # A zero-attempt run explains itself: who was never asked.
+            f" | planner stayed out: {stats.cks_off_route} of {stats.cks} "
+            f"CKs off-route, live for {stats.live_spans} lane spans"
+            if stats.cks and not stats.attempts else ""
+        )
+        + (
             f" | macro: {stats.ff_jumps:,} jumps x "
             f"{stats.mean_ff_chain_len:.1f} relay sessions, "
             f"{stats.ff_bulk_rounds:,} bulk rounds over "

@@ -231,6 +231,13 @@ class PlannerStats:
     consumer not joined"``; merged like the disarm reason). Named guard
     refusals of ``ff_apply`` and permanent disarms are not misses: they
     report themselves.
+
+    Engagement (who was ever asked to plan) adds three, all booked on
+    the :class:`~repro.transport.planner.SupplyPlanner`'s own ``stats``:
+    ``cks`` counts the CKs the builder put on the burst plane and
+    ``cks_off_route`` those of them on no declared point-to-point route
+    (built without a planner hook); ``live_spans`` counts the times a
+    long vector lane raised the planner's live state.
     """
 
     attempts: int = 0
@@ -253,6 +260,9 @@ class PlannerStats:
     ff_disarm_reason: str = ""
     ff_misses: int = 0
     ff_miss_reason: str = ""
+    cks: int = 0
+    cks_off_route: int = 0
+    live_spans: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -318,7 +328,8 @@ def collect_planner_stats(transport) -> PlannerStats:
     snapshot = getattr(transport, "planner_stats_snapshot", None)
     if snapshot is not None:
         return snapshot
-    total = PlannerStats()
+    planner = getattr(transport, "planner", None)
+    total = planner.stats if planner is not None else PlannerStats()
     for rt in transport.ranks.values():
         for ck in list(rt.cks.values()) + list(rt.ckr.values()):
             total = total.merge(ck.arbiter.planner_stats)

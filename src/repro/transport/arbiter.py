@@ -23,6 +23,16 @@ rather than in generator locals, so the supply-schedule planner
 *peer's* engine event — extending a sleeping kernel's window, or waking a
 parked one with its next window already committed (``_coplanned``).
 
+When the planner is consulted at all is *engagement* (``docs/
+ARCHITECTURE.md``, "Engagement"): a CK on no declared point-to-point
+route runs this loop without a planner; one on a route attempts a plan
+only while ``SupplyPlanner.live`` is set (a long vector lane is in
+flight), and stops for a doubling number of polls after
+``PLAN_MISS_LIMIT`` consecutive *misses* — attempts that proved nothing,
+or committed yet another window after ``PLAN_WINDOW_ALLOWANCE`` of them
+led to no replicated train. Windows only pay as the road to a train, so
+a committed window by itself is never a hit.
+
 Resume-state fields (the contract between this loop and the planner):
 
 ``_idx``
@@ -80,7 +90,8 @@ class PollingArbiter:
 
     __slots__ = ("inputs", "read_burst", "_idx", "packets_accepted",
                  "_wait_any", "accept_hist", "_plan_miss", "_plan_skip",
-                 "_plan_skip_len", "_resume_reads", "_plan_until",
+                 "_plan_skip_len", "_plan_grace", "_plan_paid",
+                 "_resume_reads", "_plan_until",
                  "_resume_state", "_coplanned", "_blocked_on",
                  "_starved_on", "_pattern", "_pattern_hist",
                  "_pattern_phase", "_pattern_end", "_rep_miss",
@@ -88,13 +99,19 @@ class PollingArbiter:
 
     #: Consecutive planner misses before backing off, and how many polls
     #: to skip planning for once backed off — doubling on every repeat up
-    #: to the cap, so workloads the planner can prove nothing about (or
-    #: only single-take windows) converge to per-flit speed. A successful
-    #: multi-take window resets the backoff. (Backing off never changes
-    #: cycle counts — planning is cycle-neutral — only wall-clock speed.)
+    #: to the cap, so workloads whose windows never become trains
+    #: converge to per-flit speed. A *hit* is an attempt by which this
+    #: CK's windows had paid — a replicated train or a landed jump since
+    #: its previous attempt; a committed window that has not paid yet is
+    #: neutral for the first ``PLAN_WINDOW_ALLOWANCE`` of them (what the
+    #: pattern detector needs to confirm its longest period:
+    #: ``2 * planner.PATTERN_MAX_PERIOD``) and a miss after that, like
+    #: an attempt that proved nothing. (Backing off never changes cycle
+    #: counts — planning is cycle-neutral — only wall-clock speed.)
     PLAN_MISS_LIMIT = 2
     PLAN_SKIP_POLLS = 256
     PLAN_SKIP_MAX = 8192
+    PLAN_WINDOW_ALLOWANCE = 6
 
     #: Initial replication-futility skip length (doubled by
     #: :meth:`SupplyPlanner._note_train` up to ``REP_SKIP_MAX`` there).
@@ -119,6 +136,8 @@ class PollingArbiter:
         self._plan_miss = 0
         self._plan_skip = 0
         self._plan_skip_len = self.PLAN_SKIP_POLLS
+        self._plan_grace = self.PLAN_WINDOW_ALLOWANCE  # unpaid windows left
+        self._plan_paid = 0           # replications at the last hit
         # Planner resume state (see module docstring):
         self._resume_reads = -1       # >= 0: continue an open R-round
         self._plan_until = 0          # absolute end of the committed window
@@ -153,6 +172,7 @@ class PollingArbiter:
         self._plan_miss = 0
         self._plan_skip = 0
         self._plan_skip_len = self.PLAN_SKIP_POLLS
+        self._plan_grace = self.PLAN_WINDOW_ALLOWANCE
         self._rep_miss = 0
         self._rep_skip = 0
         self._rep_skip_len = self.REP_SKIP_POLLS
@@ -172,61 +192,89 @@ class PollingArbiter:
         if self.accept_hist is not None:
             self.accept_hist.record(cycle)
 
-    def run(self, forward: Callable, engine, planner=None) -> Generator:
+    def _note_attempt(self, planned) -> None:
+        """Score one own planning attempt for the miss backoff (the hit /
+        neutral / miss rule is stated at ``PLAN_MISS_LIMIT``). Every
+        session a train commits — a landed jump's chain included — counts
+        one replication on its own arbiter, so that one counter is the
+        whole "paid" test."""
+        paid = self.planner_stats.replications
+        if paid > self._plan_paid:
+            self._plan_paid = paid
+            self._plan_miss = 0
+            self._plan_skip_len = self.PLAN_SKIP_POLLS
+            self._plan_grace = self.PLAN_WINDOW_ALLOWANCE
+        elif planned and self._plan_grace:
+            self._plan_grace -= 1
+        else:
+            self._plan_miss += 1
+            if self._plan_miss >= self.PLAN_MISS_LIMIT:
+                # Nothing here becomes a train lately: poll per-flit for
+                # a while before trying to plan again, backing off
+                # harder each time it recurs.
+                self._plan_miss = 0
+                self._plan_skip = self._plan_skip_len
+                if self._plan_skip_len < self.PLAN_SKIP_MAX:
+                    self._plan_skip_len *= 2
+
+    def run(self, forward: Callable, engine, ck=None) -> Generator:
         """The kernel main loop: poll, and hand packets to ``forward``.
 
         ``forward(packet)`` must be a generator that completes the same-cycle
         routing decision and staging of the packet (it may internally stall
         on backpressure). One packet is accepted per cycle at most.
 
-        ``planner(ck, engine, resume_reads, skip)``, if given, is the burst
-        fast path (:meth:`repro.transport.planner.SupplyPlanner.plan`): a
-        plain call that simulates this very loop forward over the *known*
-        future, commits every take/stage it proved, stores the resume state
-        on this arbiter (``_plan_until``/``_idx``/``_resume_reads``) and
-        returns a truthy value — the loop then sleeps the whole committed
-        window in one engine event and resumes in the exact per-flit state.
-        ``None`` means nothing was provable; fall back to one per-flit
-        step. While this kernel sleeps or parks, a peer's cascade may
-        commit further windows on its behalf: a sleeping kernel simply
-        finds ``_plan_until`` moved when it wakes, a parked one is
-        preempted with ``_coplanned`` set and skips its wake-up scan.
+        ``ck``, if given, is the owning kernel; on the burst plane
+        (``ck.burst_mode``) and on a declared point-to-point route its
+        ``supply_planner``
+        (:class:`repro.transport.planner.SupplyPlanner`, else ``None``)
+        is the burst fast path, consulted only while the planner's ``live`` attribute
+        is set (a long vector lane is in flight — see "Engagement" in
+        ``docs/ARCHITECTURE.md``): ``plan(ck, engine, resume_reads,
+        skip)`` is a plain call that simulates this very loop forward
+        over the *known* future, commits every take/stage it proved,
+        stores the resume state on this arbiter (``_plan_until`` /
+        ``_idx`` / ``_resume_reads``) and returns a truthy value — the
+        loop then sleeps the whole committed window in one engine event
+        and resumes in the exact per-flit state. ``None`` means nothing
+        was provable; fall back to one per-flit step. While this kernel
+        sleeps or parks, a peer's cascade may commit further windows on
+        its behalf: a sleeping kernel simply finds ``_plan_until`` moved
+        when it wakes, a parked one is preempted with ``_coplanned`` set
+        and skips its wake-up scan. Without a planner this is the
+        specification loop, untouched.
         """
         inputs = self.inputs
         n = len(inputs)
         burst = self.read_burst
+        planner = ck.supply_planner if ck is not None and ck.burst_mode \
+            else None
+        # A committed window can be outstanding only where this loop
+        # re-enters after a plan of its own, a window's sleep or a
+        # co-planned wake (peers plan a CK only while it sleeps a window
+        # or is parked): only those paths pay for the check.
+        covered = True
         while True:
             if planner is not None:
-                until = self._plan_until
-                if until > engine.cycle:
-                    # A committed window (own, or planned by a peer's
-                    # cascade) covers the near future: sleep it off.
-                    self._resume_state = "window"
-                    yield WaitCycles(until - engine.cycle)
-                    self._resume_state = "run"
-                    continue
-                if self._plan_skip:
+                if covered:
+                    until = self._plan_until
+                    if until > engine.cycle:
+                        # A committed window (own, or planned by a peer's
+                        # cascade) covers the near future: sleep it off.
+                        self._resume_state = "window"
+                        yield WaitCycles(until - engine.cycle)
+                        self._resume_state = "run"
+                        continue
+                    covered = False
+                if not planner.live:
+                    pass
+                elif self._plan_skip:
                     self._plan_skip -= 1
                 else:
-                    before = self.packets_accepted
-                    plan = planner(self, engine, self._resume_reads, 0)
-                    if plan is not None and \
-                            self.packets_accepted - before > 3:
-                        self._plan_miss = 0
-                        self._plan_skip_len = self.PLAN_SKIP_POLLS
-                    else:
-                        # A failed attempt — or a window so short that
-                        # planning cost more than the events it saved.
-                        self._plan_miss += 1
-                        if self._plan_miss >= self.PLAN_MISS_LIMIT:
-                            # Nothing batchable here lately: poll per-flit
-                            # for a while before trying to plan again,
-                            # backing off harder each time it recurs.
-                            self._plan_miss = 0
-                            self._plan_skip = self._plan_skip_len
-                            if self._plan_skip_len < self.PLAN_SKIP_MAX:
-                                self._plan_skip_len *= 2
+                    plan = planner.plan(ck, engine, self._resume_reads, 0)
+                    self._note_attempt(plan)
                     if plan is not None:
+                        covered = True
                         continue
             resume_reads = self._resume_reads
             fifo = inputs[self._idx]
@@ -266,15 +314,17 @@ class PollingArbiter:
                         # parked (and already emulated this wake-up): the
                         # loop top picks up the committed state.
                         self._coplanned = False
+                        covered = True
                         continue
                     scan = 0
                     while scan < n and not inputs[self._idx].readable:
                         self._idx = (self._idx + 1) % n
                         scan += 1
                     if scan:
-                        if planner is not None and not self._plan_skip:
+                        if planner is not None and planner.live \
+                                and not self._plan_skip:
                             # Fuse the scan charge into the plan's sleep.
-                            plan = planner(self, engine, -1, scan)
-                            if plan is not None:
+                            if planner.plan(ck, engine, -1, scan) is not None:
+                                covered = True
                                 continue
                         yield WaitCycles(scan)

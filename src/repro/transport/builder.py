@@ -84,6 +84,7 @@ class Transport:
     fabric: Fabric
     ranks: dict[int, RankTransport]
     boundaries: list = field(default_factory=list)
+    planner: SupplyPlanner | None = None  # burst plane only
 
     def rank(self, rank: int) -> RankTransport:
         return self.ranks[rank]
@@ -106,74 +107,86 @@ class _RouteProbe:
         self.port = port
 
 
-def _mark_flow_liveness(
+def _walk_routes(
     plan: ProgramPlan,
     ranks: dict[int, RankTransport],
-    transit: list[Fifo],
-) -> None:
-    """Statically mark transport FIFOs no declared flow can ever traverse.
+) -> tuple[set[int], set[int]]:
+    """Walk every declared point-to-point flow through the *actual*
+    CKS/CKR routing functions (one walk per possible destination;
+    ``OpDecl.peer`` narrows that to one). Returns ``(visited, routed)``:
+    the ids of the transit FIFOs and of the CKs some walk crossed.
 
-    For every declared send-capable operation, walk the packet's route
-    through the *actual* CKS/CKR routing functions (one walk per possible
-    destination; ``OpDecl.peer`` narrows that to one). Transit FIFOs not
-    visited by any walk are marked ``flow_dead``: the burst planner may
-    then treat them as provably empty at any future cycle, which is what
-    lets it plan whole multi-round polling windows in a single engine
-    event. Collective support kernels generate traffic patterns that
-    depend on runtime communicators, so any collective declaration keeps
-    every transit FIFO live (the analysis only ever errs towards "live").
+    ``routed`` is the static half of planner engagement: a CK on no
+    point-to-point route is built without a planner hook. ``visited``
+    feeds :func:`_mark_flow_dead` — on a program without collectives the
+    point-to-point flows are all the flows there are.
     """
-    if any(p.collective_ops() for p in plan.rank_plans.values()):
-        return
     visited: set[int] = set()
-    num_ranks = plan.num_ranks
-    for rank, rank_plan in plan.rank_plans.items():
-        for port, decl in rank_plan.send_ports().items():
-            dsts = [decl.peer] if decl.peer is not None else range(num_ranks)
-            for dst in dsts:
-                _walk_flow(ranks, visited, rank, dst, port)
-    for f in transit:
-        if id(f) not in visited:
-            f.flow_dead = True
-
-
-def _walk_flow(
-    ranks: dict[int, RankTransport],
-    visited: set[int],
-    src: int,
-    dst: int,
-    port: int,
-) -> None:
-    """Visit every transit FIFO the flow ``src -> dst`` on ``port`` crosses."""
-    rt = ranks[src]
-    if port not in rt.iface_of_port:
-        return
-    probe = _RouteProbe(src, dst, port)
-    module: tuple[str, int, int] | None = ("cks", src, rt.iface_of_port[port])
+    routed: set[int] = set()
+    consumer: dict[int, CKS | CKR] = {}  # id(inter-CK fifo) -> reading CK
+    for rt in ranks.values():
+        for i, cks in rt.cks.items():
+            consumer[id(cks.to_paired_ckr)] = rt.ckr[i]
+            for j, f in cks.to_other_cks.items():
+                consumer[id(f)] = rt.cks[j]
+        for i, ckr in rt.ckr.items():
+            consumer[id(ckr.to_paired_cks)] = rt.cks[i]
+            for j, f in ckr.to_other_ckr.items():
+                consumer[id(f)] = rt.ckr[j]
     # A route can cross at most every CK module once; anything longer is a
     # wiring loop and the guard below turns it into a loud failure.
     guard = 4 * sum(len(r.cks) + len(r.ckr) for r in ranks.values()) + 4
-    for _ in range(guard):
-        kind, rank, iface = module
-        ck = ranks[rank].cks[iface] if kind == "cks" else ranks[rank].ckr[iface]
-        try:
-            out = ck._route(probe)
-        except RoutingError:
-            return  # unreachable destination: no packet can take this path
-        if isinstance(out, Link):
-            visited.add(id(out.fifo))
-            nrank, niface = out.dst
-            module = ("ckr", nrank, niface)
-            continue
-        visited.add(id(out))
-        nxt = _find_consumer(ranks, out)
-        if nxt is None:
-            return  # delivered to a receive endpoint: walk complete
-        module = nxt
-    raise CodegenError(
-        f"flow-liveness walk {src}->{dst} port {port} did not terminate — "
-        "transport wiring loop?"
-    )
+    num_ranks = plan.num_ranks
+    for src, rank_plan in plan.rank_plans.items():
+        rt = ranks[src]
+        for decl in rank_plan.ops:
+            if decl.kind != "send" or decl.port not in rt.iface_of_port:
+                continue
+            port = decl.port
+            dsts = [decl.peer] if decl.peer is not None else range(num_ranks)
+            for dst in dsts:
+                probe = _RouteProbe(src, dst, port)
+                ck = rt.cks[rt.iface_of_port[port]]
+                for _ in range(guard):
+                    try:
+                        out = ck._route(probe)
+                    except RoutingError:
+                        break  # unreachable: no packet can take this path
+                    routed.add(id(ck))
+                    if isinstance(out, Link):
+                        visited.add(id(out.fifo))
+                        nrank, niface = out.dst
+                        ck = ranks[nrank].ckr[niface]
+                        continue
+                    visited.add(id(out))
+                    ck = consumer.get(id(out))
+                    if ck is None:
+                        break  # delivered to a receive endpoint
+                else:
+                    raise CodegenError(
+                        f"flow-liveness walk {src}->{dst} port {port} did "
+                        "not terminate — transport wiring loop?"
+                    )
+    return visited, routed
+
+
+def _mark_flow_dead(plan: ProgramPlan, transit: list[Fifo],
+                    visited: set[int]) -> None:
+    """Statically mark transport FIFOs no declared flow can ever traverse.
+
+    Transit FIFOs not in ``visited`` (no declared flow's route crosses
+    them) are marked ``flow_dead``: the burst planner may then treat
+    them as provably empty at any future cycle, which is what lets it
+    plan whole multi-round polling windows in a single engine event.
+    Collective support kernels generate traffic patterns that depend on
+    runtime communicators, so any collective declaration keeps every
+    transit FIFO live (the analysis only ever errs towards "live").
+    """
+    if any(p.collective_ops() for p in plan.rank_plans.values()):
+        return
+    for f in transit:
+        if id(f) not in visited:
+            f.flow_dead = True
 
 
 def _mark_flow_liveness_sharded(
@@ -185,7 +198,7 @@ def _mark_flow_liveness_sharded(
 ) -> None:
     """Static flow-liveness for one shard of a partitioned fabric.
 
-    The sequential analysis (:func:`_mark_flow_liveness`) walks flows
+    The sequential analysis (:func:`_walk_routes`) walks flows
     through the *live* CK modules, which a shard does not have for
     remote ranks. The CK routing functions are pure table lookups,
     though, so this variant walks the same flows through the routing
@@ -268,26 +281,6 @@ def _mark_flow_liveness_sharded(
     for f in transit:
         if id(f) not in visited:
             f.flow_dead = True
-
-
-def _find_consumer(
-    ranks: dict[int, RankTransport], fifo: Fifo
-) -> tuple[str, int, int] | None:
-    """The CK module reading ``fifo``, or None for app-side endpoints."""
-    for rank, rt in ranks.items():
-        for i, cks in rt.cks.items():
-            if fifo is cks.to_paired_ckr:
-                return ("ckr", rank, i)
-            for j, f in cks.to_other_cks.items():
-                if fifo is f:
-                    return ("cks", rank, j)
-        for i, ckr in rt.ckr.items():
-            if fifo is ckr.to_paired_cks:
-                return ("cks", rank, i)
-            for j, f in ckr.to_other_ckr.items():
-                if fifo is f:
-                    return ("ckr", rank, j)
-    return None
 
 
 def build_transport(
@@ -461,24 +454,42 @@ def build_transport(
             kernel.proc = engine.spawn(kernel.process(engine), kernel.name,
                                        daemon=True)
 
+    planner = None
     if config.burst_mode:
         # Only the burst planner consumes liveness and supply contracts;
         # the per-flit reference interpretation stays free of the analysis
         # (and its tripwires). A sharded build lacks remote ranks' CK
-        # modules, so it runs the table-driven variant of the walk.
+        # modules, so it runs the table-driven variant of the walk and
+        # errs towards planning: every CK of a program that declares a
+        # point-to-point flow keeps its hook, and a flow not known to
+        # start and end inside the shard pins the planner live (its
+        # lanes may be registered in another shard's planner).
         if shard_ranks is None:
-            _mark_flow_liveness(plan, ranks, transit)
+            visited, routed = _walk_routes(plan, ranks)
+            _mark_flow_dead(plan, transit, visited)
+            pinned = False
         else:
             _mark_flow_liveness_sharded(plan, routes, ranks, fabric,
                                         transit)
-        _wire_supply_planner(ranks, config)
+            sends = [(rank, decl) for rank, rank_plan
+                     in plan.rank_plans.items() for decl in rank_plan.ops
+                     if decl.kind == "send"]
+            routed = {id(ck) for rt in ranks.values()
+                      for ck in (*rt.cks.values(), *rt.ckr.values())
+                      } if sends else set()
+            pinned = any(rank not in shard_ranks
+                         or decl.peer not in shard_ranks
+                         for rank, decl in sends)
+        planner = _wire_supply_planner(ranks, config, routed, pinned)
 
     return Transport(config=config, routes=routes, fabric=fabric,
-                     ranks=ranks, boundaries=fabric.boundary_links())
+                     ranks=ranks, boundaries=fabric.boundary_links(),
+                     planner=planner)
 
 
 def _wire_supply_planner(ranks: dict[int, RankTransport],
-                         config: HardwareConfig):
+                         config: HardwareConfig, routed: set[int],
+                         pinned: bool):
     """Publish the transport's supply-schedule contracts (burst mode only).
 
     Three facts the planner consumes are static properties of the wiring,
@@ -491,18 +502,25 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
       collective port's send endpoint and element stream only by its
       support kernel — registering those closes the loops the horizon
       recursion walks through app-facing layers;
-    * every transit FIFO and link joins a single cluster-wide
-      :class:`SupplyPlanner` with its producer and consumer CK, which is
-      what lets one engine event plan windows across CK boundaries.
+    * every transit FIFO and link with a planning CK at either end joins
+      a single cluster-wide :class:`SupplyPlanner` with those CKs, which
+      is what lets one engine event plan windows across CK boundaries.
+
+    Only the CKs in ``routed`` (on a declared point-to-point route, see
+    :func:`_walk_routes`) plan: the others get ``supply_planner = None``
+    — the specification loop — and never enter the planner's maps, so no
+    cascade co-plans them. The producer registrations are tripwires and
+    cover every CK regardless.
 
     App-written endpoints (p2p send endpoints, collective ``app_in`` /
     ``ctrl``) stay unregistered: kernels may push from helper processes
     the metadata cannot see, so their producer sets are not closed.
 
-    Once the plane is wired, every arbiter's futility backoff is reset — a
-    formality here (this builder always constructs fresh arbiters) that
-    pins the invariant for every wiring path: a newly wired plane never
-    inherits skip lengths escalated under another configuration.
+    Once the plane is wired (by the planner's first plan, see
+    ``SupplyPlanner.unwired``), every arbiter's futility backoff is reset
+    — a formality here (this builder always constructs fresh arbiters)
+    that pins the invariant for every wiring path: a newly wired plane
+    never inherits skip lengths escalated under another configuration.
 
     ``config.macro_cruise`` additionally marks every app-facing stream
     endpoint (p2p send and receive endpoints) with the planner as its
@@ -515,19 +533,31 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
     before raising the per-train take budget (an unfinished support
     kernel is an unproven plane, so macro degrades to ordinary trains).
     """
-    sp = SupplyPlanner(macro=config.macro_cruise)
-    for rt in ranks.values():
-        for rank_cks in rt.cks.values():
-            rank_cks.supply_planner = sp
-        for rank_ckr in rt.ckr.values():
-            rank_ckr.supply_planner = sp
+    sp = SupplyPlanner(macro=config.macro_cruise, pinned=pinned)
+    cks = [ck for rt in ranks.values()
+           for ck in (*rt.cks.values(), *rt.ckr.values())]
+    for ck in cks:
+        ck.supply_planner = sp if id(ck) in routed else None
+    sp.stats.cks = len(cks)
+    sp.stats.cks_off_route = len(cks) - len(routed)
+
+    def wire(fifo, producer, consumer) -> None:
+        # Declared now, applied by the planner's first plan: a program
+        # that never engages it never pays for the maps.
+        if producer.supply_planner is None:
+            producer = None
+        if consumer.supply_planner is None:
+            consumer = None
+        if producer is not None or consumer is not None:
+            sp.unwired.append((fifo, producer, consumer))
+
     for rt in ranks.values():
         for i, cks in rt.cks.items():
             cks.to_paired_ckr.register_producer(cks.proc)
-            sp.wire(cks.to_paired_ckr, producer=cks, consumer=rt.ckr[i])
+            wire(cks.to_paired_ckr, cks, rt.ckr[i])
             for j, fifo in cks.to_other_cks.items():
                 fifo.register_producer(cks.proc)
-                sp.wire(fifo, producer=cks, consumer=rt.cks[j])
+                wire(fifo, cks, rt.cks[j])
             link = cks.net_link
             if link is not None:
                 link.register_producer(cks.proc)
@@ -537,8 +567,7 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
                 # just another committed supply schedule to the peer.
                 dst_rt = ranks.get(dst_rank)
                 if dst_rt is not None:
-                    sp.wire(link.fifo, producer=cks,
-                            consumer=dst_rt.ckr[dst_iface])
+                    wire(link.fifo, cks, dst_rt.ckr[dst_iface])
                 elif sp.macro:
                     # Boundary link of a sharded plane: the consumer CK
                     # is in another shard, so a macro chain walk ending
@@ -547,10 +576,10 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
                     sp.boundary_fifos.add(id(link.fifo))
         for i, ckr in rt.ckr.items():
             ckr.to_paired_cks.register_producer(ckr.proc)
-            sp.wire(ckr.to_paired_cks, producer=ckr, consumer=rt.cks[i])
+            wire(ckr.to_paired_cks, ckr, rt.cks[i])
             for j, fifo in ckr.to_other_ckr.items():
                 fifo.register_producer(ckr.proc)
-                sp.wire(fifo, producer=ckr, consumer=rt.ckr[j])
+                wire(fifo, ckr, rt.ckr[j])
             for fifo in ckr.recv_endpoints.values():
                 fifo.register_producer(ckr.proc)
         for kernel in rt.support_kernels.values():
@@ -563,5 +592,4 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
                 fifo.macro_host = sp
             for kernel in rt.support_kernels.values():
                 sp.support_planes.append(kernel)
-    sp.reset_backoff()
     return sp

@@ -17,11 +17,13 @@ table, and forward each packet in the same cycle it was accepted:
   else over to the CKR owning the port's interface.
 
 In burst mode the kernels delegate window planning to the supply-schedule
-planner (:mod:`repro.transport.planner`): the transport builder wires all
-CKs of a cluster to one :class:`~repro.transport.planner.SupplyPlanner`
-(so plans cascade across CK boundaries and through links) and records each
-kernel's engine process handle for co-planning; a standalone kernel falls
-back to the solo planner with no cascade peers.
+planner (:mod:`repro.transport.planner`): the transport builder wires the
+CKs on a declared point-to-point route to one cluster-wide
+:class:`~repro.transport.planner.SupplyPlanner` (so plans cascade across CK
+boundaries and through links) and records each kernel's engine process
+handle for co-planning; a CK on no such route gets ``supply_planner =
+None`` and runs the specification loop; a standalone kernel falls back to
+the solo planner with no cascade peers.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class CKS:
         self.burst_mode = burst_mode
         self.arbiter = PollingArbiter(inputs, read_burst, record_accepts)
         self._route_memo: dict = {}  # (dst, port) -> routing target
-        self.supply_planner: SupplyPlanner = SOLO_PLANNER
+        self.supply_planner: SupplyPlanner | None = SOLO_PLANNER
         self.proc = None  # engine Process handle, set by the builder
         self.name = f"rank{rank}.cks{iface}"
 
@@ -101,13 +103,9 @@ class CKS:
     def _forward(self, pkt) -> Generator:
         yield from _stage_with_backpressure(self._route(pkt), pkt)
 
-    def _planner(self, arbiter, engine, resume_reads, skip):
-        return self.supply_planner.plan(self, engine, resume_reads, skip)
-
     def process(self, engine) -> Generator:
         """The kernel's forever-serving main loop (spawned as a daemon)."""
-        planner = self._planner if self.burst_mode else None
-        yield from self.arbiter.run(self._forward, engine, planner=planner)
+        yield from self.arbiter.run(self._forward, engine, self)
 
 
 class CKR:
@@ -135,7 +133,7 @@ class CKR:
         self.burst_mode = burst_mode
         self.arbiter = PollingArbiter(inputs, read_burst, record_accepts)
         self._route_memo: dict = {}  # (dst, port) -> routing target
-        self.supply_planner: SupplyPlanner = SOLO_PLANNER
+        self.supply_planner: SupplyPlanner | None = SOLO_PLANNER
         self.proc = None  # engine Process handle, set by the builder
         self.name = f"rank{rank}.ckr{iface}"
 
@@ -168,10 +166,6 @@ class CKR:
     def _forward(self, pkt) -> Generator:
         yield from _stage_with_backpressure(self._route(pkt), pkt)
 
-    def _planner(self, arbiter, engine, resume_reads, skip):
-        return self.supply_planner.plan(self, engine, resume_reads, skip)
-
     def process(self, engine) -> Generator:
         """The kernel's forever-serving main loop (spawned as a daemon)."""
-        planner = self._planner if self.burst_mode else None
-        yield from self.arbiter.run(self._forward, engine, planner=planner)
+        yield from self.arbiter.run(self._forward, engine, self)

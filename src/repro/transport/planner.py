@@ -65,12 +65,20 @@ from __future__ import annotations
 
 from collections import deque
 
+from ..simulation.stats import PlannerStats
 from .planner_ff import FF_KEEP
 from .planner_train import MACRO_MAX_TAKES, replicate_train
 from .planner_window import PLAN_MAX_TAKES, _compile_pattern, plan_window
 
 #: Total co-plan / extension attempts per cascade (per initiating event).
 CASCADE_BUDGET = 64
+
+#: Shortest vector burst (``push_vec`` / ``pop_vec`` call length, in
+#: elements) that engages the planner: window planning only pays as the
+#: road to a train and a jump, and a shorter burst ends before a period
+#: can be proven. Fixed by the size x hops x preset sweep recorded in
+#: docs/ARCHITECTURE.md ("Engagement"), not configurable.
+LANE_LIVE_MIN = 1024
 
 #: Longest window sequence the pattern detector folds into one round: a
 #: steady state may cycle through several distinct window shapes (a full
@@ -133,10 +141,27 @@ class SupplyPlanner:
     REP_MISS_LIMIT = 2
     REP_SKIP_MAX = 4096
 
-    def __init__(self, macro: bool = False) -> None:
+    def __init__(self, macro: bool = False, pinned: bool = False) -> None:
         self.consumer_ck: dict[int, object] = {}  # id(fifo) -> reading CK
         self.producer_ck: dict[int, object] = {}  # id(fifo) -> writing CK
         self.macro = macro
+        #: Engagement: arbiters attempt a plan only while this is set
+        #: (read as an attribute on every poll, never computed there).
+        #: It follows the registered long lanes; ``pinned`` holds it up
+        #: where no lane can speak for the traffic — ``macro=False``
+        #: registers none, and a shard may carry a route whose lanes
+        #: live in another shard.
+        self.pinned = pinned or not macro
+        self.live = self.pinned
+        self._long_lanes: set = set()   # registered lanes >= LANE_LIVE_MIN
+        self._live_since = 0            # cycle the current live span began
+        #: ``(fifo, producer, consumer)`` declarations of the builder that
+        #: nothing has read yet; the first :meth:`plan` applies them
+        #: (:meth:`wire`, then :meth:`reset_backoff`).
+        self.unwired: list = []
+        #: Planner-level counters (``cks`` / ``cks_off_route`` from the
+        #: builder, ``live_spans`` from the lane registry below).
+        self.stats = PlannerStats()
         #: id(app endpoint FIFO) -> live channel lane (see
         #: :class:`repro.core.channel._SendLane` / ``_RecvLane``); a lane
         #: registers for the duration of one sleeping vector burst.
@@ -192,14 +217,39 @@ class SupplyPlanner:
     # ------------------------------------------------------------------
     # Macro-cruise plane registry
     # ------------------------------------------------------------------
-    def register_lane(self, fifo, lane) -> None:
-        """Attach a channel lane to its app endpoint for this burst."""
+    def reads(self, length: int) -> bool:
+        """Whether a vector burst of ``length`` elements should publish
+        its supply schedule (the channel's burst path): only if a plan
+        may consume it — the burst is long enough to engage the planner
+        itself, or another lane already has. Otherwise the channel runs
+        the specification path, which is cheaper with nobody reading."""
+        return self.live or length >= LANE_LIVE_MIN
+
+    def register_lane(self, fifo, lane, length: int) -> None:
+        """Attach a channel lane to its app endpoint for this burst of
+        ``length`` elements; a long one raises the live state."""
         self.app_lanes[id(fifo)] = lane
+        if length >= LANE_LIVE_MIN:
+            if not self._long_lanes:
+                self.live = True
+                self.stats.live_spans += 1
+                self._live_since = fifo.engine.cycle
+            self._long_lanes.add(lane)
 
     def unregister_lane(self, fifo, lane) -> None:
-        """Detach ``lane`` (no-op if another burst already replaced it)."""
+        """Detach ``lane`` (no-op if another burst already replaced it);
+        the last long lane to leave drops the live state."""
         if self.app_lanes.get(id(fifo)) is lane:
             del self.app_lanes[id(fifo)]
+        if lane in self._long_lanes:
+            self._long_lanes.remove(lane)
+            if not self._long_lanes:
+                self.live = self.pinned
+                engine = fifo.engine
+                if engine.trace is not None:
+                    engine.trace.emit(
+                        self._live_since, "span", "planner", "live",
+                        dur=engine.cycle - self._live_since)
 
     def macro_take_budget(self) -> int:
         """Per-train take budget under the global cruise condition.
@@ -263,7 +313,7 @@ class SupplyPlanner:
     def reset_backoff(self) -> None:
         """Reset futility backoff on every wired CK.
 
-        The builder calls this once the plane is wired, making "a newly
+        :meth:`plan` calls this once the plane is wired, making "a newly
         wired plane starts from the initial backoff state" an enforced
         invariant rather than an accident of construction order. With
         ``build_transport``'s always-fresh arbiters the call is a
@@ -291,6 +341,11 @@ class SupplyPlanner:
         pattern is tried first; the full planning simulation runs only
         when replication proves nothing.
         """
+        if self.unwired:
+            for wiring in self.unwired:
+                self.wire(*wiring)
+            self.unwired.clear()
+            self.reset_backoff()
         memo: dict = {}
         cursors: dict = {}
         self._cascade_origin = ck
@@ -556,8 +611,6 @@ class SupplyPlanner:
                                 arb._resume_reads, "coplan", memo, cursors)
             if res is None:
                 return None
-            arb._plan_miss = 0
-            arb._plan_skip = 0
             if proc._waiting_on is None and res.end > proc._scheduled_for:
                 # Skip the intermediate wake at the old window end: the
                 # extension already covers it (waking there would only
@@ -574,8 +627,6 @@ class SupplyPlanner:
         if res is None or not res.takes:
             return None
         self._commit(arb, res, start, "coplan", idx, -1)
-        arb._plan_miss = 0
-        arb._plan_skip = 0
         arb._coplanned = True
         arb._resume_state = "window"
         engine.preempt(proc, res.end)

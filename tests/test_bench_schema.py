@@ -32,6 +32,7 @@ def tiny_report(run_smoke):
     """A real report at the smallest sizes the builders accept."""
     points = run_smoke.run_stream_points((256,), repeats=1)
     points += run_smoke.run_collective_points((16,), repeats=1)
+    points += run_smoke.run_small_points(repeats=1)
     points += run_smoke.run_macro_points((256,), repeats=1)
     points += run_smoke.run_trace_points(256, repeats=1)
     # The shard sweep on the cheap in-process backend: same schema as

@@ -4,7 +4,8 @@ Each seeded case draws a topology span (1-6 hops on the Noctua bus), FIFO
 depths (shallow through deep-buffer regimes), a polling parameter, a
 workload (p2p / credited p2p / bcast / reduce / scatter / mixed
 stencil+collective), and a random fabric cut, then runs it under the
-four selectable data planes:
+four selectable data planes (and the default one a second time with
+its engagement gate held open):
 
 * ``flit`` — the per-flit reference interpretation (``burst_mode=False``);
 * ``burst`` — the burst plane without the fast-forward
@@ -13,6 +14,11 @@ four selectable data planes:
 * ``default`` — the default configuration: the burst plane plus the
   whole-program analytical fast-forward, steady-state spans committed
   as closed-form Δ-shift extrapolations with no per-packet replay;
+* ``engaged`` — the default plane with ``planner.LANE_LIVE_MIN`` patched
+  to 0, so every vector burst engages the planner: the generator's
+  streams are mostly shorter than the gate, and lanes, trains and the
+  fast-forward must keep being fuzzed on them (the gate only decides
+  *when* planning is tried, never what a plan may do);
 * ``sharded`` — the default plane on the sharded backend
   (:mod:`repro.shard`), partitioned by the case's randomly drawn cut (a
   random contiguous split into 2-4 shards, occasionally scrambled by
@@ -37,6 +43,7 @@ nightly CI job.
 import multiprocessing
 import os
 import random
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -44,18 +51,32 @@ import pytest
 from repro import NOCTUA, SMI_FLOAT, SMI_INT, SMIProgram, noctua_bus
 from repro.codegen.metadata import OpDecl
 from repro.core.ops import SMI_ADD
+from repro.transport import planner as planner_mod
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-#: The four data planes whose cycle trajectories must coincide. The
+#: The data planes whose cycle trajectories must coincide. The
 #: ``sharded`` plane additionally sets ``backend``/``shards`` from the
-#: case's drawn cut inside ``_assert_planes_agree``.
+#: case's drawn cut inside ``_assert_planes_agree``; ``engaged`` runs
+#: under :func:`_gate_open`.
 PLANES = {
     "flit": dict(burst_mode=False),
     "burst": dict(macro_cruise=False),
     "default": dict(),
+    "engaged": dict(),
     "sharded": dict(),
 }
+
+
+@contextmanager
+def _gate_open():
+    """Every vector burst engages the planner, whatever its length."""
+    gate = planner_mod.LANE_LIVE_MIN
+    planner_mod.LANE_LIVE_MIN = 0
+    try:
+        yield
+    finally:
+        planner_mod.LANE_LIVE_MIN = gate
 
 #: Ambient flight recorder (``REPRO_TRACE=1``, CI's slow job):
 #: tracing folds into every plane's base config, and the sweep's
@@ -335,7 +356,9 @@ def _assert_planes_agree(case: dict) -> None:
             partition = case["cut"]
             overrides = dict(overrides, backend="sharded",
                              shards=len(partition))
-        marks, counts = _run_case(case, base.with_(**overrides), partition)
+        with _gate_open() if plane == "engaged" else nullcontext():
+            marks, counts = _run_case(case, base.with_(**overrides),
+                                      partition)
         if ref is None:
             ref = (plane, marks, counts)
         else:

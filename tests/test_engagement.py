@@ -1,0 +1,215 @@
+"""Planner engagement: who is asked to plan, and when (ISSUE 21).
+
+A CK consults the supply planner only while a declared point-to-point
+lane can still pay: off every declared route it has no planner hook at
+all (static), on a route it attempts a plan only while a long vector
+lane is registered (``SupplyPlanner.live``), and windows that never
+become trains back it off (``PollingArbiter.PLAN_MISS_LIMIT``). Every
+check here is a count, never a timing; the programs are the repo
+benchmark's own ``small_msgs`` / ``collectives`` shapes.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro import (NOCTUA, NOCTUA_DEEP, SMI_FLOAT, OpDecl, SMIProgram,
+                   noctua_bus, noctua_torus)
+from repro.harness import planner_summary
+from repro.simulation.stats import collect_planner_stats
+from repro.transport.arbiter import PollingArbiter
+from repro.transport.planner import (LANE_LIVE_MIN, PATTERN_MAX_PERIOD,
+                                     SupplyPlanner)
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks" / "profile"))
+sys.path.insert(0, str(ROOT / "tools"))
+
+import workloads  # noqa: E402
+from substrate_goldens import counted_emits  # noqa: E402
+
+SMALL = workloads.make_workload("small_msgs", 0)
+SMALL_OPS = {op.name: op for op in SMALL.ops}     # the 11 program shapes
+COLLECTIVES = workloads.make_workload("collectives", 0)
+STAY_OUT = ["pingpong_1hop", "pingpong_4hop", "pingpong_7hop",
+            "bcast_64", "reduce_64"]
+
+
+def _planes(preset):
+    return {"flit": preset.with_(burst_mode=False),
+            "burst": preset.with_(macro_cruise=False),
+            "default": preset}
+
+
+def test_the_allowance_is_the_detector_s():
+    assert PollingArbiter.PLAN_WINDOW_ALLOWANCE == 2 * PATTERN_MAX_PERIOD
+
+
+@pytest.mark.parametrize("name", STAY_OUT)
+def test_default_plane_stays_out_of_small_programs(name):
+    res, _ = SMALL_OPS[name].run(SMALL.config, None)
+    stats = collect_planner_stats(res.transport)
+    assert stats.attempts == stats.windows == stats.coplans == 0
+    assert stats.live_spans == 0
+
+
+def test_a_zero_attempt_run_explains_itself():
+    res, _ = SMALL_OPS["bcast_64"].run(SMALL.config, None)
+    line = planner_summary(collect_planner_stats(res.transport))
+    assert ("planner stayed out: 64 of 64 CKs off-route, "
+            "live for 0 lane spans") in line
+    res, _ = SMALL_OPS["injection_R8"].run(SMALL.config, None)
+    assert "stayed out" not in planner_summary(
+        collect_planner_stats(res.transport))
+
+
+@pytest.mark.parametrize("op", COLLECTIVES.ops, ids=lambda op: op.name)
+def test_default_plane_stays_out_of_collectives(op):
+    """Every CK of a collective program is off every declared
+    point-to-point route: none is built with a planner hook."""
+    res, _ = op.run(COLLECTIVES.config, None)
+    stats = collect_planner_stats(res.transport)
+    assert stats.attempts == 0
+    assert stats.cks_off_route == stats.cks == 64
+    assert all(ck.supply_planner is None
+               for rt in res.transport.ranks.values()
+               for ck in (*rt.cks.values(), *rt.ckr.values()))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_OPS))
+def test_build_only_run_never_calls_the_planner(name, monkeypatch):
+    calls = []
+    original = SupplyPlanner.plan
+    monkeypatch.setattr(
+        SupplyPlanner, "plan",
+        lambda self, *args: calls.append(args) or original(self, *args))
+    SMALL_OPS[name].run(SMALL.config, 0)
+    assert not calls
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_OPS))
+def test_default_plane_dispatches_no_more_than_the_specification(name):
+    counts = {}
+    for plane in ("default", "flit"):
+        config = _planes(SMALL.config)[plane].with_(trace=True)
+        with counted_emits() as (kinds, _aborts):
+            SMALL_OPS[name].run(config, None)
+        counts[plane] = kinds["dispatch"]
+    assert 0 < counts["default"] <= counts["flit"]
+
+
+def _stream(config, n, hops, topology=noctua_bus, repeats=1, extra=None):
+    """``repeats`` ``n``-element vector bursts on one channel, the
+    sender pausing between them until the receiver has drained."""
+    data = np.arange(n * repeats, dtype=np.float32)
+    prog = SMIProgram(topology(), config=config)
+
+    def snd(smi):
+        ch = smi.open_send_channel(n * repeats, SMI_FLOAT, hops, 0)
+        for lo in range(0, n * repeats, n):
+            yield from ch.push_vec(data[lo:lo + n], width=8)
+            yield smi.wait(2000)
+
+    def rcv(smi):
+        ch = smi.open_recv_channel(n * repeats, SMI_FLOAT, 0, 0)
+        got = []
+        for _ in range(repeats):
+            got.append((yield from ch.pop_vec(n, width=8)))
+        smi.store("data", np.concatenate(got))
+        smi.store("end", smi.cycle)
+
+    prog.add_kernel(snd, rank=0, ops=[OpDecl("send", 0, SMI_FLOAT, peer=hops)])
+    prog.add_kernel(rcv, rank=hops,
+                    ops=[OpDecl("recv", 0, SMI_FLOAT, peer=0)])
+    if extra is not None:
+        extra(prog)
+    res = prog.run(max_cycles=50_000_000)
+    assert res.completed, res.reason
+    assert np.array_equal(res.store(hops, "data"), data)
+    return res
+
+
+@pytest.mark.parametrize("preset", [NOCTUA, NOCTUA_DEEP],
+                         ids=["noctua", "deep"])
+@pytest.mark.parametrize("hops", [1, 4])
+def test_gate_boundary(preset, hops):
+    """One chunk below the constant nobody plans; at it the route's CKs
+    do — and all three planes agree on both sides."""
+    for n, engaged in ((LANE_LIVE_MIN - 8, False), (LANE_LIVE_MIN, True)):
+        runs = {plane: _stream(config, n, hops)
+                for plane, config in _planes(preset).items()}
+        ends = {plane: (res.cycles, res.store(hops, "end"))
+                for plane, res in runs.items()}
+        assert ends["default"] == ends["burst"] == ends["flit"], (n, ends)
+        stats = collect_planner_stats(runs["default"].transport)
+        assert stats.live_spans == int(engaged)
+        assert (stats.attempts > 0) == engaged
+        assert (stats.windows > 0) == engaged
+
+
+@pytest.mark.parametrize("preset,n", [(NOCTUA, 8 * LANE_LIVE_MIN),
+                                      (NOCTUA_DEEP, 4 * LANE_LIVE_MIN)],
+                         ids=["noctua", "deep"])
+def test_the_shortest_jumping_stream_still_jumps(preset, n):
+    """The shortest 1-hop streams the constant's sweep saw jump (the
+    backstop must not cut the road to the first train short)."""
+    res = _stream(preset, n, 1)
+    assert collect_planner_stats(res.transport).ff_jumps == 1
+
+
+def test_live_state_follows_the_long_lanes():
+    """Two long bursts on one channel (whole packets each, so the first
+    drains before the second starts): live rises twice and is down
+    whenever no long lane is registered."""
+    n = 56 * (4 * LANE_LIVE_MIN // 56)
+    res = _stream(NOCTUA.with_(trace=True), n, 1, repeats=2)
+    planner = res.transport.planner
+    stats = collect_planner_stats(res.transport)
+    assert stats.live_spans == 2 and not planner.live
+    assert not planner._long_lanes
+    spans = [e for e in res.engine.trace.events()
+             if e[2] == "span" and e[4] == "live"]
+    assert len(spans) == 2
+    assert spans[0][0] + spans[0][5] <= spans[1][0]   # disjoint, in order
+
+
+def test_short_lanes_never_raise_the_live_state():
+    res = _stream(NOCTUA, LANE_LIVE_MIN // 2, 1, repeats=4)
+    stats = collect_planner_stats(res.transport)
+    assert stats.live_spans == 0 and stats.attempts == 0
+
+
+def test_long_stream_beside_a_bcast():
+    """Mixed program: the planes agree, the collective's CKs off the
+    stream's route make no attempt and are never co-planned, and the
+    route's own CKs back off — any collective declaration keeps every
+    transit FIFO flow-live and its support kernels never finish, so
+    windows stay horizon-short and no train forms (before the backstop:
+    2 144 attempts for 997 windows and no jump on this very program)."""
+    n_bcast = 64
+
+    def add_bcast(prog):
+        def kernel(smi):
+            chan = smi.open_bcast_channel(n_bcast, SMI_FLOAT, 1, 0)
+            for i in range(n_bcast):
+                v = yield from chan.bcast(float(i) if smi.rank == 0 else None)
+                assert float(v) == float(i)
+        prog.add_kernel(kernel, ranks="all", name="bcast",
+                        ops=[OpDecl("bcast", 1, SMI_FLOAT)])
+
+    runs = {plane: _stream(config, 1 << 15, 1, topology=noctua_torus,
+                           extra=add_bcast)
+            for plane, config in _planes(NOCTUA).items()}
+    assert runs["default"].cycles == runs["burst"].cycles \
+        == runs["flit"].cycles
+    transport = runs["default"].transport
+    stats = collect_planner_stats(transport)
+    assert stats.live_spans == 1 and 0 < stats.attempts < 200
+    assert stats.cks - stats.cks_off_route == 4
+    for rt in transport.ranks.values():
+        for ck in (*rt.cks.values(), *rt.ckr.values()):
+            if ck.supply_planner is None:
+                assert ck.arbiter.planner_stats.attempts == 0
+                assert ck.arbiter.planner_stats.coplans == 0

@@ -276,9 +276,12 @@ def test_planner_idle_without_burst_mode():
 
 
 def test_collective_workload_planner_hit_rate():
-    """Producer-sleep horizons make collective traffic plannable even
-    though every transit FIFO stays flow-live (runtime communicators):
-    a reduce must see committed windows, not just failed attempts."""
+    """The planner's hit rate on a collective-only program is zero by
+    construction since ISSUE 21: it declares no point-to-point route,
+    so none of its CKs is built with a planner hook (planning collective
+    traffic through producer-sleep horizons hit 0.04-0.08 and never
+    paid; a routed CK beside collective traffic still plans, see
+    ``tests/test_engagement.py::test_long_stream_beside_a_bcast``)."""
     n = 256
     num_ranks = 4
     prog = SMIProgram(noctua_bus(), config=NOCTUA.with_(burst_mode=True))
@@ -297,9 +300,8 @@ def test_collective_workload_planner_hit_rate():
     res = prog.run(max_cycles=10_000_000)
     assert res.completed, res.reason
     stats = collect_planner_stats(res.transport)
-    assert stats.windows > 0, "planner never committed a collective window"
-    assert stats.hit_rate > 0.0
-    assert stats.takes > 0
+    assert stats.attempts == stats.coplans == stats.takes == 0
+    assert stats.cks_off_route == stats.cks > 0
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +354,8 @@ def test_arbiter_reset_backoff_restores_initial_state():
 def test_supply_planner_reset_backoff_covers_wired_cks():
     """A rebuilt plane must not inherit escalated skip lengths from an
     earlier run in the same process: ``SupplyPlanner.reset_backoff``
-    (called by the builder after wiring) restores every wired arbiter."""
+    (called once the builder's wiring is applied) restores every wired
+    arbiter."""
     transport = _stream_program(2, 2048, NOCTUA).transport
     cks = [ck for rt in transport.ranks.values()
            for ck in list(rt.cks.values()) + list(rt.ckr.values())]

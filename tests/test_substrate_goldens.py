@@ -11,7 +11,8 @@ trace event counts of eight small per-flit programs as measured by
 ``tests/planner_goldens.json`` holds the same for the default plane —
 plus every ``PlannerStats`` field and the ordered abort guards, the
 planner's host-side behaviour — as measured on the parent of the
-planner split. This test re-measures both on the working tree.
+planner split and regenerated by ISSUE 21 (planner engagement; see the
+tool's docstring). This test re-measures both on the working tree.
 """
 
 import json
