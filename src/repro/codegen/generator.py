@@ -86,8 +86,7 @@ def generate(plan: ProgramPlan, topology: Topology,
     for rank in range(plan.num_ranks):
         rank_plan = plan.rank_plans.get(rank, RankPlan(rank))
         active = topology.interfaces_of(rank) or [0]
-        ports = rank_plan.ports
-        port_iface = {p: active[i % len(active)] for i, p in enumerate(ports)}
+        port_iface = rank_plan.iface_of_port(active)
         coll = {}
         for op in rank_plan.collective_ops():
             coll[op.port] = f"smi_{op.kind}_{op.dtype.name.lower()}_port{op.port}"

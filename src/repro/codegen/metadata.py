@@ -168,6 +168,14 @@ class RankPlan:
         """All distinct ports, ascending."""
         return sorted({op.port for op in self.ops})
 
+    def iface_of_port(self, active_ifaces: list[int]) -> dict[int, int]:
+        """The interface whose CKS/CKR pair serves each port: ports are
+        dealt round-robin, in ascending port order, over the rank's
+        active interfaces — deterministic, so every rank (and every
+        shard) derives any rank's assignment from the metadata alone."""
+        return {port: active_ifaces[idx % len(active_ifaces)]
+                for idx, port in enumerate(self.ports)}
+
     def collective_ops(self) -> list[OpDecl]:
         return [op for op in self.ops if op.is_collective]
 

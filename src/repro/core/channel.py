@@ -15,6 +15,7 @@ bandwidth benchmark saturating the link, the multi-bank stencil).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Generator
 
 import numpy as np
@@ -267,6 +268,45 @@ def _plan_push_chunks(pending, sent, count, values, i, width, epp, cur,
     return planned, stage_cycles, cur, flush_tail, (free_used, rels_used)
 
 
+def _plan_pop_takes(check, rows, want, width, cur, ic):
+    """Plan take cycles over ``rows`` — ``(packet, ready)`` pairs in FIFO
+    order — for up to ``want`` more elements.
+
+    The one take rule both the receiver generator and its macro lane use:
+    a take lands at the pacing cursor, never before the packet's
+    visibility (``cur = max(cur, ready)``); every filled ``width``-batch
+    of elements then advances the cursor one cycle, the carry ``ic``
+    surviving across packets and calls. Stops before a packet ``check``
+    rejects — the per-flit path reaches it at its own take cycle and
+    raises there. Returns ``(takes, plan, consumed, cur, ic)``, ``plan``
+    being the ``(packet, elements used)`` pairs behind ``takes``.
+    """
+    takes: list[int] = []
+    plan: list[tuple] = []
+    consumed = 0
+    for pkt, ready in rows:
+        if consumed >= want:
+            break
+        try:
+            check(pkt)
+        except ChannelError:
+            break
+        cur = max(cur, ready)  # stall until the packet is visible
+        takes.append(cur)
+        use = min(pkt.count, want - consumed)
+        plan.append((pkt, use))
+        consumed += use
+        left = use
+        while left > 0:  # advance one cycle per filled width-batch
+            step = min(left, width - ic)
+            ic += step
+            left -= step
+            if ic >= width:
+                cur += 1
+                ic = 0
+    return takes, plan, consumed, cur, ic
+
+
 class _RecvLane:
     """Macro-cruise plane of a sleeping :meth:`RecvChannel.pop_vec` burst.
 
@@ -333,49 +373,19 @@ class _RecvLane:
     def extend(self):
         """Continue the channel's take plan; returns new take cycles."""
         chan = self.chan
-        n = self.n
-        width = self.width
-        out = self.out
-        got = self.got
-        ic = self.ic
-        cur = self.cur if self.cur is not None else 0
-        pkts = self.pkts
-        ready_col = self.ready
         ip = self.ip
-        takes: list[int] = []
-        while ip < len(pkts) and got < n:
-            pkt = pkts[ip]
-            ready = ready_col[ip]
-            use = min(pkt.count, n - got)
-            if use < pkt.count and got + use < n:  # pragma: no cover
-                break  # mid-stream partial take: leave it to the generator
-            try:
-                chan._check_packet(pkt)
-            except ChannelError:
-                break  # fallback: the generator raises at the exact cycle
-            cur = max(cur, ready)
-            takes.append(cur)
-            out[got:got + use] = pkt.payload[:use]
-            got += use
-            left = use
-            while left > 0:
-                step = min(left, width - ic)
-                ic += step
-                left -= step
-                if ic >= width:
-                    cur += 1
-                    ic = 0
-            if use < pkt.count:
-                chan._current = pkt
-                chan._offset = use
-            ip += 1
+        takes, plan, consumed, cur, ic = _plan_pop_takes(
+            chan._check_packet,
+            zip(islice(self.pkts, ip, None), islice(self.ready, ip, None)),
+            self.n - self.got, self.width,
+            self.cur if self.cur is not None else 0, self.ic)
         if not takes:
             return ()
-        chan._received = chan._received + (got - self.got)
-        self.got = got
+        chan._deliver(plan, self.out, self.got)
+        self.got += consumed
         self.ic = ic
         self.cur = cur
-        self.ip = ip
+        self.ip = ip + len(takes)
         self.take_cycles.extend(takes)
         self.pend_takes += len(takes)
         return tuple(takes)
@@ -384,7 +394,7 @@ class _RecvLane:
         """Bulk-commit the train's lane takes (take phase of the train
         commit — the sessions' stages are physically present by now)."""
         if len(self.take_cycles):
-            self.chan.endpoint.take_burst(self.take_cycles, collect=False)
+            self.chan.endpoint.take_burst(self.take_cycles)
             self.take_cycles = []
             self.pend_takes = 0
 
@@ -706,6 +716,20 @@ class RecvChannel:
         yield TICK
         return value
 
+    def _deliver(self, plan, out, got: int) -> None:
+        """Land one non-empty take plan (see :func:`_plan_pop_takes`):
+        payloads into ``out`` from element ``got`` on, the received
+        count, and the last packet kept current if the plan used only
+        part of it."""
+        start = got
+        for pkt, use in plan:
+            out[got:got + use] = pkt.payload[:use]
+            got += use
+        self._received += got - start
+        if use < pkt.count:
+            self._current = pkt
+            self._offset = use
+
     def pop_vec(self, n: int, width: int | None = None) -> Generator:
         """Pop ``n`` elements, ``width`` per cycle; returns an ndarray."""
         if self._received + n > self.count:
@@ -827,51 +851,18 @@ class RecvChannel:
             if lane is not None and lane.cur is not None and lane.cur > cur:
                 # Resume the pacing frontier a macro train advanced for us.
                 cur = lane.cur
-            takes: list[int] = []
-            plan: list[tuple] = []  # (packet, elements used)
-            consumed = 0
-            ic = in_cycle
-            for pkt, ready in ep.iter_present():
-                if got + consumed >= n:
-                    break
-                try:
-                    self._check_packet(pkt)
-                except ChannelError:
-                    # Stop the plan before the offending packet: the
-                    # per-flit fallback below reaches it at its own take
-                    # cycle and raises with identical FIFO state.
-                    break
-                cur = max(cur, ready)  # stall until the packet is visible
-                takes.append(cur)
-                use = min(pkt.count, n - got - consumed)
-                plan.append((pkt, use))
-                consumed += use
-                left = use
-                while left > 0:  # advance one cycle per filled width-batch
-                    step = min(left, width - ic)
-                    ic += step
-                    left -= step
-                    if ic >= width:
-                        cur += 1
-                        ic = 0
+            takes, plan, consumed, cur, in_cycle = _plan_pop_takes(
+                self._check_packet, ep.iter_present(), n - got, width, cur,
+                in_cycle)
             if not plan:
                 # The head packet fails validation: consume it exactly like
                 # the per-flit path (take at its visibility cycle, then
                 # raise from the check with the packet already taken).
                 yield from self._next_packet()
                 continue
-            ep.take_burst(takes, collect=False)
-            idx = got
-            for pkt, use in plan:
-                out[idx : idx + use] = pkt.payload[:use]
-                idx += use
+            ep.take_burst(takes)
+            self._deliver(plan, out, got)
             got += consumed
-            self._received += consumed
-            in_cycle = ic
-            last_pkt, last_use = plan[-1]
-            if last_use < last_pkt.count:
-                self._current = last_pkt
-                self._offset = last_use
             if lane is not None:
                 lane.got = got
                 lane.ic = in_cycle

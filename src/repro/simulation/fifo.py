@@ -751,7 +751,7 @@ class Fifo:
             trace.sample(f"fifo_occ/{self.name}", cycles[-1],
                          len(self._visible) + len(self._staged))
 
-    def take_burst(self, cycles: Sequence[int], collect: bool = True) -> list:
+    def take_burst(self, cycles: Sequence[int]) -> None:
         """Remove the ``len(cycles)`` oldest items as if taken one per
         ``cycles[i]``, all within the current engine event.
 
@@ -759,12 +759,12 @@ class Fifo:
         cycle. Each freed slot stays *reserved* until its take cycle, so
         producers see the per-flit ``writable`` trajectory; the engine
         releases the slot (and wakes blocked producers) on schedule.
-        ``collect=False`` skips building the result list (for callers that
-        already hold the item identities from their planning snapshot).
+        Nothing is returned: callers hold the item identities from their
+        planning snapshot (``present_schedule`` / ``iter_present``).
         """
         k = len(cycles)
         if k == 0:
-            return []
+            return
         now = self.engine.cycle
         if cycles[0] < now:
             raise SimulationError(
@@ -777,12 +777,8 @@ class Fifo:
             )
         visible = self._visible
         staged = self._staged
-        out: list = []
         nv = min(k, len(visible))
-        if collect:
-            for _ in range(nv):
-                out.append(visible.popleft())
-        elif nv == len(visible):
+        if nv == len(visible):
             visible.clear()
         else:
             for _ in range(nv):
@@ -794,7 +790,7 @@ class Fifo:
                     f"fifo {self.name!r}: take_burst ran out of items"
                 )
             ready_q = self._ready
-            if not collect and rem > 2048:
+            if rem > 2048:
                 # Bulk path (a long *validated* train — a stream the
                 # fast-forward cannot arm on, a cross-shard chain — still
                 # commits thousands of takes in one burst; a jump no
@@ -822,20 +818,12 @@ class Fifo:
                 # whole simulation, so the partial mutation before it is
                 # moot.)
                 i = nv
-                if collect:
-                    for _ in range(rem):
-                        ready = ready_q.popleft()
-                        if ready > cycles[i]:
-                            self._reject_early_take(cycles[i], ready)
-                        out.append(staged.popleft())
-                        i += 1
-                else:
-                    for _ in range(rem):
-                        ready = ready_q.popleft()
-                        if ready > cycles[i]:
-                            self._reject_early_take(cycles[i], ready)
-                        staged.popleft()
-                        i += 1
+                for _ in range(rem):
+                    ready = ready_q.popleft()
+                    if ready > cycles[i]:
+                        self._reject_early_take(cycles[i], ready)
+                    staged.popleft()
+                    i += 1
         # Slot bookkeeping: every take — current-cycle ones included —
         # holds its slot *reserved* until the cycle after its take cycle
         # (the strict ``_trim_reserved`` boundary). Producers therefore
@@ -879,7 +867,6 @@ class Fifo:
                        dur=cycles[-1] - cycles[0], args={"n": k})
             trace.sample(f"fifo_occ/{self.name}", cycles[-1],
                          len(self._visible) + len(self._staged))
-        return out
 
     # ------------------------------------------------------------------
     # Time shift: land a proven periodic span as arithmetic on the state
@@ -1254,15 +1241,15 @@ class Fifo:
     def apply_remote_takes(self, cycles: Sequence[int]) -> None:
         """Apply a boundary consumer's take schedule (acks) locally.
 
-        Like :meth:`take_burst` with ``collect=False``, but tolerant of
-        take cycles in the *simulated past*: the epoch synchroniser's
-        slot-budget bound (``tx_self_sufficiency``) lets the producing
-        shard run ahead of unreported takes precisely when it can prove
-        no local event could observe the freed slots — so a past-dated
-        take just removes its item and frees the slot with no wake (the
-        wake cycle, ``take + 1``, provably had no waiter). A producer
-        blocked on this FIFO while past-dated acks arrive would falsify
-        that proof, and trips loudly.
+        Like :meth:`take_burst`, but tolerant of take cycles in the
+        *simulated past*: the epoch synchroniser's slot-budget bound
+        (``tx_self_sufficiency``) lets the producing shard run ahead of
+        unreported takes precisely when it can prove no local event
+        could observe the freed slots — so a past-dated take just
+        removes its item and frees the slot with no wake (the wake
+        cycle, ``take + 1``, provably had no waiter). A producer blocked
+        on this FIFO while past-dated acks arrive would falsify that
+        proof, and trips loudly.
         """
         if not cycles:
             return
@@ -1316,7 +1303,7 @@ class Fifo:
             # consumer's real burst structure.
         rest = cycles[split:]
         if rest:
-            self.take_burst(rest, collect=False)
+            self.take_burst(rest)
 
     def max_occupancy_at(self, cycle: int) -> int:
         """Exact peak occupancy with an explicit sweep end (inclusive).

@@ -31,7 +31,9 @@ flight), and stops for a doubling number of polls after
 ``PLAN_MISS_LIMIT`` consecutive *misses* — attempts that proved nothing,
 or committed yet another window after ``PLAN_WINDOW_ALLOWANCE`` of them
 led to no replicated train. Windows only pay as the road to a train, so
-a committed window by itself is never a hit.
+a committed window by itself is never a hit. Those three rules are the
+whole when-to-plan policy: once a plan is attempted, nothing downstream
+skips a replication, drops a window's trace or gives up on the jump.
 
 Resume-state fields (the contract between this loop and the planner):
 
@@ -94,8 +96,7 @@ class PollingArbiter:
                  "_resume_reads", "_plan_until",
                  "_resume_state", "_coplanned", "_blocked_on",
                  "_starved_on", "_pattern", "_pattern_hist",
-                 "_pattern_phase", "_pattern_end", "_rep_miss",
-                 "_rep_skip", "_rep_skip_len", "planner_stats")
+                 "_pattern_phase", "_pattern_end", "planner_stats")
 
     #: Consecutive planner misses before backing off, and how many polls
     #: to skip planning for once backed off — doubling on every repeat up
@@ -112,10 +113,6 @@ class PollingArbiter:
     PLAN_SKIP_POLLS = 256
     PLAN_SKIP_MAX = 8192
     PLAN_WINDOW_ALLOWANCE = 6
-
-    #: Initial replication-futility skip length (doubled by
-    #: :meth:`SupplyPlanner._note_train` up to ``REP_SKIP_MAX`` there).
-    REP_SKIP_POLLS = 64
 
     def __init__(self, inputs: list[Fifo], read_burst: int,
                  record_accepts: bool = False) -> None:
@@ -149,33 +146,7 @@ class PollingArbiter:
         self._pattern_hist: list = []  # recent (signature, end) windows
         self._pattern_phase = 0       # next expected window in the cycle
         self._pattern_end = 0         # absolute end of the pattern's train
-        # Replication futility backoff (SupplyPlanner._note_train): when
-        # recent trains keep committing single rounds, the saturated
-        # steady state has nothing for replication to amortise — skip
-        # the attempts (and the trace/signature tax) for a while.
-        self._rep_miss = 0
-        self._rep_skip = 0
-        self._rep_skip_len = self.REP_SKIP_POLLS
         self.planner_stats = PlannerStats()
-
-    def reset_backoff(self) -> None:
-        """Forget all planning/replication futility state.
-
-        Called by :meth:`SupplyPlanner.reset_backoff` when a plane is
-        (re)wired: backoff lengths learned against one configuration say
-        nothing about another. ``build_transport`` always constructs
-        fresh arbiters, so there the call only pins the invariant; it
-        has teeth for any wiring path that attaches already-running CKs
-        to a planner (a long-lived ``SOLO_PLANNER`` wired by hand, a
-        harness rewiring a plane in place).
-        """
-        self._plan_miss = 0
-        self._plan_skip = 0
-        self._plan_skip_len = self.PLAN_SKIP_POLLS
-        self._plan_grace = self.PLAN_WINDOW_ALLOWANCE
-        self._rep_miss = 0
-        self._rep_skip = 0
-        self._rep_skip_len = self.REP_SKIP_POLLS
 
     def commit_resume(self, res) -> None:
         """Store the resume state a committed window or train session

@@ -12,7 +12,17 @@ Table 1's configurations, where a 1-QSFP build instantiates one pair and a
 
 Ports are assigned to interfaces round-robin in ascending port order, so the
 load of multiple endpoints spreads across the CKS/CKR pairs; the assignment
-is deterministic and derivable by every rank from the metadata alone.
+is deterministic and derivable by every rank from the metadata alone
+(:meth:`~repro.codegen.metadata.RankPlan.iface_of_port`).
+
+On the burst plane the builder also answers, once and statically, "which
+CKs and FIFOs can a declared point-to-point flow cross": one table-driven
+walk (:func:`_walk_routes`) follows :func:`repro.transport.ck.route_step`
+from every send endpoint, for sequential and sharded builds alike. Its
+answer marks the FIFOs no flow can reach ``flow_dead``, gives only the CKs
+on a route a planner hook (the static rule of *engagement*,
+``docs/ARCHITECTURE.md``) and says whether a shard's planner must be pinned
+live for a flow whose lanes register elsewhere.
 """
 
 from __future__ import annotations
@@ -23,11 +33,10 @@ from ..codegen.metadata import OpDecl, ProgramPlan, RankPlan
 from ..core.config import HardwareConfig
 from ..core.errors import CodegenError, RoutingError
 from ..network.fabric import Fabric
-from ..network.link import Link
 from ..network.routing import Routes
 from ..simulation.engine import Engine
 from ..simulation.fifo import Fifo
-from .ck import CKR, CKS
+from .ck import CKR, CKS, route_step
 from .collectives import SupportKernel, kernel_class
 from .planner import SupplyPlanner
 
@@ -96,78 +105,96 @@ def _endpoint_depth(config: HardwareConfig, decl: OpDecl | None) -> int:
     return config.endpoint_fifo_depth
 
 
-class _RouteProbe:
-    """Packet stand-in for the static liveness walk (routing reads dst/port)."""
-
-    __slots__ = ("src", "dst", "port")
-
-    def __init__(self, src: int, dst: int, port: int) -> None:
-        self.src = src
-        self.dst = dst
-        self.port = port
-
-
 def _walk_routes(
     plan: ProgramPlan,
+    routes: Routes,
     ranks: dict[int, RankTransport],
-) -> tuple[set[int], set[int]]:
-    """Walk every declared point-to-point flow through the *actual*
-    CKS/CKR routing functions (one walk per possible destination;
-    ``OpDecl.peer`` narrows that to one). Returns ``(visited, routed)``:
-    the ids of the transit FIFOs and of the CKs some walk crossed.
+    fabric: Fabric,
+) -> tuple[set[int], set[int], bool]:
+    """Walk every declared point-to-point flow from its send endpoint,
+    one :func:`~repro.transport.ck.route_step` at a time (one walk per
+    possible destination; ``OpDecl.peer`` narrows that to one). Returns
+    ``(visited, routed, pinned)``.
 
-    ``routed`` is the static half of planner engagement: a CK on no
-    point-to-point route is built without a planner hook. ``visited``
-    feeds :func:`_mark_flow_dead` — on a program without collectives the
-    point-to-point flows are all the flows there are.
+    The walk is driven by the tables alone — the routing tables, each
+    rank's port table (derivable from the metadata by
+    :meth:`RankPlan.iface_of_port`), the topology's wiring — so it crosses
+    a rank this build holds no CKs for (another shard's) as readily as a
+    local one, and serves sequential and sharded builds alike. Only where
+    a rank is local does it touch hardware: the crossed CK maps the step
+    to the FIFO it owns, and both are recorded.
+
+    ``visited`` — ids of the FIFOs of this build some route crosses —
+    feeds :func:`_mark_flow_dead`: on a program without collectives the
+    point-to-point flows are all the flows there are. ``routed`` — ids of
+    the local CKs some route crosses — is the static half of planner
+    engagement: a CK on no point-to-point route is built without a planner
+    hook. ``pinned`` says some route crosses a local CK with its source
+    or destination rank outside the build: that flow's lanes register in
+    another shard's planner, so nothing local can raise this planner's
+    live state for it (never the case in a sequential build).
     """
+    topology = routes.topology
     visited: set[int] = set()
     routed: set[int] = set()
-    consumer: dict[int, CKS | CKR] = {}  # id(inter-CK fifo) -> reading CK
-    for rt in ranks.values():
-        for i, cks in rt.cks.items():
-            consumer[id(cks.to_paired_ckr)] = rt.ckr[i]
-            for j, f in cks.to_other_cks.items():
-                consumer[id(f)] = rt.cks[j]
-        for i, ckr in rt.ckr.items():
-            consumer[id(ckr.to_paired_cks)] = rt.cks[i]
-            for j, f in ckr.to_other_ckr.items():
-                consumer[id(f)] = rt.ckr[j]
+    pinned = False
+    # Every rank's port table: the local ones as built, the others by
+    # the same rule from the metadata.
+    port_table = {rank: rt.iface_of_port for rank, rt in ranks.items()}
+    for rank in range(topology.num_ranks):
+        if rank not in port_table:
+            port_table[rank] = plan.rank_plans.get(
+                rank, RankPlan(rank)).iface_of_port(
+                    topology.interfaces_of(rank) or [0])
     # A route can cross at most every CK module once; anything longer is a
     # wiring loop and the guard below turns it into a loud failure.
-    guard = 4 * sum(len(r.cks) + len(r.ckr) for r in ranks.values()) + 4
+    guard = 4 * topology.num_ranks * max(1, topology.num_interfaces) + 4
     num_ranks = plan.num_ranks
     for src, rank_plan in plan.rank_plans.items():
-        rt = ranks[src]
         for decl in rank_plan.ops:
-            if decl.kind != "send" or decl.port not in rt.iface_of_port:
-                continue
             port = decl.port
+            if decl.kind != "send" or port not in port_table[src]:
+                continue
             dsts = [decl.peer] if decl.peer is not None else range(num_ranks)
             for dst in dsts:
-                probe = _RouteProbe(src, dst, port)
-                ck = rt.cks[rt.iface_of_port[port]]
+                outside = src not in ranks or dst not in ranks
+                kind, rank, iface = "cks", src, port_table[src][port]
                 for _ in range(guard):
+                    rt = ranks.get(rank)
                     try:
-                        out = ck._route(probe)
+                        step, index = route_step(
+                            kind, rank, iface, dst, port,
+                            routes.next_iface[rank] if kind == "cks"
+                            else port_table[rank])
+                        if rt is not None:
+                            ck = (rt.cks if kind == "cks" else rt.ckr)[iface]
+                            out = ck._target(step, index)
                     except RoutingError:
                         break  # unreachable: no packet can take this path
-                    routed.add(id(ck))
-                    if isinstance(out, Link):
-                        visited.add(id(out.fifo))
-                        nrank, niface = out.dst
-                        ck = ranks[nrank].ckr[niface]
-                        continue
-                    visited.add(id(out))
-                    ck = consumer.get(id(out))
-                    if ck is None:
+                    if rt is not None:
+                        routed.add(id(ck))
+                        pinned = pinned or outside
+                        if step != "net":
+                            visited.add(id(out))
+                    if step == "app":
                         break  # delivered to a receive endpoint
+                    if step != "net":
+                        kind, iface = step, index
+                        continue
+                    # A link exists in this build if either end is local.
+                    link = fabric.outgoing(rank, iface)
+                    if link is not None:
+                        visited.add(id(link.fifo))
+                    far = topology.peer(rank, iface)
+                    if far is None:
+                        break  # unwired egress: unroutable
+                    kind, (rank, iface) = "ckr", far
                 else:
                     raise CodegenError(
                         f"flow-liveness walk {src}->{dst} port {port} did "
                         "not terminate — transport wiring loop?"
                     )
-    return visited, routed
+    return visited, routed, pinned
 
 
 def _mark_flow_dead(plan: ProgramPlan, transit: list[Fifo],
@@ -189,100 +216,6 @@ def _mark_flow_dead(plan: ProgramPlan, transit: list[Fifo],
             f.flow_dead = True
 
 
-def _mark_flow_liveness_sharded(
-    plan: ProgramPlan,
-    routes: Routes,
-    ranks: dict[int, RankTransport],
-    fabric: Fabric,
-    transit: list[Fifo],
-) -> None:
-    """Static flow-liveness for one shard of a partitioned fabric.
-
-    The sequential analysis (:func:`_walk_routes`) walks flows
-    through the *live* CK modules, which a shard does not have for
-    remote ranks. The CK routing functions are pure table lookups,
-    though, so this variant walks the same flows through the routing
-    tables directly — crossing remote ranks abstractly and marking only
-    the FIFOs that exist in this shard (internal transit FIFOs of local
-    ranks, plus every boundary link the flow traverses). The result is
-    the same set of locally-visible live FIFOs the sequential walk would
-    produce; anything else is provably flow-dead, which is what keeps
-    the per-shard burst planner's silence proofs (and therefore its
-    windows) as strong as the sequential planner's.
-    """
-    if any(p.collective_ops() for p in plan.rank_plans.values()):
-        return
-    topology = routes.topology
-    num_ranks = plan.num_ranks
-    # Every rank's port->iface assignment, derivable from the metadata
-    # alone by the builder's deterministic round-robin rule.
-    iface_of_port: dict[int, dict[int, int]] = {}
-    for rank in range(num_ranks):
-        rank_plan = plan.rank_plans.get(rank)
-        active = topology.interfaces_of(rank) or [0]
-        ports = rank_plan.ports if rank_plan is not None else []
-        iface_of_port[rank] = {
-            port: active[idx % len(active)] for idx, port in enumerate(ports)
-        }
-    visited: set[int] = set()
-
-    def mark(fifo) -> None:
-        if fifo is not None:
-            visited.add(id(fifo))
-
-    guard = 4 * num_ranks * max(1, topology.num_interfaces) + 4
-    for rank, rank_plan in plan.rank_plans.items():
-        for port, decl in rank_plan.send_ports().items():
-            if port not in iface_of_port[rank]:
-                continue
-            dsts = [decl.peer] if decl.peer is not None else range(num_ranks)
-            for dst in dsts:
-                kind, r, i = "cks", rank, iface_of_port[rank][port]
-                for _ in range(guard):
-                    rt = ranks.get(r)
-                    if kind == "cks":
-                        if dst == r:
-                            if rt is not None:
-                                mark(rt.cks[i].to_paired_ckr)
-                            kind = "ckr"
-                            continue
-                        egress = routes.next_iface[r].get(dst)
-                        if egress is None:
-                            break  # unreachable: no packet takes this path
-                        if egress == i:
-                            link = fabric.tx_link.get((r, i))
-                            if link is not None:
-                                mark(link.fifo)
-                            peer = topology.peer(r, i)
-                            if peer is None:
-                                break  # unwired egress: unroutable
-                            kind, (r, i) = "ckr", peer
-                        else:
-                            if rt is not None:
-                                mark(rt.cks[i].to_other_cks.get(egress))
-                            i = egress
-                    else:  # ckr
-                        if dst != r:
-                            if rt is not None:
-                                mark(rt.ckr[i].to_paired_cks)
-                            kind = "cks"
-                            continue
-                        home = iface_of_port[r].get(port)
-                        if home is None or home == i:
-                            break  # delivered (or no endpoint declared)
-                        if rt is not None:
-                            mark(rt.ckr[i].to_other_ckr.get(home))
-                        i = home
-                else:
-                    raise CodegenError(
-                        f"sharded flow-liveness walk {rank}->{dst} port "
-                        f"{port} did not terminate — transport wiring loop?"
-                    )
-    for f in transit:
-        if id(f) not in visited:
-            f.flow_dead = True
-
-
 def build_transport(
     engine: Engine,
     plan: ProgramPlan,
@@ -297,12 +230,13 @@ def build_transport(
     partitioned fabric: only those ranks' CK pairs, endpoints and
     support kernels are instantiated, the fabric keeps only links
     touching the shard, and cut links are reported in
-    ``Transport.boundaries``. Static flow-liveness is skipped (its walk
-    needs every rank's routing modules); the planner stays cycle-exact
-    without it, merely conservative. The supply planner is wired
-    per-shard, so planning cascades stop at the cut — the boundary
-    proxies' committed supply schedules and pinned horizons are all a
-    shard ever learns about its neighbours.
+    ``Transport.boundaries``. Static flow-liveness and the route mark
+    come from the same table-driven walk as a sequential build's
+    (:func:`_walk_routes`), restricted to the FIFOs and CKs that exist
+    here. The supply planner is wired per-shard, so planning cascades
+    stop at the cut — the boundary proxies' committed supply schedules
+    and pinned horizons are all a shard ever learns about its
+    neighbours.
     """
     plan.validate()
     # Peer declarations must name ranks that exist, regardless of whether
@@ -331,10 +265,7 @@ def build_transport(
             continue
         rank_plan = plan.rank_plans.get(rank, RankPlan(rank))
         active = topology.interfaces_of(rank) or [0]
-        ports = rank_plan.ports
-        iface_of_port = {
-            port: active[idx % len(active)] for idx, port in enumerate(ports)
-        }
+        iface_of_port = rank_plan.iface_of_port(active)
         rt = RankTransport(rank=rank, active_ifaces=active,
                            iface_of_port=iface_of_port)
         ranks[rank] = rt
@@ -458,28 +389,9 @@ def build_transport(
     if config.burst_mode:
         # Only the burst planner consumes liveness and supply contracts;
         # the per-flit reference interpretation stays free of the analysis
-        # (and its tripwires). A sharded build lacks remote ranks' CK
-        # modules, so it runs the table-driven variant of the walk and
-        # errs towards planning: every CK of a program that declares a
-        # point-to-point flow keeps its hook, and a flow not known to
-        # start and end inside the shard pins the planner live (its
-        # lanes may be registered in another shard's planner).
-        if shard_ranks is None:
-            visited, routed = _walk_routes(plan, ranks)
-            _mark_flow_dead(plan, transit, visited)
-            pinned = False
-        else:
-            _mark_flow_liveness_sharded(plan, routes, ranks, fabric,
-                                        transit)
-            sends = [(rank, decl) for rank, rank_plan
-                     in plan.rank_plans.items() for decl in rank_plan.ops
-                     if decl.kind == "send"]
-            routed = {id(ck) for rt in ranks.values()
-                      for ck in (*rt.cks.values(), *rt.ckr.values())
-                      } if sends else set()
-            pinned = any(rank not in shard_ranks
-                         or decl.peer not in shard_ranks
-                         for rank, decl in sends)
+        # (and its tripwires).
+        visited, routed, pinned = _walk_routes(plan, routes, ranks, fabric)
+        _mark_flow_dead(plan, transit, visited)
         planner = _wire_supply_planner(ranks, config, routed, pinned)
 
     return Transport(config=config, routes=routes, fabric=fabric,
@@ -515,12 +427,6 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
     App-written endpoints (p2p send endpoints, collective ``app_in`` /
     ``ctrl``) stay unregistered: kernels may push from helper processes
     the metadata cannot see, so their producer sets are not closed.
-
-    Once the plane is wired (by the planner's first plan, see
-    ``SupplyPlanner.unwired``), every arbiter's futility backoff is reset
-    — a formality here (this builder always constructs fresh arbiters)
-    that pins the invariant for every wiring path: a newly wired plane
-    never inherits skip lengths escalated under another configuration.
 
     ``config.macro_cruise`` additionally marks every app-facing stream
     endpoint (p2p send and receive endpoints) with the planner as its

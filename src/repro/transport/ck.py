@@ -16,14 +16,21 @@ table, and forward each packet in the same cycle it was accepted:
   *port*: deliver to the endpoint FIFO if the port lives on interface *i*,
   else over to the CKR owning the port's interface.
 
+Both routing rules are pure table lookups, so they have one definition,
+:func:`route_step`: a function of ``(rank, iface, dst, port)`` and the
+module's table that names the *module* a packet reaches next. A kernel's
+``_route`` maps that symbolic answer to the FIFO or link it owns
+(``_target``); the transport builder's static route walk follows the same
+answer through ranks it holds no kernel for (another shard's).
+
 In burst mode the kernels delegate window planning to the supply-schedule
 planner (:mod:`repro.transport.planner`): the transport builder wires the
 CKs on a declared point-to-point route to one cluster-wide
 :class:`~repro.transport.planner.SupplyPlanner` (so plans cascade across CK
 boundaries and through links) and records each kernel's engine process
-handle for co-planning; a CK on no such route gets ``supply_planner =
-None`` and runs the specification loop; a standalone kernel falls back to
-the solo planner with no cascade peers.
+handle for co-planning. ``supply_planner`` is ``None`` — the specification
+loop — until the builder assigns one, and stays ``None`` on a CK no such
+route crosses.
 """
 
 from __future__ import annotations
@@ -34,7 +41,44 @@ from ..core.errors import RoutingError
 from ..simulation.conditions import TICK
 from ..simulation.fifo import Fifo
 from .arbiter import PollingArbiter
-from .planner import SOLO_PLANNER, SupplyPlanner
+from .planner import SupplyPlanner
+
+
+def route_step(kind: str, rank: int, iface: int, dst: int, port: int,
+               table: dict) -> tuple[str, int]:
+    """The CKS / CKR routing decision (§4.3), symbolically.
+
+    Module ``kind`` (``"cks"`` or ``"ckr"``) of interface ``iface`` on
+    ``rank`` holds a packet for ``(dst, port)``; ``table`` is the one
+    table that module indexes — a CKS the rank's routing table
+    (destination rank -> egress interface), a CKR its port table (port ->
+    the interface whose pair serves the endpoint). Returns ``(step,
+    index)``: ``("cks", j)`` / ``("ckr", j)`` — the local CKS / CKR of
+    interface ``j`` — ``("net", iface)`` — onto this interface's link,
+    towards the CKR at its far end — or ``("app", port)``, delivery to
+    the receive endpoint. Raises :class:`RoutingError` where the table
+    has no answer.
+    """
+    if kind == "cks":
+        if dst == rank:
+            return "ckr", iface
+        egress = table.get(dst)
+        if egress is None:
+            raise RoutingError(
+                f"rank{rank}.cks{iface}: no route for destination rank {dst}"
+            )
+        return ("net", iface) if egress == iface else ("cks", egress)
+    if dst != rank:
+        # This rank is an intermediate hop: hand to the paired CKS,
+        # whose rank table knows the onward egress interface.
+        return "cks", iface
+    home = table.get(port)
+    if home is None:
+        raise RoutingError(
+            f"rank{rank}.ckr{iface}: packet for unknown port {port} — no "
+            "endpoint was declared on this rank"
+        )
+    return ("app", port) if home == iface else ("ckr", home)
 
 
 def _stage_with_backpressure(out, pkt) -> Generator:
@@ -73,35 +117,42 @@ class CKS:
         self.egress_iface = egress_iface
         self.burst_mode = burst_mode
         self.arbiter = PollingArbiter(inputs, read_burst, record_accepts)
-        self._route_memo: dict = {}  # (dst, port) -> routing target
-        self.supply_planner: SupplyPlanner | None = SOLO_PLANNER
+        # (dst << 8 | port) -> routing target: filled by ``_route``, read
+        # inline by the hot loops (``_forward``, the planners).
+        self._route_memo: dict = {}
+        self.supply_planner: SupplyPlanner | None = None  # builder-assigned
         self.proc = None  # engine Process handle, set by the builder
         self.name = f"rank{rank}.cks{iface}"
 
-    def _route(self, pkt):
-        if pkt.dst == self.rank:
+    def _target(self, step: str, index: int):
+        """The FIFO or link behind one :func:`route_step` answer."""
+        if step == "ckr":
             return self.to_paired_ckr
-        try:
-            egress = self.egress_iface[pkt.dst]
-        except KeyError:
-            raise RoutingError(
-                f"{self.name}: no route for destination rank {pkt.dst}"
-            ) from None
-        if egress == self.iface:
+        if step == "net":
             if self.net_link is None:
                 raise RoutingError(
                     f"{self.name}: routed to own interface but it is unwired"
                 )
             return self.net_link
         try:
-            return self.to_other_cks[egress]
+            return self.to_other_cks[index]
         except KeyError:
             raise RoutingError(
-                f"{self.name}: no CKS for egress interface {egress}"
+                f"{self.name}: no CKS for egress interface {index}"
             ) from None
 
+    def _route(self, pkt):
+        out = self._route_memo[(pkt.dst << 8) | pkt.port] = self._target(
+            *route_step("cks", self.rank, self.iface, pkt.dst, pkt.port,
+                        self.egress_iface))
+        return out
+
     def _forward(self, pkt) -> Generator:
-        yield from _stage_with_backpressure(self._route(pkt), pkt)
+        try:
+            out = self._route_memo[(pkt.dst << 8) | pkt.port]
+        except KeyError:
+            out = self._route(pkt)
+        yield from _stage_with_backpressure(out, pkt)
 
     def process(self, engine) -> Generator:
         """The kernel's forever-serving main loop (spawned as a daemon)."""
@@ -132,39 +183,43 @@ class CKR:
         self.recv_endpoints = recv_endpoints
         self.burst_mode = burst_mode
         self.arbiter = PollingArbiter(inputs, read_burst, record_accepts)
-        self._route_memo: dict = {}  # (dst, port) -> routing target
-        self.supply_planner: SupplyPlanner | None = SOLO_PLANNER
+        # (dst << 8 | port) -> routing target: filled by ``_route``, read
+        # inline by the hot loops (``_forward``, the planners).
+        self._route_memo: dict = {}
+        self.supply_planner: SupplyPlanner | None = None  # builder-assigned
         self.proc = None  # engine Process handle, set by the builder
         self.name = f"rank{rank}.ckr{iface}"
 
-    def _route(self, pkt):
-        if pkt.dst != self.rank:
-            # This rank is an intermediate hop: hand to the paired CKS,
-            # whose rank table knows the onward egress interface.
+    def _target(self, step: str, index: int):
+        """The FIFO behind one :func:`route_step` answer."""
+        if step == "cks":
             return self.to_paired_cks
-        try:
-            home = self.port_home_iface[pkt.port]
-        except KeyError:
-            raise RoutingError(
-                f"{self.name}: packet for unknown port {pkt.port} "
-                f"({pkt!r}) — no endpoint was declared on this rank"
-            ) from None
-        if home == self.iface:
+        if step == "app":
             try:
-                return self.recv_endpoints[pkt.port]
+                return self.recv_endpoints[index]
             except KeyError:
                 raise RoutingError(
-                    f"{self.name}: port {pkt.port} has no receive endpoint"
+                    f"{self.name}: port {index} has no receive endpoint"
                 ) from None
         try:
-            return self.to_other_ckr[home]
+            return self.to_other_ckr[index]
         except KeyError:
             raise RoutingError(
-                f"{self.name}: no CKR for interface {home}"
+                f"{self.name}: no CKR for interface {index}"
             ) from None
 
+    def _route(self, pkt):
+        out = self._route_memo[(pkt.dst << 8) | pkt.port] = self._target(
+            *route_step("ckr", self.rank, self.iface, pkt.dst, pkt.port,
+                        self.port_home_iface))
+        return out
+
     def _forward(self, pkt) -> Generator:
-        yield from _stage_with_backpressure(self._route(pkt), pkt)
+        try:
+            out = self._route_memo[(pkt.dst << 8) | pkt.port]
+        except KeyError:
+            out = self._route(pkt)
+        yield from _stage_with_backpressure(out, pkt)
 
     def process(self, engine) -> Generator:
         """The kernel's forever-serving main loop (spawned as a daemon)."""

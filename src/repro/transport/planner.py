@@ -44,14 +44,12 @@ very FIFOs whose conditions would have woken them.
 
 **This module owns** :class:`SupplyPlanner` — the entry point, the
 commit of a window's resume state, pattern detection, the cascade, the
-macro-cruise registry (app lanes, support planes, relay / boundary FIFOs,
-the disarm verdict) and both futility backoffs: when the per-event
-information quantum (buffer depths, the app's injection cadence) keeps
-trains at a single round — where replication saves nothing over the
-planner — the whole plane quiesces, traces included, until a multi-round
-catch-up regime (accumulated link inventories, post-stall drains) re-arms
-it; a program that cannot arm the fast-forward stops probing on measured
-futility (:meth:`SupplyPlanner.note_probing`). **It reads** the arbiters'
+lane registry behind engagement's live state and the macro-cruise
+registry (app lanes, support planes, relay / boundary FIFOs, the disarm
+verdict). *When* a CK consults it is engagement, decided outside: the
+builder's route mark, the lane registry's ``live`` attribute and the
+arbiter's plan-miss backstop (``docs/ARCHITECTURE.md``, "Engagement") —
+nothing in here backs off, skips or gives up. **It reads** the arbiters'
 resume / pattern fields, parked CKs' input heads and horizons, process
 wait states. **It may mutate** the planner's cross-event state — all of
 which lives on the :class:`~repro.transport.arbiter.PollingArbiter`
@@ -66,7 +64,6 @@ from __future__ import annotations
 from collections import deque
 
 from ..simulation.stats import PlannerStats
-from .planner_ff import FF_KEEP
 from .planner_train import MACRO_MAX_TAKES, replicate_train
 from .planner_window import PLAN_MAX_TAKES, _compile_pattern, plan_window
 
@@ -97,17 +94,15 @@ class SupplyPlanner:
     upstream CKs whose backpressure just eased, and each of those — if
     parked or sleeping a planned window — gets its next window planned in
     the same engine event, until the worklist drains or the budget runs
-    out. A standalone CK (unit tests) uses an instance with empty maps,
-    which degrades to exactly the single-CK planner.
+    out. With empty maps it degrades to exactly the single-CK planner.
 
     **Steady-state pattern replication.** Every committed window carries
-    a decision trace (dropped only while the futility backoff below has
-    quiesced the CK);
-    :meth:`_observe` compares consecutive, contiguous windows of each CK
-    and compiles a :class:`WindowPattern` when two of them are exact
-    Δ-shifted copies with identical arbiter boundary state. From then on
-    every planning opportunity for that CK — its own event, a cascade
-    extension, a co-plan — first tries :func:`replicate_train`, which
+    a decision trace; :meth:`_observe` compares consecutive, contiguous
+    windows of each CK and compiles a :class:`WindowPattern` when two of
+    them are exact Δ-shifted copies with identical arbiter boundary
+    state. From then on every planning opportunity for that CK — its own
+    event, a cascade extension, a co-plan — first tries
+    :func:`replicate_train`, which
     replays pattern rounds against live committed state and bulk-commits
     the train; :func:`plan_window` remains the fallback for everything
     the pattern cannot prove (drifted supply, partial tail rounds, shape
@@ -122,24 +117,11 @@ class SupplyPlanner:
     ``HardwareConfig.macro_cruise`` through the builder — the default):
     app-side channel lanes register here, trains extend them
     arithmetically and jump proven periods in closed form.
-    ``macro=False`` is the burst plane without any of it; a program on
-    which the fast-forward proves futile drops to exactly that
-    (:meth:`note_probing`).
+    ``macro=False`` is the burst plane without any of it. The choice is
+    fixed at construction: nothing flips it mid-run.
     """
 
     cascade_budget = CASCADE_BUDGET
-
-    #: Futility backoff: a train committing fewer than REP_GOOD_ROUNDS
-    #: rounds saved nothing over the window planner (the per-event
-    #: information quantum was the bound, not planning speed); after
-    #: REP_MISS_LIMIT such trains the CK skips replication — and the
-    #: whole trace/signature tax — for a doubling number of planning
-    #: opportunities, up to REP_SKIP_MAX. Catch-up regimes (accumulated
-    #: link inventories, post-stall drains) commit multi-round trains,
-    #: which reset the backoff immediately.
-    REP_GOOD_ROUNDS = 2
-    REP_MISS_LIMIT = 2
-    REP_SKIP_MAX = 4096
 
     def __init__(self, macro: bool = False, pinned: bool = False) -> None:
         self.consumer_ck: dict[int, object] = {}  # id(fifo) -> reading CK
@@ -157,7 +139,7 @@ class SupplyPlanner:
         self._live_since = 0            # cycle the current live span began
         #: ``(fifo, producer, consumer)`` declarations of the builder that
         #: nothing has read yet; the first :meth:`plan` applies them
-        #: (:meth:`wire`, then :meth:`reset_backoff`).
+        #: (:meth:`wire`).
         self.unwired: list = []
         #: Planner-level counters (``cks`` / ``cks_off_route`` from the
         #: builder, ``live_spans`` from the lane registry below).
@@ -185,19 +167,14 @@ class SupplyPlanner:
         #: Permanent macro no-arm: set when the chain resolver refuses a
         #: train for a reason no later sweep can heal (pattern shapes are
         #: fixed — wrong input/target counts, overlapping chains). From
-        #: then on the program drops every macro-only tax: no chain
-        #: closure, no checkpoint fingerprinting, and the replication
-        #: futility backoff behaves exactly as with macro off.
+        #: then on the program drops the macro-only probe tax: no chain
+        #: closure, no checkpoint fingerprinting.
         self.ff_disarmed = False
         #: Why: the resolver's permanent-refusal reason string ("" until
         #: disarmed) — surfaced by ``reporting.planner_summary`` so a
         #: disarmed run reads "permanently refused (<reason>)" instead
         #: of a silent row of zero ff counters.
         self.ff_disarm_reason = ""
-        #: Measured futility (see :meth:`note_probing`): sweeps probed
-        #: since the last landed jump, and the largest train seen.
-        self.ff_futile = 0
-        self.ff_sessions = 0
         self._stamp = 0  # plan-call counter (cursor refresh generation)
         self._extra_results: list = []  # peer-session train results
         self._cascade_origin = None     # CK whose event we are inside
@@ -269,38 +246,9 @@ class SupplyPlanner:
                 return PLAN_MAX_TAKES
         return MACRO_MAX_TAKES
 
-    def note_probing(self, sweeps: int, sessions: int, why: str,
-                     stats, engine) -> None:
-        """Account one train's fast-forward probing; give up when futile.
-
-        ``sweeps`` is the number of sweeps a train spent probing (chain
-        closure, resolution, fingerprinting) without landing a jump; a
-        landed jump clears the account. Probing is a tax — traces
-        and replication attempts held on through the futility backoff,
-        whole pipelines pulled into every train — that only a landed
-        jump repays, so it ends on *measured* futility: once the sweeps
-        probed since the last jump exceed one full detector history
-        (``FF_KEEP``) per session of the largest train seen, the
-        program is a plain burst-plane program from here on
-        (``macro`` off: no lanes, no closure, no override — exactly the
-        code path of ``macro_cruise=False``). Growing trains raise the
-        allowance, so a long pipeline gets the sweeps its fill takes;
-        trains that neither land a jump nor grow exhaust it. The
-        verdict is reported like a resolver refusal (``disarm`` event,
-        ``ff_disarm_reason``) with the last no-arm outcome attached.
-        """
-        if sessions > self.ff_sessions:
-            self.ff_sessions = sessions
-        self.ff_futile += sweeps
-        if self.ff_futile <= FF_KEEP * self.ff_sessions:
-            return
-        self.macro = False
-        self.disarm(f"gave up after {self.ff_futile} probing sweeps"
-                    + (f" ({why})" if why else ""), stats, engine)
-
     def disarm(self, reason: str, stats, engine) -> None:
-        """Record the permanent no-arm verdict (resolver refusal or
-        measured futility): flag and reason on the planner and on
+        """Record the permanent no-arm verdict (a resolver refusal no
+        later sweep can heal): flag and reason on the planner and on
         ``stats``, one ``disarm`` trace event."""
         self.ff_disarmed = True
         self.ff_disarm_reason = reason
@@ -309,25 +257,6 @@ class SupplyPlanner:
         if engine.trace is not None:
             engine.trace.emit(engine.cycle, "disarm", "planner",
                               "ff-disarm", args={"reason": reason})
-
-    def reset_backoff(self) -> None:
-        """Reset futility backoff on every wired CK.
-
-        :meth:`plan` calls this once the plane is wired, making "a newly
-        wired plane starts from the initial backoff state" an enforced
-        invariant rather than an accident of construction order. With
-        ``build_transport``'s always-fresh arbiters the call is a
-        formality; it matters for wiring paths that attach established
-        CKs to a planner (hand-wired ``SOLO_PLANNER`` setups, in-place
-        rewiring), whose escalated skip lengths say nothing about the
-        new plane.
-        """
-        seen: set[int] = set()
-        for cks in (self.producer_ck, self.consumer_ck):
-            for peer in cks.values():
-                if id(peer) not in seen:
-                    seen.add(id(peer))
-                    peer.arbiter.reset_backoff()
 
     # ------------------------------------------------------------------
     # Entry point (CK.process -> PollingArbiter.run -> here)
@@ -345,7 +274,6 @@ class SupplyPlanner:
             for wiring in self.unwired:
                 self.wire(*wiring)
             self.unwired.clear()
-            self.reset_backoff()
         memo: dict = {}
         cursors: dict = {}
         self._cascade_origin = ck
@@ -365,13 +293,10 @@ class SupplyPlanner:
             self._cascade_origin = None
 
     def _window(self, ck, engine, start, reads, idx, memo, cursors):
-        """One :func:`plan_window` call on the cascade's shared state,
-        traced unless the futility backoff has quiesced the CK."""
+        """One :func:`plan_window` call on the cascade's shared state."""
         self._stamp += 1
         return plan_window(ck, engine, start, reads, idx=idx, memo=memo,
-                           cursors=cursors, stamp=self._stamp,
-                           trace=not ck.arbiter._rep_skip
-                           or self._macro_probing())
+                           cursors=cursors, stamp=self._stamp)
 
     def _advance(self, ck, engine, start, reads, kind, memo, cursors):
         """Pattern first, else window, then commit: the one planning
@@ -409,13 +334,7 @@ class SupplyPlanner:
                 trace.sample("planner/hit_rate", res.end,
                              round(stats.windows / stats.attempts, 4))
         self._train_stuck.clear()  # new supply/slots: trains may move
-        if res.trace is not None or arb._pattern is not None \
-                or arb._pattern_hist:
-            self._observe(arb, res, start, sidx, sreads)
-        else:
-            # Quiesced (futility backoff): untraced window, no live
-            # pattern, empty history — just track the frontier.
-            arb._pattern_end = res.end
+        self._observe(arb, res, start, sidx, sreads)
 
     # ------------------------------------------------------------------
     # Pattern detection and replication
@@ -470,21 +389,6 @@ class SupplyPlanner:
                     arb._pattern_phase = 0
                     break
 
-    def _macro_probing(self) -> bool:
-        """True while the macro fast-forward may still arm this program.
-
-        The futility backoff quiesces CKs whose trains commit too few
-        rounds — untraced windows, no replication attempts — which is
-        exactly what starves a relay chain's interior hops of the
-        confirmed patterns the chain resolver needs (their per-CK trains
-        are short while the whole chain is still filling). While
-        probing, traces and replication attempts stay on for every CK.
-        The override ends with the probing itself: on the first
-        permanent resolve refusal (``ff_disarmed``), or when
-        :meth:`note_probing` measures it futile and turns ``macro`` off.
-        """
-        return self.macro and not self.ff_disarmed
-
     def _try_replicate(self, ck, engine, start, reads, idx, memo, cursors):
         """Replicate the CK's confirmed pattern from ``start``, if any.
 
@@ -496,9 +400,6 @@ class SupplyPlanner:
         peer results await the cascade in ``_extra_results``.
         """
         arb = ck.arbiter
-        if arb._rep_skip and not self._macro_probing():
-            arb._rep_skip -= 1
-            return None
         pat = arb._pattern
         if pat is None or start != arb._pattern_end \
                 or arb._pattern_phase != 0 \
@@ -507,24 +408,8 @@ class SupplyPlanner:
             return None
         arb.planner_stats.pattern_checks += 1
         self._stamp += 1
-        res = replicate_train(self, ck, engine, start, memo, cursors,
-                              self._stamp)
-        if res is None:
-            self._note_train(arb, 0)
-        return res
-
-    def _note_train(self, arb, rounds) -> None:
-        """Update the futility backoff after a train (or failed attempt)."""
-        if rounds >= self.REP_GOOD_ROUNDS:
-            arb._rep_miss = 0
-            arb._rep_skip_len = arb.REP_SKIP_POLLS
-            return
-        arb._rep_miss += 1
-        if arb._rep_miss >= self.REP_MISS_LIMIT:
-            arb._rep_miss = 0
-            arb._rep_skip = arb._rep_skip_len
-            if arb._rep_skip_len < self.REP_SKIP_MAX:
-                arb._rep_skip_len *= 2
+        return replicate_train(self, ck, engine, start, memo, cursors,
+                               self._stamp)
 
     def _peers(self, res):
         """CKs whose plannable state just changed — and who can use it.
@@ -671,7 +556,3 @@ class SupplyPlanner:
             scan += 1
         return wake + scan, idx
 
-
-#: Default planner for CKs built outside the transport builder (unit
-#: tests, ad-hoc wiring): no cascade peers, pure single-CK planning.
-SOLO_PLANNER = SupplyPlanner()

@@ -556,13 +556,12 @@ class _FastForward:
     and visibility tripwires at commit time.
     """
 
-    __slots__ = ("dead", "miss", "probes", "armed", "chains", "hist",
-                 "shape", "shifts")
+    __slots__ = ("dead", "miss", "armed", "chains", "hist", "shape",
+                 "shifts")
 
     def __init__(self) -> None:
         self.dead = False    # permanent no-arm: stop probing the train
         self.miss = None     # last silent no-arm outcome (guard, why)
-        self.probes = 0      # sweeps that probed without a jump
         self.armed = False   # chains resolved at least once (stats)
         self.chains = None   # resolved relay chains, one per stream
         self.hist = None     # per chain: fingerprint history (_FFHistory)
@@ -822,8 +821,8 @@ class _FastForward:
             if chains is None:
                 if permanent:
                     # Shape can never materialize: stop fingerprinting
-                    # this train AND drop the program-wide probing taxes
-                    # (chain closure, futility-backoff override).
+                    # this train AND drop the program-wide probing tax
+                    # (chain closure).
                     self.dead = True
                     self.miss = None
                     train.planner.disarm(
@@ -854,7 +853,7 @@ class _FastForward:
             self.miss = None
         return False
 
-    def ff_report_miss(self, train) -> str:
+    def ff_report_miss(self, train) -> None:
         """One ``abort`` event per train for the silent no-arm outcomes.
 
         A train that probed but neither landed a jump nor had a guard
@@ -885,4 +884,3 @@ class _FastForward:
                     for h in self.hist for i in range(len(h.cps[-1][1]))]
             engine.trace.emit(engine.cycle, "abort", "planner", "ff-abort",
                               args=args)
-        return reason

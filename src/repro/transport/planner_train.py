@@ -23,8 +23,8 @@ arbiters' pattern fields, the planner's wiring maps and app lanes. **It
 may mutate**, while sweeping, only cursor budgets (rolled back per
 failed round) and the joined lanes' train-scoped ledgers; at commit the
 FIFOs, ``Fifo._reserved_paired``, each session arbiter's resume state,
-counters and ``PlannerStats``, the planner's backoff / ``_train_stuck``
-/ ``_extra_results`` and the engine's wake schedule.
+counters and ``PlannerStats``, the planner's ``_train_stuck`` /
+``_extra_results`` and the engine's wake schedule.
 """
 
 from __future__ import annotations
@@ -324,7 +324,6 @@ class _Train:
                         fail = ('route-error', j, X, None)
                         fatal = True
                         break
-                    route_memo[key] = out
                 if out is not target:
                     fail = ('target-mismatch', j, X, None)
                     fatal = True  # traffic shape changed: not this pattern
@@ -500,7 +499,6 @@ class _Train:
                             progress = True
             if not ff.dead and not planner.ff_disarmed and macro \
                     and max_takes == MACRO_MAX_TAKES:
-                ff.probes += 1
                 if ff_close_chain(self):
                     progress = True  # new sessions need a sweep before ff
                 elif ff.ff_try(self):
@@ -510,13 +508,9 @@ class _Train:
                     # nothing may validate against this train's virtual
                     # state again. The commit lands the validated prefix,
                     # then the span as one time shift per chain FIFO.
-                    planner.ff_futile = ff.probes = 0  # probing repaid
                     break
-        if ff.probes:
-            planner.note_probing(
-                ff.probes, len(order),
-                ff.ff_report_miss(self) if ff.miss is not None else "",
-                self.origin.arb.planner_stats, self.engine)
+        if ff.miss is not None:
+            ff.ff_report_miss(self)
 
     def commit(self):
         """Bulk-commit every session that proved a round; returns the
@@ -558,7 +552,7 @@ class _Train:
                 for j in sess.pattern.inputs_used:
                     tc = sess.take_cycles[j]
                     if len(tc):
-                        inputs[j].take_burst(tc, collect=False)
+                        inputs[j].take_burst(tc)
             for lane in lanes:
                 if not lane.is_send:
                     lane.commit()
@@ -629,7 +623,6 @@ class _Train:
             stats.replicated_rounds += sess.rounds
             stats.window_cycles += res.end - sess.start
             stats.takes += sess.takes
-            planner._note_train(arb, sess.rounds)
             arb.commit_resume(res)
             arb._pattern_end = res.end  # the pattern stays live past the train
             if sess is origin:

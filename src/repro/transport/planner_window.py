@@ -177,7 +177,7 @@ def _silent_hz(ck, f, cycle):
 
 
 def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
-                cursors=None, stamp=0, trace=False):
+                cursors=None, stamp=0):
     """Multi-round burst planner: one provable window for one CK.
 
     Simulates :meth:`PollingArbiter.run`'s per-flit state machine forward
@@ -199,8 +199,8 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
     :class:`PlanResult` or ``None`` when nothing could be proved (the
     caller then falls back to one per-flit step).
 
-    With ``trace=True`` the committed window also carries a decision
-    trace on ``PlanResult.trace`` for the pattern detector: ``ops`` — one
+    A committed window that moved packets carries a decision trace on
+    ``PlanResult.trace`` for the pattern detector: ``ops`` — one
     ``(take_cycle, input_idx, stage_cycle, target)`` per accepted packet
     in global take order — and ``obs`` — every readability observation
     the polling simulation made on a cycle it did *not* take from that
@@ -239,7 +239,7 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
     # Decision trace for the pattern detector (see docstring): the target
     # cursor of every take in order, plus every negative/positive
     # readability observation (scan charges, R-round ends, park races).
-    trace_tgts = [] if trace else None
+    trace_tgts: list = []
     trace_obs: list = []
 
     def starved(j, at):
@@ -295,14 +295,13 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
                     if starved(idx, c):
                         ended = True  # unknown readability: stop in ROUND
                         starved_on = inputs[idx]
-                    elif trace_tgts is not None:
+                    else:
                         # Round ended on a provably silent drained input:
                         # a replica must re-prove the silence here.
                         trace_obs.append((c, idx, False))
                     break
                 if R[p] > c:
-                    if trace_tgts is not None:
-                        trace_obs.append((c, idx, False))
+                    trace_obs.append((c, idx, False))
                     break  # head not visible: the R-round ends here
                 pkt = P[p]
                 key = (pkt.dst << 8) | pkt.port
@@ -321,7 +320,6 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
                             # The per-flit path raises at this exact cycle.
                             ended = True
                             break
-                        route_memo[key] = out
                     t_cur = cursors.get(id(out))
                     if t_cur is None:
                         t_cur = cursors[id(out)] = _TargetCursor(out, now,
@@ -358,8 +356,7 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
                 tk.append(c)
                 t_sc.append(s)
                 t_sp.append(pkt)
-                if trace_tgts is not None:
-                    trace_tgts.append(t_cur)
+                trace_tgts.append(t_cur)
                 total += 1
                 p += 1
                 c = s + 1
@@ -382,18 +379,16 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
                 rdy = rdy_l[j][pj]
                 if rdy <= c:
                     any_r = True
-                    if trace_tgts is not None:
-                        trace_obs.append((c, j, True))
+                    trace_obs.append((c, j, True))
                     break
                 if wake is None or rdy < wake:
                     wake = rdy
-                if trace_tgts is not None:
-                    trace_obs.append((c, j, False))
+                trace_obs.append((c, j, False))
             elif starved(j, c):
                 ended = True  # cannot even decide "anything readable?"
                 starved_on = inputs[j]
                 break
-            elif trace_tgts is not None:
+            else:
                 trace_obs.append((c, j, False))
         if ended:
             break
@@ -412,21 +407,19 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
                 break
         if wake is None:
             break
-        if trace_tgts is not None:
-            # A park's wake is a *race* on future visibility: it lands at
-            # ``wake`` exactly because no input shows anything earlier
-            # (strictly: known heads at or after ``wake``, drained inputs
-            # silent through ``wake`` inclusive — a tie from an unknown
-            # arrival could shorten the scan). Record the race so a
-            # replica re-proves it at the shifted cycles: known heads
-            # unreadable at ``wake - 1``, drained inputs unreadable at
-            # ``wake`` itself.
-            w1 = wake - 1
-            for j in range(n):
-                if ptr[j] < len(pkts_l[j]):
-                    trace_obs.append((w1, j, False))
-                else:
-                    trace_obs.append((wake, j, False))
+        # A park's wake is a *race* on future visibility: it lands at
+        # ``wake`` exactly because no input shows anything earlier
+        # (strictly: known heads at or after ``wake``, drained inputs
+        # silent through ``wake`` inclusive — a tie from an unknown
+        # arrival could shorten the scan). Record the race so a replica
+        # re-proves it at the shifted cycles: known heads unreadable at
+        # ``wake - 1``, drained inputs unreadable at ``wake`` itself.
+        w1 = wake - 1
+        for j in range(n):
+            if ptr[j] < len(pkts_l[j]):
+                trace_obs.append((w1, j, False))
+            else:
+                trace_obs.append((wake, j, False))
         idx = (idx + 1) % n  # per-flit rotates before parking
         scan = 0
         while scan < n:
@@ -434,13 +427,11 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
             if Pj:
                 pj = ptr[idx]
                 if pj < len(Pj) and rdy_l[idx][pj] <= wake:
-                    if trace_tgts is not None:
-                        # The wake-up scan's stop input: readable at wake.
-                        trace_obs.append((wake, idx, True))
+                    # The wake-up scan's stop input: readable at wake.
+                    trace_obs.append((wake, idx, True))
                     break
-            if trace_tgts is not None:
-                # Scanned past: provably unreadable at the wake cycle.
-                trace_obs.append((wake, idx, False))
+            # Scanned past: provably unreadable at the wake cycle.
+            trace_obs.append((wake, idx, False))
             idx = (idx + 1) % n
             scan += 1
         c = wake + scan
@@ -469,7 +460,7 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
     # per-input take cycles (cycles strictly increase within a window),
     # which aligns 1:1 with the order targets were recorded in.
     trace_out = None
-    if trace_tgts is not None and total:
+    if total:
         merged = []
         for i in range(n):
             tki = takes[i]
@@ -494,7 +485,7 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
         sources = []
         for i in range(n):
             if takes[i]:
-                inputs[i].take_burst(takes[i], collect=False)
+                inputs[i].take_burst(takes[i])
                 sources.append(inputs[i])
         targets = []
         for cur in cursors.values():

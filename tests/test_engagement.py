@@ -213,3 +213,104 @@ def test_long_stream_beside_a_bcast():
             if ck.supply_planner is None:
                 assert ck.arbiter.planner_stats.attempts == 0
                 assert ck.arbiter.planner_stats.coplans == 0
+
+
+# ----------------------------------------------------------------------
+# Sharded builds: the same route walk, restricted to what is local
+# ----------------------------------------------------------------------
+def _all_cks(transport):
+    return [ck for rt in transport.ranks.values()
+            for ck in (*rt.cks.values(), *rt.ckr.values())]
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+def test_sharded_route_mark_is_the_sequential_one(shards):
+    """``bus(16)`` uniform stream (the repo benchmark's ``shard_uniform``
+    shape): every shard marks exactly the CKs the sequential build marks
+    on its ranks — the off-route ones run the specification loop there
+    too — at the sequential end cycle and per-FIFO counts."""
+    data = np.arange(16 * 2048, dtype=np.float32).reshape(16, 2048)
+    op = workloads.uniform_stream_op(data)
+    seq, _ = op.run(NOCTUA, None)
+    res, _ = op.run(NOCTUA.with_(backend="sharded", shards=shards), None)
+    assert op.truth(res, {}) is None
+    assert workloads.first_difference(workloads.signature(res, {}),
+                                      workloads.signature(seq, {})) is None
+    seq_stats = collect_planner_stats(seq.transport)
+    stats = collect_planner_stats(res.transport)   # summed over shards
+    assert stats.cks == seq_stats.cks == 60    # the end ranks have one pair
+    assert stats.cks_off_route == seq_stats.cks_off_route > 0
+    on_route = {ck.name for ck in _all_cks(seq.transport)
+                if ck.supply_planner is not None}
+    cks = _all_cks(res.transport)
+    assert {ck.name for ck in cks
+            if ck.supply_planner is not None} == on_route
+    for ck in cks:
+        if ck.supply_planner is None:
+            assert ck.arbiter.planner_stats.attempts == 0
+            assert ck.arbiter.planner_stats.coplans == 0
+
+
+def test_only_a_route_with_an_endpoint_outside_pins_a_shard():
+    """The planner of a shard is pinned live only for a route that
+    crosses one of its CKs with the source or destination rank in
+    another shard (that flow's lanes register there). A flow wholly
+    inside another shard, or wholly inside this one, pins nothing: the
+    local lanes raise the live state themselves."""
+    from repro import bus
+    from repro.codegen.metadata import ProgramPlan
+    from repro.network.routing import compute_routes
+    from repro.simulation import Engine
+    from repro.transport.builder import build_transport
+
+    routes = compute_routes(bus(6))
+
+    def planned(flows, local=None):
+        """``(planner, names of the CKs it hooks, name -> flow_dead of
+        every FIFO)`` of one build."""
+        plan = ProgramPlan(6)
+        for src, dst in flows:
+            plan.add(src, OpDecl("send", 0, SMI_FLOAT, peer=dst))
+            if dst is not None:
+                plan.add(dst, OpDecl("recv", 0, SMI_FLOAT, peer=src))
+        engine = Engine()
+        transport = build_transport(
+            engine, plan, routes, NOCTUA,
+            shard_ranks=None if local is None else frozenset(local))
+        assert all(ck.supply_planner in (None, transport.planner)
+                   for ck in _all_cks(transport))
+        return (transport.planner,
+                {ck.name for ck in _all_cks(transport)
+                 if ck.supply_planner is not None},
+                {f.name: f.flow_dead for f in engine.fifos})
+
+    def local_part(names, local):
+        return {name for name in names
+                if int(name[4:name.index(".")]) in local}
+
+    cases = [
+        # One flow inside each shard: nothing is pinned anywhere.
+        ([(0, 1), (4, 5)], (0, 1, 2), False),
+        ([(0, 1), (4, 5)], (3, 4, 5), False),
+        # A flow across the cut pins both sides.
+        ([(2, 3)], (0, 1, 2), True),
+        ([(2, 3)], (3, 4, 5), True),
+        # A flow that only transits the shard pins it as well.
+        ([(1, 4)], (2, 3), True),
+        # ... and one that never touches it does not.
+        ([(0, 1)], (2, 3), False),
+        # An undeclared peer may be anywhere: its routes leave the shard.
+        ([(0, None)], (0, 1, 2), True),
+    ]
+    for flows, local, pinned in cases:
+        seq_planner, seq_hooked, seq_dead = planned(flows)
+        assert not seq_planner.pinned and not seq_planner.live
+        planner, hooked, dead = planned(flows, local)
+        assert planner.pinned is pinned and planner.live is pinned, \
+            (flows, local)
+        assert hooked == local_part(seq_hooked, local), (flows, local)
+        # Same liveness marks on every FIFO the shard holds.
+        assert dead == {name: seq_dead[name] for name in dead}, \
+            (flows, local)
+    # The transit case hooks CKs although neither endpoint is local.
+    assert len(planned([(1, 4)], (2, 3))[1]) == 6

@@ -278,10 +278,10 @@ def test_bulk_stage_and_take_allocate_no_per_item_container():
         # Two bulk takes: the first leaves a tail behind (both columns
         # drop the same prefix), the second empties the store.
         cut = 40000
-        assert bulk.take_burst(takes[:cut], collect=False) == []
+        assert bulk.take_burst(takes[:cut]) is None
         assert len(bulk._staged) == len(bulk._ready) == n - cut
         assert next(bulk.iter_present()) == (items[cut], cut + latency)
-        assert bulk.take_burst(takes[cut:], collect=False) == []
+        assert bulk.take_burst(takes[cut:]) is None
     assert growth < 64, f"staging {n} items tracked {growth} new objects"
     # A row object per item would be ~n / 700 generation-0 passes.
     assert collector.passes <= 2
@@ -464,10 +464,11 @@ def test_columnar_store_matches_row_model(data):
             k = min(data.draw(run_len), len(model.rows))
             if k:
                 cycles = take_cycles(k, max(now, model.last_take))
-                collect = data.draw(st.booleans(), label="collect")
-                got = f.take_burst(cycles, collect=collect)
-                want = model.take(cycles, now)
-                assert got == (want if collect else [])
+                # A burst returns nothing: the caller holds the items
+                # from the snapshot it planned against.
+                held, _ready = f.present_schedule(now, k)
+                assert f.take_burst(cycles) is None
+                assert list(held) == model.take(cycles, now)
         elif op == "inject":
             k = data.draw(st.integers(1, 6))
             tail = model.rows[-1][0] if model.rows else 0
@@ -554,7 +555,7 @@ def test_time_shift_matches_the_materialised_lattices(lat, data):
         f = eng.fifo("f", capacity=capacity, latency=lat["latency"])
         f.stage_burst(list(range(n_stages)), stages[:n_stages],
                       verify_occupancy=False)
-        f.take_burst(takes[:n_takes], collect=False)
+        f.take_burst(takes[:n_takes])
         return eng, f
 
     eng, f = landed(n_prefix, n_taken)
@@ -604,7 +605,7 @@ def test_time_shift_refusals_leave_the_fifo_untouched():
         eng = Engine()
         f = eng.fifo("f", capacity=16, latency=latency)
         f.stage_burst(list(range(12)), stages)
-        f.take_burst(takes, collect=False)
+        f.take_burst(takes)
         return eng, f
 
     floor = 44  # the consumer's next take; the producer's frontier is 48

@@ -3,13 +3,15 @@
 Covers the contract primitives (producer registration, sleep horizons,
 process floors, exact occupancy), the cascade behaviours (co-planning
 across CK boundaries, planner statistics on real transports), trains
-across sender stalls at deep buffers, and the futility-backoff reset on
-plane (re)wiring. The cycle-exactness of everything the planner commits
-is enforced separately by ``tests/test_burst_equivalence.py``.
+across sender stalls at deep buffers, the plan-miss backstop's state on a
+fresh build and the structure contract. The cycle-exactness of everything
+the planner commits is enforced separately by
+``tests/test_burst_equivalence.py``.
 """
 
 import ast
 import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
@@ -26,8 +28,10 @@ from repro.simulation.stats import (
     PlannerStats,
     collect_planner_stats,
 )
+from repro.transport import ck as ck_mod
 from repro.transport.arbiter import PollingArbiter
 from repro.transport.planner import SupplyPlanner
+from repro.transport.planner_window import plan_window
 
 
 # ----------------------------------------------------------------------
@@ -332,51 +336,8 @@ def test_deep_buffer_park_wake_race():
 
 
 # ----------------------------------------------------------------------
-# Futility backoff reset on plane (re)wiring
+# Plan-miss backstop state on a fresh build
 # ----------------------------------------------------------------------
-def test_arbiter_reset_backoff_restores_initial_state():
-    eng = Engine()
-    f = eng.fifo("f", capacity=4)
-    arb = PollingArbiter([f], read_burst=8)
-    arb._plan_miss = 1
-    arb._plan_skip = 100
-    arb._plan_skip_len = 4096
-    arb._rep_miss = 1
-    arb._rep_skip = 99
-    arb._rep_skip_len = 2048
-    arb.reset_backoff()
-    assert arb._plan_miss == 0 and arb._plan_skip == 0
-    assert arb._plan_skip_len == PollingArbiter.PLAN_SKIP_POLLS
-    assert arb._rep_miss == 0 and arb._rep_skip == 0
-    assert arb._rep_skip_len == PollingArbiter.REP_SKIP_POLLS
-
-
-def test_supply_planner_reset_backoff_covers_wired_cks():
-    """A rebuilt plane must not inherit escalated skip lengths from an
-    earlier run in the same process: ``SupplyPlanner.reset_backoff``
-    (called once the builder's wiring is applied) restores every wired
-    arbiter."""
-    transport = _stream_program(2, 2048, NOCTUA).transport
-    cks = [ck for rt in transport.ranks.values()
-           for ck in list(rt.cks.values()) + list(rt.ckr.values())]
-    sp = cks[0].supply_planner
-    assert isinstance(sp, SupplyPlanner)
-    # The run escalated backoff somewhere (idle CKs plan nothing).
-    escalated = [ck for ck in cks
-                 if ck.arbiter._plan_skip or ck.arbiter._rep_skip
-                 or ck.arbiter._plan_skip_len
-                 != PollingArbiter.PLAN_SKIP_POLLS
-                 or ck.arbiter._rep_skip_len
-                 != PollingArbiter.REP_SKIP_POLLS]
-    assert escalated, "expected some arbiter to have escalated its backoff"
-    sp.reset_backoff()
-    for ck in cks:
-        arb = ck.arbiter
-        assert arb._plan_skip == 0 and arb._rep_skip == 0
-        assert arb._plan_skip_len == PollingArbiter.PLAN_SKIP_POLLS
-        assert arb._rep_skip_len == PollingArbiter.REP_SKIP_POLLS
-
-
 def test_builder_resets_backoff_on_fresh_wiring():
     """Freshly built transports start from the initial backoff state
     even after other builds escalated theirs in the same process."""
@@ -528,6 +489,10 @@ def test_planner_structure_contract():
     the train methods it calls, and every ``ff_`` / ``_ff_`` name lives
     in ``planner_ff.py``. And the train is an object: no closure nest
     under ``replicate_train``, no ``nonlocal``, no 1 000-line function.
+    Since ISSUE 23 also what is *not* there: no replication backoff
+    (``REP_`` / ``_rep_``), no untraced window, no mid-run write to the
+    planner's plane, and one routing step behind both ``_route`` methods
+    and the builder's single route walk.
     Checked on the AST, then on the frames a jumping stream enters."""
     import repro.transport
 
@@ -559,6 +524,56 @@ def test_planner_structure_contract():
               and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
     assert not nested, nested
     assert ff_homes == {"planner_ff.py"}, ff_homes
+
+    # ISSUE 23: engagement is the only when-to-plan policy, and the
+    # routing decision has one definition.
+    stores: dict = {}     # attribute name -> {(file, function) storing it}
+    calls: dict = {}      # callee name -> {(file, function) calling it}
+    for path in sorted(Path(repro.transport.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for field in ("id", "attr", "name", "arg"):
+                name = getattr(node, field, None)
+                assert not (isinstance(name, str)
+                            and name.startswith(("REP_", "_rep_"))), \
+                    (path.name, name)
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store):
+                    stores.setdefault(node.attr, set()).add(
+                        (path.name, func.name))
+                elif isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id",
+                                     getattr(node.func, "attr", None))
+                    calls.setdefault(callee, set()).add(
+                        (path.name, func.name))
+    (_file, window), = defs["plan_window"]
+    assert "trace" not in [a.arg for a in window.args.args
+                           + window.args.kwonlyargs]
+    assert "trace" not in inspect.signature(plan_window).parameters
+    # The plane is chosen at construction: nothing flips it mid-run.
+    assert stores["macro"] == {("planner.py", "__init__")}
+    assert "macro" in inspect.signature(SupplyPlanner).parameters
+    # One routing step, followed by both CKs' ``_route`` and by the
+    # builder's one walk (the only builder function that hops a link).
+    assert calls["route_step"] == {("ck.py", "_route"),
+                                   ("builder.py", "_walk_routes")}
+    assert calls["_target"] == calls["route_step"]
+    assert {fn for file, fn in calls["peer"] if file == "builder.py"} \
+        == {"_walk_routes"}
+    ck_tree = ast.parse(Path(ck_mod.__file__).read_text(encoding="utf-8"))
+    route_methods = {cls.name: fn for cls in ck_tree.body
+                     if isinstance(cls, ast.ClassDef) for fn in cls.body
+                     if isinstance(fn, ast.FunctionDef)
+                     and fn.name == "_route"}
+    assert set(route_methods) == {"CKS", "CKR"}
+    for fn in route_methods.values():
+        assert any(isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "route_step"
+                   for node in ast.walk(fn)), fn.lineno
 
     # At runtime: a stream that jumps enters every frame the profile
     # attributes by, each from the planner file that defines it.

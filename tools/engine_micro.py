@@ -212,7 +212,7 @@ def jump_land(periods: int) -> tuple[int, float]:
         fifo = engine.fifo(f"hop{k}", capacity=n_prefix,
                            latency=JUMP_LATENCY)
         fifo.stage_burst(list(range(n_prefix)), stages)
-        fifo.take_burst(takes, collect=False)
+        fifo.take_burst(takes)
         fifos.append(fifo)
     rows = list(range(len(takes) + n, n_prefix + n))
     entries = sum(map(_fifo_entries, fifos))
