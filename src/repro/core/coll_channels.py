@@ -58,6 +58,7 @@ class CollectiveChannel:
         self.dtype = dtype
         self.my_global = my_global
         self.root_global = root_global
+        self.is_root = my_global == root_global
         self.port = port
         self.comm = comm
         self.app_in = app_in
@@ -76,24 +77,10 @@ class CollectiveChannel:
             )
         ctrl.stage(descriptor)  # zero-overhead open (§3.3)
 
-    @property
-    def is_root(self) -> bool:
-        return self.my_global == self.root_global
-
     # -- element plumbing ------------------------------------------------
-    def _push_element(self, value) -> Generator:
-        while not self.app_in.writable:
-            yield self.app_in.can_push
-        self.app_in.stage(value)
-        yield TICK
-
-    def _pop_element(self) -> Generator:
-        while not self.app_out.readable:
-            yield self.app_out.can_pop
-        value = self.app_out.take()
-        yield TICK
-        return value
-
+    # (The per-element calls below — ``bcast`` / ``reduce`` / ``push`` /
+    # ``pop`` — each write their three-line element step out: stall,
+    # stage or take, ``TICK``. One generator per call, not two.)
     def _stream_interleave(self, values, want: int) -> Generator:
         """Push all of ``values`` while concurrently popping ``want``
         elements; returns the popped elements in order.
@@ -151,10 +138,18 @@ class BcastChannel(CollectiveChannel):
             if value is None:
                 raise ChannelError("root must provide a value to bcast")
             self._pushed += 1
-            yield from self._push_element(value)
+            app_in = self.app_in
+            while not app_in.writable:
+                yield app_in.can_push
+            app_in.stage(value)
+            yield TICK
             return value
         self._popped += 1
-        result = yield from self._pop_element()
+        app_out = self.app_out
+        while not app_out.readable:
+            yield app_out.can_pop
+        result = app_out.take()
+        yield TICK
         return result
 
 
@@ -170,11 +165,19 @@ class ReduceChannel(CollectiveChannel):
                 f"reduce called more than count={self.count} times"
             )
         self._pushed += 1
-        yield from self._push_element(value)
-        if self.is_root:
-            result = yield from self._pop_element()
-            return result
-        return None
+        app_in = self.app_in
+        while not app_in.writable:
+            yield app_in.can_push
+        app_in.stage(value)
+        yield TICK
+        if not self.is_root:
+            return None
+        app_out = self.app_out
+        while not app_out.readable:
+            yield app_out.can_pop
+        result = app_out.take()
+        yield TICK
+        return result
 
     def reduce_stream(self, values) -> Generator:
         """Contribute all ``count`` elements as one stream.
@@ -235,7 +238,11 @@ class ScatterChannel(CollectiveChannel):
                 f"scatter root already pushed all {total} elements"
             )
         self._pushed += 1
-        yield from self._push_element(value)
+        app_in = self.app_in
+        while not app_in.writable:
+            yield app_in.can_push
+        app_in.stage(value)
+        yield TICK
 
     def pop(self) -> Generator:
         """Every rank: receive the next of its ``count`` elements."""
@@ -244,7 +251,11 @@ class ScatterChannel(CollectiveChannel):
                 f"scatter rank already popped its {self.count} elements"
             )
         self._popped += 1
-        result = yield from self._pop_element()
+        app_out = self.app_out
+        while not app_out.readable:
+            yield app_out.can_pop
+        result = app_out.take()
+        yield TICK
         return result
 
 
@@ -279,7 +290,11 @@ class GatherChannel(CollectiveChannel):
                 f"gather rank already pushed its {self.count} elements"
             )
         self._pushed += 1
-        yield from self._push_element(value)
+        app_in = self.app_in
+        while not app_in.writable:
+            yield app_in.can_push
+        app_in.stage(value)
+        yield TICK
 
     def pop(self) -> Generator:
         """Root only: receive the next of ``count * P`` sorted elements."""
@@ -291,5 +306,9 @@ class GatherChannel(CollectiveChannel):
                 f"gather root already popped all {total} elements"
             )
         self._popped += 1
-        result = yield from self._pop_element()
+        app_out = self.app_out
+        while not app_out.readable:
+            yield app_out.can_pop
+        result = app_out.take()
+        yield TICK
         return result

@@ -198,3 +198,14 @@ def burst_summary(engine) -> str:
         f"bursts: {bursts:,} moving {items:,} items "
         f"(mean length {items / bursts:.2f})"
     )
+
+
+def dispatch_summary(engine) -> str:
+    """One-line event-substrate summary for benchmark reports: process
+    steps dispatched, and how many of them an engine-side continuation
+    answered without resuming the process's generator (see
+    :mod:`repro.simulation.engine`, "Continuations")."""
+    return (
+        f"engine: {engine.elided_steps:,} of {engine.steps:,} dispatches "
+        "resumed no generator"
+    )

@@ -17,6 +17,11 @@ Processes normally do not yield FIFO conditions directly; they use the
 ``yield from fifo.push(x)`` / ``item = yield from fifo.pop()`` helpers which
 implement the one-item-per-cycle handshake of a hardware FIFO port.
 
+:data:`RESUME` is not a condition a generator yields: it is what an
+*engine-side continuation* (``Process.continuation``, see
+:mod:`repro.simulation.engine`) returns to have its generator resumed in
+its place; anything else it returns is one of the conditions above.
+
 Waiters
 -------
 
@@ -57,6 +62,20 @@ class _Tick:
 TICK = _Tick()
 
 
+class _Resume:
+    """Singleton: a continuation's "resume the generator now"."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return "RESUME"
+
+
+#: What an engine-side continuation returns instead of a condition when
+#: the step is the generator's after all.
+RESUME = _Resume()
+
+
 class WaitCycles:
     """Condition: resume the process after ``cycles`` clock cycles."""
 
@@ -83,12 +102,18 @@ class AnyReadable:
     single consumer).
     """
 
-    __slots__ = ("fifos", "conds", "proc")
+    __slots__ = ("fifos", "conds", "proc", "idle_at", "_ring")
 
     def __init__(self, fifos) -> None:
         self.conds = tuple(f.can_pop for f in fifos)
         self.fifos = tuple(cond.fifo for cond in self.conds)
+        self._ring = self.fifos + self.fifos  # ``scan`` goes round
         self.proc = None  # the parked process while armed
+        # The last cycle at which ``scan`` / ``holds`` found no input
+        # readable. FIFO latency is >= 1, so nothing turns visible later
+        # in that same cycle: the engine parks a process that yields this
+        # condition right after such a look without taking a second one.
+        self.idle_at = -1
         for cond in self.conds:
             if cond.watch is not NO_WATCH:
                 raise SimulationError(
@@ -99,13 +124,23 @@ class AnyReadable:
 
     def holds(self, now: int) -> bool:
         """Whether any input has an item visible at cycle ``now``."""
-        for fifo in self.fifos:
+        return self.scan(0, now) < len(self.fifos)
+
+    def scan(self, start: int, now: int) -> int:
+        """How many inputs a pointer at input ``start`` passes, going
+        round, before one with an item visible at cycle ``now`` —
+        ``len(fifos)`` when there is none."""
+        ring = self._ring
+        n = len(self.fifos)
+        for passed in range(n):
+            fifo = ring[start + passed]
             if fifo._visible:
-                return True
+                return passed
             ready = fifo._ready
             if ready and ready[0] <= now:
-                return True
-        return False
+                return passed
+        self.idle_at = now
+        return n
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return repr(self.conds)

@@ -17,8 +17,9 @@ commits — beside a small heap of the distinct *far* cycles (link latency,
 is the process (or FIFO) itself: no sequence number, no tuple. One
 executor, :meth:`Engine._run_cycle`, runs a cycle for :meth:`Engine.run`
 and :meth:`Engine.run_until` alike: FIFO commits first, then every process
-of the cycle with the step and the dispatch of what it yielded inlined
-(``TICK`` / ``WaitCycles`` tested first).
+of the cycle with the step (a generator resume, or a pending
+continuation) and the dispatch of what it yielded inlined (``TICK`` /
+``WaitCycles`` tested first).
 
 Determinism: processes scheduled for the same cycle run in the order they
 were scheduled, so a simulation is exactly reproducible run-to-run. The
@@ -38,6 +39,23 @@ others; a persistent :class:`~repro.simulation.conditions.AnyReadable`
 (a CK's fixed input set) is armed by storing the process on it — O(1),
 nothing allocated. Either way the registrations that exist are exactly
 those of currently parked processes.
+
+Continuations: a step that would only re-arm a wait need not resume
+its generator. A module may leave a one-shot callable on its process
+(``proc.continuation = fn``, from within its own step); the process's
+next dispatch — in its own run-list slot, wherever a yield, a wake or a
+commit put it — calls ``fn()`` instead of ``gen.send``. ``fn`` returns
+:data:`~repro.simulation.conditions.RESUME` (the generator is resumed
+then and there, as if no continuation had been set) or the condition to
+dispatch exactly as if the generator had yielded it, and may leave the
+next continuation behind. The calendar, the order of steps within a
+cycle, every commit armed and every ``dispatch`` / ``park`` / ``wake``
+trace event are those of the generator-only run: only the Python resume
+is gone (``Engine.elided_steps`` counts them). A continuation may touch
+only its owner's state, and :meth:`Engine.preempt` drops a pending one —
+a firm wake is for the generator. Users: the polling arbiter's settle
+and wake-scan steps (:mod:`repro.transport.arbiter`) and the reduce
+root's combine countdown (:mod:`repro.transport.collectives`).
 
 Burst timing: the burst fast path (gated by ``HardwareConfig.burst_mode``)
 moves whole runs of items in a single process step and then yields one
@@ -77,8 +95,8 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable
 
 from ..core.errors import DeadlockError, SimulationError
-from .conditions import (TICK, AnyReadable, CanPop, CanPush, SimEvent,
-                         WaitCycles)
+from .conditions import (RESUME, TICK, AnyReadable, CanPop, CanPush,
+                         SimEvent, WaitCycles)
 
 #: Safety bound on process steps within a single cycle (combinational loop).
 MAX_STEPS_PER_CYCLE = 10_000
@@ -121,6 +139,7 @@ class Process:
         "finished",
         "result",
         "done",
+        "continuation",
         "_last_step_cycle",
         "_steps_this_cycle",
         "_waiting_on",
@@ -134,6 +153,9 @@ class Process:
         self.finished = False
         self.result: Any = None
         self.done = SimEvent(f"{name}.done")
+        # One-shot engine-side continuation (module docstring): what the
+        # next dispatch calls instead of resuming ``gen``; None otherwise.
+        self.continuation: Callable[[], Any] | None = None
         self._last_step_cycle = -1
         self._steps_this_cycle = 0
         # What the process is parked on (a condition, the tuple of
@@ -204,6 +226,11 @@ class Engine:
         # clock itself still moves from one calendar cycle to the next.
         self.ff_windows = 0
         self.ff_cycles = 0
+        # Process steps dispatched (added up once per cycle), and how
+        # many of them a continuation answered without resuming the
+        # generator (counted on that path only). Reporting only.
+        self.steps = 0
+        self.elided_steps = 0
         # Flight recorder (repro.trace.TraceRecorder) or None. None is
         # the zero-overhead-off contract: every instrumented site in
         # the engine, FIFOs, links, arbiter and planner guards its emit
@@ -468,8 +495,10 @@ class Engine:
         planner hands it a firm wake instead. A parked process is
         disarmed (its registrations withdrawn) and a sleeping one gives
         up its old calendar entry, so neither leaves anything stale
-        behind. The process running this very step cannot be preempted:
-        what it yields next is what schedules it.
+        behind. A pending continuation is dropped: the firm wake runs
+        the generator, which is who the planner left its state for. The
+        process running this very step cannot be preempted: what it
+        yields next is what schedules it.
         """
         if proc is self._current_proc:
             raise SimulationError(
@@ -482,6 +511,7 @@ class Engine:
                             args={"at": cycle})
         if proc.finished:
             return
+        proc.continuation = None
         if proc._waiting_on is not None:
             self._disarm(proc)
         else:
@@ -627,8 +657,18 @@ class Engine:
                 if trace is not None:
                     trace.emit(cycle, "dispatch", proc.name, "step")
                 self._current_proc = proc
+                step = proc.continuation
                 try:
-                    cond = proc.gen.send(None)
+                    if step is None:
+                        cond = proc.gen.send(None)
+                    else:
+                        # One-shot: ``step`` may leave the next one.
+                        proc.continuation = None
+                        cond = step()
+                        if cond is RESUME:
+                            cond = proc.gen.send(None)
+                        else:
+                            self.elided_steps += 1
                 except StopIteration as stop:
                     self._finish(proc, stop.value)
                     continue
@@ -658,7 +698,7 @@ class Engine:
                         far_procs[wake].append(proc)
                     continue
                 if kind is AnyReadable:
-                    if not cond.holds(cycle):
+                    if cond.idle_at == cycle or not cond.holds(cycle):
                         # Park, O(1): arm the persistent watcher, then
                         # the commits of items already staged.
                         if cond.proc is not None:
@@ -712,6 +752,7 @@ class Engine:
                 # The condition already holds: run again this cycle.
                 proc._scheduled_for = cycle
                 run.append(proc)
+            self.steps += len(run)
             executed += len(run)
             run.clear()
             return executed

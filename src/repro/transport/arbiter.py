@@ -17,6 +17,16 @@ The arbiter below reproduces that behaviour cycle-by-cycle:
   number of scan cycles the hardware pointer would have spent reaching the
   readable input, so the timing is identical to literal polling.
 
+Only a grant needs the loop's generator. A cycle in which the kernel
+closes a round, polls an empty input, parks, or charges its wake-up scan
+is answered by an *engine-side continuation* (``Process.continuation``,
+:mod:`repro.simulation.engine`): :meth:`PollingArbiter._settle` after a
+cycle's ``TICK``, :meth:`PollingArbiter._wake_scan` after a park. Each
+runs in the kernel's own calendar slot and returns what the loop would
+have yielded there, so every dispatch, park, wake and commit of the
+literal loop happens where it did — a sparse kernel just resumes its
+generator once per granted packet instead of three times.
+
 In burst mode the loop's full resume state lives on the arbiter object
 rather than in generator locals, so the supply-schedule planner
 (:mod:`repro.transport.planner`) can plan windows for this kernel from a
@@ -57,6 +67,14 @@ Resume-state fields (the contract between this loop and the planner):
     not co-plannable), ``"window"`` (sleeping off a committed window —
     extendable from ``_plan_until``), or ``"parked"`` (blocked on a
     wait-any of all inputs — co-plannable after an emulated wake-up).
+    The settle rule: a continuation stores exactly what the loop would
+    have (``_settle`` parks with ``"parked"`` and the pointer one past
+    the last input polled; ``_wake_scan`` sets ``"run"`` as it charges
+    the scan), and stands aside (``RESUME``, nothing stored) while the
+    planner is live — so the generator, resumed in a state other than
+    ``"run"``, knows the wake-up is still its own to perform: a
+    co-planner's ``preempt`` dropped the continuation, or the planner
+    went live while the kernel sat parked.
 ``_coplanned`` / ``_blocked_on`` / ``_starved_on``
     Cross-event mailboxes: a peer's cascade marks a parked kernel whose
     wake it pre-planned, and every window records which FIFO's unknown
@@ -77,9 +95,14 @@ from __future__ import annotations
 from typing import Callable, Generator
 
 from ..core.errors import SimulationError
-from ..simulation.conditions import TICK, AnyReadable, WaitCycles
+from ..simulation.conditions import RESUME, TICK, AnyReadable, WaitCycles
 from ..simulation.fifo import Fifo
 from ..simulation.stats import GapHistogram, PlannerStats
+
+
+#: ``WaitCycles(k)`` at index ``k``: the wake-up scan's sleep for every
+#: distance any arbiter built so far can charge (shared, never mutated).
+_SCAN_WAITS: list = [None]
 
 
 class PollingArbiter:
@@ -96,7 +119,8 @@ class PollingArbiter:
                  "_resume_reads", "_plan_until",
                  "_resume_state", "_coplanned", "_blocked_on",
                  "_starved_on", "_pattern", "_pattern_hist",
-                 "_pattern_phase", "_pattern_end", "planner_stats")
+                 "_pattern_phase", "_pattern_end", "planner_stats",
+                 "_engine", "_planner", "_proc")
 
     #: Consecutive planner misses before backing off, and how many polls
     #: to skip planning for once backed off — doubling on every repeat up
@@ -147,6 +171,10 @@ class PollingArbiter:
         self._pattern_phase = 0       # next expected window in the cycle
         self._pattern_end = 0         # absolute end of the pattern's train
         self.planner_stats = PlannerStats()
+        # What the continuations need of ``run``'s arguments (set there).
+        self._engine = self._planner = self._proc = None
+        while len(_SCAN_WAITS) <= len(inputs):
+            _SCAN_WAITS.append(WaitCycles(len(_SCAN_WAITS)))
 
     def commit_resume(self, res) -> None:
         """Store the resume state a committed window or train session
@@ -156,12 +184,6 @@ class PollingArbiter:
         self._plan_until = res.end
         self._blocked_on = res.blocked_on
         self._starved_on = res.starved_on
-
-    def record_accept(self, cycle: int) -> None:
-        """Count one accepted packet (histogram only if opted in)."""
-        self.packets_accepted += 1
-        if self.accept_hist is not None:
-            self.accept_hist.record(cycle)
 
     def _note_attempt(self, planned) -> None:
         """Score one own planning attempt for the miss backoff (the hit /
@@ -188,12 +210,19 @@ class PollingArbiter:
                 if self._plan_skip_len < self.PLAN_SKIP_MAX:
                     self._plan_skip_len *= 2
 
-    def run(self, forward: Callable, engine, ck=None) -> Generator:
-        """The kernel main loop: poll, and hand packets to ``forward``.
+    def run(self, route: Callable, engine, ck=None) -> Generator:
+        """The kernel main loop: poll, and stage each packet where
+        ``route`` says.
 
-        ``forward(packet)`` must be a generator that completes the same-cycle
-        routing decision and staging of the packet (it may internally stall
-        on backpressure). One packet is accepted per cycle at most.
+        ``route(packet)`` is a plain call — the same-cycle routing
+        decision — returning the output the packet is staged into: a
+        FIFO or a link (anything with ``writable`` / ``wait_writable()``
+        / ``stage(packet)``). The loop stalls on the output's
+        backpressure (for a link, its line-rate pacing too), stages, and
+        the cycle ends: one packet is accepted per cycle at most. The
+        cycles in between are :meth:`_settle`'s and :meth:`_wake_scan`'s
+        (module docstring); this generator runs once per granted packet,
+        and wherever the planner must look.
 
         ``ck``, if given, is the owning kernel; on the burst plane
         (``ck.burst_mode``) and on a declared point-to-point route its
@@ -220,12 +249,40 @@ class PollingArbiter:
         burst = self.read_burst
         planner = ck.supply_planner if ck is not None and ck.burst_mode \
             else None
+        self._engine = engine
+        self._planner = planner
+        self._proc = proc = engine._current_proc
+        settle = self._settle
         # A committed window can be outstanding only where this loop
         # re-enters after a plan of its own, a window's sleep or a
         # co-planned wake (peers plan a CK only while it sleeps a window
         # or is parked): only those paths pay for the check.
         covered = True
         while True:
+            if self._resume_state != "run":
+                # Woken from a park whose wake-scan continuation stood
+                # aside (the planner is live) or was dropped by a
+                # co-planner's preempt: the wake-up is this loop's.
+                self._resume_state = "run"
+                if self._coplanned:
+                    # A peer's cascade planned our window while we were
+                    # parked (and already emulated this wake-up): pick
+                    # up the committed state below.
+                    self._coplanned = False
+                    covered = True
+                else:
+                    # The pointer moves to the first readable input;
+                    # each input it passes costs the hardware a cycle.
+                    scan = self._wait_any.scan(self._idx, engine.cycle)
+                    self._idx = (self._idx + scan) % n
+                    if scan:
+                        if planner is not None and planner.live \
+                                and not self._plan_skip:
+                            # Fuse the scan charge into the plan's sleep.
+                            if planner.plan(ck, engine, -1, scan) is not None:
+                                covered = True
+                                continue
+                        yield WaitCycles(scan)
             if planner is not None:
                 if covered:
                     until = self._plan_until
@@ -249,53 +306,94 @@ class PollingArbiter:
                         continue
             resume_reads = self._resume_reads
             fifo = inputs[self._idx]
-            if resume_reads >= 0 or fifo.readable:
-                reads = max(resume_reads, 0)
+            if fifo.readable:
+                # Grant: ``resume_reads < burst`` always (a full round
+                # is closed as it fills, below).
                 self._resume_reads = -1
-                if reads < burst and fifo.readable:
-                    pkt = fifo.take()
-                    self.packets_accepted += 1  # record_accept, inline
-                    if self.accept_hist is not None:
-                        self.accept_hist.record(engine.cycle)
-                    if engine.trace is not None:
-                        engine.trace.emit(engine.cycle, "grant", fifo.name,
-                                          "grant", args={"input": self._idx})
-                    yield from forward(pkt)
-                    reads += 1
-                    if reads < burst:
-                        # Stay in the round; the planner gets another look
-                        # before the next per-flit read.
-                        self._resume_reads = reads
-                        continue
+                pkt = fifo.take()
+                self.packets_accepted += 1
+                if self.accept_hist is not None:
+                    self.accept_hist.record(engine.cycle)
+                if engine.trace is not None:
+                    engine.trace.emit(engine.cycle, "grant", fifo.name,
+                                      "grant", args={"input": self._idx})
+                out = route(pkt)
+                while not out.writable:
+                    yield out.wait_writable()
+                out.stage(pkt)
+                reads = resume_reads + 1 if resume_reads > 0 else 1
+                if reads < burst:
+                    # Stay in the round; the planner gets another look
+                    # before the next per-flit read.
+                    self._resume_reads = reads
+                else:
+                    self._idx = (self._idx + 1) % n
+                if planner is None or not planner.live:
+                    # (While the planner is live every step is this
+                    # generator's: it gets its look at each.)
+                    proc.continuation = settle
+                yield TICK
+            elif resume_reads >= 0:
+                # The open round's input ran dry: close the round.
+                self._resume_reads = -1
                 self._idx = (self._idx + 1) % n
             else:
                 self._idx = (self._idx + 1) % n
                 if self._wait_any.holds(engine.cycle):
                     # Some other input has data: the scan costs this cycle.
+                    if planner is None or not planner.live:
+                        proc.continuation = settle
                     yield TICK
                 else:
                     # Nothing anywhere: park until any input becomes
-                    # readable, then charge the scan distance the hardware
-                    # pointer would have travelled.
+                    # readable; the wake-up then charges the scan
+                    # distance the hardware pointer would have travelled.
                     self._resume_state = "parked"
+                    proc.continuation = self._wake_scan
                     yield self._wait_any
-                    self._resume_state = "run"
-                    if self._coplanned:
-                        # A peer's cascade planned our window while we were
-                        # parked (and already emulated this wake-up): the
-                        # loop top picks up the committed state.
-                        self._coplanned = False
-                        covered = True
-                        continue
-                    scan = 0
-                    while scan < n and not inputs[self._idx].readable:
-                        self._idx = (self._idx + 1) % n
-                        scan += 1
-                    if scan:
-                        if planner is not None and planner.live \
-                                and not self._plan_skip:
-                            # Fuse the scan charge into the plan's sleep.
-                            if planner.plan(ck, engine, -1, scan) is not None:
-                                covered = True
-                                continue
-                        yield WaitCycles(scan)
+
+    def _settle(self):
+        """Continuation of a cycle's ``TICK``: exactly the transitions
+        :meth:`run` makes between two grants with the planner not live —
+        close an open round whose input ran dry, poll the next input,
+        and either spend a cycle on it (another input holds data) or
+        park. A grant is the generator's (``RESUME``), and so is every
+        step while the planner is live: it gets its look at each."""
+        planner = self._planner
+        if planner is not None and planner.live:
+            return RESUME
+        n = len(self.inputs)
+        idx = self._idx
+        ahead = self._wait_any.scan(idx, self._engine.cycle)
+        if ahead == 0:
+            return RESUME
+        if self._resume_reads >= 0:
+            # The open round's input ran dry: close the round; the next
+            # input is polled in the same cycle.
+            self._resume_reads = -1
+            idx += 1
+            if ahead == 1 < n:
+                self._idx = idx % n
+                return RESUME
+        self._idx = (idx + 1) % n
+        if ahead < n:
+            # Some other input has data: the scan costs this cycle.
+            self._proc.continuation = self._settle
+            return TICK
+        # Nothing anywhere: park; the wake-up charges the scan distance.
+        self._resume_state = "parked"
+        self._proc.continuation = self._wake_scan
+        return self._wait_any
+
+    def _wake_scan(self):
+        """Continuation of a park: the woken kernel's pointer scan, slept
+        as ``WaitCycles(scan)`` — the generator next runs at the grant.
+        Stands aside, ``_resume_state`` untouched, while the planner is
+        live: the loop fuses the scan into a plan."""
+        planner = self._planner
+        if planner is not None and planner.live:
+            return RESUME
+        self._resume_state = "run"
+        scan = self._wait_any.scan(self._idx, self._engine.cycle)
+        self._idx = (self._idx + scan) % len(self.inputs)
+        return _SCAN_WAITS[scan] if scan else RESUME

@@ -3,7 +3,11 @@
 Each FPGA network interface is managed by a dedicated CKS/CKR pair so no
 single module serialises all packet transfers. The kernels poll their inputs
 (R-burst round-robin, :mod:`repro.transport.arbiter`), consult a routing
-table, and forward each packet in the same cycle it was accepted:
+table, and forward each packet in the same cycle it was accepted — a
+kernel is its arbiter's loop plus a ``route(packet)`` lookup, and the loop
+stages the packet where ``route`` points, stalling on that FIFO's
+backpressure or that link's line-rate pacing (a 32-byte slot every
+``link_cycles_per_packet`` kernel cycles):
 
 * **CKS(i)** inputs: the application send endpoints assigned to interface
   *i*, the paired CKR (rerouted through-traffic), and every other local CKS.
@@ -38,7 +42,6 @@ from __future__ import annotations
 from typing import Generator
 
 from ..core.errors import RoutingError
-from ..simulation.conditions import TICK
 from ..simulation.fifo import Fifo
 from .arbiter import PollingArbiter
 from .planner import SupplyPlanner
@@ -81,18 +84,6 @@ def route_step(kind: str, rank: int, iface: int, dst: int, port: int,
     return ("app", port) if home == iface else ("ckr", home)
 
 
-def _stage_with_backpressure(out, pkt) -> Generator:
-    """Stage ``pkt`` into ``out`` (FIFO or link), stalling on backpressure.
-
-    For links, the stall also covers line-rate pacing (a 32-byte slot every
-    ``link_cycles_per_packet`` kernel cycles).
-    """
-    while not out.writable:
-        yield out.wait_writable()
-    out.stage(pkt)
-    yield TICK
-
-
 class CKS:
     """Send communication kernel for one network interface."""
 
@@ -118,7 +109,7 @@ class CKS:
         self.burst_mode = burst_mode
         self.arbiter = PollingArbiter(inputs, read_burst, record_accepts)
         # (dst << 8 | port) -> routing target: filled by ``_route``, read
-        # inline by the hot loops (``_forward``, the planners).
+        # by ``route`` and, inline, by the planners.
         self._route_memo: dict = {}
         self.supply_planner: SupplyPlanner | None = None  # builder-assigned
         self.proc = None  # engine Process handle, set by the builder
@@ -147,16 +138,18 @@ class CKS:
                         self.egress_iface))
         return out
 
-    def _forward(self, pkt) -> Generator:
+    def route(self, pkt):
+        """Where ``pkt`` goes next: the FIFO or link the arbiter's loop
+        stages it into (memoised per ``(dst, port)``)."""
         try:
-            out = self._route_memo[(pkt.dst << 8) | pkt.port]
+            return self._route_memo[(pkt.dst << 8) | pkt.port]
         except KeyError:
-            out = self._route(pkt)
-        yield from _stage_with_backpressure(out, pkt)
+            return self._route(pkt)
 
     def process(self, engine) -> Generator:
-        """The kernel's forever-serving main loop (spawned as a daemon)."""
-        yield from self.arbiter.run(self._forward, engine, self)
+        """The kernel's forever-serving main loop (spawned as a daemon):
+        the arbiter's, with this kernel's routing."""
+        return self.arbiter.run(self.route, engine, self)
 
 
 class CKR:
@@ -184,7 +177,7 @@ class CKR:
         self.burst_mode = burst_mode
         self.arbiter = PollingArbiter(inputs, read_burst, record_accepts)
         # (dst << 8 | port) -> routing target: filled by ``_route``, read
-        # inline by the hot loops (``_forward``, the planners).
+        # by ``route`` and, inline, by the planners.
         self._route_memo: dict = {}
         self.supply_planner: SupplyPlanner | None = None  # builder-assigned
         self.proc = None  # engine Process handle, set by the builder
@@ -214,13 +207,15 @@ class CKR:
                         self.port_home_iface))
         return out
 
-    def _forward(self, pkt) -> Generator:
+    def route(self, pkt):
+        """Where ``pkt`` goes next: the FIFO or link the arbiter's loop
+        stages it into (memoised per ``(dst, port)``)."""
         try:
-            out = self._route_memo[(pkt.dst << 8) | pkt.port]
+            return self._route_memo[(pkt.dst << 8) | pkt.port]
         except KeyError:
-            out = self._route(pkt)
-        yield from _stage_with_backpressure(out, pkt)
+            return self._route(pkt)
 
     def process(self, engine) -> Generator:
-        """The kernel's forever-serving main loop (spawned as a daemon)."""
-        yield from self.arbiter.run(self._forward, engine, self)
+        """The kernel's forever-serving main loop (spawned as a daemon):
+        the arbiter's, with this kernel's routing."""
+        return self.arbiter.run(self.route, engine, self)

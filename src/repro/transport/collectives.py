@@ -24,6 +24,16 @@ Linear schemes, as in the reference implementation:
   free, by associativity+commutativity), the root combines elementwise,
   forwards the reduced tile to its application, and releases new credits.
 
+Every loop here is the per-element specification: an element that
+crosses a FIFO is staged or taken, and stalls, in its own cycle. The one
+stretch that faces no FIFO — the reduce root (linear or tree) folding a
+received packet into its tile buffer, one element per cycle — combines
+the packet with one array operation and counts the cycles down through
+an engine-side continuation (:meth:`SupportKernel._ticks`,
+``Process.continuation`` in :mod:`repro.simulation.engine`): the same
+dispatches in the same calendar slots, two generator resumes per packet
+instead of one per element plus one.
+
 Support kernels are *generic* hardware: per-operation parameters (count,
 root, communicator) arrive at run time as a descriptor written by the
 channel-open primitive — the zero-overhead channel creation of §3.3.
@@ -97,6 +107,7 @@ class SupportKernel:
         self.name = f"rank{rank}.{self.kind}{port}"
         self.operations_served = 0
         self.proc = None  # engine Process handle, set by the builder
+        self._ticks_left = 0  # cycles the ``_ticks`` countdown still owes
 
     # ------------------------------------------------------------------
     # Common sub-behaviours
@@ -118,6 +129,25 @@ class SupportKernel:
         pkt = self.recv_ep.take()
         yield TICK
         return pkt
+
+    def _ticks(self, cycles: int):
+        """``yield self._ticks(k)``: ``k >= 1`` cycles of ``TICK`` in
+        which this kernel touches no FIFO. The first is the one yielded;
+        the rest are answered by an engine-side continuation
+        (:meth:`_tick_down`), so all ``k`` dispatches keep their calendar
+        slots — a ``WaitCycles(k)`` would wake from a far bucket, ahead
+        of the cycle's next-list entries — and the generator is resumed
+        once, after the last."""
+        if cycles > 1:
+            self._ticks_left = cycles - 1
+            self.proc.continuation = self._tick_down
+        return TICK
+
+    def _tick_down(self):
+        self._ticks_left -= 1
+        if self._ticks_left:
+            self.proc.continuation = self._tick_down
+        return TICK
 
     def _expect_control(self, op: OpType) -> Generator:
         pkt = yield from self._recv_packet()
@@ -239,9 +269,11 @@ class BcastKernel(SupportKernel):
 
     def _relay_deliver_step(self, successor) -> Generator:
         """One packet of the bcast relay+deliver loop."""
-        while not self.recv_ep.readable:
-            yield self.recv_ep.can_pop
-        pkt = self.recv_ep.take()
+        recv_ep = self.recv_ep
+        app_out = self.app_out
+        while not recv_ep.readable:
+            yield recv_ep.can_pop
+        pkt = recv_ep.take()
         if pkt.op != OpType.DATA:
             raise ChannelError(f"{self.name}: unexpected {pkt!r}")
         if successor is not None:
@@ -254,14 +286,13 @@ class BcastKernel(SupportKernel):
                 yield self.send_ep.can_push
             self.send_ep.stage(relay)
         yield TICK
-        delivered = 0
-        for value in pkt.elements():
-            while not self.app_out.writable:
-                yield self.app_out.can_push
-            self.app_out.stage(value)
+        elements = pkt.elements()
+        for value in elements:
+            while not app_out.writable:
+                yield app_out.can_push
+            app_out.stage(value)
             yield TICK
-            delivered += 1
-        return delivered
+        return len(elements)
 
 class ScatterKernel(SupportKernel):
     """Linear scatter: per-rank rendezvous, segments sent in order (Fig. 5)."""
@@ -315,9 +346,8 @@ class ReduceKernel(SupportKernel):
             raise ChannelError(f"{self.name}: reduce descriptor without op")
         tile = self.config.reduce_credits
         if self.rank == desc.root:
-            yield from self._serve_root(desc, tile)
-        else:
-            yield from self._serve_leaf(desc, tile)
+            return self._serve_root(desc, tile)
+        return self._serve_leaf(desc, tile)
 
     def _serve_root(self, desc: CollectiveDescriptor, tile: int) -> Generator:
         """Root side: combine arrivals into the tile buffer, emit the
@@ -332,24 +362,19 @@ class ReduceKernel(SupportKernel):
             tile_size = min(tile, remaining)
             acc = op.identity_array(tile_size, self.dtype.np_dtype)
             progress = {r: 0 for r in others}
+            # Elements fully reduced so far — the frontier — are those
+            # every rank has contributed to: the local application up to
+            # ``local_done``, every other rank up to ``remote_done``.
+            remote_done = 0 if others else tile_size
             local_done = 0
             emitted = 0
-
-            def frontier() -> int:
-                # Elements fully reduced so far: every rank (including the
-                # local application) has contributed up to this index.
-                low = local_done
-                for p in progress.values():
-                    if p < low:
-                        low = p
-                return low
 
             # Combine contributions as they arrive — order-free across
             # ranks thanks to associativity + commutativity (§3.3) — and
             # emit each element as soon as it is complete, so the root
             # application's per-element SMI_Reduce calls stream naturally.
             while emitted < tile_size:
-                if emitted < frontier():
+                if emitted < local_done and emitted < remote_done:
                     while not app_out.writable:
                         yield app_out.can_push
                     app_out.stage(acc[emitted])
@@ -361,17 +386,24 @@ class ReduceKernel(SupportKernel):
                         raise ChannelError(f"{self.name}: unexpected {pkt!r}")
                     yield TICK
                     off = progress[pkt.src]
-                    if off + pkt.count > tile_size:
+                    end = off + pkt.count
+                    if end > tile_size:
                         raise ChannelError(
                             f"{self.name}: rank {pkt.src} overran its tile "
                             f"({off}+{pkt.count} > {tile_size}) — credit "
                             "protocol violation"
                         )
-                    for value in pkt.elements():
-                        acc[off] = op.combine(acc[off], value)
-                        off += 1
-                        yield TICK
-                    progress[pkt.src] = off
+                    if end > off:
+                        # One element per cycle, and nothing here faces
+                        # a FIFO: combine the packet at once and count
+                        # its cycles down. ``progress`` moves when the
+                        # last element's cycle is over, as the frontier
+                        # (the only reader of ``acc``) expects.
+                        acc[off:end] = op.combine(acc[off:end],
+                                                  pkt.elements())
+                        yield self._ticks(end - off)
+                    progress[pkt.src] = end
+                    remote_done = min(progress.values())
                 elif app_in.readable and local_done < tile_size:
                     value = app_in.take()
                     acc[local_done] = op.combine(acc[local_done], value)

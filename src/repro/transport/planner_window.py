@@ -45,8 +45,8 @@ PLAN_SNAPSHOT = 16
 class _TargetCursor:
     """Planning-time view of one routing target's future slot schedule.
 
-    ``free``/``rels``/``rel_ptr``/``next_free`` mirror the per-flit
-    ``_stage_with_backpressure`` stall model: a currently-free slot stages
+    ``free``/``rels``/``rel_ptr``/``next_free`` mirror the stall model of
+    the per-flit loop (``PollingArbiter.run``): a currently-free slot stages
     as soon as line pacing allows; a slot reserved by the consumer's own
     burst takes stages the cycle after it releases (the cycle a producer
     blocked on ``can_push`` would wake); with neither, the per-flit path

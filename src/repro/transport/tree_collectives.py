@@ -180,15 +180,18 @@ class TreeReduceKernel(SupportKernel):
                         raise ChannelError(f"{self.name}: unexpected {pkt!r}")
                     yield TICK
                     off = progress[pkt.src]
-                    if off + pkt.count > tile_size:
+                    end = off + pkt.count
+                    if end > tile_size:
                         raise ChannelError(
                             f"{self.name}: child {pkt.src} overran its tile"
                         )
-                    for value in pkt.elements():
-                        acc[off] = op.combine(acc[off], value)
-                        off += 1
-                        yield TICK
-                    progress[pkt.src] = off
+                    if end > off:
+                        # As in the linear root: combine at once, count
+                        # the packet's element cycles down.
+                        acc[off:end] = op.combine(acc[off:end],
+                                                  pkt.elements())
+                        yield self._ticks(end - off)
+                    progress[pkt.src] = end
                 elif self.app_in.readable and local_done < tile_size:
                     value = self.app_in.take()
                     acc[local_done] = op.combine(acc[local_done], value)

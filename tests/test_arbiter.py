@@ -1,22 +1,33 @@
 """Unit tests for the R-burst polling arbiter (§4.3, Table 4 mechanism)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
 from repro.simulation import TICK, Engine, WaitCycles
 from repro.transport.arbiter import PollingArbiter
 
 
+class _Sink:
+    """An always-writable output recording ``(cycle, packet)``."""
+
+    writable = True
+
+    def __init__(self, eng, out):
+        self.eng = eng
+        self.out = out
+
+    def stage(self, pkt):
+        self.out.append((self.eng.cycle, pkt))
+
+
 def _run_arbiter(eng, inputs, read_burst, out, stop_after,
                  record_accepts=False):
-    """Spawn an arbiter that forwards packets into ``out`` list."""
+    """Spawn an arbiter that routes every packet into ``out`` list."""
     arb = PollingArbiter(inputs, read_burst, record_accepts=record_accepts)
-
-    def forward(pkt):
-        out.append((eng.cycle, pkt))
-        yield TICK
-
-    eng.spawn(arb.run(forward, eng), "arb", daemon=True)
+    sink = _Sink(eng, out)
+    eng.spawn(arb.run(lambda _pkt: sink, eng), "arb", daemon=True)
     return arb
 
 
@@ -185,3 +196,194 @@ def test_accept_recording_off_by_default():
     f = eng.fifo("f", capacity=8)
     arb = PollingArbiter([f], read_burst=4)
     assert arb.accept_hist is None  # no per-packet state unless opted in
+
+
+# ----------------------------------------------------------------------
+# Position preservation: the continuation-driven loop against a literal
+# transcript of the generator-only loop it replaced
+# ----------------------------------------------------------------------
+class _TranscriptArbiter(PollingArbiter):
+    """The specification loop as it stood before engine-side
+    continuations (the parent commit's ``PollingArbiter.run`` with
+    ``ck=None``, and ``ck._forward`` / ``_stage_with_backpressure`` as
+    they were): every step resumes the generator. Test-only."""
+
+    def run(self, route, engine, ck=None):
+        def forward(pkt):
+            out = route(pkt)
+            while not out.writable:
+                yield out.wait_writable()
+            out.stage(pkt)
+            yield TICK
+
+        inputs = self.inputs
+        n = len(inputs)
+        burst = self.read_burst
+        while True:
+            resume_reads = self._resume_reads
+            fifo = inputs[self._idx]
+            if resume_reads >= 0 or fifo.readable:
+                reads = max(resume_reads, 0)
+                self._resume_reads = -1
+                if reads < burst and fifo.readable:
+                    pkt = fifo.take()
+                    self.packets_accepted += 1
+                    if engine.trace is not None:
+                        engine.trace.emit(engine.cycle, "grant", fifo.name,
+                                          "grant", args={"input": self._idx})
+                    yield from forward(pkt)
+                    reads += 1
+                    if reads < burst:
+                        self._resume_reads = reads
+                        continue
+                self._idx = (self._idx + 1) % n
+            else:
+                self._idx = (self._idx + 1) % n
+                if self._wait_any.holds(engine.cycle):
+                    yield TICK
+                else:
+                    self._resume_state = "parked"
+                    yield self._wait_any
+                    self._resume_state = "run"
+                    scan = 0
+                    while scan < n and not inputs[self._idx].readable:
+                        self._idx = (self._idx + 1) % n
+                        scan += 1
+                    if scan:
+                        yield WaitCycles(scan)
+
+
+class _Tape:
+    """Stands in for the flight recorder: every event's ``(cycle, kind,
+    track)`` in emission order, grants with their input, and the
+    arbiter's pointer and round state at each of its parks."""
+
+    def __init__(self):
+        self.events = []
+        self.parks = []
+        self.arbiter = None
+
+    def emit(self, cycle, kind, track, _name, dur=0, args=None):
+        self.events.append((cycle, kind, track))
+        if kind == "grant":
+            self.events.append(("input", args["input"]))
+        elif kind == "park" and track == "arb":
+            arb = self.arbiter
+            self.parks.append((cycle, arb._idx, arb._resume_reads,
+                               arb._resume_state))
+
+    def sample(self, *_args):
+        pass
+
+
+#: (R, input depth, output depth, outputs, the arbiter's spawn position,
+#:  per-input gaps before each push, the consumer's stall before each pop)
+_schedules = st.tuples(
+    st.sampled_from([1, 2, 8]), st.sampled_from([1, 2, 8]),
+    st.sampled_from([1, 2, 8]), st.integers(1, 2), st.integers(0, 6),
+    st.lists(st.lists(st.integers(0, 9), max_size=10),
+             min_size=1, max_size=5),
+    st.lists(st.integers(0, 12), min_size=1, max_size=6))
+
+
+def _play_schedule(arbiter_cls, schedule):
+    read_burst, in_depth, out_depth, n_out, arb_pos, arrivals, stalls = \
+        schedule
+    eng = Engine()
+    eng.trace = tape = _Tape()
+    inputs = [eng.fifo(f"in{i}", capacity=in_depth)
+              for i in range(len(arrivals))]
+    outs = [eng.fifo(f"out{i}", capacity=out_depth) for i in range(n_out)]
+    tape.arbiter = arb = arbiter_cls(inputs, read_burst)
+
+    def producer(i, fifo, gaps):
+        for k, gap in enumerate(gaps):
+            if gap:
+                yield WaitCycles(gap)
+            yield from fifo.push(10 * k + i)
+
+    def consumer(out, count, offset):
+        for k in range(count):
+            stall = stalls[(k + offset) % len(stalls)]
+            if stall:
+                yield WaitCycles(stall)     # the output fills meanwhile
+            yield from out.pop()
+
+    spawns = [(f"p{i}", producer(i, f, gaps), False)
+              for i, (f, gaps) in enumerate(zip(inputs, arrivals))]
+    for o, out in enumerate(outs):
+        count = sum(1 for i, gaps in enumerate(arrivals)
+                    for k in range(len(gaps)) if (10 * k + i) % n_out == o)
+        spawns.append((f"c{o}", consumer(out, count, o), False))
+    spawns.insert(min(arb_pos, len(spawns)), (
+        "arb", arb.run(lambda pkt: outs[pkt % n_out], eng), True))
+    for name, gen, daemon in spawns:
+        eng.spawn(gen, name, daemon=daemon)
+    end = eng.run().cycles
+    counts = {f.name: (f.pushes, f.pops, f.max_occupancy)
+              for f in inputs + outs}
+    return {"end": end, "events": tape.events, "parks": tape.parks,
+            "fifos": counts, "accepted": arb.packets_accepted,
+            "state": (arb._idx, arb._resume_reads, arb._resume_state),
+            "steps": eng.steps}, eng.elided_steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule=_schedules)
+# An arrival landing exactly one cycle after a grant (the settle step
+# must see it), one landing while the wake-up scan is being charged, a
+# 1-deep output that a stalling consumer keeps full, and an R-round
+# that runs dry and is closed by the settle step.
+@example(schedule=(1, 2, 2, 1, 0, [[0], [], [2]], [0]))
+@example(schedule=(1, 8, 8, 1, 2, [[], [], [], [5, 0], [6]], [0]))
+@example(schedule=(2, 1, 1, 1, 3, [[0, 0, 0, 0], [1, 0, 0]], [7, 0, 3]))
+@example(schedule=(8, 8, 2, 2, 1, [[0, 0, 0, 4, 0], [3], [9, 0]], [2]))
+def test_continuations_keep_every_calendar_position(schedule):
+    """One generator resume per granted packet, and nothing else moves:
+    the same ``(cycle, kind, track)`` trace — every dispatch, park, wake,
+    stage, take and grant, in order — the same pointer and round state
+    at every park, the same per-FIFO pushes / pops / occupancy peaks and
+    the same end cycle as the loop that resumed its generator for every
+    step."""
+    want, elided = _play_schedule(_TranscriptArbiter, schedule)
+    assert elided == 0
+    got, elided = _play_schedule(PollingArbiter, schedule)
+    assert got == want
+    grants = got["accepted"]
+    if grants:
+        assert elided > 0
+
+
+def test_sparse_arbiter_resumes_its_generator_once_per_packet():
+    """Wake-up scan, grant, settle-and-park: three dispatches per packet
+    of a sparse input set, one of them a generator resume."""
+    import sys
+
+    eng = Engine()
+    inputs = [eng.fifo(f"in{i}", capacity=4) for i in range(5)]
+    out = []
+    arb = _run_arbiter(eng, inputs, read_burst=1, out=out, stop_after=None)
+    resumes = [0]
+    code = PollingArbiter.run.__code__
+
+    def count(frame, event, _arg):
+        # (This arbiter's only: a collected generator of an earlier test
+        # is entered once more, to be closed.)
+        if event == "call" and frame.f_code is code \
+                and frame.f_locals["self"] is arb:
+            resumes[0] += 1
+
+    def producer():
+        for i in range(50):
+            inputs[(3 * i) % 5].stage(i)
+            yield WaitCycles(9)
+
+    eng.spawn(producer, "p")
+    sys.setprofile(count)
+    try:
+        eng.run()
+    finally:
+        sys.setprofile(None)
+    assert arb.packets_accepted == 50
+    assert resumes[0] == 50 + 1          # + the first run, which parks
+    assert eng.elided_steps == 2 * 50    # the scan's sleep, the settle

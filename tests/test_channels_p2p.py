@@ -20,6 +20,7 @@ from repro import (
     SMIProgram,
     TypeMismatchError,
     bus,
+    noctua_bus,
     noctua_torus,
     torus2d,
 )
@@ -321,18 +322,21 @@ def _push_vec_element_loop(chan, values, width):
         min_size=1, max_size=5),
     short=st.integers(0, 5),
     depth=st.integers(1, 8),
+    pace=st.sampled_from([1, 2, 3, 4]),
 )
 def test_per_flit_push_vec_matches_the_element_loop(dtype, pieces, short,
-                                                    depth):
+                                                    depth, pace):
     """Mixed ``push_vec`` / ``push`` calls on one message — partial packets
     carried across calls, a final mid-packet flush, endpoints shallow
-    enough to stall mid-chunk — stage every packet in the same cycle with
-    the same payload, and report the same ``elements_sent`` at every
-    resumption, as the element-by-element loop."""
+    enough to stall mid-chunk, a link paced at 1 to 4 cycles per packet —
+    stage every packet in the same cycle with the same payload, and
+    report the same ``elements_sent`` at every resumption, as the
+    element-by-element loop."""
     total = sum(n for _, n, _ in pieces)
     count = total + short        # the message may be left open
     data = (np.arange(total) % 100).astype(dtype.np_dtype)
-    config = NOCTUA.with_(burst_mode=False, endpoint_fifo_depth=depth)
+    config = NOCTUA.with_(burst_mode=False, endpoint_fifo_depth=depth,
+                          link_cycles_per_packet=pace)
     ops = [OpDecl("send", 0, dtype), OpDecl("recv", 0, dtype)]
 
     def run(sliced):
@@ -372,3 +376,75 @@ def test_per_flit_push_vec_matches_the_element_loop(dtype, pieces, short,
         return res.cycles, seen, stats, res.store(1, "got").tobytes()
 
     assert run(sliced=True) == run(sliced=False)
+
+
+# ----------------------------------------------------------------------
+# ROADMAP "Exactness beyond the default link pace": the split push_vec
+# table (8 000 SMI_INT, 1 hop, 3 cycles per packet, width 4)
+# ----------------------------------------------------------------------
+SPLIT_N = 8000
+SPLIT_PACE = NOCTUA.with_(link_cycles_per_packet=3)
+#: Per-flit end cycle for a first ``push_vec`` of ``s`` elements.
+SPLIT_TABLE = {4000: 4122, 4001: 4123, 4002: 4123, 4003: 4123,
+               4004: 4124, 4005: 4125, 4006: 4125, 4007: 4124}
+
+
+def _split_stream(config, s, element_loop=False):
+    """``push_vec(data[:s])``, a 500-cycle pause, ``push_vec(data[s:])``
+    against one ``pop_vec`` of the whole message; the end cycle."""
+    data = np.arange(SPLIT_N, dtype=np.int32)
+    prog = SMIProgram(noctua_bus(), config=config)
+
+    def snd(smi):
+        ch = smi.open_send_channel(SPLIT_N, SMI_INT, 1, 0)
+        for part in (data[:s], None, data[s:]):
+            if part is None:
+                yield smi.wait(500)
+            elif element_loop:
+                yield from _push_vec_element_loop(ch, part, 4)
+            else:
+                yield from ch.push_vec(part, width=4)
+
+    def rcv(smi):
+        ch = smi.open_recv_channel(SPLIT_N, SMI_INT, 0, 0)
+        smi.store("got", (yield from ch.pop_vec(SPLIT_N, width=4)))
+
+    prog.add_kernel(snd, rank=0, ops=[OpDecl("send", 0, SMI_INT, peer=1)])
+    prog.add_kernel(rcv, rank=1, ops=[OpDecl("recv", 0, SMI_INT, peer=0)])
+    res = prog.run(max_cycles=1_000_000)
+    assert res.completed, res.reason
+    assert np.array_equal(res.store(1, "got"), data)
+    return res.cycles
+
+
+@pytest.mark.parametrize("s", sorted(SPLIT_TABLE))
+def test_split_push_vec_specification_agrees_with_the_element_loop(s):
+    """First step of the ROADMAP exactness item — which side lies? Not
+    the specification: at 3 cycles per packet the per-flit ``push_vec``
+    (sliced payloads, the trailing partial packet handed to the packer
+    when the call ends) and the element-by-element loop end in the same
+    cycle for every split point, mid-packet (4000–4003, 4005–4007) or on
+    a packet boundary (4004 = 572 * 7)."""
+    flit = SPLIT_PACE.with_(burst_mode=False)
+    assert _split_stream(flit, s) == SPLIT_TABLE[s]
+    assert _split_stream(flit, s, element_loop=True) == SPLIT_TABLE[s]
+
+
+@pytest.mark.parametrize("s", [
+    pytest.param(s, marks=pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 'Exactness beyond the default link pace': the "
+               "default plane ends one cycle late when the sender's stall "
+               "begins at elements 4000-4003 (link pace 3, width 4); the "
+               "specification agrees with the element loop, so the fault "
+               "is the burst plane's - not fixed here"))
+    if s < 4004 else s
+    for s in sorted(SPLIT_TABLE)])
+def test_split_push_vec_default_plane_matches_the_specification(s):
+    """The other side of the same table. The divergence survives a sender
+    that runs the element loop (no send lane), and ``macro_cruise=False``
+    is exact on all eight rows — both recorded here so the fix knows
+    where not to look."""
+    assert _split_stream(SPLIT_PACE.with_(macro_cruise=False), s) \
+        == SPLIT_TABLE[s]
+    assert _split_stream(SPLIT_PACE, s) == SPLIT_TABLE[s]

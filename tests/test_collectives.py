@@ -498,3 +498,88 @@ def test_support_kernels_have_one_interpretation(kind, scheme):
     for role in ("app_in", "app_out", "send_ep", "recv_ep"):
         assert any(evs for (r, _name), evs in ref.items() if r == role), role
     assert fast == ref
+
+
+# ----------------------------------------------------------------------
+# The reduce root's combine-at-once + countdown against the per-element
+# loop it replaced (goldens measured on the commit before)
+# ----------------------------------------------------------------------
+def _reduce_signature(credits, op, dtype, scheme):
+    """End cycle, the root's output bits and every FIFO's push / pop /
+    peak counters of one 100-element reduce on 4 ranks. Packets carry 7
+    elements, so a tile of ``credits`` = 1 is all 1-element packets, 7
+    exactly one full packet, 16 ends on a 2-element tail and 64 on a
+    1-element one (as does the message's last, 36-element tile)."""
+    import hashlib
+
+    n, ranks = 100, 4
+    rng = np.random.default_rng(24)
+    if dtype is SMI_INT:
+        contribs = rng.integers(-1000, 1000, size=(ranks, n)).astype(np.int32)
+    else:
+        contribs = rng.standard_normal((ranks, n)).astype(np.float32)
+    res, out = run_reduce(
+        torus2d(2, 2), n, root=1, op=op, dtype=dtype, scheme=scheme,
+        config=NOCTUA.with_(reduce_credits=credits),
+        contributions={r: contribs[r] for r in range(ranks)})
+    want = op.reduce_many(list(contribs))
+    if dtype is SMI_INT:
+        assert [int(v) for v in out] == want.tolist()
+    else:
+        np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6)
+    bits = np.asarray(out, dtype=dtype.np_dtype).tobytes()
+    fifos = sorted((name, s["pushes"], s["pops"], s["max_occupancy"])
+                   for name, s in res.engine.fifo_stats().items())
+    return [res.cycles, hashlib.sha1(bits).hexdigest()[:12],
+            hashlib.sha1(repr(fifos).encode()).hexdigest()[:12]]
+
+
+#: ``[end cycle, sha1(output bits)[:12], sha1(FIFO counters)[:12]]``,
+#: measured on the commit before the change (per-element combine loop).
+REDUCE_GOLDENS = {
+    "linear/SMI_ADD/SMI_FLOAT/C1": [97516, "a1b0e3c4a5c1", "5dbd80d9be77"],
+    "linear/SMI_ADD/SMI_FLOAT/C7": [14712, "b6f3d94b7c55", "3dfee46b98cb"],
+    "linear/SMI_ADD/SMI_FLOAT/C16": [6874, "39b4a3dbcaf0", "cae2a49efb9b"],
+    "linear/SMI_ADD/SMI_FLOAT/C64": [1986, "eeae0da45d98", "7723e6fd00b9"],
+    "linear/SMI_ADD/SMI_INT/C1": [97516, "f95744c77711", "5dbd80d9be77"],
+    "linear/SMI_ADD/SMI_INT/C7": [14712, "f95744c77711", "3dfee46b98cb"],
+    "linear/SMI_ADD/SMI_INT/C16": [6874, "f95744c77711", "cae2a49efb9b"],
+    "linear/SMI_ADD/SMI_INT/C64": [1986, "f95744c77711", "7723e6fd00b9"],
+    "linear/SMI_MAX/SMI_FLOAT/C1": [97516, "dea19f13cf75", "5dbd80d9be77"],
+    "linear/SMI_MAX/SMI_FLOAT/C7": [14712, "dea19f13cf75", "3dfee46b98cb"],
+    "linear/SMI_MAX/SMI_FLOAT/C16": [6874, "dea19f13cf75", "cae2a49efb9b"],
+    "linear/SMI_MAX/SMI_FLOAT/C64": [1986, "dea19f13cf75", "7723e6fd00b9"],
+    "linear/SMI_MAX/SMI_INT/C1": [97516, "176bf9441cf6", "5dbd80d9be77"],
+    "linear/SMI_MAX/SMI_INT/C7": [14712, "176bf9441cf6", "3dfee46b98cb"],
+    "linear/SMI_MAX/SMI_INT/C16": [6874, "176bf9441cf6", "cae2a49efb9b"],
+    "linear/SMI_MAX/SMI_INT/C64": [1986, "176bf9441cf6", "7723e6fd00b9"],
+    "tree/SMI_ADD/SMI_FLOAT/C1": [148957, "96da8065865b", "ace0dbc50b11"],
+    "tree/SMI_ADD/SMI_FLOAT/C7": [22477, "df2a130d86fa", "781e1d34c391"],
+    "tree/SMI_ADD/SMI_FLOAT/C16": [10364, "85d279d3a5ac", "2aaa052ccbc6"],
+    "tree/SMI_ADD/SMI_FLOAT/C64": [2792, "cb9d85b61973", "88aaae455bc2"],
+    "tree/SMI_ADD/SMI_INT/C1": [148957, "f95744c77711", "ace0dbc50b11"],
+    "tree/SMI_ADD/SMI_INT/C7": [22477, "f95744c77711", "781e1d34c391"],
+    "tree/SMI_ADD/SMI_INT/C16": [10364, "f95744c77711", "2aaa052ccbc6"],
+    "tree/SMI_ADD/SMI_INT/C64": [2792, "f95744c77711", "88aaae455bc2"],
+    "tree/SMI_MAX/SMI_FLOAT/C1": [148957, "dea19f13cf75", "ace0dbc50b11"],
+    "tree/SMI_MAX/SMI_FLOAT/C7": [22477, "dea19f13cf75", "781e1d34c391"],
+    "tree/SMI_MAX/SMI_FLOAT/C16": [10364, "dea19f13cf75", "2aaa052ccbc6"],
+    "tree/SMI_MAX/SMI_FLOAT/C64": [2792, "dea19f13cf75", "88aaae455bc2"],
+    "tree/SMI_MAX/SMI_INT/C1": [148957, "176bf9441cf6", "ace0dbc50b11"],
+    "tree/SMI_MAX/SMI_INT/C7": [22477, "176bf9441cf6", "781e1d34c391"],
+    "tree/SMI_MAX/SMI_INT/C16": [10364, "176bf9441cf6", "2aaa052ccbc6"],
+    "tree/SMI_MAX/SMI_INT/C64": [2792, "176bf9441cf6", "88aaae455bc2"],
+}
+
+
+@pytest.mark.parametrize("scheme", ["linear", "tree"])
+@pytest.mark.parametrize("dtype", [SMI_FLOAT, SMI_INT], ids=lambda d: d.name)
+@pytest.mark.parametrize("op", [SMI_ADD, SMI_MAX], ids=lambda o: o.name)
+@pytest.mark.parametrize("credits", [1, 7, 16, 64])
+def test_reduce_root_matches_the_per_element_loop(credits, op, dtype, scheme):
+    """Combining a packet with one array op and counting its element
+    cycles down changes no cycle, no output bit and no FIFO counter
+    against combining element by element, one generator resume each."""
+    key = f"{scheme}/{op.name}/{dtype.name}/C{credits}"
+    assert _reduce_signature(credits, op, dtype, scheme) == \
+        REDUCE_GOLDENS[key]

@@ -181,6 +181,81 @@ def test_short_lanes_never_raise_the_live_state():
     assert stats.live_spans == 0 and stats.attempts == 0
 
 
+@pytest.mark.parametrize("hops,want", [
+    (1, {"cycles": 3503, "attempts": 23, "windows": 19, "coplans": 33,
+         "takes": 1758, "replications": 78}),
+    (4, {"cycles": 4169, "attempts": 32, "windows": 9, "coplans": 54,
+         "takes": 7032, "replications": 522}),
+])
+def test_going_live_over_settle_parked_kernels(hops, want, monkeypatch):
+    """A short message moves through the route's CKs with the planner
+    not live, so each ends parked by its settle continuation — no
+    generator resumed to park it. The long burst that follows raises
+    the live state over them: their wake-scan continuation stands aside
+    (or a co-planner's preempt drops it) and the generator fuses the
+    scan into a plan, is co-planned and woken exactly as the loop that
+    parked itself was — every planner count and the end cycle as
+    measured on the commit before continuations, and the specification
+    plane's cycle."""
+    short, long_ = 64, 4096
+    a = np.arange(short, dtype=np.float32)
+    b = np.arange(long_, dtype=np.float32) + 7
+    seen = []
+    register = SupplyPlanner.register_lane
+
+    def probe(self, fifo, lane, length):
+        if length >= LANE_LIVE_MIN and not self.live:
+            # (The planner's first plan is yet to come: the route's CKs
+            # are still in its declared-but-unapplied wiring.)
+            cks = {id(ck): ck for _fifo, *ends in self.unwired
+                   for ck in ends if ck is not None}
+            seen.append([(ck.arbiter._resume_state,
+                          ck.proc._waiting_on is ck.arbiter._wait_any,
+                          ck.proc.continuation is not None)
+                         for ck in cks.values()])
+            seen.append(fifo.engine.elided_steps)
+        register(self, fifo, lane, length)
+
+    monkeypatch.setattr(SupplyPlanner, "register_lane", probe)
+
+    def run(config):
+        prog = SMIProgram(noctua_bus(), config=config)
+
+        def snd(smi):
+            ch = smi.open_send_channel(short, SMI_FLOAT, hops, 0)
+            yield from ch.push_vec(a, width=8)
+            yield smi.wait(2000)
+            ch = smi.open_send_channel(long_, SMI_FLOAT, hops, 1)
+            yield from ch.push_vec(b, width=8)
+
+        def rcv(smi):
+            ch = smi.open_recv_channel(short, SMI_FLOAT, 0, 0)
+            x = yield from ch.pop_vec(short, width=8)
+            ch = smi.open_recv_channel(long_, SMI_FLOAT, 0, 1)
+            y = yield from ch.pop_vec(long_, width=8)
+            smi.store("data", np.concatenate([x, y]))
+
+        prog.add_kernel(snd, rank=0, ops=[
+            OpDecl("send", port, SMI_FLOAT, peer=hops) for port in (0, 1)])
+        prog.add_kernel(rcv, rank=hops, ops=[
+            OpDecl("recv", port, SMI_FLOAT, peer=0) for port in (0, 1)])
+        res = prog.run(max_cycles=1_000_000)
+        assert res.completed, res.reason
+        assert np.array_equal(res.store(hops, "data"), np.concatenate([a, b]))
+        return res
+
+    res = run(NOCTUA)
+    states, elided_before = seen
+    stats = collect_planner_stats(res.transport)
+    assert len(states) == stats.cks - stats.cks_off_route > hops
+    assert set(states) == {("parked", True, True)}
+    assert elided_before > 0
+    assert stats.live_spans == 1
+    assert {"cycles": res.cycles,
+            **{k: getattr(stats, k) for k in want if k != "cycles"}} == want
+    assert run(NOCTUA.with_(burst_mode=False)).cycles == res.cycles
+
+
 def test_long_stream_beside_a_bcast():
     """Mixed program: the planes agree, the collective's CKs off the
     stream's route make no attempt and are never co-planned, and the

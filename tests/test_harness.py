@@ -59,6 +59,18 @@ def test_comparison_render_contains_units():
     assert "paper [us]" in text and "measured [us]" in text
 
 
+def test_dispatch_summary_renders_the_engine_counters():
+    from types import SimpleNamespace
+
+    from repro.harness import dispatch_summary
+    from repro.simulation import Engine
+
+    assert dispatch_summary(Engine()) == \
+        "engine: 0 of 0 dispatches resumed no generator"
+    assert dispatch_summary(SimpleNamespace(steps=4002, elided_steps=2000)) \
+        == "engine: 2,000 of 4,002 dispatches resumed no generator"
+
+
 def test_planner_summary_renders_replication_counters():
     from repro.harness import planner_summary
     from repro.simulation.stats import PlannerStats

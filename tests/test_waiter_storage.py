@@ -16,7 +16,7 @@ import pytest
 
 from repro import (NOCTUA, SMI_FLOAT, OpDecl, SMIProgram, noctua_bus,
                    noctua_torus)
-from repro.simulation import TICK, AnyReadable, Engine, WaitCycles
+from repro.simulation import AnyReadable, Engine, WaitCycles
 from repro.transport.arbiter import PollingArbiter
 
 FLIT = NOCTUA.with_(burst_mode=False)
@@ -148,6 +148,18 @@ def test_stage_with_nobody_parked_schedules_no_commit():
     assert armed == [(4, "a")]
 
 
+class _Drop:
+    """An always-writable output that discards what is staged."""
+
+    writable = True
+
+    def stage(self, pkt):
+        pass
+
+
+_DROP = _Drop()
+
+
 def test_stage_into_an_unparked_arbiter_input_schedules_no_commit():
     eng = Engine()
     fifos = [eng.fifo(f"in{i}", capacity=4) for i in range(3)]
@@ -155,23 +167,34 @@ def test_stage_into_an_unparked_arbiter_input_schedules_no_commit():
     armed = _count_commits(eng)
     accepted = []
 
-    def forward(pkt):
-        accepted.append((pkt, eng.cycle))
-        yield WaitCycles(10)                 # a long forward: not parked
+    class SlowOutput:
+        """An output whose first slot frees at cycle 14."""
+
+        @property
+        def writable(self):
+            return eng.cycle >= 14
+
+        def wait_writable(self):             # a long stall: not parked
+            return WaitCycles(14 - eng.cycle)
+
+        def stage(self, pkt):
+            accepted.append((pkt, eng.cycle))
+
+    out = SlowOutput()
 
     def producer():
         yield WaitCycles(3)
         fifos[0].stage("p")                  # the arbiter is parked: armed
         yield WaitCycles(3)
         assert fifos[1].can_pop.watch.proc is None
-        fifos[1].stage("q")                  # mid-forward: nothing to wake
+        fifos[1].stage("q")                  # mid-stall: nothing to wake
         fifos[2].stage("r")
         yield WaitCycles(60)                 # let the daemon drain them
 
-    eng.spawn(arbiter.run(forward, eng), "arbiter", daemon=True)
+    eng.spawn(arbiter.run(lambda _pkt: out, eng), "arbiter", daemon=True)
     eng.spawn(producer, "producer")
     eng.run()
-    assert [pkt for pkt, _ in accepted] == ["p", "q", "r"]
+    assert accepted == [("p", 14), ("q", 15), ("r", 16)]
     assert armed == [(4, "in0")]
 
 
@@ -186,15 +209,12 @@ def test_a_park_on_an_input_set_allocates_nothing():
     arbiter = PollingArbiter(fifos, read_burst=1)
     parks = 10_000
 
-    def forward(_pkt):
-        yield TICK
-
     def producer():
         for i in range(parks):
             fifos[i % 5].stage(i)
             yield WaitCycles(8)
 
-    eng.spawn(arbiter.run(forward, eng), "arbiter", daemon=True)
+    eng.spawn(arbiter.run(lambda _pkt: _DROP, eng), "arbiter", daemon=True)
     eng.spawn(producer, "producer")
     eng.run(max_cycles=200)                  # warm up: lists at capacity
     substrate = [tracemalloc.Filter(True, "*/simulation/engine.py"),

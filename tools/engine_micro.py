@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Micro-benchmarks of the event substrate, with their event counts.
 
-Loops over :mod:`repro.simulation` and the polling arbiter only — no
-transport, no planner::
+Loops over :mod:`repro.simulation`, the polling arbiter and one reduce
+support kernel only — no CKs, no links, no planner::
 
     PYTHONPATH=src python tools/engine_micro.py [--repeat N] [--json]
 
@@ -21,6 +21,11 @@ transport, no planner::
                 cycle, where a bucket per cycle would cost more than a
                 heap entry per event.
 
+``reduce_root`` a :class:`ReduceKernel` root fed one 7-element packet
+                every 8 cycles (ns per packet): a cycle to take it, then
+                one per element — combined at once, counted down by an
+                engine-side continuation.
+
 ``jump_land``   a synthetic 3-FIFO steady chain landing a proven span as
                 one ``Fifo.shift`` per FIFO, for ``R`` = 10 and ``R`` =
                 10 000 periods (ns per shift): the two must cost the
@@ -32,7 +37,12 @@ Seconds are printed next to ``calib`` (the frozen calibration loop of
 the repo benchmark) because this box is too noisy for a threshold; the
 *counts* — dispatches, parks and commits scheduled per loop — are exact
 and asserted: a substrate change that adds an event per item fails here
-before it shows up as seconds anywhere.
+before it shows up as seconds anywhere. So is the number of dispatches
+that resumed a generator (``resumes``: the rest were answered by an
+engine-side continuation, ``Engine.elided_steps``): a ``park5`` arbiter
+is dispatched three times per item — wake-up scan, grant, settle-and-
+park — and resumed once; the reduce root eight times per packet and
+resumed twice.
 """
 
 from __future__ import annotations
@@ -47,10 +57,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks" / "profile"))
 
 import calib  # noqa: E402
+import numpy as np  # noqa: E402
 
+from repro import NOCTUA, SMI_ADD, SMI_FLOAT  # noqa: E402
+from repro.network.packet import OpType, Packet  # noqa: E402
 from repro.simulation.conditions import TICK, WaitCycles  # noqa: E402
 from repro.simulation.engine import Engine  # noqa: E402
 from repro.transport.arbiter import PollingArbiter  # noqa: E402
+from repro.transport.collectives import (CollectiveDescriptor,  # noqa: E402
+                                         ReduceKernel)
 
 TICK_PROCS, TICK_CYCLES = 60, 2000
 PUSHPOP_ITEMS = 20_000
@@ -58,6 +73,7 @@ PARK_INPUTS = 5
 PARK_ITEMS = 4000          # per group
 PARK_GAP = 8               # cycles between items: wake + scan + forward
 DENSE_GROUPS = 16
+REDUCE_PACKETS = 2000      # 7 SMI_FLOAT elements each, one per 8 cycles
 
 #: Exact event counts per loop: trace events by kind, and the distinct
 #: ``(cycle, fifo)`` commits ``Engine._schedule_commit`` was asked for.
@@ -65,13 +81,25 @@ DENSE_GROUPS = 16
 #: and 1 commit for ``pushpop_full``; 4 dispatches, 1 park and 1 commit
 #: for the ``park5`` loops (the heap-of-tuples scheduler they replaced
 #: armed the same commits here, but one per *stage* on real workloads,
-#: where dead waiter entries made every FIFO look waited-on).
+#: where dead waiter entries made every FIFO look waited-on) — three of
+#: the four the arbiter's, one of those a generator resume (``resumes``
+#: = producer steps + 1 per item; it was 3 per item before engine-side
+#: continuations, with the same dispatches, parks and commits). Per
+#: packet, ``reduce_root`` is 1 producer step + 8 of the root's, 2 of
+#: them resumes (take; combine) and 6 the countdown's.
 EXPECTED = {
-    "tick": {"dispatch": 120_060, "park": 0, "commits": 0},
-    "pushpop": {"dispatch": 40_003, "park": 1, "commits": 1},
-    "pushpop_full": {"dispatch": 80_001, "park": 39_999, "commits": 20_000},
-    "park5_dense": {"dispatch": 256_032, "park": 64_016, "commits": 64_000},
-    "park5_sparse": {"dispatch": 16_002, "park": 4001, "commits": 4000},
+    "tick": {"dispatch": 120_060, "resumes": 120_060, "park": 0,
+             "commits": 0},
+    "pushpop": {"dispatch": 40_003, "resumes": 40_003, "park": 1,
+                "commits": 1},
+    "pushpop_full": {"dispatch": 80_001, "resumes": 80_001, "park": 39_999,
+                     "commits": 20_000},
+    "park5_dense": {"dispatch": 256_032, "resumes": 128_032,
+                    "park": 64_016, "commits": 64_000},
+    "park5_sparse": {"dispatch": 16_002, "resumes": 8002, "park": 4001,
+                     "commits": 4000},
+    "reduce_root": {"dispatch": 18_002, "resumes": 6003, "park": 1,
+                    "commits": 1},
     # Entries held before + after the three shifts, per span length.
     "jump_land": {"r10": 918, "r10000": 918},
 }
@@ -113,20 +141,29 @@ def build_pushpop_full(engine):
     return build_pushpop(engine, capacity=1)
 
 
+class _Drop:
+    """An always-writable output that discards what is staged."""
+
+    writable = True
+
+    def stage(self, _pkt):
+        pass
+
+
+_DROP = _Drop()
+
+
 def _park_group(engine, g):
     fifos = [engine.fifo(f"g{g}.in{i}", capacity=4)
              for i in range(PARK_INPUTS)]
     arbiter = PollingArbiter(fifos, read_burst=1)
-
-    def forward(_pkt):
-        yield TICK
 
     def producer():
         for i in range(PARK_ITEMS):
             fifos[i % PARK_INPUTS].stage(i)
             yield WaitCycles(PARK_GAP)
 
-    engine.spawn(arbiter.run(forward, engine), daemon=True)
+    engine.spawn(arbiter.run(lambda _pkt: _DROP, engine), daemon=True)
     engine.spawn(producer())
 
 
@@ -141,12 +178,39 @@ def build_park5_sparse(engine):
     return PARK_ITEMS
 
 
+def build_reduce_root(engine):
+    """The root of a 2-rank reduce whose application never contributes:
+    nothing is emitted, the root only takes and combines packets."""
+    ctrl, app_in, app_out, send_ep, recv_ep = (
+        engine.fifo(name, capacity=4)
+        for name in ("ctrl", "app_in", "app_out", "send_ep", "recv_ep"))
+    epp = SMI_FLOAT.elements_per_packet
+    count = REDUCE_PACKETS * epp
+    kernel = ReduceKernel(0, 0, SMI_FLOAT,
+                          NOCTUA.with_(reduce_credits=count),
+                          ctrl, app_in, app_out, send_ep, recv_ep)
+    kernel.proc = engine.spawn(kernel.process(engine), daemon=True)
+    ctrl.stage(CollectiveDescriptor("reduce", count, 0, (0, 1), SMI_ADD))
+    ones = np.ones(epp, dtype=SMI_FLOAT.np_dtype)
+
+    def producer():
+        for _ in range(REDUCE_PACKETS):
+            recv_ep.stage(Packet(src=1, dst=0, port=0, op=OpType.DATA,
+                                 count=epp, payload=ones,
+                                 dtype=SMI_FLOAT))
+            yield WaitCycles(epp + 1)
+
+    engine.spawn(producer())
+    return REDUCE_PACKETS
+
+
 LOOPS = {
     "tick": build_tick,
     "pushpop": build_pushpop,
     "pushpop_full": build_pushpop_full,
     "park5_dense": build_park5_dense,
     "park5_sparse": build_park5_sparse,
+    "reduce_root": build_reduce_root,
 }
 
 
@@ -188,7 +252,9 @@ def count_loop(name: str) -> dict:
     engine._schedule_commit = schedule_commit
     LOOPS[name](engine)
     assert engine.run().completed
-    return {"dispatch": counter.kinds["dispatch"],
+    assert engine.steps == counter.kinds["dispatch"]
+    return {"dispatch": engine.steps,
+            "resumes": engine.steps - engine.elided_steps,
             "park": counter.kinds["park"], "commits": len(armed)}
 
 
@@ -266,7 +332,8 @@ def main(argv: list[str]) -> int:
             row = report[name]
             unit = "dispatch" if name == "tick" else "item"
             print(f"{name:13s} {row['ns_per_unit']:9.1f} ns/{unit}  "
-                  f"dispatches {row['dispatch']}  parks {row['park']}  "
+                  f"dispatches {row['dispatch']}  "
+                  f"resumes {row['resumes']}  parks {row['park']}  "
                   f"commits {row['commits']}")
         row = report["jump_land"]
         print("jump_land     " + "  ".join(
