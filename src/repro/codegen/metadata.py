@@ -55,10 +55,14 @@ class OpDecl:
         Optional static peer rank (destination for "send", source for
         "recv"). When declared, the transport builder narrows its
         flow-liveness analysis to the exact route this operation uses,
-        which lets the burst fast path prove more arbiter inputs idle;
-        ``None`` means "any rank" (always safe, possibly slower to
-        simulate). Purely a simulator optimisation hint — routing itself
-        stays fully dynamic.
+        which lets the burst fast path prove more arbiter inputs idle —
+        and a send's peer also bounds the built fabric: only the ranks
+        on its route are instantiated for it, so traffic sent past the
+        declared peer fails at the first dead-end link (a
+        :class:`~repro.core.errors.SimulationError`). ``None`` means "any
+        rank" (always safe: every rank is built). Routing itself stays
+        fully dynamic, and the code generator's inventory still lists
+        every rank.
     """
 
     kind: str

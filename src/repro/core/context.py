@@ -74,10 +74,11 @@ class SMIContext:
     def _check_peer(self, kind: str, port: int, other_global: int) -> None:
         """Fail fast when a channel contradicts a declared static peer.
 
-        ``OpDecl.peer`` narrows the builder's flow-liveness analysis to
-        one route; traffic to any other rank would cross FIFOs proven
-        idle. Catch the contradiction at open time with an actionable
-        error instead of tripping the flow-dead guard mid-simulation.
+        ``OpDecl.peer`` narrows the builder's flow-liveness analysis —
+        and the ranks it builds — to one route; traffic to any other rank
+        would cross FIFOs proven idle, or run into a rank never built.
+        Catch the contradiction at open time with an actionable error
+        instead of tripping the flow-dead guard mid-simulation.
         """
         decl = self._transport.ops_by_port.get((kind, port))
         if (decl is not None and decl.peer is not None

@@ -184,10 +184,19 @@ class SMIProgram:
 
     def generate_report(self):
         """The code generator's hardware inventory for this program
-        (Fig. 8's generated-source analog; see :mod:`repro.codegen`)."""
+        (Fig. 8's generated-source analog; see :mod:`repro.codegen`).
+
+        It is the bitstream, so it lists every rank of the topology — the
+        simulator's build (``run()``) instantiates only the ranks the
+        declared flows reach, which changes no simulated cycle."""
         from ..codegen.generator import generate
 
         return generate(self.build_plan(), self.topology, self.config)
+
+    def kernel_ranks(self) -> set[int]:
+        """Every rank some registered kernel runs on — built by the
+        transport whether or not it declares an operation."""
+        return {rank for spec in self._kernels for rank in spec.ranks}
 
     def run(self, max_cycles: int | None = None,
             trace_out: str | None = None) -> ProgramResult:
@@ -225,7 +234,8 @@ class SMIProgram:
         routes = compute_routes(self.topology, self.routing_scheme)
         plan = self.build_plan()
         transport = build_transport(
-            engine, plan, routes, self.config, validate_wire=self.validate_wire
+            engine, plan, routes, self.config, validate_wire=self.validate_wire,
+            kernel_ranks=self.kernel_ranks(),
         )
         comm_world = SMIComm.world(self.topology.num_ranks)
         stores: dict = {}

@@ -2,7 +2,7 @@
 
 from . import paperdata
 from .reporting import (Comparison, burst_summary, dispatch_summary,
-                        format_table, planner_summary)
+                        fabric_summary, format_table, planner_summary)
 from .runners import (
     SIM_ELEMENT_LIMIT,
     SweepPoint,

@@ -135,6 +135,26 @@ def planner_summary(stats) -> str:
     )
 
 
+def fabric_summary(transport, topology) -> str:
+    """One-line summary of the hardware a (sequential) build instantiated:
+    the reached ranks (:func:`repro.transport.builder.reached_ranks`),
+    their transport processes (CKS / CKR / support kernels) and FIFOs
+    (endpoints, inter-CK connections, collective streams, links)."""
+    ranks = transport.ranks.values()
+    processes = sum(len(rt.cks) + len(rt.ckr) + len(rt.support_kernels)
+                    for rt in ranks)
+    fifos = len(transport.fabric.links()) + sum(
+        len(rt.send_endpoints) + len(rt.recv_endpoints)
+        + 3 * len(rt.support_kernels)
+        + sum(1 + len(ck.to_other_cks) for ck in rt.cks.values())
+        + sum(1 + len(ck.to_other_ckr) for ck in rt.ckr.values())
+        for rt in ranks)
+    built = len(transport.ranks)
+    return (f"built {built} of {topology.num_ranks} ranks — {processes} "
+            f"processes, {fifos} FIFOs; {topology.num_ranks - built} ranks "
+            "reached by no declared flow")
+
+
 def shard_timing_summary(timings: list[dict]) -> str:
     """Per-shard wall-clock phase table for sharded benchmark reports.
 

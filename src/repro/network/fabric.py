@@ -4,6 +4,15 @@ Given a :class:`~repro.network.topology.Topology` and a
 :class:`~repro.core.config.HardwareConfig`, build the directed
 :class:`~repro.network.link.Link` pair for every cable, indexed so the
 transport layer can fetch "the link behind my interface i".
+
+A build need not hold every rank. ``local_ranks`` are the ranks this
+build instantiates (a shard's, the ranks a program's declared flows
+reach, or both), ``reached`` the ranks *any* build of the program
+instantiates; ``None`` means every rank. A link is kept when at least
+one end is local, so every built CKR keeps its full input list. A kept
+link whose far end is reached but not local is a shard *boundary*; one
+whose far end is not reached at all is a *dead end* — nothing is ever
+built behind it, and the transport builder marks it ``flow_dead``.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from .topology import Topology
 
 
 class Fabric:
-    """All physical links of the cluster, plus endpoint lookups."""
+    """The physical links a build holds, plus endpoint lookups."""
 
     def __init__(
         self,
@@ -24,6 +33,7 @@ class Fabric:
         config: HardwareConfig,
         validate_wire: bool = False,
         local_ranks: frozenset[int] | set[int] | None = None,
+        reached: frozenset[int] | set[int] | None = None,
     ) -> None:
         if topology.num_interfaces > config.num_interfaces:
             raise TopologyError(
@@ -34,6 +44,7 @@ class Fabric:
         self.topology = topology
         self.config = config
         self.local_ranks = local_ranks
+        self.reached = reached
         # Directed links keyed by transmitting endpoint (rank, iface).
         self.tx_link: dict[tuple[int, int], Link] = {}
         # Directed links keyed by receiving endpoint (rank, iface).
@@ -42,7 +53,7 @@ class Fabric:
             for src, dst in ((conn.a, conn.b), (conn.b, conn.a)):
                 if local_ranks is not None and src[0] not in local_ranks \
                         and dst[0] not in local_ranks:
-                    continue  # a sharded build only owns links it touches
+                    continue  # a partial build only owns links it touches
                 link = Link(
                     engine, src, dst,
                     latency_cycles=config.link_latency_cycles,
@@ -64,12 +75,21 @@ class Fabric:
         """All directed links."""
         return list(self.tx_link.values())
 
+    def dead_ends(self) -> list[tuple[Link, int]]:
+        """``(link, unbuilt rank)`` for every kept link with an end no
+        build instantiates."""
+        reached = self.reached
+        return [] if reached is None else [
+            (link, rank) for link in self.tx_link.values()
+            for rank in (link.src[0], link.dst[0]) if rank not in reached]
+
     def boundary_links(self) -> list[tuple[Link, bool]]:
         """Directed links crossing the shard cut (sharded builds only).
 
         Each entry is ``(link, src_is_local)``: ``True`` for the
         transmitting (producer) side of the cut, ``False`` for the
-        receiving (consumer) side. Empty for unsharded builds.
+        receiving (consumer) side. Empty for unsharded builds. A dead end
+        is never a boundary: no shard builds its far rank.
         """
         if self.local_ranks is None:
             return []
@@ -77,7 +97,9 @@ class Fabric:
         for link in self.tx_link.values():
             src_local = link.src[0] in self.local_ranks
             dst_local = link.dst[0] in self.local_ranks
-            if src_local != dst_local:
+            far = link.dst[0] if src_local else link.src[0]
+            if src_local != dst_local and (self.reached is None
+                                           or far in self.reached):
                 out.append((link, src_local))
         return out
 

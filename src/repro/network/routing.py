@@ -23,6 +23,14 @@ Deadlock freedom is checked with Dally & Seitz's criterion: build the
 *channel dependency graph* whose nodes are directed links and whose edges
 connect consecutive links on any routed path; routing is deadlock-free iff
 this graph is acyclic.
+
+Tables are a function of the wiring alone, so :func:`compute_routes` is
+memoised per ``(num_ranks, num_interfaces, connections, scheme,
+tree_root)`` — at most :data:`ROUTE_MEMO_SIZE` wirings, oldest first
+out, errors never cached. Every call still returns a fresh
+:class:`Routes` bound to the caller's :class:`Topology` (its name, its
+identity); only ``next_iface`` and the deadlock verdict are shared, so
+nothing may write into a ``Routes.next_iface`` table.
 """
 
 from __future__ import annotations
@@ -260,13 +268,36 @@ def _tree_tables(topology: Topology, root: int = 0) -> list[dict[int, int | None
     return tables
 
 
+#: Wiring key -> ``(scheme, next_iface, deadlock_free)``, oldest first,
+#: at most :data:`ROUTE_MEMO_SIZE` of them.
+_ROUTE_MEMO: dict = {}
+ROUTE_MEMO_SIZE = 64
+
+
 def compute_routes(
     topology: Topology, scheme: str = "auto", tree_root: int = 0
 ) -> Routes:
     """Generate routing tables for ``topology`` under ``scheme``.
 
     Raises :class:`RoutingError` if any rank pair is unreachable.
+    Memoised per wiring (module docstring): the returned :class:`Routes`
+    is new and names ``topology``, its tables are shared.
     """
+    key = (topology.num_ranks, topology.num_interfaces,
+           tuple(sorted((c.a, c.b) for c in topology.connections)),
+           scheme, tree_root)
+    memo = _ROUTE_MEMO.get(key)
+    if memo is None:
+        routes = _compute_routes(topology, scheme, tree_root)
+        if len(_ROUTE_MEMO) >= ROUTE_MEMO_SIZE:
+            del _ROUTE_MEMO[next(iter(_ROUTE_MEMO))]
+        memo = _ROUTE_MEMO[key] = (routes.scheme, routes.next_iface,
+                                   routes.deadlock_free)
+    return Routes(topology, *memo)
+
+
+def _compute_routes(topology: Topology, scheme: str,
+                    tree_root: int) -> Routes:
     if scheme not in ("auto", "shortest", "tree"):
         raise RoutingError(f"unknown routing scheme {scheme!r}")
     if scheme in ("auto", "shortest"):

@@ -281,6 +281,7 @@ class _ShardRuntime:
         self.transport = build_transport(
             self.engine, plan, routes, program.config,
             validate_wire=program.validate_wire, shard_ranks=local,
+            kernel_ranks=program.kernel_ranks(),
         )
         comm_world = SMIComm.world(program.topology.num_ranks)
         self.stores: dict = {}

@@ -325,12 +325,13 @@ class Fifo:
 
     @property
     def flow_dead(self) -> bool:
-        return self._flow_dead
+        return bool(self._flow_dead)
 
     @flow_dead.setter
-    def flow_dead(self, value: bool) -> None:
+    def flow_dead(self, value: bool | str) -> None:
+        """``True``, or the reason as a string (the tripwire quotes it)."""
         self._flow_dead = value
-        self._stage_guard = value or self.producers is not None
+        self._stage_guard = bool(value) or self.producers is not None
 
     # ------------------------------------------------------------------
     # Combinational status (as seen by processes in the current cycle)
@@ -482,11 +483,13 @@ class Fifo:
     # by modules that interleave several FIFO operations in one cycle).
     # ------------------------------------------------------------------
     def _reject_flow_dead(self) -> None:
+        reason = self._flow_dead
+        if not isinstance(reason, str):
+            reason = ("an OpDecl.peer declaration does not match actual "
+                      "traffic, or the builder's flow-liveness analysis "
+                      "missed a route")
         raise SimulationError(
-            f"fifo {self.name!r}: staged but marked flow-dead — an "
-            "OpDecl.peer declaration does not match actual traffic, or "
-            "the builder's flow-liveness analysis missed a route"
-        )
+            f"fifo {self.name!r}: staged but marked flow-dead — {reason}")
 
     def _reject_foreign_producer(self, proc) -> None:
         raise SimulationError(

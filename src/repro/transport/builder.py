@@ -15,6 +15,15 @@ load of multiple endpoints spreads across the CKS/CKR pairs; the assignment
 is deterministic and derivable by every rank from the metadata alone
 (:meth:`~repro.codegen.metadata.RankPlan.iface_of_port`).
 
+Only the *reached fabric* is built (:func:`reached_ranks`; sharded builds
+intersect their ranks with it): a rank outside it could only ever take
+its cycle-0 step and park, so leaving it out changes no built FIFO's
+trajectory. Links with one reached end are kept — every built CKR polls
+its full input list — and a link towards an unbuilt rank is a *dead end*:
+``flow_dead`` on both planes, never a shard boundary. The code
+generator's inventory (:mod:`repro.codegen.generator`, the bitstream)
+still lists every rank.
+
 On the burst plane the builder also answers, once and statically, "which
 CKs and FIFOs can a declared point-to-point flow cross": one table-driven
 walk (:func:`_walk_routes`) follows :func:`repro.transport.ck.route_step`
@@ -28,6 +37,7 @@ live for a flow whose lanes register elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..codegen.metadata import OpDecl, ProgramPlan, RankPlan
 from ..core.config import HardwareConfig
@@ -81,11 +91,12 @@ class RankTransport:
 class Transport:
     """The whole cluster's transport: per-rank handles plus shared fabric.
 
-    A *sharded* build (``build_transport(..., shard_ranks=...)``) carries
-    only the shard's own ranks and the links touching them; every
-    directed link with exactly one endpoint inside the shard is listed in
-    ``boundaries`` as ``(link, src_is_local)``, ready for the sharded
-    backend to attach its :mod:`repro.shard.proxy` endpoints.
+    ``ranks`` holds the reached ranks only (:func:`reached_ranks`). A
+    *sharded* build (``build_transport(..., shard_ranks=...)``) carries
+    only the shard's own reached ranks and the links touching them; every
+    directed link between one of them and a reached rank of another shard
+    is listed in ``boundaries`` as ``(link, src_is_local)``, ready for the
+    sharded backend to attach its :mod:`repro.shard.proxy` endpoints.
     """
 
     config: HardwareConfig
@@ -103,6 +114,35 @@ def _endpoint_depth(config: HardwareConfig, decl: OpDecl | None) -> int:
     if decl is not None and decl.buffer_depth is not None:
         return decl.buffer_depth
     return config.endpoint_fifo_depth
+
+
+def reached_ranks(plan: ProgramPlan, routes: Routes,
+                  kernel_ranks: Iterable[int] = ()) -> frozenset[int]:
+    """The ranks a build instantiates: every kernel rank and every rank
+    declaring an operation, every rank on :meth:`Routes.path` of a
+    declared ``send`` (to its ``peer``, or to every rank when ``peer`` is
+    ``None``) and between each pair of ranks declaring the same
+    collective port. A table without a path for some declared pair
+    reaches everything — the full fabric, as if nothing were known."""
+    reached = set(kernel_ranks)
+    members: dict[int, list[int]] = {}
+    try:
+        for rank, rank_plan in plan.rank_plans.items():
+            reached.add(rank)
+            for decl in rank_plan.ops:
+                if decl.is_collective:
+                    members.setdefault(decl.port, []).append(rank)
+                elif decl.kind == "send":
+                    for dst in ((decl.peer,) if decl.peer is not None
+                                else range(plan.num_ranks)):
+                        reached.update(routes.path(rank, dst))
+        for ranks in members.values():
+            for src in ranks:
+                for dst in ranks:
+                    reached.update(routes.path(src, dst))
+    except RoutingError:
+        return frozenset(range(plan.num_ranks))
+    return frozenset(reached)
 
 
 def _walk_routes(
@@ -223,13 +263,16 @@ def build_transport(
     config: HardwareConfig,
     validate_wire: bool = False,
     shard_ranks: frozenset[int] | set[int] | None = None,
+    kernel_ranks: Iterable[int] = (),
 ) -> Transport:
-    """Instantiate and spawn the full transport for ``plan``.
+    """Instantiate and spawn the transport of ``plan``'s reached fabric
+    (:func:`reached_ranks`; ``kernel_ranks`` are the ranks hosting a
+    kernel, which are built whether or not they declare an operation).
 
     With ``shard_ranks`` the build is one shard's *plane* of a
-    partitioned fabric: only those ranks' CK pairs, endpoints and
-    support kernels are instantiated, the fabric keeps only links
-    touching the shard, and cut links are reported in
+    partitioned fabric: only those of its ranks that are reached get CK
+    pairs, endpoints and support kernels, the fabric keeps only links
+    touching them, and cut links to reached ranks are reported in
     ``Transport.boundaries``. Static flow-liveness and the route mark
     come from the same table-driven walk as a sequential build's
     (:func:`_walk_routes`), restricted to the FIFOs and CKs that exist
@@ -255,14 +298,14 @@ def build_transport(
             f"program uses {plan.num_ranks} ranks but topology "
             f"{topology.name!r} has only {topology.num_ranks}"
         )
+    reached = reached_ranks(plan, routes, kernel_ranks)
+    local = reached if shard_ranks is None else reached & set(shard_ranks)
     fabric = Fabric(engine, topology, config, validate_wire=validate_wire,
-                    local_ranks=shard_ranks)
+                    local_ranks=local, reached=reached)
     ranks: dict[int, RankTransport] = {}
     transit: list[Fifo] = [link.fifo for link in fabric.links()]
 
-    for rank in range(plan.num_ranks):
-        if shard_ranks is not None and rank not in shard_ranks:
-            continue
+    for rank in sorted(local):
         rank_plan = plan.rank_plans.get(rank, RankPlan(rank))
         active = topology.interfaces_of(rank) or [0]
         iface_of_port = rank_plan.iface_of_port(active)
@@ -385,23 +428,31 @@ def build_transport(
             kernel.proc = engine.spawn(kernel.process(engine), kernel.name,
                                        daemon=True)
 
+    boundaries = fabric.boundary_links()
     planner = None
     if config.burst_mode:
         # Only the burst planner consumes liveness and supply contracts;
         # the per-flit reference interpretation stays free of the analysis
-        # (and its tripwires).
+        # (and its tripwires, the dead ends' below excepted).
         visited, routed, pinned = _walk_routes(plan, routes, ranks, fabric)
         _mark_flow_dead(plan, transit, visited)
-        planner = _wire_supply_planner(ranks, config, routed, pinned)
+        planner = _wire_supply_planner(ranks, config, routed, pinned,
+                                       boundaries)
+    # Nothing is built behind a dead end: on either plane a stage into
+    # one is a flow past what the program declared, and fails there.
+    for link, unbuilt in fabric.dead_ends():
+        link.fifo.flow_dead = (
+            f"dead end: rank {unbuilt} is reached by no declared flow, so "
+            "it was not built (OpDecl.peer bounds the built fabric; "
+            "declare the peer this traffic goes to, or none)")
 
     return Transport(config=config, routes=routes, fabric=fabric,
-                     ranks=ranks, boundaries=fabric.boundary_links(),
-                     planner=planner)
+                     ranks=ranks, boundaries=boundaries, planner=planner)
 
 
 def _wire_supply_planner(ranks: dict[int, RankTransport],
                          config: HardwareConfig, routed: set[int],
-                         pinned: bool):
+                         pinned: bool, boundaries: list):
     """Publish the transport's supply-schedule contracts (burst mode only).
 
     Three facts the planner consumes are static properties of the wiring,
@@ -474,12 +525,6 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
                 dst_rt = ranks.get(dst_rank)
                 if dst_rt is not None:
                     wire(link.fifo, cks, dst_rt.ckr[dst_iface])
-                elif sp.macro:
-                    # Boundary link of a sharded plane: the consumer CK
-                    # is in another shard, so a macro chain walk ending
-                    # here can never arm — register it so the resolver
-                    # refuses permanently instead of probing every sweep.
-                    sp.boundary_fifos.add(id(link.fifo))
         for i, ckr in rt.ckr.items():
             ckr.to_paired_cks.register_producer(ckr.proc)
             wire(ckr.to_paired_cks, ckr, rt.cks[i])
@@ -498,4 +543,12 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
                 fifo.macro_host = sp
             for kernel in rt.support_kernels.values():
                 sp.support_planes.append(kernel)
+    if sp.macro:
+        # Outgoing boundary links of a sharded plane: the consumer CK is
+        # in another shard, so a macro chain walk ending there can never
+        # arm — register them so the resolver refuses permanently
+        # instead of probing every sweep.
+        sp.boundary_fifos.update(id(link.fifo)
+                                 for link, src_local in boundaries
+                                 if src_local)
     return sp

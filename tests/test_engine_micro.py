@@ -3,7 +3,8 @@ job, as a tier-1 check: a substrate change that adds a dispatch, a park
 or a commit per item — or resumes a generator for a dispatch an
 engine-side continuation answered (``resumes``: one per item for a
 ``park5`` arbiter, two per packet for the reduce root) — fails here,
-before anybody reads seconds."""
+before anybody reads seconds. So does a build that instantiates hardware
+on ranks no declared flow reaches."""
 
 import sys
 from pathlib import Path
@@ -18,6 +19,13 @@ import engine_micro  # noqa: E402
 @pytest.mark.parametrize("name", sorted(engine_micro.LOOPS))
 def test_micro_loop_event_counts(name):
     assert engine_micro.count_loop(name) == engine_micro.EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(engine_micro.BUILDS))
+def test_build_loops_hold_only_the_reached_fabric(name):
+    """The 1-hop ping-pong builds ranks 0 and 1 of the 8-rank bus, the
+    1-hop torus stream ranks 0 and 1 of the torus — nothing else."""
+    assert engine_micro.count_build(name) == engine_micro.EXPECTED[name]
 
 
 def test_jump_land_touches_the_same_entries_at_any_span_length():

@@ -71,6 +71,35 @@ def test_dispatch_summary_renders_the_engine_counters():
         == "engine: 2,000 of 4,002 dispatches resumed no generator"
 
 
+@pytest.mark.parametrize("peer, line", [
+    (1, "built 2 of 8 ranks — 6 processes, 18 FIFOs; 6 ranks reached by "
+        "no declared flow"),
+    (None, "built 8 of 8 ranks — 28 processes, 70 FIFOs; 0 ranks reached "
+           "by no declared flow"),
+])
+def test_fabric_summary_counts_the_reached_fabric(peer, line):
+    """A 1-hop ping-pong on the 8-rank bus: with its peers declared it
+    builds ranks 0 and 1 only; without, the whole bus — and the counts
+    are the engine's own (the kernels add two processes, no FIFO)."""
+    from repro import SMI_INT, OpDecl, SMIProgram, noctua_bus
+    from repro.harness import fabric_summary
+
+    def kernel(smi):
+        return
+        yield  # pragma: no cover
+
+    prog = SMIProgram(noctua_bus())
+    prog.add_kernel(kernel, rank=0, ops=[OpDecl("send", 0, SMI_INT, peer=peer),
+                                         OpDecl("recv", 1, SMI_INT, peer=peer)])
+    prog.add_kernel(kernel, rank=1, ops=[OpDecl("recv", 0, SMI_INT, peer=0),
+                                         OpDecl("send", 1, SMI_INT, peer=0)])
+    res = prog.run(max_cycles=0)
+    assert fabric_summary(res.transport, prog.topology) == line
+    assert line.startswith(f"built {len(res.transport.ranks)} of 8 ranks — "
+                           f"{len(res.engine.processes) - 2} processes, "
+                           f"{len(res.engine.fifos)} FIFOs")
+
+
 def test_planner_summary_renders_replication_counters():
     from repro.harness import planner_summary
     from repro.simulation.stats import PlannerStats

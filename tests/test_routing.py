@@ -315,3 +315,49 @@ def test_topology_json_round_trip_with_parallel_edges():
     r_b = compute_routes(back, scheme="shortest")
     assert r_a.next_iface == r_b.next_iface
     assert is_deadlock_free(r_a) == is_deadlock_free(r_b)
+
+
+# ----------------------------------------------------------------------
+# The route memo: tables computed once per wiring
+# ----------------------------------------------------------------------
+def test_equal_wirings_share_tables_but_not_topologies():
+    first, second = noctua_torus(), noctua_torus()
+    renamed = Topology(8, list(reversed(first.connections)),
+                       num_interfaces=4, name="renamed")
+    routes = [compute_routes(t) for t in (first, second, renamed)]
+    assert routes[0].next_iface is routes[1].next_iface \
+        is routes[2].next_iface
+    assert [r.topology for r in routes] == [first, second, renamed]
+    assert routes[2].to_dict()["topology"] == "renamed"
+    assert routes[0] is not routes[1]
+
+
+def test_schemes_and_tree_roots_are_not_shared():
+    top = noctua_torus()
+    shortest = compute_routes(top, scheme="shortest")
+    tree = compute_routes(top, scheme="tree")
+    tree_3 = compute_routes(top, scheme="tree", tree_root=3)
+    assert (shortest.scheme, tree.scheme, tree_3.scheme) == \
+        ("shortest", "tree", "tree")
+    tables = [shortest.next_iface, tree.next_iface, tree_3.next_iface]
+    assert len({id(t) for t in tables}) == 3
+    assert tree.next_iface != tree_3.next_iface
+
+
+def test_an_unroutable_wiring_raises_on_every_call():
+    top = Topology(4, [Connection((0, 0), (1, 0)), Connection((2, 0), (3, 0))],
+                   name="split")
+    for _ in range(3):
+        with pytest.raises(RoutingError, match="unreachable.*'split'"):
+            compute_routes(top, scheme="shortest")
+
+
+def test_the_memo_is_bounded():
+    from repro.network import routing
+
+    # One cable between two ranks, on 81 distinct interface pairs.
+    for a in range(9):
+        for b in range(9):
+            compute_routes(Topology(2, [Connection((0, a), (1, b))],
+                                    num_interfaces=9))
+    assert len(routing._ROUTE_MEMO) == routing.ROUTE_MEMO_SIZE

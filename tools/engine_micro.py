@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Micro-benchmarks of the event substrate, with their event counts.
+"""Micro-benchmarks of the event substrate and of a program build, with
+their counts.
 
 Loops over :mod:`repro.simulation`, the polling arbiter and one reduce
-support kernel only — no CKs, no links, no planner::
+support kernel only — no CKs, no links, no planner — plus two build-only
+loops over the repo benchmark's own small programs::
 
     PYTHONPATH=src python tools/engine_micro.py [--repeat N] [--json]
 
@@ -33,6 +35,14 @@ support kernel only — no CKs, no links, no planner::
                 entries the FIFOs hold going in plus coming out — what a
                 shift reads and writes — which must not depend on ``R``.
 
+``build_pingpong_1hop`` / ``build_injection`` a build-only
+                ``run(max_cycles=0)`` of ``small_msgs``' 1-hop ping-pong
+                on ``noctua_bus`` and of its ``injection_R*`` stream on
+                ``noctua_torus`` (µs per build). Asserted: the ranks,
+                processes and FIFOs built — 2 / 8 / 18 and 2 / 18 / 80,
+                the reached fabric of each program; unreached hardware
+                coming back fails here.
+
 Seconds are printed next to ``calib`` (the frozen calibration loop of
 the repo benchmark) because this box is too noisy for a threshold; the
 *counts* — dispatches, parks and commits scheduled per loop — are exact
@@ -58,8 +68,9 @@ sys.path.insert(0, str(ROOT / "benchmarks" / "profile"))
 
 import calib  # noqa: E402
 import numpy as np  # noqa: E402
+import workloads  # noqa: E402
 
-from repro import NOCTUA, SMI_ADD, SMI_FLOAT  # noqa: E402
+from repro import NOCTUA, SMI_ADD, SMI_FLOAT, noctua_torus  # noqa: E402
 from repro.network.packet import OpType, Packet  # noqa: E402
 from repro.simulation.conditions import TICK, WaitCycles  # noqa: E402
 from repro.simulation.engine import Engine  # noqa: E402
@@ -102,7 +113,18 @@ EXPECTED = {
                     "commits": 1},
     # Entries held before + after the three shifts, per span length.
     "jump_land": {"r10": 918, "r10000": 918},
+    # Ranks / processes (two kernels included) / FIFOs a build holds.
+    "build_pingpong_1hop": {"ranks": 2, "processes": 8, "fifos": 18},
+    "build_injection": {"ranks": 2, "processes": 18, "fifos": 80},
 }
+
+#: Build-only loops: the repo benchmark's programs, by name.
+BUILDS = {
+    "build_pingpong_1hop": workloads.pingpong_op(1, 1),
+    "build_injection": workloads.stream_op(
+        "injection", noctua_torus, 1, np.zeros(2800, dtype=np.float32)),
+}
+BUILD_RUNS = 20
 
 JUMP_FIFOS = 3
 JUMP_PPP, JUMP_PERIOD = 16, 32      # one packet per link slot
@@ -296,6 +318,23 @@ def count_jump_land() -> dict:
     return {f"r{periods}": jump_land(periods)[0] for periods in JUMP_RS}
 
 
+def count_build(name: str) -> dict:
+    """Ranks, processes and FIFOs of one build-only run."""
+    res, _ = BUILDS[name].run(NOCTUA, 0)
+    return {"ranks": len(res.transport.ranks),
+            "processes": len(res.engine.processes),
+            "fifos": len(res.engine.fifos)}
+
+
+def time_build(name: str) -> float:
+    """Microseconds per build-only run, averaged over ``BUILD_RUNS``."""
+    op = BUILDS[name]
+    t0 = time.perf_counter()
+    for _ in range(BUILD_RUNS):
+        op.run(NOCTUA, 0)
+    return (time.perf_counter() - t0) * 1e6 / BUILD_RUNS
+
+
 def _calib_seconds() -> float:
     t0 = time.perf_counter()
     calib.calibrate()
@@ -324,6 +363,14 @@ def main(argv: list[str]) -> int:
             jump_land(periods)[1] for _ in range(repeat)), 1)
            for periods in JUMP_RS},
         **counts}
+    for name in BUILDS:
+        counts = count_build(name)
+        if counts != EXPECTED[name]:
+            failures.append(f"{name}: built {counts} != {EXPECTED[name]}")
+        report[name] = {
+            "us_per_build": round(min(time_build(name)
+                                      for _ in range(repeat)), 1),
+            **counts}
     if "--json" in argv:
         print(json.dumps(report))
     else:
@@ -339,6 +386,11 @@ def main(argv: list[str]) -> int:
         print("jump_land     " + "  ".join(
             f"R={periods}: {row[f'ns_per_shift_r{periods}']:.1f} ns/shift, "
             f"{row[f'r{periods}']} entries" for periods in JUMP_RS))
+        for name in BUILDS:
+            row = report[name]
+            print(f"{name:20} {row['us_per_build']:9.1f} us/build  "
+                  f"ranks {row['ranks']}  processes {row['processes']}  "
+                  f"fifos {row['fifos']}")
     for line in failures:
         print("COUNT MISMATCH", line, file=sys.stderr)
     return 1 if failures else 0
