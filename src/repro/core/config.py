@@ -151,9 +151,11 @@ class HardwareConfig:
         runs export it as Perfetto/JSONL timelines (sharded backends
         ship per-worker segments to the coordinator for a single
         merged timeline). Off by default; the off path is one ``is
-        not None`` check per instrumented site, so cycles stay
-        bit-identical and wall clock stays within noise (the fuzz
-        suite and the smoke ``trace_overhead_off`` headline pin both).
+        not None`` check per instrumented site, and cycles stay
+        bit-identical either way (the fuzz suite pins it). The repo
+        benchmark reports the wall-clock cost of tracing *on* as
+        ``host.trace_overhead``; what the off path costs against an
+        uninstrumented build has not been measured.
     """
 
     clock_hz: float = DEFAULT_CLOCK_HZ

@@ -50,40 +50,6 @@ class SweepPoint:
     source: str        # "sim" | "model" | "host-model"
 
 
-def _snapshot_planner_stats(transport, out: dict | None) -> None:
-    """Fill ``out`` with aggregate burst-planner counters (if asked)."""
-    if out is None:
-        return
-    from ..simulation.stats import collect_planner_stats
-
-    stats = collect_planner_stats(transport)
-    out.update(
-        attempts=stats.attempts,
-        windows=stats.windows,
-        extensions=stats.extensions,
-        coplans=stats.coplans,
-        takes=stats.takes,
-        hit_rate=round(stats.hit_rate, 4),
-        mean_window=round(stats.mean_window, 2),
-        pattern_checks=stats.pattern_checks,
-        replications=stats.replications,
-        replicated_rounds=stats.replicated_rounds,
-        replication_hit_rate=round(stats.replication_hit_rate, 4),
-        mean_train_rounds=round(stats.mean_train_rounds, 2),
-        ff_windows=stats.ff_windows,
-        ff_cycles=stats.ff_cycles,
-        ff_takes=stats.ff_takes,
-        lane_extends=stats.lane_extends,
-        ff_bulk_rounds=stats.ff_bulk_rounds,
-        ff_jumps=stats.ff_jumps,
-        ff_chain_hops=stats.ff_chain_hops,
-        ff_disarms=stats.ff_disarms,
-        ff_misses=stats.ff_misses,
-        mean_ff_chain_len=round(stats.mean_ff_chain_len, 2),
-        mean_ff_span=round(stats.mean_ff_span, 2),
-    )
-
-
 def measure_stream_sim(
     n_elements: int,
     hops: int,
@@ -91,15 +57,12 @@ def measure_stream_sim(
     config: HardwareConfig = NOCTUA,
     topology: Topology | None = None,
     app_width: int = 8,
-    planner_stats: dict | None = None,
     trace_out: str | None = None,
 ) -> int:
     """Cycle-simulate one stream; returns elapsed cycles at the receiver.
 
-    ``planner_stats`` (optional dict) receives the run's aggregate burst
-    planner counters — window hit rate, mean committed window length,
-    cascade co-plans — for the perf-trajectory reports. ``trace_out``
-    is forwarded to :meth:`SMIProgram.run` (as in every runner below).
+    ``trace_out`` is forwarded to :meth:`SMIProgram.run` (as in every
+    runner below).
     """
     topology = topology or noctua_bus()
     prog = SMIProgram(topology, config=config)
@@ -118,7 +81,6 @@ def measure_stream_sim(
     prog.add_kernel(rcv, rank=hops, ops=[OpDecl("recv", 0, dtype, peer=0)])
     res = prog.run(max_cycles=500_000_000, trace_out=trace_out)
     assert res.completed, res.reason
-    _snapshot_planner_stats(res.transport, planner_stats)
     return res.store(hops, "end")
 
 
@@ -219,7 +181,6 @@ def measure_injection_cycles(read_burst: int, packets: int = 400,
 def measure_bcast_sim_us(
     n: int, topology: Topology, num_ranks: int,
     config: HardwareConfig = NOCTUA,
-    planner_stats: dict | None = None,
     trace_out: str | None = None,
 ) -> float:
     prog = SMIProgram(topology, config=config)
@@ -239,7 +200,6 @@ def measure_bcast_sim_us(
     prog.add_kernel(kernel, ranks="all", ops=[OpDecl("bcast", 0, SMI_FLOAT)])
     res = prog.run(max_cycles=500_000_000, trace_out=trace_out)
     assert res.completed, res.reason
-    _snapshot_planner_stats(res.transport, planner_stats)
     ends = [res.store(r, "end") for r in comm_members]
     return config.cycles_to_us(max(ends))
 
@@ -247,7 +207,6 @@ def measure_bcast_sim_us(
 def measure_reduce_sim_us(
     n: int, topology: Topology, num_ranks: int,
     config: HardwareConfig = NOCTUA,
-    planner_stats: dict | None = None,
     trace_out: str | None = None,
 ) -> float:
     prog = SMIProgram(topology, config=config)
@@ -272,7 +231,6 @@ def measure_reduce_sim_us(
                     ops=[OpDecl("reduce", 0, SMI_FLOAT, reduce_op=SMI_ADD)])
     res = prog.run(max_cycles=500_000_000, trace_out=trace_out)
     assert res.completed, res.reason
-    _snapshot_planner_stats(res.transport, planner_stats)
     ends = [res.store(r, "end") for r in comm_members]
     return config.cycles_to_us(max(ends))
 

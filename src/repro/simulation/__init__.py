@@ -10,13 +10,7 @@ from .conditions import (RESUME, TICK, AnyReadable, CanPop, CanPush,
 from .engine import Engine, Process, RunResult
 from .fifo import Fifo
 from .memory import BoardMemory, MemoryBank, MemoryPort
-from .stats import (
-    CycleHistogram,
-    GapHistogram,
-    Stopwatch,
-    link_utilization,
-    payload_bandwidth_gbit_s,
-)
+from .stats import GapHistogram
 
 __all__ = [
     "GapHistogram",
@@ -34,8 +28,4 @@ __all__ = [
     "BoardMemory",
     "MemoryBank",
     "MemoryPort",
-    "CycleHistogram",
-    "Stopwatch",
-    "link_utilization",
-    "payload_bandwidth_gbit_s",
 ]

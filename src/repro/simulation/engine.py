@@ -220,12 +220,6 @@ class Engine:
         # whose clock ran ahead of it (see Fifo.counts_at). None (the
         # sequential default) leaves folding unrestricted.
         self.stats_fold_limit: int | None = None
-        # Macro-cruise accounting: cycle spans the planner committed in
-        # closed form (bulk take/stage logs, no per-event dispatch) and
-        # how many fast-forward windows did so. Reporting only — the
-        # clock itself still moves from one calendar cycle to the next.
-        self.ff_windows = 0
-        self.ff_cycles = 0
         # Process steps dispatched (added up once per cycle), and how
         # many of them a continuation answered without resuming the
         # generator (counted on that path only). Reporting only.
@@ -235,21 +229,19 @@ class Engine:
         # the zero-overhead-off contract: every instrumented site in
         # the engine, FIFOs, links, arbiter and planner guards its emit
         # behind one `is not None` check of this attribute, so with
-        # tracing off no event is ever built and cycles/wall-clock are
-        # indistinguishable from an uninstrumented build.
+        # tracing off no event is ever built and cycles are those of an
+        # uninstrumented build.
         self.trace = None
 
     def note_fast_forward(self, span: int) -> None:
-        """Record one analytically fast-forwarded window of ``span`` cycles."""
-        if span > 0:
-            self.ff_windows += 1
-            self.ff_cycles += span
-            if self.trace is not None:
-                self.trace.emit(self.cycle, "ff", "engine", "fast-forward",
-                                dur=span)
-                self.trace.sample(
-                    "planner/ff_coverage", self.cycle,
-                    round(self.ff_cycles / max(self.cycle, 1), 4))
+        """Trace one analytically fast-forwarded window of ``span`` cycles.
+
+        The counters live in ``PlannerStats.ff_windows`` / ``ff_cycles``;
+        the engine only puts the span on the timeline.
+        """
+        if span > 0 and self.trace is not None:
+            self.trace.emit(self.cycle, "ff", "engine", "fast-forward",
+                            dur=span)
 
     # ------------------------------------------------------------------
     # Construction helpers

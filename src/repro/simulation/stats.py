@@ -1,97 +1,25 @@
-"""Measurement utilities for simulation runs.
+"""Counters a simulation run keeps about itself.
 
-The microbenchmarks of §5.3 report bandwidth (payload bits over wall time),
-latency (half a ping-pong round trip) and injection rate (cycles per accepted
-packet). These helpers convert raw cycle counts and FIFO counters into those
-figures so benchmark code stays declarative.
+:class:`GapHistogram` holds the inter-accept gaps a polling arbiter
+records when ``HardwareConfig.record_accepts`` is set (the polling
+ablation benchmark reads them); :class:`PlannerStats` and
+:func:`collect_planner_stats` count what the burst planner committed.
+The §5.3 figures themselves (bandwidth, latency, injection rate) are
+computed by :mod:`repro.harness.runners`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.config import HardwareConfig
-
-
-@dataclass
-class Stopwatch:
-    """Records start/stop cycles inside a simulated process."""
-
-    start_cycle: int | None = None
-    stop_cycle: int | None = None
-
-    def start(self, cycle: int) -> None:
-        self.start_cycle = cycle
-
-    def stop(self, cycle: int) -> None:
-        self.stop_cycle = cycle
-
-    @property
-    def cycles(self) -> int:
-        if self.start_cycle is None or self.stop_cycle is None:
-            raise ValueError("stopwatch not started/stopped")
-        return self.stop_cycle - self.start_cycle
-
-    def seconds(self, config: HardwareConfig) -> float:
-        return config.cycles_to_seconds(self.cycles)
-
-    def us(self, config: HardwareConfig) -> float:
-        return config.cycles_to_us(self.cycles)
-
-
-def payload_bandwidth_gbit_s(
-    payload_bytes: int, cycles: int, config: HardwareConfig
-) -> float:
-    """Payload bandwidth in Gbit/s given bytes moved and cycles elapsed.
-
-    Matches the paper's Fig. 9 metric: "considering only the payload as data
-    exchanged".
-    """
-    if cycles <= 0:
-        raise ValueError(f"cycles must be positive: {cycles}")
-    seconds = config.cycles_to_seconds(cycles)
-    return payload_bytes * 8 / seconds / 1e9
-
-
-def link_utilization(packets: int, cycles: int) -> float:
-    """Fraction of cycles a link carried a packet (1 packet/cycle peak)."""
-    if cycles <= 0:
-        return 0.0
-    return packets / cycles
-
-
-@dataclass
-class CycleHistogram:
-    """Histogram of inter-event gaps in cycles (used for injection rate)."""
-
-    last_cycle: int | None = None
-    gaps: list[int] = field(default_factory=list)
-
-    def record(self, cycle: int) -> None:
-        if self.last_cycle is not None:
-            self.gaps.append(cycle - self.last_cycle)
-        self.last_cycle = cycle
-
-    @property
-    def count(self) -> int:
-        return len(self.gaps)
-
-    @property
-    def mean_gap(self) -> float:
-        if not self.gaps:
-            raise ValueError("no gaps recorded")
-        return sum(self.gaps) / len(self.gaps)
-
 
 @dataclass
 class GapHistogram:
     """Bounded histogram of inter-event gaps in cycles.
 
-    Unlike :class:`CycleHistogram` this stores one counter per *distinct*
-    gap value rather than one entry per event, so it stays O(distinct gaps)
-    no matter how many packets flow through — safe to leave attached to a
-    long-running arbiter (the unbounded per-packet list it replaces grew by
-    one int per accepted packet forever).
+    It stores one counter per *distinct* gap value, not one entry per
+    event, so it stays O(distinct gaps) no matter how many packets flow
+    through — safe to leave attached to a long-running arbiter.
     """
 
     last_cycle: int | None = None

@@ -9,7 +9,7 @@ Three pieces (see ``docs/ARCHITECTURE.md#observability--tracing``):
   guard-abort reasons, shard epoch begin/drain/bound updates).
 * :mod:`repro.trace.metrics` — stride-sampled time-series
   counters/gauges (FIFO occupancy, link utilization, planner hit
-  rates, ff coverage) with snapshot/merge semantics that survive bulk
+  rates) with snapshot/merge semantics that survive bulk
   macro-cruise clock jumps.
 * :mod:`repro.trace.export` — Chrome/Perfetto trace-event JSON keyed
   on simulated cycle plus a compact JSONL form, and the cross-shard
@@ -20,9 +20,9 @@ Three pieces (see ``docs/ARCHITECTURE.md#observability--tracing``):
 **Zero-overhead-off contract.** Tracing is off unless
 ``HardwareConfig.trace`` is set: every instrumented site guards its
 emit behind one ``is not None`` check of a recorder attribute that
-defaults to ``None``, so with tracing off no event is built, cycles
-stay bit-identical, and wall clock stays within noise (the smoke
-benchmark records ``trace_overhead_off`` to keep that honest).
+defaults to ``None``, so with tracing off no event is built and cycles
+stay bit-identical (see ``HardwareConfig.trace`` for what is and is not
+measured of its wall-clock cost).
 
 The per-engine recorder (``engine.trace``) is the one way to a
 recorder — the in-process sharded backend runs several engines per

@@ -7,7 +7,7 @@ planner and shard runtime guards its emit behind a single
 to ``None`` (``Engine.trace``). With tracing disabled no event tuple is
 ever built, no method is called, and the simulated cycle counts are
 bit-identical to an uninstrumented build — the equivalence/fuzz planes
-and the smoke wall-clock gate both pin this.
+pin this.
 
 With tracing enabled, events are plain tuples
 

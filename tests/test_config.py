@@ -71,8 +71,8 @@ def test_invalid_config_rejected(kwargs):
 
 def test_deep_buffer_presets():
     """The deep presets differ from NOCTUA only in buffer depths: the
-    timing calibration (clocks, latencies, polling) is shared, so deep
-    points in BENCH_smoke.json stay comparable with the shallow ones."""
+    timing calibration (clocks, latencies, polling) is shared, so a run
+    on a deep preset stays comparable with the same run at NOCTUA."""
     for preset, depth in ((NOCTUA_DEEP, 32), (NOCTUA_XDEEP, 64)):
         assert preset.inter_ck_fifo_depth == depth
         assert preset.endpoint_fifo_depth == depth

@@ -1,5 +1,5 @@
-"""The event counts ``tools/engine_micro.py`` asserts in the perf-smoke
-job, as a tier-1 check: a substrate change that adds a dispatch, a park
+"""The event counts ``tools/engine_micro.py`` asserts in CI's
+benchmark-check job, as a tier-1 check: a substrate change that adds a dispatch, a park
 or a commit per item — or resumes a generator for a dispatch an
 engine-side continuation answered (``resumes``: one per item for a
 ``park5`` arbiter, two per packet for the reduce root) — fails here,

@@ -13,10 +13,6 @@ simulator they extend. This suite makes them *checked* predictions:
   whose last packet lands off the poll alignment, +-4 cycles on the
   Fig. 10 bcast grid, 8% relative on the Fig. 11 reduce grid (credit
   tile boundaries interact with the combine pipeline).
-
-``benchmarks/run_smoke.py`` records the same residuals in its headline
-(``perfmodel_residual_{p2p,bcast,reduce}``) so drift shows up in the
-perf trajectory too.
 """
 
 import pytest
