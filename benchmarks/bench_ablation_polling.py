@@ -7,7 +7,11 @@ applications where many incoming connections are active simultaneously."
 Both halves of that trade-off are measured on the cycle simulator:
 single-stream throughput rises with R, while the worst-case inter-service
 gap seen by one of several concurrently active endpoints grows with R.
+The shared CKS's inter-accept gaps come from the flight recorder's
+``grant`` events (one per accepted packet) on its input FIFOs.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -28,13 +32,14 @@ def single_stream_bandwidth_gbps(R: int, n: int = 14_000) -> float:
 def contended_worst_gap_cycles(R: int, packets_each: int = 120):
     """Four saturated endpoints share ONE CKS (a bus endpoint rank has a
     single wired interface): measure the worst per-connection service gap
-    seen at the receivers, plus the arbiter's own inter-accept gap
-    statistics (the opt-in bounded ``record_accepts`` histogram). High R
-    serves long bursts per endpoint, so the other connections wait
-    longer — the dense-pattern cost of §4.3."""
+    seen at the receivers, plus the sorted gaps between the shared CKS's
+    accepts, taken from the ``grant`` events of a traced run on the
+    per-flit plane (same cycles as every other plane). High R serves
+    long bursts per endpoint, so the other connections wait longer —
+    the dense-pattern cost of §4.3."""
     from repro import bus
 
-    cfg = NOCTUA.with_(read_burst=R, record_accepts=True)
+    cfg = NOCTUA.with_(read_burst=R, burst_mode=False, trace=True)
     prog = SMIProgram(bus(2), config=cfg)
     n = packets_each * SMI_FLOAT.elements_per_packet
     worst_gaps: dict[int, int] = {}
@@ -76,26 +81,34 @@ def contended_worst_gap_cycles(R: int, packets_each: int = 120):
                     ops=[OpDecl("recv", p, SMI_FLOAT) for p in range(4)])
     res = prog.run(max_cycles=100_000_000)
     assert res.completed, res.reason
-    # The shared CKS's accept histogram: one bounded counter per distinct
-    # inter-accept gap, regardless of traffic volume.
+    rec = res.engine.trace
+    assert rec.dropped == 0, "the ring lost grants: gaps would be partial"
     cks = next(iter(res.transport.rank(0).cks.values()))
-    hist = cks.arbiter.accept_hist
-    assert hist is not None and hist.count > 0
-    return max(worst_gaps.values()), hist
+    tracks = {f.name for f in cks.arbiter.inputs}
+    accepts = [ev[0] for ev in rec.events()
+               if ev[2] == "grant" and ev[3] in tracks]
+    assert len(accepts) == cks.arbiter.packets_accepted > 1
+    gaps = sorted(b - a for a, b in zip(accepts, accepts[1:]))
+    return max(worst_gaps.values()), gaps
+
+
+def percentile(sorted_gaps, q):
+    """Smallest gap with at least ``q`` of all gaps at or below it."""
+    return sorted_gaps[max(math.ceil(q * len(sorted_gaps)) - 1, 0)]
 
 
 def build_ablation_rows():
     rows = []
     for R in R_VALUES:
-        worst, hist = contended_worst_gap_cycles(R)
+        worst, gaps = contended_worst_gap_cycles(R)
         rows.append([
             f"R={R}",
             round(single_stream_bandwidth_gbps(R), 2),
             worst,
-            round(hist.mean_gap, 2),
-            hist.p50,
-            hist.p99,
-            hist.max_gap,
+            round(sum(gaps) / len(gaps), 2),
+            percentile(gaps, 0.50),
+            percentile(gaps, 0.99),
+            gaps[-1],
         ])
     return rows
 

@@ -110,12 +110,6 @@ class HardwareConfig:
         planner is built and the flag is inert. Default on; ``False``
         keeps the burst plane without the fast-forward, the fuzz
         suite's middle plane.
-    record_accepts:
-        Opt-in arbiter instrumentation: when True every CKS/CKR polling
-        arbiter keeps a bounded histogram of inter-accept gaps (see
-        :class:`repro.simulation.stats.GapHistogram`), used by the polling
-        ablation benchmark. Off by default because it costs a dict update
-        per accepted packet.
     backend:
         Simulation execution backend (see :mod:`repro.shard`):
         ``"sequential"`` (default) runs the whole fabric on one engine;
@@ -169,7 +163,6 @@ class HardwareConfig:
     reduce_credits: int = 256
     burst_mode: bool = True
     macro_cruise: bool = True
-    record_accepts: bool = False
     backend: str = "sequential"
     shards: int = 1
     trace: bool = False
@@ -217,11 +210,6 @@ class HardwareConfig:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    @property
-    def cycle_time_s(self) -> float:
-        """Duration of one clock cycle in seconds."""
-        return 1.0 / self.clock_hz
-
     @property
     def link_raw_bandwidth_bps(self) -> float:
         """Raw link bandwidth in bits/s (32 B per link slot)."""

@@ -155,52 +155,6 @@ def fabric_summary(transport, topology) -> str:
             "reached by no declared flow")
 
 
-def shard_timing_summary(timings: list[dict]) -> str:
-    """Per-shard wall-clock phase table for sharded benchmark reports.
-
-    Takes the ``ProgramResult.transport.shard_timing`` list (one
-    ``FinalReport.timing`` dict per shard) and renders where each
-    worker's wall-clock went: simulating (``compute``), encoding and
-    decoding boundary records (``serialize``), or blocked on the control
-    pipe (``ipc wait``) — plus the exchange-round counters that show how
-    hard the self-paced inner loop worked. Empty input (sequential or
-    in-process runs) renders as a single note line; a shard whose entry
-    is ``None``/empty (the worker aborted before its first epoch) gets a
-    placeholder row. A *non-empty* entry must carry exactly the
-    canonical schema (:data:`repro.trace.TIMING_FIELDS` — the same one
-    the trace exporter's wall lanes consume): a malformed dict raises
-    ``ValueError`` loudly instead of being rendered as zeros.
-    """
-    from ..trace import validate_timing
-
-    if not timings:
-        return "shard timing: n/a (no worker processes)"
-    rows = []
-    for i, t in enumerate(timings):
-        if validate_timing(t, where=f"shard {i} timing") is None:
-            # A worker that aborted before its first epoch reports no
-            # timing dict (or an empty one); render a placeholder row
-            # instead of crashing so the rest of the table survives.
-            rows.append([f"shard {i}", "-", "-", "-", "-", "-"])
-            continue
-        # An aborted worker reports unmeasured phases as None: the
-        # schema validated above, so count those as zero here.
-        rows.append([
-            f"shard {i}",
-            f"{(t['compute_s'] or 0.0) * 1e3:.1f}",
-            f"{(t['serialize_s'] or 0.0) * 1e3:.1f}",
-            f"{(t['ipc_wait_s'] or 0.0) * 1e3:.1f}",
-            t["inner_rounds"] or 0,
-            t["outer_rounds"] or 0,
-        ])
-    return format_table(
-        ["shard", "compute [ms]", "serialize [ms]", "ipc wait [ms]",
-         "inner rounds", "outer rounds"],
-        rows,
-        title="Per-shard wall-clock breakdown",
-    )
-
-
 def burst_summary(engine) -> str:
     """One-line burst fast-path summary for benchmark reports.
 

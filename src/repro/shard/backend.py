@@ -92,8 +92,8 @@ class FinalReport:
     fifo_stats: dict
     planner_stats: PlannerStats
     #: Per-phase wall-clock breakdown in the canonical schema
-    #: (:data:`repro.trace.TIMING_FIELDS` — the trace exporter's wall
-    #: lanes and ``shard_timing_summary`` both consume it):
+    #: (:data:`repro.trace.TIMING_FIELDS`, which the trace exporter's
+    #: wall lanes consume):
     #: ``compute_s`` (engine ``run_until``), ``serialize_s`` (record
     #: codec + ring work), ``ipc_wait_s`` (blocked on the
     #: control pipe), plus ``inner_rounds`` (self-paced exchange

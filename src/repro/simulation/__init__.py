@@ -10,10 +10,8 @@ from .conditions import (RESUME, TICK, AnyReadable, CanPop, CanPush,
 from .engine import Engine, Process, RunResult
 from .fifo import Fifo
 from .memory import BoardMemory, MemoryBank, MemoryPort
-from .stats import GapHistogram
 
 __all__ = [
-    "GapHistogram",
     "RESUME",
     "TICK",
     "AnyReadable",

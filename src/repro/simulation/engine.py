@@ -92,7 +92,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from ..core.errors import DeadlockError, SimulationError
 from .conditions import (RESUME, TICK, AnyReadable, CanPop, CanPush,
@@ -890,9 +890,3 @@ class Engine:
             }
             for f in self._fifos
         }
-
-
-def drain_cycles(n: int) -> Iterable:
-    """Helper generator fragment: busy-wait ``n`` cycles (yield from it)."""
-    if n > 0:
-        yield WaitCycles(n)

@@ -124,8 +124,3 @@ class BoardMemory:
     def port(self, bank_index: int, name: str) -> MemoryPort:
         """Open a named streaming port on one bank."""
         return MemoryPort(self.banks[bank_index], name)
-
-    @property
-    def total_width_elements(self) -> int:
-        """Aggregate elements/cycle across all banks."""
-        return sum(b.width_elements for b in self.banks)

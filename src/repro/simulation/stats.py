@@ -1,107 +1,14 @@
 """Counters a simulation run keeps about itself.
 
-:class:`GapHistogram` holds the inter-accept gaps a polling arbiter
-records when ``HardwareConfig.record_accepts`` is set (the polling
-ablation benchmark reads them); :class:`PlannerStats` and
-:func:`collect_planner_stats` count what the burst planner committed.
+:class:`PlannerStats` and :func:`collect_planner_stats` count what the
+burst planner committed.
 The §5.3 figures themselves (bandwidth, latency, injection rate) are
 computed by :mod:`repro.harness.runners`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass
-class GapHistogram:
-    """Bounded histogram of inter-event gaps in cycles.
-
-    It stores one counter per *distinct* gap value, not one entry per
-    event, so it stays O(distinct gaps) no matter how many packets flow
-    through — safe to leave attached to a long-running arbiter.
-    """
-
-    last_cycle: int | None = None
-    counts: dict[int, int] = field(default_factory=dict)
-
-    def record(self, cycle: int) -> None:
-        if self.last_cycle is not None:
-            gap = cycle - self.last_cycle
-            self.counts[gap] = self.counts.get(gap, 0) + 1
-        self.last_cycle = cycle
-
-    def repeat(self, cycles, period: int, times: int) -> None:
-        """Record ``times`` more periods of a periodic event train.
-
-        ``cycles`` are the events of the last period recorded (the last
-        of them is ``last_cycle``) and the train repeats every ``period``
-        cycles, so each further period adds one copy of its gaps — the
-        wrap-around gap into the next period included.
-        """
-        gaps = [b - a for a, b in zip(cycles, cycles[1:])]
-        gaps.append(cycles[0] + period - cycles[-1])
-        counts = self.counts
-        for gap in gaps:
-            counts[gap] = counts.get(gap, 0) + times
-        self.last_cycle += period * times
-
-    @property
-    def count(self) -> int:
-        """Number of gaps recorded (events - 1)."""
-        return sum(self.counts.values())
-
-    @property
-    def mean_gap(self) -> float:
-        total = self.count
-        if not total:
-            raise ValueError("no gaps recorded")
-        return sum(g * n for g, n in self.counts.items()) / total
-
-    @property
-    def max_gap(self) -> int:
-        if not self.counts:
-            raise ValueError("no gaps recorded")
-        return max(self.counts)
-
-    def percentile(self, q: float) -> int:
-        """Smallest gap g with at least ``q`` of all gaps <= g (0 < q <= 1).
-
-        Computed from the bounded per-value counters, so percentiles stay
-        available without keeping the raw per-event list around.
-
-        Raises
-        ------
-        ValueError
-            If ``q`` is outside ``(0, 1]``, or if the histogram is empty
-            (fewer than two events recorded — a single event defines no
-            gap, so every percentile is undefined).
-        """
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"percentile fraction must be in (0, 1]: {q}")
-        total = self.count
-        if not total:
-            raise ValueError(
-                "percentile of an empty GapHistogram: no gaps recorded "
-                "(at least two events are needed to define a gap)"
-            )
-        need = q * total
-        running = 0
-        for gap in sorted(self.counts):
-            running += self.counts[gap]
-            if running >= need:
-                return gap
-        return max(self.counts)  # pragma: no cover - q <= 1 always returns
-
-    @property
-    def p50(self) -> int:
-        """Median inter-event gap."""
-        return self.percentile(0.50)
-
-    @property
-    def p99(self) -> int:
-        """99th-percentile inter-event gap."""
-        return self.percentile(0.99)
+from dataclasses import dataclass
 
 
 @dataclass
@@ -215,11 +122,6 @@ class PlannerStats:
         """Mean committed train length, in pattern rounds per train."""
         return (self.replicated_rounds / self.replications
                 if self.replications else 0.0)
-
-    @property
-    def mean_ff_span(self) -> float:
-        """Mean fast-forwarded span per macro-cruise window, in cycles."""
-        return self.ff_cycles / self.ff_windows if self.ff_windows else 0.0
 
     @property
     def mean_ff_chain_len(self) -> float:

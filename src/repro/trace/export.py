@@ -23,9 +23,8 @@ import json
 from .metrics import merge_snapshots
 
 #: The one timing-dict schema shared by the shard backends' per-worker
-#: phase breakdown (``FinalReport.timing`` entries), the wall-lane
-#: exporter, and ``reporting.shard_timing_summary``. Wall-second phases
-#: first, exchange-round counters last.
+#: phase breakdown (``FinalReport.timing`` entries) and the wall-lane
+#: exporter. Wall-second phases first, exchange-round counters last.
 TIMING_FIELDS = ("compute_s", "serialize_s", "ipc_wait_s",
                  "inner_rounds", "outer_rounds")
 

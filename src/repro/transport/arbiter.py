@@ -97,7 +97,7 @@ from typing import Callable, Generator
 from ..core.errors import SimulationError
 from ..simulation.conditions import RESUME, TICK, AnyReadable, WaitCycles
 from ..simulation.fifo import Fifo
-from ..simulation.stats import GapHistogram, PlannerStats
+from ..simulation.stats import PlannerStats
 
 
 #: ``WaitCycles(k)`` at index ``k``: the wake-up scan's sleep for every
@@ -106,15 +106,10 @@ _SCAN_WAITS: list = [None]
 
 
 class PollingArbiter:
-    """Round-robin R-burst polling over a fixed list of input FIFOs.
-
-    ``record_accepts`` (opt-in) keeps a bounded :class:`GapHistogram` of
-    inter-accept gaps for the polling ablation benchmark; the default is
-    off so a long-running kernel carries no per-packet state.
-    """
+    """Round-robin R-burst polling over a fixed list of input FIFOs."""
 
     __slots__ = ("inputs", "read_burst", "_idx", "packets_accepted",
-                 "_wait_any", "accept_hist", "_plan_miss", "_plan_skip",
+                 "_wait_any", "_plan_miss", "_plan_skip",
                  "_plan_skip_len", "_plan_grace", "_plan_paid",
                  "_resume_reads", "_plan_until",
                  "_resume_state", "_coplanned", "_blocked_on",
@@ -138,8 +133,7 @@ class PollingArbiter:
     PLAN_SKIP_MAX = 8192
     PLAN_WINDOW_ALLOWANCE = 6
 
-    def __init__(self, inputs: list[Fifo], read_burst: int,
-                 record_accepts: bool = False) -> None:
+    def __init__(self, inputs: list[Fifo], read_burst: int) -> None:
         if not inputs:
             raise SimulationError("polling arbiter needs at least one input")
         if read_burst < 1:
@@ -148,9 +142,6 @@ class PollingArbiter:
         self.read_burst = read_burst
         self._idx = 0
         self.packets_accepted = 0
-        self.accept_hist: GapHistogram | None = (
-            GapHistogram() if record_accepts else None
-        )
         # The persistent wait over the fixed input set: built once, armed
         # on every park (see repro.simulation.conditions.AnyReadable).
         self._wait_any = AnyReadable(inputs)
@@ -312,8 +303,6 @@ class PollingArbiter:
                 self._resume_reads = -1
                 pkt = fifo.take()
                 self.packets_accepted += 1
-                if self.accept_hist is not None:
-                    self.accept_hist.record(engine.cycle)
                 if engine.trace is not None:
                     engine.trace.emit(engine.cycle, "grant", fifo.name,
                                       "grant", args={"input": self._idx})

@@ -378,7 +378,6 @@ def build_transport(
                 egress_iface=egress,
                 read_burst=config.read_burst,
                 burst_mode=config.burst_mode,
-                record_accepts=config.record_accepts,
             )
             rt.cks[i] = cks
             cks.proc = engine.spawn(cks.process(engine), cks.name,
@@ -401,7 +400,6 @@ def build_transport(
                 },
                 read_burst=config.read_burst,
                 burst_mode=config.burst_mode,
-                record_accepts=config.record_accepts,
             )
             rt.ckr[i] = ckr
             ckr.proc = engine.spawn(ckr.process(engine), ckr.name,

@@ -98,7 +98,6 @@ class CKS:
         egress_iface: dict[int, int | None],
         read_burst: int,
         burst_mode: bool = True,
-        record_accepts: bool = False,
     ) -> None:
         self.rank = rank
         self.iface = iface
@@ -107,7 +106,7 @@ class CKS:
         self.to_other_cks = to_other_cks
         self.egress_iface = egress_iface
         self.burst_mode = burst_mode
-        self.arbiter = PollingArbiter(inputs, read_burst, record_accepts)
+        self.arbiter = PollingArbiter(inputs, read_burst)
         # (dst << 8 | port) -> routing target: filled by ``_route``, read
         # by ``route`` and, inline, by the planners.
         self._route_memo: dict = {}
@@ -166,7 +165,6 @@ class CKR:
         recv_endpoints: dict[int, Fifo],
         read_burst: int,
         burst_mode: bool = True,
-        record_accepts: bool = False,
     ) -> None:
         self.rank = rank
         self.iface = iface
@@ -175,7 +173,7 @@ class CKR:
         self.port_home_iface = port_home_iface
         self.recv_endpoints = recv_endpoints
         self.burst_mode = burst_mode
-        self.arbiter = PollingArbiter(inputs, read_burst, record_accepts)
+        self.arbiter = PollingArbiter(inputs, read_burst)
         # (dst << 8 | port) -> routing target: filled by ``_route``, read
         # by ``route`` and, inline, by the planners.
         self._route_memo: dict = {}

@@ -190,8 +190,8 @@ class _RelayHop:
             counts += (sess.ptr[j], sess.avail[j], len(sess.snap_items[j]))
         return (counts,
                 (sess.T, cur.next_free) if cur.is_link else (sess.T,),
-                ((sess.take_cycles[jc], 'c'), (sess.all_takes, 'c'),
-                 (sess.snap_items[jc], 'p'), (sess.snap_ready[jc], 'c'),
+                ((sess.take_cycles[jc], 'c'), (sess.snap_items[jc], 'p'),
+                 (sess.snap_ready[jc], 'c'),
                  (cur.rels, 'c'), (cur.stage_cycles, 'c'),
                  (cur.stage_pkts, 'p')))
 
@@ -227,17 +227,6 @@ class _RelayHop:
         (release pairings unchanged), so the commit lattices and the
         cursor's pairing pointer stay the validated prefix's."""
         sess = self.sess
-        hist = sess.arb.accept_hist
-        if hist is not None:
-            # Opt-in arbiter instrumentation records every accept; a
-            # relay's accepts are exactly its chain-input takes. The
-            # prefix goes in now (the commit would record it next, and
-            # the CK sleeps until then), the span as R copies of the
-            # last period's gaps.
-            for cyc in sess.all_takes:
-                hist.record(cyc)
-            hist.repeat(sess.all_takes[-ppp:], dT, R)
-            sess.all_takes = []
         sess.rounds += R * self.rnd
         sess.takes += R * ppp
         sess.T += R * dT

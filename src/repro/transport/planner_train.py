@@ -47,7 +47,7 @@ class _ReplicaSession:
 
     Holds the CK's full input inventory snapshot (extended in place as
     peer sessions publish their tentative stages), the validated-round
-    accumulators, and the per-round accept cycles — everything needed to
+    accumulators, and the per-input take cycles — everything needed to
     bulk-commit the session at train end. ``done`` marks a session whose
     last failure was a *shape divergence* (routing change, a stall
     landing off-pattern early, a silence observation broken by an
@@ -57,7 +57,7 @@ class _ReplicaSession:
 
     __slots__ = ("ck", "arb", "pattern", "start", "T", "snap_items",
                  "snap_ready", "snap_iter", "ptr", "avail", "take_cycles",
-                 "all_takes", "rounds", "takes", "blocked_on", "starved_on",
+                 "rounds", "takes", "blocked_on", "starved_on",
                  "hz_cache", "stage_cursors", "done", "dirty", "last_fail")
 
     def __init__(self, ck, pattern, start, now) -> None:
@@ -83,7 +83,6 @@ class _ReplicaSession:
             self.ptr[j] = 0
             self.avail[j] = inputs[j].present_count
         self.take_cycles: dict = {j: [] for j in pattern.inputs_used}
-        self.all_takes: list = []
         self.rounds = 0
         self.takes = 0
         self.blocked_on = None
@@ -413,7 +412,6 @@ class _Train:
             publish_take = self.publish_take
             for j, fifo, x in round_takes:
                 sess.take_cycles[j].append(x)
-                sess.all_takes.append(x)
                 avail[j] -= 1
                 publish_take(fifo, x)
             publish_stage = self.publish_stage
@@ -614,10 +612,6 @@ class _Train:
                     dur=res.end - sess.start,
                     args={"rounds": sess.rounds, "takes": sess.takes})
             arb.packets_accepted += sess.takes
-            hist = arb.accept_hist
-            if hist is not None:
-                for cyc in sess.all_takes:
-                    hist.record(cyc)
             stats = arb.planner_stats
             stats.replications += 1
             stats.replicated_rounds += sess.rounds

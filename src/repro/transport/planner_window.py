@@ -26,8 +26,6 @@ the returned :class:`PlanResult`.
 
 from __future__ import annotations
 
-from heapq import merge as _heap_merge
-
 from ..core.errors import RoutingError
 from ..network.link import Link
 from ..simulation.engine import FOREVER
@@ -496,13 +494,6 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
         engine._current_proc = prev_proc
     if total:
         arbiter.packets_accepted += total
-        hist = arbiter.accept_hist
-        if hist is not None:
-            # Reconstruct global accept order: take cycles strictly
-            # increase within a plan, so merging the per-input sorted
-            # lists recovers the per-flit recording order exactly.
-            for cyc in _heap_merge(*(tk for tk in takes if tk)):
-                hist.record(cyc)
     return PlanResult(c, idx, mode_reads, total, sources, targets,
                       blocked_on, starved_on, trace_out)
 

@@ -22,10 +22,9 @@ class _Sink:
         self.out.append((self.eng.cycle, pkt))
 
 
-def _run_arbiter(eng, inputs, read_burst, out, stop_after,
-                 record_accepts=False):
+def _run_arbiter(eng, inputs, read_burst, out, stop_after):
     """Spawn an arbiter that routes every packet into ``out`` list."""
-    arb = PollingArbiter(inputs, read_burst, record_accepts=record_accepts)
+    arb = PollingArbiter(inputs, read_burst)
     sink = _Sink(eng, out)
     eng.spawn(arb.run(lambda _pkt: sink, eng), "arb", daemon=True)
     return arb
@@ -173,8 +172,7 @@ def test_accept_counter():
     eng = Engine()
     f = eng.fifo("f", capacity=8)
     out = []
-    arb = _run_arbiter(eng, [f], read_burst=4, out=out, stop_after=None,
-                       record_accepts=True)
+    arb = _run_arbiter(eng, [f], read_burst=4, out=out, stop_after=None)
 
     def producer():
         for i in range(9):
@@ -184,18 +182,6 @@ def test_accept_counter():
     _spawn_drain_waiter(eng, out, 9)
     eng.run()
     assert arb.packets_accepted == 9
-    # The opt-in histogram stays bounded: one gap per accept after the
-    # first, stored per distinct gap value rather than per packet.
-    assert arb.accept_hist is not None
-    assert arb.accept_hist.count == 8
-    assert arb.accept_hist.mean_gap >= 1.0
-
-
-def test_accept_recording_off_by_default():
-    eng = Engine()
-    f = eng.fifo("f", capacity=8)
-    arb = PollingArbiter([f], read_burst=4)
-    assert arb.accept_hist is None  # no per-packet state unless opted in
 
 
 # ----------------------------------------------------------------------

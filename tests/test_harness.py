@@ -1,7 +1,6 @@
 """Tests for the benchmark harness: reporting, paper data, runners, CLI."""
 
 import math
-import re
 
 import pytest
 
@@ -145,32 +144,6 @@ def test_planner_summary_explains_a_run_that_probed_without_arming():
     merged = PlannerStats(ff_misses=2, ff_miss_reason="no period").merge(
         PlannerStats(ff_misses=5, ff_miss_reason="unresolved — x"))
     assert (merged.ff_misses, merged.ff_miss_reason) == (7, "no period")
-
-
-def test_shard_timing_summary_survives_empty_and_partial_entries():
-    """Aborted workers report no timing dict (or a partial one with
-    ``None`` phase values); the table renders placeholder rows and
-    zeroes instead of crashing or emitting NaN."""
-    from repro.harness.reporting import shard_timing_summary
-
-    assert "n/a" in shard_timing_summary([])
-    text = shard_timing_summary([
-        None,
-        {},
-        {"compute_s": None, "serialize_s": None, "ipc_wait_s": None,
-         "inner_rounds": None, "outer_rounds": None},
-        {"compute_s": 0.5, "serialize_s": 0.125, "ipc_wait_s": 0.25,
-         "inner_rounds": 12, "outer_rounds": 3},
-    ])
-    lines = text.splitlines()
-    row = {m.group(0): line for line in lines
-           if (m := re.match(r"shard \d+", line))}
-    assert set(row) == {"shard 0", "shard 1", "shard 2", "shard 3"}
-    for aborted in ("shard 0", "shard 1"):
-        assert row[aborted].count("-") >= 5, row[aborted]
-    # None phase values count as zero, never NaN.
-    assert "0.0" in row["shard 2"] and "nan" not in text.lower()
-    assert "500.0" in row["shard 3"] and "125.0" in row["shard 3"]
 
 
 # ----------------------------------------------------------------------

@@ -492,29 +492,6 @@ def test_two_flows_sharing_a_link_never_disarm():
     assert res.transport.planner.macro
 
 
-def test_accept_histograms_are_exact_across_a_jump():
-    """Opt-in ``record_accepts``: a jump adds ``R`` copies of one
-    period's accept gaps to every relay arbiter's histogram — the same
-    counters, and the same last accept cycle, as the per-flit plane
-    recording every packet."""
-    def histograms(config):
-        res, stats = _run_stream(config.with_(record_accepts=True),
-                                 n=1 << 15, hops=4)
-        return stats, {
-            (rank, kind, name): (ck.arbiter.accept_hist.counts,
-                                 ck.arbiter.accept_hist.last_cycle)
-            for rank, rt in res.transport.ranks.items()
-            for kind, cks in (("cks", rt.cks), ("ckr", rt.ckr))
-            for name, ck in cks.items()}
-
-    _, ref = histograms(NOCTUA.with_(burst_mode=False))
-    stats, got = histograms(NOCTUA)
-    assert stats.ff_jumps == 1 and stats.ff_chain_hops == 11
-    assert got == ref
-    assert sum(sum(counts.values()) for counts, _last in got.values()) \
-        > 11 * 4000, "every relay session accepted the whole stream"
-
-
 def _fifo_entries(engine):
     """Every per-item entry the FIFOs hold: rows, pending releases, log
     entries and the recorded period of the last time shift."""

@@ -23,11 +23,7 @@ from repro.codegen.metadata import OpDecl
 from repro.core.ops import SMI_ADD
 from repro.simulation import Engine, TICK, WaitCycles
 from repro.simulation.engine import FOREVER
-from repro.simulation.stats import (
-    GapHistogram,
-    PlannerStats,
-    collect_planner_stats,
-)
+from repro.simulation.stats import PlannerStats, collect_planner_stats
 from repro.transport import ck as ck_mod
 from repro.transport.arbiter import PollingArbiter
 from repro.transport.planner import SupplyPlanner
@@ -411,54 +407,6 @@ def test_planner_stats_merge_is_fieldwise():
     assert not {"cruise_rounds", "cruise_hit_rate"} & set(names)
     with pytest.raises(AttributeError):
         m.cruise_rounds = 1
-
-
-def test_gap_histogram_percentiles():
-    h = GapHistogram()
-    cycle = 0
-    # 99 gaps of 1, one gap of 50.
-    for _ in range(100):
-        cycle += 1
-        h.record(cycle)
-    h.record(cycle + 50)
-    assert h.p50 == 1
-    assert h.p99 == 1
-    assert h.percentile(1.0) == 50
-    assert h.max_gap == 50
-    with pytest.raises(ValueError):
-        GapHistogram().percentile(0.5)
-    with pytest.raises(ValueError):
-        h.percentile(1.5)
-
-
-def test_gap_histogram_repeat_is_recording_every_period():
-    """``repeat`` adds R copies of one period's gaps — wrap-around gap
-    included — exactly as recording every event of the R periods would."""
-    period, dT, R = [3, 4, 9, 10], 12, 37
-    explicit, closed = GapHistogram(), GapHistogram()
-    for h in (explicit, closed):
-        for cyc in [1] + period:
-            h.record(cyc)
-    for k in range(1, R + 1):
-        for cyc in period:
-            explicit.record(cyc + k * dT)
-    closed.repeat(period, dT, R)
-    assert closed == explicit
-    assert closed.count == 4 + 4 * R and closed.last_cycle == 10 + R * dT
-
-
-def test_gap_histogram_empty_percentile_message():
-    """Regression: percentiles of an empty histogram raise a clear,
-    self-explanatory error — including the one-event case, which records
-    no gap and therefore defines no percentile."""
-    with pytest.raises(ValueError, match="empty GapHistogram"):
-        GapHistogram().percentile(0.5)
-    one_event = GapHistogram()
-    one_event.record(42)  # one event: still zero gaps
-    with pytest.raises(ValueError, match="empty GapHistogram"):
-        one_event.p50
-    with pytest.raises(ValueError, match="empty GapHistogram"):
-        one_event.p99
 
 
 def test_planner_stats_replication_counters():
