@@ -75,14 +75,12 @@ class SMIProgram:
         config: HardwareConfig = NOCTUA,
         routing_scheme: str = "auto",
         memory: MemoryConfig | None = None,
-        validate_wire: bool = False,
         partition=None,
     ) -> None:
         self.topology = topology
         self.config = config
         self.routing_scheme = routing_scheme
         self.memory_config = memory
-        self.validate_wire = validate_wire
         # Sharded backends only: an explicit fabric cut — either a
         # repro.shard.Partition or a list of per-shard rank lists —
         # overriding the automatic min-cut partitioner. Ignored by the
@@ -234,7 +232,7 @@ class SMIProgram:
         routes = compute_routes(self.topology, self.routing_scheme)
         plan = self.build_plan()
         transport = build_transport(
-            engine, plan, routes, self.config, validate_wire=self.validate_wire,
+            engine, plan, routes, self.config,
             kernel_ranks=self.kernel_ranks(),
         )
         comm_world = SMIComm.world(self.topology.num_ranks)

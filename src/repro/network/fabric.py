@@ -31,7 +31,6 @@ class Fabric:
         engine,
         topology: Topology,
         config: HardwareConfig,
-        validate_wire: bool = False,
         local_ranks: frozenset[int] | set[int] | None = None,
         reached: frozenset[int] | set[int] | None = None,
     ) -> None:
@@ -58,7 +57,6 @@ class Fabric:
                     engine, src, dst,
                     latency_cycles=config.link_latency_cycles,
                     cycles_per_packet=config.link_cycles_per_packet,
-                    validate=validate_wire,
                 )
                 self.tx_link[src] = link
                 self.rx_link[dst] = link

@@ -9,10 +9,6 @@ modelled as a lossless, in-order, bounded channel: a
 capacity covers the bandwidth-delay product (so latency never limits
 throughput, as on the real hardware), and whose write port is paced to the
 line rate.
-
-Optionally a link *validates* the wire format: every packet is encoded to
-its 32-byte representation and decoded back on arrival, asserting that the
-object-level fast path and the bit-exact codec agree.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from .packet import Packet
 class Link:
     """A directed inter-FPGA channel paced at one packet per link slot."""
 
-    __slots__ = ("fifo", "src", "dst", "validate", "packets", "payload_bytes",
+    __slots__ = ("fifo", "src", "dst", "packets", "payload_bytes",
                  "cycles_per_packet", "_next_free")
 
     def __init__(
@@ -36,11 +32,9 @@ class Link:
         dst: tuple[int, int],
         latency_cycles: int,
         cycles_per_packet: int = 1,
-        validate: bool = False,
     ) -> None:
         self.src = src  # (rank, iface)
         self.dst = dst
-        self.validate = validate
         self.cycles_per_packet = max(1, cycles_per_packet)
         self._next_free = 0
         # Capacity >= in-flight packets at full rate, + handoff slack.
@@ -96,24 +90,12 @@ class Link:
     def supply_horizon(self, memo: dict | None = None) -> int:
         return self.fifo.supply_horizon(memo)
 
-    def _check_wire(self, packet: Packet) -> None:
-        wire = packet.encode()
-        check = Packet.decode(wire, packet.dtype)
-        if (check.src, check.dst, check.port, check.op, check.count) != (
-            packet.src, packet.dst, packet.port, packet.op, packet.count
-        ):
-            raise SimulationError(
-                f"wire codec mismatch on {self.fifo.name}: {packet!r}"
-            )
-
     def stage(self, packet: Packet) -> None:
         """Transmit one packet (occupies one link slot)."""
         if not self.writable:
             raise SimulationError(
                 f"link {self.fifo.name}: stage() while busy or full"
             )
-        if self.validate:
-            self._check_wire(packet)
         self.fifo.stage(packet)
         self._next_free = self.fifo.engine.cycle + self.cycles_per_packet
         self.packets += 1
@@ -145,9 +127,6 @@ class Link:
                 f"link {self.fifo.name}: burst starts at {cycles[0]} but the "
                 f"line is busy until {self._next_free}"
             )
-        if self.validate:
-            for packet in packets:
-                self._check_wire(packet)
         self.fifo.stage_burst(packets, cycles, verify_occupancy)
         self._next_free = cycles[-1] + self.cycles_per_packet
         self.packets += len(packets)

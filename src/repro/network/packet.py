@@ -13,8 +13,8 @@ packet switching", §4.2 — hence at most 256 ranks/ports).
 
 Inside the simulator packets travel as Python objects for speed; the
 bit-exact 32-byte encoding is implemented and tested so the wire format of
-the reference implementation is fully specified, and the codec is exercised
-at the link boundary when ``Link(validate=True)`` is used.
+the reference implementation is fully specified, and the sharded backends'
+boundary codec (:mod:`repro.shard.wire`) ships packets in it.
 """
 
 from __future__ import annotations

@@ -129,13 +129,11 @@ class _ShardLinks:
         self.out_ack: dict = {}
         self.horizon: dict = {}    # incoming cut links (this shard is dst)
         self.ack_floor: dict = {}  # outgoing cut links (this shard is src)
-        self.slack: dict = {}      # own published tx self-sufficiency
         for ch in channels:
             if ch.src_shard == index:
                 self.out_ship[ch.key] = fabric.ship_rings[ch.key]
                 self.in_ack[ch.key] = fabric.ack_rings[ch.key]
                 self.ack_floor[ch.key] = ch.latency
-                self.slack[ch.key] = 0
             if ch.dst_shard == index:
                 self.in_ship[ch.key] = fabric.ship_rings[ch.key]
                 self.out_ack[ch.key] = fabric.ack_rings[ch.key]
@@ -177,21 +175,15 @@ class _ShardLinks:
 
         Incoming horizons bound it forward. In reverse (backpressure)
         an unknown remote take can matter no earlier than the published
-        take floor's wake — and no earlier than the producer exhausting
-        its provable slot budget at line rate (the slack), whichever is
-        later.
+        take floor's wake, ``ack_floor + 1``.
         """
         bound = FOREVER if cap is None else cap
         for horizon in self.horizon.values():
             if horizon < bound:
                 bound = horizon
-        for key, floor in self.ack_floor.items():
-            rev = floor + 1
-            slack = self.slack[key]
-            if slack > rev:
-                rev = slack
-            if rev < bound:
-                bound = rev
+        for floor in self.ack_floor.values():
+            if floor + 1 < bound:
+                bound = floor + 1
         return bound
 
     # -- outbound -----------------------------------------------------
@@ -207,14 +199,10 @@ class _ShardLinks:
         memo: dict = {}
         for key in sorted(runtime.tx):
             ship = runtime.tx[key].collect(runtime.engine, bound, memo)
-            self.slack[key] = ship.slack
             if not ship.items:
-                state = (ship.horizon, ship.slack)
-                if self._last_pub.get(("ship", key)) == state:
+                if self._last_pub.get(("ship", key)) == ship.horizon:
                     continue
-                self._last_pub[("ship", key)] = state
-            else:
-                self._last_pub[("ship", key)] = (ship.horizon, ship.slack)
+            self._last_pub[("ship", key)] = ship.horizon
             records = pack_ship_records(self.key_ids[key], ship,
                                         self.max_record)
             pushed += self._push(self.out_ship[key], records)
@@ -279,8 +267,7 @@ class _ShardRuntime:
         self.engine.trace = recorder_from_config(program.config,
                                                  shard=index)
         self.transport = build_transport(
-            self.engine, plan, routes, program.config,
-            validate_wire=program.validate_wire, shard_ranks=local,
+            self.engine, plan, routes, program.config, shard_ranks=local,
             kernel_ranks=program.kernel_ranks(),
         )
         comm_world = SMIComm.world(program.topology.num_ranks)

@@ -53,10 +53,6 @@ class ShipBatch:
     items: tuple
     cycles: tuple
     horizon: int
-    #: Producer-side self-sufficiency horizon (see
-    #: :func:`tx_self_sufficiency`): the transmitting shard needs no ack
-    #: information below this cycle.
-    slack: int = 0
 
 
 @dataclass
@@ -75,57 +71,25 @@ class AckBatch:
     floor: int
 
 
-def tx_self_sufficiency(link, bound: int) -> int:
-    """Earliest cycle an *unknown* remote take could affect the producer.
-
-    Unacked takes only reach the producer through the link's slot state.
-    With ``free`` slots provably free and ``rels`` further releases
-    already known, the producer's next ``budget = free + len(rels)``
-    stages are fully provable. Stages onto a link are line-paced (at
-    least ``pace`` cycles apart, the first no earlier than the line's
-    ``_next_free`` and the epoch bound), and a blocked stage *attempt*
-    follows the previous stage by at least one cycle — so the first
-    event that could depend on an unknown release (the attempt of stage
-    ``budget + 1``) happens no earlier than::
-
-        max(line _next_free, bound) + (budget - 1) * pace + 1
-
-    The producer shard may run to that cycle on slot-budget grounds
-    alone — the deep-buffer analogue of link-latency lookahead for the
-    *reverse* (backpressure) direction.
-
-    The budget is computed without touching the FIFO: every slot not
-    physically occupied by an item is either free now or has a known
-    (reserved) release, so ``capacity - present_count`` *is*
-    ``free + len(releases)`` — calling ``slot_plan(bound)`` here would
-    trim reservations whose release the local clock has not reached,
-    corrupting the occupancy the next epoch's producers observe.
-    """
-    fifo = link.fifo
-    budget = fifo.capacity - fifo.present_count
-    if budget == 0:
-        return bound
-    start = link._next_free
-    if bound > start:
-        start = bound
-    return start + (budget - 1) * link.cycles_per_packet + 1
-
-
 class BoundaryTx:
     """Producer-side proxy endpoint of one directed cut link."""
 
-    __slots__ = ("key", "link", "fifo")
+    __slots__ = ("key", "fifo")
 
     def __init__(self, key: tuple[int, int], link) -> None:
         self.key = key
-        self.link = link
         self.fifo = link.fifo
         self.fifo.record_boundary_stages()
 
     def apply(self, ack: AckBatch) -> None:
-        """Apply the remote consumer's takes to the local link FIFO."""
+        """Apply the remote consumer's takes to the local link FIFO.
+
+        The producing shard never runs past ``ack_floor + 1``, so every
+        take here is at or after the local clock; a past-dated one would
+        mean a slot-release wake was missed, and ``take_burst`` raises.
+        """
         if ack.cycles:
-            self.fifo.apply_remote_takes(list(ack.cycles))
+            self.fifo.take_burst(ack.cycles)
 
     def collect(self, engine, bound: int, memo: dict) -> ShipBatch:
         """Drain newly committed stages and publish the supply horizon.
@@ -142,18 +106,16 @@ class BoundaryTx:
         floor = bound + fifo.latency
         if horizon < floor:
             horizon = floor
-        return ShipBatch(self.key, tuple(items), tuple(cycles), horizon,
-                         tx_self_sufficiency(self.link, bound))
+        return ShipBatch(self.key, tuple(items), tuple(cycles), horizon)
 
 
 class BoundaryRx:
     """Consumer-side proxy endpoint of one directed cut link."""
 
-    __slots__ = ("key", "link", "fifo", "consumer_proc")
+    __slots__ = ("key", "fifo", "consumer_proc")
 
     def __init__(self, key: tuple[int, int], link, consumer_proc) -> None:
         self.key = key
-        self.link = link
         self.fifo = link.fifo
         self.consumer_proc = consumer_proc
         self.fifo.record_boundary_takes()

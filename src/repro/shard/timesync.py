@@ -16,18 +16,16 @@ Shard ``i`` may run every event strictly below the bound
 the floors its rings delivered::
 
     bound_i = min( min over incoming cut links  of horizon(link),
-                   min over outgoing cut links  of
-                       max(ack_floor(link) + 1, slack(link)) )
+                   min over outgoing cut links  of ack_floor(link) + 1 )
 
 * ``horizon(link)`` — no unshipped remote stage can be *visible* locally
   before it (forward supply dependency);
 * ``ack_floor(link) + 1`` — no unreported remote take can free a slot
   (and wake a blocked local producer, at ``take + 1``) before it
   (reverse backpressure dependency — the model's slot release is
-  instantaneous, so this is the binding constraint when a link fills);
-* ``slack(link)`` — nor before the producer exhausts its provable slot
-  budget at line rate (:func:`repro.shard.proxy.tx_self_sufficiency`),
-  whichever is later.
+  instantaneous, so this is the binding constraint when a link fills).
+  A producer shard therefore never runs past a take it has not been
+  told of: every ack lands at or after its local clock.
 
 Every published floor is itself at least the publishing shard's bound,
 so the global minimum bound strictly increases every round: the

@@ -8,7 +8,7 @@ replaces that with a packed binary codec and a ring transport:
 
 * **Record codec** — one struct-packed header plus contiguous
   ``numpy`` payload blocks per batch. A :class:`ShipBatch` of ``k``
-  packets becomes ``28 + 9k + 32k`` bytes: an ``int64`` visibility-cycle
+  packets becomes ``20 + 9k + 32k`` bytes: an ``int64`` visibility-cycle
   block, a 1-byte-per-packet datatype-id sidecar (the 32-byte wire
   format drops the payload's element type, which in SMI is per-port
   knowledge — see :meth:`repro.network.packet.Packet.decode`), and the
@@ -59,10 +59,10 @@ KIND_SHIP = 1  # packed ship: cycles + dtype ids + 32-byte packets
 KIND_ACK = 3   # ack: cycles block only
 
 #: Record header: kind (u8), flags (u8, reserved), pad (u16), key id
-#: (u32), count (u32; items for ships, cycles for acks), and two
-#: kind-specific ``int64`` floors — horizon+slack for ships,
-#: take-floor+0 for acks.
-RECORD_HEADER = struct.Struct("<BBHIIqq")
+#: (u32), count (u32; items for ships, cycles for acks), and one
+#: kind-specific ``int64`` bound — the horizon for ships, the take
+#: floor for acks.
+RECORD_HEADER = struct.Struct("<BBHIIq")
 
 #: Capacity, in bytes, of each shared-memory ring (two rings — ship and
 #: ack — per directed boundary link). A full ring never drops a record:
@@ -150,7 +150,7 @@ def pack_ship(key_id: int, ship) -> bytes:
     """One ShipBatch as a wire record."""
     rows, ids = _pack_items(ship.items)
     head = RECORD_HEADER.pack(KIND_SHIP, 0, 0, key_id, len(ids),
-                              ship.horizon, ship.slack)
+                              ship.horizon)
     cycles = np.asarray(ship.cycles, dtype=np.int64)
     return b"".join((head, cycles.tobytes(), ids.tobytes(), rows.tobytes()))
 
@@ -158,20 +158,20 @@ def pack_ship(key_id: int, ship) -> bytes:
 def pack_ack(key_id: int, ack) -> bytes:
     """One AckBatch as a wire record."""
     head = RECORD_HEADER.pack(KIND_ACK, 0, 0, key_id,
-                              len(ack.cycles), ack.floor, 0)
+                              len(ack.cycles), ack.floor)
     return head + np.asarray(ack.cycles, dtype=np.int64).tobytes()
 
 
 def unpack_record(record: bytes, keys_by_id) -> tuple[str, object]:
     """Decode one record; returns ``("ship"|"ack", batch)``."""
-    kind, _flags, _pad, key_id, n, f0, f1 = RECORD_HEADER.unpack_from(record)
+    kind, _flags, _pad, key_id, n, bound = RECORD_HEADER.unpack_from(record)
     key = keys_by_id[key_id]
     body = record[RECORD_HEADER.size:]
     if kind == KIND_ACK:
         cycles = tuple(
             int(c) for c in np.frombuffer(body, np.int64, count=n)
         )
-        return "ack", AckBatch(key, cycles, f0)
+        return "ack", AckBatch(key, cycles, bound)
     if kind != KIND_SHIP:  # pragma: no cover - protocol guard
         raise SimulationError(f"unknown boundary record kind {kind}")
     cycles = tuple(int(c) for c in np.frombuffer(body, np.int64, count=n))
@@ -180,7 +180,7 @@ def unpack_record(record: bytes, keys_by_id) -> tuple[str, object]:
         body, np.uint8, count=n * PACKET_BYTES, offset=9 * n
     ).reshape(n, PACKET_BYTES)
     return "ship", ShipBatch(key, tuple(_unpack_items(rows, ids)),
-                             cycles, f0, f1)
+                             cycles, bound)
 
 
 def _split(batch, max_bytes: int, packer, splitter, sizer) -> list:
@@ -207,20 +207,17 @@ def pack_ship_records(key_id: int, ship,
     half's earliest cycle, and only the final segment advertises the
     batch horizon. A segment may sit in a full-ring backlog for several
     rounds — had it carried the batch horizon, the peer could advance
-    past cycles whose items are still queued behind the ring. Slack is
-    a credit self-sufficiency bound independent of the carried items,
-    so every segment repeats it. The per-record item counts let a
-    caller account shipped items at the moment a record actually
-    reaches its ring.
+    past cycles whose items are still queued behind the ring. The
+    per-record item counts let a caller account shipped items at the
+    moment a record actually reaches its ring.
     """
     def splitter(b):
         if len(b.items) < 2:
             return None
         mid = len(b.items) // 2
         return (ShipBatch(b.key, b.items[:mid], b.cycles[:mid],
-                          min(b.horizon, b.cycles[mid]), b.slack),
-                ShipBatch(b.key, b.items[mid:], b.cycles[mid:],
-                          b.horizon, b.slack))
+                          min(b.horizon, b.cycles[mid])),
+                ShipBatch(b.key, b.items[mid:], b.cycles[mid:], b.horizon))
 
     return _split(ship, max_bytes, lambda b: pack_ship(key_id, b),
                   splitter, lambda b: len(b.items))

@@ -382,15 +382,6 @@ class Fifo:
                 self._reserved_paired = 0
                 return
             paired = self._reserved_paired
-            if len(reserved) > 2048:
-                # Bulk trim: the log is sorted (releases are pre-committed
-                # in take order), so the cut point is a bisect away.
-                log = list(reserved)
-                cut = bisect_right(log, now - 1)
-                reserved.clear()
-                reserved.extend(log[cut:])
-                self._reserved_paired = max(0, paired - cut)
-                return
             while reserved and reserved[0] < now:
                 reserved.popleft()
                 if paired:
@@ -680,22 +671,11 @@ class Fifo:
             # Fast path: no reserved slots and the whole run fits (or the
             # caller is the planner, which already paced each stage) — the
             # monotonicity check runs at C speed over cycle pairs.
-            if k > 2048:
-                # A long *validated* train (a stream the fast-forward
-                # cannot arm on, a cross-shard chain) still commits
-                # thousands of stages per burst; a jump no longer does.
-                cyc_arr = np.asarray(cycles, dtype=np.int64)
-                if np.any(cyc_arr[1:] < cyc_arr[:-1]):
-                    raise SimulationError(
-                        f"fifo {self.name!r}: stage_burst cycles not monotone"
-                    )
-                ready_run = (cyc_arr + latency).tolist()
-            else:
-                if k > 1 and any(map(gt, cycles, islice(cycles, 1, None))):
-                    raise SimulationError(
-                        f"fifo {self.name!r}: stage_burst cycles not monotone"
-                    )
-                ready_run = [cyc + latency for cyc in cycles]
+            if k > 1 and any(map(gt, cycles, islice(cycles, 1, None))):
+                raise SimulationError(
+                    f"fifo {self.name!r}: stage_burst cycles not monotone"
+                )
+            ready_run = [cyc + latency for cyc in cycles]
         else:
             res_idx = 0
             paired = self._reserved_paired
@@ -793,40 +773,17 @@ class Fifo:
                     f"fifo {self.name!r}: take_burst ran out of items"
                 )
             ready_q = self._ready
-            if rem > 2048:
-                # Bulk path (a long *validated* train — a stream the
-                # fast-forward cannot arm on, a cross-shard chain — still
-                # commits thousands of takes in one burst; a jump no
-                # longer does): the per-item visibility tripwire runs
-                # vectorised over the ready column, then the consumed
-                # prefix of both columns drops in C-level operations.
-                ready_arr = np.fromiter(islice(ready_q, rem),
-                                        dtype=np.int64, count=rem)
-                late = np.nonzero(
-                    ready_arr > np.asarray(cycles[nv:], dtype=np.int64))[0]
-                if late.size:
-                    b = int(late[0])
-                    self._reject_early_take(cycles[nv + b], ready_q[b])
-                if rem == len(staged):
-                    staged.clear()
-                    ready_q.clear()
-                else:
-                    for col in (staged, ready_q):
-                        tail = list(islice(col, rem, None))
-                        col.clear()
-                        col.extend(tail)
-            else:
-                # Visibility check fused into the pop loop: staged item i
-                # must be ready by its take cycle. (The raise aborts the
-                # whole simulation, so the partial mutation before it is
-                # moot.)
-                i = nv
-                for _ in range(rem):
-                    ready = ready_q.popleft()
-                    if ready > cycles[i]:
-                        self._reject_early_take(cycles[i], ready)
-                    staged.popleft()
-                    i += 1
+            # Visibility check fused into the pop loop: staged item i
+            # must be ready by its take cycle. (The raise aborts the
+            # whole simulation, so the partial mutation before it is
+            # moot.)
+            i = nv
+            for _ in range(rem):
+                ready = ready_q.popleft()
+                if ready > cycles[i]:
+                    self._reject_early_take(cycles[i], ready)
+                staged.popleft()
+                i += 1
         # Slot bookkeeping: every take — current-cycle ones included —
         # holds its slot *reserved* until the cycle after its take cycle
         # (the strict ``_trim_reserved`` boundary). Producers therefore
@@ -1240,73 +1197,6 @@ class Fifo:
         # the data plane's batching (and the transmitting half of this
         # boundary FIFO — the stats-authoritative one — already records
         # the producer's real bursts).
-
-    def apply_remote_takes(self, cycles: Sequence[int]) -> None:
-        """Apply a boundary consumer's take schedule (acks) locally.
-
-        Like :meth:`take_burst`, but tolerant of take cycles in the
-        *simulated past*: the epoch synchroniser's slot-budget bound
-        (``tx_self_sufficiency``) lets the producing shard run ahead of
-        unreported takes precisely when it can prove no local event
-        could observe the freed slots — so a past-dated take just
-        removes its item and frees the slot with no wake (the wake
-        cycle, ``take + 1``, provably had no waiter). A producer blocked
-        on this FIFO while past-dated acks arrive would falsify that
-        proof, and trips loudly.
-        """
-        if not cycles:
-            return
-        now = self.engine.cycle
-        split = bisect_right(cycles, now - 1)
-        past = cycles[:split]
-        if past:
-            # Every registered waiter is a live parked producer (wakes
-            # and preempts withdraw theirs), and one falsifies the
-            # self-sufficiency proof.
-            if self.can_push.waiters:
-                proc = self.can_push.waiters[0]
-                raise SimulationError(
-                    f"fifo {self.name!r}: past-dated boundary takes "
-                    f"(first {past[0]}, now {now}) with blocked "
-                    f"producer {proc.name!r} — the self-sufficiency "
-                    "bound was unsound"
-                )
-            k = len(past)
-            visible = self._visible
-            staged = self._staged
-            ready_q = self._ready
-            nv = min(k, len(visible))
-            for _ in range(nv):
-                visible.popleft()
-            for i in range(nv, k):
-                if not staged:
-                    raise SimulationError(
-                        f"fifo {self.name!r}: boundary takes ran out of "
-                        "items"
-                    )
-                staged.popleft()
-                ready = ready_q.popleft()
-                if ready > past[i]:
-                    raise SimulationError(
-                        f"fifo {self.name!r}: boundary take at {past[i]} "
-                        f"but the item is only visible at {ready}"
-                    )
-            self.pops += k
-            self.last_pop_cycle = past[-1]
-            occ_takes = self._occ_takes
-            if occ_takes and past[0] < occ_takes[-1]:
-                raise SimulationError(
-                    f"fifo {self.name!r}: boundary takes regress behind "
-                    "the occupancy log"
-                )
-            occ_takes.extend(past)
-            if len(occ_takes) > _OCC_FOLD_LIMIT:
-                self._occ_fold()
-            # No burst counters: ack batches reflect epoch pacing, not the
-            # consumer's real burst structure.
-        rest = cycles[split:]
-        if rest:
-            self.take_burst(rest)
 
     def max_occupancy_at(self, cycle: int) -> int:
         """Exact peak occupancy with an explicit sweep end (inclusive).

@@ -261,7 +261,6 @@ def build_transport(
     plan: ProgramPlan,
     routes: Routes,
     config: HardwareConfig,
-    validate_wire: bool = False,
     shard_ranks: frozenset[int] | set[int] | None = None,
     kernel_ranks: Iterable[int] = (),
 ) -> Transport:
@@ -300,7 +299,7 @@ def build_transport(
         )
     reached = reached_ranks(plan, routes, kernel_ranks)
     local = reached if shard_ranks is None else reached & set(shard_ranks)
-    fabric = Fabric(engine, topology, config, validate_wire=validate_wire,
+    fabric = Fabric(engine, topology, config,
                     local_ranks=local, reached=reached)
     ranks: dict[int, RankTransport] = {}
     transit: list[Fifo] = [link.fifo for link in fabric.links()]

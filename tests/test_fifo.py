@@ -407,7 +407,7 @@ def test_columnar_store_matches_row_model(data):
     model = _ModelFifo(latency)
     serial = iter(range(10 ** 9))
     gaps = st.integers(0, 3)
-    # Mostly short runs, sometimes one past the 2048-item bulk threshold.
+    # Mostly short runs, sometimes one of thousands of items.
     run_len = st.one_of(st.integers(1, 6), st.sampled_from([2049, 2500]))
 
     def paced(k, start, floors=None):
@@ -425,7 +425,7 @@ def test_columnar_store_matches_row_model(data):
         return paced(k, start, [r for r, _x in model.rows[:k]])
 
     if capacity > 2048:
-        # Prefill so that bulk takes can leave a tail behind.
+        # Prefill so that long takes can leave a tail behind.
         model.stage(list(range(-3000, 0)), list(range(3000)))
         f.stage_burst(list(range(-3000, 0)), range(3000))
         eng.cycle = 3000 + latency
@@ -434,7 +434,7 @@ def test_columnar_store_matches_row_model(data):
         free = model.free(capacity, now)
         op = data.draw(st.sampled_from(
             ["advance", "stage", "stage_burst", "take", "take_burst",
-             "inject", "remote_takes", "promote"]), label="op")
+             "inject", "promote"]), label="op")
         if op == "advance":
             eng.cycle += data.draw(st.integers(1, 12))
         elif op == "promote":
@@ -477,14 +477,6 @@ def test_columnar_store_matches_row_model(data):
             items = [next(serial) for _ in range(k)]
             f.inject_staged(items, visible)
             model.stage(items, [v - latency for v in visible])
-        elif op == "remote_takes":
-            # Acks may be past-dated, but never before the item was
-            # visible nor behind an earlier take.
-            k = min(data.draw(st.integers(1, 6)), len(model.rows))
-            if k:
-                cycles = take_cycles(k, model.last_take)
-                f.apply_remote_takes(cycles)
-                model.take(cycles, now)
         _agree(f, model, eng.cycle)
     assert f.pushes - f.pops == len(model.rows)
     assert f.drain() == [x for _r, x in model.rows]

@@ -213,6 +213,24 @@ def test_inject_staged_guards():
         f.inject_staged(["c", "d"], [20, 15])
 
 
+def test_past_dated_ack_raises():
+    """A producer shard never runs past ``ack_floor + 1``, so an ack is
+    never older than its clock; one that is would have missed a
+    slot-release wake, and ``BoundaryTx.apply`` refuses it."""
+    from repro.network.link import Link
+    from repro.shard.proxy import AckBatch, BoundaryTx
+
+    eng = Engine()
+    link = Link(eng, (0, 0), (1, 0), latency_cycles=4)
+    tx = BoundaryTx((0, 0), link)
+    link.fifo.stage_burst(["a", "b"], [0, 1])
+    eng.cycle = 10
+    with pytest.raises(SimulationError, match="in the past"):
+        tx.apply(AckBatch((0, 0), (9,), floor=9))
+    tx.apply(AckBatch((0, 0), (10, 12), floor=12))  # at or after the clock
+    assert link.fifo.pops == 2
+
+
 # ----------------------------------------------------------------------
 # Sharded-vs-sequential 3-way equality
 # ----------------------------------------------------------------------
@@ -788,6 +806,60 @@ def test_sharded_planner_stats_populated():
     res = _stream_build(1024)(NOCTUA.with_(backend="sharded", shards=2))
     stats = collect_planner_stats(res.transport)
     assert stats.windows > 0 and stats.takes > 0
+
+
+def _uniform_stream(config, n=4096, ranks=16):
+    """Every rank of a ``ranks``-bus streams ``n`` floats to its right
+    neighbour while receiving from its left (concurrent kernels)."""
+    prog = SMIProgram(bus(ranks), config=config)
+    data = np.arange(n, dtype=np.float32)
+
+    def sender(smi):
+        ch = smi.open_send_channel(n, SMI_FLOAT, smi.rank + 1, 0)
+        yield from ch.push_vec(data, width=8)
+
+    def receiver(smi):
+        ch = smi.open_recv_channel(n, SMI_FLOAT, smi.rank - 1, 0)
+        yield from ch.pop_vec(n, width=8)
+
+    for rank in range(ranks - 1):
+        prog.add_kernel(sender, rank=rank, name="tx",
+                        ops=[OpDecl("send", 0, SMI_FLOAT, peer=rank + 1)])
+        prog.add_kernel(receiver, rank=rank + 1, name="rx",
+                        ops=[OpDecl("recv", 0, SMI_FLOAT, peer=rank)])
+    res = prog.run(max_cycles=50_000_000)
+    assert res.completed, res.reason
+    return res
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+def test_uniform_stream_shards_do_the_sequential_work(shards, monkeypatch):
+    """Cut links bound a shard by horizons and ``ack_floor + 1`` only,
+    so planner windows are not chopped at per-round bounds: a sharded
+    run dispatches at most twice the sequential run's processes and
+    grants no more packets per flit."""
+    from collections import Counter
+
+    from repro.trace.recorder import TraceRecorder
+
+    kinds = Counter()
+    original = TraceRecorder.emit
+
+    def emit(recorder, cycle, kind, *args, **kwargs):
+        kinds[kind] += 1
+        return original(recorder, cycle, kind, *args, **kwargs)
+
+    monkeypatch.setattr(TraceRecorder, "emit", emit)
+    runs = []
+    for backend, k in (("sequential", 1), ("sharded", shards)):
+        kinds.clear()
+        config = NOCTUA_DEEP.with_(backend=backend, shards=k, trace=True)
+        cycles = _uniform_stream(config).cycles
+        runs.append((cycles, kinds["dispatch"], kinds["grant"]))
+    (seq_cycles, seq_dispatch, seq_grant), (cycles, dispatch, grant) = runs
+    assert cycles == seq_cycles
+    assert 0 < dispatch <= 2 * seq_dispatch, runs
+    assert grant <= seq_grant, runs
 
 
 def test_jump_inside_a_shard_is_exact_at_the_global_end():

@@ -3,7 +3,7 @@
 Both sharded backends' correctness rests on this layer being *faithful*:
 every batch that crosses a ring must come back
 bit-identical — packets (payloads included, for every registered
-datatype), visibility cycles, and the horizon/slack/floor bounds the
+datatype), visibility cycles, and the horizon/floor bounds the
 epoch protocol computes bounds from. These tests pin the codec round
 trip, the loud rejection of anything but packets, record splitting,
 ring wraparound and full-ring refusal, and the fabric lifecycle.
@@ -67,7 +67,6 @@ def _assert_ship_equal(a, b):
     assert a.key == b.key
     assert a.cycles == b.cycles
     assert a.horizon == b.horizon
-    assert a.slack == b.slack
     assert len(a.items) == len(b.items)
     for pa, pb in zip(a.items, b.items):
         _assert_packets_equal(pa, pb)
@@ -80,7 +79,7 @@ def _assert_ship_equal(a, b):
 def test_ship_roundtrip_every_datatype(name):
     dtype = DATATYPES[name]
     items = tuple(_data_packet(dtype, seed) for seed in range(4))
-    ship = ShipBatch((0, 1), items, (10, 11, 13, 20), horizon=37, slack=19)
+    ship = ShipBatch((0, 1), items, (10, 11, 13, 20), horizon=37)
     record = pack_ship(KEY_IDS[(0, 1)], ship)
     assert RECORD_HEADER.unpack_from(record)[0] == KIND_SHIP
     _assert_ship_equal(ship, _unpack(record, "ship"))
@@ -98,7 +97,7 @@ def test_ship_roundtrip_control_packets():
 
 
 def test_empty_ship_roundtrip():
-    ship = ShipBatch((0, 0), (), (), horizon=64, slack=128)
+    ship = ShipBatch((0, 0), (), (), horizon=64)
     _assert_ship_equal(ship, _unpack(pack_ship(0, ship), "ship"))
 
 
@@ -116,7 +115,7 @@ def test_non_packet_items_are_rejected_loudly():
     name — there is no second, slower encoding to fall back to."""
     def ship(*items):
         return ShipBatch((0, 0), items, tuple(range(len(items))),
-                         horizon=20, slack=3)
+                         horizon=20)
 
     ok = Packet(0, 1, 0, OpType.DATA, 1, np.zeros(1, np.float32),
                 DATATYPES["SMI_FLOAT"])
@@ -154,7 +153,7 @@ def test_unpack_kind_mismatch_raises():
 def test_ship_record_splitting_roundtrip():
     dtype = DATATYPES["SMI_FLOAT"]
     items = tuple(_data_packet(dtype, seed) for seed in range(32))
-    ship = ShipBatch((0, 1), items, tuple(range(32)), horizon=99, slack=7)
+    ship = ShipBatch((0, 1), items, tuple(range(32)), horizon=99)
     whole = pack_ship(1, ship)
     max_bytes = len(whole) // 3
     records = pack_ship_records(1, ship, max_bytes)
@@ -164,7 +163,6 @@ def test_ship_record_splitting_roundtrip():
     rebuilt_items, rebuilt_cycles = [], []
     segments = [_unpack(record, "ship") for record, _ in records]
     for i, seg in enumerate(segments):
-        assert seg.slack == 7
         # A segment may only promise up to the next segment's earliest
         # cycle — a backlogged tail must never be outrun by its head's
         # published horizon.
@@ -174,7 +172,7 @@ def test_ship_record_splitting_roundtrip():
         rebuilt_cycles.extend(seg.cycles)
     assert segments[-1].horizon == 99  # final segment restores the bound
     _assert_ship_equal(ship, ShipBatch((0, 1), tuple(rebuilt_items),
-                                       tuple(rebuilt_cycles), 99, 7))
+                                       tuple(rebuilt_cycles), 99))
 
 
 def test_ack_record_splitting_roundtrip():
@@ -197,8 +195,10 @@ def test_unsplittable_record_raises():
     pkt = Packet(0, 1, 0, OpType.DATA, 7, np.zeros(7, np.float32),
                  DATATYPES["SMI_FLOAT"])
     ship = ShipBatch((0, 0), (pkt,), (1,), horizon=2)
+    assert RECORD_HEADER.size == 20
+    assert len(pack_ship(0, ship)) == 61  # 20 + 9k + 32k at k = 1
     with pytest.raises(SimulationError, match="RING_BYTES"):
-        pack_ship_records(0, ship, max_bytes=64)  # one packet is 69 B
+        pack_ship_records(0, ship, max_bytes=56)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Unit tests for transport internals: CK routing decisions, builder wiring,
 link pacing, and misrouting diagnostics."""
 
-import numpy as np
 import pytest
 
 from repro import NOCTUA, SMI_ADD, SMI_FLOAT, SMI_INT, bus, noctua_torus
@@ -9,7 +8,7 @@ from repro.codegen.metadata import OpDecl, ProgramPlan
 from repro.core.errors import RoutingError, SimulationError
 from repro.network.fabric import Fabric
 from repro.network.link import Link
-from repro.network.packet import OpType, Packet
+from repro.network.packet import Packet
 from repro.network.routing import compute_routes
 from repro.simulation import TICK, Engine, WaitCycles
 from repro.transport.builder import build_transport
@@ -63,33 +62,6 @@ def test_link_raw_rate_matches_config():
     # 1 packet / 2 cycles at 312.5 MHz == 40 Gbit/s raw.
     assert NOCTUA.link_raw_bandwidth_bps == pytest.approx(40e9)
     assert NOCTUA.link_payload_bandwidth_bps == pytest.approx(35e9)
-
-
-def test_link_validate_wire_mode_roundtrips():
-    eng = Engine()
-    link = Link(eng, (0, 0), (1, 0), latency_cycles=3, cycles_per_packet=1,
-                validate=True)
-    got = []
-
-    def producer():
-        payload = np.array([1, 2, 3], dtype=np.int32)
-        pkt = Packet(src=0, dst=1, port=5, op=OpType.DATA, count=3,
-                     payload=payload, dtype=SMI_INT)
-        while not link.writable:
-            yield link.wait_writable()
-        link.stage(pkt)
-        yield TICK
-
-    def consumer():
-        while not link.readable:
-            yield link.wait_readable()
-        got.append(link.take())
-        yield TICK
-
-    eng.spawn(producer, "p")
-    eng.spawn(consumer, "c")
-    eng.run()
-    assert got[0].port == 5
 
 
 def test_link_utilization_counts_slots():
