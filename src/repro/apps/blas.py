@@ -55,9 +55,7 @@ def gemv_kernel(
         while any(remaining):
             for p, port in enumerate(ports):
                 if remaining[p]:
-                    granted = port.bank.grant(remaining[p])
-                    remaining[p] -= granted
-                    port.elements_read += granted
+                    remaining[p] -= port.bank.grant(remaining[p])
             yield TICK
         row = A[i]
         value = scale * float(row @ x)

@@ -91,9 +91,15 @@ def run_distributed_sim(
     """Cycle-level SPMD stencil run; returns (final grid, elapsed_us).
 
     Halo exchange per timestep uses checkerboard ordering (ranks with even
-    block parity send first, odd receive first), which is deadlock-free
-    for any halo size and buffer depth — satisfying §3.3's rule that
-    programs must not rely on channel buffering for correctness.
+    block parity send first, odd receive first), meant to satisfy §3.3's
+    rule that programs must not rely on channel buffering. It is *not*
+    deadlock-free everywhere: on ``noctua_torus()`` with ``NOCTUA``
+    depths, one timestep hangs at cycle 943 for rank grid (2, 4) at
+    640² and at cycle 1 811 for (4, 2) at 448², on the per-flit plane as
+    on the default, with every CK and link empty — halo data is lost or
+    misdelivered, not short of buffering (ROADMAP item 2, "The stencil
+    at paper scale"; ``tests/test_apps_stencil.py`` holds the
+    strict-xfail reproducers).
     """
     rx, ry = rank_grid
     num_ranks = rx * ry

@@ -125,13 +125,11 @@ class HardwareConfig:
         identical ``RunResult.cycles``, per-rank stores, per-FIFO
         push/pop counts and occupancy peaks (``tests/test_shard.py``
         and the fuzz suite enforce it); only simulator wall-clock
-        differs. Two scoping notes shared with the burst plane itself:
+        differs. One scoping note shared with the burst plane itself:
         a ``max_cycles``-truncated run pins ``cycles`` and ``reason``
         but not per-FIFO counters (counters tally *committed* events,
         and the planes commit different distances past an arbitrary
-        cap — sequential burst vs per-flit differ there too), and the
-        ``bursts``/``burst_items`` diagnostics describe each plane's
-        own batching, never an invariant.
+        cap — sequential burst vs per-flit differ there too).
     shards:
         Number of fabric partitions for the sharded backends. Must be 1
         for the sequential backend and ``1 <= shards <= num_ranks``

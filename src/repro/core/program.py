@@ -196,6 +196,43 @@ class SMIProgram:
         transport whether or not it declares an operation."""
         return {rank for spec in self._kernels for rank in spec.ranks}
 
+    def spawn_kernels(self, engine: Engine, transport,
+                      ranks: frozenset[int] | None = None
+                      ) -> tuple[dict, list[tuple[str, int, object]]]:
+        """Spawn every registered kernel instance on ``ranks`` (all ranks
+        when ``None``; a shard passes its own) onto ``engine``, each with
+        its :class:`SMIContext` over ``transport`` and, if the program
+        declares memory, its board's DDR banks. Returns the ``stores``
+        dict the kernels share and their ``(name, rank, process)``
+        list."""
+        mem = self.memory_config
+        memories: dict[int, BoardMemory] = {} if mem is None else {
+            rank: BoardMemory(engine, rank, num_banks=mem.num_banks,
+                              width_elements=mem.bank_width_elements)
+            for rank in (range(self.topology.num_ranks) if ranks is None
+                         else ranks)}
+        comm_world = SMIComm.world(self.topology.num_ranks)
+        stores: dict = {}
+        procs: list[tuple[str, int, object]] = []
+        for spec in self._kernels:
+            for rank in spec.ranks:
+                if ranks is not None and rank not in ranks:
+                    continue
+                ctx = SMIContext(
+                    rank=rank,
+                    transport=transport.rank(rank),
+                    config=self.config,
+                    engine=engine,
+                    comm_world=comm_world,
+                    stores=stores,
+                    memory=memories.get(rank),
+                )
+                proc = engine.spawn(
+                    spec.fn(ctx), name=f"{spec.name}@rank{rank}"
+                )
+                procs.append((spec.name, rank, proc))
+        return stores, procs
+
     def run(self, max_cycles: int | None = None,
             trace_out: str | None = None) -> ProgramResult:
         """Build everything and simulate until all kernels finish.
@@ -235,32 +272,7 @@ class SMIProgram:
             engine, plan, routes, self.config,
             kernel_ranks=self.kernel_ranks(),
         )
-        comm_world = SMIComm.world(self.topology.num_ranks)
-        stores: dict = {}
-        memories: dict[int, BoardMemory] = {}
-        if self.memory_config is not None:
-            for rank in range(self.topology.num_ranks):
-                memories[rank] = BoardMemory(
-                    engine, rank,
-                    num_banks=self.memory_config.num_banks,
-                    width_elements=self.memory_config.bank_width_elements,
-                )
-        procs: list[tuple[str, int, object]] = []
-        for spec in self._kernels:
-            for rank in spec.ranks:
-                ctx = SMIContext(
-                    rank=rank,
-                    transport=transport.rank(rank),
-                    config=self.config,
-                    engine=engine,
-                    comm_world=comm_world,
-                    stores=stores,
-                    memory=memories.get(rank),
-                )
-                proc = engine.spawn(
-                    spec.fn(ctx), name=f"{spec.name}@rank{rank}"
-                )
-                procs.append((spec.name, rank, proc))
+        stores, procs = self.spawn_kernels(engine, transport)
         outcome = engine.run(max_cycles=max_cycles)
         returns = {
             (name, rank): proc.result for name, rank, proc in procs

@@ -1,8 +1,8 @@
 """Benchmark harness: paper data, runners, and report formatting."""
 
 from . import paperdata
-from .reporting import (Comparison, burst_summary, dispatch_summary,
-                        fabric_summary, format_table, planner_summary)
+from .reporting import (Comparison, dispatch_summary, fabric_summary,
+                        format_table, planner_summary)
 from .runners import (
     SIM_ELEMENT_LIMIT,
     SweepPoint,

@@ -111,10 +111,9 @@ def planner_summary(stats) -> str:
         )
         + (
             f" | macro: {stats.ff_jumps:,} jumps x "
-            f"{stats.mean_ff_chain_len:.1f} relay sessions, "
-            f"{stats.ff_bulk_rounds:,} bulk rounds over "
+            f"{stats.mean_ff_chain_len:.1f} relay sessions over "
             f"{stats.ff_cycles:,}cy"
-            if stats.ff_windows else ""
+            if stats.ff_cycles else ""
         )
         + (
             # A plane that probes without arming is just as silent in
@@ -130,7 +129,7 @@ def planner_summary(stats) -> str:
             f" | macro: DISARMED"
             + (f" ({stats.ff_disarm_reason})"
                if stats.ff_disarm_reason else "")
-            if getattr(stats, "ff_disarms", 0) else ""
+            if stats.ff_disarms else ""
         )
     )
 
@@ -153,25 +152,6 @@ def fabric_summary(transport, topology) -> str:
     return (f"built {built} of {topology.num_ranks} ranks — {processes} "
             f"processes, {fifos} FIFOs; {topology.num_ranks - built} ranks "
             "reached by no declared flow")
-
-
-def burst_summary(engine) -> str:
-    """One-line burst fast-path summary for benchmark reports.
-
-    Aggregates the per-FIFO counters kept by the simulator's burst data
-    plane (``HardwareConfig.burst_mode``): how many multi-item bursts
-    moved through the FIFO layer, how many items they carried, and the
-    mean burst length. All-zero counters mean the run was per-flit.
-    """
-    stats = engine.fifo_stats().values()
-    bursts = sum(s["bursts"] for s in stats)
-    if not bursts:
-        return "bursts: none (per-flit data plane)"
-    items = sum(s["burst_items"] for s in stats)
-    return (
-        f"bursts: {bursts:,} moving {items:,} items "
-        f"(mean length {items / bursts:.2f})"
-    )
 
 
 def dispatch_summary(engine) -> str:

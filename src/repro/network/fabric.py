@@ -100,7 +100,3 @@ class Fabric:
                                            or far in self.reached):
                 out.append((link, src_local))
         return out
-
-    def total_packets(self) -> int:
-        """Packets carried across the whole fabric."""
-        return sum(link.packets for link in self.links())

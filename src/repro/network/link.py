@@ -22,8 +22,7 @@ from .packet import Packet
 class Link:
     """A directed inter-FPGA channel paced at one packet per link slot."""
 
-    __slots__ = ("fifo", "src", "dst", "packets", "payload_bytes",
-                 "cycles_per_packet", "_next_free")
+    __slots__ = ("fifo", "src", "dst", "cycles_per_packet", "_next_free")
 
     def __init__(
         self,
@@ -46,8 +45,6 @@ class Link:
             capacity=capacity,
             latency=latency,
         )
-        self.packets = 0
-        self.payload_bytes = 0
 
     # The transport pushes/pops packets through the link's FIFO interface.
     @property
@@ -98,10 +95,6 @@ class Link:
             )
         self.fifo.stage(packet)
         self._next_free = self.fifo.engine.cycle + self.cycles_per_packet
-        self.packets += 1
-        dtype = packet.dtype  # Packet.payload_bytes, inline
-        if dtype is not None:
-            self.payload_bytes += packet.count * dtype.size
         trace = self.fifo.engine.trace
         if trace is not None:
             now = self.fifo.engine.cycle
@@ -117,8 +110,7 @@ class Link:
 
         The caller (a CKS burst drain) has already paced ``cycles`` at
         ``cycles_per_packet`` granularity starting no earlier than
-        ``_next_free``, and checked the FIFO has space; packet counters are
-        still maintained per item so :meth:`utilization` stays accurate.
+        ``_next_free``, and checked the FIFO has space.
         """
         if not packets:
             return
@@ -129,34 +121,22 @@ class Link:
             )
         self.fifo.stage_burst(packets, cycles, verify_occupancy)
         self._next_free = cycles[-1] + self.cycles_per_packet
-        self.packets += len(packets)
-        # Inlined Packet.payload_bytes (count * dtype.size): a long train
-        # commits thousands of packets through here and the property
-        # dispatch dominates the accounting.
-        pb = 0
-        for p in packets:
-            dt = p.dtype
-            if dt is not None:
-                pb += p.count * dt.size
-        self.payload_bytes += pb
         trace = self.fifo.engine.trace
         if trace is not None:
             trace.emit(cycles[0], "xfer", self.fifo.name, "xfer-burst",
                        dur=cycles[-1] - cycles[0] + self.cycles_per_packet,
-                       args={"n": len(packets), "bytes": pb})
+                       args={"n": len(packets)})
             trace.sample(
                 f"link_util/{self.fifo.name}", cycles[-1],
                 self.utilization(max(cycles[-1], 1)))
 
     def shift(self, n: int, delta: int, period: int, floor: int,
-              packets: list[Packet], like: Packet) -> None:
-        """Transmit ``n`` packets shaped like ``like`` over ``delta``
-        cycles as a time shift (:meth:`Fifo.shift`): the line's pacing
-        state moves with the FIFO's rows, the counters by count."""
+              packets: list[Packet]) -> None:
+        """Transmit ``n`` packets over ``delta`` cycles as a time shift
+        (:meth:`Fifo.shift`): the line's pacing state moves with the
+        FIFO's rows."""
         self.fifo.shift(n, delta, period, floor, packets)
         self._next_free += delta
-        self.packets += n
-        self.payload_bytes += n * like.payload_bytes
 
     def take(self) -> Packet:
         return self.fifo.take()
@@ -165,7 +145,7 @@ class Link:
         """Fraction of link slots that carried a packet."""
         if cycles <= 0:
             return 0.0
-        return self.packets * self.cycles_per_packet / cycles
+        return self.fifo.pushes * self.cycles_per_packet / cycles
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"Link({self.src} -> {self.dst}, {self.packets} pkts)"
+        return f"Link({self.src} -> {self.dst}, {self.fifo.pushes} pkts)"

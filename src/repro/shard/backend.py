@@ -54,14 +54,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from ..core.comm import SMIComm
 from ..core.config import HardwareConfig
-from ..core.context import SMIContext
 from ..core.errors import ConfigurationError, ShardWorkerError
 from ..core.program import ProgramResult, SMIProgram
 from ..network.routing import compute_routes
 from ..simulation.engine import FOREVER, Engine
-from ..simulation.memory import BoardMemory
 from ..simulation.stats import PlannerStats, collect_planner_stats
 from ..trace import merge_segments, new_phase, recorder_from_config
 from ..transport.builder import build_transport
@@ -90,7 +87,7 @@ class FinalReport:
     stores: dict
     returns: dict
     fifo_stats: dict
-    planner_stats: PlannerStats
+    planner: PlannerStats
     #: Per-phase wall-clock breakdown in the canonical schema
     #: (:data:`repro.trace.TIMING_FIELDS`, which the trace exporter's
     #: wall lanes consume):
@@ -270,34 +267,8 @@ class _ShardRuntime:
             self.engine, plan, routes, program.config, shard_ranks=local,
             kernel_ranks=program.kernel_ranks(),
         )
-        comm_world = SMIComm.world(program.topology.num_ranks)
-        self.stores: dict = {}
-        memories: dict[int, BoardMemory] = {}
-        if program.memory_config is not None:
-            for rank in ranks:
-                memories[rank] = BoardMemory(
-                    self.engine, rank,
-                    num_banks=program.memory_config.num_banks,
-                    width_elements=program.memory_config.bank_width_elements,
-                )
-        self.procs: list[tuple[str, int, object]] = []
-        for spec in program._kernels:
-            for rank in spec.ranks:
-                if rank not in local:
-                    continue
-                ctx = SMIContext(
-                    rank=rank,
-                    transport=self.transport.rank(rank),
-                    config=program.config,
-                    engine=self.engine,
-                    comm_world=comm_world,
-                    stores=self.stores,
-                    memory=memories.get(rank),
-                )
-                proc = self.engine.spawn(
-                    spec.fn(ctx), name=f"{spec.name}@rank{rank}"
-                )
-                self.procs.append((spec.name, rank, proc))
+        self.stores, self.procs = program.spawn_kernels(
+            self.engine, self.transport, local)
         # Boundary proxies, keyed by the directed link's (src rank, iface).
         self.tx: dict[tuple[int, int], BoundaryTx] = {}
         self.rx: dict[tuple[int, int], BoundaryRx] = {}
@@ -410,20 +381,8 @@ class _ShardRuntime:
         dict union that exactly matches a sequential run.
         """
         skip = {rx.fifo.name for rx in self.rx.values()}
-        fifo_stats = {}
-        for f in self.engine.fifos:
-            if f.name in skip:
-                continue
-            pushes, pops = f.counts_at(end)
-            fifo_stats[f.name] = {
-                "pushes": pushes,
-                "pops": pops,
-                "max_occupancy": f.max_occupancy_at(end),
-                "capacity": f.capacity,
-                "latency": f.latency,
-                "bursts": f.bursts,
-                "burst_items": f.burst_items,
-            }
+        fifo_stats = {f.name: f.stats_row(end) for f in self.engine.fifos
+                      if f.name not in skip}
         returns = {
             (name, rank): proc.result for name, rank, proc in self.procs
         }
@@ -436,7 +395,7 @@ class _ShardRuntime:
             stores=dict(self.stores),
             returns=returns,
             fifo_stats=fifo_stats,
-            planner_stats=collect_planner_stats(self.transport),
+            planner=collect_planner_stats(self.transport),
             timing=timing,
             trace=trace.segment() if trace is not None else None,
         )
@@ -633,13 +592,13 @@ class ShardedTransportView:
     """
 
     def __init__(self, config, routes, ranks: dict,
-                 planner_stats: PlannerStats,
+                 planner: PlannerStats,
                  shard_timing: list | None = None,
                  trace_segments: list | None = None) -> None:
         self.config = config
         self.routes = routes
         self.ranks = ranks
-        self.planner_stats_snapshot = planner_stats
+        self.planner_stats_snapshot = planner
         self.shard_timing = shard_timing or []
         self.trace_segments = trace_segments or []
         self.trace = (merge_segments(self.trace_segments)
@@ -719,14 +678,14 @@ def run_sharded(program: SMIProgram,
     stores: dict = {}
     returns: dict = {}
     fifo_stats: dict = {}
-    planner_stats = PlannerStats()
+    planner = PlannerStats()
     shard_timing: list = []
     trace_segments: list = []
     for final in finals:
         stores.update(final.stores)
         returns.update(final.returns)
         fifo_stats.update(final.fifo_stats)
-        planner_stats = planner_stats.merge(final.planner_stats)
+        planner = planner.merge(final.planner)
         shard_timing.append(final.timing)
         if final.trace is not None:
             trace_segments.append(final.trace)
@@ -742,7 +701,7 @@ def run_sharded(program: SMIProgram,
         returns=returns,
         engine=ShardedEngineView(fifo_stats, outcome.cycles),
         transport=ShardedTransportView(config, routes, merged_ranks,
-                                       planner_stats, shard_timing,
+                                       planner, shard_timing,
                                        trace_segments),
         routes=routes,
     )

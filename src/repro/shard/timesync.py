@@ -91,8 +91,6 @@ class EpochReport:
 class SyncResult:
     reason: str                       # "completed" | "max_cycles"
     cycles: int
-    rounds: int
-    epochs_executed: int
 
 
 class EpochSynchronizer:
@@ -125,8 +123,6 @@ class EpochSynchronizer:
         # folds never cross it, keeping end-of-run stats exactly
         # reconstructible at the true end.
         self.watermark = 0
-        self.rounds = 0
-        self.epochs_executed = 0
 
     # ------------------------------------------------------------------
     def _round(self, cap: int | None, drain_end: int | None = None
@@ -146,8 +142,6 @@ class EpochSynchronizer:
                 self.watermark = mark
             if report.executed or report.shipped or report.delivered:
                 moved = True
-            self.epochs_executed += report.executed
-        self.rounds += 1
         return reports, moved
 
     def _deadlock(self) -> DeadlockError:
@@ -171,16 +165,14 @@ class EpochSynchronizer:
             if all(r.live_workers == 0 for r in reports):
                 end = max(r.last_worker_finish for r in reports)
                 self._drain(end)
-                return SyncResult("completed", end, self.rounds,
-                                  self.epochs_executed)
+                return SyncResult("completed", end)
             if moved:
                 continue
             if all(r.reason == "idle" for r in reports):
                 raise self._deadlock()
             if cap is not None and all(r.bound_reached >= cap
                                        for r in reports):
-                return SyncResult("max_cycles", max_cycles, self.rounds,
-                                  self.epochs_executed)
+                return SyncResult("max_cycles", max_cycles)
             # Events exist beyond every bound; the floors ratchet the
             # global minimum bound up each round, so progress follows.
 

@@ -236,8 +236,8 @@ class Engine:
     def note_fast_forward(self, span: int) -> None:
         """Trace one analytically fast-forwarded window of ``span`` cycles.
 
-        The counters live in ``PlannerStats.ff_windows`` / ``ff_cycles``;
-        the engine only puts the span on the timeline.
+        The counter lives in ``PlannerStats.ff_cycles``; the engine only
+        puts the span on the timeline.
         """
         if span > 0 and self.trace is not None:
             self.trace.emit(self.cycle, "ff", "engine", "fast-forward",
@@ -878,15 +878,4 @@ class Engine:
 
     def fifo_stats(self) -> dict[str, dict[str, Any]]:
         """Per-FIFO statistics snapshot (for reports and tests)."""
-        return {
-            f.name: {
-                "pushes": f.pushes,
-                "pops": f.pops,
-                "max_occupancy": f.max_occupancy,
-                "capacity": f.capacity,
-                "latency": f.latency,
-                "bursts": f.bursts,
-                "burst_items": f.burst_items,
-            }
-            for f in self._fifos
-        }
+        return {f.name: f.stats_row() for f in self._fifos}

@@ -221,10 +221,6 @@ class Fifo:
         "_occ_folded_through",
         "_occ_span",
         "macro_host",
-        "first_push_cycle",
-        "last_pop_cycle",
-        "bursts",
-        "burst_items",
         "_flow_dead",
         "producers",
         "_stage_guard",
@@ -292,12 +288,6 @@ class Fifo:
         # this endpoint register with (set by the transport builder on
         # app send/recv endpoints when ``HardwareConfig.macro_cruise``).
         self.macro_host = None
-        self.first_push_cycle: int | None = None
-        self.last_pop_cycle: int | None = None
-        # Burst data-plane counters: multi-item stage/take bursts and
-        # the items they moved (``fifo_stats()`` "bursts"/"burst_items").
-        self.bursts = 0
-        self.burst_items = 0
         # Static flow liveness (set by the transport builder): True means no
         # declared communication flow can ever route a packet through this
         # FIFO, so a burst planner may treat it as empty at any future cycle.
@@ -531,8 +521,6 @@ class Fifo:
         if can_pop.waiters or can_pop.watch.proc is not None:
             self.engine._schedule_commit(self._ready[0], self)
         self.pushes += 1
-        if self.first_push_cycle is None:
-            self.first_push_cycle = now
         occ = self._occ_stages
         occ.append(now)
         if len(occ) > _OCC_FOLD_LIMIT:
@@ -557,7 +545,6 @@ class Fifo:
             raise SimulationError(f"fifo {self.name!r}: take() while empty")
         item = visible.popleft()
         self.pops += 1
-        self.last_pop_cycle = now
         if self._take_log is not None:
             self._take_log.append(now)
         occ = self._occ_takes
@@ -722,11 +709,6 @@ class Fifo:
         if self._consumer_parked:
             self.engine._schedule_commit(self._ready[0], self)
         self.pushes += k
-        if self.first_push_cycle is None:
-            self.first_push_cycle = cycles[0]
-        if k > 1:
-            self.bursts += 1
-            self.burst_items += k
         trace = self.engine.trace
         if trace is not None:
             trace.emit(cycles[0], "stage", self.name, "stage-burst",
@@ -804,7 +786,6 @@ class Fifo:
             reserved = self._reserved = deque()
         reserved.extend(cycles)
         self.pops += k
-        self.last_pop_cycle = cycles[-1]
         if self._take_log is not None:
             self._take_log.extend(cycles)
         occ_takes = self._occ_takes
@@ -818,9 +799,6 @@ class Fifo:
         occ_takes.extend(cycles)
         if len(occ_takes) > _OCC_FOLD_LIMIT:
             self._occ_fold()
-        if k > 1:
-            self.bursts += 1
-            self.burst_items += k
         trace = self.engine.trace
         if trace is not None:
             trace.emit(cycles[0], "take", self.name, "take-burst",
@@ -901,8 +879,6 @@ class Fifo:
         self._staged = deque(items)
         self.pushes += n
         self.pops += n
-        self.burst_items += 2 * n  # staged and taken on the burst plane
-        self.last_pop_cycle += delta
         trace = self.engine.trace
         if trace is not None:
             trace.emit(floor, "shift", self.name, "shift", dur=delta,
@@ -1189,14 +1165,8 @@ class Fifo:
         if len(occ_stages) > _OCC_FOLD_LIMIT:
             self._occ_fold()
         self.pushes += k
-        if self.first_push_cycle is None:
-            self.first_push_cycle = stage_cycles[0]
         if self._consumer_parked:
             self.engine._schedule_commit(self._ready[0], self)
-        # No burst counters: an injection batch reflects epoch pacing, not
-        # the data plane's batching (and the transmitting half of this
-        # boundary FIFO — the stats-authoritative one — already records
-        # the producer's real bursts).
 
     def max_occupancy_at(self, cycle: int) -> int:
         """Exact peak occupancy with an explicit sweep end (inclusive).
@@ -1209,6 +1179,19 @@ class Fifo:
         """
         self._check_fold_watermark(cycle)
         return self._occ_sweep(cycle + 1)[1]
+
+    def stats_row(self, end: int | None = None) -> dict[str, int]:
+        """This FIFO's ``fifo_stats()`` row. A sharded run passes its
+        global ``end`` cycle: counts and peak are then swept to it
+        (:meth:`counts_at`, :meth:`max_occupancy_at`), which is what a
+        sequential run's raw counters and engine-clock peak read."""
+        if end is None:
+            pushes, pops, peak = self.pushes, self.pops, self.max_occupancy
+        else:
+            pushes, pops = self.counts_at(end)
+            peak = self.max_occupancy_at(end)
+        return {"pushes": pushes, "pops": pops, "max_occupancy": peak,
+                "capacity": self.capacity, "latency": self.latency}
 
     def _check_fold_watermark(self, cycle: int) -> None:
         """Refuse time-filtered queries below the folded log prefix.

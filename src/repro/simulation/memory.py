@@ -27,7 +27,7 @@ class MemoryBank:
     """One DDR bank with a per-cycle element budget shared by its ports."""
 
     __slots__ = ("engine", "name", "width_elements", "_budget_cycle", "_budget",
-                 "total_granted", "busy_cycles")
+                 "total_granted")
 
     def __init__(self, engine, name: str, width_elements: int) -> None:
         if width_elements < 1:
@@ -38,7 +38,6 @@ class MemoryBank:
         self._budget_cycle = -1
         self._budget = 0
         self.total_granted = 0
-        self.busy_cycles = 0
 
     def grant(self, requested: int) -> int:
         """Grant up to ``requested`` elements from this cycle's budget."""
@@ -48,7 +47,6 @@ class MemoryBank:
         if cycle != self._budget_cycle:
             self._budget_cycle = cycle
             self._budget = self.width_elements
-            self.busy_cycles += 1
         granted = min(requested, self._budget)
         self._budget -= granted
         self.total_granted += granted
@@ -71,13 +69,11 @@ class MemoryPort:
     according to the bank's bandwidth (and contention from other ports).
     """
 
-    __slots__ = ("bank", "name", "elements_read", "elements_written")
+    __slots__ = ("bank", "name")
 
     def __init__(self, bank: MemoryBank, name: str) -> None:
         self.bank = bank
         self.name = name
-        self.elements_read = 0
-        self.elements_written = 0
 
     def read(self, array: np.ndarray, start: int, count: int) -> Generator:
         """Stream ``count`` elements from ``array[start:]``; returns a copy."""
@@ -91,7 +87,6 @@ class MemoryPort:
             granted = self.bank.grant(remaining)
             remaining -= granted
             yield TICK
-        self.elements_read += count
         return np.array(array[start : start + count], copy=True)
 
     def write(self, array: np.ndarray, start: int, values: np.ndarray) -> Generator:
@@ -108,7 +103,6 @@ class MemoryPort:
             remaining -= granted
             yield TICK
         array[start : start + count] = values
-        self.elements_written += count
 
 
 class BoardMemory:

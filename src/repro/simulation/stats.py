@@ -13,47 +13,40 @@ from dataclasses import dataclass
 
 @dataclass
 class PlannerStats:
-    """Counters for one CK's burst window planner (supply-schedule plane).
+    """Counters of one burst planner (supply-schedule plane).
 
-    ``attempts``/``windows`` count planning tried/committed from the CK's
+    Each :class:`~repro.transport.planner.SupplyPlanner` owns exactly one
+    (``planner.stats``) and every counter below is booked there, whichever
+    CK it concerns; a sharded run merges one per shard.
+
+    ``attempts``/``windows`` count planning tried/committed from a CK's
     own engine events; ``extensions`` are cascade re-plans that stretched
     an already-committed window (same engine event, new supply); and
-    ``coplans`` are windows planned *for* this CK by a peer CK's cascade
-    while this CK was parked or sleeping. ``window_cycles``/``takes``
+    ``coplans`` are windows planned *for* a CK by a peer CK's cascade
+    while it was parked or sleeping. ``window_cycles``/``takes``
     cover every committed window regardless of who planned it.
 
     The steady-state replication plane adds three counters:
     ``pattern_checks`` counts the times a confirmed periodic pattern was
-    tried against live supply/slot state, ``replications`` the times at
-    least one round was committed from it, and ``replicated_rounds`` the
-    total number of Δ-shifted pattern rounds committed in bulk (the sum
-    of all train lengths).
+    tried against live supply/slot state, ``replications`` the train
+    sessions committed from one, and ``replicated_rounds`` the total
+    number of Δ-shifted pattern rounds committed in bulk (the sum of all
+    session lengths).
 
-    Macro-cruise (whole-program fast-forward) adds four: ``ff_windows``
-    counts trains whose sessions and lanes resolved into relay chains
-    (the fast-forward armed; a train that merely extended a lane does
-    not count), ``ff_cycles`` the cycle span those trains committed
-    (the engine dispatched no events inside it), ``ff_takes`` the packet
-    takes committed inside fast-forward windows, and ``lane_extends``
-    the app-lane extension calls that produced work. All four are
-    recorded on the train origin's arbiter only, so fleet-wide sums are
-    double-count-free. ``ff_bulk_rounds`` counts the pattern rounds
-    committed by the analytic stream fast-forward (the tier-2 macro
-    path: whole steady-state spans extrapolated as Δ-shift lattices with
-    no per-packet replay), summed over every session of the train; it is
-    a subset of ``replicated_rounds``.
-
-    The generalized relay-chain resolver adds two: ``ff_jumps`` counts
-    the analytic jumps that landed (at most one per train), and
-    ``ff_chain_hops`` the total relay sessions those jumps spanned, so
-    ``mean_ff_chain_len`` reports how deep the chains that actually
-    fast-forwarded were (a 4-hop stream resolves as one chain of 11
-    relay sessions: the CKR plus both CKS stages at every transit rank,
-    between the source's CKS and the destination's CKR).
+    Macro-cruise (whole-program fast-forward) adds ``ff_cycles``: the
+    cycle span of the trains whose sessions and lanes resolved into
+    relay chains (the fast-forward armed; the engine dispatched no
+    events inside it). ``ff_jumps`` counts the analytic jumps that
+    landed (at most one per train), and ``ff_chain_hops`` the total
+    relay sessions those jumps spanned, so ``mean_ff_chain_len`` reports
+    how deep the chains that actually fast-forwarded were (a 4-hop
+    stream resolves as one chain of 11 relay sessions: the CKR plus both
+    CKS stages at every transit rank, between the source's CKS and the
+    destination's CKR).
 
     ``ff_disarms`` counts permanent resolve refusals (each sets
     ``SupplyPlanner.ff_disarmed``; at most one per planner, so the
-    fleet-wide sum reads "how many shards disarmed"), and
+    merged sum reads "how many shards disarmed"), and
     ``ff_disarm_reason`` carries the resolver's reason string — merged
     first-non-empty-wins so reports can say *why* a plane permanently
     refused instead of showing zero ff counters as "never tried".
@@ -67,12 +60,11 @@ class PlannerStats:
     refusals of ``ff_apply`` and permanent disarms are not misses: they
     report themselves.
 
-    Engagement (who was ever asked to plan) adds three, all booked on
-    the :class:`~repro.transport.planner.SupplyPlanner`'s own ``stats``:
-    ``cks`` counts the CKs the builder put on the burst plane and
-    ``cks_off_route`` those of them on no declared point-to-point route
-    (built without a planner hook); ``live_spans`` counts the times a
-    long vector lane raised the planner's live state.
+    Engagement (who was ever asked to plan) adds three: ``cks`` counts
+    the CKs the builder put on the burst plane and ``cks_off_route``
+    those of them on no declared point-to-point route (built without a
+    planner hook); ``live_spans`` counts the times a long vector lane
+    raised the planner's live state.
     """
 
     attempts: int = 0
@@ -84,11 +76,7 @@ class PlannerStats:
     pattern_checks: int = 0
     replications: int = 0
     replicated_rounds: int = 0
-    ff_windows: int = 0
     ff_cycles: int = 0
-    ff_takes: int = 0
-    lane_extends: int = 0
-    ff_bulk_rounds: int = 0
     ff_jumps: int = 0
     ff_chain_hops: int = 0
     ff_disarms: int = 0
@@ -138,8 +126,7 @@ class PlannerStats:
         """Field-wise fold: counters add, reason strings first-non-empty.
 
         Driven by the instance dict (exactly the dataclass fields), so a
-        field added or dropped needs no edit here; the fold runs once per
-        CK per collected run, hence no ``dataclasses.fields`` walk.
+        field added or dropped needs no edit here.
         """
         theirs = vars(other)
         return PlannerStats(**{
@@ -149,18 +136,12 @@ class PlannerStats:
 
 
 def collect_planner_stats(transport) -> PlannerStats:
-    """Aggregate planner counters over every CK of a built transport.
-
-    A sharded run's transport facade carries a pre-merged snapshot
-    instead of live CK objects (the process backend's CKs live in worker
-    processes); honour it when present.
-    """
+    """The planner counters of a built transport: its planner's own
+    ``stats`` (empty without a planner, i.e. per-flit). A sharded run's
+    transport facade carries the shards' merged snapshot instead (the
+    process backend's planners live in worker processes)."""
     snapshot = getattr(transport, "planner_stats_snapshot", None)
     if snapshot is not None:
         return snapshot
     planner = getattr(transport, "planner", None)
-    total = planner.stats if planner is not None else PlannerStats()
-    for rt in transport.ranks.values():
-        for ck in list(rt.cks.values()) + list(rt.ckr.values()):
-            total = total.merge(ck.arbiter.planner_stats)
-    return total
+    return planner.stats if planner is not None else PlannerStats()

@@ -97,7 +97,6 @@ from typing import Callable, Generator
 from ..core.errors import SimulationError
 from ..simulation.conditions import RESUME, TICK, AnyReadable, WaitCycles
 from ..simulation.fifo import Fifo
-from ..simulation.stats import PlannerStats
 
 
 #: ``WaitCycles(k)`` at index ``k``: the wake-up scan's sleep for every
@@ -108,14 +107,13 @@ _SCAN_WAITS: list = [None]
 class PollingArbiter:
     """Round-robin R-burst polling over a fixed list of input FIFOs."""
 
-    __slots__ = ("inputs", "read_burst", "_idx", "packets_accepted",
-                 "_wait_any", "_plan_miss", "_plan_skip",
-                 "_plan_skip_len", "_plan_grace", "_plan_paid",
+    __slots__ = ("inputs", "read_burst", "_idx", "_wait_any", "_plan_miss",
+                 "_plan_skip", "_plan_skip_len", "_plan_grace", "_plan_paid",
                  "_resume_reads", "_plan_until",
                  "_resume_state", "_coplanned", "_blocked_on",
                  "_starved_on", "_pattern", "_pattern_hist",
-                 "_pattern_phase", "_pattern_end", "planner_stats",
-                 "_engine", "_planner", "_proc")
+                 "_pattern_phase", "_pattern_end", "_engine", "_planner",
+                 "_proc")
 
     #: Consecutive planner misses before backing off, and how many polls
     #: to skip planning for once backed off — doubling on every repeat up
@@ -141,7 +139,6 @@ class PollingArbiter:
         self.inputs = inputs
         self.read_burst = read_burst
         self._idx = 0
-        self.packets_accepted = 0
         # The persistent wait over the fixed input set: built once, armed
         # on every park (see repro.simulation.conditions.AnyReadable).
         self._wait_any = AnyReadable(inputs)
@@ -149,7 +146,7 @@ class PollingArbiter:
         self._plan_skip = 0
         self._plan_skip_len = self.PLAN_SKIP_POLLS
         self._plan_grace = self.PLAN_WINDOW_ALLOWANCE  # unpaid windows left
-        self._plan_paid = 0           # replications at the last hit
+        self._plan_paid = False       # a train session committed here
         # Planner resume state (see module docstring):
         self._resume_reads = -1       # >= 0: continue an open R-round
         self._plan_until = 0          # absolute end of the committed window
@@ -161,11 +158,16 @@ class PollingArbiter:
         self._pattern_hist: list = []  # recent (signature, end) windows
         self._pattern_phase = 0       # next expected window in the cycle
         self._pattern_end = 0         # absolute end of the pattern's train
-        self.planner_stats = PlannerStats()
         # What the continuations need of ``run``'s arguments (set there).
         self._engine = self._planner = self._proc = None
         while len(_SCAN_WAITS) <= len(inputs):
             _SCAN_WAITS.append(WaitCycles(len(_SCAN_WAITS)))
+
+    @property
+    def packets_accepted(self) -> int:
+        """Packets granted so far: every take from an input is this
+        arbiter's, per-flit or committed by the planner."""
+        return sum(f.pops for f in self.inputs)
 
     def commit_resume(self, res) -> None:
         """Store the resume state a committed window or train session
@@ -179,12 +181,11 @@ class PollingArbiter:
     def _note_attempt(self, planned) -> None:
         """Score one own planning attempt for the miss backoff (the hit /
         neutral / miss rule is stated at ``PLAN_MISS_LIMIT``). Every
-        session a train commits — a landed jump's chain included — counts
-        one replication on its own arbiter, so that one counter is the
-        whole "paid" test."""
-        paid = self.planner_stats.replications
-        if paid > self._plan_paid:
-            self._plan_paid = paid
+        session a train commits — a landed jump's chain included — sets
+        ``_plan_paid`` on its own arbiter, so that one flag is the whole
+        "paid" test."""
+        if self._plan_paid:
+            self._plan_paid = False
             self._plan_miss = 0
             self._plan_skip_len = self.PLAN_SKIP_POLLS
             self._plan_grace = self.PLAN_WINDOW_ALLOWANCE
@@ -302,7 +303,6 @@ class PollingArbiter:
                 # is closed as it fills, below).
                 self._resume_reads = -1
                 pkt = fifo.take()
-                self.packets_accepted += 1
                 if engine.trace is not None:
                     engine.trace.emit(engine.cycle, "grant", fifo.name,
                                       "grant", args={"input": self._idx})

@@ -105,7 +105,6 @@ class SupportKernel:
         self.send_ep = send_ep
         self.recv_ep = recv_ep
         self.name = f"rank{rank}.{self.kind}{port}"
-        self.operations_served = 0
         self.proc = None  # engine Process handle, set by the builder
         self._ticks_left = 0  # cycles the ``_ticks`` countdown still owes
 
@@ -229,7 +228,6 @@ class SupportKernel:
                     f"match this support kernel"
                 )
             yield from self._serve(desc)
-            self.operations_served += 1
 
     def _serve(self, desc: CollectiveDescriptor) -> Generator:
         raise NotImplementedError  # pragma: no cover

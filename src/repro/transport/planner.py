@@ -141,8 +141,8 @@ class SupplyPlanner:
         #: nothing has read yet; the first :meth:`plan` applies them
         #: (:meth:`wire`).
         self.unwired: list = []
-        #: Planner-level counters (``cks`` / ``cks_off_route`` from the
-        #: builder, ``live_spans`` from the lane registry below).
+        #: The planner's counters — the only ``PlannerStats`` of a
+        #: build: every CK's windows, trains and jumps are booked here.
         self.stats = PlannerStats()
         #: id(app endpoint FIFO) -> live channel lane (see
         #: :class:`repro.core.channel._SendLane` / ``_RecvLane``); a lane
@@ -168,13 +168,9 @@ class SupplyPlanner:
         #: train for a reason no later sweep can heal (pattern shapes are
         #: fixed — wrong input/target counts, overlapping chains). From
         #: then on the program drops the macro-only probe tax: no chain
-        #: closure, no checkpoint fingerprinting.
+        #: closure, no checkpoint fingerprinting. Why is
+        #: ``stats.ff_disarm_reason``.
         self.ff_disarmed = False
-        #: Why: the resolver's permanent-refusal reason string ("" until
-        #: disarmed) — surfaced by ``reporting.planner_summary`` so a
-        #: disarmed run reads "permanently refused (<reason>)" instead
-        #: of a silent row of zero ff counters.
-        self.ff_disarm_reason = ""
         self._stamp = 0  # plan-call counter (cursor refresh generation)
         self._extra_results: list = []  # peer-session train results
         self._cascade_origin = None     # CK whose event we are inside
@@ -246,14 +242,13 @@ class SupplyPlanner:
                 return PLAN_MAX_TAKES
         return MACRO_MAX_TAKES
 
-    def disarm(self, reason: str, stats, engine) -> None:
+    def disarm(self, reason: str, engine) -> None:
         """Record the permanent no-arm verdict (a resolver refusal no
-        later sweep can heal): flag and reason on the planner and on
-        ``stats``, one ``disarm`` trace event."""
+        later sweep can heal): the planner's flag, the count and reason
+        in ``stats``, one ``disarm`` trace event."""
         self.ff_disarmed = True
-        self.ff_disarm_reason = reason
-        stats.ff_disarms += 1
-        stats.ff_disarm_reason = reason
+        self.stats.ff_disarms += 1
+        self.stats.ff_disarm_reason = reason
         if engine.trace is not None:
             engine.trace.emit(engine.cycle, "disarm", "planner",
                               "ff-disarm", args={"reason": reason})
@@ -308,16 +303,22 @@ class SupplyPlanner:
         res = self._try_replicate(ck, engine, start, reads, idx, memo,
                                   cursors)
         if res is None:
-            if kind == "window":
-                arb.planner_stats.attempts += 1  # own events only
+            own = kind == "window"  # own events only
+            if own:
+                self.stats.attempts += 1
             res = self._window(ck, engine, start, reads, idx, memo, cursors)
             if res is not None:
                 self._commit(arb, res, start, kind, idx, reads)
+            if own and engine.trace is not None:
+                # The rate moves here only: sample every attempt.
+                stats = self.stats
+                engine.trace.sample("planner/hit_rate", start,
+                                    round(stats.windows / stats.attempts, 4))
         return res
 
     def _commit(self, arb, res, start, kind, sidx, sreads) -> None:
         arb.commit_resume(res)
-        stats = arb.planner_stats
+        stats = self.stats
         stats.window_cycles += res.end - start
         stats.takes += res.takes
         if kind == "window":
@@ -330,9 +331,6 @@ class SupplyPlanner:
         if trace is not None:
             trace.emit(start, "span", "planner", kind,
                        dur=res.end - start, args={"takes": res.takes})
-            if stats.attempts:
-                trace.sample("planner/hit_rate", res.end,
-                             round(stats.windows / stats.attempts, 4))
         self._train_stuck.clear()  # new supply/slots: trains may move
         self._observe(arb, res, start, sidx, sreads)
 
@@ -406,7 +404,7 @@ class SupplyPlanner:
                 or reads != pat.reads0 or idx != pat.idx0 \
                 or id(ck) in self._train_stuck:
             return None
-        arb.planner_stats.pattern_checks += 1
+        self.stats.pattern_checks += 1
         self._stamp += 1
         return replicate_train(self, ck, engine, start, memo, cursors,
                                self._stamp)

@@ -39,8 +39,8 @@ knows a channel's or packer's internals.
 ``planner.ff_s`` by. **It reads** the train's sessions, cursors and
 joined lanes, supply horizons under the train's own frontiers, the
 planner's relay / boundary registries. **It may mutate**, on a proven
-jump only, the members' counters and frontiers, the origin's ff counters
-and the shift list the train's commit then lands — plus the planner's
+jump only, the members' counters and frontiers, the planner's ff
+counters and the shift list the train's commit then lands — plus the planner's
 disarm verdict, a send lane's ``ff_spent`` mark and, through
 ``_Train.try_join``, the session list.
 """
@@ -395,9 +395,8 @@ def ff_resolve(train):
     its input/target counts — is fixed for the whole train). A
     permanent refusal disarms probing for the rest of the program
     instead of re-fingerprinting every sweep, and its reason
-    survives on ``planner.ff_disarm_reason`` /
-    ``PlannerStats.ff_disarm_reason``; a transient one is reported
-    once per train (guard ``unresolved``), so a run that never arms
+    survives as ``PlannerStats.ff_disarm_reason``; a transient one is
+    reported once per train (guard ``unresolved``), so a run that never arms
     says *why* instead of showing silent zero counters.
     """
     planner = train.planner
@@ -742,7 +741,7 @@ class _FastForward:
         # cursor) and its taker (each hop, then the recv lane); it holds
         # ``inv`` rows at the frontiers and shifts from the lower of the
         # two. What a shift cannot carry exactly refuses the jump.
-        spans = []  # per chain FIFO: (stage target, is a link, floor, inv)
+        spans = []  # per chain FIFO: (stage target, floor, inv)
         target = fifo = ls.chan.endpoint
         stages, f_p = ls.pend_cycles, ls.cur
         for k, hop in enumerate((*hops, None)):
@@ -756,7 +755,7 @@ class _FastForward:
             why = ff_shift_refusal(fifo, stages, takes, inv, floor, ppp, dT)
             if why is not None or _ff_veto('shift', k):
                 return self.ff_abort(engine, 'shift', k, why)
-            spans.append((target, target is not fifo, floor, inv))
+            spans.append((target, floor, inv))
             if hop is not None:
                 cur = hop.cur
                 target, fifo = cur.target, cur.fifo
@@ -785,16 +784,15 @@ class _FastForward:
             for k in range(len(tail_arr) // epp)]
         shifts = self.shifts = []
         hi = len(tail_pkts)
-        for target, is_link, floor, inv in spans:
-            args = (n, delta, dT, floor, tail_pkts[hi - inv:hi])
-            shifts.append((target, (*args, tmpl) if is_link else args))
+        for target, floor, inv in spans:
+            shifts.append((target, (n, delta, dT, floor,
+                                    tail_pkts[hi - inv:hi])))
             hi -= inv
         ls.ff_advance(R, dT, ppp)
         for hop in hops:
             hop.ff_advance(R, dT, ppp)
         lr.ff_advance(R, dT, np.asarray(values[g0:g0 + R * dE], dt_np))
-        stats = train.origin.arb.planner_stats
-        stats.ff_bulk_rounds += R * sum(hop.rnd for hop in hops)
+        stats = train.planner.stats
         stats.ff_jumps += 1
         stats.ff_chain_hops += len(hops)
         return True
@@ -814,9 +812,7 @@ class _FastForward:
                     # (chain closure).
                     self.dead = True
                     self.miss = None
-                    train.planner.disarm(
-                        refusal, train.origin.arb.planner_stats,
-                        train.engine)
+                    train.planner.disarm(refusal, train.engine)
                 else:
                     self.miss = ("unresolved", refusal)
                 return False
@@ -858,7 +854,7 @@ class _FastForward:
         reason = "no period" if guard == "no-period" else guard
         if why:
             reason = f"{reason} — {why}"
-        stats = train.origin.arb.planner_stats
+        stats = train.planner.stats
         stats.ff_misses += 1
         stats.ff_miss_reason = reason
         engine = train.engine

@@ -22,8 +22,8 @@ each session input's ``iter_present`` / ``present_count`` /
 arbiters' pattern fields, the planner's wiring maps and app lanes. **It
 may mutate**, while sweeping, only cursor budgets (rolled back per
 failed round) and the joined lanes' train-scoped ledgers; at commit the
-FIFOs, ``Fifo._reserved_paired``, each session arbiter's resume state,
-counters and ``PlannerStats``, the planner's ``_train_stuck`` /
+FIFOs, ``Fifo._reserved_paired``, each session arbiter's resume state
+and ``_plan_paid`` flag, the planner's ``stats`` / ``_train_stuck`` /
 ``_extra_results`` and the engine's wake schedule.
 """
 
@@ -142,7 +142,7 @@ class _Train:
     :func:`replicate_train`). ``sweep`` validates, ``commit`` lands."""
 
     __slots__ = ("planner", "engine", "memo", "cursors", "stamp", "now",
-                 "macro_lanes", "max_takes", "lanes_used", "lane_extends",
+                 "macro_lanes", "max_takes", "lanes_used",
                  "origin", "sessions", "order", "feeds", "stager", "v_rels",
                  "v_items", "cursor_fifo", "ff")
 
@@ -162,7 +162,6 @@ class _Train:
         self.max_takes = planner.macro_take_budget() if self.macro_lanes \
             else PLAN_MAX_TAKES
         self.lanes_used: dict = {}   # id(lane) -> lane joined to this train
-        self.lane_extends = 0
         self.origin = origin = _ReplicaSession(ck, ck.arbiter._pattern,
                                                start, now)
         self.sessions: dict = {id(ck): origin}
@@ -449,7 +448,6 @@ class _Train:
         ext = lane.extend()
         if not ext:
             return False
-        self.lane_extends += 1
         if is_send:
             for pkt, s in ext:
                 self.publish_stage(fifo, pkt, s)
@@ -566,10 +564,9 @@ class _Train:
         # each chain FIFO now takes the span as one time shift.
         for target, args in self.ff.shifts:
             target.shift(*args)
-        stats = origin.arb.planner_stats
-        stats.lane_extends += self.lane_extends
         if not committed:
             return None
+        stats = planner.stats
         if self.ff.armed:
             # Only count the train as a fast-forward window when the
             # chain resolver actually armed: un-armable programs ride
@@ -579,9 +576,7 @@ class _Train:
             # skewed by its link latencies, and back-to-back jump trains
             # would count that skew once per train (coverage > 1).
             span = max(sess.T - sess.start for sess in committed)
-            stats.ff_windows += 1
             stats.ff_cycles += span
-            stats.ff_takes += sum(sess.takes for sess in committed)
             engine.note_fast_forward(span)
         # ---- per-session resume state, stats, and wakes --------------------
         origin_res = None
@@ -611,8 +606,7 @@ class _Train:
                     sess.start, "span", track, "train",
                     dur=res.end - sess.start,
                     args={"rounds": sess.rounds, "takes": sess.takes})
-            arb.packets_accepted += sess.takes
-            stats = arb.planner_stats
+            arb._plan_paid = True
             stats.replications += 1
             stats.replicated_rounds += sess.rounds
             stats.window_cycles += res.end - sess.start

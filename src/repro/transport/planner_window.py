@@ -19,8 +19,8 @@ compiler. **It reads** each input's ``present_schedule`` /
 ``slot_plan`` and link pacing, the CK's routing memo and polling pointer.
 **It may mutate** the FIFOs it takes from and stages into (one burst per
 FIFO, under the planned CK's process identity), ``Fifo._reserved_paired``
-(:meth:`_TargetCursor.commit`), the arbiter's accept counters and the
-cascade's cursors — never the arbiter's resume state: the caller commits
+(:meth:`_TargetCursor.commit`) and the cascade's cursors — never the
+arbiter: the caller commits
 the returned :class:`PlanResult`.
 """
 
@@ -492,8 +492,6 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
                 targets.append(cur.fifo)
     finally:
         engine._current_proc = prev_proc
-    if total:
-        arbiter.packets_accepted += total
     return PlanResult(c, idx, mode_reads, total, sources, targets,
                       blocked_on, starved_on, trace_out)
 

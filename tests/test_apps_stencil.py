@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import NOCTUA, noctua_torus
 from repro.apps.stencil import (
     FIG15_POINTS,
     StencilModel,
     jacobi_reference,
     run_distributed_sim,
 )
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, DeadlockError
 from repro.network.topology import torus2d
 
 
@@ -61,6 +62,26 @@ def test_property_any_grid_matches_reference(nx, ny, steps, seed):
     out, _us = run_distributed_sim(grid, steps, (2, 2), topology=torus2d(2, 2))
     ref = jacobi_reference(grid, steps)
     np.testing.assert_allclose(out.astype(np.float64), ref, atol=1e-4)
+
+
+@pytest.mark.xfail(strict=True, raises=DeadlockError,
+                   reason="ROADMAP 'The stencil at paper scale': a halo is "
+                          "lost or misdelivered — (2, 4) at 640^2 hangs at "
+                          "cycle 943, (4, 2) at 448^2 at cycle 1 811, both "
+                          "planes")
+@pytest.mark.parametrize("burst_mode", [True, False],
+                         ids=["default", "flit"])
+@pytest.mark.parametrize("rank_grid,n", [((2, 4), 640), ((4, 2), 448)])
+def test_noctua_torus_one_timestep_hang(rank_grid, n, burst_mode):
+    """The smallest measured hangs of the parity-ordered halo exchange:
+    every CK and link is empty while three (two) kernels wait on their
+    receive endpoints, on the specification plane as on the default."""
+    grid = _grid(n, n)
+    out, _us = run_distributed_sim(
+        grid, 1, rank_grid, topology=noctua_torus(),
+        config=NOCTUA.with_(burst_mode=burst_mode))
+    np.testing.assert_allclose(out.astype(np.float64),
+                               jacobi_reference(grid, 1), atol=1e-5)
 
 
 def test_more_ranks_than_rows_rejected():

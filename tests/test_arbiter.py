@@ -213,7 +213,6 @@ class _TranscriptArbiter(PollingArbiter):
                 self._resume_reads = -1
                 if reads < burst and fifo.readable:
                     pkt = fifo.take()
-                    self.packets_accepted += 1
                     if engine.trace is not None:
                         engine.trace.emit(engine.cycle, "grant", fifo.name,
                                           "grant", args={"input": self._idx})

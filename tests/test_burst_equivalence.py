@@ -24,31 +24,22 @@ def _cfg(burst):
     return NOCTUA.with_(burst_mode=burst)
 
 
-def _fifo_counts(engine):
-    """Per-FIFO (pushes, pops, max_occupancy) — burst-invariant stats.
-
-    ``max_occupancy`` is computed from a time-indexed delta log of exact
-    per-item cycles in both modes, so comparing it does double duty: it
-    proves the statistic itself and — because any per-item cycle skew
-    would shift the log — that every individual stage and take landed on
-    the per-flit reference cycle.
-    """
-    return {
-        name: (s["pushes"], s["pops"], s["max_occupancy"])
-        for name, s in engine.fifo_stats().items()
-    }
-
-
 def _run_both(build):
     """Run ``build(config)`` with burst off/on; assert cycle/stat equality.
 
     ``build`` returns a :class:`repro.core.program.ProgramResult`; the
-    per-flit interpretation (burst off) is the reference.
+    per-flit interpretation (burst off) is the reference. Every
+    ``fifo_stats()`` field is burst-invariant; ``max_occupancy`` is
+    computed from a time-indexed delta log of exact per-item cycles in
+    both modes, so comparing it does double duty: it proves the
+    statistic itself and — because any per-item cycle skew would shift
+    the log — that every individual stage and take landed on the
+    per-flit reference cycle.
     """
     ref = build(_cfg(False))
     fast = build(_cfg(True))
     assert fast.cycles == ref.cycles
-    assert _fifo_counts(fast.engine) == _fifo_counts(ref.engine)
+    assert fast.engine.fifo_stats() == ref.engine.fifo_stats()
     return ref, fast
 
 

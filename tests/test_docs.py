@@ -4,8 +4,9 @@ Runs the same checks as the CI docs job (``tools/check_docs.py``):
 internal anchors of ``docs/ARCHITECTURE.md`` resolve, relative links in
 the checked markdown files exist, every ``src/repro/transport`` module
 carries a non-empty docstring, every docstring cross-reference into the
-transport layer names something that exists, and every
-``HardwareConfig`` field has a reader and a README entry.
+transport layer names something that exists, every ``HardwareConfig``
+field has a reader and a README entry, and every ``PlannerStats`` field
+has a reader.
 """
 
 import sys
@@ -70,6 +71,23 @@ def test_checker_flags_orphan_and_undocumented_knob(tmp_path):
     assert len(errors) == 2
     assert any("orphan" in e and "read nowhere" in e for e in errors)
     assert any("hidden" in e and "README" in e for e in errors)
+
+
+def test_checker_flags_counter_that_is_only_written(tmp_path):
+    """A ``PlannerStats`` field that is only incremented fails the lint;
+    one read anywhere (a property of the class itself counts) passes."""
+    sim = tmp_path / "src" / "repro" / "simulation"
+    sim.mkdir(parents=True)
+    (sim / "stats.py").write_text(
+        "class PlannerStats:\n"
+        "    shown: int = 0\n    derived: int = 0\n    orphan: int = 0\n"
+        "    @property\n    def rate(self):\n        return self.derived\n")
+    (tmp_path / "src" / "repro" / "planner.py").write_text(
+        '"""Reports stats.orphan in prose only."""\n'
+        "def book(stats):\n    stats.orphan += 1\n    stats.shown += 1\n"
+        "    stats.derived = 2\n    return stats.shown\n")
+    errors = check_docs.check_counters(tmp_path)
+    assert len(errors) == 1 and "PlannerStats.orphan" in errors[0], errors
 
 
 def test_checker_flags_dangling_cross_reference(tmp_path):

@@ -298,12 +298,10 @@ def test_bulk_stage_and_take_allocate_no_per_item_container():
             assert ref.take() is items[cyc - latency - lag]
 
     def summary(f):
-        return (f.pushes, f.pops, f.max_occupancy, f.first_push_cycle,
-                f.last_pop_cycle, f.present_count)
+        return f.pushes, f.pops, f.max_occupancy, f.present_count
 
     # End-of-cycle occupancy: the stage and take of one cycle net out.
-    assert summary(bulk) == summary(ref) == (
-        n, n, latency + lag, 0, takes[-1], 0)
+    assert summary(bulk) == summary(ref) == (n, n, latency + lag, 0)
 
 
 def test_macro_stream_holds_no_per_packet_tuples():
@@ -492,8 +490,7 @@ def _fifo_state(f):
         "_visible", "_staged", "_ready", "_reserved", "_reserved_paired",
         "pushes", "pops", "_occ_stages", "_occ_takes", "_occ_base",
         "_occ_peak", "_occ_folded_stages", "_occ_folded_takes",
-        "_occ_folded_through", "_occ_span", "first_push_cycle",
-        "last_pop_cycle", "bursts", "burst_items")}
+        "_occ_folded_through", "_occ_span")}
 
 
 @st.composite
@@ -557,10 +554,7 @@ def test_time_shift_matches_the_materialised_lattices(lat, data):
     twin_eng, twin = landed(n_prefix + n, n_taken + n)
     twin._reserved_paired = paired + n  # each span stage paired a release
 
-    assert (f.pushes, f.pops, f.bursts, f.burst_items) == (
-        twin.pushes, twin.pops, twin.bursts, twin.burst_items)
-    assert (f.first_push_cycle, f.last_pop_cycle) == (
-        twin.first_push_cycle, twin.last_pop_cycle)
+    assert (f.pushes, f.pops) == (twin.pushes, twin.pops)
     assert list(f._staged) == list(twin._staged)
     assert list(f._ready) == list(twin._ready)
     assert not f._visible and not twin._visible

@@ -116,11 +116,9 @@ def test_planner_summary_renders_macro_segment():
     from repro.harness import planner_summary
     from repro.simulation.stats import PlannerStats
 
-    stats = PlannerStats(ff_windows=1, ff_cycles=5000, ff_bulk_rounds=420,
-                         ff_jumps=2, ff_chain_hops=16)
+    stats = PlannerStats(ff_cycles=5000, ff_jumps=2, ff_chain_hops=16)
     line = planner_summary(stats)
-    assert "macro: 2 jumps x 8.0 relay sessions" in line
-    assert "420 bulk rounds over 5,000cy" in line
+    assert "macro: 2 jumps x 8.0 relay sessions over 5,000cy" in line
     # Runs that never fast-forwarded stay silent about macro.
     assert "macro" not in planner_summary(PlannerStats())
 
@@ -139,7 +137,7 @@ def test_planner_summary_explains_a_run_that_probed_without_arming():
         in line
     # Early misses of a run that armed later are not the story.
     armed = PlannerStats(ff_misses=3, ff_miss_reason="no period",
-                         ff_windows=1, ff_jumps=1, ff_chain_hops=2)
+                         ff_cycles=1, ff_jumps=1, ff_chain_hops=2)
     assert "probing" not in planner_summary(armed)
     merged = PlannerStats(ff_misses=2, ff_miss_reason="no period").merge(
         PlannerStats(ff_misses=5, ff_miss_reason="unresolved — x"))

@@ -49,24 +49,19 @@ needs_fork = pytest.mark.skipif(not HAVE_FORK,
 BOTH_BACKENDS = ["sharded", pytest.param("process", marks=needs_fork)]
 
 
-def _fifo_counts(engine):
-    return {
-        name: (s["pushes"], s["pops"], s["max_occupancy"])
-        for name, s in engine.fifo_stats().items()
-    }
-
-
 def _assert_sharded_equal(build, shard_configs):
     """``build(config)`` under sequential flit/burst vs each shard config."""
     flit = build(NOCTUA.with_(burst_mode=False))
     ref = build(NOCTUA)
     assert ref.cycles == flit.cycles
-    ref_counts = _fifo_counts(ref.engine)
-    assert ref_counts == _fifo_counts(flit.engine)
+    ref_counts = ref.engine.fifo_stats()
+    assert ref_counts == flit.engine.fifo_stats()
+    assert {tuple(row) for row in ref_counts.values()} == {
+        ("pushes", "pops", "max_occupancy", "capacity", "latency")}
     for config in shard_configs:
         fast = build(config)
         assert fast.cycles == ref.cycles, config.backend
-        assert _fifo_counts(fast.engine) == ref_counts, config.backend
+        assert fast.engine.fifo_stats() == ref_counts, config.backend
     return ref
 
 
@@ -298,7 +293,7 @@ def test_p2p_deep_buffers_sharded_equivalence():
     ref = build(NOCTUA_DEEP)
     sharded = build(NOCTUA_DEEP.with_(backend="sharded", shards=2))
     assert flit.cycles == ref.cycles == sharded.cycles
-    assert _fifo_counts(sharded.engine) == _fifo_counts(ref.engine)
+    assert sharded.engine.fifo_stats() == ref.engine.fifo_stats()
 
 
 def _collective_build(kind, n=64, num_ranks=4):
@@ -468,7 +463,7 @@ def test_explicit_partition_and_unbalanced_cut():
         cfg = NOCTUA.with_(backend="sharded", shards=len(lists))
         fast = build(cfg, partition=lists)
         assert fast.cycles == ref.cycles, lists
-        assert _fifo_counts(fast.engine) == _fifo_counts(ref.engine), lists
+        assert fast.engine.fifo_stats() == ref.engine.fifo_stats(), lists
 
 
 # ----------------------------------------------------------------------
@@ -530,7 +525,7 @@ def test_process_backend_equivalence():
     assert fast.cycles == ref.cycles
     assert fast.store(hops, "end") == ref.store(hops, "end")
     assert fast.store(hops, "sum") == ref.store(hops, "sum")
-    assert _fifo_counts(fast.engine) == _fifo_counts(ref.engine)
+    assert fast.engine.fifo_stats() == ref.engine.fifo_stats()
     # Every worker reported its wall-clock phase breakdown.
     timing = fast.transport.shard_timing
     assert len(timing) == 2
@@ -548,7 +543,7 @@ def test_process_backend_collective():
     assert fast.cycles == ref.cycles
     for rank in range(num_ranks):
         assert fast.store(rank, "end") == ref.store(rank, "end")
-    assert _fifo_counts(fast.engine) == _fifo_counts(ref.engine)
+    assert fast.engine.fifo_stats() == ref.engine.fifo_stats()
 
 
 @pytest.mark.parametrize("backend", BOTH_BACKENDS)
@@ -587,7 +582,7 @@ def test_process_backend_tiny_rings_split_and_backlog(backend, monkeypatch):
     fast = build(NOCTUA_DEEP.with_(backend=backend, shards=2))
     assert fast.cycles == ref.cycles
     assert fast.store(hops, "sum") == ref.store(hops, "sum")
-    assert _fifo_counts(fast.engine) == _fifo_counts(ref.engine)
+    assert fast.engine.fifo_stats() == ref.engine.fifo_stats()
     if backend == "sharded":  # forked workers' spies die with them
         assert pushes.count(False) >= 1, "no push was ever refused"
         assert max(splits) >= 2, "no batch was ever split"
@@ -931,4 +926,4 @@ def test_sharded_on_ring_topology():
     ref = build(NOCTUA)
     fast = build(NOCTUA.with_(backend="sharded", shards=2))
     assert fast.cycles == ref.cycles
-    assert _fifo_counts(fast.engine) == _fifo_counts(ref.engine)
+    assert fast.engine.fifo_stats() == ref.engine.fifo_stats()

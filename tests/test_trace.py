@@ -271,6 +271,39 @@ def test_grant_events_are_a_complete_accept_record():
     assert accepted == sum(grants.values()) > 0
 
 
+def _accepted(res) -> int:
+    total = 0
+    for rt in res.transport.ranks.values():
+        for ck in (*rt.cks.values(), *rt.ckr.values()):
+            arb = ck.arbiter
+            assert arb.packets_accepted == sum(f.pops for f in arb.inputs)
+            total += arb.packets_accepted
+    return total
+
+
+def test_packets_accepted_is_the_inputs_pops_on_every_plane():
+    """No plane counts an accept twice or drops one: per CK the count is
+    its inputs' pops, and the fabric total is the specification's on the
+    default plane (windows, trains, a jump) and on in-process shards."""
+    n = 4096
+    flit = _accepted(_stream_end(NOCTUA.with_(burst_mode=False), n=n))
+    default = _stream_end(NOCTUA, n=n)
+    assert collect_planner_stats(default.transport).windows > 0
+    assert _accepted(default) == flit > 0
+    sharded = _stream_end(NOCTUA.with_(backend="sharded", shards=2), n=n)
+    assert _accepted(sharded) == flit
+
+
+def test_hit_rate_track_ends_at_the_planner_rate():
+    """``planner/hit_rate`` is the planner's one rate, sampled at every
+    own attempt: its last sample is the run's ``windows / attempts``."""
+    res = _stream_end(NOCTUA.with_(trace=True), n=4096)
+    stats = collect_planner_stats(res.transport)
+    assert stats.attempts > stats.windows > 0
+    track = res.engine.trace.metrics.snapshot()["planner/hit_rate"]
+    assert track[-1][1] == round(stats.windows / stats.attempts, 4)
+
+
 def test_run_writes_trace_to_trace_out(tmp_path):
     out = tmp_path / "run.json"
     _stream_end(NOCTUA.with_(trace=True), trace_out=str(out))

@@ -85,7 +85,7 @@ def test_link_utilization_counts_slots():
     eng.spawn(producer, "p")
     eng.spawn(consumer, "c")
     eng.run()
-    assert link.packets == 5
+    assert link.fifo.pushes == 5
     assert 0 < link.utilization(eng.cycle) <= 1.0
 
 

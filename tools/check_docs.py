@@ -21,7 +21,10 @@ Checks, with no dependencies beyond the standard library:
 * every ``HardwareConfig`` field is read as an attribute somewhere under
   ``src/repro/`` outside ``core/config.py`` and is named in the README's
   "Configuration" section — a knob cannot outlive its last reader, nor
-  exist undocumented.
+  exist undocumented;
+* every ``PlannerStats`` field is read as an attribute somewhere under
+  ``src/repro/`` — a counter that is only ever incremented pays for
+  nothing.
 
 Exit status 0 when clean, 1 with one ``ERROR:`` line per finding —
 suitable both for the CI docs job and for ``tests/test_docs.py``.
@@ -247,18 +250,27 @@ def markdown_section(text: str, heading: str) -> str:
     return match.group(1) if match else ""
 
 
+def attributes_read(root: Path, skip: Path | None = None) -> set[str]:
+    """Every attribute name *loaded* somewhere under ``src/repro/`` (not
+    counting ``skip``): an assignment or ``x.name += 1`` alone is no
+    read."""
+    read: set[str] = set()
+    for path in (root / "src/repro").rglob("*.py"):
+        if path != skip:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read.update(node.attr for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load))
+    return read
+
+
 def check_config_knobs(root: Path = ROOT) -> list[str]:
     """``HardwareConfig`` fields nobody reads, or the README omits."""
     config = root / "src/repro/core/config.py"
     fields = config_fields(config)
     if not fields:
         return [f"{config.relative_to(root)}: no HardwareConfig fields found"]
-    read: set[str] = set()
-    for path in (root / "src/repro").rglob("*.py"):
-        if path != config:
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            read.update(node.attr for node in ast.walk(tree)
-                        if isinstance(node, ast.Attribute))
+    read = attributes_read(root, skip=config)
     section = markdown_section(
         (root / "README.md").read_text(encoding="utf-8"), "Configuration")
     errors = []
@@ -270,6 +282,17 @@ def check_config_knobs(root: Path = ROOT) -> list[str]:
             errors.append(f"HardwareConfig.{name}: not named in the "
                           'README "Configuration" section')
     return errors
+
+
+def check_counters(root: Path = ROOT) -> list[str]:
+    """``PlannerStats`` fields that are counted but never read."""
+    stats = root / "src/repro/simulation/stats.py"
+    fields = config_fields(stats, "PlannerStats")
+    if not fields:
+        return [f"{stats.relative_to(root)}: no PlannerStats fields found"]
+    read = attributes_read(root)
+    return [f"PlannerStats.{name}: written but read nowhere under "
+            "src/repro/" for name in fields if name not in read]
 
 
 def run_checks() -> list[str]:
@@ -285,6 +308,7 @@ def run_checks() -> list[str]:
     errors.extend(check_docstrings())
     errors.extend(check_cross_references())
     errors.extend(check_config_knobs())
+    errors.extend(check_counters())
     return errors
 
 
@@ -295,7 +319,8 @@ def main() -> int:
     checked = ", ".join(CHECKED_DOCS)
     n_mods = len(list(ROOT.glob(DOCSTRING_GLOB)))
     print(f"checked {checked} + {n_mods} transport module docstrings + "
-          f"docstring cross-references + HardwareConfig knobs: "
+          f"docstring cross-references + HardwareConfig knobs + "
+          f"PlannerStats counters: "
           f"{len(errors)} error(s)")
     return 1 if errors else 0
 
