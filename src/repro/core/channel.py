@@ -37,12 +37,13 @@ class _SendLane:
     pacing, the packer layout and the stall rule are all deterministic.
     The lane exposes exactly that function to the supply planner: a
     replication train starving on this endpoint queues the slot releases
-    its own validated takes produced (:meth:`note_release`) and asks the
-    lane to continue the channel's plan against them (:meth:`extend`) —
-    same arithmetic, same cycles, no engine event. Planned packets stay
-    on the lane until the train's bulk commit (:meth:`commit`), which
-    also pairs the claimed releases so the sleeping generator's next
-    ``slot_plan`` never sees a slot handed out twice.
+    its own validated takes produced (:meth:`add_releases`, one run per
+    validated round) and asks the lane to continue the channel's plan
+    against them (:meth:`extend`) — same arithmetic, same cycles, no
+    engine event. Planned packets stay on the lane until the train's bulk
+    commit (:meth:`commit`), which also pairs the claimed releases so the
+    sleeping generator's next ``slot_plan`` never sees a slot handed out
+    twice.
 
     ``cur is None`` marks the plan frontier as unknown (the generator is
     mid element-wise fallback, or has not planned yet): the lane refuses
@@ -101,11 +102,12 @@ class _SendLane:
         self.claimed = 0
         self.active = True
 
-    def note_release(self, cycle: int) -> None:
-        self.rels.append(cycle)
+    def add_releases(self, cycles) -> None:
+        self.rels.extend(cycles)
 
     def extend(self):
-        """Continue the channel's plan; returns new ``(pkt, stage)`` pairs.
+        """Continue the channel's plan; returns the new run as
+        ``(packets, stage_cycles)``, or ``()`` when nothing fits.
 
         Identical to the generator's planning loop with the slot budget
         taken from the train ledger instead of ``slot_plan``: chunks of
@@ -138,7 +140,7 @@ class _SendLane:
         self.cur = cur
         self.pend_pkts.extend(packets)
         self.pend_cycles.extend(stage_cycles)
-        return tuple(zip(packets, stage_cycles))
+        return packets, stage_cycles
 
     def commit(self) -> None:
         """Bulk-commit the train's lane stages (stage phase of the train
@@ -312,12 +314,13 @@ class _RecvLane:
 
     The mirror of :class:`_SendLane`: a replication train blocked on the
     receive endpoint's backpressure publishes its validated stages into
-    the lane (:meth:`note_item`) and asks it to continue the channel's
-    take plan (:meth:`extend`) — consuming items at exactly the cycles
-    the per-flit pop loop would (width pacing carried across waits, a
-    take never before the item's visibility), copying payloads straight
-    into the caller's output array, and returning the take cycles whose
-    releases free the train's slots. Takes commit at train end, after
+    the lane (:meth:`add_supply`, one run per validated round) and asks
+    it to continue the channel's take plan (:meth:`extend`) — consuming
+    items at exactly the cycles the per-flit pop loop would (width
+    pacing carried across waits, a take never before the item's
+    visibility), copying payloads straight into the caller's output
+    array, and returning the take cycles whose releases free the train's
+    slots. Takes commit at train end, after
     the session stages that produced the items.
     """
 
@@ -366,12 +369,13 @@ class _RecvLane:
         self.pend_takes = 0
         self.active = True
 
-    def note_item(self, pkt, ready: int) -> None:
-        self.pkts.append(pkt)
-        self.ready.append(ready)
+    def add_supply(self, pkts, ready) -> None:
+        self.pkts.extend(pkts)
+        self.ready.extend(ready)
 
     def extend(self):
-        """Continue the channel's take plan; returns new take cycles."""
+        """Continue the channel's take plan; returns the new take
+        cycles, or ``()``."""
         chan = self.chan
         ip = self.ip
         takes, plan, consumed, cur, ic = _plan_pop_takes(
@@ -388,7 +392,7 @@ class _RecvLane:
         self.ip = ip + len(takes)
         self.take_cycles.extend(takes)
         self.pend_takes += len(takes)
-        return tuple(takes)
+        return takes
 
     def commit(self) -> None:
         """Bulk-commit the train's lane takes (take phase of the train

@@ -110,21 +110,22 @@ class _ReplicaSession:
         self.snap_iter[j] = None
         return False
 
-    def feed(self, j, pkt, ready) -> None:
-        """Append a peer session's validated stage as virtual supply."""
+    def extend_supply(self, j, pkts, ready) -> None:
+        """Append a run of stages published into input ``j`` as virtual
+        supply: ``pkts[i]`` visible at ``ready[i]``."""
+        items = self.snap_items[j]
+        rdy = self.snap_ready[j]
         it = self.snap_iter[j]
         if it is not None:
             # FIFO order: every committed item precedes the train's
             # stages, so the lazy iterator must drain first.
-            items = self.snap_items[j]
-            rdy = self.snap_ready[j]
             for item, r in it:
                 items.append(item)
                 rdy.append(r)
             self.snap_iter[j] = None
-        self.snap_items[j].append(pkt)
-        self.snap_ready[j].append(ready)
-        self.avail[j] += 1
+        items.extend(pkts)
+        rdy.extend(ready)
+        self.avail[j] += len(pkts)
 
 
 #: Safety bound on coordinator sweeps per train (each sweep advances at
@@ -132,7 +133,8 @@ class _ReplicaSession:
 TRAIN_SWEEP_LIMIT = 4096
 
 #: Optional diagnostics hook: a callable invoked once per finished train
-#: with the session list (tests and ad-hoc profiling; None in production).
+#: with the committed :class:`_Train` (tests and ad-hoc profiling; None
+#: in production).
 _train_debug = None
 
 
@@ -169,7 +171,7 @@ class _Train:
         self.feeds: dict = {}    # id(fifo) -> (consumer session, input idx)
         self.stager: dict = {}   # id(fifo) -> session staging into it
         self.v_rels: dict = {}   # id(fifo) -> virtual release cycles
-        self.v_items: dict = {}  # id(fifo) -> [(pkt, ready)] train stages
+        self.v_items: dict = {}  # id(fifo) -> ([pkts], [ready]) train stages
         self.cursor_fifo: dict = {}  # id(fifo) -> live cursor staging into it
         self.ff = _FastForward()
         self.hook_inputs(origin)
@@ -194,9 +196,8 @@ class _Train:
             # Stages other sessions validated before this one joined are
             # not in the committed snapshot yet: replay them.
             pend = self.v_items.get(id(fifo))
-            if pend:
-                for pkt, r in pend:
-                    sess.feed(j, pkt, r)
+            if pend is not None:
+                sess.extend_supply(j, *pend)
         for fifo in sess.pattern.target_fifos:
             self.stager[id(fifo)] = sess
 
@@ -231,42 +232,71 @@ class _Train:
         v_items = self.v_items
         for j, need in pat.takes_per_input:
             f = inputs[j]
-            if f.present_count + len(v_items.get(id(f), ())) < need:
+            pend = v_items.get(id(f))
+            if f.present_count + (len(pend[0]) if pend else 0) < need:
                 return
         sess = _ReplicaSession(peer, pat, arb._plan_until, self.now)
         self.sessions[id(peer)] = sess
         self.order.append(sess)
         self.hook_inputs(sess)  # also replays earlier sessions' virtual items
 
-    def publish_stage(self, fifo, pkt, s) -> None:
-        ready = s + fifo.latency
-        self.v_items.setdefault(id(fifo), []).append((pkt, ready))
-        hooked = self.feeds.get(id(fifo))
+    def publish_supply(self, fifo, pkts, cycles) -> None:
+        """Publish a run of validated stages into ``fifo`` (staged at
+        ``cycles``, in FIFO order) as virtual supply."""
+        lat = fifo.latency
+        ready = [s + lat for s in cycles]
+        fid = id(fifo)
+        pend = self.v_items.setdefault(fid, ([], []))
+        pend[0].extend(pkts)
+        pend[1].extend(ready)
+        hooked = self.feeds.get(fid)
         if hooked is not None:
             sess, j = hooked
-            sess.feed(j, pkt, ready)
+            sess.extend_supply(j, pkts, ready)
             sess.dirty = True  # new supply may unblock a starved round
         elif self.macro_lanes is not None:
             # A stage into an app receive endpoint: virtual supply for
             # the sleeping pop_vec's lane.
             lane = self.lane_of(fifo)
             if lane is not None and not lane.is_send:
-                lane.note_item(pkt, ready)
+                lane.add_supply(pkts, ready)
 
-    def publish_take(self, fifo, x) -> None:
-        self.v_rels.setdefault(id(fifo), []).append(x)
-        cur = self.cursor_fifo.get(id(fifo))
+    def publish_releases(self, fifo, xs) -> None:
+        """Publish a run of validated takes from ``fifo`` (at cycles
+        ``xs``, in FIFO order) as virtual slot releases."""
+        fid = id(fifo)
+        self.v_rels.setdefault(fid, []).extend(xs)
+        cur = self.cursor_fifo.get(fid)
         if cur is not None:
-            cur.rels.append(x)
-        peer = self.stager.get(id(fifo))
+            cur.rels.extend(xs)
+        peer = self.stager.get(fid)
         if peer is not None:
             peer.dirty = True  # a freed slot may unblock a blocked round
         elif self.macro_lanes is not None:
-            # A take from an app send endpoint: a virtual slot release
-            # for the sleeping push_vec's lane.
+            # A take from an app send endpoint: virtual slot releases for
+            # the sleeping push_vec's lane.
             lane = self.lane_of(fifo)
             if lane is not None and lane.is_send:
-                lane.note_release(x)
+                lane.add_releases(xs)
+
+    def target_cursor(self, out):
+        """The cascade's cursor for routing target ``out``, re-read once
+        per train; at that first touch it grafts the virtual releases
+        other sessions already published on its FIFO."""
+        cid = id(out)
+        cur = self.cursors.get(cid)
+        if cur is None:
+            cur = self.cursors[cid] = _TargetCursor(out, self.now, self.stamp)
+        elif cur.stamp != self.stamp:
+            cur.refresh(self.now)
+            cur.stamp = self.stamp
+        else:
+            return cur
+        pend = self.v_rels.get(id(cur.fifo))
+        if pend:
+            cur.rels = cur.rels + pend
+        self.cursor_fifo[id(cur.fifo)] = cur
+        return cur
 
     def validate_round(self, sess) -> bool:
         ck_s = sess.ck
@@ -281,71 +311,64 @@ class _Train:
                 sess.blocked_on = None
                 sess.last_fail = ('precheck', j, need, avail[j])
                 return False
-        cursors = self.cursors
-        stamp = self.stamp
         route = ck_s._route
         route_memo = ck_s._route_memo
         snap_items = sess.snap_items
         snap_ready = sess.snap_ready
         ptr = sess.ptr
         T = sess.T
-        fatal = False          # shape divergence: never retry
-        saves: dict = {}       # id(cursor) -> (cursor, free, rel_ptr, nf)
-        stage_buf: dict = {}   # id(cursor) -> (cursor, [pkts], [cycles])
-        round_takes: list = []  # (input_idx, fifo, take_cycle) event order
-        round_stages: list = []  # (fifo, pkt, stage_cycle) in event order
-        for ev in sess.pattern.events:
-            rel_c, kind, j, rel_s, target = ev
+        fatal = False   # shape divergence: never retry
+        # Per target, at its first take this round: (cursor, its free /
+        # rel_ptr / next_free to roll back to, the round's stage run as
+        # [pkts], [cycles]); per input, the round's take cycles. Both in
+        # first-touch order, and each run in FIFO order.
+        runs: dict = {}
+        takes: dict = {}
+        key = -1        # the last routing key, and where it routes
+        out = None
+        for rel_c, kind, j, rel_s, target in sess.pattern.events:
             X = T + rel_c
             if kind != 1:
                 # A take, or (kind 2) the readable witness of a rotation:
                 # the head must be visible by X.
                 p = ptr[j]
-                if not sess.ensure(j, p + 1) or snap_ready[j][p] > X:
+                items = snap_items[j]
+                if (p >= len(items) and not sess.ensure(j, p + 1)) \
+                        or snap_ready[j][p] > X:
                     sess.starved_on = inputs[j]
                     sess.blocked_on = None
                     fail = ('witness-missing' if kind else 'take-starved',
-                            j, X, snap_ready[j][p]
-                            if p < len(snap_items[j]) else None)
+                            j, X, snap_ready[j][p] if p < len(items)
+                            else None)
                     break
                 if kind:
                     continue
-                pkt = snap_items[j][p]
-                key = (pkt.dst << 8) | pkt.port
-                out = route_memo.get(key)
-                if out is None:
-                    try:
-                        out = route(pkt)
-                    except RoutingError:
-                        # plan_window stops here too; the per-flit path
-                        # raises at this exact cycle after the fallback.
-                        fail = ('route-error', j, X, None)
-                        fatal = True
-                        break
+                pkt = items[p]
+                k = (pkt.dst << 8) | pkt.port
+                if k != key:
+                    out = route_memo.get(k)
+                    if out is None:
+                        try:
+                            out = route(pkt)
+                        except RoutingError:
+                            # plan_window stops here too; the per-flit
+                            # path raises at this exact cycle after the
+                            # fallback.
+                            fail = ('route-error', j, X, None)
+                            fatal = True
+                            break
+                    key = k
                 if out is not target:
                     fail = ('target-mismatch', j, X, None)
                     fatal = True  # traffic shape changed: not this pattern
                     break
-                cid = id(out)
-                cur = cursors.get(cid)
-                if cur is None:
-                    cur = cursors[cid] = _TargetCursor(out, self.now, stamp)
-                    fresh = True
-                elif cur.stamp != stamp:
-                    cur.refresh(self.now)
-                    cur.stamp = stamp
-                    fresh = True
+                run = runs.get(out)
+                if run is None:
+                    cur = self.target_cursor(out)
+                    run = runs[out] = (cur, cur.free, cur.rel_ptr,
+                                       cur.next_free, [], [])
                 else:
-                    fresh = False
-                if fresh:
-                    # First touch in this train: graft the virtual
-                    # releases other sessions already validated.
-                    pend = self.v_rels.get(id(cur.fifo))
-                    if pend:
-                        cur.rels = cur.rels + pend
-                    self.cursor_fifo[id(cur.fifo)] = cur
-                if cid not in saves:
-                    saves[cid] = (cur, cur.free, cur.rel_ptr, cur.next_free)
+                    cur = run[0]
                 # Exact plan_window stall model; the outcome must land on
                 # the pattern's relative stage cycle or the round is off.
                 s = cur.next_free if (cur.is_link and cur.next_free > X) \
@@ -373,21 +396,21 @@ class _Train:
                     break
                 if cur.is_link:
                     cur.next_free = s + cur.pace
-                buf = stage_buf.get(cid)
-                if buf is None:
-                    buf = stage_buf[cid] = (cur, [], [])
-                buf[1].append(pkt)
-                buf[2].append(s)
+                run[4].append(pkt)
+                run[5].append(s)
                 ptr[j] = p + 1
-                round_takes.append((j, inputs[j], X))
-                round_stages.append((cur.fifo, pkt, s))
+                xs = takes.get(j)
+                if xs is None:
+                    takes[j] = [X]
+                else:
+                    xs.append(X)
             else:
                 # Pattern polled this input and found it unreadable: the
                 # replica must re-prove it. With items (real or virtual)
                 # present the head's visibility is exact; drained inputs
                 # need a horizon past X (retrying under self-silence).
                 p = ptr[j]
-                if sess.ensure(j, p + 1):
+                if p < len(snap_items[j]) or sess.ensure(j, p + 1):
                     if snap_ready[j][p] <= X:
                         fail = ('early-arrival', j, X, snap_ready[j][p])
                         fatal = True  # an arrival beat the pattern's rhythm
@@ -404,18 +427,20 @@ class _Train:
                         fail = ('no-horizon', j, X, hz)
                         break
         else:
-            for cid, (cur, pkts, cycles) in stage_buf.items():
+            # Publish once per FIFO the round touched: all takes, then
+            # all stages (the per-FIFO order is the only one any ledger
+            # reads).
+            take_cycles = sess.take_cycles
+            for j, xs in takes.items():
+                take_cycles[j].extend(xs)
+                avail[j] -= len(xs)
+                self.publish_releases(inputs[j], xs)
+            stage_cursors = sess.stage_cursors
+            for cur, _f, _r, _n, pkts, cycles in runs.values():
                 cur.stage_pkts.extend(pkts)
                 cur.stage_cycles.extend(cycles)
-                sess.stage_cursors[cid] = cur
-            publish_take = self.publish_take
-            for j, fifo, x in round_takes:
-                sess.take_cycles[j].append(x)
-                avail[j] -= 1
-                publish_take(fifo, x)
-            publish_stage = self.publish_stage
-            for fifo, pkt, s in round_stages:
-                publish_stage(fifo, pkt, s)
+                stage_cursors[id(cur)] = cur
+                self.publish_supply(cur.fifo, pkts, cycles)
             sess.takes += sess.pattern.n_takes
             sess.rounds += 1
             sess.T += sess.pattern.delta
@@ -425,12 +450,12 @@ class _Train:
         # A check failed (the loop broke): roll the round back — cursor
         # budgets to their round-start state, input pointers past
         # validated takes only.
-        for cur, free, rel_ptr, nf in saves.values():
+        for cur, free, rel_ptr, nf, _p, _c in runs.values():
             cur.free = free
             cur.rel_ptr = rel_ptr
             cur.next_free = nf
-        for j, _f, _x in round_takes:
-            ptr[j] -= 1
+        for j, xs in takes.items():
+            ptr[j] -= len(xs)
         if fatal:
             sess.done = True
         sess.last_fail = fail
@@ -449,11 +474,9 @@ class _Train:
         if not ext:
             return False
         if is_send:
-            for pkt, s in ext:
-                self.publish_stage(fifo, pkt, s)
+            self.publish_supply(fifo, *ext)
         else:
-            for x in ext:
-                self.publish_take(fifo, x)
+            self.publish_releases(fifo, ext)
         return True
 
     def sweep(self) -> None:
@@ -635,7 +658,7 @@ class _Train:
         for sess in order:
             stuck.add(id(sess.ck))
         if _train_debug is not None:
-            _train_debug(order)
+            _train_debug(self)
         return origin_res
 
 
@@ -657,7 +680,8 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
     train as its own session, and the sessions ping-pong: a validated
     round's stages are published to the consumer session as virtual
     supply (the exact items with their exact visibility cycles), its
-    takes to the producer's cursor as virtual slot releases. This is
+    takes to the producer's cursor as virtual slot releases — one run
+    per FIFO the round touched, takes before stages. This is
     sound for the same reason the cascade is: everything published will
     be committed before any other process runs, with exactly the cycles
     it was validated at. A round whose computed schedule deviates from

@@ -4,7 +4,9 @@ or a commit per item — or resumes a generator for a dispatch an
 engine-side continuation answered (``resumes``: one per item for a
 ``park5`` arbiter, two per packet for the reduce root) — fails here,
 before anybody reads seconds. So does a build that instantiates hardware
-on ranks no declared flow reaches."""
+on ranks no declared flow reaches, and a replication train that
+publishes per packet instead of once per FIFO a validated round touched
+(``train``)."""
 
 import sys
 from pathlib import Path

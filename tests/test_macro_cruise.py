@@ -45,7 +45,7 @@ from repro.codegen.metadata import OpDecl
 from repro.core.config import hardware_preset
 from repro.core.errors import SimulationError
 from repro.simulation.stats import collect_planner_stats
-from repro.transport import planner_ff, planner_train
+from repro.transport import planner_ff, planner_train, planner_window
 
 DEEP = hardware_preset("noctua-deep")
 #: The fast-forward is on by default; ``macro_cruise=False`` is the
@@ -524,7 +524,8 @@ def test_jump_is_one_shift_per_stream():
         data = np.arange(n, dtype=np.float32) % 1024
         got, blocks, entries = [], [], []
 
-        def at_train_end(order):
+        def at_train_end(train):
+            order = train.order
             if sum(sess.rounds for sess in order) > 1000:  # the jump
                 snap = tracemalloc.take_snapshot().filter_traces(
                     [planner_files])
@@ -591,6 +592,53 @@ def test_four_hop_stream_lands_one_jump_after_one_arming():
     assert calls[0] <= 2300, calls
     ref, _ = _run_stream(NOCTUA.with_(macro_cruise=False), n=1 << 17, hops=4)
     _assert_same_trajectory(res, ref, 4)
+
+
+@pytest.mark.parametrize("config, hops", [(NOCTUA, 4), (DEEP, 1)],
+                         ids=["noctua-4hop", "deep-1hop"])
+def test_train_ledgers_keep_the_per_fifo_order(config, hops, monkeypatch):
+    """A validated round publishes one run per FIFO it touched; what each
+    ledger then holds must be what the round validated, in FIFO order.
+    At every train end: each hooked consumer's virtual supply ends with
+    exactly its stager cursor's validated stages (packets, and cycles +
+    the FIFO's latency), and each FIFO's virtual releases are exactly its
+    taking session's take cycles."""
+    landed = {}  # id(cursor) -> (packets, cycles) of its last commit
+    commit = planner_window._TargetCursor.commit
+
+    def spy(cur):
+        landed[id(cur)] = (list(cur.stage_pkts), list(cur.stage_cycles))
+        commit(cur)
+
+    checked = []
+
+    def at_train_end(train):
+        tails = 0
+        for stager in train.order:
+            for cur in stager.stage_cursors.values():
+                hooked = train.feeds.get(id(cur.fifo))
+                if hooked is None:
+                    continue
+                consumer, j = hooked
+                pkts, cycles = landed.pop(id(cur))
+                k = len(cycles)
+                assert consumer.snap_ready[j][-k:] == \
+                    [s + cur.fifo.latency for s in cycles], cur.fifo.name
+                assert list(map(id, consumer.snap_items[j][-k:])) == \
+                    list(map(id, pkts)), cur.fifo.name
+                tails += 1
+        for fid, rels in train.v_rels.items():
+            hooked = train.feeds.get(fid)
+            if hooked is not None:
+                taker, j = hooked
+                assert rels == taker.take_cycles[j]
+        checked.append(tails)
+
+    monkeypatch.setattr(planner_window._TargetCursor, "commit", spy)
+    monkeypatch.setattr(planner_train, "_train_debug", at_train_end)
+    _res, stats = _run_stream(config, n=1 << 14, hops=hops)
+    assert stats.ff_jumps >= 1
+    assert sum(checked) > 0, checked
 
 
 def test_max_cycles_inside_a_shifted_span():

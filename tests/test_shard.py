@@ -857,6 +857,27 @@ def test_uniform_stream_shards_do_the_sequential_work(shards, monkeypatch):
     assert grant <= seq_grant, runs
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the stream left of each cut never jumps: its train also holds the "
+    "cut stream's CKS session, so ff_resolve refuses the whole train "
+    "('sessions outside every chain')"))
+@pytest.mark.parametrize("shards", [2, 4])
+def test_a_cut_costs_only_the_stream_that_crosses_it(shards):
+    """Each cut link should cost the fast-forward one stream, the one
+    crossing it. Sequentially 14 of the 15 streams jump; in-process
+    2 and 4 shards jump 12 and 8, not 13 and 11."""
+    from repro.simulation.stats import collect_planner_stats
+
+    def jumps(config):
+        res = _uniform_stream(config)
+        return collect_planner_stats(res.transport).ff_jumps
+
+    sequential = jumps(NOCTUA_DEEP)
+    assert sequential == 14
+    assert jumps(NOCTUA_DEEP.with_(backend="sharded", shards=shards)) \
+        == sequential - (shards - 1)
+
+
 def test_jump_inside_a_shard_is_exact_at_the_global_end():
     """A time shift folds a chain FIFO's log ahead of the clock — and,
     in a shard, past the ``stats_fold_limit`` watermark (0 when the jump

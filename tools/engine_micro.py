@@ -3,8 +3,9 @@
 their counts.
 
 Loops over :mod:`repro.simulation`, the polling arbiter and one reduce
-support kernel only — no CKs, no links, no planner — plus two build-only
-loops over the repo benchmark's own small programs::
+support kernel only — no CKs, no links, no planner — plus one loop over
+the planner's replication trains and two build-only loops, all three on
+the repo benchmark's own programs::
 
     PYTHONPATH=src python tools/engine_micro.py [--repeat N] [--json]
 
@@ -27,6 +28,13 @@ loops over the repo benchmark's own small programs::
                 every 8 cycles (ns per packet): a cycle to take it, then
                 one per element — combined at once, counted down by an
                 engine-side continuation.
+
+``train``       ``stream_shallow``'s 4-hop stream (2^17 floats, ``NOCTUA``,
+                it jumps) with ``_Train.validate_round`` timed (ns per
+                validated round, failed rounds' time included). Asserted:
+                the validated rounds and the publication calls they made
+                — one per FIFO a round touched, so two per round on this
+                relay chain (its take run and its stage run).
 
 ``jump_land``   a synthetic 3-FIFO steady chain landing a proven span as
                 one ``Fifo.shift`` per FIFO, for ``R`` = 10 and ``R`` =
@@ -70,13 +78,15 @@ import calib  # noqa: E402
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-from repro import NOCTUA, SMI_ADD, SMI_FLOAT, noctua_torus  # noqa: E402
+from repro import (NOCTUA, SMI_ADD, SMI_FLOAT, noctua_bus,  # noqa: E402
+                   noctua_torus)
 from repro.network.packet import OpType, Packet  # noqa: E402
 from repro.simulation.conditions import TICK, WaitCycles  # noqa: E402
 from repro.simulation.engine import Engine  # noqa: E402
 from repro.transport.arbiter import PollingArbiter  # noqa: E402
 from repro.transport.collectives import (CollectiveDescriptor,  # noqa: E402
                                          ReduceKernel)
+from repro.transport.planner_train import _Train  # noqa: E402
 
 TICK_PROCS, TICK_CYCLES = 60, 2000
 PUSHPOP_ITEMS = 20_000
@@ -111,6 +121,8 @@ EXPECTED = {
                      "commits": 4000},
     "reduce_root": {"dispatch": 18_002, "resumes": 6003, "park": 1,
                     "commits": 1},
+    # Validated rounds and the publication calls they made.
+    "train": {"rounds": 1521, "publications": 3042},
     # Entries held before + after the three shifts, per span length.
     "jump_land": {"r10": 918, "r10000": 918},
     # Ranks / processes (two kernels included) / FIFOs a build holds.
@@ -125,6 +137,10 @@ BUILDS = {
         "injection", noctua_torus, 1, np.zeros(2800, dtype=np.float32)),
 }
 BUILD_RUNS = 20
+
+#: The ``train`` loop's program.
+TRAIN = workloads.stream_op("train", noctua_bus, 4,
+                            np.zeros(1 << 17, dtype=np.float32))
 
 JUMP_FIFOS = 3
 JUMP_PPP, JUMP_PERIOD = 16, 32      # one packet per link slot
@@ -226,6 +242,8 @@ def build_reduce_root(engine):
     return REDUCE_PACKETS
 
 
+#: name -> its build function over a bare :class:`Engine`; ``train`` has
+#: none — it runs a whole program (:func:`run_train`).
 LOOPS = {
     "tick": build_tick,
     "pushpop": build_pushpop,
@@ -233,6 +251,7 @@ LOOPS = {
     "park5_dense": build_park5_dense,
     "park5_sparse": build_park5_sparse,
     "reduce_root": build_reduce_root,
+    "train": None,
 }
 
 
@@ -249,8 +268,51 @@ class _EventCounter:
         pass
 
 
+def run_train(counting: bool) -> tuple[Counter, float]:
+    """One run of the ``train`` loop: ``rounds`` validated, with
+    ``counting`` the ``publications`` those rounds made, else the seconds
+    spent in ``_Train.validate_round``."""
+    counts = Counter()
+    spent = [0.0]
+    validate = _Train.validate_round
+    publishers = {name: getattr(_Train, name)
+                  for name in ("publish_supply", "publish_releases")}
+    in_round = [False]
+
+    def validate_round(train, sess):
+        in_round[0] = True
+        t0 = time.perf_counter()
+        ok = validate(train, sess)
+        spent[0] += time.perf_counter() - t0
+        in_round[0] = False
+        counts["rounds"] += ok
+        return ok
+
+    def counted(publish):
+        def wrapper(train, *run):
+            counts["publications"] += in_round[0]
+            return publish(train, *run)
+        return wrapper
+
+    _Train.validate_round = validate_round
+    if counting:
+        for name, publish in publishers.items():
+            setattr(_Train, name, counted(publish))
+    try:
+        TRAIN.run(NOCTUA)
+    finally:
+        _Train.validate_round = validate
+        for name, publish in publishers.items():
+            setattr(_Train, name, publish)
+    return counts, spent[0]
+
+
 def time_loop(name: str) -> float:
-    """Nanoseconds per unit (dispatch or item) of one run, tracing off."""
+    """Nanoseconds per unit (dispatch or item; ``train``: validated
+    round) of one run, tracing off."""
+    if name == "train":
+        counts, seconds = run_train(counting=False)
+        return seconds * 1e9 / counts["rounds"]
     engine = Engine()
     units = LOOPS[name](engine)
     t0 = time.perf_counter()
@@ -262,6 +324,8 @@ def time_loop(name: str) -> float:
 
 def count_loop(name: str) -> dict:
     """Exact event counts of one run (a counting recorder attached)."""
+    if name == "train":
+        return dict(run_train(counting=True)[0])
     engine = Engine()
     engine.trace = counter = _EventCounter()
     armed = set()
@@ -377,6 +441,11 @@ def main(argv: list[str]) -> int:
         print(f"calib {report['calib_s']} s (min of 3)")
         for name in LOOPS:
             row = report[name]
+            if name == "train":
+                print(f"{name:13s} {row['ns_per_unit']:9.1f} ns/round  "
+                      f"rounds {row['rounds']}  "
+                      f"publications {row['publications']}")
+                continue
             unit = "dispatch" if name == "tick" else "item"
             print(f"{name:13s} {row['ns_per_unit']:9.1f} ns/{unit}  "
                   f"dispatches {row['dispatch']}  "
