@@ -96,10 +96,14 @@ def run_distributed_sim(
     deadlock-free everywhere: on ``noctua_torus()`` with ``NOCTUA``
     depths, one timestep hangs at cycle 943 for rank grid (2, 4) at
     640² and at cycle 1 811 for (4, 2) at 448², on the per-flit plane as
-    on the default, with every CK and link empty — halo data is lost or
-    misdelivered, not short of buffering (ROADMAP item 2, "The stencil
-    at paper scale"; ``tests/test_apps_stencil.py`` holds the
-    strict-xfail reproducers).
+    on the default. No halo is lost: it is head-of-line blocking that
+    the parity order invites. At (2, 4) rank 3's west halo (23 packets)
+    sits on ``link.2:1->3:3``, behind ``ckr3``, which is parked on a
+    full shared ``recv_ep4`` (22 of 22) holding rank 7's south halo —
+    and rank 3 reads port 4 only after port 1 (ROADMAP item 2, "The
+    stencil at paper scale: the hang is head-of-line blocking the app
+    invites"; ``tests/test_apps_stencil.py`` holds the strict-xfail
+    reproducers).
     """
     rx, ry = rank_grid
     num_ranks = rx * ry

@@ -122,15 +122,6 @@ def planner_summary(stats) -> str:
             f"({stats.ff_misses:,} trains)"
             if stats.ff_misses and not stats.ff_jumps else ""
         )
-        + (
-            # A disarmed plane looks identical to a never-tried one in
-            # the counters (all ff zeros); say "permanently refused" and
-            # why, so the zeros read as a verdict, not an absence.
-            f" | macro: DISARMED"
-            + (f" ({stats.ff_disarm_reason})"
-               if stats.ff_disarm_reason else "")
-            if stats.ff_disarms else ""
-        )
     )
 
 

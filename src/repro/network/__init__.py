@@ -2,7 +2,7 @@
 
 from .fabric import Fabric
 from .link import Link
-from .packet import MAX_VALID_COUNT, OpType, Packet, make_data_packets
+from .packet import MAX_VALID_COUNT, OpType, Packet
 from .routing import (
     Routes,
     channel_dependency_graph,
@@ -25,7 +25,6 @@ __all__ = [
     "MAX_VALID_COUNT",
     "OpType",
     "Packet",
-    "make_data_packets",
     "Routes",
     "channel_dependency_graph",
     "compute_routes",

@@ -112,7 +112,8 @@ class Packet:
             body = b""
         if len(body) > PAYLOAD_BYTES:
             raise SimulationError(
-                f"payload of {len(body)} B exceeds {PAYLOAD_BYTES} B"
+                f"{len(body)}-byte payload exceeds the {PAYLOAD_BYTES}-byte "
+                "packet body"
             )
         return header + body + bytes(PAYLOAD_BYTES - len(body))
 
@@ -156,22 +157,3 @@ class Packet:
             f"count={self.count})"
         )
 
-
-def make_data_packets(
-    src: int, dst: int, port: int, dtype: SMIDatatype, data: np.ndarray
-) -> list[Packet]:
-    """Packetise a full message into DATA packets (helper for models/tests).
-
-    The streaming Push path builds packets incrementally; this bulk helper is
-    used by analytical models, the host baseline, and tests.
-    """
-    data = np.asarray(data, dtype=dtype.np_dtype)
-    epp = dtype.elements_per_packet
-    packets = []
-    for start in range(0, len(data), epp):
-        chunk = data[start : start + epp]
-        packets.append(
-            Packet(src=src, dst=dst, port=port, op=OpType.DATA,
-                   count=len(chunk), payload=chunk.copy(), dtype=dtype)
-        )
-    return packets

@@ -13,8 +13,8 @@ The default partitioner is deterministic (no RNG): ranks are laid out in
 BFS order from rank 0 (which keeps meshes, tori and buses contiguous),
 split into ``k`` balanced blocks, and refined by greedy single-rank
 moves that strictly reduce the cut weight while keeping every shard
-within one rank of perfect balance. Callers may override the result
-wholesale (``rank_lists``) or per rank (``overrides``).
+within one rank of perfect balance. Callers may replace the result
+wholesale (``rank_lists``).
 
 Every cut edge must be a *latency-carrying* link: the link's wire delay
 is the conservative lookahead the epoch synchroniser
@@ -95,7 +95,7 @@ def _cut_connections(topology: Topology,
 
 
 def _refine(topology: Topology, shard_of: dict[int, int], k: int,
-            pinned: frozenset[int], max_passes: int = 8) -> None:
+            max_passes: int = 8) -> None:
     """Greedy moves and swaps that strictly reduce the cut weight.
 
     Two admissible step kinds, both strict-improvement-only so the loop
@@ -138,8 +138,6 @@ def _refine(topology: Topology, shard_of: dict[int, int], k: int,
     for _ in range(max_passes):
         improved = False
         for rank in range(n):
-            if rank in pinned:
-                continue
             cur = shard_of[rank]
             if sizes[cur] <= lo:
                 continue  # moving out would unbalance below the floor
@@ -160,10 +158,8 @@ def _refine(topology: Topology, shard_of: dict[int, int], k: int,
                 shard_of[rank] = best[0]
                 improved = True
         for a in range(n):
-            if a in pinned:
-                continue
             for b in range(a + 1, n):
-                if b in pinned or shard_of[a] == shard_of[b]:
+                if shard_of[a] == shard_of[b]:
                     continue
                 if swap_delta(a, b) < 0:
                     shard_of[a], shard_of[b] = shard_of[b], shard_of[a]
@@ -176,7 +172,6 @@ def partition_topology(
     topology: Topology,
     k: int,
     rank_lists: list[list[int]] | None = None,
-    overrides: dict[int, int] | None = None,
 ) -> Partition:
     """Cut ``topology`` into ``k`` shards.
 
@@ -185,10 +180,7 @@ def partition_topology(
     rank_lists:
         Explicit shard membership (one rank list per shard). Must cover
         every rank exactly once; skips the automatic partitioner
-        entirely (``overrides`` still applies on top).
-    overrides:
-        Per-rank pins (``rank -> shard index``) applied after the base
-        assignment; pinned ranks are excluded from refinement.
+        entirely.
     """
     n = topology.num_ranks
     if not 1 <= k <= n:
@@ -219,7 +211,6 @@ def partition_topology(
         if len(shard_of) != n:
             missing = sorted(set(range(n)) - set(shard_of))
             raise TopologyError(f"ranks not assigned to any shard: {missing}")
-        pinned = frozenset(range(n))
     else:
         order = _bfs_order(topology)
         shard_of = {}
@@ -229,29 +220,12 @@ def partition_topology(
             for rank in order[i:i + size]:
                 shard_of[rank] = shard
             i += size
-        pinned = frozenset()
-    if overrides:
-        for rank, shard in overrides.items():
-            if not 0 <= rank < n:
-                raise TopologyError(f"override rank {rank} out of range")
-            if not 0 <= shard < k:
-                raise TopologyError(
-                    f"override shard {shard} out of range [0, {k})"
-                )
-            shard_of[rank] = shard
-        pinned = pinned | frozenset(overrides)
-    if rank_lists is None and k > 1:
-        _refine(topology, shard_of, k, pinned)
+        if k > 1:
+            _refine(topology, shard_of, k)
     shards = tuple(
         tuple(sorted(r for r, s in shard_of.items() if s == i))
         for i in range(k)
     )
-    for i, ranks in enumerate(shards):
-        if not ranks:
-            raise TopologyError(
-                f"partition left shard {i} empty (overrides too "
-                "aggressive for this topology?)"
-            )
     return Partition(shards=shards,
                      cut=_cut_connections(topology, shard_of))
 

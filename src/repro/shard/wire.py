@@ -49,9 +49,9 @@ import struct
 
 import numpy as np
 
-from ..core.datatypes import DATATYPES, PACKET_BYTES, PAYLOAD_BYTES
+from ..core.datatypes import DATATYPES, PACKET_BYTES
 from ..core.errors import SimulationError
-from ..network.packet import OpType, Packet
+from ..network.packet import Packet
 from .proxy import AckBatch, ShipBatch
 
 #: Record kinds (header field 0).
@@ -83,76 +83,32 @@ DTYPE_IDS: dict[str, int] = {
 
 
 # ----------------------------------------------------------------------
-# Packet block codec
+# Record codec
 # ----------------------------------------------------------------------
-def _pack_items(items) -> tuple[np.ndarray, np.ndarray]:
-    """Items as (k, 32) wire rows + dtype-id sidecar."""
-    k = len(items)
-    rows = np.zeros((k, PACKET_BYTES), dtype=np.uint8)
-    ids = np.zeros(k, dtype=np.uint8)
+def pack_ship(key_id: int, ship) -> bytes:
+    """One ShipBatch as a wire record: each packet in its
+    :meth:`Packet.encode` layout, behind the dtype-id sidecar."""
+    items = ship.items
+    ids = bytearray(len(items))
+    rows = []
     for i, pkt in enumerate(items):
         if type(pkt) is not Packet:
             raise SimulationError(
                 f"boundary item {i} is a {type(pkt).__name__}, not a Packet")
         dtype = pkt.dtype
-        if dtype is None:
-            did = 0
-        else:
-            did = DTYPE_IDS.get(dtype.name, 0)
-            if did == 0:
-                raise SimulationError(
-                    f"boundary item {i}: unregistered datatype {dtype.name}")
-        row = rows[i]
-        row[0] = pkt.src
-        row[1] = pkt.dst
-        row[2] = pkt.port
-        row[3] = ((int(pkt.op) & 0b111) << 5) | pkt.count
-        if dtype is not None and pkt.count:
-            body = np.ascontiguousarray(
-                pkt.payload[: pkt.count], dtype=dtype.np_dtype
-            ).view(np.uint8)
-            if body.size > PAYLOAD_BYTES:
-                raise SimulationError(
-                    f"boundary item {i}: {body.size}-byte payload exceeds "
-                    f"the {PAYLOAD_BYTES}-byte packet body")
-            row[4 : 4 + body.size] = body
-        ids[i] = did
-    return rows, ids
-
-
-def _unpack_items(rows: np.ndarray, ids: np.ndarray) -> list[Packet]:
-    """Inverse of :func:`_pack_items` (matches ``Packet.decode``)."""
-    items = []
-    for i in range(len(ids)):
-        row = rows[i]
-        opcount = int(row[3])
-        count = opcount & 0b11111
-        dtype = DTYPES_BY_ID[int(ids[i])]
-        if dtype is not None and count:
-            payload = np.frombuffer(
-                row[4 : 4 + count * dtype.size].tobytes(),
-                dtype=dtype.np_dtype,
-            ).copy()
-        else:
-            payload = np.zeros(0, np.uint8)
-        items.append(Packet(
-            src=int(row[0]), dst=int(row[1]), port=int(row[2]),
-            op=OpType.from_bits(opcount >> 5), count=count,
-            payload=payload, dtype=dtype,
-        ))
-    return items
-
-
-# ----------------------------------------------------------------------
-# Record codec
-# ----------------------------------------------------------------------
-def pack_ship(key_id: int, ship) -> bytes:
-    """One ShipBatch as a wire record."""
-    rows, ids = _pack_items(ship.items)
-    head = RECORD_HEADER.pack(KIND_SHIP, 0, 0, key_id, len(ids),
+        if dtype is not None:
+            did = ids[i] = DTYPE_IDS.get(dtype.name, 0)
+            if not did:
+                raise SimulationError(f"boundary item {i}: unregistered "
+                                      f"datatype {dtype.name}")
+        try:
+            rows.append(pkt.encode())
+        except SimulationError as exc:
+            raise SimulationError(f"boundary item {i}: {exc}") from None
+    head = RECORD_HEADER.pack(KIND_SHIP, 0, 0, key_id, len(items),
                               ship.horizon)
     cycles = np.asarray(ship.cycles, dtype=np.int64)
-    return b"".join((head, cycles.tobytes(), ids.tobytes(), rows.tobytes()))
+    return b"".join((head, cycles.tobytes(), ids, *rows))
 
 
 def pack_ack(key_id: int, ack) -> bytes:
@@ -175,12 +131,14 @@ def unpack_record(record: bytes, keys_by_id) -> tuple[str, object]:
     if kind != KIND_SHIP:  # pragma: no cover - protocol guard
         raise SimulationError(f"unknown boundary record kind {kind}")
     cycles = tuple(int(c) for c in np.frombuffer(body, np.int64, count=n))
-    ids = np.frombuffer(body, np.uint8, count=n, offset=8 * n)
-    rows = np.frombuffer(
-        body, np.uint8, count=n * PACKET_BYTES, offset=9 * n
-    ).reshape(n, PACKET_BYTES)
-    return "ship", ShipBatch(key, tuple(_unpack_items(rows, ids)),
-                             cycles, bound)
+    ids = body[8 * n:9 * n]
+    at = 9 * n
+    items = []
+    for did in ids:
+        items.append(Packet.decode(body[at:at + PACKET_BYTES],
+                                   DTYPES_BY_ID[did]))
+        at += PACKET_BYTES
+    return "ship", ShipBatch(key, tuple(items), cycles, bound)
 
 
 def _split(batch, max_bytes: int, packer, splitter, sizer) -> list:

@@ -1264,24 +1264,6 @@ class Fifo:
         yield TICK
         return item
 
-    def push_many(self, items) -> Generator:
-        """Push a sequence of items, one per cycle."""
-        for item in items:
-            while not self.writable:
-                yield self.can_push
-            self.stage(item)
-            yield TICK
-
-    def pop_many(self, count: int) -> Generator:
-        """Pop ``count`` items (one per cycle) and return them as a list."""
-        out = []
-        for _ in range(count):
-            while not self.readable:
-                yield self.can_pop
-            out.append(self.take())
-            yield TICK
-        return out
-
     # ------------------------------------------------------------------
     # Engine interface
     # ------------------------------------------------------------------

@@ -44,21 +44,15 @@ class PlannerStats:
     CKS stages at every transit rank, between the source's CKS and the
     destination's CKR).
 
-    ``ff_disarms`` counts permanent resolve refusals (each sets
-    ``SupplyPlanner.ff_disarmed``; at most one per planner, so the
-    merged sum reads "how many shards disarmed"), and
-    ``ff_disarm_reason`` carries the resolver's reason string — merged
-    first-non-empty-wins so reports can say *why* a plane permanently
-    refused instead of showing zero ff counters as "never tried".
-
     ``ff_misses`` counts the trains that probed for a fast-forward and
     ended on a *silent* no-arm outcome — the chains did not resolve
-    (``unresolved``) or resolved without a provable period
+    (``unresolved``, whether a later sweep of that train could have
+    healed the refusal or not) or resolved without a provable period
     (``no-period``) — and ``ff_miss_reason`` carries the outcome of one
     of them in report wording (``"no period"``, ``"unresolved —
-    consumer not joined"``; merged like the disarm reason). Named guard
-    refusals of ``ff_apply`` and permanent disarms are not misses: they
-    report themselves.
+    pattern shape (multi-input/target session)"``; merged
+    first-non-empty-wins). Named guard refusals of ``ff_apply`` are not
+    misses: they report themselves.
 
     Engagement (who was ever asked to plan) adds three: ``cks`` counts
     the CKs the builder put on the burst plane and ``cks_off_route``
@@ -79,8 +73,6 @@ class PlannerStats:
     ff_cycles: int = 0
     ff_jumps: int = 0
     ff_chain_hops: int = 0
-    ff_disarms: int = 0
-    ff_disarm_reason: str = ""
     ff_misses: int = 0
     ff_miss_reason: str = ""
     cks: int = 0

@@ -54,8 +54,7 @@ EVENT_KINDS = (
     "span",        # planner phase span: plan/cascade/replicate
     "ff",          # macro-cruise fast-forward jump (span over the jump)
     "shift",       # one chain FIFO landing a jump as a time shift (span)
-    "abort",       # macro-ff guard veto (instant; args: guard, hop)
-    "disarm",      # macro-ff permanent refusal (instant; args: reason)
+    "abort",       # macro-ff guard veto or a train's miss (args: guard, hop)
     "epoch",       # shard epoch begin / bound update
     "drain",       # shard drain-to-end phase
 )

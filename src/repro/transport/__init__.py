@@ -12,4 +12,4 @@ from .collectives import (
     ScatterKernel,
     SupportKernel,
 )
-from .packing import PacketPacker, PacketUnpacker
+from .packing import PacketPacker

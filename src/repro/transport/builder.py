@@ -433,8 +433,7 @@ def build_transport(
         # (and its tripwires, the dead ends' below excepted).
         visited, routed, pinned = _walk_routes(plan, routes, ranks, fabric)
         _mark_flow_dead(plan, transit, visited)
-        planner = _wire_supply_planner(ranks, config, routed, pinned,
-                                       boundaries)
+        planner = _wire_supply_planner(ranks, config, routed, pinned)
     # Nothing is built behind a dead end: on either plane a stage into
     # one is a flow past what the program declared, and fails there.
     for link, unbuilt in fabric.dead_ends():
@@ -449,7 +448,7 @@ def build_transport(
 
 def _wire_supply_planner(ranks: dict[int, RankTransport],
                          config: HardwareConfig, routed: set[int],
-                         pinned: bool, boundaries: list):
+                         pinned: bool):
     """Publish the transport's supply-schedule contracts (burst mode only).
 
     Three facts the planner consumes are static properties of the wiring,
@@ -479,11 +478,8 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
     ``config.macro_cruise`` additionally marks every app-facing stream
     endpoint (p2p send and receive endpoints) with the planner as its
     ``macro_host``, so sleeping ``push_vec``/``pop_vec`` bursts register
-    extendable lanes there, registers cross-shard boundary links in the
-    planner's ``boundary_fifos`` (a fast-forward chain reaching one can
-    never terminate on a recv lane, so the resolver refuses permanently
-    and the shard drops the macro probe tax), and records every support
-    kernel in the planner's plane registry — the global cruise condition consults it
+    extendable lanes there, and records every support kernel in the
+    planner's plane registry — the global cruise condition consults it
     before raising the per-train take budget (an unfinished support
     kernel is an unproven plane, so macro degrades to ordinary trains).
     """
@@ -540,12 +536,4 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
                 fifo.macro_host = sp
             for kernel in rt.support_kernels.values():
                 sp.support_planes.append(kernel)
-    if sp.macro:
-        # Outgoing boundary links of a sharded plane: the consumer CK is
-        # in another shard, so a macro chain walk ending there can never
-        # arm — register them so the resolver refuses permanently
-        # instead of probing every sweep.
-        sp.boundary_fifos.update(id(link.fifo)
-                                 for link, src_local in boundaries
-                                 if src_local)
     return sp

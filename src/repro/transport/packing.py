@@ -1,23 +1,18 @@
-"""Element <-> packet conversion shared by Push/Pop and support kernels.
+"""Element -> packet conversion shared by Push and the support kernels.
 
 ``SMI_Push`` "internally accumulates data items until a network packet is
-full. The packet is then forwarded to CKS" and ``SMI_Pop`` "internally
-unpacks data returned from CKR, and transmits it to the application one
-element at a time" (§4.2). These two stateful helpers implement exactly
-that, and are reused by the collective support kernels which face the same
-packet interface towards the transport.
+full. The packet is then forwarded to CKS" (§4.2). :class:`PacketPacker`
+implements exactly that, and is reused by the collective support kernels
+which face the same packet interface towards the transport.
 """
 
 from __future__ import annotations
-
-from typing import Generator
 
 import numpy as np
 
 from ..core.datatypes import SMIDatatype
 from ..core.errors import ChannelError
 from ..network.packet import OpType, Packet
-from ..simulation.fifo import Fifo
 
 
 class PacketPacker:
@@ -131,43 +126,3 @@ class PacketPacker:
         return Packet(self.src, self.dst, self.port, OpType.DATA,
                       len(payload), payload, self.dtype)
 
-
-class PacketUnpacker:
-    """Pops packets from a FIFO and serves their elements one at a time."""
-
-    __slots__ = ("fifo", "dtype", "_current", "_offset", "last_src")
-
-    def __init__(self, fifo: Fifo, dtype: SMIDatatype) -> None:
-        self.fifo = fifo
-        self.dtype = dtype
-        self._current: Packet | None = None
-        self._offset = 0
-        #: Source rank of the packet the last element came from.
-        self.last_src: int | None = None
-
-    def next_element(self) -> Generator:
-        """Generator: yield cycles until the next data element is available.
-
-        Control packets (non-DATA ops) are not expected here; receiving one
-        indicates a protocol bug and raises.
-        """
-        while self._current is None:
-            while not self.fifo.readable:
-                yield self.fifo.can_pop
-            pkt = self.fifo.take()
-            if pkt.op != OpType.DATA:
-                raise ChannelError(
-                    f"expected DATA packet on port {pkt.port}, got {pkt.op.name}"
-                )
-            if pkt.count == 0:
-                continue  # degenerate empty packet: skip
-            self._current = pkt
-            self._offset = 0
-        pkt = self._current
-        value = pkt.payload[self._offset]
-        self.last_src = pkt.src
-        self._offset += 1
-        if self._offset >= pkt.count:
-            self._current = None
-        yield None  # one cycle per element (TICK)
-        return value

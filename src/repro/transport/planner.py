@@ -45,8 +45,8 @@ very FIFOs whose conditions would have woken them.
 **This module owns** :class:`SupplyPlanner` — the entry point, the
 commit of a window's resume state, pattern detection, the cascade, the
 lane registry behind engagement's live state and the macro-cruise
-registry (app lanes, support planes, relay / boundary FIFOs, the disarm
-verdict). *When* a CK consults it is engagement, decided outside: the
+registry (app lanes, support planes, relay FIFOs). *When* a CK consults
+it is engagement, decided outside: the
 builder's route mark, the lane registry's ``live`` attribute and the
 arbiter's plan-miss backstop (``docs/ARCHITECTURE.md``, "Engagement") —
 nothing in here backs off, skips or gives up. **It reads** the arbiters'
@@ -152,25 +152,11 @@ class SupplyPlanner:
         #: kernel the builder wired (CK planes prove themselves per
         #: resource inside the train; app planes prove via their lanes).
         self.support_planes: list = []
-        #: id(fifo) of every transit FIFO (CK-internal hand-offs, link
-        #: FIFOs, cross-shard boundaries): the fast-forward chain
+        #: id(fifo) of every transit FIFO (CK-internal hand-offs, links
+        #: between two of this planner's CKs): the fast-forward chain
         #: resolver walks *through* these and must terminate only on app
         #: endpoint FIFOs, never on an interior relay hop.
         self.relay_fifos: set[int] = set()
-        #: id(fifo) of every cross-shard boundary link FIFO: its consumer
-        #: CK lives in another shard's planner, so a chain walk reaching
-        #: one can never terminate on a recv lane — a *permanent* resolve
-        #: refusal (the builder registers these so sharded planes drop
-        #: the macro probe tax on the first attempt instead of
-        #: re-fingerprinting every sweep).
-        self.boundary_fifos: set[int] = set()
-        #: Permanent macro no-arm: set when the chain resolver refuses a
-        #: train for a reason no later sweep can heal (pattern shapes are
-        #: fixed — wrong input/target counts, overlapping chains). From
-        #: then on the program drops the macro-only probe tax: no chain
-        #: closure, no checkpoint fingerprinting. Why is
-        #: ``stats.ff_disarm_reason``.
-        self.ff_disarmed = False
         self._stamp = 0  # plan-call counter (cursor refresh generation)
         self._extra_results: list = []  # peer-session train results
         self._cascade_origin = None     # CK whose event we are inside
@@ -241,17 +227,6 @@ class SupplyPlanner:
             if proc is not None and not proc.finished:
                 return PLAN_MAX_TAKES
         return MACRO_MAX_TAKES
-
-    def disarm(self, reason: str, engine) -> None:
-        """Record the permanent no-arm verdict (a resolver refusal no
-        later sweep can heal): the planner's flag, the count and reason
-        in ``stats``, one ``disarm`` trace event."""
-        self.ff_disarmed = True
-        self.stats.ff_disarms += 1
-        self.stats.ff_disarm_reason = reason
-        if engine.trace is not None:
-            engine.trace.emit(engine.cycle, "disarm", "planner",
-                              "ff-disarm", args={"reason": reason})
 
     # ------------------------------------------------------------------
     # Entry point (CK.process -> PollingArbiter.run -> here)

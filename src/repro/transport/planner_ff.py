@@ -38,10 +38,10 @@ knows a channel's or packer's internals.
 ``ff_`` / ``_ff_`` prefix the profile benchmark attributes
 ``planner.ff_s`` by. **It reads** the train's sessions, cursors and
 joined lanes, supply horizons under the train's own frontiers, the
-planner's relay / boundary registries. **It may mutate**, on a proven
-jump only, the members' counters and frontiers, the planner's ff
-counters and the shift list the train's commit then lands — plus the planner's
-disarm verdict, a send lane's ``ff_spent`` mark and, through
+planner's relay registry. **It may mutate**, on a proven jump only, the
+members' counters and frontiers, the planner's ff counters and the shift
+list the train's commit then lands — plus its own train's ``dead`` /
+``miss`` verdict, a send lane's ``ff_spent`` mark and, through
 ``_Train.try_join``, the session list.
 """
 
@@ -390,14 +390,15 @@ def ff_resolve(train):
     resolved list of ``(send lane, hops, recv lane)`` or ``None``;
     ``refusal`` names the precondition that failed (consumer not
     joined, lane inactive, snapshot not drained, ...), and
-    ``permanent`` tells refusals a later sweep
-    can heal from ones it never can (a compiled pattern's shape —
-    its input/target counts — is fixed for the whole train). A
-    permanent refusal disarms probing for the rest of the program
-    instead of re-fingerprinting every sweep, and its reason
-    survives as ``PlannerStats.ff_disarm_reason``; a transient one is
-    reported once per train (guard ``unresolved``), so a run that never arms
-    says *why* instead of showing silent zero counters.
+    ``permanent`` tells refusals a later sweep of this train can heal
+    from ones it never can (a compiled pattern's shape — its
+    input/target counts — is fixed for the whole train, and so are an
+    overlap and a walk leaving the planner across a cut link). A
+    permanent refusal retires this train's probe (``_FastForward.dead``)
+    instead of re-fingerprinting every sweep; the next train resolves
+    afresh. Either kind is reported once per train (guard
+    ``unresolved``), so a run that never arms says *why* instead of
+    showing silent zero counters.
     """
     planner = train.planner
     order = train.order
@@ -459,10 +460,10 @@ def ff_resolve(train):
             if id(tgt) in claimed_eps:
                 return None, "overlap (two chains on one endpoint)", \
                     True
-            if id(tgt) in planner.boundary_fifos:
-                # Cross-shard boundary: the consumer lives in another
-                # shard's planner, so this walk can never reach a
-                # recv lane — a permanent refusal.
+            if tgt.macro_host is None:
+                # Neither a relay nor an app endpoint: a cut link whose
+                # consumer lives in another shard's planner, so this
+                # walk can never reach a recv lane.
                 return None, "cross-shard boundary chain", True
             return None, "recv lane not joined", False
         claimed_eps.add(id(tgt))
@@ -806,15 +807,10 @@ class _FastForward:
         if self.chains is None:
             chains, refusal, permanent = ff_resolve(train)
             if chains is None:
-                if permanent:
-                    # Shape can never materialize: stop fingerprinting
-                    # this train AND drop the program-wide probing tax
-                    # (chain closure).
-                    self.dead = True
-                    self.miss = None
-                    train.planner.disarm(refusal, train.engine)
-                else:
-                    self.miss = ("unresolved", refusal)
+                # No later sweep of this train heals a permanent refusal:
+                # stop closing and fingerprinting it. Reported either way.
+                self.dead = permanent
+                self.miss = ("unresolved", refusal)
                 return False
             self.shape = shape
             self.armed = True
@@ -843,7 +839,8 @@ class _FastForward:
 
         A train that probed but neither landed a jump nor had a guard
         of ``ff_apply`` refuse one ended on ``unresolved`` (the
-        ``ff_resolve`` precondition that failed) or ``no-period`` (the
+        ``ff_resolve`` precondition that failed, healable or not) or
+        ``no-period`` (the
         chains resolved, no two sweep boundaries bounded a period; the
         event carries the distinct per-sweep advances seen per cycle
         frontier — equal rates at unequal round sizes read as e.g.

@@ -516,8 +516,7 @@ class _Train:
                         if macro and self.extend_lane(sess.starved_on,
                                                       True):
                             progress = True
-            if not ff.dead and not planner.ff_disarmed and macro \
-                    and max_takes == MACRO_MAX_TAKES:
+            if not ff.dead and macro and max_takes == MACRO_MAX_TAKES:
                 if ff_close_chain(self):
                     progress = True  # new sessions need a sweep before ff
                 elif ff.ff_try(self):

@@ -65,17 +65,19 @@ def test_property_any_grid_matches_reference(nx, ny, steps, seed):
 
 
 @pytest.mark.xfail(strict=True, raises=DeadlockError,
-                   reason="ROADMAP 'The stencil at paper scale': a halo is "
-                          "lost or misdelivered — (2, 4) at 640^2 hangs at "
-                          "cycle 943, (4, 2) at 448^2 at cycle 1 811, both "
-                          "planes")
+                   reason="ROADMAP item 2 'The stencil at paper scale': "
+                          "head-of-line blocking the parity order invites — "
+                          "(2, 4) at 640^2 hangs at cycle 943 with the halo "
+                          "on link.2:1->3:3 behind a full shared recv_ep4, "
+                          "(4, 2) at 448^2 at cycle 1 811, both planes")
 @pytest.mark.parametrize("burst_mode", [True, False],
                          ids=["default", "flit"])
 @pytest.mark.parametrize("rank_grid,n", [((2, 4), 640), ((4, 2), 448)])
 def test_noctua_torus_one_timestep_hang(rank_grid, n, burst_mode):
-    """The smallest measured hangs of the parity-ordered halo exchange:
-    every CK and link is empty while three (two) kernels wait on their
-    receive endpoints, on the specification plane as on the default."""
+    """The smallest measured hangs of the parity-ordered halo exchange,
+    on the specification plane as on the default: a waited-for halo
+    sits on a link behind a CKR parked on a full endpoint (or inter-CKR
+    FIFO) that a later-read port's halo filled."""
     grid = _grid(n, n)
     out, _us = run_distributed_sim(
         grid, 1, rank_grid, topology=noctua_torus(),

@@ -25,6 +25,7 @@ from repro import (
     torus2d,
 )
 from repro.codegen.metadata import OpDecl
+from repro.core.errors import DeadlockError
 
 
 def _pipe(topology, n, src, dst, dtype=SMI_INT, port=0, payload=None,
@@ -448,3 +449,77 @@ def test_split_push_vec_default_plane_matches_the_specification(s):
     assert _split_stream(SPLIT_PACE.with_(macro_cruise=False), s) \
         == SPLIT_TABLE[s]
     assert _split_stream(SPLIT_PACE, s) == SPLIT_TABLE[s]
+
+
+# ----------------------------------------------------------------------
+# ROADMAP "Exactness beyond the default link pace", second lead: two
+# p2p streams sent in sequence by one kernel, beside a third kernel's
+# stream on the same path (1 hop, width 8, SMI_FLOAT)
+# ----------------------------------------------------------------------
+#: (n1, n2) -> the per-flit plane's deadlock cycle.
+SEQUENTIAL_SENDS = {(2048, 4096): 1509, (1024, 1024): 909}
+
+
+def _sequential_sends(config, n1, n2):
+    """Rank 0: kernel A pushes ``n1`` floats on port 0, then ``n2`` on
+    port 2; kernel B pushes ``n1`` on port 1. Rank 1: kernel C pops
+    port 0, then port 2; kernel D pops port 1. Progress relies on
+    channel buffering, which §3.3 forbids, so a deadlock is correct."""
+    prog = SMIProgram(noctua_bus(), config=config)
+    data = np.arange(max(n1, n2), dtype=np.float32)
+
+    def sender(*legs):
+        def kernel(smi):
+            for port, n in legs:
+                ch = smi.open_send_channel(n, SMI_FLOAT, 1, port)
+                yield from ch.push_vec(data[:n], width=8)
+        return kernel
+
+    def receiver(*legs):
+        def kernel(smi):
+            for port, n in legs:
+                ch = smi.open_recv_channel(n, SMI_FLOAT, 0, port)
+                yield from ch.pop_vec(n, width=8)
+        return kernel
+
+    for rank, name, kernel, legs, op in (
+            (0, "A", sender, ((0, n1), (2, n2)), "send"),
+            (0, "B", sender, ((1, n1),), "send"),
+            (1, "C", receiver, ((0, n1), (2, n2)), "recv"),
+            (1, "D", receiver, ((1, n1),), "recv")):
+        prog.add_kernel(kernel(*legs), rank=rank, name=name,
+                        ops=[OpDecl(op, port, SMI_FLOAT, peer=1 - rank)
+                             for port, _n in legs])
+    return prog.run(max_cycles=1_000_000)
+
+
+def _diverges(reason):
+    return pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 'Exactness beyond the default link pace' (lead: "
+               "sequential sends from one kernel): " + reason)
+
+
+@pytest.mark.parametrize("n1,n2,plane", [
+    (2048, 4096, "flit"),
+    pytest.param(2048, 4096, "burst", marks=_diverges(
+        "completes at cycle 2 767; first counts_at divergence at cycle "
+        "1 151, rank0.send_ep2 1 pop per-flit against 0")),
+    pytest.param(2048, 4096, "default", marks=_diverges(
+        "completes at cycle 2 767, like macro_cruise=False")),
+    (1024, 1024, "flit"),
+    (1024, 1024, "burst"),
+    pytest.param(1024, 1024, "default", marks=_diverges(
+        "completes at cycle 1 178; first counts_at divergence at cycle "
+        "557, rank0.send_ep2 1 pop per-flit against 0")),
+])
+def test_sequential_sends_deadlock_where_the_specification_does(n1, n2,
+                                                                 plane):
+    """Every plane must reproduce the per-flit plane's deadlock cycle."""
+    config = {"flit": NOCTUA.with_(burst_mode=False),
+              "burst": NOCTUA.with_(macro_cruise=False),
+              "default": NOCTUA}[plane]
+    cycle = SEQUENTIAL_SENDS[n1, n2]
+    with pytest.raises(DeadlockError,
+                       match=f"deadlocked at cycle {cycle}:"):
+        _sequential_sends(config, n1, n2)

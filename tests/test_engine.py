@@ -95,7 +95,8 @@ def test_two_runs_are_identical():
         trace = []
 
         def producer(fifo):
-            yield from fifo.push_many(range(20))
+            for i in range(20):
+                yield from fifo.push(i)
 
         def consumer(fifo):
             for _ in range(20):
@@ -352,10 +353,12 @@ def test_fifo_stats_snapshot():
     f = eng.fifo("stats", capacity=4)
 
     def p():
-        yield from f.push_many([1, 2, 3])
+        for i in (1, 2, 3):
+            yield from f.push(i)
 
     def c():
-        yield from f.pop_many(3)
+        for _ in range(3):
+            yield from f.pop()
 
     eng.spawn(p, "p")
     eng.spawn(c, "c")

@@ -64,11 +64,13 @@ def test_throughput_one_item_per_cycle():
     done = {}
 
     def producer():
-        yield from f.push_many(range(n))
+        for i in range(n):
+            yield from f.push(i)
         done["push_end"] = eng.cycle
 
     def consumer():
-        yield from f.pop_many(n)
+        for _ in range(n):
+            yield from f.pop()
         done["pop_end"] = eng.cycle
 
     eng.spawn(producer, "p")
@@ -215,7 +217,8 @@ def test_fifo_preserves_order_and_loses_nothing(items, capacity, latency, consum
     received = []
 
     def producer():
-        yield from f.push_many(items)
+        for item in items:
+            yield from f.push(item)
 
     def consumer():
         for _ in range(len(items)):

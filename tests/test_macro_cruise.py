@@ -28,7 +28,8 @@ here:
   whole 11-session 4-hop chain: the hyperperiod detector
   (``_FFHistory.ff_detect``) is pinned on synthetic fingerprints, and a
   program that cannot arm keeps probing — one report per train, no
-  give-up — on the specification's trajectory.
+  give-up, a refusal retiring only its own train — on the
+  specification's trajectory.
 
 * **a jump is a time shift** — one jump per stream whatever its length,
   landed as one ``Fifo.shift`` per chain FIFO: nothing per packet is
@@ -212,9 +213,7 @@ def _run_two_port(config, n):
 
     Both channels share every relay session between the ranks, so the
     sessions poll two inputs and demux into two targets — fixed
-    pattern shapes the relay-chain resolver permanently refuses. This
-    program can never arm the fast-forward, whatever the sweep sees
-    later, so the first refusal must disarm probing for good.
+    pattern shapes the relay-chain resolver refuses for the whole train.
     """
     prog = SMIProgram(noctua_bus(), config=config)
     data = {0: np.arange(n, dtype=np.float32) % 1024,
@@ -245,14 +244,10 @@ def _run_two_port(config, n):
 
 
 def test_macro_no_arm_program_pays_zero_ff_overhead():
-    """A permanently un-armable program must disarm probing.
-
-    The shared-path two-port shape can never resolve (its relay
-    patterns poll two inputs and stage into two targets, and pattern
-    shapes are fixed for the whole train), so the first permanent
-    refusal flips ``SupplyPlanner.ff_disarmed``: no fast-forward
-    window is ever counted, and the trajectory is identical to the
-    burst plane — the macro flag costs nothing here.
+    """The shared-path two-port shape never resolves (its relay
+    patterns poll two inputs and stage into two targets): no
+    fast-forward window is ever counted, and the trajectory is
+    identical to the burst plane — the macro flag costs nothing here.
     """
     n = 16384
     burst, _ = _run_two_port(BURST, n)
@@ -263,9 +258,21 @@ def test_macro_no_arm_program_pays_zero_ff_overhead():
     for key in ("end0", "end1"):
         assert macro.store(1, key) == burst.store(1, key)
     assert macro.cycles == burst.cycles
-    # The permanent refusal disarmed the probing machinery for good.
-    assert macro.transport.planner.ff_disarmed, \
-        "permanent resolve refusal never disarmed the planner"
+
+
+def test_shape_refusal_is_reported_by_its_own_train():
+    """A refusal no later sweep can heal retires the train that met
+    it, not the planner: the two-port program's shape refusal is one
+    train's miss — counted in ``ff_misses`` and traced as an ``abort``
+    with guard ``unresolved`` — and the run ends where the burst plane
+    does."""
+    macro, stats = _run_two_port(DEEP.with_(trace=True), 16384)
+
+    assert macro.cycles == 9611
+    assert stats.ff_jumps == 0 and stats.ff_misses >= 1
+    reasons = [ev[6].get("reason") for ev in macro.engine.trace.events()
+               if ev[2] == "abort" and ev[6]["guard"] == "unresolved"]
+    assert "pattern shape (multi-input/target session)" in reasons
 
 
 def test_counts_at_exact_across_fast_forwarded_fold_boundary():
@@ -397,7 +404,7 @@ def test_unarmable_program_keeps_probing_at_equal_cycles():
     With the silence proof vetoed (a state only the seam can reach), the
     shallow 4-hop chain is back in the circular regime: short trains,
     the resolver refusing on a consumer that never joins. The planner
-    neither disarms nor flips its plane mid-run; every train that probed
+    never flips its plane mid-run; every train that probed
     reports its silent outcome once — not once per sweep — and the run
     stays on the specification's trajectory, like the burst plane
     without the fast-forward.
@@ -425,9 +432,7 @@ def test_unarmable_program_keeps_probing_at_equal_cycles():
         planner_ff._ff_guard_probe = None
 
     assert stats.ff_jumps == 0
-    assert stats.ff_disarms == 0 and stats.ff_disarm_reason == ""
-    planner = res.transport.planner
-    assert planner.macro and not planner.ff_disarmed
+    assert res.transport.planner.macro
     assert stats.ff_misses == len(sweeps_per_train) > 0
     assert sum(sweeps_per_train) > stats.ff_misses
     assert stats.ff_miss_reason.startswith("unresolved")
@@ -483,8 +488,6 @@ def test_two_flows_sharing_a_link_never_disarm():
         for fname, rstats in ref_fifos.items():
             for key in ("pushes", "pops", "max_occupancy"):
                 assert fifos[fname][key] == rstats[key], (fname, key)
-    stats = collect_planner_stats(res.transport)
-    assert stats.ff_disarms == 0 and stats.ff_disarm_reason == ""
     assert res.transport.planner.macro
 
 

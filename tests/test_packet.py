@@ -13,7 +13,7 @@ from repro.core.datatypes import (
     SMI_INT,
 )
 from repro.core.errors import ConfigurationError, SimulationError
-from repro.network.packet import MAX_VALID_COUNT, OpType, Packet, make_data_packets
+from repro.network.packet import MAX_VALID_COUNT, OpType, Packet
 
 
 def test_wire_size_is_32_bytes():
@@ -112,21 +112,3 @@ def test_control_packet_has_no_payload_bytes():
     assert out.op == OpType.SYNC_READY
     assert out.count == 0
 
-
-@given(n=st.integers(0, 200))
-def test_make_data_packets_partition(n):
-    data = np.arange(n, dtype=np.int32)
-    pkts = make_data_packets(0, 1, 2, SMI_INT, data)
-    assert len(pkts) == SMI_INT.packets_for(n)
-    # Every packet except possibly the last is full.
-    for pkt in pkts[:-1]:
-        assert pkt.count == SMI_INT.elements_per_packet
-    recovered = np.concatenate([p.elements() for p in pkts]) if pkts else np.zeros(0)
-    np.testing.assert_array_equal(recovered, data)
-
-
-def test_make_data_packets_payload_isolated_from_source():
-    data = np.arange(7, dtype=np.int32)
-    pkts = make_data_packets(0, 1, 2, SMI_INT, data)
-    data[0] = 999
-    assert pkts[0].elements()[0] == 0

@@ -1,4 +1,4 @@
-"""Unit tests for element<->packet packing (the Push/Pop internals)."""
+"""Unit tests for element->packet packing (the Push internals)."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from repro.core.datatypes import SMI_DOUBLE, SMI_FLOAT, SMI_INT
 from repro.core.errors import ChannelError
-from repro.network.packet import OpType, Packet
+from repro.network.packet import OpType
 from repro.simulation import Engine
-from repro.transport.packing import PacketPacker, PacketUnpacker
+from repro.transport.packing import PacketPacker
 
 
 def test_packer_emits_on_full_packet():
@@ -61,7 +61,7 @@ def test_packer_retarget_on_boundary():
 @settings(deadline=None, max_examples=30)
 @given(values=st.lists(st.integers(-1000, 1000), min_size=1, max_size=100))
 def test_pack_unpack_roundtrip_through_fifo(values):
-    """Property: packer -> FIFO -> unpacker reproduces the element stream."""
+    """Property: packer -> FIFO -> payloads reproduce the element stream."""
     eng = Engine()
     fifo = eng.fifo("pkts", capacity=64)
     received = []
@@ -77,78 +77,12 @@ def test_pack_unpack_roundtrip_through_fifo(values):
             yield from fifo.push(tail)
 
     def consumer():
-        unpacker = PacketUnpacker(fifo, SMI_INT)
-        for _ in range(len(values)):
-            v = yield from unpacker.next_element()
-            received.append(int(v))
+        while len(received) < len(values):
+            pkt = yield from fifo.pop()
+            received.extend(int(v) for v in pkt.elements())
 
     eng.spawn(producer, "p")
     eng.spawn(consumer, "c")
     eng.run()
     assert received == values
 
-
-def test_unpacker_tracks_source_rank():
-    eng = Engine()
-    fifo = eng.fifo("pkts", capacity=8)
-    sources = []
-
-    def producer():
-        for src in (3, 5):
-            pkt = Packet(src=src, dst=1, port=0, op=OpType.DATA, count=1,
-                         payload=np.array([src], np.int32), dtype=SMI_INT)
-            yield from fifo.push(pkt)
-
-    def consumer():
-        unpacker = PacketUnpacker(fifo, SMI_INT)
-        for _ in range(2):
-            yield from unpacker.next_element()
-            sources.append(unpacker.last_src)
-
-    eng.spawn(producer, "p")
-    eng.spawn(consumer, "c")
-    eng.run()
-    assert sources == [3, 5]
-
-
-def test_unpacker_rejects_control_packet():
-    eng = Engine()
-    fifo = eng.fifo("pkts", capacity=8)
-
-    def producer():
-        yield from fifo.push(Packet(src=0, dst=1, port=0, op=OpType.CREDIT))
-
-    def consumer():
-        unpacker = PacketUnpacker(fifo, SMI_INT)
-        yield from unpacker.next_element()
-
-    eng.spawn(producer, "p")
-    eng.spawn(consumer, "c")
-    with pytest.raises(ChannelError, match="expected DATA"):
-        eng.run()
-
-
-def test_unpacker_one_element_per_cycle():
-    eng = Engine()
-    fifo = eng.fifo("pkts", capacity=8)
-    times = []
-
-    def producer():
-        packer = PacketPacker(0, 1, 0, SMI_INT)
-        for i in range(14):  # exactly two full packets
-            pkt = packer.add(i)
-            if pkt is not None:
-                yield from fifo.push(pkt)
-
-    def consumer():
-        unpacker = PacketUnpacker(fifo, SMI_INT)
-        for _ in range(14):
-            yield from unpacker.next_element()
-            times.append(eng.cycle)
-
-    eng.spawn(producer, "p")
-    eng.spawn(consumer, "c")
-    eng.run()
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    # Elements within a packet arrive back-to-back (gap 1).
-    assert gaps.count(1) >= 10

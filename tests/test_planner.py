@@ -373,7 +373,7 @@ def _primes():
 def test_planner_stats_merge_is_fieldwise():
     """Every field folds under its own name: with a distinct prime in
     every field of both operands, a shifted or dropped argument cannot
-    produce the field-wise sum. The two reason strings fold
+    produce the field-wise sum. The reason string folds
     first-non-empty-wins. Like ``trace.metrics.merge_snapshots`` (whose
     docstring leans on this), ``merge`` is a pure fold with the empty
     instance as identity."""
@@ -382,7 +382,7 @@ def test_planner_stats_merge_is_fieldwise():
     names = [f.name for f in dataclasses.fields(PlannerStats)]
     counters = [n for n in names if not n.endswith("_reason")]
     reasons = [n for n in names if n.endswith("_reason")]
-    assert len(reasons) == 2 and len(counters) == len(names) - 2
+    assert len(reasons) == 1 and len(counters) == len(names) - 1
     gen = _primes()
     a = PlannerStats(**{n: next(gen) for n in counters},
                      **{n: "" for n in reasons})

@@ -108,12 +108,11 @@ def test_partition_swap_refinement_beats_bfs_split():
     assert len(part.cut) == 2  # {0,1,4,5} | {2,3,6,7}: one cut per rail
 
 
-def test_partition_rank_lists_and_overrides():
+def test_partition_rank_lists():
     topo = noctua_bus()
     part = partition_topology(topo, 2, rank_lists=[[0, 1, 2], [3, 4, 5, 6, 7]])
     assert part.shards == ((0, 1, 2), (3, 4, 5, 6, 7))
-    part = partition_topology(topo, 2, overrides={0: 1})
-    assert part.shard_of()[0] == 1
+    assert part.shard_of()[3] == 1
     validate_cut(part, topo, NOCTUA)
 
 
@@ -128,7 +127,7 @@ def test_partition_validation_errors():
     with pytest.raises(TopologyError, match="empty"):
         partition_topology(topo, 2, rank_lists=[[], [0, 1, 2, 3]])
     with pytest.raises(TopologyError, match="out of range"):
-        partition_topology(topo, 2, overrides={9: 0})
+        partition_topology(topo, 2, rank_lists=[[0, 9], [1, 2, 3]])
     with pytest.raises(ConfigurationError, match="not a connection"):
         bad = Partition(shards=((0, 1), (2, 3)),
                         cut=(topo.connections[0].__class__((0, 3), (3, 3)),))

@@ -6,10 +6,10 @@ last-write-wins), the cross-shard segment merge (ordering, counter
 namespacing), the canonical timing schema (loud rejection of malformed
 entries), and both exporters — plus the integration contracts: tracing
 on vs off is cycle-identical on every backend, deadlock dumps carry the
-recorder tail, ``planner_summary`` renders the disarmed state, and a
-4-shard process-backend run emits one merged Perfetto-loadable timeline
-with per-shard cycle tracks, planner ff/abort/disarm events, and
-wall-clock compute/serialize/ipc_wait lanes.
+recorder tail, and a 4-shard process-backend run emits one merged
+Perfetto-loadable timeline with per-shard cycle tracks, planner ff/abort
+events (a refused train's miss among them), and wall-clock
+compute/serialize/ipc_wait lanes.
 """
 
 import json
@@ -23,7 +23,7 @@ from repro.codegen.metadata import OpDecl
 from repro.core.config import NOCTUA, hardware_preset
 from repro.core.errors import DeadlockError
 from repro.simulation.engine import Engine
-from repro.simulation.stats import PlannerStats, collect_planner_stats
+from repro.simulation.stats import collect_planner_stats
 from repro.trace import (
     EVENT_KINDS,
     MetricsRegistry,
@@ -71,7 +71,7 @@ def test_recorder_rejects_degenerate_capacity():
 def test_event_kinds_are_the_documented_taxonomy():
     assert len(EVENT_KINDS) == len(set(EVENT_KINDS))
     for kind in ("dispatch", "park", "wake", "stage", "take", "grant",
-                 "xfer", "span", "ff", "abort", "disarm", "epoch", "drain"):
+                 "xfer", "span", "ff", "abort", "epoch", "drain"):
         assert kind in EVENT_KINDS
 
 
@@ -345,27 +345,6 @@ def test_deadlock_dump_without_tracing_is_unchanged():
     assert "Last trace events" not in str(exc.value)
 
 
-def test_planner_summary_renders_disarm_reason():
-    from repro.harness.reporting import planner_summary
-
-    live = PlannerStats(attempts=10, windows=8)
-    assert "DISARMED" not in planner_summary(live)
-    disarmed = PlannerStats(
-        attempts=10, windows=8, ff_disarms=1,
-        ff_disarm_reason="cross-shard boundary chain")
-    line = planner_summary(disarmed)
-    assert "macro: DISARMED (cross-shard boundary chain)" in line
-
-
-def test_planner_stats_merge_folds_disarms_first_reason_wins():
-    a = PlannerStats(ff_disarms=1, ff_disarm_reason="overlap")
-    b = PlannerStats(ff_disarms=2, ff_disarm_reason="cross-shard")
-    m = a.merge(b)
-    assert m.ff_disarms == 3
-    assert m.ff_disarm_reason == "overlap"
-    assert PlannerStats().merge(b).ff_disarm_reason == "cross-shard"
-
-
 def test_macro_ff_jump_and_guard_abort_are_traced():
     """Sequential deep stream: the trace shows the jump — and, with a
     one-shot guard veto installed, the abort that preceded it."""
@@ -408,10 +387,11 @@ def test_four_shard_process_trace_merges_onto_one_timeline(tmp_path):
     """One 4-shard forked run, three streams: an intra-shard deep
     stream that macro-fast-forwards (>= 1 jump; a one-shot probe also
     forces a guard abort), and a second shard hosting both an
-    intra-shard stream and a cross-shard sender — an un-armable shape
-    whose permanent refusal disarms that shard's resolver. The merged
-    trace must carry per-shard cycle tracks, the ff/abort/disarm
-    events, and wall-clock lanes."""
+    intra-shard stream and a cross-shard sender. Those two share rank
+    2's CKS, a pattern shape the resolver refuses for the whole train:
+    each such train reports the refusal once, as a miss. The merged
+    trace must carry per-shard cycle tracks, the ff/abort events, and
+    wall-clock lanes."""
     from repro.transport import planner_ff
 
     n = 8192
@@ -438,7 +418,7 @@ def test_four_shard_process_trace_merges_onto_one_timeline(tmp_path):
 
     make(0, 1, 0)   # intra-shard: arms, jumps
     make(2, 3, 1)   # intra-shard inside shard 1
-    make(2, 5, 2)   # cross-shard sender: shard 1 can never arm
+    make(2, 5, 2)   # cross-shard sender: shard 1's trains never arm
 
     fired = []
 
@@ -465,13 +445,12 @@ def test_four_shard_process_trace_merges_onto_one_timeline(tmp_path):
     kinds = {ev[3] for ev in merged["events"]}
     assert "ff" in kinds, "intra-shard stream must land a macro-ff jump"
     assert "abort" in kinds, "vetoed guard must leave an abort event"
-    assert "disarm" in kinds, "un-armable shard must disarm its resolver"
     assert "epoch" in kinds
     stats = collect_planner_stats(res.transport)
-    assert stats.ff_jumps >= 1
-    assert stats.ff_disarms >= 1
-    disarms = [ev for ev in merged["events"] if ev[3] == "disarm"]
-    assert disarms[0][7]["reason"] == stats.ff_disarm_reason != ""
+    assert stats.ff_jumps >= 1 and stats.ff_misses >= 1
+    refusals = [ev[7].get("reason") for ev in merged["events"]
+                if ev[3] == "abort" and ev[7]["guard"] == "unresolved"]
+    assert "pattern shape (multi-input/target session)" in refusals
     # Wall lanes: every worker reports all three phases.
     phases_by_shard = {}
     for shard, phase, t0, t1, _base in merged["wall"]:
