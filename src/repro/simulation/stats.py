@@ -45,14 +45,15 @@ class PlannerStats:
     destination's CKR).
 
     ``ff_misses`` counts the trains that probed for a fast-forward and
-    ended on a *silent* no-arm outcome — the chains did not resolve
+    ended on a *silent* no-arm outcome — no chain resolved
     (``unresolved``, whether a later sweep of that train could have
-    healed the refusal or not) or resolved without a provable period
-    (``no-period``) — and ``ff_miss_reason`` carries the outcome of one
-    of them in report wording (``"no period"``, ``"unresolved —
-    pattern shape (multi-input/target session)"``; merged
-    first-non-empty-wins). Named guard refusals of ``ff_apply`` are not
-    misses: they report themselves.
+    healed the refusal or not) or the chains resolved without a provable
+    period (``no-period``) — and ``ff_miss_reason`` carries the outcome
+    of one of them in report wording, an ``unresolved`` one naming the
+    refused walk's send endpoint (``"no period"``, ``"unresolved —
+    rank2.send_ep1: pattern shape (multi-input/target session)"``;
+    merged first-non-empty-wins). Named guard refusals of ``ff_apply``
+    are not misses: they report themselves.
 
     Engagement (who was ever asked to plan) adds three: ``cks`` counts
     the CKs the builder put on the burst plane and ``cks_off_route``

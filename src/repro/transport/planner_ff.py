@@ -1,9 +1,10 @@
 """Prove period & jump: the analytic stream fast-forward.
 
 Last stage of the planner pipeline (``HardwareConfig.macro_cruise``, on
-by default). A validated train is still O(1) work per packet. When a
-whole program resolves into app-stream relay chains (``send lane ->
-sessions -> recv lane``) the steady state is a periodic object. The
+by default). A validated train is still O(1) work per packet. When an
+app stream's sessions resolve into a relay chain (``send lane ->
+sessions -> recv lane``; each stream alone, see :func:`ff_resolve`) its
+steady state is a periodic object. The
 train fingerprints each chain at every sweep boundary and
 :class:`_FFHistory` finds the shortest *hyperperiod* — sessions advance
 at equal rates but, at the paper's 8-deep buffers, unequal round sizes,
@@ -36,8 +37,8 @@ knows a channel's or packer's internals.
 (``_ff_guard_probe``), :class:`_RelayHop`, :class:`_FastForward` and the
 ``FF_*`` bounds — every fast-forward function of the planner, under the
 ``ff_`` / ``_ff_`` prefix the profile benchmark attributes
-``planner.ff_s`` by. **It reads** the train's sessions, cursors and
-joined lanes, supply horizons under the train's own frontiers, the
+``planner.ff_s`` by. **It reads** the train's sessions, cursors,
+joined lanes and stager map, supply horizons under the train's own frontiers, the
 planner's relay registry. **It may mutate**, on a proven jump only, the
 members' counters and frontiers, the planner's ff counters and the shift
 list the train's commit then lands — plus its own train's ``dead`` /
@@ -363,117 +364,131 @@ def ff_close_chain(train) -> bool:
 
 
 def ff_resolve(train):
-    """Resolve the train as app-stream relay chains.
+    """Resolve the train's app streams as relay chains, one per walk.
 
     Each chain is ``send lane -> session_0 -> ... -> session_n ->
-    recv lane``, found by walking every session's single
-    ``target_fifos[0]`` into the next session's input — transit CK
-    relays included, so a 4-hop stream resolves as one chain of 11
-    relay sessions (the CKR plus both CKS stages at every transit
-    rank, between the source's CKS and the destination's CKR).
-    Interior hops must be builder-wired relay FIFOs
-    (``planner.relay_fifos``: CK-internal transit, no app writer
-    can reach them), the whole channel history must sit
-    inside the lanes (a stream element's position identifies its
-    payload — the element-indexed packet runs depend on it), and no
-    frozen-value release may be left in front of a sender's pacing
-    cursor (a consumed release *writes* the cursor via ``max(cur,
-    rel + 1)``, so only Δ-shifting train releases may feed it).
+    recv lane``, found by walking from every joined send lane through
+    each session's single ``target_fifos[0]`` into the next session's
+    input — transit CK relays included, so a 4-hop stream resolves as
+    one chain of 11 relay sessions (the CKR plus both CKS stages at
+    every transit rank, between the source's CKS and the destination's
+    CKR). See :func:`ff_walk` for what one walk demands.
 
-    Concurrent independent streams resolve as one chain per send
-    lane; disjointness is structural — every session and recv lane
-    is claimed by at most one walk, and any sharing (two sessions
-    on one input, two chains through one session or endpoint) is an
-    overlap refusal that falls back to per-packet replication.
-
-    Returns ``(chains, refusal, permanent)``: ``chains`` is the
-    resolved list of ``(send lane, hops, recv lane)`` or ``None``;
-    ``refusal`` names the precondition that failed (consumer not
-    joined, lane inactive, snapshot not drained, ...), and
-    ``permanent`` tells refusals a later sweep of this train can heal
-    from ones it never can (a compiled pattern's shape — its
-    input/target counts — is fixed for the whole train, and so are an
-    overlap and a walk leaving the planner across a cut link). A
-    permanent refusal retires this train's probe (``_FastForward.dead``)
-    instead of re-fingerprinting every sweep; the next train resolves
-    afresh. Either kind is reported once per train (guard
-    ``unresolved``), so a run that never arms says *why* instead of
-    showing silent zero counters.
+    Walks are independent: a walk that fails, a recv lane nobody walked
+    to and sessions outside every chain refuse nothing else, so the
+    stream beside a shard cut or beside a stream of another shape still
+    resolves. Returns ``(chains, refused)``: the resolved ``(send lane,
+    hops, recv lane)`` list, and per failed walk ``(send endpoint name,
+    refusal, permanent)`` — ``permanent`` telling refusals a later sweep
+    of this train can heal (consumer not joined, snapshot not drained,
+    ...) from ones it never can (a compiled pattern's shape, an
+    overlap, a walk leaving the planner across a cut link, an outside
+    session staging into an observed FIFO). With no send lane joined
+    the one refusal is ``(None, "app lanes not joined", False)``.
     """
-    planner = train.planner
-    order = train.order
     lanes = train.lanes_used.values()
     sends = [la for la in lanes if la.is_send]
-    recvs = {}
-    for la in lanes:
-        if not la.is_send:
-            recvs[id(la.chan.endpoint)] = la
-    if not sends or len(recvs) != len(sends):
-        return None, "app lanes not joined", False
-    by_input = {}
-    for sess in order:
-        tpi = sess.pattern.takes_per_input
-        if len(tpi) != 1 or len(sess.pattern.target_fifos) != 1:
+    if not sends:
+        return [], [(None, "app lanes not joined", False)]
+    recvs = {id(la.chan.endpoint): la for la in lanes if not la.is_send}
+    by_input = {}  # id(fifo) -> (session, input, takes per round)
+    for sess in train.order:
+        inputs = sess.arb.inputs
+        for j, tpr in sess.pattern.takes_per_input:
+            fid = id(inputs[j])  # two takers poison the input (overlap)
+            by_input[fid] = None if fid in by_input else (sess, j, tpr)
+    chains, refused = [], []
+    taken: set = set()  # sessions and recv lanes claimed by a walk
+    for ls in sends:
+        chain, why, permanent = ff_walk(train, ls, by_input, recvs, taken)
+        if chain is None:
+            refused.append((ls.chan.endpoint.name, why, permanent))
+        else:
+            chains.append(chain)
+    return chains, refused
+
+
+def ff_walk(train, ls, by_input, recvs, taken):
+    """Walk send lane ``ls``'s stream down the train: ``(chain, None,
+    False)``, or ``(None, refusal, permanent)`` (see :func:`ff_resolve`).
+
+    Interior hops must be builder-wired relay FIFOs
+    (``planner.relay_fifos``: CK-internal transit, no app writer can
+    reach them), the whole channel history must sit inside the lanes (a
+    stream element's position identifies its payload — the
+    element-indexed packet runs depend on it), and no frozen-value
+    release may be left in front of a sender's pacing cursor (a consumed
+    release *writes* the cursor via ``max(cur, rel + 1)``, so only
+    Δ-shifting train releases may feed it). Disjointness is structural:
+    every session and recv lane is claimed by at most one walk, and any
+    sharing is an overlap refusal.
+
+    The one rule a chain owes the sessions outside it (guard site
+    ``outside``): no hop may observe a FIFO a train session stages into.
+    A chain session stages into its own chain FIFO only, so that stager
+    is outside the chain and its proof does not cover it: the
+    fingerprint only shows the FIFO frozen over the two observed
+    windows, and ``ff_obs_bound`` bounds it from committed state, not
+    from the stager's validated frontier. The rule keeps the jump's
+    soundness from resting on either.
+    """
+    if not ls.active or ls.cur is None:
+        return None, "send lane inactive", False
+    if ls.rel_ptr < ls.rels0 or not ls.owns_history:
+        return None, "send lane history not in the train", False
+    relay = train.planner.relay_fifos
+    hops = []
+    f = ls.chan.endpoint
+    while True:
+        if id(f) not in by_input:
+            return None, "consumer not joined", False
+        ent = by_input[id(f)]
+        if ent is None:
+            return None, "overlap (two sessions on one input)", True
+        sess, j, tpr = ent
+        pattern = sess.pattern
+        if len(pattern.takes_per_input) != 1 \
+                or len(pattern.target_fifos) != 1:
             # Pattern shape fixed for the train: never a relay.
-            return None, "pattern shape (multi-input/target session)", \
-                True
+            return None, "pattern shape (multi-input/target session)", True
+        if id(sess) in taken:
+            return None, "overlap (chains share a session)", True
+        taken.add(id(sess))
         if sess.done:
             return None, "session diverged from its pattern", False
-        j, tpr = tpi[0]
-        fin = sess.arb.inputs[j]
-        if id(fin) in by_input:
-            return None, "overlap (two sessions on one input)", True
-        by_input[id(fin)] = (sess, j, tpr)
-    relay = planner.relay_fifos
-    chains = []
-    taken: set = set()        # sessions claimed by an earlier walk
-    claimed_eps: set = set()  # recv endpoints claimed by a chain
-    for ls in sends:
-        if not ls.active or ls.cur is None:
-            return None, "send lane inactive", False
-        if ls.rel_ptr < ls.rels0 or not ls.owns_history:
-            return None, "send lane history not in the train", False
-        hops = []
-        f = ls.chan.endpoint
-        while True:
-            ent = by_input.get(id(f))
-            if ent is None:
-                return None, "consumer not joined", False
-            sess, j, tpr = ent
-            if id(sess) in taken:
-                return None, "overlap (chains share a session)", True
-            taken.add(id(sess))
-            if len(sess.stage_cursors) != 1 \
-                    or sess.snap_iter[j] is not None:
-                return None, "snapshot not drained", False
-            cur = next(iter(sess.stage_cursors.values()))
-            tgt = sess.pattern.target_fifos[0]
-            if cur.stamp != train.stamp or cur.fifo is not tgt:
-                return None, "stage cursor not live", False
-            hops.append(_RelayHop(sess, j, tpr, cur))
-            if id(tgt) in relay:
-                f = tgt  # transit hop: keep walking the chain
-                continue
-            lr = recvs.pop(id(tgt), None)
+        if len(sess.stage_cursors) != 1 or sess.snap_iter[j] is not None:
+            return None, "snapshot not drained", False
+        cur = next(iter(sess.stage_cursors.values()))
+        tgt = pattern.target_fifos[0]
+        if cur.stamp != train.stamp or cur.fifo is not tgt:
+            return None, "stage cursor not live", False
+        hops.append(_RelayHop(sess, j, tpr, cur))
+        if id(tgt) not in relay:
             break
-        if lr is None:
-            if id(tgt) in claimed_eps:
-                return None, "overlap (two chains on one endpoint)", \
-                    True
-            if tgt.macro_host is None:
-                # Neither a relay nor an app endpoint: a cut link whose
-                # consumer lives in another shard's planner, so this
-                # walk can never reach a recv lane.
-                return None, "cross-shard boundary chain", True
-            return None, "recv lane not joined", False
-        claimed_eps.add(id(tgt))
-        if not lr.active or lr.cur is None or not lr.owns_history \
-                or ls.chan.dtype is not lr.chan.dtype:
-            return None, "recv lane inactive", False
-        chains.append((ls, hops, lr))
-    if len(taken) != len(order) or recvs:
-        return None, "sessions outside every chain", False
-    return chains, None, False
+        f = tgt  # transit hop: keep walking the chain
+    lr = recvs.get(id(tgt))
+    if lr is None:
+        if tgt.macro_host is None:
+            # Neither a relay nor an app endpoint: a cut link whose
+            # consumer lives in another shard's planner, so this walk
+            # can never reach a recv lane.
+            return None, "cross-shard boundary chain", True
+        return None, "recv lane not joined", False
+    if id(lr) in taken:
+        return None, "overlap (two chains on one endpoint)", True
+    taken.add(id(lr))
+    if not lr.active or lr.cur is None or not lr.owns_history \
+            or ls.chan.dtype is not lr.chan.dtype:
+        return None, "recv lane inactive", False
+    stager = train.stager
+    for k, hop in enumerate(hops):
+        inputs = hop.sess.arb.inputs
+        if _ff_veto('outside', k) or any(
+                j != hop.jc and id(inputs[j]) in stager
+                for j in hop.sess.pattern.inputs_used):
+            return None, "outside session stages into an observed FIFO", \
+                True
+    return (ls, hops, lr), None, False
 
 
 def ff_shift_refusal(fifo, stages, takes, inv, floor, ppp, dT):
@@ -545,15 +560,15 @@ class _FastForward:
     and visibility tripwires at commit time.
     """
 
-    __slots__ = ("dead", "miss", "armed", "chains", "hist", "shape",
+    __slots__ = ("dead", "miss", "armed", "chains", "refused", "shape",
                  "shifts")
 
     def __init__(self) -> None:
         self.dead = False    # permanent no-arm: stop probing the train
-        self.miss = None     # last silent no-arm outcome (guard, why)
-        self.armed = False   # chains resolved at least once (stats)
-        self.chains = None   # resolved relay chains, one per stream
-        self.hist = None     # per chain: fingerprint history (_FFHistory)
+        self.miss = None     # last silent no-arm outcome (guard, why, chain)
+        self.armed = False   # a chain resolved at least once (stats)
+        self.chains = {}     # chain key -> (relay chain, its _FFHistory)
+        self.refused = ()    # failed walks of the last ff_resolve
         self.shape = None    # (sessions, lanes) chains resolved under
         self.shifts = ()     # a proven jump: (stage target, shift args)
 
@@ -799,25 +814,33 @@ class _FastForward:
         return True
 
     def ff_try(self, train) -> bool:
-        """Resolve the chains (once per train shape), fingerprint each
-        at this sweep boundary, and jump the first provable period."""
+        """Resolve the chains, fingerprint each at this sweep boundary,
+        and jump the first provable period.
+
+        The walks are re-run when a session or lane joined, and at every
+        sweep while one is refused only for now; a chain that resolves
+        again with the same members keeps its fingerprint history. The
+        train retires (``dead``) once every send lane's walk is refused
+        for good or its message ends too soon to jump.
+        """
         shape = (len(train.order), len(train.lanes_used))
-        if self.chains is not None and shape != self.shape:
-            self.chains = None  # a session or lane joined: chains staled
-        if self.chains is None:
-            chains, refusal, permanent = ff_resolve(train)
-            if chains is None:
-                # No later sweep of this train heals a permanent refusal:
-                # stop closing and fingerprinting it. Reported either way.
-                self.dead = permanent
-                self.miss = ("unresolved", refusal)
-                return False
+        if shape != self.shape or any(not p for _e, _w, p in self.refused):
+            chains, self.refused = ff_resolve(train)
             self.shape = shape
-            self.armed = True
-            self.chains = chains
-            self.hist = [_FFHistory() for _ in chains]
-        self.miss = ("no-period", "")
-        for chain, hist in zip(self.chains, self.hist):
+            old = self.chains
+            self.chains = {}
+            for chain in chains:
+                key = (id(chain[0]), *(id(hop.sess) for hop in chain[1]))
+                self.chains[key] = old.get(key) or (chain, _FFHistory())
+            self.armed = self.armed or bool(chains)
+        permanent = all(p for _e, _w, p in self.refused)
+        if not self.chains:  # every walk refused: report the first
+            endpoint, why, _p = self.refused[0]
+            self.dead = permanent
+            self.miss = ("unresolved", why, endpoint)
+            return False
+        self.miss = ("no-period", "", None)
+        for chain, hist in self.chains.values():
             if chain[0].ff_spent:
                 continue  # its message ends too soon: refused for good
             det = hist.ff_detect(ff_checkpoint(chain))
@@ -825,11 +848,13 @@ class _FastForward:
                 det = None
             if det is not None:
                 self.miss = ("no-period",
-                             "candidate period is not a provable Δ-shift")
+                             "candidate period is not a provable Δ-shift",
+                             None)
                 if self.ff_apply(train, chain, *det):
                     self.miss = None
                     return True
-        if all(chain[0].ff_spent for chain in self.chains):
+        if permanent and all(chain[0].ff_spent
+                             for chain, _h in self.chains.values()):
             self.dead = True
             self.miss = None
         return False
@@ -838,8 +863,9 @@ class _FastForward:
         """One ``abort`` event per train for the silent no-arm outcomes.
 
         A train that probed but neither landed a jump nor had a guard
-        of ``ff_apply`` refuse one ended on ``unresolved`` (the
-        ``ff_resolve`` precondition that failed, healable or not) or
+        of ``ff_apply`` refuse one ended on ``unresolved`` (no chain
+        resolved: the first refused walk's send endpoint, as ``chain``,
+        and the precondition that failed, healable or not) or
         ``no-period`` (the
         chains resolved, no two sweep boundaries bounded a period; the
         event carries the distinct per-sweep advances seen per cycle
@@ -847,22 +873,25 @@ class _FastForward:
         ``[32]`` beside ``[44]``). Counted in ``PlannerStats`` so
         ``planner_summary`` can say "probing, no period (k trains)".
         """
-        guard, why = self.miss
+        guard, why, chain = self.miss
         reason = "no period" if guard == "no-period" else guard
         if why:
-            reason = f"{reason} — {why}"
+            reason = f"{reason} — {chain + ': ' if chain else ''}{why}"
         stats = train.planner.stats
         stats.ff_misses += 1
         stats.ff_miss_reason = reason
         engine = train.engine
         if engine.trace is not None:
             args = {"guard": guard, "hop": -1}
+            if chain:
+                args["chain"] = chain
             if why:
                 args["reason"] = why
             else:
                 args["steps"] = [
                     sorted({b[1][i] - a[1][i]
                             for a, b in zip(h.cps, h.cps[1:])} - {0})
-                    for h in self.hist for i in range(len(h.cps[-1][1]))]
+                    for _c, h in self.chains.values() if h.cps
+                    for i in range(len(h.cps[-1][1]))]
             engine.trace.emit(engine.cycle, "abort", "planner", "ff-abort",
                               args=args)

@@ -213,7 +213,7 @@ def _run_two_port(config, n):
 
     Both channels share every relay session between the ranks, so the
     sessions poll two inputs and demux into two targets — fixed
-    pattern shapes the relay-chain resolver refuses for the whole train.
+    pattern shapes the relay-chain resolver refuses on both walks.
     """
     prog = SMIProgram(noctua_bus(), config=config)
     data = {0: np.arange(n, dtype=np.float32) % 1024,
@@ -395,6 +395,49 @@ def test_ff_detect_refuses_unequal_rates():
         assert hist.ff_detect(cp) is None
     assert len(hist.cps) == planner_ff.FF_KEEP
     assert sum(map(len, hist.by_skew.values())) == planner_ff.FF_KEEP
+
+
+def _uniform_bus_jumps(config, ranks, n=1 << 14):
+    """Jumps of a ``ranks``-bus where every rank streams ``n`` floats to
+    its right neighbour while receiving from its left."""
+    from repro import bus
+
+    prog = SMIProgram(bus(ranks), config=config)
+    data = np.arange(n, dtype=np.float32)
+
+    def sender(smi):
+        ch = smi.open_send_channel(n, SMI_FLOAT, smi.rank + 1, 0)
+        yield from ch.push_vec(data, width=8)
+
+    def receiver(smi):
+        ch = smi.open_recv_channel(n, SMI_FLOAT, smi.rank - 1, 0)
+        out = yield from ch.pop_vec(n, width=8)
+        smi.store("ok", bool(np.array_equal(out, data)))
+
+    for rank in range(ranks - 1):
+        prog.add_kernel(sender, rank=rank, name="tx",
+                        ops=[OpDecl("send", 0, SMI_FLOAT, peer=rank + 1)])
+        prog.add_kernel(receiver, rank=rank + 1, name="rx",
+                        ops=[OpDecl("recv", 0, SMI_FLOAT, peer=rank)])
+    res = prog.run(max_cycles=50_000_000)
+    assert res.completed, res.reason
+    assert all(res.store(rank, "ok") for rank in range(1, ranks))
+    return collect_planner_stats(res.transport).ff_jumps
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "on NOCTUA_DEEP the tail stream's period exceeds the detector: its "
+    "chain resolves at cycle 458, its send side moves 64 cycles per 3 "
+    "sweeps and its ckr0 and recv lane move in 92-cycle rounds, so the "
+    "common period is 1 472 cycles (~69 sweeps > FF_MAX_P = 64); with "
+    "FF_MAX_P = 128 it is found and refused as 'message ends within "
+    "three periods'"))
+def test_the_last_stream_of_a_uniform_bus_jumps():
+    """Every stream of a uniform bus should jump. On ``NOCTUA`` all do;
+    on ``NOCTUA_DEEP`` the last one never does, even sequentially, at 3,
+    4, 8 and 16 ranks (ROADMAP item 6, the tail lead)."""
+    assert _uniform_bus_jumps(NOCTUA, 3) == 2
+    assert _uniform_bus_jumps(DEEP, 3) == 2
 
 
 def test_unarmable_program_keeps_probing_at_equal_cycles():

@@ -16,11 +16,17 @@ cycles and FIFO trajectories.
 The vetoed run must also never count a jump (``ff_jumps == 0``): a
 guard refusal aborts the whole analytic commit, not just a bound.
 
-Two refusals have deterministic causes of their own, driven here without
-the probe: a chain FIFO the shift cannot carry exactly (guard ``shift``,
-with the FIFO's reason), and a message that ends within three periods of
-the first provable one (guard ``budget``) — final for the message, so it
-is reported once and the chain is not probed again.
+One guard site refuses at resolution instead: ``outside`` (a chain hop
+observing a FIFO that a train session outside the chain stages into)
+retires the chain's walk before any fingerprint is taken.
+
+Three refusals have deterministic causes of their own, driven here
+without the probe: a chain FIFO the shift cannot carry exactly (guard
+``shift``, with the FIFO's reason), an observed FIFO with an outside
+stager (an ``unresolved`` miss naming the walk's send endpoint), and a
+message that ends within three periods of the first provable one (guard
+``budget``) — final for the message, so it is reported once and the
+chain is not probed again.
 """
 
 import numpy as np
@@ -113,6 +119,7 @@ def reference():
     ("standing", 0),        # frozen standing backlog on the first hop
     ("shift", 7),           # a mid-chain FIFO that cannot take the shift
     ("no-period", -1),      # the detector never offers a period
+    ("outside", 3),         # an outside session stages into an observed FIFO
 ])
 def test_guard_veto_falls_back_bit_identical(reference, guard, hop):
     probe, fired = _veto(guard, hop)
@@ -175,11 +182,13 @@ def test_probe_observes_every_hop_of_the_chain():
     assert cons_hops == set(range(LAST_HOP + 1)), \
         "conservation guard must walk every hop of the 4-hop chain"
     assert {h for g, h in seen if g == "horizon"} == cons_hops
+    assert {h for g, h in seen if g == "outside"} == cons_hops
     # One shift per chain FIFO: the send endpoint, then each hop's target.
     assert {h for g, h in seen if g == "shift"} == set(range(LAST_HOP + 2))
     assert {g for g, _h in seen} >= {
         "conservation", "rel-lattice", "budget", "horizon",
         "standing", "recv-lattice", "slots", "shift", "no-period",
+        "outside",
     }
 
 
@@ -210,6 +219,37 @@ def test_unshiftable_fifo_refuses_the_jump_by_name(monkeypatch):
     assert shift and all(
         a["hop"] == 2 and a["reason"] == "boundary log records every item"
         for a in shift)
+    assert res.cycles == ref.cycles
+    _assert_same_fifo_stats(res, ref)
+
+
+def test_outside_stager_refuses_the_chain_by_name(monkeypatch):
+    """The one rule a chain owes the train sessions outside it: no hop
+    may observe a FIFO one of them stages into (its stages would outrun
+    every horizon the proof reads once the jump leaves its frontier
+    behind). Here every FIFO a session only polls is registered as
+    staged into by an outside session before the walks: each train's
+    one chain is refused for good — an ``unresolved`` miss naming the
+    walk's send endpoint — and the run stays bit-identical."""
+    original = planner_ff.ff_resolve
+
+    def resolve(train):
+        for sess in train.order:
+            inputs = sess.arb.inputs
+            taken = {j for j, _n in sess.pattern.takes_per_input}
+            for j in sess.pattern.inputs_used:
+                if j not in taken:
+                    train.stager.setdefault(id(inputs[j]), None)
+        return original(train)
+
+    ref, _ = _run(DEEP, hops=1)
+    monkeypatch.setattr(planner_ff, "ff_resolve", resolve)
+    res, stats = _run(MACRO.with_(trace=True), hops=1)
+    assert stats.ff_jumps == 0
+    refusals = {(a.get("chain"), a["reason"]) for a in _abort_events(res)
+                if a["guard"] == "unresolved"}
+    assert ("rank0.send_ep0",
+            "outside session stages into an observed FIFO") in refusals
     assert res.cycles == ref.cycles
     _assert_same_fifo_stats(res, ref)
 

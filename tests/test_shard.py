@@ -856,15 +856,13 @@ def test_uniform_stream_shards_do_the_sequential_work(shards, monkeypatch):
     assert grant <= seq_grant, runs
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the stream left of each cut never jumps: its train also holds the "
-    "cut stream's CKS session, so ff_resolve refuses the whole train "
-    "('sessions outside every chain')"))
 @pytest.mark.parametrize("shards", [2, 4])
 def test_a_cut_costs_only_the_stream_that_crosses_it(shards):
-    """Each cut link should cost the fast-forward one stream, the one
-    crossing it. Sequentially 14 of the 15 streams jump; in-process
-    2 and 4 shards jump 12 and 8, not 13 and 11."""
+    """Each cut link costs the fast-forward one stream, the one crossing
+    it: sequentially 14 of the 15 streams jump, in-process 2 and 4
+    shards 13 and 11. The stream left of a cut shares its train with
+    the cut stream's CKS sessions, which are outside its chain and
+    refuse nothing of it."""
     from repro.simulation.stats import collect_planner_stats
 
     def jumps(config):

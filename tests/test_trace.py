@@ -379,6 +379,53 @@ def test_macro_ff_jump_and_guard_abort_are_traced():
     assert set(aborts) <= {"budget", "unresolved", "no-period"}
 
 
+def test_a_refusal_names_its_chain_beside_a_shard_cut(monkeypatch):
+    """16-rank uniform stream cut into 2 in-process shards: every
+    refused walk is reported with its send endpoint. The train of the
+    stream left of the cut also holds the cut stream's CKS sessions;
+    they refuse nothing ("sessions outside every chain" is gone), and
+    the cut stream's own walk, rank 7's, reports the cut."""
+    from repro import bus
+    from repro.trace.recorder import TraceRecorder
+
+    refusals = []
+    original = TraceRecorder.emit
+
+    def emit(recorder, cycle, kind, track, name, dur=0, args=None):
+        if kind == "abort" and args["guard"] == "unresolved":
+            refusals.append((args.get("chain"), args["reason"]))
+        return original(recorder, cycle, kind, track, name, dur, args)
+
+    monkeypatch.setattr(TraceRecorder, "emit", emit)
+    n, ranks = 4096, 16
+    prog = SMIProgram(bus(ranks), config=DEEP.with_(
+        backend="sharded", shards=2, trace=True))
+    data = np.arange(n, dtype=np.float32)
+
+    def sender(smi):
+        ch = smi.open_send_channel(n, SMI_FLOAT, smi.rank + 1, 0)
+        yield from ch.push_vec(data, width=8)
+
+    def receiver(smi):
+        ch = smi.open_recv_channel(n, SMI_FLOAT, smi.rank - 1, 0)
+        yield from ch.pop_vec(n, width=8)
+
+    for rank in range(ranks - 1):
+        prog.add_kernel(sender, rank=rank, name="tx",
+                        ops=[OpDecl("send", 0, SMI_FLOAT, peer=rank + 1)])
+        prog.add_kernel(receiver, rank=rank + 1, name="rx",
+                        ops=[OpDecl("recv", 0, SMI_FLOAT, peer=rank)])
+    res = prog.run(max_cycles=50_000_000)
+    assert res.completed, res.reason
+    assert collect_planner_stats(res.transport).ff_jumps == 13
+    assert refusals
+    assert all(reason != "sessions outside every chain"
+               for _chain, reason in refusals)
+    assert all(chain is not None for chain, reason in refusals
+               if reason != "app lanes not joined")
+    assert ("rank7.send_ep0", "cross-shard boundary chain") in refusals
+
+
 # ----------------------------------------------------------------------
 # Acceptance: 4-shard process-backend merged timeline
 # ----------------------------------------------------------------------
@@ -388,8 +435,8 @@ def test_four_shard_process_trace_merges_onto_one_timeline(tmp_path):
     stream that macro-fast-forwards (>= 1 jump; a one-shot probe also
     forces a guard abort), and a second shard hosting both an
     intra-shard stream and a cross-shard sender. Those two share rank
-    2's CKS, a pattern shape the resolver refuses for the whole train:
-    each such train reports the refusal once, as a miss. The merged
+    2's CKS, a pattern shape the resolver refuses on both walks: each
+    such train reports the refusal once, as a miss. The merged
     trace must carry per-shard cycle tracks, the ff/abort events, and
     wall-clock lanes."""
     from repro.transport import planner_ff

@@ -43,6 +43,15 @@ the repo benchmark's own programs::
                 entries the FIFOs hold going in plus coming out — what a
                 shift reads and writes — which must not depend on ``R``.
 
+``chains``      ``shard_uniform``'s 16-rank uniform stream, 4 096 floats
+                per stream on ``NOCTUA_DEEP``, in-process at 1, 2 and 4
+                shards (ms per run). Asserted: the jumps, 14 / 13 / 11 —
+                every stream but the tail one (ROADMAP item 6), minus the
+                one stream crossing each cut; a walk's refusal costs only
+                its own stream. Recorded, not asserted: the jumps of the
+                bus(4) four-flow program ((0,1), (1,2), (2,1), (3,2),
+                ``NOCTUA``, 2^14 floats) and its refusals per chain.
+
 ``build_pingpong_1hop`` / ``build_injection`` a build-only
                 ``run(max_cycles=0)`` of ``small_msgs``' 1-hop ping-pong
                 on ``noctua_bus`` and of its ``injection_R*`` stream on
@@ -78,11 +87,13 @@ import calib  # noqa: E402
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-from repro import (NOCTUA, SMI_ADD, SMI_FLOAT, noctua_bus,  # noqa: E402
-                   noctua_torus)
+from repro import (NOCTUA, NOCTUA_DEEP, SMI_ADD, SMI_FLOAT,  # noqa: E402
+                   OpDecl, SMIProgram, bus, noctua_bus, noctua_torus)
 from repro.network.packet import OpType, Packet  # noqa: E402
 from repro.simulation.conditions import TICK, WaitCycles  # noqa: E402
 from repro.simulation.engine import Engine  # noqa: E402
+from repro.simulation.stats import collect_planner_stats  # noqa: E402
+from repro.trace.recorder import TraceRecorder  # noqa: E402
 from repro.transport.arbiter import PollingArbiter  # noqa: E402
 from repro.transport.collectives import (CollectiveDescriptor,  # noqa: E402
                                          ReduceKernel)
@@ -125,6 +136,8 @@ EXPECTED = {
     "train": {"rounds": 1521, "publications": 3042},
     # Entries held before + after the three shifts, per span length.
     "jump_land": {"r10": 918, "r10000": 918},
+    # Uniform-stream jumps per shard count.
+    "chains": {"s1": 14, "s2": 13, "s4": 11},
     # Ranks / processes (two kernels included) / FIFOs a build holds.
     "build_pingpong_1hop": {"ranks": 2, "processes": 8, "fifos": 18},
     "build_injection": {"ranks": 2, "processes": 18, "fifos": 80},
@@ -141,6 +154,12 @@ BUILD_RUNS = 20
 #: The ``train`` loop's program.
 TRAIN = workloads.stream_op("train", noctua_bus, 4,
                             np.zeros(1 << 17, dtype=np.float32))
+
+#: The ``chains`` row's programs: the uniform stream and its shard
+#: counts, and the four flows ``(src, dst)`` on bus(4), one port each.
+UNIFORM = workloads.uniform_stream_op(np.zeros((16, 4096), np.float32))
+CHAIN_SHARDS = (1, 2, 4)
+FOUR_FLOWS = ((0, 1), (1, 2), (2, 1), (3, 2))
 
 JUMP_FIFOS = 3
 JUMP_PPP, JUMP_PERIOD = 16, 32      # one packet per link slot
@@ -382,6 +401,56 @@ def count_jump_land() -> dict:
     return {f"r{periods}": jump_land(periods)[0] for periods in JUMP_RS}
 
 
+def _uniform_run(shards: int) -> tuple[int, float]:
+    """``(jumps, ms)`` of one in-process uniform-stream run."""
+    backend = "sharded" if shards > 1 else "sequential"
+    t0 = time.perf_counter()
+    res, _ = UNIFORM.run(NOCTUA_DEEP.with_(backend=backend, shards=shards))
+    wall = time.perf_counter() - t0
+    assert res.completed, res.reason
+    return collect_planner_stats(res.transport).ff_jumps, wall * 1e3
+
+
+def count_chains() -> dict:
+    return {f"s{k}": _uniform_run(k)[0] for k in CHAIN_SHARDS}
+
+
+def four_flows() -> tuple[int, Counter]:
+    """Jumps of the bus(4) four-flow program and its ``unresolved``
+    refusals, counted per ``(send endpoint, reason)``."""
+    n = 1 << 14
+    data = np.arange(n, dtype=np.float32)
+    prog = SMIProgram(bus(4), config=NOCTUA.with_(trace=True))
+    for port, (src, dst) in enumerate(FOUR_FLOWS):
+        def snd(smi, port=port, dst=dst):
+            ch = smi.open_send_channel(n, SMI_FLOAT, dst, port)
+            yield from ch.push_vec(data, width=8)
+
+        def rcv(smi, port=port, src=src):
+            ch = smi.open_recv_channel(n, SMI_FLOAT, src, port)
+            yield from ch.pop_vec(n, width=8)
+
+        prog.add_kernel(snd, rank=src, name=f"tx{port}",
+                        ops=[OpDecl("send", port, SMI_FLOAT, peer=dst)])
+        prog.add_kernel(rcv, rank=dst, name=f"rx{port}",
+                        ops=[OpDecl("recv", port, SMI_FLOAT, peer=src)])
+    refusals = Counter()
+    emit = TraceRecorder.emit
+
+    def counted(recorder, cycle, kind, track, name, dur=0, args=None):
+        if kind == "abort" and args["guard"] == "unresolved":
+            refusals[(args.get("chain"), args["reason"])] += 1
+        return emit(recorder, cycle, kind, track, name, dur, args)
+
+    TraceRecorder.emit = counted
+    try:
+        res = prog.run(max_cycles=50_000_000)
+    finally:
+        TraceRecorder.emit = emit
+    assert res.completed, res.reason
+    return collect_planner_stats(res.transport).ff_jumps, refusals
+
+
 def count_build(name: str) -> dict:
     """Ranks, processes and FIFOs of one build-only run."""
     res, _ = BUILDS[name].run(NOCTUA, 0)
@@ -427,6 +496,16 @@ def main(argv: list[str]) -> int:
             jump_land(periods)[1] for _ in range(repeat)), 1)
            for periods in JUMP_RS},
         **counts}
+    counts = count_chains()
+    if counts != EXPECTED["chains"]:
+        failures.append(f"chains: jumps {counts} != {EXPECTED['chains']}")
+    jumps, refusals = four_flows()
+    report["chains"] = {
+        **{f"ms_s{k}": round(min(_uniform_run(k)[1] for _ in range(repeat)),
+                             1) for k in CHAIN_SHARDS},
+        **counts, "four_flow_jumps": jumps,
+        "four_flow_refusals": {f"{chain}: {why}": n
+                               for (chain, why), n in refusals.items()}}
     for name in BUILDS:
         counts = count_build(name)
         if counts != EXPECTED[name]:
@@ -455,6 +534,14 @@ def main(argv: list[str]) -> int:
         print("jump_land     " + "  ".join(
             f"R={periods}: {row[f'ns_per_shift_r{periods}']:.1f} ns/shift, "
             f"{row[f'r{periods}']} entries" for periods in JUMP_RS))
+        row = report["chains"]
+        print("chains        " + "  ".join(
+            f"{k} shard(s): {row[f'ms_s{k}']:.1f} ms, {row[f's{k}']} jumps"
+            for k in CHAIN_SHARDS))
+        print(f"  bus(4) four flows: {row['four_flow_jumps']} of "
+              f"{len(FOUR_FLOWS)} jump; refusals per chain:")
+        for what, n in sorted(row["four_flow_refusals"].items()):
+            print(f"    {n:4d}  {what}")
         for name in BUILDS:
             row = report[name]
             print(f"{name:20} {row['us_per_build']:9.1f} us/build  "
