@@ -46,22 +46,11 @@ class Link:
             latency=latency,
         )
 
-    # The transport pushes/pops packets through the link's FIFO interface.
+    # The write port, paced to the line rate; the receiving CKR reads
+    # ``fifo`` directly.
     @property
     def writable(self) -> bool:
         return self.fifo.writable and self.fifo.engine.cycle >= self._next_free
-
-    @property
-    def readable(self) -> bool:
-        return self.fifo.readable
-
-    @property
-    def can_push(self):
-        return self.fifo.can_push
-
-    @property
-    def can_pop(self):
-        return self.fifo.can_pop
 
     def wait_writable(self):
         """Condition for a stalled producer: FIFO space or line pacing."""
@@ -69,9 +58,6 @@ class Link:
             return self.fifo.can_push
         gap = self._next_free - self.fifo.engine.cycle
         return WaitCycles(max(1, gap))
-
-    def wait_readable(self):
-        return self.fifo.can_pop
 
     # -- supply-schedule contract (delegated to the backing FIFO) --------
     def register_producer(self, proc) -> None:
@@ -83,9 +69,6 @@ class Link:
         ``T + latency`` — a horizon the full link latency makes very deep.
         """
         self.fifo.register_producer(proc)
-
-    def supply_horizon(self, memo: dict | None = None) -> int:
-        return self.fifo.supply_horizon(memo)
 
     def stage(self, packet: Packet) -> None:
         """Transmit one packet (occupies one link slot)."""
@@ -137,9 +120,6 @@ class Link:
         FIFO's rows."""
         self.fifo.shift(n, delta, period, floor, packets)
         self._next_free += delta
-
-    def take(self) -> Packet:
-        return self.fifo.take()
 
     def utilization(self, cycles: int) -> float:
         """Fraction of link slots that carried a packet."""

@@ -133,10 +133,7 @@ class AnyReadable:
         ring = self._ring
         n = len(self.fifos)
         for passed in range(n):
-            fifo = ring[start + passed]
-            if fifo._visible:
-                return passed
-            ready = fifo._ready
+            ready = ring[start + passed]._ready
             if ready and ready[0] <= now:
                 return passed
         self.idle_at = now

@@ -708,17 +708,15 @@ class Engine:
                             self._trace_park(proc, cond)
                         continue
                 elif kind is CanPop:
-                    fifo = cond.fifo
-                    if not fifo._visible:
-                        ready = fifo._ready
-                        if not ready or ready[0] > cycle:
-                            cond.waiters.append(proc)
-                            proc._waiting_on = cond
-                            if ready:
-                                self._schedule_commit(ready[0], fifo)
-                            if trace is not None:
-                                self._trace_park(proc, cond)
-                            continue
+                    ready = cond.fifo._ready
+                    if not ready or ready[0] > cycle:
+                        cond.waiters.append(proc)
+                        proc._waiting_on = cond
+                        if ready:
+                            self._schedule_commit(ready[0], cond.fifo)
+                        if trace is not None:
+                            self._trace_park(proc, cond)
+                        continue
                 elif kind is CanPush:
                     fifo = cond.fifo
                     if not fifo.writable:

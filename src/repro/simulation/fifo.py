@@ -46,12 +46,13 @@ engine event while reproducing the per-flit cycle trajectory exactly:
   is held in a *reserved* list until that cycle, so producers observe the
   identical ``writable`` trajectory and wake at the identical cycles.
 
-``pushes``/``pops`` count every item individually in both modes and are
-burst-invariant. ``max_occupancy`` is exact in both modes: every stage and
-take logs a ``(cycle, +/-1)`` delta at its exact simulated cycle and the
-peak is the maximum end-of-cycle prefix sum, so the statistic depends only
-on the per-item cycle trajectory (which burst mode reproduces exactly),
-not on the wall-time order commits happen to execute in.
+Every stage and take logs its exact simulated cycle in one of two sorted
+occupancy logs, in both modes. ``pushes``/``pops`` are read from those
+logs (one entry per item, folded entries counted), so they are
+burst-invariant. ``max_occupancy`` is the maximum end-of-cycle prefix sum
+of the logs' ``+1``/``-1`` deltas, so it depends only on the per-item
+cycle trajectory (which burst mode reproduces exactly), not on the
+wall-time order commits happen to execute in.
 
 Time shift
 ----------
@@ -64,7 +65,7 @@ chain sleeps to its own shifted frontier — so the only observable things
 are the state at the shifted frontiers, which is the state at the
 frontiers *shifted*, and the statistics, which are exact from counts:
 
-* ``pushes`` / ``pops`` (and the folded log counts) advance by ``n``;
+* the folded log counts, hence ``pushes`` / ``pops``, advance by ``n``;
 * both occupancy logs are *complete* below ``floor = min(producer
   frontier, consumer frontier)`` — no later event can land under it — so
   the prefix below ``floor`` folds ahead of the clock, exactly; the
@@ -79,9 +80,8 @@ frontiers *shifted*, and the statistics, which are exact from counts:
   below it they raise (:meth:`Fifo._check_fold_watermark`, the existing
   contract).
 
-What cannot be shifted exactly — a visible row whose ready cycle was
-never recorded, a boundary ``_stage_log`` / ``_take_log``, a parked
-waiter — is refused before anything is mutated
+What cannot be shifted exactly — a boundary ``_stage_log`` /
+``_take_log``, a parked waiter — is refused before anything is mutated
 (:meth:`Fifo.shift_refusal`). A run cut by ``max_cycles`` inside a
 shifted span sees what it sees after any early bulk commit: the raw
 ``pushes`` / ``pops`` include the committed future events, and
@@ -112,21 +112,22 @@ burst takes and the planners' future stages; their invariants are
 load-bearing for everything in :mod:`repro.transport.planner`:
 
 ``_staged`` / ``_ready``
-    The staged store, columnar: two deques in lock step, ``_staged[i]``
-    the item and ``_ready[i]`` the cycle it becomes visible
-    (non-decreasing — single producer). One packet is one *row* of the
-    two columns, never a container object of its own: a bulk stage is
-    two C-level ``extend`` calls, a bulk take drops the same prefix
-    from both, and no per-packet object is left for CPython's cyclic
-    collector to track (a ``(ready, item)`` tuple per packet made the
-    collector more than half of a macro-cruise run's wall time, growing
-    super-linearly with message size). Invariant:
+    The row store, columnar and the only one: two deques in lock step,
+    ``_staged[i]`` the item and ``_ready[i]`` the cycle it becomes
+    visible (non-decreasing — single producer). A row stays until it is
+    taken; it is visible while ``_ready[i] <= now``, so every row keeps
+    its ready cycle and the head is readable when ``_ready[0] <= now``.
+    One packet is one *row* of the two columns, never a container object
+    of its own: a bulk stage is two C-level ``extend`` calls, a bulk take
+    drops the same prefix from both, and no per-packet object is left
+    for CPython's cyclic collector to track (a ``(ready, item)`` tuple
+    per packet made the collector more than half of a macro-cruise run's
+    wall time, growing super-linearly with message size). Invariant:
     ``len(_staged) == len(_ready)`` between any two method calls; every
     path — per-flit ``stage``/``take``, the burst plane, boundary
     injection and acks — appends to and pops from both columns together.
-    Rows whose ready cycle has passed move to ``_visible`` lazily
-    (:meth:`_promote`). The sharded boundary ``_stage_log`` is the same
-    layout, an ``(items, visible_cycles)`` pair of lists.
+    The sharded boundary ``_stage_log`` is the same layout, an
+    ``(items, visible_cycles)`` pair of lists.
 
 ``_reserved``
     The release cycles (non-decreasing) of slots a burst consumer took
@@ -152,10 +153,12 @@ load-bearing for everything in :mod:`repro.transport.planner`:
     :meth:`slot_plan` both excludes paired releases from the offered
     schedule *and* adds their double-counted slot back into the free
     budget (the reservation and the future-dated staged item paired to it
-    otherwise both occupy). Only
-    :meth:`repro.transport.planner_window._TargetCursor.commit`
-    advances it, and only at commit time — speculative plans that roll
-    back never touch it.
+    otherwise both occupy). Three writers advance it, each only when it
+    commits a stage paired to a release:
+    :meth:`repro.transport.planner_window._TargetCursor.commit`, and the
+    app send channel's vector pushes in :mod:`repro.core.channel`
+    (``_SendLane.finish`` and ``SendChannel._push_vec_burst``) —
+    speculative plans that roll back never touch it.
 
 Both sides assume the single-producer / single-consumer wiring the SMI
 transport uses everywhere: per-item cycles are computed under the invariant
@@ -167,7 +170,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import gt
 from typing import Any, Generator, Iterable, Iterator, Sequence
 
@@ -203,15 +206,12 @@ class Fifo:
         "name",
         "capacity",
         "latency",
-        "_visible",
         "_staged",
         "_ready",
         "_reserved",
         "_reserved_paired",
         "can_pop",
         "can_push",
-        "pushes",
-        "pops",
         "_occ_stages",
         "_occ_takes",
         "_occ_base",
@@ -238,8 +238,7 @@ class Fifo:
         self.name = name
         self.capacity = capacity
         self.latency = latency
-        self._visible: deque = deque()
-        # Staged store, columnar: ``_staged[i]`` becomes visible at
+        # Row store, columnar: ``_staged[i]`` becomes visible at
         # ``_ready[i]`` (lock-step; see "Staged store" in the module doc).
         self._staged: deque = deque()
         self._ready: deque = deque()
@@ -259,8 +258,6 @@ class Fifo:
         self.can_pop = CanPop(self)
         self.can_push = CanPush(self)
         # --- statistics ---
-        self.pushes = 0
-        self.pops = 0
         # Exact occupancy tracking: a time-indexed delta log, kept as two
         # *sorted* cycle lists (stages and takes are each monotone per
         # FIFO — single producer, single consumer) and folded lazily into
@@ -336,8 +333,6 @@ class Fifo:
         processes (see :meth:`_commit`), which keeps the event count
         per burst O(1) instead of O(items).
         """
-        if self._visible:
-            return True
         ready = self._ready
         return bool(ready) and ready[0] <= self.engine.cycle
 
@@ -383,39 +378,7 @@ class Fifo:
         """True if there is room for one more item."""
         if self._reserved:
             self._trim_reserved(self.engine.cycle)
-        return (len(self._visible) + len(self._staged) + len(self._reserved)
-                < self.capacity)
-
-    @property
-    def occupancy(self) -> int:
-        """Slots in use: items in flight plus reserved (burst-held) slots.
-
-        Exact whenever the observer can act on it: future-dated committed
-        stages (a cascade's early commits) are counted as occupying even
-        before their stage cycle, but such stages only exist while their
-        single producer sleeps the committed window — by the time that
-        producer (the only process gated by this number) observes again,
-        every one of its stages is past-dated.
-        """
-        if self._reserved:
-            self._trim_reserved(self.engine.cycle)
-        return len(self._visible) + len(self._staged) + len(self._reserved)
-
-    def _promote(self) -> None:
-        """Move staged items whose ready cycle has arrived into view."""
-        ready = self._ready
-        if ready:
-            now = self.engine.cycle
-            staged = self._staged
-            visible = self._visible
-            while ready and ready[0] <= now:
-                ready.popleft()
-                visible.append(staged.popleft())
-
-    @property
-    def free_space(self) -> int:
-        """Free slots right now (burst planning helper)."""
-        return self.capacity - self.occupancy
+        return len(self._staged) + len(self._reserved) < self.capacity
 
     def slot_plan(self, now: int) -> tuple[int, list]:
         """``(free_slots, pending_release_cycles)`` in one pass.
@@ -436,8 +399,7 @@ class Fifo:
         self._trim_reserved(now)
         reserved = self._reserved
         paired = self._reserved_paired
-        free = (self.capacity - len(self._visible) - len(self._staged)
-                - len(reserved) + paired)
+        free = self.capacity - len(self._staged) - len(reserved) + paired
         if paired:
             return free, list(islice(reserved, paired, None))
         return free, list(reserved)
@@ -445,19 +407,15 @@ class Fifo:
     @property
     def present_count(self) -> int:
         """Items physically in the FIFO (visible + staged, not reserved)."""
-        return len(self._visible) + len(self._staged)
+        return len(self._staged)
 
     def wait_writable(self):
         """Condition to yield while not writable (see also Link pacing)."""
         return self.can_push
 
-    def wait_readable(self):
-        """Condition to yield while not readable."""
-        return self.can_pop
-
     def __len__(self) -> int:
-        self._promote()
-        return len(self._visible)
+        """Items visible this cycle."""
+        return bisect_right(self._ready, self.engine.cycle)
 
     # ------------------------------------------------------------------
     # Raw single-cycle operations (used by the handshake helpers below and
@@ -505,7 +463,7 @@ class Fifo:
         staged = self._staged
         if self._reserved:
             self._trim_reserved(now)
-        present = len(self._visible) + len(staged)
+        present = len(staged)
         if present + len(self._reserved) >= self.capacity:
             raise SimulationError(f"fifo {self.name!r}: stage() while full")
         if self._stage_guard:
@@ -520,7 +478,6 @@ class Fifo:
         can_pop = self.can_pop  # _consumer_parked, inline
         if can_pop.waiters or can_pop.watch.proc is not None:
             self.engine._schedule_commit(self._ready[0], self)
-        self.pushes += 1
         occ = self._occ_stages
         occ.append(now)
         if len(occ) > _OCC_FOLD_LIMIT:
@@ -532,19 +489,13 @@ class Fifo:
 
     def take(self) -> Any:
         """Remove and return the oldest visible item (must be readable)."""
-        visible = self._visible
         now = self.engine.cycle
-        if not visible:
-            # Promote: staged items whose ready cycle has arrived.
-            ready = self._ready
-            staged = self._staged
-            while ready and ready[0] <= now:
-                ready.popleft()
-                visible.append(staged.popleft())
-        if not visible:
+        ready = self._ready
+        if not ready or ready[0] > now:
             raise SimulationError(f"fifo {self.name!r}: take() while empty")
-        item = visible.popleft()
-        self.pops += 1
+        ready.popleft()
+        staged = self._staged
+        item = staged.popleft()
         if self._take_log is not None:
             self._take_log.append(now)
         occ = self._occ_takes
@@ -554,21 +505,12 @@ class Fifo:
         trace = self.engine.trace
         if trace is not None:
             trace.emit(now, "take", self.name, "take")
-            trace.sample(f"fifo_occ/{self.name}", now,
-                         len(visible) + len(self._staged))
+            trace.sample(f"fifo_occ/{self.name}", now, len(staged))
         # Space freed: wake any blocked producers (registered flag -> next
         # cycle, handled by the engine's wake scheduling).
         if self.can_push.waiters:
             self.engine._wake(self.can_push, delay=1)
         return item
-
-    def peek(self) -> Any:
-        """Return (without removing) the oldest visible item."""
-        if not self._visible:
-            self._promote()
-        if not self._visible:
-            raise SimulationError(f"fifo {self.name!r}: peek() while empty")
-        return self._visible[0]
 
     # ------------------------------------------------------------------
     # Burst fast path: move runs of items in one engine event with
@@ -581,9 +523,8 @@ class Fifo:
         staged items report the future cycle they become visible. Burst
         planners walk this to compute exact per-flit schedules.
         """
-        now = self.engine.cycle
-        return chain(zip(self._visible, repeat(now)),
-                     zip(self._staged, self._ready))
+        return zip(self._staged,
+                   map(max, self._ready, repeat(self.engine.cycle)))
 
     def present_schedule(self, now: int, limit: int = 0) -> tuple[list, list]:
         """``(items, ready_cycles)`` oldest-first over visible + staged.
@@ -594,22 +535,18 @@ class Fifo:
         boundary, which is always sound — a deep link FIFO would otherwise
         be copied wholesale to serve a handful of takes).
         """
-        visible = self._visible
-        nv = len(visible)
-        if not nv and not self._staged:
-            return (), ()
-        if limit and nv >= limit:
-            return list(islice(visible, limit)), [now] * limit
-        items = list(visible)
-        ready = [now] * nv
         staged = self._staged
-        if limit and nv + len(staged) > limit:
-            cut = limit - nv
-            items.extend(islice(staged, cut))
-            ready.extend(islice(self._ready, cut))
+        if not staged:
+            return (), ()
+        if limit and len(staged) > limit:
+            items = list(islice(staged, limit))
+            ready = list(islice(self._ready, limit))
         else:
-            items.extend(staged)
-            ready.extend(self._ready)
+            items = list(staged)
+            ready = list(self._ready)
+        nv = bisect_right(ready, now)
+        if nv:
+            ready[:nv] = repeat(now, nv)
         return items, ready
 
     def stage_burst(self, items: Sequence[Any], cycles: Sequence[int],
@@ -618,7 +555,7 @@ class Fifo:
         later), all within the current engine event.
 
         ``cycles`` must be non-decreasing and start at or after the current
-        cycle; the caller must have checked ``free_space >= len(items)``
+        cycle; the caller must have checked :meth:`slot_plan` has room for it
         (the per-flit path would not have staged a run it cannot fit — a
         burst that overcommits is a planner bug and raises).
         ``verify_occupancy=False`` skips the per-item occupancy-trajectory
@@ -652,7 +589,7 @@ class Fifo:
         # its own cycle (the planner paced it against slot_plan releases).
         reserved = self._reserved
         n_res = len(reserved)
-        base = len(self._visible) + len(staged)
+        base = len(staged)
         capacity = self.capacity
         if (n_res == 0 and base + k <= capacity) or not verify_occupancy:
             # Fast path: no reserved slots and the whole run fits (or the
@@ -708,13 +645,11 @@ class Fifo:
             self._occ_fold()
         if self._consumer_parked:
             self.engine._schedule_commit(self._ready[0], self)
-        self.pushes += k
         trace = self.engine.trace
         if trace is not None:
             trace.emit(cycles[0], "stage", self.name, "stage-burst",
                        dur=cycles[-1] - cycles[0], args={"n": k})
-            trace.sample(f"fifo_occ/{self.name}", cycles[-1],
-                         len(self._visible) + len(self._staged))
+            trace.sample(f"fifo_occ/{self.name}", cycles[-1], len(staged))
 
     def take_burst(self, cycles: Sequence[int]) -> None:
         """Remove the ``len(cycles)`` oldest items as if taken one per
@@ -740,32 +675,20 @@ class Fifo:
             raise SimulationError(
                 f"fifo {self.name!r}: take_burst cycles not monotone"
             )
-        visible = self._visible
         staged = self._staged
-        nv = min(k, len(visible))
-        if nv == len(visible):
-            visible.clear()
-        else:
-            for _ in range(nv):
-                visible.popleft()
-        rem = k - nv
-        if rem:
-            if rem > len(staged):
-                raise SimulationError(
-                    f"fifo {self.name!r}: take_burst ran out of items"
-                )
-            ready_q = self._ready
-            # Visibility check fused into the pop loop: staged item i
-            # must be ready by its take cycle. (The raise aborts the
-            # whole simulation, so the partial mutation before it is
-            # moot.)
-            i = nv
-            for _ in range(rem):
-                ready = ready_q.popleft()
-                if ready > cycles[i]:
-                    self._reject_early_take(cycles[i], ready)
-                staged.popleft()
-                i += 1
+        if k > len(staged):
+            raise SimulationError(
+                f"fifo {self.name!r}: take_burst ran out of items"
+            )
+        ready_q = self._ready
+        # Visibility check fused into the pop loop: row i must be ready
+        # by its take cycle. (The raise aborts the whole simulation, so
+        # the partial mutation before it is moot.)
+        for cyc in cycles:
+            ready = ready_q.popleft()
+            if ready > cyc:
+                self._reject_early_take(cyc, ready)
+            staged.popleft()
         # Slot bookkeeping: every take — current-cycle ones included —
         # holds its slot *reserved* until the cycle after its take cycle
         # (the strict ``_trim_reserved`` boundary). Producers therefore
@@ -785,7 +708,6 @@ class Fifo:
         if type(reserved) is tuple:
             reserved = self._reserved = deque()
         reserved.extend(cycles)
-        self.pops += k
         if self._take_log is not None:
             self._take_log.extend(cycles)
         occ_takes = self._occ_takes
@@ -803,22 +725,19 @@ class Fifo:
         if trace is not None:
             trace.emit(cycles[0], "take", self.name, "take-burst",
                        dur=cycles[-1] - cycles[0], args={"n": k})
-            trace.sample(f"fifo_occ/{self.name}", cycles[-1],
-                         len(self._visible) + len(self._staged))
+            trace.sample(f"fifo_occ/{self.name}", cycles[-1], len(staged))
 
     # ------------------------------------------------------------------
     # Time shift: land a proven periodic span as arithmetic on the state
     # at the frontiers (see "Time shift" in the module docstring).
     # ------------------------------------------------------------------
-    def shift_refusal(self, pending_takes: int = 0) -> str | None:
+    def shift_refusal(self) -> str | None:
         """Why :meth:`shift` could not move this FIFO exactly (``None``
-        when it can), once the caller's ``pending_takes`` have landed."""
+        when it can)."""
         if self._stage_log is not None or self._take_log is not None:
             return "boundary log records every item"
         if self.can_push.waiters or self._consumer_parked:
             return "parked waiter"
-        if len(self._visible) > pending_takes:
-            return "visible row whose ready cycle was never recorded"
         return None
 
     def shift(self, n: int, delta: int, period: int, floor: int,
@@ -877,8 +796,6 @@ class Fifo:
             self._reserved = deque([c + delta for c in self._reserved])
         self._ready = deque([r + delta for r in self._ready])
         self._staged = deque(items)
-        self.pushes += n
-        self.pops += n
         trace = self.engine.trace
         if trace is not None:
             trace.emit(floor, "shift", self.name, "shift", dur=delta,
@@ -971,6 +888,16 @@ class Fifo:
             del self._occ_takes[:j]
 
     @property
+    def pushes(self) -> int:
+        """Items ever staged: one stage-log entry each, folded or not."""
+        return self._occ_folded_stages + len(self._occ_stages)
+
+    @property
+    def pops(self) -> int:
+        """Items ever taken: one take-log entry each, folded or not."""
+        return self._occ_folded_takes + len(self._occ_takes)
+
+    @property
     def max_occupancy(self) -> int:
         """Exact peak occupancy (items in flight plus reserved slots).
 
@@ -1055,11 +982,9 @@ class Fifo:
         :meth:`Engine.process_floor` to bound the wake of a process
         parked on ``CanPop`` conditions.
         """
-        now = self.engine.cycle
-        if self._visible:
-            return now
         if self._ready:
             ready = self._ready[0]
+            now = self.engine.cycle
             return ready if ready > now else now
         return self.supply_horizon(memo, depth)
 
@@ -1164,7 +1089,6 @@ class Fifo:
         occ_stages.extend(stage_cycles)
         if len(occ_stages) > _OCC_FOLD_LIMIT:
             self._occ_fold()
-        self.pushes += k
         if self._consumer_parked:
             self.engine._schedule_commit(self._ready[0], self)
 
@@ -1218,7 +1142,7 @@ class Fifo:
         """Exact ``(pushes, pops)`` counting only events at or before
         ``cycle``.
 
-        The raw :attr:`pushes`/:attr:`pops` counters tally every event
+        The raw :attr:`pushes`/:attr:`pops` counts tally every event
         ever executed or committed; a shard that ran ahead of the global
         end cycle may have executed trailing events (in-flight credit
         packets, post-completion forwards) a sequential run never
@@ -1271,7 +1195,7 @@ class Fifo:
         """Wake waiters whose condition has come true with the clock.
 
         Item visibility and reserved-slot release are computed lazily from
-        the current cycle (:attr:`readable` / :attr:`occupancy`), so commit
+        the current cycle (:attr:`readable` / :attr:`writable`), so commit
         events exist purely to wake blocked processes. They are scheduled
         only when a process parks (``Engine._run_cycle``) or when state
         changes while somebody is parked; if a wake target is still
@@ -1304,9 +1228,9 @@ class Fifo:
         return self._ready[0] if self._ready else None
 
     def drain(self) -> list:
-        """Remove and return all items (visible and staged); test helper."""
-        items = list(self._visible) + list(self._staged)
-        self._visible.clear()
+        """Remove and return all items (visible and staged), each logged
+        as a take; test helper."""
+        items = list(self._staged)
         self._staged.clear()
         self._ready.clear()
         self._reserved = ()
@@ -1320,6 +1244,5 @@ class Fifo:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
-            f"Fifo({self.name}, {len(self._visible)}+{len(self._staged)}"
-            f"/{self.capacity})"
+            f"Fifo({self.name}, {len(self._staged)}/{self.capacity})"
         )

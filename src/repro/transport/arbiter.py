@@ -124,8 +124,13 @@ class PollingArbiter:
     #: neutral for the first ``PLAN_WINDOW_ALLOWANCE`` of them (what the
     #: pattern detector needs to confirm its longest period:
     #: ``2 * planner.PATTERN_MAX_PERIOD``) and a miss after that, like
-    #: an attempt that proved nothing. (Backing off never changes cycle
-    #: counts — planning is cycle-neutral — only wall-clock speed.)
+    #: an attempt that proved nothing. (Backing off changes only
+    #: wall-clock speed where planning is cycle-neutral. One known
+    #: exception: the (1024, 1024) sequential-sends program of
+    #: ``tests/test_channels_p2p.py`` deadlocks on the burst plane, as
+    #: the specification does, only because planning backs off; without
+    #: the backoff it completes — a window / train planning fault,
+    #: ROADMAP item 1, pinned there as a strict xfail.)
     PLAN_MISS_LIMIT = 2
     PLAN_SKIP_POLLS = 256
     PLAN_SKIP_MAX = 8192
@@ -216,13 +221,13 @@ class PollingArbiter:
         (module docstring); this generator runs once per granted packet,
         and wherever the planner must look.
 
-        ``ck``, if given, is the owning kernel; on the burst plane
-        (``ck.burst_mode``) and on a declared point-to-point route its
-        ``supply_planner``
-        (:class:`repro.transport.planner.SupplyPlanner`, else ``None``)
-        is the burst fast path, consulted only while the planner's ``live`` attribute
-        is set (a long vector lane is in flight — see "Engagement" in
-        ``docs/ARCHITECTURE.md``): ``plan(ck, engine, resume_reads,
+        ``ck``, if given, is the owning kernel; its ``supply_planner``
+        (:class:`repro.transport.planner.SupplyPlanner`, which the
+        transport builder assigns only on the burst plane and only to a
+        CK on a declared point-to-point route; else ``None``) is the
+        burst fast path, consulted only while the planner's ``live``
+        attribute is set (a long vector lane is in flight — see
+        "Engagement" in ``docs/ARCHITECTURE.md``): ``plan(ck, engine, resume_reads,
         skip)`` is a plain call that simulates this very loop forward
         over the *known* future, commits every take/stage it proved,
         stores the resume state on this arbiter (``_plan_until`` /
@@ -239,8 +244,7 @@ class PollingArbiter:
         inputs = self.inputs
         n = len(inputs)
         burst = self.read_burst
-        planner = ck.supply_planner if ck is not None and ck.burst_mode \
-            else None
+        planner = ck.supply_planner if ck is not None else None
         self._engine = engine
         self._planner = planner
         self._proc = proc = engine._current_proc

@@ -376,7 +376,6 @@ def build_transport(
                 to_other_cks={j: cks2cks[(i, j)] for j in active if j != i},
                 egress_iface=egress,
                 read_burst=config.read_burst,
-                burst_mode=config.burst_mode,
             )
             rt.cks[i] = cks
             cks.proc = engine.spawn(cks.process(engine), cks.name,
@@ -398,7 +397,6 @@ def build_transport(
                     if iface_of_port[p] == i
                 },
                 read_burst=config.read_burst,
-                burst_mode=config.burst_mode,
             )
             rt.ckr[i] = ckr
             ckr.proc = engine.spawn(ckr.process(engine), ckr.name,

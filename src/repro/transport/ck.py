@@ -97,7 +97,6 @@ class CKS:
         to_other_cks: dict[int, Fifo],
         egress_iface: dict[int, int | None],
         read_burst: int,
-        burst_mode: bool = True,
     ) -> None:
         self.rank = rank
         self.iface = iface
@@ -105,7 +104,6 @@ class CKS:
         self.to_paired_ckr = to_paired_ckr
         self.to_other_cks = to_other_cks
         self.egress_iface = egress_iface
-        self.burst_mode = burst_mode
         self.arbiter = PollingArbiter(inputs, read_burst)
         # (dst << 8 | port) -> routing target: filled by ``_route``, read
         # by ``route`` and, inline, by the planners.
@@ -164,7 +162,6 @@ class CKR:
         port_home_iface: dict[int, int],
         recv_endpoints: dict[int, Fifo],
         read_burst: int,
-        burst_mode: bool = True,
     ) -> None:
         self.rank = rank
         self.iface = iface
@@ -172,7 +169,6 @@ class CKR:
         self.to_other_ckr = to_other_ckr
         self.port_home_iface = port_home_iface
         self.recv_endpoints = recv_endpoints
-        self.burst_mode = burst_mode
         self.arbiter = PollingArbiter(inputs, read_burst)
         # (dst << 8 | port) -> routing target: filled by ``_route``, read
         # by ``route`` and, inline, by the planners.

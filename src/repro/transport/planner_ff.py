@@ -506,7 +506,7 @@ def ff_shift_refusal(fifo, stages, takes, inv, floor, ppp, dT):
     bandwidth-delay product can put before the windows and — under a
     young train — before the train, in the FIFO's own committed log.
     """
-    why = fifo.shift_refusal(len(takes))
+    why = fifo.shift_refusal()
     if why is not None:
         return why
     lo = floor - dT

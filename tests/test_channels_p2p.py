@@ -26,6 +26,7 @@ from repro import (
 )
 from repro.codegen.metadata import OpDecl
 from repro.core.errors import DeadlockError
+from repro.transport.arbiter import PollingArbiter
 
 
 def _pipe(topology, n, src, dst, dtype=SMI_INT, port=0, payload=None,
@@ -523,3 +524,19 @@ def test_sequential_sends_deadlock_where_the_specification_does(n1, n2,
     with pytest.raises(DeadlockError,
                        match=f"deadlocked at cycle {cycle}:"):
         _sequential_sends(config, n1, n2)
+
+
+@_diverges(
+    "with the plan-miss backoff disabled the burst plane completes at "
+    "cycle 1 178 after 37 planner attempts, so the deadlock above holds "
+    "only because planning backs off; the fault is in the window / train "
+    "planning both burst planes share, not in the jump")
+def test_sequential_sends_deadlock_without_the_plan_miss_backoff(
+        monkeypatch):
+    """The (1024, 1024) burst-plane case with the planner never backing
+    off: it must still deadlock at the per-flit plane's cycle."""
+    monkeypatch.setattr(PollingArbiter, "PLAN_MISS_LIMIT", 1 << 60)
+    with pytest.raises(DeadlockError,
+                       match=f"deadlocked at cycle "
+                             f"{SEQUENTIAL_SENDS[1024, 1024]}:"):
+        _sequential_sends(NOCTUA.with_(macro_cruise=False), 1024, 1024)

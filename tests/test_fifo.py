@@ -154,28 +154,6 @@ def test_take_while_empty_raises():
     eng.run()
 
 
-def test_peek_does_not_remove():
-    eng = Engine()
-    f = eng.fifo("f", capacity=2)
-    out = []
-
-    def producer():
-        yield from f.push("v")
-
-    def consumer():
-        while not f.readable:
-            yield f.can_pop
-        assert f.peek() == "v"
-        assert f.peek() == "v"
-        out.append(f.take())
-        yield TICK
-
-    eng.spawn(producer, "p")
-    eng.spawn(consumer, "c")
-    eng.run()
-    assert out == ["v"]
-
-
 def test_invalid_construction():
     eng = Engine()
     with pytest.raises(SimulationError):
@@ -377,25 +355,21 @@ def _agree(f, model, now):
     """Every read-side view of the FIFO against the model's rows."""
     assert len(f._staged) == len(f._ready)  # the lock-step invariant
     rows = model.rows
-    promoted = len(f._visible)
-    assert all(r <= now for r, _x in rows[:promoted])
-    assert f._next_commit_cycle() == (
-        rows[promoted][0] if promoted < len(rows) else None)
+    # Every row keeps its ready cycle until it is taken.
+    assert list(f._ready) == [r for r, _x in rows]
+    assert f._next_commit_cycle() == (rows[0][0] if rows else None)
     assert f.present_count == len(rows)
     assert f.readable == bool(rows and rows[0][0] <= now)
     assert f.earliest_readable() == (
         max(rows[0][0], now) if rows else now + f.latency)
-    assert [(x, max(r, now)) for x, r in f.iter_present()] \
-        == model.present(now)
+    assert list(f.iter_present()) == model.present(now)
     n_vis = sum(1 for r, _x in rows if r <= now)
     for limit in {0, 1, n_vis - 1, n_vis, n_vis + 1, len(rows),
                   len(rows) + 1}:
         if limit < 0:
             continue
         items, ready = f.present_schedule(now, limit)
-        assert len(items) == len(ready)
-        assert [(x, max(r, now)) for x, r in zip(items, ready)] \
-            == model.present(now, limit or None)
+        assert list(zip(items, ready)) == model.present(now, limit or None)
 
 
 @settings(deadline=None, max_examples=60)
@@ -458,7 +432,6 @@ def test_columnar_store_matches_row_model(data):
         elif op == "take":
             if model.rows and model.rows[0][0] <= now \
                     and now >= model.last_take:
-                assert f.peek() == model.rows[0][1]
                 assert [f.take()] == model.take([now], now)
                 model.reserved.pop()  # a per-flit take frees at once
         elif op == "take_burst":
@@ -481,6 +454,7 @@ def test_columnar_store_matches_row_model(data):
         _agree(f, model, eng.cycle)
     assert f.pushes - f.pops == len(model.rows)
     assert f.drain() == [x for _r, x in model.rows]
+    assert f.pops == f.pushes  # drain logs what it removes as takes
     assert len(f._staged) == len(f._ready) == f.present_count == 0
 
 
@@ -490,7 +464,7 @@ def test_columnar_store_matches_row_model(data):
 def _fifo_state(f):
     """Every data field of a FIFO, containers copied."""
     return {name: copy.deepcopy(getattr(f, name)) for name in (
-        "_visible", "_staged", "_ready", "_reserved", "_reserved_paired",
+        "_staged", "_ready", "_reserved", "_reserved_paired",
         "pushes", "pops", "_occ_stages", "_occ_takes", "_occ_base",
         "_occ_peak", "_occ_folded_stages", "_occ_folded_takes",
         "_occ_folded_through", "_occ_span")}
@@ -560,7 +534,6 @@ def test_time_shift_matches_the_materialised_lattices(lat, data):
     assert (f.pushes, f.pops) == (twin.pushes, twin.pops)
     assert list(f._staged) == list(twin._staged)
     assert list(f._ready) == list(twin._ready)
-    assert not f._visible and not twin._visible
     # Time-filtered statistics: exact from the fold on, span included.
     end = takes[-1] + 2
     cycles = {floor - 1, floor, floor + delta - 1, floor + delta, end}
@@ -580,55 +553,65 @@ def test_time_shift_matches_the_materialised_lattices(lat, data):
         assert f.slot_plan(now) == twin.slot_plan(now), now
         assert list(f._reserved) == list(twin._reserved), now
         assert f._reserved_paired == twin._reserved_paired, now
-        assert f.free_space == twin.free_space, now
         assert f.max_occupancy == twin.max_occupancy, now
+
+
+#: A FIFO near a steady state: 12 stages, two per 8-cycle period, the
+#: first 10 taken one cycle after they turn visible.
+_PERIOD, _LATENCY = 8, 3
+_STAGES = [(i // 2) * _PERIOD + 3 * (i % 2) for i in range(12)]
+_FLOOR = 44  # the consumer's next take; the producer's frontier is 48
+_GOOD_SHIFT = (20, 80, _PERIOD, _FLOOR, [30, 31])
+
+
+def _landed():
+    eng = Engine()
+    f = eng.fifo("f", capacity=16, latency=_LATENCY)
+    f.stage_burst(list(range(12)), _STAGES)
+    f.take_burst([s + _LATENCY + 1 for s in _STAGES[:10]])
+    return eng, f
 
 
 def test_time_shift_refusals_leave_the_fifo_untouched():
     """What cannot be shifted exactly is refused before any mutation."""
-    period, ppp, latency = 8, 2, 3
-    stages = [(i // ppp) * period + 3 * (i % ppp) for i in range(12)]
-    takes = [s + latency + 1 for s in stages[:10]]
-
-    def landed():
-        eng = Engine()
-        f = eng.fifo("f", capacity=16, latency=latency)
-        f.stage_burst(list(range(12)), stages)
-        f.take_burst(takes)
-        return eng, f
-
-    floor = 44  # the consumer's next take; the producer's frontier is 48
-    good = (20, 80, period, floor, [30, 31])
-    eng, f = landed()
-    f.shift(*good)  # the unspoiled FIFO shifts
+    eng, f = _landed()
+    f.shift(*_GOOD_SHIFT)  # the unspoiled FIFO shifts
     assert (f.pushes, f.pops, list(f._staged)) == (32, 30, [30, 31])
-
-    def promote(eng, f):   # a visible row lost its ready cycle
-        eng.cycle = stages[-1] + latency
-        assert len(f) == 2
 
     def park(eng, f):      # a process waits on the FIFO's condition
         f.can_pop.waiters.append(object())
 
     spoilers = {
-        "visible row": promote,
         "parked waiter": park,
         "boundary log": lambda eng, f: f.record_boundary_takes(),
     }
     bad_args = {
-        "replacement items": (20, 80, period, floor, [30]),
-        "per 80 cycles": (30, 80, period, floor, [30, 31]),
+        "replacement items": (20, 80, _PERIOD, _FLOOR, [30]),
+        "per 80 cycles": (30, 80, _PERIOD, _FLOOR, [30, 31]),
     }
     for match, spoil in spoilers.items():
-        eng, f = landed()
+        eng, f = _landed()
         spoil(eng, f)
         before = _fifo_state(f)
         with pytest.raises(SimulationError, match=match):
-            f.shift(*good)
+            f.shift(*_GOOD_SHIFT)
         assert _fifo_state(f) == before, match
     for match, args in bad_args.items():
-        eng, f = landed()
+        eng, f = _landed()
         before = _fifo_state(f)
         with pytest.raises(SimulationError, match=match):
             f.shift(*args)
         assert _fifo_state(f) == before, match
+
+
+def test_time_shift_lands_over_a_row_visible_at_the_floor():
+    """A row already visible at the floor keeps its ready cycle, so the
+    shift moves it like any other row: looking at the FIFO first changes
+    nothing the shift lands."""
+    eng, f = _landed()
+    eng.cycle = _FLOOR
+    assert len(f) == 1  # the row staged at 40 is visible from 43 on
+    f.shift(*_GOOD_SHIFT)
+    _, twin = _landed()
+    twin.shift(*_GOOD_SHIFT)
+    assert _fifo_state(f) == _fifo_state(twin)

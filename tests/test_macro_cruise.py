@@ -539,7 +539,7 @@ def _fifo_entries(engine):
     entries and the recorded period of the last time shift."""
     total = 0
     for f in engine.fifos:
-        total += (len(f._visible) + len(f._staged) + len(f._ready)
+        total += (len(f._staged) + len(f._ready)
                   + len(f._reserved) + len(f._occ_stages)
                   + len(f._occ_takes))
         if f._occ_span is not None:

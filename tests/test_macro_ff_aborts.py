@@ -206,10 +206,10 @@ def test_unshiftable_fifo_refuses_the_jump_by_name(monkeypatch):
 
     original = Fifo.shift_refusal
 
-    def refusal(self, pending_takes=0):
+    def refusal(self):
         if self.name.endswith("recv_ep0"):
             return "boundary log records every item"
-        return original(self, pending_takes)
+        return original(self)
 
     ref, _ = _run(DEEP, hops=1)
     monkeypatch.setattr(Fifo, "shift_refusal", refusal)

@@ -32,9 +32,9 @@ def test_link_enforces_cycles_per_packet():
 
     def consumer():
         for _ in range(10):
-            while not link.readable:
-                yield link.wait_readable()
-            link.take()
+            while not link.fifo.readable:
+                yield link.fifo.can_pop
+            link.fifo.take()
             yield TICK
 
     eng.spawn(producer, "p")
@@ -77,9 +77,9 @@ def test_link_utilization_counts_slots():
 
     def consumer():
         for _ in range(5):
-            while not link.readable:
-                yield link.wait_readable()
-            link.take()
+            while not link.fifo.readable:
+                yield link.fifo.can_pop
+            link.fifo.take()
             yield TICK
 
     eng.spawn(producer, "p")
