@@ -369,6 +369,7 @@ def _agree(f, model, now):
         if limit < 0:
             continue
         items, ready = f.present_schedule(now, limit)
+        assert len(items) == len(ready)
         assert list(zip(items, ready)) == model.present(now, limit or None)
 
 
