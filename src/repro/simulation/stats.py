@@ -34,15 +34,20 @@ class PlannerStats:
     session lengths).
 
     Macro-cruise (whole-program fast-forward) adds ``ff_cycles``: the
-    cycle span of the trains whose sessions and lanes resolved into
-    relay chains (the fast-forward armed; the engine dispatched no
-    events inside it). ``ff_jumps`` counts the analytic jumps that
-    landed (at most one per train), and ``ff_chain_hops`` the total
-    relay sessions those jumps spanned, so ``mean_ff_chain_len`` reports
-    how deep the chains that actually fast-forwarded were (a 4-hop
-    stream resolves as one chain of 11 relay sessions: the CKR plus both
-    CKS stages at every transit rank, between the source's CKS and the
-    destination's CKR).
+    sum, over the trains whose sessions and lanes resolved into relay
+    chains (the fast-forward armed; the engine dispatched no events
+    inside them), of each train's span, its longest per-session
+    advance. Concurrent streams arm in trains of their own, so their
+    spans add up: ``ff_cycles`` counts stream-cycles, not a share of
+    the run's clock, and divided by a run's cycles it exceeds 1 once
+    streams overlap (the repo benchmark's ``planner.ff_coverage`` reads
+    11.8 on ``shard_uniform``'s 15 concurrent streams). ``ff_jumps``
+    counts the analytic jumps that landed (at most one per train), and
+    ``ff_chain_hops`` the total relay sessions those jumps spanned, so
+    ``mean_ff_chain_len`` reports how deep the chains that actually
+    fast-forwarded were (a 4-hop stream resolves as one chain of 11
+    relay sessions: the CKR plus both CKS stages at every transit rank,
+    between the source's CKS and the destination's CKR).
 
     ``ff_misses`` counts the trains that probed for a fast-forward and
     ended on a *silent* no-arm outcome — no chain resolved

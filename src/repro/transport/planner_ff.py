@@ -350,7 +350,22 @@ def ff_close_chain(train) -> bool:
     and invite those CKs too; ``try_join``'s own preconditions
     (confirmed contiguous pattern, demand precheck) still decide.
     Returns True when the train grew.
+
+    The walk re-runs only when ``train.closure_stale`` says its last
+    result may have changed. A train lives inside one engine event, so
+    a peer outside it keeps its arbiter state (pattern, phase, resume
+    point) and its inputs' committed inventories: of ``try_join``'s
+    preconditions only the demand precheck can flip, and only when
+    ``publish_supply`` puts virtual supply on a FIFO that peer reads,
+    which is what sets the flag. A walk is closed when it ends (the
+    sessions it appends are walked in the same pass), so it clears the
+    flag then. A join by the sweep needs no flag of its own: it invites
+    the producer of an input or the consumer of a target of a session,
+    the same peers a walk invites, so after a closed walk it can only
+    follow the publication that let that peer's precheck pass.
     """
+    if not train.closure_stale:
+        return False
     order = train.order
     planner = train.planner
     n0 = len(order)
@@ -360,6 +375,7 @@ def ff_close_chain(train) -> bool:
             train.try_join(planner.producer_ck.get(id(inputs[j])))
         for tgt in sess.pattern.target_fifos:
             train.try_join(planner.consumer_ck.get(id(tgt)))
+    train.closure_stale = False
     return len(order) > n0
 
 

@@ -20,8 +20,8 @@ the bulk commit with its wakes; a train lives for one call. **It reads**
 each session input's ``iter_present`` / ``present_count`` /
 ``supply_horizon``, the cascade's cursors, the CKs' routing memos, the
 arbiters' pattern fields, the planner's wiring maps and app lanes. **It
-may mutate**, while sweeping, only cursor budgets (rolled back per
-failed round) and the joined lanes' train-scoped ledgers; at commit the
+may mutate**, while sweeping, only cursor budgets (written once a round
+validates) and the joined lanes' train-scoped ledgers; at commit the
 FIFOs, ``Fifo._reserved_paired``, each session arbiter's resume state
 and ``_plan_paid`` flag, the planner's ``stats`` / ``_train_stuck`` /
 ``_extra_results`` and the engine's wake schedule.
@@ -146,7 +146,7 @@ class _Train:
     __slots__ = ("planner", "engine", "memo", "cursors", "stamp", "now",
                  "macro_lanes", "max_takes", "lanes_used",
                  "origin", "sessions", "order", "feeds", "stager", "v_rels",
-                 "v_items", "cursor_fifo", "ff")
+                 "v_items", "cursor_fifo", "ff", "closure_stale")
 
     def __init__(self, planner, ck, engine, start, memo, cursors,
                  stamp) -> None:
@@ -174,6 +174,9 @@ class _Train:
         self.v_items: dict = {}  # id(fifo) -> ([pkts], [ready]) train stages
         self.cursor_fifo: dict = {}  # id(fifo) -> live cursor staging into it
         self.ff = _FastForward()
+        # Whether ff_close_chain's last walk may have gone stale: set by
+        # supply published for a CK outside the train.
+        self.closure_stale = True
         self.hook_inputs(origin)
 
     def lane_of(self, fifo):
@@ -254,7 +257,13 @@ class _Train:
             sess, j = hooked
             sess.extend_supply(j, pkts, ready)
             sess.dirty = True  # new supply may unblock a starved round
-        elif self.macro_lanes is not None:
+            return
+        peer = self.planner.consumer_ck.get(fid)
+        if peer is not None and id(peer) not in self.sessions:
+            # The one input of a try_join precheck that moves inside a
+            # train: the peer may pass it now.
+            self.closure_stale = True
+        if self.macro_lanes is not None:
             # A stage into an app receive endpoint: virtual supply for
             # the sleeping pop_vec's lane.
             lane = self.lane_of(fifo)
@@ -299,13 +308,25 @@ class _Train:
         return cur
 
     def validate_round(self, sess) -> bool:
+        """Validate ``sess``'s next pattern round; on success publish it
+        and advance the session.
+
+        The round's state lives in locals: the snapshot columns, position
+        and take run of the input its last event read, and the free /
+        rel_ptr / next_free budget and stage run of the target it last
+        staged into. A switch to another input or target parks them in
+        the round's ``pos`` / ``takes`` / ``runs`` tables. Nothing reaches
+        the session or a cursor until the round validates, so a failed
+        round has nothing to roll back.
+        """
         ck_s = sess.ck
         inputs = sess.arb.inputs
         avail = sess.avail
+        pattern = sess.pattern
         # O(inputs) demand precheck: a round needs its full take count
         # per input (committed plus already-published virtual supply) —
         # without it, walking the events just to fail is wasted work.
-        for j, need in sess.pattern.takes_per_input:
+        for j, need in pattern.takes_per_input:
             if avail[j] < need:
                 sess.starved_on = inputs[j]
                 sess.blocked_on = None
@@ -315,104 +336,38 @@ class _Train:
         route_memo = ck_s._route_memo
         snap_items = sess.snap_items
         snap_ready = sess.snap_ready
-        ptr = sess.ptr
         T = sess.T
         fatal = False   # shape divergence: never retry
-        # Per target, at its first take this round: (cursor, its free /
-        # rel_ptr / next_free to roll back to, the round's stage run as
-        # [pkts], [cycles]); per input, the round's take cycles. Both in
-        # first-touch order, and each run in FIFO order.
-        runs: dict = {}
+        # Per input, its snapshot position this round; per input and per
+        # target, the round's take cycles and [cursor, free, rel_ptr,
+        # next_free, pkts, cycles] stage run, both in first-touch order
+        # and each run in FIFO order.
+        pos = sess.ptr.copy()
         takes: dict = {}
+        runs: dict = {}
+        jc = -1         # the input in locals
+        items = ready = xs = None
+        p = 0
+        tgt = None      # the target in locals
+        run = cur = rels = pkts = cycles = None
+        free = rel_ptr = next_free = pace = 0
+        is_link = False
         key = -1        # the last routing key, and where it routes
         out = None
-        for rel_c, kind, j, rel_s, target in sess.pattern.events:
+        for rel_c, kind, j, rel_s, target in pattern.events:
             X = T + rel_c
-            if kind != 1:
-                # A take, or (kind 2) the readable witness of a rotation:
-                # the head must be visible by X.
-                p = ptr[j]
-                items = snap_items[j]
-                if (p >= len(items) and not sess.ensure(j, p + 1)) \
-                        or snap_ready[j][p] > X:
-                    sess.starved_on = inputs[j]
-                    sess.blocked_on = None
-                    fail = ('witness-missing' if kind else 'take-starved',
-                            j, X, snap_ready[j][p] if p < len(items)
-                            else None)
-                    break
-                if kind:
-                    continue
-                pkt = items[p]
-                k = (pkt.dst << 8) | pkt.port
-                if k != key:
-                    out = route_memo.get(k)
-                    if out is None:
-                        try:
-                            out = route(pkt)
-                        except RoutingError:
-                            # plan_window stops here too; the per-flit
-                            # path raises at this exact cycle after the
-                            # fallback.
-                            fail = ('route-error', j, X, None)
-                            fatal = True
-                            break
-                    key = k
-                if out is not target:
-                    fail = ('target-mismatch', j, X, None)
-                    fatal = True  # traffic shape changed: not this pattern
-                    break
-                run = runs.get(out)
-                if run is None:
-                    cur = self.target_cursor(out)
-                    run = runs[out] = (cur, cur.free, cur.rel_ptr,
-                                       cur.next_free, [], [])
-                else:
-                    cur = run[0]
-                # Exact plan_window stall model; the outcome must land on
-                # the pattern's relative stage cycle or the round is off.
-                s = cur.next_free if (cur.is_link and cur.next_free > X) \
-                    else X
-                if cur.free > 0:
-                    cur.free -= 1
-                elif cur.rel_ptr < len(cur.rels):
-                    floor = cur.rels[cur.rel_ptr] + 1
-                    cur.rel_ptr += 1
-                    if floor > s:
-                        s = floor
-                else:
-                    sess.blocked_on = cur.fifo
-                    sess.starved_on = None
-                    fail = ('no-slot', j, X, cur.fifo.name)
-                    break
-                expected = T + rel_s
-                if s != expected:
-                    if s > expected:
-                        sess.blocked_on = cur.fifo  # stall worsened
-                        sess.starved_on = None
-                    else:
-                        fatal = True  # a stall the pattern had vanished
-                    fail = ('stage-cycle', j, X, (s, expected))
-                    break
-                if cur.is_link:
-                    cur.next_free = s + cur.pace
-                run[4].append(pkt)
-                run[5].append(s)
-                ptr[j] = p + 1
-                xs = takes.get(j)
-                if xs is None:
-                    takes[j] = [X]
-                else:
-                    xs.append(X)
-            else:
+            if kind == 1:
                 # Pattern polled this input and found it unreadable: the
                 # replica must re-prove it. With items (real or virtual)
                 # present the head's visibility is exact; drained inputs
                 # need a horizon past X (retrying under self-silence).
-                p = ptr[j]
-                if p < len(snap_items[j]) or sess.ensure(j, p + 1):
-                    if snap_ready[j][p] <= X:
-                        fail = ('early-arrival', j, X, snap_ready[j][p])
+                if j == jc:
+                    q, rd = p, ready
+                else:
+                    q, rd = pos[j], snap_ready[j]
+                if q < len(rd) or sess.ensure(j, q + 1):
+                    if rd[q] <= X:
+                        fail = ('early-arrival', j, X, rd[q])
                         fatal = True  # an arrival beat the pattern's rhythm
                         break
                 else:
@@ -426,36 +381,123 @@ class _Train:
                         sess.blocked_on = None
                         fail = ('no-horizon', j, X, hz)
                         break
+                continue
+            if j != jc:
+                if jc >= 0:
+                    pos[jc] = p
+                jc = j
+                items = snap_items[j]
+                ready = snap_ready[j]
+                p = pos[j]
+                xs = takes.get(j)
+            # A take, or (kind 2) the readable witness of a rotation: the
+            # head must be visible by X.
+            if (p >= len(items) and not sess.ensure(j, p + 1)) \
+                    or ready[p] > X:
+                sess.starved_on = inputs[j]
+                sess.blocked_on = None
+                fail = ('witness-missing' if kind else 'take-starved',
+                        j, X, ready[p] if p < len(items) else None)
+                break
+            if kind:
+                continue
+            pkt = items[p]
+            k = (pkt.dst << 8) | pkt.port
+            if k != key:
+                out = route_memo.get(k)
+                if out is None:
+                    try:
+                        out = route(pkt)
+                    except RoutingError:
+                        # plan_window stops here too; the per-flit path
+                        # raises at this exact cycle after the fallback.
+                        fail = ('route-error', j, X, None)
+                        fatal = True
+                        break
+                key = k
+            if out is not target:
+                fail = ('target-mismatch', j, X, None)
+                fatal = True  # traffic shape changed: not this pattern
+                break
+            if out is not tgt:
+                if tgt is not None:
+                    run[1] = free
+                    run[2] = rel_ptr
+                    run[3] = next_free
+                run = runs.get(out)
+                if run is None:
+                    cur = self.target_cursor(out)
+                    run = runs[out] = [cur, cur.free, cur.rel_ptr,
+                                       cur.next_free, [], []]
+                tgt = out
+                cur, free, rel_ptr, next_free, pkts, cycles = run
+                rels = cur.rels
+                is_link = cur.is_link
+                pace = cur.pace
+            # Exact plan_window stall model; the outcome must land on the
+            # pattern's relative stage cycle or the round is off.
+            s = next_free if (is_link and next_free > X) else X
+            if free > 0:
+                free -= 1
+            elif rel_ptr < len(rels):
+                floor = rels[rel_ptr] + 1
+                rel_ptr += 1
+                if floor > s:
+                    s = floor
+            else:
+                sess.blocked_on = cur.fifo
+                sess.starved_on = None
+                fail = ('no-slot', j, X, cur.fifo.name)
+                break
+            expected = T + rel_s
+            if s != expected:
+                if s > expected:
+                    sess.blocked_on = cur.fifo  # stall worsened
+                    sess.starved_on = None
+                else:
+                    fatal = True  # a stall the pattern had vanished
+                fail = ('stage-cycle', j, X, (s, expected))
+                break
+            if is_link:
+                next_free = s + pace
+            pkts.append(pkt)
+            cycles.append(s)
+            p += 1
+            if xs is None:
+                xs = takes[j] = [X]
+            else:
+                xs.append(X)
         else:
-            # Publish once per FIFO the round touched: all takes, then
-            # all stages (the per-FIFO order is the only one any ledger
-            # reads).
+            # The round validated: write its state back, then publish once
+            # per FIFO it touched — all takes, then all stages (the
+            # per-FIFO order is the only one any ledger reads).
+            if jc >= 0:
+                pos[jc] = p
+            sess.ptr = pos
             take_cycles = sess.take_cycles
             for j, xs in takes.items():
                 take_cycles[j].extend(xs)
                 avail[j] -= len(xs)
                 self.publish_releases(inputs[j], xs)
+            if tgt is not None:
+                run[1] = free
+                run[2] = rel_ptr
+                run[3] = next_free
             stage_cursors = sess.stage_cursors
-            for cur, _f, _r, _n, pkts, cycles in runs.values():
+            for cur, free, rel_ptr, next_free, pkts, cycles in runs.values():
+                cur.free = free
+                cur.rel_ptr = rel_ptr
+                cur.next_free = next_free
                 cur.stage_pkts.extend(pkts)
                 cur.stage_cycles.extend(cycles)
                 stage_cursors[id(cur)] = cur
                 self.publish_supply(cur.fifo, pkts, cycles)
-            sess.takes += sess.pattern.n_takes
+            sess.takes += pattern.n_takes
             sess.rounds += 1
-            sess.T += sess.pattern.delta
+            sess.T += pattern.delta
             sess.blocked_on = None
             sess.starved_on = None
             return True
-        # A check failed (the loop broke): roll the round back — cursor
-        # budgets to their round-start state, input pointers past
-        # validated takes only.
-        for cur, free, rel_ptr, nf, _p, _c in runs.values():
-            cur.free = free
-            cur.rel_ptr = rel_ptr
-            cur.next_free = nf
-        for j, xs in takes.items():
-            ptr[j] -= len(xs)
         if fatal:
             sess.done = True
         sess.last_fail = fail
@@ -684,7 +726,7 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
     sound for the same reason the cascade is: everything published will
     be committed before any other process runs, with exactly the cycles
     it was validated at. A round whose computed schedule deviates from
-    its pattern by even one cycle is rolled back and never committed;
+    its pattern by even one cycle fails and is never committed;
     ``plan_window`` handles the deviation exactly on the next visit.
 
     At train end every session bulk-commits — all stages first (so

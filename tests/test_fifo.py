@@ -2,6 +2,7 @@
 
 import copy
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro import NOCTUA_DEEP, SMI_FLOAT, SMIProgram, noctua_bus
 from repro.codegen.metadata import OpDecl
 from repro.core.errors import SimulationError
 from repro.simulation import TICK, Engine, WaitCycles
+from repro.simulation import fifo as fifo_mod
 from repro.simulation.stats import collect_planner_stats
 
 
@@ -616,3 +618,55 @@ def test_time_shift_lands_over_a_row_visible_at_the_floor():
     _, twin = _landed()
     twin.shift(*_GOOD_SHIFT)
     assert _fifo_state(f) == _fifo_state(twin)
+
+
+def _brute_occ(stages, takes, base, peak, stop):
+    """End-of-cycle occupancy and its peak over cycles ``< stop``, one
+    cycle at a time."""
+    occ = base
+    for c in sorted(set(stages) | set(takes)):
+        if c >= stop:
+            break
+        occ += stages.count(c) - takes.count(c)
+        peak = max(peak, occ)
+    return (occ, peak, sum(c < stop for c in stages),
+            sum(c < stop for c in takes))
+
+
+@settings(deadline=None, max_examples=120)
+@given(data=st.data())
+def test_occupancy_sweep_paths_match_a_cycle_by_cycle_peak(data):
+    """Both of ``_occ_sweep``'s paths — the scalar merge below
+    ``_OCC_BULK_MIN`` entries, the NumPy one from it on — read the same
+    occupancy and end-of-cycle peak off the logs as a cycle-by-cycle
+    replay, with same-cycle stage/take pairs netting out first; and
+    ``counts_at`` / ``max_occupancy_at`` agree on the same logs."""
+    bulk = fifo_mod._OCC_BULK_MIN
+    n = data.draw(st.one_of(st.integers(0, bulk - 1),
+                            st.integers(bulk, 3 * bulk)), label="entries")
+    span = data.draw(st.integers(1, max(1, n)), label="span")
+    cycles = sorted(data.draw(st.lists(st.integers(0, span), min_size=n,
+                                       max_size=n), label="cycles"))
+    is_stage = data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                         label="is_stage")
+    stages = [c for c, s in zip(cycles, is_stage) if s]
+    takes = [c for c, s in zip(cycles, is_stage) if not s]
+    base = data.draw(st.integers(0, 6), label="base")
+    peak = base + data.draw(st.integers(0, 6), label="peak")
+    stop = data.draw(st.integers(-2, span + 3), label="stop")
+
+    f = Engine().fifo("f", capacity=4)
+    f._occ_stages = stages
+    f._occ_takes = takes
+    f._occ_base = base
+    f._occ_peak = peak
+    f._occ_folded_stages = base + 3
+    f._occ_folded_takes = 3
+    want = _brute_occ(stages, takes, base, peak, stop)
+    assert f._occ_sweep(stop) == want
+    for forced in (0, 1 << 60):  # every window bulk / every one scalar
+        with mock.patch.object(fifo_mod, "_OCC_BULK_MIN", forced):
+            assert f._occ_sweep(stop) == want, forced
+    if stop >= 0:
+        assert f.max_occupancy_at(stop - 1) == want[1]
+        assert f.counts_at(stop - 1) == (base + 3 + want[2], 3 + want[3])

@@ -640,6 +640,40 @@ def test_four_hop_stream_lands_one_jump_after_one_arming():
     _assert_same_trajectory(res, ref, 4)
 
 
+def test_chain_closure_rewalks_only_when_stale(monkeypatch):
+    """``ff_close_chain`` re-walks a train's neighbourhood only after
+    supply was published for a CK outside the train; a walk forced at
+    every sweep must change nothing. On the 4-hop ``NOCTUA`` stream
+    every train joins the same sessions in the same order, and the run
+    ends on the same cycle with the same planner counters and per-FIFO
+    counts — so the staleness hook misses no join (without it, the
+    joined-session lists differ)."""
+    def run():
+        joined = []
+
+        def at_train_end(train):
+            joined.append([sess.ck.proc.name for sess in train.order])
+
+        monkeypatch.setattr(planner_train, "_train_debug", at_train_end)
+        res, stats = _run_stream(NOCTUA, n=1 << 15, hops=4)
+        return res, stats, joined
+
+    res, stats, joined = run()
+    close = planner_train.ff_close_chain
+
+    def every_sweep(train):
+        train.closure_stale = True
+        return close(train)
+
+    monkeypatch.setattr(planner_train, "ff_close_chain", every_sweep)
+    ref, ref_stats, ref_joined = run()
+    assert stats.ff_jumps == 1
+    assert joined == ref_joined
+    assert stats == ref_stats
+    assert res.cycles == ref.cycles
+    assert res.engine.fifo_stats() == ref.engine.fifo_stats()
+
+
 @pytest.mark.parametrize("config, hops", [(NOCTUA, 4), (DEEP, 1)],
                          ids=["noctua-4hop", "deep-1hop"])
 def test_train_ledgers_keep_the_per_fifo_order(config, hops, monkeypatch):

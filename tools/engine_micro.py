@@ -31,10 +31,14 @@ the repo benchmark's own programs::
 
 ``train``       ``stream_shallow``'s 4-hop stream (2^17 floats, ``NOCTUA``,
                 it jumps) with ``_Train.validate_round`` timed (ns per
-                validated round, failed rounds' time included). Asserted:
-                the validated rounds and the publication calls they made
-                — one per FIFO a round touched, so two per round on this
-                relay chain (its take run and its stage run).
+                validated round, failed rounds' time included) and
+                ``_Train.sweep`` timed (ns per sweep: one call validates
+                one train, chain-closure walks included). Asserted: the
+                validated rounds, the publication calls they made — one
+                per FIFO a round touched, so two per round on this relay
+                chain (its take run and its stage run) — and the
+                ``_Train.try_join`` calls, which a chain-closure walk
+                repeated on unchanged state would multiply.
 
 ``jump_land``   a synthetic 3-FIFO steady chain landing a proven span as
                 one ``Fifo.shift`` per FIFO, for ``R`` = 10 and ``R`` =
@@ -132,8 +136,9 @@ EXPECTED = {
                      "commits": 4000},
     "reduce_root": {"dispatch": 18_002, "resumes": 6003, "park": 1,
                     "commits": 1},
-    # Validated rounds and the publication calls they made.
-    "train": {"rounds": 1521, "publications": 3042},
+    # Validated rounds, the publication calls they made, and the calls
+    # that tried to join a peer CK to a train.
+    "train": {"rounds": 1521, "publications": 3042, "try_joins": 2701},
     # Entries held before + after the three shifts, per span length.
     "jump_land": {"r10": 918, "r10000": 918},
     # Uniform-stream jumps per shard count.
@@ -287,51 +292,68 @@ class _EventCounter:
         pass
 
 
-def run_train(counting: bool) -> tuple[Counter, float]:
+def run_train(counting: bool) -> tuple[Counter, dict]:
     """One run of the ``train`` loop: ``rounds`` validated, with
-    ``counting`` the ``publications`` those rounds made, else the seconds
-    spent in ``_Train.validate_round``."""
+    ``counting`` the ``publications`` those rounds made and the
+    ``try_joins``, else the ``sweeps`` made and the seconds spent in
+    ``_Train.validate_round`` (``"round"``) and in ``_Train.sweep``
+    (``"sweep"``)."""
     counts = Counter()
-    spent = [0.0]
-    validate = _Train.validate_round
-    publishers = {name: getattr(_Train, name)
-                  for name in ("publish_supply", "publish_releases")}
+    spent = {"round": 0.0, "sweep": 0.0}
+    originals = {name: getattr(_Train, name)
+                 for name in ("validate_round", "sweep", "try_join",
+                              "publish_supply", "publish_releases")}
+    validate, sweep = originals["validate_round"], originals["sweep"]
     in_round = [False]
 
     def validate_round(train, sess):
         in_round[0] = True
         t0 = time.perf_counter()
         ok = validate(train, sess)
-        spent[0] += time.perf_counter() - t0
+        spent["round"] += time.perf_counter() - t0
         in_round[0] = False
         counts["rounds"] += ok
         return ok
 
-    def counted(publish):
-        def wrapper(train, *run):
-            counts["publications"] += in_round[0]
-            return publish(train, *run)
+    def timed_sweep(train):
+        t0 = time.perf_counter()
+        sweep(train)
+        spent["sweep"] += time.perf_counter() - t0
+        counts["sweeps"] += 1
+
+    def counted(name, method):
+        def wrapper(train, *args):
+            if name == "try_joins" or in_round[0]:  # rounds' publications
+                counts[name] += 1
+            return method(train, *args)
         return wrapper
 
     _Train.validate_round = validate_round
-    if counting:
-        for name, publish in publishers.items():
-            setattr(_Train, name, counted(publish))
+    if not counting:
+        _Train.sweep = timed_sweep
+    else:
+        _Train.try_join = counted("try_joins", originals["try_join"])
+        for name in ("publish_supply", "publish_releases"):
+            setattr(_Train, name, counted("publications", originals[name]))
     try:
         TRAIN.run(NOCTUA)
     finally:
-        _Train.validate_round = validate
-        for name, publish in publishers.items():
-            setattr(_Train, name, publish)
-    return counts, spent[0]
+        for name, method in originals.items():
+            setattr(_Train, name, method)
+    return counts, spent
+
+
+def time_train() -> tuple[float, float]:
+    """Nanoseconds per validated round and per sweep of one ``train``
+    run, tracing off."""
+    counts, spent = run_train(counting=False)
+    return (spent["round"] * 1e9 / counts["rounds"],
+            spent["sweep"] * 1e9 / counts["sweeps"])
 
 
 def time_loop(name: str) -> float:
-    """Nanoseconds per unit (dispatch or item; ``train``: validated
-    round) of one run, tracing off."""
-    if name == "train":
-        counts, seconds = run_train(counting=False)
-        return seconds * 1e9 / counts["rounds"]
+    """Nanoseconds per unit (dispatch or item) of one run, tracing
+    off."""
     engine = Engine()
     units = LOOPS[name](engine)
     t0 = time.perf_counter()
@@ -483,6 +505,13 @@ def main(argv: list[str]) -> int:
         counts = count_loop(name)
         if counts != EXPECTED[name]:
             failures.append(f"{name}: counts {counts} != {EXPECTED[name]}")
+        if name == "train":
+            per_round, per_sweep = zip(*(time_train()
+                                         for _ in range(repeat)))
+            report[name] = {"ns_per_round": round(min(per_round), 1),
+                            "ns_per_sweep": round(min(per_sweep), 1),
+                            **counts}
+            continue
         report[name] = {
             "ns_per_unit": round(min(time_loop(name)
                                      for _ in range(repeat)), 1),
@@ -521,9 +550,11 @@ def main(argv: list[str]) -> int:
         for name in LOOPS:
             row = report[name]
             if name == "train":
-                print(f"{name:13s} {row['ns_per_unit']:9.1f} ns/round  "
+                print(f"{name:13s} {row['ns_per_round']:9.1f} ns/round  "
+                      f"{row['ns_per_sweep']:9.1f} ns/sweep  "
                       f"rounds {row['rounds']}  "
-                      f"publications {row['publications']}")
+                      f"publications {row['publications']}  "
+                      f"try_joins {row['try_joins']}")
                 continue
             unit = "dispatch" if name == "tick" else "item"
             print(f"{name:13s} {row['ns_per_unit']:9.1f} ns/{unit}  "
