@@ -2,7 +2,7 @@
 
 Given a :class:`~repro.network.topology.Topology` and a
 :class:`~repro.core.config.HardwareConfig`, build the directed
-:class:`~repro.network.link.Link` pair for every cable, indexed so the
+:func:`~repro.network.link.Link` pair for every cable, indexed so the
 transport layer can fetch "the link behind my interface i".
 
 A build need not hold every rank. ``local_ranks`` are the ranks this
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from ..core.config import HardwareConfig
 from ..core.errors import TopologyError
+from ..simulation.fifo import Fifo
 from .link import Link
 from .topology import Topology
 
@@ -45,9 +46,9 @@ class Fabric:
         self.local_ranks = local_ranks
         self.reached = reached
         # Directed links keyed by transmitting endpoint (rank, iface).
-        self.tx_link: dict[tuple[int, int], Link] = {}
+        self.tx_link: dict[tuple[int, int], Fifo] = {}
         # Directed links keyed by receiving endpoint (rank, iface).
-        self.rx_link: dict[tuple[int, int], Link] = {}
+        self.rx_link: dict[tuple[int, int], Fifo] = {}
         for conn in topology.connections:
             for src, dst in ((conn.a, conn.b), (conn.b, conn.a)):
                 if local_ranks is not None and src[0] not in local_ranks \
@@ -61,19 +62,19 @@ class Fabric:
                 self.tx_link[src] = link
                 self.rx_link[dst] = link
 
-    def outgoing(self, rank: int, iface: int) -> Link | None:
+    def outgoing(self, rank: int, iface: int) -> Fifo | None:
         """The link transmitting from ``rank:iface`` (None if unwired)."""
         return self.tx_link.get((rank, iface))
 
-    def incoming(self, rank: int, iface: int) -> Link | None:
+    def incoming(self, rank: int, iface: int) -> Fifo | None:
         """The link delivering into ``rank:iface`` (None if unwired)."""
         return self.rx_link.get((rank, iface))
 
-    def links(self) -> list[Link]:
+    def links(self) -> list[Fifo]:
         """All directed links."""
         return list(self.tx_link.values())
 
-    def dead_ends(self) -> list[tuple[Link, int]]:
+    def dead_ends(self) -> list[tuple[Fifo, int]]:
         """``(link, unbuilt rank)`` for every kept link with an end no
         build instantiates."""
         reached = self.reached
@@ -81,7 +82,7 @@ class Fabric:
             (link, rank) for link in self.tx_link.values()
             for rank in (link.src[0], link.dst[0]) if rank not in reached]
 
-    def boundary_links(self) -> list[tuple[Link, bool]]:
+    def boundary_links(self) -> list[tuple[Fifo, bool]]:
         """Directed links crossing the shard cut (sharded builds only).
 
         Each entry is ``(link, src_is_local)``: ``True`` for the

@@ -9,123 +9,37 @@ modelled as a lossless, in-order, bounded channel: a
 capacity covers the bandwidth-delay product (so latency never limits
 throughput, as on the real hardware), and whose write port is paced to the
 line rate.
+
+A link *is* that FIFO, one object per wire: :func:`Link` builds a plain
+``Fifo`` with its ``pace`` (cycles per slot) and ``src`` / ``dst`` ends set,
+and the FIFO's write port (``writable``, ``wait_writable``, ``stage``,
+``stage_burst``, ``shift``) honours the pacing wherever ``pace`` is
+non-zero. It is deliberately not a subclass: CPython's attribute caches
+are per instruction and per type, so a second FIFO type flowing through
+the same per-item code cost the per-flit ``stream_flit`` benchmark
+workload +12 to +27 % ``wall_norm`` (three A/B batches on a 2-vCPU x86
+VM, CPython 3.11).
 """
 
 from __future__ import annotations
 
-from ..core.errors import SimulationError
-from ..simulation.conditions import WaitCycles
 from ..simulation.fifo import Fifo
-from .packet import Packet
 
 
-class Link:
-    """A directed inter-FPGA channel paced at one packet per link slot."""
-
-    __slots__ = ("fifo", "src", "dst", "cycles_per_packet", "_next_free")
-
-    def __init__(
-        self,
+def Link(engine, src: tuple[int, int], dst: tuple[int, int],
+         latency_cycles: int, cycles_per_packet: int = 1) -> Fifo:
+    """A directed inter-FPGA channel from ``src`` to ``dst`` (each a
+    ``(rank, iface)``), paced at one packet per link slot."""
+    pace = max(1, cycles_per_packet)
+    latency = max(1, latency_cycles)
+    link = Fifo(
         engine,
-        src: tuple[int, int],
-        dst: tuple[int, int],
-        latency_cycles: int,
-        cycles_per_packet: int = 1,
-    ) -> None:
-        self.src = src  # (rank, iface)
-        self.dst = dst
-        self.cycles_per_packet = max(1, cycles_per_packet)
-        self._next_free = 0
-        # Capacity >= in-flight packets at full rate, + handoff slack.
-        latency = max(1, latency_cycles)
-        capacity = latency // self.cycles_per_packet + 4
-        self.fifo = Fifo(
-            engine,
-            name=f"link.{src[0]}:{src[1]}->{dst[0]}:{dst[1]}",
-            capacity=capacity,
-            latency=latency,
-        )
-
-    # The write port, paced to the line rate; the receiving CKR reads
-    # ``fifo`` directly.
-    @property
-    def writable(self) -> bool:
-        return self.fifo.writable and self.fifo.engine.cycle >= self._next_free
-
-    def wait_writable(self):
-        """Condition for a stalled producer: FIFO space or line pacing."""
-        if not self.fifo.writable:
-            return self.fifo.can_push
-        gap = self._next_free - self.fifo.engine.cycle
-        return WaitCycles(max(1, gap))
-
-    # -- supply-schedule contract (delegated to the backing FIFO) --------
-    def register_producer(self, proc) -> None:
-        """Register the CKS that owns this link as the line's only writer.
-
-        This is what lets a downstream CKR's planner derive producer-sleep
-        horizons *through the wire*: with the sending CKS parked or asleep
-        until cycle T, nothing new can be visible at the far end before
-        ``T + latency`` — a horizon the full link latency makes very deep.
-        """
-        self.fifo.register_producer(proc)
-
-    def stage(self, packet: Packet) -> None:
-        """Transmit one packet (occupies one link slot)."""
-        if not self.writable:
-            raise SimulationError(
-                f"link {self.fifo.name}: stage() while busy or full"
-            )
-        self.fifo.stage(packet)
-        self._next_free = self.fifo.engine.cycle + self.cycles_per_packet
-        trace = self.fifo.engine.trace
-        if trace is not None:
-            now = self.fifo.engine.cycle
-            trace.emit(now, "xfer", self.fifo.name, "xfer",
-                       dur=self.cycles_per_packet)
-            trace.sample(
-                f"link_util/{self.fifo.name}", now,
-                self.utilization(max(now, 1)))
-
-    def stage_burst(self, packets: list[Packet], cycles: list[int],
-                    verify_occupancy: bool = True) -> None:
-        """Transmit a run of packets as if staged one per ``cycles[i]``.
-
-        The caller (a CKS burst drain) has already paced ``cycles`` at
-        ``cycles_per_packet`` granularity starting no earlier than
-        ``_next_free``, and checked the FIFO has space.
-        """
-        if not packets:
-            return
-        if cycles[0] < self._next_free:
-            raise SimulationError(
-                f"link {self.fifo.name}: burst starts at {cycles[0]} but the "
-                f"line is busy until {self._next_free}"
-            )
-        self.fifo.stage_burst(packets, cycles, verify_occupancy)
-        self._next_free = cycles[-1] + self.cycles_per_packet
-        trace = self.fifo.engine.trace
-        if trace is not None:
-            trace.emit(cycles[0], "xfer", self.fifo.name, "xfer-burst",
-                       dur=cycles[-1] - cycles[0] + self.cycles_per_packet,
-                       args={"n": len(packets)})
-            trace.sample(
-                f"link_util/{self.fifo.name}", cycles[-1],
-                self.utilization(max(cycles[-1], 1)))
-
-    def shift(self, n: int, delta: int, period: int, floor: int,
-              packets: list[Packet]) -> None:
-        """Transmit ``n`` packets over ``delta`` cycles as a time shift
-        (:meth:`Fifo.shift`): the line's pacing state moves with the
-        FIFO's rows."""
-        self.fifo.shift(n, delta, period, floor, packets)
-        self._next_free += delta
-
-    def utilization(self, cycles: int) -> float:
-        """Fraction of link slots that carried a packet."""
-        if cycles <= 0:
-            return 0.0
-        return self.fifo.pushes * self.cycles_per_packet / cycles
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"Link({self.src} -> {self.dst}, {self.fifo.pushes} pkts)"
+        name=f"link.{src[0]}:{src[1]}->{dst[0]}:{dst[1]}",
+        # In-flight packets at full rate, + handoff slack.
+        capacity=latency // pace + 4,
+        latency=latency,
+    )
+    link.pace = pace
+    link.src = src
+    link.dst = dst
+    return link

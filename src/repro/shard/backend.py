@@ -55,7 +55,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from ..core.config import HardwareConfig
-from ..core.errors import ConfigurationError, ShardWorkerError
+from ..core.errors import (ConfigurationError, ShardWorkerError,
+                           SimulationError)
 from ..core.program import ProgramResult, SMIProgram
 from ..network.routing import compute_routes
 from ..simulation.engine import FOREVER, Engine
@@ -380,7 +381,7 @@ class _ShardRuntime:
         the transmitting half makes the merged per-FIFO stats a plain
         dict union that exactly matches a sequential run.
         """
-        skip = {rx.fifo.name for rx in self.rx.values()}
+        skip = {rx.link.name for rx in self.rx.values()}
         fifo_stats = {f.name: f.stats_row(end) for f in self.engine.fifos
                       if f.name not in skip}
         returns = {
@@ -605,6 +606,10 @@ class ShardedTransportView:
                       if self.trace_segments else None)
 
     def rank(self, rank: int):
+        if not self.ranks and self.config.backend == "process":
+            raise SimulationError(
+                f"rank {rank}: process-backend rank transports stay inside "
+                "the workers; backend='sharded' keeps them inspectable")
         return self.ranks[rank]
 
 
@@ -653,7 +658,7 @@ def run_sharded(program: SMIProgram,
             channels.append(BoundaryChannel(
                 key=link.src, src_shard=i,
                 dst_shard=shard_of[link.dst[0]],
-                latency=link.fifo.latency,
+                latency=link.latency,
             ))
     with contextlib.ExitStack() as stack:
         try:

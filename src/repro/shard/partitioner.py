@@ -20,7 +20,7 @@ Every cut edge must be a *latency-carrying* link: the link's wire delay
 is the conservative lookahead the epoch synchroniser
 (:mod:`repro.shard.timesync`) turns into free parallelism, and a
 zero-latency cut would force one-cycle epochs. The simulator's
-:class:`~repro.network.link.Link` clamps its FIFO latency to >= 1, so
+:func:`~repro.network.link.Link` clamps its FIFO latency to >= 1, so
 every topology connection qualifies; :func:`validate_cut` pins that
 contract against the active hardware config.
 """
@@ -236,7 +236,7 @@ def validate_cut(partition: Partition, topology: Topology, config) -> None:
     The conservative epoch protocol's lookahead is the cut links' wire
     latency. The latency >= 1 half of the contract is enforced where it
     is real: :class:`~repro.simulation.fifo.Fifo` refuses construction
-    with latency < 1 and :class:`~repro.network.link.Link` clamps the
+    with latency < 1 and :func:`~repro.network.link.Link` clamps the
     configured ``link_latency_cycles`` into that range, so any future
     zero-latency link model fails at build time, before a shard plane
     exists. What remains checkable here — and is, loudly — is that the

@@ -7,7 +7,7 @@ to run again:
 * :data:`TICK` — run again next cycle (models one clock cycle of work).
 * :class:`WaitCycles` — sleep a fixed number of cycles.
 * ``fifo.can_pop`` / ``fifo.can_push`` — run when the FIFO becomes readable /
-  writable (interned per FIFO; see :mod:`repro.simulation.fifo`).
+  has free space (interned per FIFO; see :mod:`repro.simulation.fifo`).
 * :class:`SimEvent` — a broadcast event other processes can trigger.
 * a tuple (or list) of the three above — run when any of them holds.
 * :class:`AnyReadable` — run when any FIFO of a *fixed* input set becomes
@@ -183,8 +183,9 @@ class CanPush:
 class SimEvent:
     """A one-shot broadcast event.
 
-    Processes wait on it by yielding the event; :meth:`set` wakes all current
-    and future waiters (waiting on a set event resumes on the next cycle).
+    Processes wait on it by yielding the event;
+    :meth:`~repro.simulation.engine.Engine.set_event` wakes all current and
+    future waiters (waiting on a set event resumes on the next cycle).
     """
 
     __slots__ = ("name", "waiters", "_set", "set_at_cycle")

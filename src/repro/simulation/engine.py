@@ -524,7 +524,7 @@ class Engine:
         if kind is CanPop:
             return cond.fifo.readable
         if kind is CanPush:
-            return cond.fifo.writable
+            return cond.fifo.has_space()
         if kind is SimEvent:
             return cond._set
         raise SimulationError(f"process yielded unsupported condition: {cond!r}")
@@ -719,7 +719,7 @@ class Engine:
                         continue
                 elif kind is CanPush:
                     fifo = cond.fifo
-                    if not fifo.writable:
+                    if not fifo.has_space():
                         cond.waiters.append(proc)
                         proc._waiting_on = cond
                         if fifo._reserved:

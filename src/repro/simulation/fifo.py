@@ -8,7 +8,10 @@ Semantics (matching a hardware FIFO with registered full/empty flags):
 
 * An item *staged* (pushed) in cycle ``t`` becomes *visible* to the consumer
   at cycle ``t + latency`` (default latency 1 — the classic one-cycle
-  handoff). A link is simply a FIFO whose latency is the wire delay.
+  handoff). A link is simply a FIFO whose latency is the wire delay and
+  whose write port is paced to the line rate: ``pace`` cycles per item,
+  the line free again from ``next_free`` (0 / 0 on an on-chip FIFO;
+  :func:`~repro.network.link.Link` builds one).
 * ``capacity`` bounds the total number of items in flight (visible + staged).
   A full FIFO exerts backpressure: ``push`` blocks, which is how stalls
   propagate through a pipelined design.
@@ -80,10 +83,10 @@ frontiers *shifted*, and the statistics, which are exact from counts:
   below it they raise (:meth:`Fifo._check_fold_watermark`, the existing
   contract).
 
-What cannot be shifted exactly — a boundary ``_stage_log`` /
-``_take_log``, a parked waiter — is refused before anything is mutated
-(:meth:`Fifo.shift_refusal`). A run cut by ``max_cycles`` inside a
-shifted span sees what it sees after any early bulk commit: the raw
+What cannot be shifted exactly — either half of a cut link (its
+``boundary`` mark: the peer shard sees every item), a parked waiter — is
+refused before anything is mutated (:meth:`Fifo.shift_refusal`). A run
+cut by ``max_cycles`` inside a shifted span sees what it sees after any early bulk commit: the raw
 ``pushes`` / ``pops`` include the committed future events, and
 ``max_occupancy`` reports the peak through the fold — by periodicity the
 peak of every period of the span. Time-filtered queries at the cut (a
@@ -126,8 +129,9 @@ load-bearing for everything in :mod:`repro.transport.planner`:
     ``len(_staged) == len(_ready)`` between any two method calls; every
     path — per-flit ``stage``/``take``, the burst plane, boundary
     injection and acks — appends to and pops from both columns together.
-    The sharded boundary ``_stage_log`` is the same layout, an
-    ``(items, visible_cycles)`` pair of lists.
+    A cut link's transmitting half ships straight from these columns
+    (:class:`~repro.shard.proxy.BoundaryTx`): its rows past the shipped
+    cursor are the stages no exchange has shipped yet.
 
 ``_reserved``
     The release cycles (non-decreasing) of slots a burst consumer took
@@ -177,7 +181,7 @@ from typing import Any, Generator, Iterable, Iterator, Sequence
 import numpy as np
 
 from ..core.errors import SimulationError
-from .conditions import TICK, CanPop, CanPush
+from .conditions import TICK, CanPop, CanPush, WaitCycles
 from .engine import FOREVER
 
 #: Fold the occupancy delta log into (base, peak) once it grows past this
@@ -229,8 +233,12 @@ class Fifo:
         "producers",
         "_stage_guard",
         "horizon_pin",
-        "_stage_log",
+        "boundary",
         "_take_log",
+        "pace",
+        "next_free",
+        "src",
+        "dst",
     )
 
     def __init__(self, engine, name: str, capacity: int, latency: int = 1) -> None:
@@ -303,15 +311,21 @@ class Fifo:
         # One combined flag so the per-stage hot path pays a single branch
         # for both tripwires (kept in sync by the property/registration).
         self._stage_guard = False
-        # Sharded-backend proxy contract (see repro.shard.proxy): a pinned
-        # horizon stands in for a *remote* producer's sleep floor on the
-        # consumer side of a boundary link, and the boundary logs capture
-        # the exact per-item stage/take cycles that must be shipped to the
-        # peer shard. All three stay None outside sharded builds, so the
-        # hot paths pay one is-None branch each.
+        # Sharded-backend proxy contract (see repro.shard.proxy): both
+        # halves of a cut link set ``boundary``; on the consumer side a
+        # pinned horizon stands in for the *remote* producer's sleep
+        # floor, and the take log captures the exact take cycles to ack
+        # to the peer shard. Pin and log stay None outside sharded
+        # builds, so the take paths pay one is-None branch.
         self.horizon_pin: int | None = None
-        self._stage_log: tuple[list, list] | None = None  # (items, cycles)
+        self.boundary = False
         self._take_log: list | None = None
+        # A link's write port (:func:`repro.network.link.Link`): cycles
+        # per line slot, the first cycle the line takes the next item,
+        # and the ``(rank, iface)`` ends. 0 / 0 / None on on-chip FIFOs.
+        self.pace = 0
+        self.next_free = 0
+        self.src = self.dst = None
         engine._register_fifo(self)
 
     @property
@@ -377,12 +391,21 @@ class Fifo:
                     paired -= 1
             self._reserved_paired = paired
 
-    @property
-    def writable(self) -> bool:
-        """True if there is room for one more item."""
+    def has_space(self) -> bool:
+        """True if there is room for one more item (what ``can_push``
+        waits for)."""
         if self._reserved:
             self._trim_reserved(self.engine.cycle)
         return len(self._staged) + len(self._reserved) < self.capacity
+
+    @property
+    def writable(self) -> bool:
+        """True if one item can be staged this cycle: there is room, and
+        a link's line is free (:meth:`has_space`, inlined)."""
+        if self._reserved:
+            self._trim_reserved(self.engine.cycle)
+        return (len(self._staged) + len(self._reserved) < self.capacity
+                and self.engine.cycle >= self.next_free)
 
     def slot_plan(self, now: int) -> tuple[int, list]:
         """``(free_slots, pending_release_cycles)`` in one pass.
@@ -414,8 +437,12 @@ class Fifo:
         return len(self._staged)
 
     def wait_writable(self):
-        """Condition to yield while not writable (see also Link pacing)."""
-        return self.can_push
+        """Condition for a producer that found the FIFO not writable: free
+        space, or the cycle a link's line takes the next item."""
+        gap = self.next_free - self.engine.cycle
+        if gap <= 0 or not self.has_space():
+            return self.can_push
+        return WaitCycles(gap)
 
     def __len__(self) -> int:
         """Items visible this cycle."""
@@ -461,7 +488,7 @@ class Fifo:
         """Stage one item this cycle; it becomes visible ``latency`` later.
 
         The caller must have checked :attr:`writable`; staging into a full
-        FIFO is a simulation bug and raises.
+        FIFO, or a link whose line is busy, is a simulation bug and raises.
         """
         now = self.engine.cycle
         staged = self._staged
@@ -472,13 +499,14 @@ class Fifo:
             raise SimulationError(f"fifo {self.name!r}: stage() while full")
         if self._stage_guard:
             self._check_stage_allowed()
-        ready = now + self.latency
+        pace = self.pace
+        if pace:
+            if now < self.next_free:
+                raise SimulationError(
+                    f"link {self.name}: stage() while busy or full")
+            self.next_free = now + pace
         staged.append(item)
-        self._ready.append(ready)
-        log = self._stage_log
-        if log is not None:
-            log[0].append(item)
-            log[1].append(ready)
+        self._ready.append(now + self.latency)
         can_pop = self.can_pop  # _consumer_parked, inline
         if can_pop.waiters or can_pop.watch.proc is not None:
             self.engine._schedule_commit(self._ready[0], self)
@@ -490,6 +518,10 @@ class Fifo:
         if trace is not None:
             trace.emit(now, "stage", self.name, "stage")
             trace.sample(f"fifo_occ/{self.name}", now, present + 1)
+            if pace:
+                trace.emit(now, "xfer", self.name, "xfer", dur=pace)
+                trace.sample(f"link_util/{self.name}", now,
+                             self.utilization(max(now, 1)))
 
     def take(self) -> Any:
         """Remove and return the oldest visible item (must be readable)."""
@@ -567,7 +599,9 @@ class Fifo:
         :meth:`slot_plan`'s release schedule (with persistent pairing
         bookkeeping), and re-walking the trajectory on its long
         reserved/paired lists every commit would dominate the fast path
-        the planner exists to provide.
+        the planner exists to provide. A link's run starts no earlier
+        than ``next_free``, and the line is busy until ``pace`` cycles
+        after its last stage.
         """
         k = len(items)
         if k == 0:
@@ -584,6 +618,11 @@ class Fifo:
             )
         if self._stage_guard:
             self._check_stage_allowed()
+        pace = self.pace
+        if pace and cycles[0] < self.next_free:
+            raise SimulationError(
+                f"link {self.name}: burst starts at {cycles[0]} but the "
+                f"line is busy until {self.next_free}")
         staged = self._staged
         latency = self.latency
         prev = cycles[0]
@@ -632,10 +671,6 @@ class Fifo:
         # One packet = one row: two C-level extends, no per-item container.
         staged.extend(items)
         self._ready.extend(ready_run)
-        log = self._stage_log
-        if log is not None:
-            log[0].extend(items)
-            log[1].extend(ready_run)
         occ_stages = self._occ_stages
         if occ_stages and cycles[0] < occ_stages[-1]:
             raise SimulationError(
@@ -647,6 +682,8 @@ class Fifo:
         occ_stages.extend(cycles)
         if len(occ_stages) > _OCC_FOLD_LIMIT:
             self._occ_fold()
+        if pace:
+            self.next_free = cycles[-1] + pace
         if self._consumer_parked:
             self.engine._schedule_commit(self._ready[0], self)
         trace = self.engine.trace
@@ -654,6 +691,11 @@ class Fifo:
             trace.emit(cycles[0], "stage", self.name, "stage-burst",
                        dur=cycles[-1] - cycles[0], args={"n": k})
             trace.sample(f"fifo_occ/{self.name}", cycles[-1], len(staged))
+            if pace:
+                trace.emit(cycles[0], "xfer", self.name, "xfer-burst",
+                           dur=cycles[-1] - cycles[0] + pace, args={"n": k})
+                trace.sample(f"link_util/{self.name}", cycles[-1],
+                             self.utilization(max(cycles[-1], 1)))
 
     def take_burst(self, cycles: Sequence[int]) -> None:
         """Remove the ``len(cycles)`` oldest items as if taken one per
@@ -738,8 +780,8 @@ class Fifo:
     def shift_refusal(self) -> str | None:
         """Why :meth:`shift` could not move this FIFO exactly (``None``
         when it can)."""
-        if self._stage_log is not None or self._take_log is not None:
-            return "boundary log records every item"
+        if self.boundary:
+            return "boundary link: the peer shard sees every item"
         if self.can_push.waiters or self._consumer_parked:
             return "parked waiter"
         return None
@@ -800,6 +842,8 @@ class Fifo:
             self._reserved = deque([c + delta for c in self._reserved])
         self._ready = deque([r + delta for r in self._ready])
         self._staged = deque(items)
+        if self.pace:
+            self.next_free += delta  # a link's line moves with its rows
         trace = self.engine.trace
         if trace is not None:
             trace.emit(floor, "shift", self.name, "shift", dur=delta,
@@ -903,6 +947,13 @@ class Fifo:
     def pops(self) -> int:
         """Items ever taken: one take-log entry each, folded or not."""
         return self._occ_folded_takes + len(self._occ_takes)
+
+    def utilization(self, cycles: int) -> float:
+        """Fraction of a link's line slots over ``cycles`` that carried an
+        item (0 on an on-chip FIFO)."""
+        if cycles <= 0:
+            return 0.0
+        return self.pushes * self.pace / cycles
 
     @property
     def max_occupancy(self) -> int:
@@ -1011,23 +1062,10 @@ class Fifo:
         if pin is None or cycle > pin:
             self.horizon_pin = cycle
 
-    def record_boundary_stages(self) -> None:
-        """Start logging every stage as one row of the columnar pair
-        ``(items, visible_cycles)``."""
-        if self._stage_log is None:
-            self._stage_log = ([], [])
-
     def record_boundary_takes(self) -> None:
         """Start logging the exact cycle of every take."""
         if self._take_log is None:
             self._take_log = []
-
-    def drain_stage_log(self) -> tuple[list, list]:
-        """Return ``(items, visible_cycles)`` and reset the boundary
-        stage log (exchange helper)."""
-        log = self._stage_log
-        self._stage_log = ([], [])
-        return log
 
     def drain_take_log(self) -> list:
         """Return and reset the boundary take log (exchange helper)."""
@@ -1183,7 +1221,7 @@ class Fifo:
     def push(self, item: Any) -> Generator:
         """Generator: block until writable, stage ``item``, spend one cycle."""
         while not self.writable:
-            yield self.can_push
+            yield self.wait_writable()
         self.stage(item)
         yield TICK
 
@@ -1219,7 +1257,7 @@ class Fifo:
                 self.engine._schedule_commit(self._ready[0], self)
         if self.can_push.waiters:
             reserved = self._reserved
-            if self.writable or (reserved and
+            if self.has_space() or (reserved and
                                  reserved[0] <= self.engine.cycle):
                 # Same wake timing as a take() in this cycle: producers
                 # run next cycle (registered full flag). A reserved slot

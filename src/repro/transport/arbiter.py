@@ -213,13 +213,13 @@ class PollingArbiter:
 
         ``route(packet)`` is a plain call — the same-cycle routing
         decision — returning the output the packet is staged into: a
-        FIFO or a link (anything with ``writable`` / ``wait_writable()``
-        / ``stage(packet)``). The loop stalls on the output's
-        backpressure (for a link, its line-rate pacing too), stages, and
-        the cycle ends: one packet is accepted per cycle at most. The
-        cycles in between are :meth:`_settle`'s and :meth:`_wake_scan`'s
-        (module docstring); this generator runs once per granted packet,
-        and wherever the planner must look.
+        FIFO, a link being one whose write port is paced (anything with
+        ``writable`` / ``wait_writable()`` / ``stage(packet)``). The loop
+        stalls on the output's backpressure (for a link, its line-rate
+        pacing too), stages, and the cycle ends: one packet is accepted
+        per cycle at most. The cycles in between are :meth:`_settle`'s and
+        :meth:`_wake_scan`'s (module docstring); this generator runs once
+        per granted packet, and wherever the planner must look.
 
         ``ck``, if given, is the owning kernel; its ``supply_planner``
         (:class:`repro.transport.planner.SupplyPlanner`, which the

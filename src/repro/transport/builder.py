@@ -224,7 +224,7 @@ def _walk_routes(
                     # A link exists in this build if either end is local.
                     link = fabric.outgoing(rank, iface)
                     if link is not None:
-                        visited.add(id(link.fifo))
+                        visited.add(id(link))
                     far = topology.peer(rank, iface)
                     if far is None:
                         break  # unwired egress: unroutable
@@ -302,7 +302,7 @@ def build_transport(
     fabric = Fabric(engine, topology, config,
                     local_ranks=local, reached=reached)
     ranks: dict[int, RankTransport] = {}
-    transit: list[Fifo] = [link.fifo for link in fabric.links()]
+    transit: list[Fifo] = fabric.links()
 
     for rank in sorted(local):
         rank_plan = plan.rank_plans.get(rank, RankPlan(rank))
@@ -383,7 +383,7 @@ def build_transport(
 
             net_in = fabric.incoming(rank, i)
             ckr_inputs = (
-                ([net_in.fifo] if net_in is not None else [])
+                ([net_in] if net_in is not None else [])
                 + [ckr2ckr[(j, i)] for j in active if j != i]
                 + [cks2ckr[i]]
             )
@@ -435,7 +435,7 @@ def build_transport(
     # Nothing is built behind a dead end: on either plane a stage into
     # one is a flow past what the program declared, and fails there.
     for link, unbuilt in fabric.dead_ends():
-        link.fifo.flow_dead = (
+        link.flow_dead = (
             f"dead end: rank {unbuilt} is reached by no declared flow, so "
             "it was not built (OpDecl.peer bounds the built fabric; "
             "declare the peer this traffic goes to, or none)")
@@ -511,11 +511,11 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
                 link.register_producer(cks.proc)
                 dst_rank, dst_iface = link.dst
                 # In a sharded build the far end may live in another
-                # shard: the cascade then stops at the link — its fifo is
-                # just another committed supply schedule to the peer.
+                # shard: the cascade then stops at the link — just another
+                # committed supply schedule to the peer.
                 dst_rt = ranks.get(dst_rank)
                 if dst_rt is not None:
-                    wire(link.fifo, cks, dst_rt.ckr[dst_iface])
+                    wire(link, cks, dst_rt.ckr[dst_iface])
         for i, ckr in rt.ckr.items():
             ckr.to_paired_cks.register_producer(ckr.proc)
             wire(ckr.to_paired_cks, ckr, rt.cks[i])

@@ -22,9 +22,10 @@ backpressure or that link's line-rate pacing (a 32-byte slot every
 
 Both routing rules are pure table lookups, so they have one definition,
 :func:`route_step`: a function of ``(rank, iface, dst, port)`` and the
-module's table that names the *module* a packet reaches next. A kernel's
-``_route`` maps that symbolic answer to the FIFO or link it owns
-(``_target``); the transport builder's static route walk follows the same
+module's table that names the *module* a packet reaches next. The two
+kinds share one ``_route`` (and ``route`` / ``process``), which maps that
+symbolic answer to the FIFO or link the kernel owns through its kind's
+``_target``; the transport builder's static route walk follows the same
 answer through ranks it holds no kernel for (another shard's).
 
 In burst mode the kernels delegate window planning to the supply-schedule
@@ -84,8 +85,50 @@ def route_step(kind: str, rank: int, iface: int, dst: int, port: int,
     return ("app", port) if home == iface else ("ckr", home)
 
 
-class CKS:
+class _CommKernel:
+    """What CKS and CKR share: the polling arbiter, the routing memo and
+    the kernel loop. Each kind supplies its :func:`route_step` table
+    (``_table``) and its ``_target``, the FIFO behind a step."""
+
+    kind = ""  # route_step's module kind, "cks" or "ckr"
+
+    def __init__(self, rank: int, iface: int, inputs: list[Fifo],
+                 table: dict, read_burst: int) -> None:
+        self.rank = rank
+        self.iface = iface
+        self._table = table
+        self.arbiter = PollingArbiter(inputs, read_burst)
+        # (dst << 8 | port) -> routing target: filled by ``_route``, read
+        # by ``route`` and, inline, by the planners.
+        self._route_memo: dict = {}
+        self.supply_planner: SupplyPlanner | None = None  # builder-assigned
+        self.proc = None  # engine Process handle, set by the builder
+        self.name = f"rank{rank}.{self.kind}{iface}"
+
+    def _route(self, pkt):
+        out = self._route_memo[(pkt.dst << 8) | pkt.port] = self._target(
+            *route_step(self.kind, self.rank, self.iface, pkt.dst, pkt.port,
+                        self._table))
+        return out
+
+    def route(self, pkt):
+        """Where ``pkt`` goes next: the FIFO (a link is one) the
+        arbiter's loop stages it into (memoised per ``(dst, port)``)."""
+        try:
+            return self._route_memo[(pkt.dst << 8) | pkt.port]
+        except KeyError:
+            return self._route(pkt)
+
+    def process(self, engine) -> Generator:
+        """The kernel's forever-serving main loop (spawned as a daemon):
+        the arbiter's, with this kernel's routing."""
+        return self.arbiter.run(self.route, engine, self)
+
+
+class CKS(_CommKernel):
     """Send communication kernel for one network interface."""
+
+    kind = "cks"
 
     def __init__(
         self,
@@ -98,19 +141,10 @@ class CKS:
         egress_iface: dict[int, int | None],
         read_burst: int,
     ) -> None:
-        self.rank = rank
-        self.iface = iface
+        super().__init__(rank, iface, inputs, egress_iface, read_burst)
         self.net_link = net_link
         self.to_paired_ckr = to_paired_ckr
         self.to_other_cks = to_other_cks
-        self.egress_iface = egress_iface
-        self.arbiter = PollingArbiter(inputs, read_burst)
-        # (dst << 8 | port) -> routing target: filled by ``_route``, read
-        # by ``route`` and, inline, by the planners.
-        self._route_memo: dict = {}
-        self.supply_planner: SupplyPlanner | None = None  # builder-assigned
-        self.proc = None  # engine Process handle, set by the builder
-        self.name = f"rank{rank}.cks{iface}"
 
     def _target(self, step: str, index: int):
         """The FIFO or link behind one :func:`route_step` answer."""
@@ -129,28 +163,11 @@ class CKS:
                 f"{self.name}: no CKS for egress interface {index}"
             ) from None
 
-    def _route(self, pkt):
-        out = self._route_memo[(pkt.dst << 8) | pkt.port] = self._target(
-            *route_step("cks", self.rank, self.iface, pkt.dst, pkt.port,
-                        self.egress_iface))
-        return out
 
-    def route(self, pkt):
-        """Where ``pkt`` goes next: the FIFO or link the arbiter's loop
-        stages it into (memoised per ``(dst, port)``)."""
-        try:
-            return self._route_memo[(pkt.dst << 8) | pkt.port]
-        except KeyError:
-            return self._route(pkt)
-
-    def process(self, engine) -> Generator:
-        """The kernel's forever-serving main loop (spawned as a daemon):
-        the arbiter's, with this kernel's routing."""
-        return self.arbiter.run(self.route, engine, self)
-
-
-class CKR:
+class CKR(_CommKernel):
     """Receive communication kernel for one network interface."""
+
+    kind = "ckr"
 
     def __init__(
         self,
@@ -163,19 +180,10 @@ class CKR:
         recv_endpoints: dict[int, Fifo],
         read_burst: int,
     ) -> None:
-        self.rank = rank
-        self.iface = iface
+        super().__init__(rank, iface, inputs, port_home_iface, read_burst)
         self.to_paired_cks = to_paired_cks
         self.to_other_ckr = to_other_ckr
-        self.port_home_iface = port_home_iface
         self.recv_endpoints = recv_endpoints
-        self.arbiter = PollingArbiter(inputs, read_burst)
-        # (dst << 8 | port) -> routing target: filled by ``_route``, read
-        # by ``route`` and, inline, by the planners.
-        self._route_memo: dict = {}
-        self.supply_planner: SupplyPlanner | None = None  # builder-assigned
-        self.proc = None  # engine Process handle, set by the builder
-        self.name = f"rank{rank}.ckr{iface}"
 
     def _target(self, step: str, index: int):
         """The FIFO behind one :func:`route_step` answer."""
@@ -194,22 +202,3 @@ class CKR:
             raise RoutingError(
                 f"{self.name}: no CKR for interface {index}"
             ) from None
-
-    def _route(self, pkt):
-        out = self._route_memo[(pkt.dst << 8) | pkt.port] = self._target(
-            *route_step("ckr", self.rank, self.iface, pkt.dst, pkt.port,
-                        self.port_home_iface))
-        return out
-
-    def route(self, pkt):
-        """Where ``pkt`` goes next: the FIFO or link the arbiter's loop
-        stages it into (memoised per ``(dst, port)``)."""
-        try:
-            return self._route_memo[(pkt.dst << 8) | pkt.port]
-        except KeyError:
-            return self._route(pkt)
-
-    def process(self, engine) -> Generator:
-        """The kernel's forever-serving main loop (spawned as a daemon):
-        the arbiter's, with this kernel's routing."""
-        return self.arbiter.run(self.route, engine, self)

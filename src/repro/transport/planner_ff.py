@@ -190,7 +190,7 @@ class _RelayHop:
         for j in sess.pattern.inputs_used:
             counts += (sess.ptr[j], sess.avail[j], len(sess.snap_items[j]))
         return (counts,
-                (sess.T, cur.next_free) if cur.is_link else (sess.T,),
+                (sess.T, cur.next_free) if cur.pace else (sess.T,),
                 ((sess.take_cycles[jc], 'c'), (sess.snap_items[jc], 'p'),
                  (sess.snap_ready[jc], 'c'),
                  (cur.rels, 'c'), (cur.stage_cycles, 'c'),
@@ -586,7 +586,7 @@ class _FastForward:
         self.chains = {}     # chain key -> (relay chain, its _FFHistory)
         self.refused = ()    # failed walks of the last ff_resolve
         self.shape = None    # (sessions, lanes) chains resolved under
-        self.shifts = ()     # a proven jump: (stage target, shift args)
+        self.shifts = ()     # a proven jump: (fifo, shift args)
 
     def ff_abort(self, engine, guard, hop=-1, reason=None) -> bool:
         """Report one failed guard of the analytic jump's proof.
@@ -773,8 +773,8 @@ class _FastForward:
         # cursor) and its taker (each hop, then the recv lane); it holds
         # ``inv`` rows at the frontiers and shifts from the lower of the
         # two. What a shift cannot carry exactly refuses the jump.
-        spans = []  # per chain FIFO: (stage target, floor, inv)
-        target = fifo = ls.chan.endpoint
+        spans = []  # per chain FIFO: (fifo, floor, inv)
+        fifo = ls.chan.endpoint
         stages, f_p = ls.pend_cycles, ls.cur
         for k, hop in enumerate((*hops, None)):
             if hop is not None:
@@ -787,10 +787,10 @@ class _FastForward:
             why = ff_shift_refusal(fifo, stages, takes, inv, floor, ppp, dT)
             if why is not None or _ff_veto('shift', k):
                 return self.ff_abort(engine, 'shift', k, why)
-            spans.append((target, floor, inv))
+            spans.append((fifo, floor, inv))
             if hop is not None:
                 cur = hop.cur
-                target, fifo = cur.target, cur.fifo
+                fifo = cur.fifo
                 stages, f_p = cur.stage_cycles, sess.T
         # ---- apply: R periods in closed form ---------------------------
         # Nothing is materialised per packet. The train's commit lands
@@ -816,9 +816,9 @@ class _FastForward:
             for k in range(len(tail_arr) // epp)]
         shifts = self.shifts = []
         hi = len(tail_pkts)
-        for target, floor, inv in spans:
-            shifts.append((target, (n, delta, dT, floor,
-                                    tail_pkts[hi - inv:hi])))
+        for fifo, floor, inv in spans:
+            shifts.append((fifo, (n, delta, dT, floor,
+                                  tail_pkts[hi - inv:hi])))
             hi -= inv
         ls.ff_advance(R, dT, ppp)
         for hop in hops:

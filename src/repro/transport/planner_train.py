@@ -301,10 +301,10 @@ class _Train:
             cur.stamp = self.stamp
         else:
             return cur
-        pend = self.v_rels.get(id(cur.fifo))
+        pend = self.v_rels.get(cid)
         if pend:
             cur.rels = cur.rels + pend
-        self.cursor_fifo[id(cur.fifo)] = cur
+        self.cursor_fifo[cid] = cur
         return cur
 
     def validate_round(self, sess) -> bool:
@@ -351,7 +351,6 @@ class _Train:
         tgt = None      # the target in locals
         run = cur = rels = pkts = cycles = None
         free = rel_ptr = next_free = pace = 0
-        is_link = False
         key = -1        # the last routing key, and where it routes
         out = None
         for rel_c, kind, j, rel_s, target in pattern.events:
@@ -432,11 +431,10 @@ class _Train:
                 tgt = out
                 cur, free, rel_ptr, next_free, pkts, cycles = run
                 rels = cur.rels
-                is_link = cur.is_link
                 pace = cur.pace
             # Exact plan_window stall model; the outcome must land on the
             # pattern's relative stage cycle or the round is off.
-            s = next_free if (is_link and next_free > X) else X
+            s = next_free if next_free > X else X
             if free > 0:
                 free -= 1
             elif rel_ptr < len(rels):
@@ -458,7 +456,7 @@ class _Train:
                     fatal = True  # a stall the pattern had vanished
                 fail = ('stage-cycle', j, X, (s, expected))
                 break
-            if is_link:
+            if pace:
                 next_free = s + pace
             pkts.append(pkt)
             cycles.append(s)
@@ -626,8 +624,8 @@ class _Train:
             lane.finish()
         # A proven jump: the prefix and its release pairings are in, so
         # each chain FIFO now takes the span as one time shift.
-        for target, args in self.ff.shifts:
-            target.shift(*args)
+        for fifo, args in self.ff.shifts:
+            fifo.shift(*args)
         if not committed:
             return None
         stats = planner.stats

@@ -27,7 +27,6 @@ the returned :class:`PlanResult`.
 from __future__ import annotations
 
 from ..core.errors import RoutingError
-from ..network.link import Link
 from ..simulation.engine import FOREVER
 
 #: Safety bound on planned takes per window (keeps commit lists small).
@@ -43,14 +42,16 @@ PLAN_SNAPSHOT = 16
 class _TargetCursor:
     """Planning-time view of one routing target's future slot schedule.
 
-    ``free``/``rels``/``rel_ptr``/``next_free`` mirror the stall model of
-    the per-flit loop (``PollingArbiter.run``): a currently-free slot stages
-    as soon as line pacing allows; a slot reserved by the consumer's own
-    burst takes stages the cycle after it releases (the cycle a producer
-    blocked on ``can_push`` would wake); with neither, the per-flit path
-    would block open-endedly, so the plan must stop. The planner mirrors
-    these fields into locals inside its hot loop and flushes them back on
-    target switches.
+    The target is one FIFO — a link is a FIFO whose ``pace`` is non-zero
+    (:func:`~repro.network.link.Link`), and the cursor reads its line
+    pacing from it. ``free``/``rels``/``rel_ptr``/``next_free`` mirror the
+    stall model of the per-flit loop (``PollingArbiter.run``): a
+    currently-free slot stages as soon as line pacing allows; a slot
+    reserved by the consumer's own burst takes stages the cycle after it
+    releases (the cycle a producer blocked on ``can_push`` would wake);
+    with neither, the per-flit path would block open-endedly, so the plan
+    must stop. The planner mirrors these fields into locals inside its hot
+    loop and flushes them back on target switches.
 
     Cursors live for one cascade (one engine event) and are shared by all
     of its plan calls: a later extension must not re-pair a reserved slot
@@ -61,19 +62,16 @@ class _TargetCursor:
     grows at the tail (the wall clock does not move, so no release expires).
     """
 
-    __slots__ = ("target", "fifo", "is_link", "free", "rels", "rel_ptr",
-                 "rel_base", "next_free", "pace", "stage_cycles",
-                 "stage_pkts", "stamp")
+    __slots__ = ("fifo", "free", "rels", "rel_ptr", "rel_base",
+                 "next_free", "pace", "stage_cycles", "stage_pkts", "stamp")
 
-    def __init__(self, target, now: int, stamp: int) -> None:
-        self.target = target
-        self.is_link = isinstance(target, Link)
-        self.fifo = target.fifo if self.is_link else target
-        self.free, self.rels = self.fifo.slot_plan(now)
+    def __init__(self, fifo, now: int, stamp: int) -> None:
+        self.fifo = fifo
+        self.free, self.rels = fifo.slot_plan(now)
         self.rel_ptr = 0
-        self.rel_base = self.fifo._reserved_paired
-        self.next_free = target._next_free if self.is_link else 0
-        self.pace = target.cycles_per_packet if self.is_link else 0
+        self.rel_base = fifo._reserved_paired
+        self.next_free = fifo.next_free
+        self.pace = fifo.pace
         self.stage_cycles: list[int] = []
         self.stage_pkts: list = []
         self.stamp = stamp  # plan-call counter of the last refresh
@@ -84,15 +82,15 @@ class _TargetCursor:
         All pairings so far are committed (:meth:`commit` ran) or
         being discarded, so the re-read release list starts exactly past
         the committed ones: re-base the pointer. ``next_free`` likewise
-        returns to the link's committed pacing state — after a commit the
+        returns to the FIFO's committed pacing state — after a commit the
         two agree, and after a declined window the cursor's speculative
         advance must be dropped.
         """
-        self.free, self.rels = self.fifo.slot_plan(now)
-        self.rel_base = self.fifo._reserved_paired
+        fifo = self.fifo
+        self.free, self.rels = fifo.slot_plan(now)
+        self.rel_base = fifo._reserved_paired
         self.rel_ptr = 0
-        if self.is_link:
-            self.next_free = self.target._next_free
+        self.next_free = fifo.next_free
 
     def commit(self) -> None:
         """Land the pending stage run and persist how many releases it
@@ -100,8 +98,8 @@ class _TargetCursor:
         slot out twice. The cursor outlives the call (shared per
         cascade): it hands off the committed run and starts a fresh one.
         """
-        self.target.stage_burst(self.stage_pkts, self.stage_cycles,
-                                verify_occupancy=False)
+        self.fifo.stage_burst(self.stage_pkts, self.stage_cycles,
+                              verify_occupancy=False)
         self.fifo._reserved_paired = self.rel_base + self.rel_ptr
         self.stage_pkts = []
         self.stage_cycles = []
@@ -120,7 +118,7 @@ class PlanResult:
         self.resume_reads = resume_reads  # -1 fresh, >= 0 mid-R-round
         self.takes = takes                # packets moved
         self.sources = sources            # input FIFOs taken from
-        self.targets = targets            # FIFOs staged into (links: theirs)
+        self.targets = targets            # FIFOs staged into
         self.blocked_on = blocked_on      # fifo whose backpressure ended it
         self.starved_on = starved_on      # input whose unknown supply did
         self.trace = trace                # (ops, obs) for pattern detection
@@ -261,7 +259,6 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
     t_cur = None
     t_key = -1
     t_free = t_rp = t_nf = t_pace = 0
-    t_isl = False
     t_rels = t_sc = t_sp = ()
 
     while not ended and total < PLAN_MAX_TAKES:
@@ -333,11 +330,10 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
                     t_rp = t_cur.rel_ptr
                     t_nf = t_cur.next_free
                     t_pace = t_cur.pace
-                    t_isl = t_cur.is_link
                     t_sc = t_cur.stage_cycles
                     t_sp = t_cur.stage_pkts
                 # Earliest per-flit stage cycle (see _TargetCursor).
-                s = t_nf if (t_isl and t_nf > c) else c
+                s = t_nf if t_nf > c else c
                 if t_free > 0:
                     t_free -= 1
                 elif t_rp < len(t_rels):
@@ -349,7 +345,7 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
                     ended = True  # unknown backpressure: stop before take
                     blocked_on = t_cur.fifo
                     break
-                if t_isl:
+                if t_pace:
                     t_nf = s + t_pace
                 tk.append(c)
                 t_sc.append(s)
@@ -470,7 +466,7 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
         for (tc, i), cur in zip(merged, trace_tgts):
             ci = id(cur)
             pi = sc_ptr.get(ci, 0)
-            ops.append((tc, i, cur.stage_cycles[pi], cur.target))
+            ops.append((tc, i, cur.stage_cycles[pi], cur.fifo))
             sc_ptr[ci] = pi + 1
         trace_out = (ops, trace_obs)
     # Commit under the planned CK's identity: a cascade runs inside a
@@ -589,9 +585,8 @@ class WindowPattern:
             (j, takes_seen[j]) for j in sorted(takes_seen))
         tfifos = []
         for (_t, _j, _s, tgt) in ops_rel:
-            fifo = tgt.fifo if isinstance(tgt, Link) else tgt
-            if fifo not in tfifos:
-                tfifos.append(fifo)
+            if tgt not in tfifos:
+                tfifos.append(tgt)
         self.target_fifos = tuple(tfifos)
 
 

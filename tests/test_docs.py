@@ -3,8 +3,8 @@
 Runs the same checks as the CI docs job (``tools/check_docs.py``):
 internal anchors of ``docs/ARCHITECTURE.md`` resolve, relative links in
 the checked markdown files exist, every ``src/repro/transport`` module
-carries a non-empty docstring, every docstring cross-reference into the
-transport layer names something that exists, every ``HardwareConfig``
+carries a non-empty docstring, every docstring cross-reference under
+``src/repro`` names something that exists, every ``HardwareConfig``
 field has a reader and a README entry, and every ``PlannerStats`` field
 has a reader.
 """
@@ -92,10 +92,11 @@ def test_checker_flags_counter_that_is_only_written(tmp_path):
 
 def test_checker_flags_dangling_cross_reference(tmp_path):
     """The two stale ``replicate_window`` roles the planner split would
-    have carried along (the check fails on its parent commit), and a
+    have carried along (the check fails on its parent commit), a
     reference from outside ``transport/`` to a name that moved out of
-    ``repro.transport.planner``; roles that resolve — bare, against the
-    enclosing class, or absolute — and foreign ones are left alone."""
+    ``repro.transport.planner``, and a bare name no module defines; roles
+    that resolve — bare, against the enclosing class, or absolute — are
+    left alone."""
     transport = tmp_path / "src" / "repro" / "transport"
     transport.mkdir(parents=True)
     for pkg in (transport.parent, transport):
@@ -115,11 +116,33 @@ def test_checker_flags_dangling_cross_reference(tmp_path):
     (transport.parent / "fifo.py").write_text(
         '"""Only :meth:`repro.transport.planner._Cursor.commit` advances\n'
         'it (:meth:`repro.transport.planner_train._Cursor.commit` does);\n'
-        ':func:`nowhere_at_all` is outside the checked scope."""\n')
+        ':func:`nowhere_at_all` is checked outside ``transport/`` too."""\n')
     errors = check_docs.check_cross_references(tmp_path)
-    assert len(errors) == 3, errors
+    assert len(errors) == 4, errors
+    assert any("fifo.py" in e and "`nowhere_at_all`" in e for e in errors)
     assert sum("planner.py" in e and "`replicate_window`" in e
                for e in errors) == 2
     assert any("fifo.py" in e
                and "`repro.transport.planner._Cursor.commit`" in e
                for e in errors)
+
+
+def test_checker_resolves_relative_modules_and_module_level_members(
+        tmp_path):
+    """A relative ``:mod:`` resolves against the docstring's package, and
+    a bare member name in a module docstring against the module's own
+    classes; a relative module or member that does not exist is still
+    flagged."""
+    shard = tmp_path / "src" / "repro" / "shard"
+    shard.mkdir(parents=True)
+    (shard.parent / "__init__.py").write_text("")
+    (shard / "__init__.py").write_text(
+        '"""Cuts: :mod:`.partitioner`; gone: :mod:`.splitter`."""\n')
+    (shard / "partitioner.py").write_text(
+        '"""See :mod:`.partitioner` and :meth:`cut` (:meth:`glue` is\n'
+        'defined nowhere)."""\n'
+        "class Partition:\n    def cut(self):\n        pass\n")
+    errors = check_docs.check_cross_references(tmp_path)
+    assert sorted(e.split(": ", 1)[1] for e in errors) == [
+        "dangling cross-reference `.splitter`",
+        "dangling cross-reference `glue`"], errors

@@ -586,7 +586,7 @@ def test_time_shift_refusals_leave_the_fifo_untouched():
 
     spoilers = {
         "parked waiter": park,
-        "boundary log": lambda eng, f: f.record_boundary_takes(),
+        "boundary link": lambda eng, f: setattr(f, "boundary", True),
     }
     bad_args = {
         "replacement items": (20, 80, _PERIOD, _FLOOR, [30]),

@@ -252,5 +252,5 @@ def test_fabric_conservation_no_packet_loss():
     fabric = res.transport.fabric
     hops = res.routes.hops(0, 3)
     expected_packets = SMI_INT.packets_for(n)
-    assert sum(link.fifo.pushes for link in fabric.links()) \
+    assert sum(link.pushes for link in fabric.links()) \
         == expected_packets * hops

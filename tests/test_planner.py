@@ -505,7 +505,7 @@ def test_planner_structure_contract():
     # The plane is chosen at construction: nothing flips it mid-run.
     assert stores["macro"] == {("planner.py", "__init__")}
     assert "macro" in inspect.signature(SupplyPlanner).parameters
-    # One routing step, followed by both CKs' ``_route`` and by the
+    # One routing step, followed by the CKs' shared ``_route`` and by the
     # builder's one walk (the only builder function that hops a link).
     assert calls["route_step"] == {("ck.py", "_route"),
                                    ("builder.py", "_walk_routes")}
@@ -517,7 +517,8 @@ def test_planner_structure_contract():
                      if isinstance(cls, ast.ClassDef) for fn in cls.body
                      if isinstance(fn, ast.FunctionDef)
                      and fn.name == "_route"}
-    assert set(route_methods) == {"CKS", "CKR"}
+    assert set(route_methods) == {"_CommKernel"}
+    assert ck_mod.CKS._route is ck_mod.CKR._route
     for fn in route_methods.values():
         assert any(isinstance(node, ast.Call)
                    and getattr(node.func, "id", None) == "route_step"

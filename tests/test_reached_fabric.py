@@ -355,7 +355,7 @@ def test_dead_ends_are_never_shard_boundaries():
     boundaries = [sorted((link.src, link.dst) for link, _ in t.boundaries)
                   for t in captured]
     assert boundaries == [[((3, 1), (4, 0)), ((4, 0), (3, 1))]] * 2
-    dead = [sorted(link.fifo.name for link in t.fabric.links()
-                   if link.fifo.flow_dead) for t in captured]
+    dead = [sorted(link.name for link in t.fabric.links()
+                   if link.flow_dead) for t in captured]
     assert dead[0] == ["link.2:1->3:0", "link.3:0->2:1"]
     assert dead[1] == ["link.4:1->5:0", "link.5:0->4:1"]

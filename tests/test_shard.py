@@ -18,6 +18,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     NOCTUA,
@@ -217,12 +219,71 @@ def test_past_dated_ack_raises():
     eng = Engine()
     link = Link(eng, (0, 0), (1, 0), latency_cycles=4)
     tx = BoundaryTx((0, 0), link)
-    link.fifo.stage_burst(["a", "b"], [0, 1])
+    link.stage_burst(["a", "b"], [0, 1])
+    tx.collect(eng, 0, {})  # ships both rows: acks take shipped rows only
     eng.cycle = 10
     with pytest.raises(SimulationError, match="in the past"):
         tx.apply(AckBatch((0, 0), (9,), floor=9))
     tx.apply(AckBatch((0, 0), (10, 12), floor=12))  # at or after the clock
-    assert link.fifo.pops == 2
+    assert link.pops == 2
+
+
+@settings(deadline=None, max_examples=200)
+@given(ops=st.lists(st.tuples(st.sampled_from("sbact"), st.integers(1, 6)),
+                    max_size=40),
+       latency=st.integers(1, 6), pace=st.integers(1, 3))
+def test_boundary_tx_ships_every_stage_once_in_order(ops, latency, pace):
+    """The transmitting half ships the link's own rows past its cursor.
+
+    Per-flit stages (``s``), future-dated bursts (``b``), acks of a
+    prefix of the shipped rows (``a``), collects (``c``) and clock
+    steps (``t``), interleaved: the concatenated ships list every stage
+    once, in order, with the cycle it turns visible at the far end. An
+    ack that did not move the cursor back would skip the rows staged
+    after it."""
+    from repro.network.link import Link
+    from repro.shard.proxy import AckBatch, BoundaryTx
+
+    eng = Engine()
+    link = Link(eng, (0, 0), (1, 0), latency_cycles=latency,
+                cycles_per_packet=pace)
+    tx = BoundaryTx((0, 0), link)
+    staged, visible, items, cycles = [], [], [], []
+    last_take = 0
+    for op, k in ops:
+        now = eng.cycle
+        if op == "s":
+            if link.writable:
+                link.stage(len(staged))
+                staged.append(len(staged))
+                visible.append(now + latency)
+        elif op == "b":
+            k = min(k, link.slot_plan(now)[0])
+            start = max(now, link.next_free) + k
+            run = [start + i * pace for i in range(k)]
+            link.stage_burst(list(range(len(staged), len(staged) + k)), run)
+            staged.extend(range(len(staged), len(staged) + k))
+            visible.extend(c + latency for c in run)
+        elif op == "a":
+            takes = []
+            t = max(now, last_take)
+            for ready in link.present_schedule(now)[1][:min(k, tx.shipped)]:
+                t = max(t, ready)
+                takes.append(t)
+            tx.apply(AckBatch((0, 0), tuple(takes), floor=t))
+            last_take = t
+        elif op == "c":
+            ship = tx.collect(eng, now, {})
+            items.extend(ship.items)
+            cycles.extend(ship.cycles)
+        else:
+            eng.cycle += k
+    ship = tx.collect(eng, eng.cycle, {})
+    items.extend(ship.items)
+    cycles.extend(ship.cycles)
+    assert items == staged
+    assert cycles == visible
+    assert tx.shipped == link.present_count
 
 
 # ----------------------------------------------------------------------
@@ -791,6 +852,37 @@ def test_process_backend_max_cycles():
     assert ref.reason == fast.reason == "max_cycles"
     assert ref.cycles == fast.cycles == 5_000
     _assert_no_live_workers()
+
+
+@pytest.mark.parametrize("backend", BOTH_BACKENDS)
+def test_rank_transports_are_inspectable_only_in_process(backend):
+    """The sharded backend hands out every built rank's transport; the
+    process backend's stay inside its workers, and asking for one says
+    so instead of raising a bare ``KeyError``."""
+    n = 64
+    prog = SMIProgram(bus(4), config=NOCTUA.with_(backend=backend,
+                                                  shards=2))
+
+    def snd(smi):
+        ch = smi.open_send_channel(n, SMI_INT, 3, 0)
+        for i in range(n):
+            yield from ch.push(i)
+
+    def rcv(smi):
+        ch = smi.open_recv_channel(n, SMI_INT, 0, 0)
+        for _ in range(n):
+            yield from ch.pop()
+
+    prog.add_kernel(snd, rank=0, ops=[OpDecl("send", 0, SMI_INT)])
+    prog.add_kernel(rcv, rank=3, ops=[OpDecl("recv", 0, SMI_INT)])
+    res = prog.run(max_cycles=1_000_000)
+    assert res.completed, res.reason
+    if backend == "sharded":
+        assert res.transport.rank(1).rank == 1
+    else:
+        with pytest.raises(SimulationError,
+                           match="stay inside the workers.*backend='sharded'"):
+            res.transport.rank(1)
 
 
 def test_sharded_planner_stats_populated():

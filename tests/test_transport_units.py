@@ -10,7 +10,7 @@ from repro.network.fabric import Fabric
 from repro.network.link import Link
 from repro.network.packet import Packet
 from repro.network.routing import compute_routes
-from repro.simulation import TICK, Engine, WaitCycles
+from repro.simulation import TICK, Engine, Fifo, WaitCycles
 from repro.transport.builder import build_transport
 
 
@@ -20,6 +20,8 @@ from repro.transport.builder import build_transport
 def test_link_enforces_cycles_per_packet():
     eng = Engine()
     link = Link(eng, (0, 0), (1, 0), latency_cycles=10, cycles_per_packet=2)
+    # One FIFO type: a link is a plain Fifo whose write port is paced.
+    assert type(link) is Fifo and not hasattr(link, "fifo")
     times = []
 
     def producer():
@@ -32,9 +34,9 @@ def test_link_enforces_cycles_per_packet():
 
     def consumer():
         for _ in range(10):
-            while not link.fifo.readable:
-                yield link.fifo.can_pop
-            link.fifo.take()
+            while not link.readable:
+                yield link.can_pop
+            link.take()
             yield TICK
 
     eng.spawn(producer, "p")
@@ -77,15 +79,15 @@ def test_link_utilization_counts_slots():
 
     def consumer():
         for _ in range(5):
-            while not link.fifo.readable:
-                yield link.fifo.can_pop
-            link.fifo.take()
+            while not link.readable:
+                yield link.can_pop
+            link.take()
             yield TICK
 
     eng.spawn(producer, "p")
     eng.spawn(consumer, "c")
     eng.run()
-    assert link.fifo.pushes == 5
+    assert link.pushes == 5
     assert 0 < link.utilization(eng.cycle) <= 1.0
 
 

@@ -13,11 +13,10 @@ Checks, with no dependencies beyond the standard library:
   docstring (the transport layer is the subsystem the architecture doc
   narrates, so its modules must be self-describing);
 * every ``:func:`` / ``:meth:`` / ``:class:`` / ``:data:`` / ``:mod:``
-  target in a docstring under ``src/repro/transport/`` — and every such
-  target anywhere under ``src/repro`` that starts with
-  ``repro.transport.planner`` — resolves to an existing module,
-  top-level name or ``Class.member`` (AST only, nothing is imported), so
-  a rename or a module split cannot leave a docstring pointing nowhere;
+  target in a docstring of any module under ``src/repro`` resolves to an
+  existing module, top-level name or ``Class.member`` (AST only, nothing
+  is imported), so a rename or a module split cannot leave a docstring
+  pointing nowhere;
 * every ``HardwareConfig`` field is read as an attribute somewhere under
   ``src/repro/`` outside ``core/config.py`` and is named in the README's
   "Configuration" section — a knob cannot outlive its last reader, nor
@@ -135,11 +134,6 @@ def check_required_anchors(path: Path) -> list[str]:
 #: A Sphinx cross-reference role and its target (``~`` prefix dropped).
 ROLE = re.compile(r":(?:func|meth|class|data|mod):`~?([\w.]+)`")
 
-#: Docstrings under this directory have every role checked; elsewhere
-#: only targets under this dotted prefix are (the planner split's names).
-XREF_DIR = "transport"
-XREF_PREFIX = "repro.transport.planner"
-
 
 def _defined(body) -> tuple[set[str], dict[str, set[str]]]:
     """Names a module or class body defines: ``(names, class -> members)``
@@ -191,18 +185,21 @@ def check_cross_references(root: Path = ROOT) -> list[str]:
     """Docstring roles whose target does not exist (see module docstring).
 
     An absolute target (``repro.…``) must name a module, ``module.name``
-    or ``module.Class.member``. A bare one resolves against the
-    enclosing class, then the same module, then any module under
+    or ``module.Class.member``; a relative one (``.partitioner``)
+    resolves against the docstring's package first. A bare one resolves
+    against the enclosing class — outside a class (a module docstring),
+    any class of the module — then the same module, then any module under
     ``src/repro`` — lenient about *where*, strict about *whether*.
     """
     src = root / "src"
-    trees: dict[str, tuple[Path, ast.Module]] = {}
+    trees: dict[str, tuple[Path, ast.Module, str]] = {}
     index: dict[str, tuple[set[str], dict[str, set[str]]]] = {}
     for path in sorted((src / "repro").rglob("*.py")):
         rel = path.relative_to(src).with_suffix("")
-        parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
+        package = rel.parts[:-1]
+        parts = package if rel.name == "__init__" else rel.parts
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        trees[".".join(parts)] = (path, tree)
+        trees[".".join(parts)] = (path, tree, ".".join(package))
         index[".".join(parts)] = _defined(tree.body)
 
     def lookup(rest, scope) -> bool:
@@ -211,24 +208,31 @@ def check_cross_references(root: Path = ROOT) -> list[str]:
             return rest[0] in names
         return len(rest) == 2 and rest[1] in classes.get(rest[0], ())
 
-    def resolves(parts, module, cls) -> bool:
+    def resolves(target, module, package, cls) -> bool:
+        if target.startswith("."):
+            rest = target.lstrip(".")
+            up = len(target) - len(rest)  # one dot: this package
+            base = package.rsplit(".", up - 1)[0] if up > 1 else package
+            target = f"{base}.{rest}"
+        parts = target.split(".")
         if parts[0] == "repro":
             for cut in range(len(parts), 0, -1):
                 scope = index.get(".".join(parts[:cut]))
                 if scope is not None:
                     return cut == len(parts) or lookup(parts[cut:], scope)
             return False
-        if len(parts) == 1 and parts[0] in index[module][1].get(cls, ()):
+        classes = index[module][1]
+        if len(parts) == 1 and (
+                parts[0] in classes.get(cls, ()) if cls is not None
+                else any(parts[0] in m for m in classes.values())):
             return True
         return any(lookup(parts, scope) for scope in index.values())
 
     errors = []
-    for module, (path, tree) in trees.items():
-        everything = XREF_DIR in path.relative_to(src).parts
+    for module, (path, tree, package) in trees.items():
         for doc, cls in _docstrings(tree):
             for target in ROLE.findall(doc):
-                if (everything or target.startswith(XREF_PREFIX)) and \
-                        not resolves(target.split("."), module, cls):
+                if not resolves(target, module, package, cls):
                     errors.append(f"{path.relative_to(root)}: dangling "
                                   f"cross-reference `{target}`")
     return errors
