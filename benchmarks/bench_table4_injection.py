@@ -9,7 +9,7 @@ Known fidelity limit (this bench prints the comparison; see
 ``benchmarks/README.md`` for how to run it): at R >= 8 the measured gap
 saturates at our fixed 2-cycle link slot instead of the paper's 1.8/1.69 —
 their kernel-to-link clock ratio is higher than the modelled 2x. R = 1 and
-R = 4 reproduce the paper's 5.0 and 2.5 exactly.
+R = 4 reproduce the paper's 5.0 and 2.5 within 0.5 %.
 """
 
 import pytest

@@ -4,7 +4,6 @@ from . import paperdata
 from .reporting import (Comparison, dispatch_summary, fabric_summary,
                         format_table, planner_summary)
 from .runners import (
-    SIM_ELEMENT_LIMIT,
     SweepPoint,
     bandwidth_sweep,
     collective_sweep,

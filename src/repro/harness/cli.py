@@ -4,7 +4,7 @@ Usage::
 
     smi-bench table1|table2|table3|table4|fig9|fig10|fig11|fig13|fig15|fig16
     smi-bench all            # everything (slowest)
-    smi-bench fig9 --full    # include paper-scale model-only points
+    smi-bench fig9 --full    # the paper's full range, to 256 MiB
     smi-bench fig9 --preset noctua-deep       # deep-buffer regime
     smi-bench fig10 --backend sharded --shards 2   # sharded simulation
 
@@ -112,7 +112,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS + ("all",))
     parser.add_argument("--full", action="store_true",
                         help="extend sweeps to paper-scale sizes "
-                             "(model-backed points)")
+                             "(fig9 simulates its 256 MiB tail; fig10/11 "
+                             "points above 2^13 elements are model-backed)")
     parser.add_argument("--preset", default="noctua",
                         choices=tuple(sorted(HW_PRESETS)),
                         help="hardware preset the simulated points run on "

@@ -1,10 +1,10 @@
 """Measurement runners shared by the benchmark suite and the CLI.
 
-Each runner regenerates one experiment: it executes the cycle simulator up
-to a size threshold, extends the sweep with the validated analytical model
-where cycle simulation would be too slow (points are labelled ``sim`` /
-``model``), adds the host-baseline curve, and returns rows ready for a
-paper-vs-measured report.
+Each runner regenerates one experiment on the cycle simulator and returns
+rows ready for a paper-vs-measured report; the host-baseline curves come
+from :mod:`repro.hostexec`. Fig. 9 is simulated at every size. Only the
+collective sweeps (Figs. 10-11) price their points above a size threshold
+with :mod:`repro.perfmodel` (points are labelled ``sim`` / ``model``).
 
 Every runner takes the platform model as an explicit ``config``
 (default :data:`~repro.core.config.NOCTUA`) — the ``smi-bench`` CLI
@@ -28,16 +28,7 @@ from ..core.datatypes import SMI_FLOAT, SMI_INT, SMIDatatype
 from ..core.program import SMIProgram
 from ..hostexec import NOCTUA_HOST, HostPathModel
 from ..network.topology import Topology, noctua_bus, noctua_torus, torus2d
-from ..perfmodel import (
-    bcast_cycles,
-    p2p_bandwidth_gbps,
-    p2p_stream,
-    reduce_cycles,
-)
-
-#: Element-count threshold above which sweeps switch from the cycle
-#: simulator to the validated analytical model.
-SIM_ELEMENT_LIMIT = 1 << 17  # 128 Ki elements (512 KiB of floats)
+from ..perfmodel import bcast_cycles, reduce_cycles
 
 
 # ----------------------------------------------------------------------
@@ -89,22 +80,17 @@ def bandwidth_sweep(
     hops: int,
     config: HardwareConfig = NOCTUA,
     dtype: SMIDatatype = SMI_FLOAT,
-    sim_limit_elements: int = SIM_ELEMENT_LIMIT,
     trace_out: str | None = None,
 ) -> list[SweepPoint]:
     """SMI payload bandwidth (Gbit/s) per message size (Fig. 9 series)."""
     points = []
     for size in sizes_bytes:
         n = max(1, size // dtype.size)
-        if n <= sim_limit_elements:
-            cycles = measure_stream_sim(n, hops, dtype, config,
-                                        trace_out=trace_out)
-            secs = config.cycles_to_seconds(cycles)
-            bw = n * dtype.size * 8 / secs / 1e9
-            points.append(SweepPoint(size, bw, "sim"))
-        else:
-            bw = p2p_bandwidth_gbps(n, dtype, hops, config, app_width=8)
-            points.append(SweepPoint(size, bw, "model"))
+        cycles = measure_stream_sim(n, hops, dtype, config,
+                                    trace_out=trace_out)
+        secs = config.cycles_to_seconds(cycles)
+        bw = n * dtype.size * 8 / secs / 1e9
+        points.append(SweepPoint(size, bw, "sim"))
     return points
 
 
@@ -165,14 +151,16 @@ def measure_injection_cycles(read_burst: int, packets: int = 400,
 
     4 CKS/CKR pairs are instantiated (torus wiring); one application
     endpoint streams continuously; the CKS therefore polls 5 inputs.
+    The simulated 1-element stream on the same wiring is the path latency
+    of the first packet; the ``packets - 1`` gaps after it are the rest.
     """
     cfg = config.with_(read_burst=read_burst)
     n = packets * SMI_FLOAT.elements_per_packet
+    startup = measure_stream_sim(1, 1, SMI_FLOAT, cfg,
+                                 topology=noctua_torus())
     cycles = measure_stream_sim(n, 1, SMI_FLOAT, cfg, topology=noctua_torus(),
                                 trace_out=trace_out)
-    # Subtract the constant path latency to isolate the steady-state gap.
-    startup = p2p_stream(1, SMI_FLOAT, 1, cfg).cycles
-    return (cycles - startup) / packets
+    return (cycles - startup) / (packets - 1)
 
 
 # ----------------------------------------------------------------------

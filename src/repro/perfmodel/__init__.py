@@ -1,13 +1,10 @@
 """Analytical performance models, validated against the cycle simulator."""
 
-from .collectives import bcast_cycles, gather_cycles, reduce_cycles, scatter_cycles
+from .collectives import bcast_cycles, reduce_cycles
 from .streams import (
     StreamEstimate,
     endpoint_cycles,
     hop_cycles,
-    injection_gap_cycles,
-    p2p_bandwidth_gbps,
-    p2p_latency_us,
     p2p_stream,
     packet_gap_cycles,
 )

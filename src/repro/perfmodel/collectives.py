@@ -12,7 +12,7 @@ from math import ceil
 
 from ..core.config import HardwareConfig
 from ..core.datatypes import SMIDatatype
-from .streams import endpoint_cycles, hop_cycles, p2p_stream
+from .streams import endpoint_cycles, hop_cycles
 
 #: Per-packet service at a relaying/combining support kernel: one cycle to
 #: accept + relay, plus one cycle per payload element delivered/combined.
@@ -100,36 +100,3 @@ def reduce_cycles(
     startup = endpoint_cycles(config) + _kernel_packet_service(dtype)
     return startup + rendezvous + busy + max(0, tiles - 1) * stall_per_tile
 
-
-def scatter_cycles(
-    count: int,
-    dtype: SMIDatatype,
-    num_ranks: int,
-    avg_hops: float,
-    config: HardwareConfig,
-) -> float:
-    """Linear scatter: per-rank rendezvous + sequential segment streams."""
-    if count <= 0:
-        return 0.0
-    per_segment = p2p_stream(count, dtype, max(1, round(avg_hops)), config).cycles
-    rendezvous = endpoint_cycles(config) + avg_hops * hop_cycles(config)
-    # Segments are streamed in rank order; rendezvous overlaps only the
-    # first (the root must observe READY k before starting segment k).
-    return rendezvous + (num_ranks - 1) * per_segment + count
-
-
-def gather_cycles(
-    count: int,
-    dtype: SMIDatatype,
-    num_ranks: int,
-    avg_hops: float,
-    config: HardwareConfig,
-) -> float:
-    """Linear gather: sequential GRANT + segment stream per rank."""
-    if count <= 0:
-        return 0.0
-    per_segment = (
-        avg_hops * hop_cycles(config)              # GRANT to the rank
-        + p2p_stream(count, dtype, max(1, round(avg_hops)), config).cycles
-    )
-    return endpoint_cycles(config) + (num_ranks - 1) * per_segment + count

@@ -1,11 +1,9 @@
 """Closed-form timing model of SMI point-to-point streams.
 
-The cycle simulator is exact but O(packets); Fig. 9 sweeps to 256 MB, which
-is out of reach for pure-Python cycle simulation. This model captures the
-same architecture in closed form and is *validated against the simulator*
-on overlapping sizes (see ``tests/test_perfmodel.py``); benchmarks use the
-simulator up to a size threshold and the model beyond it, labelling each
-point with its source.
+The cycle simulator prices every Fig. 9 point itself. This model states
+the same architecture in closed form, and the collective model
+(:mod:`repro.perfmodel.collectives`) is built from its per-hop and
+endpoint terms.
 
 Structure of a stream of K packets over h hops:
 
@@ -58,12 +56,6 @@ class StreamEstimate:
     cycles: float
     packets: int
     hops: int
-
-    def seconds(self, config: HardwareConfig) -> float:
-        return config.cycles_to_seconds(self.cycles)
-
-    def us(self, config: HardwareConfig) -> float:
-        return config.cycles_to_us(self.cycles)
 
 
 def packet_gap_cycles(
@@ -124,39 +116,3 @@ def p2p_stream(
     )
     return StreamEstimate(cycles, packets, hops)
 
-
-def p2p_latency_us(
-    hops: int, config: HardwareConfig, dtype: SMIDatatype | None = None
-) -> float:
-    """One-way latency of a single-element message (Table 3 model)."""
-    from ..core.datatypes import SMI_INT
-
-    est = p2p_stream(1, dtype or SMI_INT, hops, config)
-    return est.us(config)
-
-
-def p2p_bandwidth_gbps(
-    count: int,
-    dtype: SMIDatatype,
-    hops: int,
-    config: HardwareConfig,
-    app_width: int = 8,
-) -> float:
-    """Achieved payload bandwidth of a ``count``-element stream (Fig. 9)."""
-    est = p2p_stream(count, dtype, hops, config, app_width)
-    if est.cycles <= 0:
-        return 0.0
-    payload_bits = count * dtype.size * 8
-    return payload_bits / est.seconds(config) / 1e9
-
-
-def injection_gap_cycles(config: HardwareConfig, active_inputs: int = 1,
-                         total_inputs: int = 5) -> float:
-    """Average cycles between packets accepted from one endpoint (Table 4).
-
-    With one active input among ``total_inputs``, an R-burst poller accepts
-    R packets then scans the other inputs one cycle each:
-    gap = (R + total - active) / R.
-    """
-    R = config.read_burst
-    return (R + (total_inputs - active_inputs)) / R

@@ -1,9 +1,9 @@
 """Checked predictions: the analytical perfmodel pinned to the simulator.
 
-``perfmodel/streams.py`` and ``perfmodel/collectives.py`` price the
-points the cycle simulator cannot reach (paper-scale sweeps) and the
-macro-cruise fast-forward windows, so they must not drift from the
-simulator they extend. This suite makes them *checked* predictions:
+``perfmodel/collectives.py`` prices the Fig. 10-11 points above the
+collective sweeps' simulation threshold, built on the per-hop and
+endpoint terms of ``perfmodel/streams.py``, so neither may drift from
+the simulator it extends. This suite makes them *checked* predictions:
 
 * **exact** on the paper's microbenchmarks — link-paced p2p streams at
   any size/hop-count/app-width, and the single-element bus-chain
