@@ -114,13 +114,14 @@ class HardwareConfig:
         Simulation execution backend (see :mod:`repro.shard`):
         ``"sequential"`` (default) runs the whole fabric on one engine;
         ``"sharded"`` partitions the fabric into ``shards`` pieces, each
-        on its own engine, exchanging packed boundary records through
-        SPSC rings (:mod:`repro.shard.wire`) and advancing to
+        on its own engine, handing boundary batches to each other
+        through one queue per cut link and direction and advancing to
         conservative bounds derived from SupplySchedule horizons
         (in-process and deterministic — the cycle-exactness reference
         for the parallel plane); ``"process"`` runs the same exchange
-        protocol with one forked worker process per shard and the rings
-        in shared memory — actual multi-core parallelism. All
+        protocol with one forked worker process per shard, the
+        coordinator relaying each worker's pickled batches to the peer
+        with its next command — actual multi-core parallelism. All
         backends are cycle-exact: on completed runs,
         identical ``RunResult.cycles``, per-rank stores, per-FIFO
         push/pop counts and occupancy peaks (``tests/test_shard.py``
@@ -133,7 +134,9 @@ class HardwareConfig:
     shards:
         Number of fabric partitions for the sharded backends. Must be 1
         for the sequential backend and ``1 <= shards <= num_ranks``
-        otherwise (the partitioner validates against the topology).
+        otherwise (the partitioner validates against the topology). An
+        explicit ``SMIProgram(partition=...)`` must have exactly this
+        many shards.
     trace:
         Cycle-domain tracing (see :mod:`repro.trace`): when True every
         engine carries a flight recorder — a bounded ring buffer of

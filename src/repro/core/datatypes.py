@@ -82,6 +82,14 @@ class SMIDatatype:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"SMIDatatype({self.name})"
 
+    def __reduce__(self):
+        # A built-in type unpickles to its registered instance: a
+        # receiving channel compares a packet's datatype with its own by
+        # identity.
+        if DATATYPES.get(self.name) is self:
+            return datatype_by_name, (self.name,)
+        return SMIDatatype, (self.name, self.size, self.np_dtype)
+
 
 SMI_CHAR = SMIDatatype("SMI_CHAR", 1, np.dtype(np.int8))
 SMI_SHORT = SMIDatatype("SMI_SHORT", 2, np.dtype(np.int16))

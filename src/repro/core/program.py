@@ -83,8 +83,8 @@ class SMIProgram:
         self.memory_config = memory
         # Sharded backends only: an explicit fabric cut — either a
         # repro.shard.Partition or a list of per-shard rank lists —
-        # overriding the automatic min-cut partitioner. Ignored by the
-        # sequential backend.
+        # overriding the automatic min-cut partitioner; its shard count
+        # must equal config.shards. Ignored by the sequential backend.
         self.partition = partition
         self._kernels: list[KernelSpec] = []
         self._manual_decls: list[tuple[int, OpDecl]] = []

@@ -11,10 +11,9 @@ I/O channel: 32 bytes. It carries 4 bytes of header and 28 bytes of payload:
 (the rank and port fields are truncated to 8 bits "to mitigate the penalty of
 packet switching", §4.2 — hence at most 256 ranks/ports).
 
-Inside the simulator packets travel as Python objects for speed; the
-bit-exact 32-byte encoding is implemented and tested so the wire format of
-the reference implementation is fully specified, and the sharded backends'
-boundary codec (:mod:`repro.shard.wire`) ships packets in it.
+Inside the simulator packets travel as Python objects for speed, across
+a shard cut too; the bit-exact 32-byte encoding is implemented and tested
+so the wire format of the reference implementation is fully specified.
 """
 
 from __future__ import annotations
@@ -139,6 +138,15 @@ class Packet:
         return cls(src=src, dst=dst, port=port, op=op, count=count,
                    payload=payload, dtype=dtype)
 
+    def __reduce__(self):
+        # The process backend relays packets across a shard cut by
+        # pickle; the payload travels as raw bytes, because pickling one
+        # small ndarray per packet costs more than the rest of the packet.
+        payload = self.payload
+        return _unpickle_packet, (self.src, self.dst, self.port, self.op,
+                                  self.count, payload.tobytes(),
+                                  payload.dtype.str, self.dtype)
+
     # ------------------------------------------------------------------
     @property
     def payload_bytes(self) -> int:
@@ -157,3 +165,8 @@ class Packet:
             f"count={self.count})"
         )
 
+
+def _unpickle_packet(src, dst, port, op, count, body, np_dtype, dtype):
+    # Read-only payload: nothing mutates a packet after staging.
+    return Packet(src, dst, port, op, count, np.frombuffer(body, np_dtype),
+                  dtype)

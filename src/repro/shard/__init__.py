@@ -2,9 +2,10 @@
 
 Partitions the SMI fabric into shards (:mod:`.partitioner`), runs each
 shard on its own engine behind boundary-link proxies (:mod:`.proxy`),
-and lets the shards exchange packed boundary records over SPSC rings
-(:mod:`.wire`), each advancing to conservative bounds derived from
-SupplySchedule horizons between the barriers of :mod:`.timesync`.
+and lets the shards hand each other boundary batches through one queue
+per cut link and direction, each advancing to conservative bounds
+derived from SupplySchedule horizons between the barriers of
+:mod:`.timesync`.
 Backend selection and result merging live in :mod:`.backend`;
 ``HardwareConfig.backend`` chooses between the sequential reference,
 the in-process sharded plane, and forked worker processes — the last

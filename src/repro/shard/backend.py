@@ -10,26 +10,27 @@ selected by ``HardwareConfig.backend``:
 * **sharded** — the fabric is partitioned
   (:mod:`repro.shard.partitioner`) and each shard gets its own engine
   and its own transport plane with boundary proxies at the cut
-  (:mod:`repro.shard.proxy`). Shards exchange boundary batches in the
-  packed binary wire format of :mod:`repro.shard.wire` (one struct
-  header + contiguous ndarray blocks per boundary per exchange — not
-  one pickle per packet) through per-boundary SPSC rings, and self-pace
+  (:mod:`repro.shard.proxy`). Shards hand each other
+  :class:`~repro.shard.proxy.ShipBatch` / :class:`~repro.shard.proxy.AckBatch`
+  objects through one queue per cut link and direction, and self-pace
   between barriers — draining peers' floors and publishing their own
   as soon as they are proven; the epoch synchroniser
   (:mod:`repro.shard.timesync`) is only the barrier that decides
   termination, deadlock and ``max_cycles``. Here every shard's loop is
-  called synchronously, in shard order, inside the current process and
-  the rings live in a private buffer: no parallelism, fully
-  deterministic — the cycle-exactness reference for the exchange
-  protocol and what the equivalence/fuzz suites sweep.
+  called synchronously, in shard order, inside the current process,
+  and the two ends of a cut link share one queue object: no
+  parallelism, fully deterministic — the cycle-exactness reference for
+  the exchange protocol and what the equivalence/fuzz suites sweep.
 * **process** — the same shards and the *same* exchange loop over the
-  same rings; only where the loop runs (a forked worker process per
-  shard, commanded over a control pipe) and which buffer the rings are
-  carved from (a pre-fork shared-memory block) differ. Fork (not spawn)
-  start is required: the shard runtimes — application kernel generators
-  included — are built in the parent and inherited by the workers, so
-  only boundary records and final reports ever cross the process
-  boundary.
+  same queues; only where the loop runs (a forked worker process per
+  shard, commanded over a control pipe) and how a queue's contents
+  reach the peer differ: each worker's reply to a round carries its
+  outgoing batches, pickled once per receiving shard, and the
+  coordinator hands them to that shard with its next command. Fork (not
+  spawn) start is required: the shard runtimes — application kernel
+  generators included — are built in the parent and inherited by the
+  workers, so only boundary batches, round reports and final reports
+  ever cross the process boundary.
 
 On completed runs all backends produce identical
 ``ProgramResult.cycles``, identical per-rank stores/returns, and
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import pickle
 import signal
 from collections import deque
 from dataclasses import dataclass, field
@@ -66,12 +68,6 @@ from ..transport.builder import build_transport
 from .partitioner import Partition, partition_topology, validate_cut
 from .proxy import BoundaryRx, BoundaryTx
 from .timesync import BoundaryChannel, EpochReport, EpochSynchronizer
-from .wire import (
-    ShmFabric,
-    pack_ack_records,
-    pack_ship_records,
-    unpack_record,
-)
 
 #: Maximum self-paced exchange iterations a worker runs per coordinator
 #: round (:meth:`_ShardRuntime.epoch_stream`). Deeper values amortise
@@ -92,10 +88,11 @@ class FinalReport:
     #: Per-phase wall-clock breakdown in the canonical schema
     #: (:data:`repro.trace.TIMING_FIELDS`, which the trace exporter's
     #: wall lanes consume):
-    #: ``compute_s`` (engine ``run_until``), ``serialize_s`` (record
-    #: codec + ring work), ``ipc_wait_s`` (blocked on the
-    #: control pipe), plus ``inner_rounds`` (self-paced exchange
-    #: iterations) and ``outer_rounds`` (coordinator commands served).
+    #: ``compute_s`` (engine ``run_until``), ``serialize_s`` (queue
+    #: drain/publish plus pickling of relayed batches), ``ipc_wait_s``
+    #: (blocked on the control pipe), plus ``inner_rounds`` (self-paced
+    #: exchange iterations) and ``outer_rounds`` (coordinator commands
+    #: served).
     timing: dict = field(default_factory=new_phase)
     #: The shard's flight-recorder segment
     #: (:meth:`repro.trace.TraceRecorder.segment`) when tracing is on,
@@ -105,66 +102,65 @@ class FinalReport:
 
 
 class _ShardLinks:
-    """One shard's half of the boundary ring fabric.
+    """One shard's ends of the boundary queues.
 
-    Holds the rings this shard reads and writes, local mirrors of the
-    floors its conservative bound depends on (floors travel *inside*
-    ring records, so a floor is never observed before the batch it
-    bounds — no separate-cell races), a FIFO backlog per ring for
-    records that did not fit (never dropped, retried on the next
-    publish), and the last published floors so empty records are only
-    written when a floor actually moved.
+    Every cut link has two queues of whole batches, ``("ship", key)``
+    and ``("ack", key)``. This shard drains the ones it reads
+    (``inbound``) and publishes into the ones it writes (``outbound``).
+    It mirrors the floors its conservative bound depends on — floors
+    travel *inside* the batches, so a floor is never observed before
+    the batch it bounds — and remembers the last published floors, so
+    an empty batch is only published when a floor moved.
+
+    In-process, both shards of a link hold the same queue object, so
+    the receiving link holds the very packets the transmitting link
+    staged; that is safe because nothing mutates a packet or its
+    payload after staging. The process backend relays instead
+    (:meth:`take_mail` / :meth:`deliver`).
     """
 
-    def __init__(self, index: int, channels, fabric: ShmFabric) -> None:
+    def __init__(self, index: int, channels, queues: dict) -> None:
         self.index = index
-        self.key_ids = fabric.key_ids
-        self.keys_by_id = fabric.keys_by_id
-        self.max_record = fabric.ring_bytes - 4
-        self.in_ship: dict = {}
-        self.in_ack: dict = {}
-        self.out_ship: dict = {}
-        self.out_ack: dict = {}
+        self.inbound: dict = {}
+        self.outbound: dict = {}
+        self.peer: dict = {}       # outbound queue key -> receiving shard
         self.horizon: dict = {}    # incoming cut links (this shard is dst)
         self.ack_floor: dict = {}  # outgoing cut links (this shard is src)
         for ch in channels:
+            ship, ack = ("ship", ch.key), ("ack", ch.key)
             if ch.src_shard == index:
-                self.out_ship[ch.key] = fabric.ship_rings[ch.key]
-                self.in_ack[ch.key] = fabric.ack_rings[ch.key]
+                self.outbound[ship] = queues[ship]
+                self.peer[ship] = ch.dst_shard
+                self.inbound[ack] = queues[ack]
                 self.ack_floor[ch.key] = ch.latency
             if ch.dst_shard == index:
-                self.in_ship[ch.key] = fabric.ship_rings[ch.key]
-                self.out_ack[ch.key] = fabric.ack_rings[ch.key]
+                self.inbound[ship] = queues[ship]
+                self.outbound[ack] = queues[ack]
+                self.peer[ack] = ch.src_shard
                 self.horizon[ch.key] = ch.latency
-        self._backlog: dict = {}
+        # Acks before ships, each in key order: the deterministic
+        # application order both backends share.
+        self._drain_order = sorted(self.inbound)
         self._last_pub: dict = {}
 
     # -- inbound ------------------------------------------------------
     def drain(self, runtime: "_ShardRuntime") -> int:
-        """Apply every readable record; returns items applied."""
+        """Apply every queued batch; returns items applied."""
         applied = 0
-        for key in sorted(self.in_ack):
-            ring = self.in_ack[key]
-            while True:
-                record = ring.try_pop()
-                if record is None:
-                    break
-                _, ack = unpack_record(record, self.keys_by_id)
-                runtime.tx[key].apply(ack)
-                if ack.floor > self.ack_floor[key]:
-                    self.ack_floor[key] = ack.floor
-                applied += len(ack.cycles)
-        for key in sorted(self.in_ship):
-            ring = self.in_ship[key]
-            while True:
-                record = ring.try_pop()
-                if record is None:
-                    break
-                _, ship = unpack_record(record, self.keys_by_id)
-                runtime.rx[key].apply(ship)
-                if ship.horizon > self.horizon[key]:
-                    self.horizon[key] = ship.horizon
-                applied += len(ship.items)
+        for kind, key in self._drain_order:
+            queue = self.inbound[kind, key]
+            while queue:
+                batch = queue.popleft()
+                if kind == "ack":
+                    runtime.tx[key].apply(batch)
+                    if batch.floor > self.ack_floor[key]:
+                        self.ack_floor[key] = batch.floor
+                    applied += len(batch.cycles)
+                else:
+                    runtime.rx[key].apply(batch)
+                    if batch.horizon > self.horizon[key]:
+                        self.horizon[key] = batch.horizon
+                    applied += len(batch.items)
         return applied
 
     # -- bound --------------------------------------------------------
@@ -186,14 +182,8 @@ class _ShardLinks:
 
     # -- outbound -----------------------------------------------------
     def publish(self, runtime: "_ShardRuntime", bound: int) -> int:
-        """Collect and push this epoch's batches; returns items pushed.
-
-        Items are counted when they reach a ring (not when collected):
-        a backlogged record's items stay "in flight" until the peer can
-        actually see them, which keeps the coordinator's
-        progress/deadlock accounting exact.
-        """
-        pushed = self.flush_backlog()
+        """Collect and queue this epoch's batches; returns items queued."""
+        pushed = 0
         memo: dict = {}
         for key in sorted(runtime.tx):
             ship = runtime.tx[key].collect(runtime.engine, bound, memo)
@@ -201,48 +191,35 @@ class _ShardLinks:
                 if self._last_pub.get(("ship", key)) == ship.horizon:
                     continue
             self._last_pub[("ship", key)] = ship.horizon
-            records = pack_ship_records(self.key_ids[key], ship,
-                                        self.max_record)
-            pushed += self._push(self.out_ship[key], records)
+            self.outbound[("ship", key)].append(ship)
+            pushed += len(ship.items)
         for key in sorted(runtime.rx):
             ack = runtime.rx[key].collect(runtime.engine, bound, memo)
             if not ack.cycles:
                 if self._last_pub.get(("ack", key)) == ack.floor:
                     continue
             self._last_pub[("ack", key)] = ack.floor
-            records = pack_ack_records(self.key_ids[key], ack,
-                                       self.max_record)
-            pushed += self._push(self.out_ack[key], records)
+            self.outbound[("ack", key)].append(ack)
+            pushed += len(ack.cycles)
         return pushed
 
-    def _push(self, ring, records) -> int:
-        backlog = self._backlog.get(ring)
-        if backlog:  # keep per-ring FIFO order behind older records
-            backlog.extend(records)
-            return 0
-        pushed = 0
-        it = iter(records)
-        for record, items in it:
-            if ring.try_push(record):
-                pushed += items
-            else:
-                backlog = self._backlog.setdefault(ring, deque())
-                backlog.append((record, items))
-                backlog.extend(it)
-                break
-        return pushed
+    # -- process relay ------------------------------------------------
+    def take_mail(self) -> dict[int, bytes]:
+        """Empty the outbound queues: one pickle per receiving shard."""
+        mail: dict = {}
+        for qkey, queue in self.outbound.items():
+            if queue:
+                mail.setdefault(self.peer[qkey], []).append(
+                    (qkey, list(queue)))
+                queue.clear()
+        return {peer: pickle.dumps(batches, pickle.HIGHEST_PROTOCOL)
+                for peer, batches in mail.items()}
 
-    def flush_backlog(self) -> int:
-        """Retry backlogged records in order; returns items pushed."""
-        pushed = 0
-        for ring, backlog in self._backlog.items():
-            while backlog:
-                record, items = backlog[0]
-                if not ring.try_push(record):
-                    break
-                backlog.popleft()
-                pushed += items
-        return pushed
+    def deliver(self, mail: list[bytes]) -> None:
+        """Append relayed batches to the inbound queues, oldest first."""
+        for blob in mail:
+            for qkey, batches in pickle.loads(blob):
+                self.inbound[qkey].extend(batches)
 
 
 class _ShardRuntime:
@@ -282,17 +259,17 @@ class _ShardRuntime:
                 consumer = self.transport.rank(dst_rank).ckr[dst_iface]
                 self.rx[key] = BoundaryRx(key, link, consumer.proc)
         self.phase = new_phase()
-        # Ring wiring, attached by run_sharded (before any fork) once
+        # Queue wiring, attached by run_sharded (before any fork) once
         # every shard's boundaries are known.
         self.links: _ShardLinks | None = None
 
     # ------------------------------------------------------------------
     def epoch_stream(self, cap: int | None, watermark: int,
                      fixed: int | None = None) -> EpochReport:
-        """Self-paced exchange loop over the boundary rings.
+        """Self-paced exchange loop over the boundary queues.
 
-        Each iteration drains the rings (floors ride inside the
-        records, so everything drained is sound to use immediately),
+        Each iteration drains the inbound queues (floors ride inside
+        the batches, so everything drained is sound to use immediately),
         recomputes this shard's conservative bound from the freshest
         mirrors, runs the engine to it, and publishes what the epoch
         committed. The loop ends when an iteration makes no progress —
@@ -321,9 +298,8 @@ class _ShardRuntime:
             t2 = perf_counter()
             stalled = not applied and not executed and bound <= prev_bound
             # A stalled iteration has no new batch and no moved floor
-            # to publish; only a backlogged record may still fit.
-            pushed = (links.flush_backlog() if stalled
-                      else links.publish(self, bound))
+            # to publish.
+            pushed = 0 if stalled else links.publish(self, bound)
             t3 = perf_counter()
             phase["serialize_s"] += (t1 - t0) + (t3 - t2)
             phase["compute_s"] += t2 - t1
@@ -438,13 +414,37 @@ class LocalHandle:
         self.close()
 
 
+def _relay_round(runtime: _ShardRuntime, run_round, bound, watermark,
+                 mail: list[bytes]) -> tuple[EpochReport, dict]:
+    """One worker round: the batches relayed to this shard go into its
+    inbound queues first, and its outgoing batches leave with the
+    report, pickled once per receiving shard."""
+    links = runtime.links
+    t0 = perf_counter()
+    links.deliver(mail)
+    t1 = perf_counter()
+    report = run_round(bound, watermark)
+    t2 = perf_counter()
+    outgoing = links.take_mail()
+    t3 = perf_counter()
+    runtime.phase["serialize_s"] += (t1 - t0) + (t3 - t2)
+    trace = runtime.engine.trace
+    if trace is not None:
+        trace.wall_span("serialize", t0, t1)
+        trace.wall_span("serialize", t2, t3)
+    return report, outgoing
+
+
 def _worker_main(conn, runtime: _ShardRuntime) -> None:
     """Forked worker loop: serve shard commands over the control pipe.
 
-    Commands: ``("stream", cap, watermark)`` / ``("drain", end,
-    watermark)`` — self-paced rounds over the boundary rings (batches
-    never touch the pipe); ``("dump",)`` for deadlock
-    diagnostics and ``("finish", end)`` for the final report.
+    Commands: ``("stream", cap, watermark, mail)`` / ``("drain", end,
+    watermark, mail)`` — self-paced rounds over the boundary queues
+    (:func:`_relay_round`: ``mail`` is the pickled batches relayed to
+    this shard, and the reply carries this shard's outgoing ones);
+    ``("dump",)`` for deadlock diagnostics and ``("finish", end)`` for
+    the final report. ``serialize_s`` times queue drain/publish plus
+    pickling of relayed batches.
     """
     phase = runtime.phase
     trace = runtime.engine.trace
@@ -459,9 +459,11 @@ def _worker_main(conn, runtime: _ShardRuntime) -> None:
             cmd = msg[0]
             try:
                 if cmd == "stream":
-                    payload = runtime.epoch_stream(msg[1], msg[2])
+                    payload = _relay_round(runtime, runtime.epoch_stream,
+                                           *msg[1:])
                 elif cmd == "drain":
-                    payload = runtime.epoch_drain(msg[1], msg[2])
+                    payload = _relay_round(runtime, runtime.epoch_drain,
+                                           *msg[1:])
                 elif cmd == "dump":
                     payload = runtime.dump_blocked()
                 elif cmd == "finish":
@@ -491,10 +493,16 @@ class ProcessHandle:
     it is constructed — a failure while the remaining shards are still
     being forked (or any mid-run coordinator exception) tears down
     every worker already started instead of leaking it.
+
+    ``mail`` is shared by every handle of a run: the pickled batches
+    waiting for each receiving shard. A round's reply files the
+    sender's outgoing batches there, and the receiver's next round
+    command carries them.
     """
 
-    def __init__(self, runtime: _ShardRuntime, ctx) -> None:
+    def __init__(self, runtime: _ShardRuntime, ctx, mail: dict) -> None:
         self.index = runtime.index
+        self.mail = mail
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
             target=_worker_main, args=(child, runtime), daemon=True,
@@ -532,13 +540,16 @@ class ProcessHandle:
         return payload
 
     def begin_stream(self, cap, watermark=0) -> None:
-        self._send("stream", cap, watermark)
+        self._send("stream", cap, watermark, self.mail.pop(self.index, []))
 
     def begin_drain(self, end, watermark=0) -> None:
-        self._send("drain", end, watermark)
+        self._send("drain", end, watermark, self.mail.pop(self.index, []))
 
     def finish_epoch(self) -> EpochReport:
-        return self._recv()
+        report, outgoing = self._recv()
+        for peer, blob in outgoing.items():
+            self.mail.setdefault(peer, []).append(blob)
+        return report
 
     def dump_blocked(self) -> list[str]:
         self._send("dump")
@@ -617,14 +628,25 @@ class ShardedTransportView:
 # Entry point (SMIProgram.run dispatches here for non-sequential backends)
 # ----------------------------------------------------------------------
 def resolve_partition(program: SMIProgram) -> Partition:
-    """The program's explicit partition, or the automatic min-cut one."""
+    """The program's explicit partition, or the automatic min-cut one.
+
+    An explicit partition must have ``config.shards`` shards: the
+    config, not the partition, says how many shards a run has.
+    """
     explicit = getattr(program, "partition", None)
     topology = program.topology
+    shards = program.config.shards
     if explicit is None:
-        return partition_topology(topology, program.config.shards)
+        return partition_topology(topology, shards)
+    count = (explicit.num_shards if isinstance(explicit, Partition)
+             else len(explicit))
+    if count != shards:
+        raise ConfigurationError(
+            f"explicit partition has {count} shards but "
+            f"config.shards={shards}; pass shards={count}")
     if isinstance(explicit, Partition):
         return explicit
-    return partition_topology(topology, len(explicit), rank_lists=explicit)
+    return partition_topology(topology, shards, rank_lists=explicit)
 
 
 def run_sharded(program: SMIProgram,
@@ -660,22 +682,14 @@ def run_sharded(program: SMIProgram,
                 dst_shard=shard_of[link.dst[0]],
                 latency=link.latency,
             ))
+    queues = {(kind, ch.key): deque()
+              for ch in channels for kind in ("ship", "ack")}
+    mail: dict = {}
     with contextlib.ExitStack() as stack:
-        try:
-            fabric = ShmFabric((ch.key for ch in channels),
-                               shared=use_processes)
-        except (ImportError, OSError) as exc:
-            # Only the shared block asks the OS for anything.
-            raise ConfigurationError(
-                "backend='process' needs multiprocessing shared memory "
-                f"for its boundary rings, unavailable here ({exc}); "
-                "use backend='sharded' on this platform"
-            ) from exc
-        stack.callback(fabric.close)
         handles: list = []
         for i, rt in enumerate(runtimes):
-            rt.links = _ShardLinks(i, channels, fabric)
-            handle = ProcessHandle(rt, ctx) if use_processes \
+            rt.links = _ShardLinks(i, channels, queues)
+            handle = ProcessHandle(rt, ctx, mail) if use_processes \
                 else LocalHandle(rt)
             handles.append(stack.enter_context(handle))
         outcome = EpochSynchronizer(handles).run(max_cycles)

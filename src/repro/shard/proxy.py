@@ -36,8 +36,10 @@ uses (:meth:`Engine.process_floor` /
 :meth:`Fifo.supply_horizon` / :meth:`Fifo.earliest_readable`), clamped
 to the epoch bound: no unshipped stage can be visible before
 :attr:`ShipBatch.horizon`, and no unreported take can happen before
-:attr:`AckBatch.floor`. Those floors ride inside the ring records and
-are exactly what the peer shard turns into its next conservative bound.
+:attr:`AckBatch.floor`. Those floors ride inside the batches and are
+exactly what the peer shard turns into its next conservative bound.
+In-process the batch objects themselves reach the peer; the process
+backend pickles them.
 """
 
 from __future__ import annotations

@@ -7,13 +7,13 @@ contract built for the burst planner already publishes, per boundary
 link, committed ``(cycle, item)`` supply plus a *horizon* bounding the
 unknown future, and the link latency makes that horizon deep. Each
 shard simply runs its engine up to the minimum of what its neighbours
-have promised, exchanges the newly committed boundary schedules over
-its rings, and repeats; the synchroniser below is the barrier between
+have promised, exchanges the newly committed boundary schedules through
+its boundary queues, and repeats; the synchroniser below is the barrier between
 such rounds.
 
 Shard ``i`` may run every event strictly below the bound
 ``_ShardLinks.compute_bound`` (:mod:`repro.shard.backend`) derives from
-the floors its rings delivered::
+the floors its queues delivered::
 
     bound_i = min( min over incoming cut links  of horizon(link),
                    min over outgoing cut links  of ack_floor(link) + 1 )
@@ -78,8 +78,9 @@ class EpochReport:
     #: lower bound on the global end cycle, ratcheted into the stats
     #: watermark every shard's FIFO folds respect.
     worker_floor: int = 0
-    #: Boundary items the shard pushed into / applied from its rings
-    #: this round (batches never reach the coordinator).
+    #: Boundary items the shard queued for / applied from its peers
+    #: this round. The process backend's coordinator relays the
+    #: batches as pickled bytes and never looks inside them.
     shipped: int = 0
     delivered: int = 0
     #: Deepest conservative bound the shard ran to this round (what the
@@ -97,8 +98,8 @@ class EpochSynchronizer:
     """Drives a set of shard handles to global quiescence.
 
     The synchroniser is only ever a barrier. Shards move boundary
-    batches themselves through their rings and self-pace *mid-round*:
-    within one barrier round a shard repeatedly drains its rings,
+    batches themselves through their queues and self-pace *mid-round*:
+    within one barrier round a shard repeatedly drains its queues,
     recomputes its own conservative bound from the freshest floors,
     runs, and publishes — floors post as soon as they are proven, not
     at the round barrier, pushing effective lookahead past the ~L/2 a

@@ -32,16 +32,15 @@ module-level switch.
 
 from __future__ import annotations
 
-from .export import (TIMING_FIELDS, WALL_PHASES, merge_segments, new_phase,
-                     to_jsonl, to_perfetto, validate_timing, write_trace)
+from .export import (TIMING_FIELDS, merge_segments, new_phase, to_jsonl,
+                     to_perfetto, write_trace)
 from .metrics import MetricsRegistry, merge_snapshots
 from .recorder import EVENT_KINDS, TraceRecorder
 
 __all__ = [
     "EVENT_KINDS", "MetricsRegistry", "TIMING_FIELDS", "TraceRecorder",
-    "WALL_PHASES", "merge_segments",
-    "merge_snapshots", "new_phase", "recorder_from_config", "to_jsonl",
-    "to_perfetto", "validate_timing", "write_trace",
+    "merge_segments", "merge_snapshots", "new_phase",
+    "recorder_from_config", "to_jsonl", "to_perfetto", "write_trace",
 ]
 
 def recorder_from_config(config, shard: int = 0) -> TraceRecorder | None:

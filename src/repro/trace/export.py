@@ -28,48 +28,11 @@ from .metrics import merge_snapshots
 TIMING_FIELDS = ("compute_s", "serialize_s", "ipc_wait_s",
                  "inner_rounds", "outer_rounds")
 
-#: The wall phases that become exporter lanes (the ``*_s`` fields).
-WALL_PHASES = ("compute", "serialize", "ipc_wait")
-
 
 def new_phase() -> dict:
     """A zeroed per-worker timing dict (the canonical schema)."""
     return {"compute_s": 0.0, "serialize_s": 0.0, "ipc_wait_s": 0.0,
             "inner_rounds": 0, "outer_rounds": 0}
-
-
-def validate_timing(entry, where: str = "timing entry") -> dict | None:
-    """Check one per-shard timing dict against :data:`TIMING_FIELDS`.
-
-    ``None`` and ``{}`` are legitimate placeholders (in-process backends
-    have no workers to time) and pass through as ``None``. A *non-empty*
-    entry must carry exactly the canonical fields, each numeric or
-    ``None`` (an aborted worker reports phases it never measured as
-    ``None``; renderers count those as zero) — anything else raises
-    ``ValueError`` loudly instead of being papered over with zeros.
-    """
-    if not entry:
-        return None
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where}: expected a dict, got {type(entry).__name__}")
-    got = set(entry)
-    want = set(TIMING_FIELDS)
-    if got != want:
-        missing = sorted(want - got)
-        extra = sorted(got - want)
-        raise ValueError(
-            f"{where}: timing dict schema mismatch"
-            + (f", missing {missing}" if missing else "")
-            + (f", unexpected {extra}" if extra else ""))
-    for key in TIMING_FIELDS:
-        value = entry[key]
-        if value is not None and (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)):
-            raise ValueError(
-                f"{where}: field {key!r} must be numeric or None, "
-                f"got {type(value).__name__}")
-    return entry
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Unit + property tests for the 32-byte wire packet codec."""
+"""Unit + property tests for the 32-byte wire packet codec (and the
+pickle form the process backend relays packets in)."""
+
+import pickle
 
 import numpy as np
 import pytest
@@ -54,11 +57,13 @@ def test_roundtrip_property_float(src, dst, port, op, values):
     payload = np.array(values, dtype=np.float32)
     pkt = Packet(src=src, dst=dst, port=port, op=op,
                  count=len(values), payload=payload, dtype=SMI_FLOAT)
-    out = Packet.decode(pkt.encode(), SMI_FLOAT)
-    assert (out.src, out.dst, out.port, out.op, out.count) == (
-        src, dst, port, op, len(values)
-    )
-    np.testing.assert_array_equal(out.elements(), payload)
+    for out in (Packet.decode(pkt.encode(), SMI_FLOAT),
+                pickle.loads(pickle.dumps(pkt))):
+        assert (out.src, out.dst, out.port, out.op, out.count) == (
+            src, dst, port, op, len(values)
+        )
+        assert out.dtype is SMI_FLOAT
+        np.testing.assert_array_equal(out.elements(), payload)
 
 
 @given(values=st.lists(st.integers(-128, 127), min_size=0, max_size=28))

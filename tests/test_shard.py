@@ -136,6 +136,29 @@ def test_partition_validation_errors():
         validate_cut(bad, topo, NOCTUA)
 
 
+def test_explicit_partition_must_match_config_shards():
+    """The config's shard count wins: a cut of another size is refused."""
+    prog = SMIProgram(noctua_bus(),
+                      config=NOCTUA.with_(backend="sharded", shards=2),
+                      partition=[[0, 1], [2, 3], [4, 5, 6, 7]])
+
+    def snd(smi):
+        ch = smi.open_send_channel(8, SMI_FLOAT, 5, 0)
+        yield from ch.push_vec(np.zeros(8, dtype=np.float32), width=8)
+
+    def rcv(smi):
+        ch = smi.open_recv_channel(8, SMI_FLOAT, 0, 0)
+        yield from ch.pop_vec(8, width=8)
+
+    prog.add_kernel(snd, rank=0, ops=[OpDecl("send", 0, SMI_FLOAT)])
+    prog.add_kernel(rcv, rank=5, ops=[OpDecl("recv", 0, SMI_FLOAT)])
+    with pytest.raises(ConfigurationError, match="3 shards.*shards=2"):
+        prog.run(max_cycles=1_000)
+    prog.partition = partition_topology(noctua_bus(), 4)
+    with pytest.raises(ConfigurationError, match="4 shards.*shards=2"):
+        prog.run(max_cycles=1_000)
+
+
 def test_backend_config_validation():
     with pytest.raises(ConfigurationError, match="unknown backend"):
         NOCTUA.with_(backend="threads")
@@ -607,45 +630,57 @@ def test_process_backend_collective():
 
 
 @pytest.mark.parametrize("backend", BOTH_BACKENDS)
-def test_process_backend_tiny_rings_split_and_backlog(backend, monkeypatch):
-    """A minimum-size ring forces record splitting and backlog retries.
+def test_large_batch_crosses_the_cut_whole(backend, monkeypatch):
+    """A deep cut link ships an epoch's whole backlog as one batch.
 
-    With 4 KiB rings a few-thousand-element stream cannot ship an
-    epoch's batch in one record — it must split, fill the ring, backlog
-    the remainder and retry across inner rounds — and the run must stay
-    cycle-exact through all of it. In-process the interleaving is
-    deterministic, so the test also proves both actually happened.
+    With a 4 000-cycle link latency the first exchange after the sender
+    starts carries well over a thousand packets; the batch reaches the
+    peer in one piece on both backends and the run stays cycle-exact.
     """
-    from repro.shard import backend as backend_mod
-    from repro.shard.wire import ShmRing
+    from repro.shard.proxy import BoundaryTx
 
-    hops = 4
-    build = _stream_build(2048, hops)
-    ref = build(NOCTUA_DEEP)
-    # The rings are sized when the run is set up (before any fork).
-    monkeypatch.setattr("repro.shard.wire.RING_BYTES", 4096)
-    pushes, splits = [], []
-    real_push = ShmRing.try_push
-    real_pack = backend_mod.pack_ship_records
+    n, src, dst = 20_000, 3, 4
+    data = np.arange(n, dtype=np.float32)
 
-    def counting_push(ring, record):
-        pushes.append(real_push(ring, record))
-        return pushes[-1]
+    def build(config, partition=None):
+        prog = SMIProgram(noctua_bus(), config=config, partition=partition)
 
-    def counting_pack(key_id, ship, max_bytes):
-        records = real_pack(key_id, ship, max_bytes)
-        splits.append(len(records))
-        return records
+        def snd(smi):
+            ch = smi.open_send_channel(n, SMI_FLOAT, dst, 0)
+            yield from ch.push_vec(data, width=8)
 
-    monkeypatch.setattr(ShmRing, "try_push", counting_push)
-    monkeypatch.setattr(backend_mod, "pack_ship_records", counting_pack)
-    fast = build(NOCTUA_DEEP.with_(backend=backend, shards=2))
+        def rcv(smi):
+            ch = smi.open_recv_channel(n, SMI_FLOAT, src, 0)
+            out = yield from ch.pop_vec(n, width=8)
+            smi.store("data", out)
+
+        prog.add_kernel(snd, rank=src,
+                        ops=[OpDecl("send", 0, SMI_FLOAT, peer=dst)])
+        prog.add_kernel(rcv, rank=dst,
+                        ops=[OpDecl("recv", 0, SMI_FLOAT, peer=src)])
+        res = prog.run(max_cycles=50_000_000)
+        assert res.completed, res.reason
+        return res
+
+    deep = NOCTUA.with_(link_latency_cycles=4000)
+    ref = build(deep)
+    assert ref.cycles == 9_747
+    batches = []
+    real_collect = BoundaryTx.collect
+
+    def spy(self, engine, bound, memo):
+        batch = real_collect(self, engine, bound, memo)
+        batches.append(len(batch.items))
+        return batch
+
+    monkeypatch.setattr(BoundaryTx, "collect", spy)
+    fast = build(deep.with_(backend=backend, shards=2),
+                 partition=[[0, 1, 2, 3], [4, 5, 6, 7]])
     assert fast.cycles == ref.cycles
-    assert fast.store(hops, "sum") == ref.store(hops, "sum")
     assert fast.engine.fifo_stats() == ref.engine.fifo_stats()
+    assert np.array_equal(fast.store(dst, "data"), data)
     if backend == "sharded":  # forked workers' spies die with them
-        assert pushes.count(False) >= 1, "no push was ever refused"
-        assert max(splits) >= 2, "no batch was ever split"
+        assert max(batches) >= 1_000
 
 
 # ----------------------------------------------------------------------
@@ -698,10 +733,10 @@ def test_no_worker_leak_on_partial_construction(monkeypatch):
     real_init = backend_mod.ProcessHandle.__init__
     started = []
 
-    def failing_init(self, runtime, ctx):
+    def failing_init(self, runtime, ctx, mail):
         if runtime.index == 1:
             raise OSError("injected fork failure")
-        real_init(self, runtime, ctx)
+        real_init(self, runtime, ctx, mail)
         started.append(self)
 
     monkeypatch.setattr(backend_mod.ProcessHandle, "__init__", failing_init)
@@ -722,27 +757,6 @@ def test_no_worker_leak_on_partial_construction(monkeypatch):
     with pytest.raises(OSError, match="injected fork failure"):
         prog.run(max_cycles=50_000_000)
     assert started, "shard 0's handle never started — test is vacuous"
-    _assert_no_live_workers()
-
-
-@needs_fork
-def test_process_backend_without_shared_memory_fails_loudly(monkeypatch):
-    """No rings, no run: the one transport failing is a typed error that
-    names the OS failure and the in-process backend to use instead —
-    raised before any worker is forked."""
-    from repro.shard.wire import ShmFabric
-
-    def no_shm(self, keys, shared):
-        assert shared
-        raise OSError("no /dev/shm")
-
-    monkeypatch.setattr(ShmFabric, "__init__", no_shm)
-    with pytest.raises(ConfigurationError) as exc:
-        _deadlocking_program(
-            NOCTUA.with_(backend="process", shards=2)
-        ).run(max_cycles=1_000_000)
-    assert "no /dev/shm" in str(exc.value)
-    assert "sharded" in str(exc.value)
     _assert_no_live_workers()
 
 

@@ -34,7 +34,6 @@ from repro.trace import (
     new_phase,
     to_jsonl,
     to_perfetto,
-    validate_timing,
     write_trace,
 )
 
@@ -119,26 +118,6 @@ def test_merge_snapshots_unions_names_and_buckets():
 # ----------------------------------------------------------------------
 def test_new_phase_matches_canonical_schema():
     assert tuple(new_phase()) == TIMING_FIELDS
-    assert validate_timing(new_phase()) is not None
-
-
-def test_validate_timing_passes_empty_and_rejects_malformed():
-    assert validate_timing(None) is None
-    assert validate_timing({}) is None
-    with pytest.raises(ValueError, match="timing entry"):
-        validate_timing("not-a-dict")
-    with pytest.raises(ValueError, match="missing"):
-        validate_timing({"compute_s": 1.0})
-    bad = dict(new_phase(), extra=1)
-    with pytest.raises(ValueError, match="unexpected"):
-        validate_timing(bad)
-    nonnum = dict(new_phase(), compute_s="fast")
-    with pytest.raises(ValueError, match="must be numeric"):
-        validate_timing(nonnum)
-    # An aborted worker reports unmeasured phases as None: canonical
-    # shape, so it validates (renderers count None as zero).
-    aborted = {k: None for k in TIMING_FIELDS}
-    assert validate_timing(aborted) is aborted
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ REQUIRED_ARCHITECTURE_HEADINGS = (
     "Pattern replication",
     "Macro-cruise fast-forward",
     "Sharded execution & time sync",
-    "Boundary wire format & shared-memory rings",
+    "Boundary exchange",
     "Observability & tracing",
     "Invariants the test suite pins",
 )
