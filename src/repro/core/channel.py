@@ -36,14 +36,14 @@ class _SendLane:
     plan is a pure function of the endpoint's slot schedule: the chunk
     pacing, the packer layout and the stall rule are all deterministic.
     The lane exposes exactly that function to the supply planner: a
-    replication train starving on this endpoint queues the slot releases
-    its own validated takes produced (:meth:`add_releases`, one run per
-    validated round) and asks the lane to continue the channel's plan
-    against them (:meth:`extend`) — same arithmetic, same cycles, no
-    engine event. Planned packets stay on the lane until the train's bulk
-    commit (:meth:`commit`), which also pairs the claimed releases so the
-    sleeping generator's next ``slot_plan`` never sees a slot handed out
-    twice.
+    replication train (or a planned window) starving on this endpoint
+    queues the slot releases its own takes produced
+    (:meth:`add_releases`) and asks the lane to continue the channel's
+    plan against them (:meth:`extend`) — same arithmetic, same cycles,
+    no engine event. Planned packets stay on the lane until the bulk
+    commit (:meth:`commit`); closing the ledger (:meth:`finish`) pairs
+    the claimed releases so the sleeping generator's next ``slot_plan``
+    never sees a slot handed out twice.
 
     ``cur is None`` marks the plan frontier as unknown (the generator is
     mid element-wise fallback, or has not planned yet): the lane refuses
@@ -312,16 +312,16 @@ def _plan_pop_takes(check, rows, want, width, cur, ic):
 class _RecvLane:
     """Macro-cruise plane of a sleeping :meth:`RecvChannel.pop_vec` burst.
 
-    The mirror of :class:`_SendLane`: a replication train blocked on the
-    receive endpoint's backpressure publishes its validated stages into
-    the lane (:meth:`add_supply`, one run per validated round) and asks
+    The mirror of :class:`_SendLane`: a replication train (or a planned
+    window) blocked on the receive endpoint's backpressure publishes its
+    validated stages into the lane (:meth:`add_supply`) and asks
     it to continue the channel's take plan (:meth:`extend`) — consuming
     items at exactly the cycles the per-flit pop loop would (width
     pacing carried across waits, a take never before the item's
     visibility), copying payloads straight into the caller's output
     array, and returning the take cycles whose releases free the train's
-    slots. Takes commit at train end, after
-    the session stages that produced the items.
+    slots. Takes commit at train (or window) end, after
+    the stages that produced the items.
     """
 
     __slots__ = ("chan", "n", "width", "out", "got", "ic", "cur", "pkts",

@@ -233,15 +233,16 @@ class Engine:
         # uninstrumented build.
         self.trace = None
 
-    def note_fast_forward(self, span: int) -> None:
-        """Trace one analytically fast-forwarded window of ``span`` cycles.
+    def note_fast_forward(self, span: int, jump: dict) -> None:
+        """Trace one proven jump, its train spanning ``span`` cycles;
+        ``jump`` names it (``period``, ``ppp``, ``periods``, ``hops``).
 
-        The counter lives in ``PlannerStats.ff_cycles``; the engine only
-        puts the span on the timeline.
+        The counters live in ``PlannerStats``; the engine only puts the
+        span on the timeline.
         """
         if span > 0 and self.trace is not None:
             self.trace.emit(self.cycle, "ff", "engine", "fast-forward",
-                            dur=span)
+                            dur=span, args=jump)
 
     # ------------------------------------------------------------------
     # Construction helpers

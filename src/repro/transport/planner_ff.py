@@ -7,8 +7,9 @@ sessions -> recv lane``; each stream alone, see :func:`ff_resolve`) its
 steady state is a periodic object. The
 train fingerprints each chain at every sweep boundary and
 :class:`_FFHistory` finds the shortest *hyperperiod* — sessions advance
-at equal rates but, at the paper's 8-deep buffers, unequal round sizes,
-so the frontiers re-align only every lcm(round sizes) packets;
+at equal rates but possibly unequal round sizes (an interior relay's
+8-packet round beside the link's 16), so the frontiers re-align only
+every lcm(round sizes) packets;
 :meth:`_FastForward.ff_apply`'s guard battery reduces the candidate to
 committed facts (conservation along every hop, Δ-shift of every tracked
 list, horizon / budget / slot bounds) and lands ``R`` periods as what
@@ -71,12 +72,11 @@ def _ff_veto(guard: str, hop: int = -1) -> bool:
 
 
 #: Longest sweep period the fast-forward detector resolves. Sessions of
-#: one chain advance at equal *rates* but, at shallow depths, unequal
-#: round sizes (a CKS moving 16 packets / 32 cycles on one sweep, the CKR
-#: 22 packets / 44 cycles on the next), so the first sweep boundary at
-#: which every frontier has moved by one common ΔT is the *hyperperiod*
-#: of the round sizes — lcm(16, 22) = 176 packets, 19 sweeps — not one of
-#: the first few sweeps.
+#: one chain advance at equal *rates* but may move unequal round sizes
+#: (rounds of 16 and 22 packets re-align every lcm(16, 22) = 176 packets,
+#: 19 sweeps), so the first sweep boundary at which every frontier has
+#: moved by one common ΔT is the *hyperperiod* of the round sizes — not
+#: necessarily one of the first few sweeps.
 FF_MAX_P = 64
 FF_KEEP = 2 * FF_MAX_P + 1  # checkpoints retained per chain
 
@@ -577,7 +577,7 @@ class _FastForward:
     """
 
     __slots__ = ("dead", "miss", "armed", "chains", "refused", "shape",
-                 "shifts")
+                 "shifts", "jump")
 
     def __init__(self) -> None:
         self.dead = False    # permanent no-arm: stop probing the train
@@ -587,6 +587,7 @@ class _FastForward:
         self.refused = ()    # failed walks of the last ff_resolve
         self.shape = None    # (sessions, lanes) chains resolved under
         self.shifts = ()     # a proven jump: (fifo, shift args)
+        self.jump = None     # ... and what it was (the ``ff`` event args)
 
     def ff_abort(self, engine, guard, hop=-1, reason=None) -> bool:
         """Report one failed guard of the analytic jump's proof.
@@ -646,6 +647,7 @@ class _FastForward:
             ls.ff_spent = True
             return self.ff_abort(engine, 'budget', -1,
                                  "message ends within three periods")
+        r_msg = R
         for hop in hops:
             r_b = (train.max_takes - hop.sess.takes) // ppp - 1
             if r_b < R:
@@ -823,6 +825,11 @@ class _FastForward:
         ls.ff_advance(R, dT, ppp)
         for hop in hops:
             hop.ff_advance(R, dT, ppp)
+        # A jump the message end cut leaves under two periods behind it:
+        # the bound above can never reach 2 again for this message.
+        ls.ff_spent = r_msg - R < 2
+        self.jump = {"period": dT, "ppp": ppp, "periods": R,
+                     "hops": len(hops)}
         lr.ff_advance(R, dT, np.asarray(values[g0:g0 + R * dE], dt_np))
         stats = train.planner.stats
         stats.ff_jumps += 1

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from ..core.errors import RoutingError
 from .planner_ff import _FastForward, ff_close_chain, ff_silent
-from .planner_window import (PLAN_MAX_TAKES, PlanResult, _silent_hz,
-                             _TargetCursor)
+from .planner_window import (PLAN_MAX_TAKES, PlanResult, _land_lanes,
+                             _silent_hz, _TargetCursor)
 
 #: Take budget per train when macro-cruise has every live plane proven
 #: (registered app lanes on both stream ends, support planes quiet):
@@ -524,7 +524,11 @@ class _Train:
 
         A failed session goes quiet (``dirty = False``) until a peer's
         validated round publishes supply or slots it depends on, so stuck
-        sessions cost nothing while the rest of the train advances.
+        sessions cost nothing while the rest of the train advances. An
+        app lane extended for a failed session publishes to it at once,
+        so the session retries within the sweep: each sweep then moves
+        every session of a lane-fed chain one round, and a chain's sweep
+        period is its round, not a ping-pong of two.
         """
         planner = self.planner
         order = self.order
@@ -537,12 +541,11 @@ class _Train:
             sweeps += 1
             progress = False
             for sess in order:
-                if sess.done or not sess.dirty or \
-                        sess.takes + sess.pattern.n_takes > max_takes:
-                    continue
-                if self.validate_round(sess):
-                    progress = True
-                else:
+                while not sess.done and sess.dirty and \
+                        sess.takes + sess.pattern.n_takes <= max_takes:
+                    if self.validate_round(sess):
+                        progress = True
+                        break
                     sess.dirty = False
                     if sess.blocked_on is not None:
                         self.try_join(
@@ -611,17 +614,11 @@ class _Train:
                     tc = sess.take_cycles[j]
                     if len(tc):
                         inputs[j].take_burst(tc)
-            for lane in lanes:
-                if not lane.is_send:
-                    lane.commit()
         finally:
             engine._current_proc = prev_proc
-        # ---- macro-cruise epilogue: persist lane slot pairings, firm-wake
-        # each lane's sleeping kernel at its extended frontier, and account
-        # the fast-forwarded span. ----------------------------------------
-        for lane in lanes:
-            _wake_lane_kernel(engine, lane)
-            lane.finish()
+        # ---- macro-cruise epilogue: the lanes' takes, slot pairings and
+        # firm wakes, and the fast-forwarded span. --------------------------
+        _land_lanes(engine, lanes)
         # A proven jump: the prefix and its release pairings are in, so
         # each chain FIFO now takes the span as one time shift.
         for fifo, args in self.ff.shifts:
@@ -639,7 +636,8 @@ class _Train:
             # would count that skew once per train (coverage > 1).
             span = max(sess.T - sess.start for sess in committed)
             stats.ff_cycles += span
-            engine.note_fast_forward(span)
+            if self.ff.jump is not None:
+                engine.note_fast_forward(span, self.ff.jump)
         # ---- per-session resume state, stats, and wakes --------------------
         origin_res = None
         for sess in committed:
@@ -741,22 +739,3 @@ def replicate_train(planner, ck, engine, start, memo, cursors, stamp):
     train.sweep()
     return train.commit()
 
-
-def _wake_lane_kernel(engine, lane) -> None:
-    """Firm-wake a lane's kernel at the frontier the train extended it to.
-
-    A kernel sleeping off its own plan is moved to the later frontier. A
-    ``pop_vec`` blocked on its empty endpoint is normally woken by the
-    next item turning visible — unless the train consumed the rest of
-    its message, after which no item is coming: per-flit it returns at
-    the frontier, so it is woken there.
-    """
-    proc = lane.proc
-    end = lane.cur  # the lane's pacing frontier
-    if proc is None or end is None or proc.finished:
-        return
-    if proc._waiting_on is None:
-        if end > proc._scheduled_for:
-            engine.preempt(proc, end)
-    elif not lane.is_send and lane.got >= lane.n:
-        engine.preempt(proc, end)

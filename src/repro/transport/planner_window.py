@@ -11,16 +11,31 @@ repeat Δ-shifted exactly compile into a :class:`WindowPattern`, the
 straight-line form :mod:`repro.transport.planner_train` verifies instead
 of searching.
 
+**App lanes.** Under macro-cruise a window does not stop at an app
+endpoint's capacity while the kernel behind it sleeps a vector burst: a
+drained send endpoint asks its ``push_vec`` lane for the stages the
+window's own takes make room for (:func:`_refill`), a full receive
+endpoint asks its ``pop_vec`` lane for the takes the window's own
+stages feed (:func:`_extend_recv_lane`) — the publication a train makes
+through ``_Train.extend_lane``. Cut at the capacity instead, a window
+would end on a round the endpoint sets (22 packets at ``NOCTUA``), not
+the link's (16), and the chain's period would be their hyperperiod. The
+lanes commit with the window: their stages before its takes, their
+takes after its stages, then each kernel gets a firm wake at its new
+frontier (:func:`_land_lanes`).
+
 **This module owns** :class:`_TargetCursor` (the slot budget of one
 routing target, shared by every plan call of a cascade),
 :class:`PlanResult`, :func:`plan_window`, :class:`WindowPattern` and its
-compiler. **It reads** each input's ``present_schedule`` /
-``supply_horizon`` (cut at :data:`PLAN_SNAPSHOT`), each target's
-``slot_plan`` and link pacing, the CK's routing memo and polling pointer.
+compiler, and the landing of the app lanes a window extends (shared
+with the train's commit). **It reads** each input's
+``present_schedule`` / ``supply_horizon`` (cut at
+:data:`PLAN_SNAPSHOT`), each target's ``slot_plan`` and link pacing, the
+CK's routing memo and polling pointer, the endpoints' registered lanes.
 **It may mutate** the FIFOs it takes from and stages into (one burst per
 FIFO, under the planned CK's process identity), ``Fifo._reserved_paired``
-(:meth:`_TargetCursor.commit`) and the cascade's cursors — never the
-arbiter: the caller commits
+(:meth:`_TargetCursor.commit`), the cascade's cursors, the lanes it
+extends and their kernels' wakes — never the arbiter: the caller commits
 the returned :class:`PlanResult`.
 """
 
@@ -172,6 +187,100 @@ def _silent_hz(ck, f, cycle):
     return f.supply_horizon({id(proc): cycle})
 
 
+def _lane(fifo, is_send, now, lanes):
+    """The extendable app lane of kind ``is_send`` on endpoint ``fifo``,
+    opened on its first use by this window, or ``None``.
+
+    ``lanes`` maps each such lane to the entries fed to it so far: the
+    window's takes from a send endpoint, or its stages into a receive
+    endpoint, published to the lane as it goes (see :func:`plan_window`).
+    """
+    host = fifo.macro_host
+    if host is None:
+        return None
+    lane = host.app_lanes.get(id(fifo))
+    if lane is None or lane.is_send is not is_send or not lane.extendable():
+        return None
+    if lane not in lanes:
+        lane.begin(now)
+        lanes[lane] = 0
+    return lane
+
+
+def _refill(j, inputs, pkts_l, rdy_l, hz_l, takes, now, lanes):
+    """Drained input ``j`` of a window: append to its snapshot what a
+    sleeping ``push_vec`` on it would stage next — its plan against the
+    slots the window's takes from ``j`` free. True when the snapshot
+    grew (never past a truncated one)."""
+    if hz_l[j] == _TRUNCATED:
+        return False
+    lane = _lane(inputs[j], True, now, lanes)
+    if lane is None:
+        return False
+    tk = takes[j]
+    if tk:
+        lane.add_releases(tk[lanes[lane]:])
+        lanes[lane] = len(tk)
+    ext = lane.extend()
+    if not ext:
+        return False
+    pkts, cycles = ext
+    if not isinstance(pkts_l[j], list):  # the empty snapshot's ()
+        pkts_l[j], rdy_l[j] = [], []
+    lat = inputs[j].latency
+    pkts_l[j].extend(pkts)
+    rdy_l[j].extend(s + lat for s in cycles)
+    return True
+
+
+def _extend_recv_lane(fifo, cur, now, lanes):
+    """Take cycles a sleeping ``pop_vec`` on app receive endpoint
+    ``fifo`` would make next, or ``()``: its take plan over the committed
+    items, then the window's stages into ``fifo`` through cursor ``cur``
+    with their exact visibility cycles."""
+    lane = _lane(fifo, False, now, lanes)
+    if lane is None:
+        return ()
+    fed = lanes[lane]
+    lat = fifo.latency
+    lane.add_supply(cur.stage_pkts[fed:],
+                    [s + lat for s in cur.stage_cycles[fed:]])
+    lanes[lane] = len(cur.stage_pkts)
+    return lane.extend()
+
+
+def _land_lanes(engine, lanes) -> None:
+    """Land the app lanes a window or a train extended, after its own
+    stages and takes: what each still holds (a receive lane's takes; a
+    send lane's stages, unless they landed before those takes), then a
+    firm wake of each kernel at its new frontier. Closing a send lane
+    pairs the releases it claimed, which those takes put in place."""
+    for lane in lanes:
+        lane.commit()
+        _wake_lane_kernel(engine, lane)
+        lane.finish()
+
+
+def _wake_lane_kernel(engine, lane) -> None:
+    """Firm-wake a lane's kernel at the frontier a plan extended it to.
+
+    A kernel sleeping off its own plan is moved to the later frontier. A
+    ``pop_vec`` blocked on its empty endpoint is woken there too: the
+    items the lane took never turn visible to it, and the next one —
+    if any is coming — is not visible before the frontier, where the
+    kernel re-reads the lane and parks again on an empty endpoint.
+    """
+    proc = lane.proc
+    end = lane.cur  # the lane's pacing frontier
+    if proc is None or end is None or proc.finished:
+        return
+    if proc._waiting_on is None:
+        if end > proc._scheduled_for:
+            engine.preempt(proc, end)
+    elif not lane.is_send:
+        engine.preempt(proc, end)
+
+
 def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
                 cursors=None, stamp=0):
     """Multi-round burst planner: one provable window for one CK.
@@ -207,6 +316,8 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
     Parks are traced as their wake race: known heads provably unreadable
     the cycle before the wake, drained inputs silent through it, and the
     scan's stop input readable exactly at it.
+    Under macro-cruise a window runs through app endpoints whose kernel
+    sleeps a vector burst (module docstring, "App lanes").
     """
     arbiter = ck.arbiter
     inputs = arbiter.inputs
@@ -237,6 +348,8 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
     # readability observation (scan charges, R-round ends, park races).
     trace_tgts: list = []
     trace_obs: list = []
+    lanes: dict = {}  # app lane -> entries fed (see _lane)
+    snap = (inputs, pkts_l, rdy_l, hz_l, takes, now, lanes)  # for _refill
 
     def starved(j, at):
         """Is drained input ``j`` of unknowable readability by ``at``?
@@ -269,6 +382,10 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
         p = ptr[idx]
         k = len(P)
         # ---- FRESH readability check / R-round over input idx ----------
+        if p >= k and _refill(idx, *snap):
+            P = pkts_l[idx]
+            R = rdy_l[idx]
+            k = len(P)
         if mode_reads < 0:
             if p >= k:
                 # Drained (or empty): provably unreadable only below the
@@ -286,6 +403,10 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
             if tk is None:
                 tk = takes[idx] = []
             while mode_reads < burst:
+                if p >= k and _refill(idx, *snap):
+                    P = pkts_l[idx]
+                    R = rdy_l[idx]
+                    k = len(P)
                 if p >= k:
                     if starved(idx, c):
                         ended = True  # unknown readability: stop in ROUND
@@ -336,15 +457,20 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
                 s = t_nf if t_nf > c else c
                 if t_free > 0:
                     t_free -= 1
-                elif t_rp < len(t_rels):
+                else:
+                    if t_rp == len(t_rels):
+                        # Out of known releases: an app receive lane may
+                        # still publish its next takes.
+                        t_rels.extend(_extend_recv_lane(t_cur.fifo, t_cur,
+                                                        now, lanes))
+                    if t_rp == len(t_rels):
+                        ended = True  # unknown backpressure: stop before take
+                        blocked_on = t_cur.fifo
+                        break
                     floor = t_rels[t_rp] + 1
                     t_rp += 1
                     if floor > s:
                         s = floor
-                else:
-                    ended = True  # unknown backpressure: stop before take
-                    blocked_on = t_cur.fifo
-                    break
                 if t_pace:
                     t_nf = s + t_pace
                 tk.append(c)
@@ -369,6 +495,8 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
             if Pj is None:
                 Pj = _snap_input(inputs[j], pkts_l, rdy_l, hz_l, j, now)
             pj = ptr[j]
+            if pj >= len(Pj) and _refill(j, *snap):
+                Pj = pkts_l[j]
             if pj < len(Pj):
                 rdy = rdy_l[j][pj]
                 if rdy <= c:
@@ -435,8 +563,11 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
         t_cur.rel_ptr = t_rp
         t_cur.next_free = t_nf
     if total == 0 and c == start:
+        # A send lane extended here was fed committed slots only: its
+        # stages stand without the window.
+        _land_lanes(engine, lanes)
         return None
-    if total <= 1 and c - start < 8:
+    if total <= 1 and c - start < 8 and not lanes:
         # A trivial window: committing it (burst bookkeeping, cascade
         # wake-up accounting) costs more than letting the per-flit loop
         # move the one packet. Declining is always cycle-neutral, but the
@@ -476,6 +607,9 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
     if ck.proc is not None:
         engine._current_proc = ck.proc
     try:
+        for lane in lanes:
+            if lane.is_send:
+                lane.commit()  # the stages our takes find
         sources = []
         for i in range(n):
             if takes[i]:
@@ -488,6 +622,7 @@ def plan_window(ck, engine, start, resume_reads, idx=None, memo=None,
                 targets.append(cur.fifo)
     finally:
         engine._current_proc = prev_proc
+    _land_lanes(engine, lanes)
     return PlanResult(c, idx, mode_reads, total, sources, targets,
                       blocked_on, starved_on, trace_out)
 

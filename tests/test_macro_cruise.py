@@ -397,6 +397,64 @@ def test_ff_detect_refuses_unequal_rates():
     assert sum(map(len, hist.by_skew.values())) == planner_ff.FF_KEEP
 
 
+def _detections(monkeypatch):
+    """Record every ``ff_detect`` call as ``[sweeps fingerprinted, period
+    found]`` and, per landed jump, how many calls preceded it."""
+    calls, jumps = [], []
+    detect = planner_ff._FFHistory.ff_detect
+    apply = planner_ff._FastForward.ff_apply
+
+    def ff_detect(hist, cp):
+        found = detect(hist, cp)
+        calls.append([hist.n, found is not None])
+        return found
+
+    def ff_apply(ff, *args):
+        landed = apply(ff, *args)
+        if landed:
+            jumps.append(len(calls))
+        return landed
+
+    monkeypatch.setattr(planner_ff._FFHistory, "ff_detect", ff_detect)
+    monkeypatch.setattr(planner_ff._FastForward, "ff_apply", ff_apply)
+    return calls, jumps
+
+
+@pytest.mark.parametrize("n, hops, sessions", [(1 << 16, 1, 2),
+                                               (1 << 17, 4, 11)])
+def test_a_stream_jumps_on_the_link_round(monkeypatch, n, hops, sessions):
+    """At ``NOCTUA`` depths every relay session of a link-bound stream
+    moves the link's round, 16 packets per 32 cycles — the destination
+    CKR's windows included, which the receive endpoint's 22 slots used
+    to cut into 22-packet / 44-cycle rounds (a 352-cycle hyperperiod
+    found after 49 sweeps on the 1-hop stream). The one jump names its
+    period in its ``ff`` trace event and lands within 10 fingerprinted
+    sweeps of the chain resolving."""
+    calls, jumps = _detections(monkeypatch)
+    res, stats = _run_stream(NOCTUA.with_(trace=True), n=n, hops=hops)
+    ff = [ev[6] for ev in res.engine.trace.events() if ev[2] == "ff"]
+    assert stats.ff_jumps == 1 and len(jumps) == 1
+    (jump,) = ff
+    assert jump["period"] == 32 and jump["ppp"] == 16
+    assert jump["hops"] == sessions
+    assert jump["periods"] * jump["period"] >= 0.8 * res.cycles
+    sweeps, found = calls[jumps[0] - 1]
+    assert found and sweeps - 1 <= 10, calls
+
+
+def test_a_jump_cut_by_its_message_end_stops_the_fingerprinting(
+        monkeypatch):
+    """A jump whose span the message end bounded leaves less than two
+    periods behind it, so no later train of the stream can jump: its
+    send lane is spent at the jump and the tail trains take no
+    fingerprint (the 2^18-float 1-hop stream took 23 for nothing)."""
+    calls, jumps = _detections(monkeypatch)
+    res, stats = _run_stream(NOCTUA, n=1 << 18, hops=1)
+    assert stats.ff_jumps == 1
+    assert len(calls) == jumps[0], "ff_detect called after the jump"
+    assert stats.replications > 2, "no tail trains"
+
+
 def _uniform_bus_jumps(config, ranks, n=1 << 14):
     """Jumps of a ``ranks``-bus where every rank streams ``n`` floats to
     its right neighbour while receiving from its left."""
@@ -425,17 +483,13 @@ def _uniform_bus_jumps(config, ranks, n=1 << 14):
     return collect_planner_stats(res.transport).ff_jumps
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "on NOCTUA_DEEP the tail stream's period exceeds the detector: its "
-    "chain resolves at cycle 458, its send side moves 64 cycles per 3 "
-    "sweeps and its ckr0 and recv lane move in 92-cycle rounds, so the "
-    "common period is 1 472 cycles (~69 sweeps > FF_MAX_P = 64); with "
-    "FF_MAX_P = 128 it is found and refused as 'message ends within "
-    "three periods'"))
 def test_the_last_stream_of_a_uniform_bus_jumps():
-    """Every stream of a uniform bus should jump. On ``NOCTUA`` all do;
-    on ``NOCTUA_DEEP`` the last one never does, even sequentially, at 3,
-    4, 8 and 16 ranks (ROADMAP item 6, the tail lead)."""
+    """Every stream of a uniform bus jumps, on ``NOCTUA`` and on
+    ``NOCTUA_DEEP``. The last one used to miss on the deep preset: the
+    destination CKR's windows were cut at the receive endpoint's 46
+    slots, so its rounds took 92 cycles against the sender's 64 and the
+    common period (1 472 cycles) was beyond the detector. Its windows
+    now run until the link starves them, as the sender's do."""
     assert _uniform_bus_jumps(NOCTUA, 3) == 2
     assert _uniform_bus_jumps(DEEP, 3) == 2
 
@@ -444,9 +498,10 @@ def test_unarmable_program_keeps_probing_at_equal_cycles():
     """A program the resolver can only refuse transiently keeps its
     fast-forward armed: nothing gives up on measured futility.
 
-    With the silence proof vetoed (a state only the seam can reach), the
-    shallow 4-hop chain is back in the circular regime: short trains,
-    the resolver refusing on a consumer that never joins. The planner
+    With the silence proof vetoed (a state only the seam can reach), a
+    sender-bound shallow 4-hop chain (width 2: one packet every 3.5
+    cycles) is back in the circular regime: short trains, the resolver
+    refusing on a consumer that never joins. The planner
     never flips its plane mid-run; every train that probed
     reports its silent outcome once — not once per sweep — and the run
     stays on the specification's trajectory, like the burst plane
@@ -464,12 +519,14 @@ def test_unarmable_program_keeps_probing_at_equal_cycles():
         sweeps_per_train[-1] += 1
         return original(self, train)
 
-    flit, _ = _run_stream(NOCTUA.with_(burst_mode=False), n=n, hops=hops)
-    plain, _ = _run_stream(NOCTUA.with_(macro_cruise=False), n=n, hops=hops)
+    flit, _ = _run_stream(NOCTUA.with_(burst_mode=False), n=n, width=2,
+                          hops=hops)
+    plain, _ = _run_stream(NOCTUA.with_(macro_cruise=False), n=n, width=2,
+                           hops=hops)
     planner_ff._ff_guard_probe = lambda guard, _hop: guard == "silence"
     planner_ff._FastForward.ff_try = ff_try
     try:
-        res, stats = _run_stream(NOCTUA, n=n, hops=hops)
+        res, stats = _run_stream(NOCTUA, n=n, width=2, hops=hops)
     finally:
         planner_ff._FastForward.ff_try = original
         planner_ff._ff_guard_probe = None
@@ -609,7 +666,10 @@ def test_jump_is_one_shift_per_stream():
 
     small, small_blocks, small_entries = traced(1 << 17)
     large, large_blocks, large_entries = traced(1 << 20)
-    period = 176 * 17  # packets per hyperperiod x tracked lists (1 hop)
+    # 176 packets (the 1-hop hyperperiod before the CKR moved the link's
+    # 16-packet round) x tracked lists: the jump train now peaks at ~1.5 k
+    # blocks and ~400 FIFO entries.
+    period = 176 * 17
     assert max(small_blocks, large_blocks) <= 4 * period
     assert small_entries == large_entries <= 2048
     assert large <= 1.25 * small, (small, large)
@@ -620,7 +680,8 @@ def test_four_hop_stream_lands_one_jump_after_one_arming():
     """No re-detection: a 4-hop 2^17-float ``NOCTUA`` stream validates
     its arming prefix and its tail round by round and nothing between —
     one jump over all 11 relay sessions (four capped jumps and 4 074
-    ``validate_round`` calls when a jump materialised its packets)."""
+    ``validate_round`` calls when a jump materialised its packets, 2 018
+    while the destination CKR's rounds set a 352-cycle period)."""
     import sys
 
     calls = [0]
@@ -635,7 +696,7 @@ def test_four_hop_stream_lands_one_jump_after_one_arming():
     finally:
         sys.setprofile(None)
     assert stats.ff_jumps == 1 and stats.ff_chain_hops == 11
-    assert calls[0] <= 2300, calls
+    assert calls[0] <= 605, calls
     ref, _ = _run_stream(NOCTUA.with_(macro_cruise=False), n=1 << 17, hops=4)
     _assert_same_trajectory(res, ref, 4)
 

@@ -47,18 +47,18 @@ HOPS = 4
 LAST_HOP = 10
 
 
-def _run(config, n=N, hops=HOPS, probe=None):
+def _run(config, n=N, hops=HOPS, probe=None, width=8):
     """One deep p2p stream with the guard probe installed for the run."""
     prog = SMIProgram(noctua_bus(), config=config)
     data = np.arange(n, dtype=np.float32) % 1024
 
     def snd(smi):
         ch = smi.open_send_channel(n, SMI_FLOAT, hops, 0)
-        yield from ch.push_vec(data, width=8)
+        yield from ch.push_vec(data, width=width)
 
     def rcv(smi):
         ch = smi.open_recv_channel(n, SMI_FLOAT, 0, 0)
-        out = yield from ch.pop_vec(n, width=8)
+        out = yield from ch.pop_vec(n, width=width)
         smi.store("ok", bool(np.array_equal(out, data)))
         smi.store("end", smi.cycle)
 
@@ -141,24 +141,27 @@ def test_guard_veto_falls_back_bit_identical(reference, guard, hop):
 def test_silence_proof_veto_falls_back_bit_identical():
     """The zero-slack silence proof is a guard site like the others.
 
-    At the paper's 8-deep FIFOs the 4-hop chain only sustains multi-round
-    trains — and so only resolves and jumps — because a relay's
-    unreadable-observation may lean on its producer *session's* round
-    frontier. Vetoed, every such observation falls back to the
-    engine-level horizon: the chain is back to one-round trains, no jump
-    lands, and the trajectory is bit-identical to the burst plane.
+    At the paper's 8-deep FIFOs a sender-bound 4-hop chain (two floats
+    per cycle: one packet every 3.5 cycles against the link's 2) only
+    sustains multi-round trains — and so only resolves and jumps —
+    because a relay's unreadable-observation may lean on its producer
+    *session's* round frontier. Vetoed, every such observation falls
+    back to the engine-level horizon: the chain is back to one-round
+    trains, no jump lands, and the trajectory is bit-identical to the
+    burst plane. (A link-bound stream no longer needs the proof: its
+    windows run to the link's round at both ends.)
     """
     from repro import NOCTUA
 
     plain = NOCTUA.with_(macro_cruise=False)
-    ref, _ = _run(plain)
-    armed, stats = _run(NOCTUA)
+    ref, _ = _run(plain, width=2)
+    armed, stats = _run(NOCTUA, width=2)
     assert stats.ff_jumps >= 1, "precondition: jump must land un-vetoed"
     assert stats.mean_ff_chain_len == LAST_HOP + 1
     assert armed.cycles == ref.cycles
 
     probe, fired = _veto("silence", None)
-    vetoed, stats = _run(NOCTUA, probe=probe)
+    vetoed, stats = _run(NOCTUA, probe=probe, width=2)
     assert fired, "silence-proof site was never consulted"
     assert stats.ff_jumps == 0
     assert stats.mean_train_rounds < 2, "trains grew without the proof"
@@ -255,11 +258,13 @@ def test_outside_stager_refuses_the_chain_by_name(monkeypatch):
 
 
 def test_message_end_refusal_is_final(monkeypatch):
-    """The threshold tax, closed: a 4-hop 2^13-float ``NOCTUA`` stream
+    """The threshold tax, closed: a 4-hop 2 304-float ``NOCTUA`` stream
     proves its first period with fewer than three left. The O(1)
     message-end bound refuses before the O(lattice) proof, once — one
     ``abort`` (guard ``budget``, with the reason) — and the chain is not
-    probed again for the rest of the message (16 futile proofs before)."""
+    probed again for the rest of the message (16 futile proofs before).
+    (At 2^13 floats the chain now proves its 32-cycle period early
+    enough to jump.)"""
     from repro import NOCTUA
 
     applied = []
@@ -270,8 +275,8 @@ def test_message_end_refusal_is_final(monkeypatch):
         return applied[-1]
 
     monkeypatch.setattr(planner_ff._FastForward, "ff_apply", ff_apply)
-    ref, _ = _run(NOCTUA.with_(macro_cruise=False), n=1 << 13)
-    res, stats = _run(NOCTUA.with_(trace=True), n=1 << 13)
+    ref, _ = _run(NOCTUA.with_(macro_cruise=False), n=2304)
+    res, stats = _run(NOCTUA.with_(trace=True), n=2304)
     assert applied == [False]
     assert stats.ff_jumps == 0
     named = [a for a in _abort_events(res)

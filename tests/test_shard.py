@@ -965,8 +965,8 @@ def test_uniform_stream_shards_do_the_sequential_work(shards, monkeypatch):
 @pytest.mark.parametrize("shards", [2, 4])
 def test_a_cut_costs_only_the_stream_that_crosses_it(shards):
     """Each cut link costs the fast-forward one stream, the one crossing
-    it: sequentially 14 of the 15 streams jump, in-process 2 and 4
-    shards 13 and 11. The stream left of a cut shares its train with
+    it: sequentially all 15 streams jump, in-process 2 and 4 shards 14
+    and 12. The stream left of a cut shares its train with
     the cut stream's CKS sessions, which are outside its chain and
     refuse nothing of it."""
     from repro.simulation.stats import collect_planner_stats
@@ -976,7 +976,7 @@ def test_a_cut_costs_only_the_stream_that_crosses_it(shards):
         return collect_planner_stats(res.transport).ff_jumps
 
     sequential = jumps(NOCTUA_DEEP)
-    assert sequential == 14
+    assert sequential == 15
     assert jumps(NOCTUA_DEEP.with_(backend="sharded", shards=shards)) \
         == sequential - (shards - 1)
 

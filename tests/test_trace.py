@@ -358,6 +358,22 @@ def test_macro_ff_jump_and_guard_abort_are_traced():
     assert set(aborts) <= {"budget", "unresolved", "no-period"}
 
 
+def test_a_jump_event_names_its_period():
+    """One ``ff`` event per landed jump — an armed train that validated
+    rounds without jumping emits none — carrying the period it proved:
+    its cycles, packets per period, the periods landed and the relay
+    sessions of the chain. Its span covers the jump."""
+    res = _stream_end(DEEP.with_(trace=True), n=1 << 15, hops=2)
+    stats = collect_planner_stats(res.transport)
+    ff = [ev for ev in res.engine.trace.events() if ev[2] == "ff"]
+    assert len(ff) == stats.ff_jumps == 1
+    jump = ff[0][6]
+    assert set(jump) == {"period", "ppp", "periods", "hops"}
+    assert jump["period"] == 64 and jump["ppp"] == 32  # the deep link's
+    assert jump["hops"] == 5  # CKS; CKR -> CKS -> CKS at rank 1; CKR
+    assert ff[0][5] >= jump["periods"] * jump["period"]  # dur
+
+
 def test_a_refusal_names_its_chain_beside_a_shard_cut(monkeypatch):
     """16-rank uniform stream cut into 2 in-process shards: every
     refused walk is reported with its send endpoint. The train of the
@@ -396,7 +412,7 @@ def test_a_refusal_names_its_chain_beside_a_shard_cut(monkeypatch):
                         ops=[OpDecl("recv", 0, SMI_FLOAT, peer=rank)])
     res = prog.run(max_cycles=50_000_000)
     assert res.completed, res.reason
-    assert collect_planner_stats(res.transport).ff_jumps == 13
+    assert collect_planner_stats(res.transport).ff_jumps == 14
     assert refusals
     assert all(reason != "sessions outside every chain"
                for _chain, reason in refusals)

@@ -49,10 +49,10 @@ the repo benchmark's own programs::
 
 ``chains``      ``shard_uniform``'s 16-rank uniform stream, 4 096 floats
                 per stream on ``NOCTUA_DEEP``, in-process at 1, 2 and 4
-                shards (ms per run). Asserted: the jumps, 14 / 13 / 11 —
-                every stream but the tail one (ROADMAP item 6), minus the
-                one stream crossing each cut; a walk's refusal costs only
-                its own stream. Recorded, not asserted: the jumps of the
+                shards (ms per run). Asserted: the jumps, 15 / 14 / 12 —
+                every stream, minus the one stream crossing each cut; a
+                walk's refusal costs only its own stream. Recorded, not
+                asserted: the jumps of the
                 bus(4) four-flow program ((0,1), (1,2), (2,1), (3,2),
                 ``NOCTUA``, 2^14 floats) and its refusals per chain.
 
@@ -138,11 +138,11 @@ EXPECTED = {
                     "commits": 1},
     # Validated rounds, the publication calls they made, and the calls
     # that tried to join a peer CK to a train.
-    "train": {"rounds": 1521, "publications": 3042, "try_joins": 2701},
+    "train": {"rounds": 387, "publications": 774, "try_joins": 921},
     # Entries held before + after the three shifts, per span length.
     "jump_land": {"r10": 918, "r10000": 918},
     # Uniform-stream jumps per shard count.
-    "chains": {"s1": 14, "s2": 13, "s4": 11},
+    "chains": {"s1": 15, "s2": 14, "s4": 12},
     # Ranks / processes (two kernels included) / FIFOs a build holds.
     "build_pingpong_1hop": {"ranks": 2, "processes": 8, "fifos": 18},
     "build_injection": {"ranks": 2, "processes": 18, "fifos": 80},

@@ -31,7 +31,12 @@ were generated at e9b1cbf, the parent of the planner split, and
 regenerated by ISSUE 21, which changed on purpose *when* planning is
 attempted: against the e9b1cbf pins the three streams of >= 1 024
 elements moved only in ``attempts``, the three new engagement fields
-and one ``live`` span; the shorter programs plan nothing any more.)
+and one ``live`` span; the shorter programs plan nothing any more. They
+were regenerated again when the app lanes began extending inside
+windows, so that an endpoint's capacity no longer ends one: the end
+cycles and per-FIFO counts of every program stayed the same, and only
+the planner's counters, the three streams' event counts and their
+``abort`` lists moved.)
 """
 
 from __future__ import annotations
