@@ -33,6 +33,14 @@ def gemv_kernel(
     per DRAM bank); ``x`` is assumed cached on-chip (read once, reused for
     every row — the standard FBLAS GEMV tiling). The dot product is fully
     pipelined behind the memory reads, so each row costs its read time.
+
+    The kernel registers as a reader of every port's bank when called
+    (before any kernel runs). A row whose banks are all distinct and all
+    read by this kernel alone is granted in one resume and its read
+    cycles counted down by the engine (:meth:`MemoryBank.book`,
+    :meth:`~repro.simulation.engine.Engine.ticks`): the same cycles,
+    dispatches and ``total_granted`` as the per-cycle grant loop, which
+    runs whenever another kernel shares a bank.
     """
     n_rows, n_cols = A.shape
     if len(x) != n_cols:
@@ -41,22 +49,38 @@ def gemv_kernel(
         )
     if not ports:
         raise ConfigurationError("GEMV needs at least one memory port")
+    rows = _gemv_rows(ports, A, x, out, scale)
+    for port in ports:
+        port.bank.readers.add(rows)
+    return rows
+
+
+def _gemv_rows(ports, A, x, out, scale) -> Generator:
+    n_rows, n_cols = A.shape
     n_ports = len(ports)
     chunk = -(-n_cols // n_ports)  # columns handled per bank, ceil
+    stripes = [max(0, min(n_cols, (p + 1) * chunk) - p * chunk)
+               for p in range(n_ports)]
+    banks = [port.bank for port in ports]
+    distinct = len(set(map(id, banks))) == n_ports
+    engine = banks[0].engine
     for i in range(n_rows):
         # All banks stream their column stripe *concurrently*: each cycle
         # the kernel pulls up to bank-width elements from every stripe, so
         # the row read time is ceil(stripe / bank_width) cycles — the
         # aggregate bandwidth of all attached banks.
-        remaining = [
-            max(0, min(n_cols, (p + 1) * chunk) - p * chunk)
-            for p in range(n_ports)
-        ]
-        while any(remaining):
-            for p, port in enumerate(ports):
-                if remaining[p]:
-                    remaining[p] -= port.bank.grant(remaining[p])
-            yield TICK
+        if distinct and all(bank.sole_reader() for bank in banks):
+            cycles = max(bank.book(stripe)
+                         for bank, stripe in zip(banks, stripes))
+            if cycles:
+                yield engine.ticks(cycles)
+        else:
+            remaining = list(stripes)
+            while any(remaining):
+                for p, bank in enumerate(banks):
+                    if remaining[p]:
+                        remaining[p] -= bank.grant(remaining[p])
+                yield TICK
         row = A[i]
         value = scale * float(row @ x)
         while not out.writable:

@@ -54,8 +54,9 @@ trace event are those of the generator-only run: only the Python resume
 is gone (``Engine.elided_steps`` counts them). A continuation may touch
 only its owner's state, and :meth:`Engine.preempt` drops a pending one —
 a firm wake is for the generator. Users: the polling arbiter's settle
-and wake-scan steps (:mod:`repro.transport.arbiter`) and the reduce
-root's combine countdown (:mod:`repro.transport.collectives`).
+and wake-scan steps (:mod:`repro.transport.arbiter`), and the cycle
+countdown of :meth:`Engine.ticks` (the reduce roots' combine in
+:mod:`repro.transport.collectives`, a GEMV row in :mod:`repro.apps.blas`).
 
 Burst timing: the burst fast path (gated by ``HardwareConfig.burst_mode``)
 moves whole runs of items in a single process step and then yields one
@@ -144,6 +145,7 @@ class Process:
         "_steps_this_cycle",
         "_waiting_on",
         "_scheduled_for",
+        "_ticks_left",
     )
 
     def __init__(self, name: str, gen: Generator, daemon: bool) -> None:
@@ -163,6 +165,13 @@ class Process:
         # running or has a calendar entry; and the cycle of that entry.
         self._waiting_on: Any = None
         self._scheduled_for = 0
+        self._ticks_left = 0  # cycles an ``Engine.ticks`` countdown owes
+
+    def _tick_down(self):
+        self._ticks_left -= 1
+        if self._ticks_left:
+            self.continuation = self._tick_down
+        return TICK
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         state = "finished" if self.finished else f"waiting on {self._waiting_on!r}"
@@ -267,6 +276,20 @@ class Engine:
             self._live_workers += 1
         self._schedule(proc, max(start_cycle, self.cycle))
         return proc
+
+    def ticks(self, cycles: int):
+        """``yield engine.ticks(k)`` from a process step: ``k >= 1``
+        cycles of ``TICK`` in which the process touches nothing another
+        process can see. The first is the one yielded; the rest are
+        answered by an engine-side continuation, so all ``k`` dispatches
+        keep their calendar slots — a ``WaitCycles(k)`` would wake from a
+        far bucket, ahead of the cycle's next-list entries — and the
+        generator is resumed once, after the last."""
+        if cycles > 1:
+            proc = self._current_proc
+            proc._ticks_left = cycles - 1
+            proc.continuation = proc._tick_down
+        return TICK
 
     def fifo(self, name: str, capacity: int, latency: int = 1):
         """Create a :class:`~repro.simulation.fifo.Fifo` owned by this engine."""

@@ -27,7 +27,7 @@ class MemoryBank:
     """One DDR bank with a per-cycle element budget shared by its ports."""
 
     __slots__ = ("engine", "name", "width_elements", "_budget_cycle", "_budget",
-                 "total_granted")
+                 "total_granted", "readers", "booked_until")
 
     def __init__(self, engine, name: str, width_elements: int) -> None:
         if width_elements < 1:
@@ -38,12 +38,18 @@ class MemoryBank:
         self._budget_cycle = -1
         self._budget = 0
         self.total_granted = 0
+        self.readers: set = set()  # the kernels registered to read it
+        self.booked_until = 0      # end of the sole reader's booked read
 
     def grant(self, requested: int) -> int:
         """Grant up to ``requested`` elements from this cycle's budget."""
         if requested < 0:
             raise SimulationError("negative memory request")
         cycle = self.engine.cycle
+        if cycle < self.booked_until:
+            raise SimulationError(
+                f"bank {self.name!r}: a grant at cycle {cycle} inside a "
+                f"read its sole reader booked until {self.booked_until}")
         if cycle != self._budget_cycle:
             self._budget_cycle = cycle
             self._budget = self.width_elements
@@ -51,6 +57,22 @@ class MemoryBank:
         self._budget -= granted
         self.total_granted += granted
         return granted
+
+    def sole_reader(self) -> bool:
+        """Whether one registered reader has this bank to itself, with
+        nothing granted yet this cycle: its per-cycle grants would then
+        get the whole width every cycle, so :meth:`book` may stand in
+        for them."""
+        return len(self.readers) == 1 and self._budget_cycle != self.engine.cycle
+
+    def book(self, elements: int) -> int:
+        """Grant ``elements`` at once to the bank's sole reader: the
+        cycles its per-cycle grants would take from this one, booked so
+        that a grant inside them fails loudly. Returns that cycle count."""
+        cycles = -(-elements // self.width_elements)
+        self.booked_until = self.engine.cycle + cycles
+        self.total_granted += elements
+        return cycles
 
     def utilization(self, cycles: int) -> float:
         """Fraction of peak bandwidth used over ``cycles`` cycles."""

@@ -87,7 +87,8 @@ Resume-state fields (the contract between this loop and the planner):
     out of, the index of the next window expected in a live pattern's
     cycle, and the absolute cycle the pattern's last committed round
     ends at — replication only ever continues a pattern contiguously
-    from ``_pattern_end`` at phase 0.
+    from ``_pattern_end``, with the round begun at the window
+    ``_pattern_phase`` names (``WindowPattern.at_phase``).
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ crosses a FIFO is staged or taken, and stalls, in its own cycle. The one
 stretch that faces no FIFO — the reduce root (linear or tree) folding a
 received packet into its tile buffer, one element per cycle — combines
 the packet with one array operation and counts the cycles down through
-an engine-side continuation (:meth:`SupportKernel._ticks`,
-``Process.continuation`` in :mod:`repro.simulation.engine`): the same
+the engine-side countdown (:meth:`~repro.simulation.engine.Engine.ticks`,
+a ``Process.continuation`` in :mod:`repro.simulation.engine`): the same
 dispatches in the same calendar slots, two generator resumes per packet
 instead of one per element plus one.
 
@@ -106,7 +106,6 @@ class SupportKernel:
         self.recv_ep = recv_ep
         self.name = f"rank{rank}.{self.kind}{port}"
         self.proc = None  # engine Process handle, set by the builder
-        self._ticks_left = 0  # cycles the ``_ticks`` countdown still owes
 
     # ------------------------------------------------------------------
     # Common sub-behaviours
@@ -128,25 +127,6 @@ class SupportKernel:
         pkt = self.recv_ep.take()
         yield TICK
         return pkt
-
-    def _ticks(self, cycles: int):
-        """``yield self._ticks(k)``: ``k >= 1`` cycles of ``TICK`` in
-        which this kernel touches no FIFO. The first is the one yielded;
-        the rest are answered by an engine-side continuation
-        (:meth:`_tick_down`), so all ``k`` dispatches keep their calendar
-        slots — a ``WaitCycles(k)`` would wake from a far bucket, ahead
-        of the cycle's next-list entries — and the generator is resumed
-        once, after the last."""
-        if cycles > 1:
-            self._ticks_left = cycles - 1
-            self.proc.continuation = self._tick_down
-        return TICK
-
-    def _tick_down(self):
-        self._ticks_left -= 1
-        if self._ticks_left:
-            self.proc.continuation = self._tick_down
-        return TICK
 
     def _expect_control(self, op: OpType) -> Generator:
         pkt = yield from self._recv_packet()
@@ -399,7 +379,7 @@ class ReduceKernel(SupportKernel):
                         # (the only reader of ``acc``) expects.
                         acc[off:end] = op.combine(acc[off:end],
                                                   pkt.elements())
-                        yield self._ticks(end - off)
+                        yield recv_ep.engine.ticks(end - off)
                     progress[pkt.src] = end
                     remote_done = min(progress.values())
                 elif app_in.readable and local_done < tile_size:

@@ -374,8 +374,9 @@ class SupplyPlanner:
         """
         arb = ck.arbiter
         pat = arb._pattern
+        if pat is not None:
+            pat = pat.at_phase(arb._pattern_phase)
         if pat is None or start != arb._pattern_end \
-                or arb._pattern_phase != 0 \
                 or reads != pat.reads0 or idx != pat.idx0 \
                 or id(ck) in self._train_stuck:
             return None

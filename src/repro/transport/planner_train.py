@@ -9,9 +9,13 @@ state, ping-pongs sessions across producer/consumer CKs (validated
 stages become the next hop's virtual supply, validated takes the
 previous hop's virtual slot releases) and bulk-commits whole trains
 with one ``take_burst``/``stage_burst`` pair per FIFO — plus, for a
-proven jump, one ``shift`` — and one firm wake per sleeping peer. Everything is re-proved from committed facts, so
-cycle-exactness holds by the same argument as ``plan_window``; any
-deviation ends the train at the last valid round and planning resumes.
+proven jump, one ``shift`` — and one firm wake per sleeping peer.
+Two sessions whose rounds each need the other's same round (a FIFO
+between them shallower than one round) validate those rounds as one
+event stream (:meth:`_Train.validate_coupled`). Everything is re-proved
+from committed facts, so cycle-exactness holds by the same argument as
+``plan_window``; any deviation ends the train at the last valid round
+and planning resumes.
 
 **This module owns** :class:`_ReplicaSession` (one CK's validated
 rounds), :class:`_Train` (one train's sessions, their virtual supply /
@@ -58,7 +62,8 @@ class _ReplicaSession:
     __slots__ = ("ck", "arb", "pattern", "start", "T", "snap_items",
                  "snap_ready", "snap_iter", "ptr", "avail", "take_cycles",
                  "rounds", "takes", "blocked_on", "starved_on",
-                 "hz_cache", "stage_cursors", "done", "dirty", "last_fail")
+                 "hz_cache", "stage_cursors", "done", "dirty", "last_fail",
+                 "frontier", "pending")
 
     def __init__(self, ck, pattern, start, now) -> None:
         self.ck = ck
@@ -92,6 +97,8 @@ class _ReplicaSession:
         self.done = False
         self.dirty = True       # something changed since the last failure
         self.last_fail = None   # (event, X, detail) of the last failure
+        self.frontier = start   # no unpublished stage of a joint round earlier
+        self.pending = None     # a validated round's state, until it lands
 
     def ensure(self, j, k) -> bool:
         """Extend input ``j``'s snapshot to >= ``k`` items if they exist."""
@@ -132,6 +139,9 @@ class _ReplicaSession:
 #: least one session by one round, so real trains end far earlier).
 TRAIN_SWEEP_LIMIT = 4096
 
+#: The failures of a session that ran out of items on an input.
+_STARVED = ('precheck', 'take-starved', 'witness-missing')
+
 #: Optional diagnostics hook: a callable invoked once per finished train
 #: with the committed :class:`_Train` (tests and ad-hoc profiling; None
 #: in production).
@@ -146,7 +156,8 @@ class _Train:
     __slots__ = ("planner", "engine", "memo", "cursors", "stamp", "now",
                  "macro_lanes", "max_takes", "lanes_used",
                  "origin", "sessions", "order", "feeds", "stager", "v_rels",
-                 "v_items", "cursor_fifo", "ff", "closure_stale")
+                 "v_items", "cursor_fifo", "ff", "closure_stale", "joint",
+                 "joint_fail", "pairs")
 
     def __init__(self, planner, ck, engine, start, memo, cursors,
                  stamp) -> None:
@@ -164,8 +175,9 @@ class _Train:
         self.max_takes = planner.macro_take_budget() if self.macro_lanes \
             else PLAN_MAX_TAKES
         self.lanes_used: dict = {}   # id(lane) -> lane joined to this train
-        self.origin = origin = _ReplicaSession(ck, ck.arbiter._pattern,
-                                               start, now)
+        arb = ck.arbiter
+        self.origin = origin = _ReplicaSession(
+            ck, arb._pattern.at_phase(arb._pattern_phase), start, now)
         self.sessions: dict = {id(ck): origin}
         self.order = [origin]
         self.feeds: dict = {}    # id(fifo) -> (consumer session, input idx)
@@ -177,6 +189,9 @@ class _Train:
         # Whether ff_close_chain's last walk may have gone stale: set by
         # supply published for a CK outside the train.
         self.closure_stale = True
+        self.joint = None  # the sessions still running a joint round
+        self.joint_fail = None  # the session whose round failed a joint one
+        self.pairs: dict = {}   # id(session) -> (producer, consumer, fifo)
         self.hook_inputs(origin)
 
     def lane_of(self, fifo):
@@ -219,10 +234,11 @@ class _Train:
         proc = peer.proc
         state_ok = (arb._resume_state == "window"
                     or peer is self.planner._cascade_origin)
+        if pat is not None:
+            pat = pat.at_phase(arb._pattern_phase)
         if (pat is None or proc is None or proc.finished
                 or not state_ok
                 or arb._plan_until != arb._pattern_end
-                or arb._pattern_phase != 0
                 or arb._idx != pat.idx0
                 or arb._resume_reads != pat.reads0):
             return
@@ -231,12 +247,15 @@ class _Train:
         # items plus whatever the train has already published. A peer
         # rejected here is retried on every later failure of the session
         # that wanted it, by which time more may have been published.
+        # A FIFO shallower than the round, staged into by a session, can
+        # never hold it: that supply comes with the stager's joint round.
         inputs = arb.inputs
         v_items = self.v_items
         for j, need in pat.takes_per_input:
             f = inputs[j]
             pend = v_items.get(id(f))
-            if f.present_count + (len(pend[0]) if pend else 0) < need:
+            if f.present_count + (len(pend[0]) if pend else 0) < need \
+                    and (need <= f.capacity or id(f) not in self.stager):
                 return
         sess = _ReplicaSession(peer, pat, arb._plan_until, self.now)
         self.sessions[id(peer)] = sess
@@ -308,30 +327,57 @@ class _Train:
         return cur
 
     def validate_round(self, sess) -> bool:
-        """Validate ``sess``'s next pattern round; on success publish it
-        and advance the session.
+        """Validate ``sess``'s next pattern round on its own; on success
+        land it (publish and advance the session)."""
+        if not self.precheck(sess, None):
+            return False
+        next(self.round_steps(sess, None), None)  # never waits alone
+        if sess.pending is None:
+            return False
+        self.land_round(sess, None)
+        return True
+
+    def precheck(self, sess, coupled) -> bool:
+        """O(inputs) demand precheck: a round needs its full take count
+        per input (committed plus already-published virtual supply) —
+        without it, walking the events just to fail is wasted work. The
+        input ``coupled`` names gets its supply from a joint round."""
+        avail = sess.avail
+        inputs = sess.arb.inputs
+        for j, need in sess.pattern.takes_per_input:
+            if avail[j] < need and id(inputs[j]) != coupled:
+                sess.starved_on = inputs[j]
+                sess.blocked_on = None
+                sess.last_fail = ('precheck', j, need, avail[j])
+                return False
+        return True
+
+    def round_steps(self, sess, peers):
+        """Generator: validate ``sess``'s next pattern round (after its
+        :meth:`precheck`). It leaves the round's ``(pos, takes, runs)``
+        on ``sess.pending`` when the round validates, and ``None`` there
+        (the failure recorded on the session) when it does not.
 
         The round's state lives in locals: the snapshot columns, position
         and take run of the input its last event read, and the free /
         rel_ptr / next_free budget and stage run of the target it last
         staged into. A switch to another input or target parks them in
         the round's ``pos`` / ``takes`` / ``runs`` tables. Nothing reaches
-        the session or a cursor until the round validates, so a failed
-        round has nothing to roll back.
+        the session or a cursor until the round lands, so a failed round
+        has nothing to roll back.
+
+        ``peers`` maps each FIFO of a joint round (see
+        :meth:`validate_coupled`) to the session on its other end. Where
+        the round needs what that session's round has not published yet
+        — a slot its takes free, an item it stages, its frontier past a
+        silence observation — it publishes its own runs on the coupled
+        FIFO so far and yields until the peer moves. With ``peers`` None
+        it never yields.
         """
+        sess.pending = None
         ck_s = sess.ck
         inputs = sess.arb.inputs
-        avail = sess.avail
-        pattern = sess.pattern
-        # O(inputs) demand precheck: a round needs its full take count
-        # per input (committed plus already-published virtual supply) —
-        # without it, walking the events just to fail is wasted work.
-        for j, need in pattern.takes_per_input:
-            if avail[j] < need:
-                sess.starved_on = inputs[j]
-                sess.blocked_on = None
-                sess.last_fail = ('precheck', j, need, avail[j])
-                return False
+        joint = self.joint
         route = ck_s._route
         route_memo = ck_s._route_memo
         snap_items = sess.snap_items
@@ -345,6 +391,7 @@ class _Train:
         pos = sess.ptr.copy()
         takes: dict = {}
         runs: dict = {}
+        sent: dict = {}  # id(coupled fifo) -> entries its peer has seen
         jc = -1         # the input in locals
         items = ready = xs = None
         p = 0
@@ -353,23 +400,33 @@ class _Train:
         free = rel_ptr = next_free = pace = 0
         key = -1        # the last routing key, and where it routes
         out = None
-        for rel_c, kind, j, rel_s, target in pattern.events:
+        for rel_c, kind, j, rel_s, target in sess.pattern.events:
             X = T + rel_c
             if kind == 1:
                 # Pattern polled this input and found it unreadable: the
                 # replica must re-prove it. With items (real or virtual)
                 # present the head's visibility is exact; drained inputs
-                # need a horizon past X (retrying under self-silence).
+                # need a horizon past X (retrying under self-silence), or
+                # a coupled peer whose unpublished stages all land later.
                 if j == jc:
                     q, rd = p, ready
                 else:
                     q, rd = pos[j], snap_ready[j]
+                peer = peers.get(id(inputs[j])) if peers else None
+                if peer is not None:
+                    lat = inputs[j].latency
+                    while not (q < len(rd) or sess.ensure(j, q + 1)) \
+                            and peer.frontier + lat <= X \
+                            and id(peer) in joint:
+                        self.publish_joint(sess, peers, takes, runs, sent)
+                        sess.frontier = X
+                        yield
                 if q < len(rd) or sess.ensure(j, q + 1):
                     if rd[q] <= X:
                         fail = ('early-arrival', j, X, rd[q])
                         fatal = True  # an arrival beat the pattern's rhythm
                         break
-                else:
+                elif peer is None or peer.frontier + lat <= X:
                     hz = sess.hz_cache.get(j)
                     if hz is None:
                         hz = sess.hz_cache[j] = \
@@ -389,6 +446,16 @@ class _Train:
                 ready = snap_ready[j]
                 p = pos[j]
                 xs = takes.get(j)
+            if peers and p >= len(items):
+                peer = peers.get(id(inputs[j]))
+                if peer is not None:
+                    lat = inputs[j].latency
+                    while not sess.ensure(j, p + 1) \
+                            and peer.frontier + lat <= X \
+                            and id(peer) in joint:
+                        self.publish_joint(sess, peers, takes, runs, sent)
+                        sess.frontier = X
+                        yield
             # A take, or (kind 2) the readable witness of a rotation: the
             # head must be visible by X.
             if (p >= len(items) and not sess.ensure(j, p + 1)) \
@@ -437,16 +504,25 @@ class _Train:
             s = next_free if next_free > X else X
             if free > 0:
                 free -= 1
-            elif rel_ptr < len(rels):
-                floor = rels[rel_ptr] + 1
-                rel_ptr += 1
-                if floor > s:
-                    s = floor
             else:
-                sess.blocked_on = cur.fifo
-                sess.starved_on = None
-                fail = ('no-slot', j, X, cur.fifo.name)
-                break
+                if peers and rel_ptr >= len(rels):
+                    peer = peers.get(id(out))
+                    if peer is not None:
+                        while rel_ptr >= len(rels) and id(peer) in joint:
+                            self.publish_joint(sess, peers, takes, runs,
+                                               sent)
+                            sess.frontier = X
+                            yield
+                if rel_ptr < len(rels):
+                    floor = rels[rel_ptr] + 1
+                    rel_ptr += 1
+                    if floor > s:
+                        s = floor
+                else:
+                    sess.blocked_on = cur.fifo
+                    sess.starved_on = None
+                    fail = ('no-slot', j, X, cur.fifo.name)
+                    break
             expected = T + rel_s
             if s != expected:
                 if s > expected:
@@ -466,39 +542,182 @@ class _Train:
             else:
                 xs.append(X)
         else:
-            # The round validated: write its state back, then publish once
-            # per FIFO it touched — all takes, then all stages (the
-            # per-FIFO order is the only one any ledger reads).
+            # The round validated: park the locals and hand the round
+            # back (a joint round's peer first sees the rest of its runs).
             if jc >= 0:
                 pos[jc] = p
-            sess.ptr = pos
-            take_cycles = sess.take_cycles
-            for j, xs in takes.items():
-                take_cycles[j].extend(xs)
-                avail[j] -= len(xs)
-                self.publish_releases(inputs[j], xs)
             if tgt is not None:
                 run[1] = free
                 run[2] = rel_ptr
                 run[3] = next_free
-            stage_cursors = sess.stage_cursors
-            for cur, free, rel_ptr, next_free, pkts, cycles in runs.values():
-                cur.free = free
-                cur.rel_ptr = rel_ptr
-                cur.next_free = next_free
-                cur.stage_pkts.extend(pkts)
-                cur.stage_cycles.extend(cycles)
-                stage_cursors[id(cur)] = cur
-                self.publish_supply(cur.fifo, pkts, cycles)
-            sess.takes += pattern.n_takes
-            sess.rounds += 1
-            sess.T += pattern.delta
-            sess.blocked_on = None
-            sess.starved_on = None
-            return True
+            if peers:
+                self.publish_joint(sess, peers, takes, runs, sent)
+            sess.pending = pos, takes, runs
+            return
         if fatal:
             sess.done = True
         sess.last_fail = fail
+
+    def land_round(self, sess, coupled) -> None:
+        """Write the validated ``sess.pending`` round back and publish it
+        once per FIFO it touched — all takes, then all stages (the
+        per-FIFO order is the only one any ledger reads) — except the
+        FIFO ``coupled`` names: a joint round published it while it ran."""
+        pos, takes, runs = sess.pending
+        sess.pending = None
+        inputs = sess.arb.inputs
+        avail = sess.avail
+        sess.ptr = pos
+        take_cycles = sess.take_cycles
+        for j, xs in takes.items():
+            take_cycles[j].extend(xs)
+            avail[j] -= len(xs)
+            if id(inputs[j]) != coupled:
+                self.publish_releases(inputs[j], xs)
+        stage_cursors = sess.stage_cursors
+        for cur, free, rel_ptr, next_free, pkts, cycles in runs.values():
+            cur.free = free
+            cur.rel_ptr = rel_ptr
+            cur.next_free = next_free
+            cur.stage_pkts.extend(pkts)
+            cur.stage_cycles.extend(cycles)
+            stage_cursors[id(cur)] = cur
+            if id(cur.fifo) != coupled:
+                self.publish_supply(cur.fifo, pkts, cycles)
+        sess.takes += sess.pattern.n_takes
+        sess.rounds += 1
+        sess.T += sess.pattern.delta
+        sess.blocked_on = None
+        sess.starved_on = None
+
+    def publish_joint(self, sess, peers, takes, runs, sent) -> None:
+        """Publish what a joint round has validated on its coupled FIFOs
+        since it last did (``sent`` counts the entries already out)."""
+        inputs = sess.arb.inputs
+        for j, xs in takes.items():
+            fid = id(inputs[j])
+            k = sent.get(fid, 0)
+            if fid in peers and len(xs) > k:
+                self.publish_releases(inputs[j], xs[k:])
+                sent[fid] = len(xs)
+        for fifo, run in runs.items():
+            fid = id(fifo)
+            k = sent.get(fid, 0)
+            if fid in peers and len(run[4]) > k:
+                self.publish_supply(fifo, run[4][k:], run[5][k:])
+                sent[fid] = len(run[4])
+
+    def coupled_peer(self, sess):
+        """The joint round ``sess``'s last failure asks for, as
+        ``(producer, consumer, fifo)``, or ``None``.
+
+        A producer that ran out of slots on an on-chip FIFO and its
+        consumer that ran out of items on the same FIFO wait on each
+        other's *same* round when the FIFO is shallower than a round:
+        the producer's last stages need slots only the consumer's takes
+        of that round free, and those takes need those stages. Both
+        failures must be current (the peer is not dirty), the patterns
+        must share Δ, and ``fifo`` must have no other producer (the
+        frontier silence proof speaks for one writer).
+        """
+        fail = sess.last_fail[0]
+        if fail == 'no-slot':
+            fifo = sess.blocked_on
+            hooked = self.feeds.get(id(fifo))
+            if hooked is None:
+                return None
+            producer = sess
+            consumer = peer = hooked[0]
+            ok = peer.starved_on is fifo and peer.last_fail[0] in _STARVED
+        elif fail in _STARVED:
+            fifo = sess.starved_on
+            producer = peer = self.stager.get(id(fifo))
+            if peer is None:
+                return None
+            consumer = sess
+            ok = peer.blocked_on is fifo and peer.last_fail[0] == 'no-slot'
+        else:
+            return None
+        if not ok or peer is sess or peer.dirty or peer.done \
+                or peer.pattern.delta != sess.pattern.delta \
+                or peer.takes + peer.pattern.n_takes > self.max_takes \
+                or fifo.producers != (producer.ck.proc,):
+            return None
+        return producer, consumer, fifo
+
+    def validate_coupled(self, producer, consumer, fifo) -> bool:
+        """Validate the next rounds of two sessions coupled through
+        ``fifo`` as one event stream; both land or neither does.
+
+        Each round runs as a :meth:`round_steps` generator, resumed in
+        turn: a stage into ``fifo`` becomes the consumer's supply
+        (visible at ``s + latency``), a take from it a release the
+        producer may stage after (at ``x + 1``), each published as the
+        generator waits. A waiting session's ``frontier`` is the cycle of
+        the event it waits at — nothing it has yet to stage lands
+        earlier — and a settled one's is its next round's base. A pass
+        in which no ledger grew, no frontier moved and no round settled
+        is a deadlock: the patterns cannot hold together. On failure the
+        tentative ledger entries are cut back to where they were, so the
+        train is as the two solo failures left it.
+        """
+        fid = id(fifo)
+        rels = self.v_rels.get(fid)
+        pend = self.v_items.get(fid)
+        n_rels = len(rels) if rels else 0
+        n_items = len(pend[0]) if pend else 0
+        self.joint_fail = None
+        for sess in (producer, consumer):
+            if not self.precheck(sess, fid):
+                self.joint_fail = sess
+                producer.dirty = consumer.dirty = False
+                return False
+        live = self.joint = {}  # id(session) -> (session, its round)
+        for sess, peer in ((producer, consumer), (consumer, producer)):
+            sess.frontier = sess.T
+            live[id(sess)] = (sess, self.round_steps(sess, {fid: peer}))
+        mark = None
+        ok = True
+        while live and ok:
+            for key, (sess, steps) in list(live.items()):
+                if next(steps, live) is not live:
+                    continue  # waits on its peer
+                del live[key]
+                if sess.pending is None:
+                    self.joint_fail = sess
+                    ok = False
+                    break
+                sess.frontier = sess.T + sess.pattern.delta
+            rels = self.v_rels.get(fid)
+            pend = self.v_items.get(fid)
+            now = (len(rels) if rels else 0, len(pend[0]) if pend else 0,
+                   producer.frontier, consumer.frontier, len(live))
+            if now == mark:
+                ok = False  # deadlock
+            mark = now
+        self.joint = None
+        if ok:
+            self.land_round(producer, fid)
+            self.land_round(consumer, fid)
+            producer.dirty = consumer.dirty = True
+            self.pairs[id(producer)] = self.pairs[id(consumer)] = \
+                (producer, consumer, fifo)
+            return True
+        # Cut the tentative entries back: the consumer's snapshot and the
+        # train's ledger of stages, the ledger and cursor of releases.
+        n = len(pend[0]) - n_items if pend else 0
+        if n:
+            del pend[0][-n:], pend[1][-n:]
+            j = self.feeds[fid][1]
+            del consumer.snap_items[j][-n:], consumer.snap_ready[j][-n:]
+            consumer.avail[j] -= n
+        n = len(rels) - n_rels if rels else 0
+        if n:
+            del rels[-n:]
+            cur = self.cursor_fifo.get(fid)
+            if cur is not None:
+                del cur.rels[-n:]
+        producer.dirty = consumer.dirty = False
         return False
 
     def extend_lane(self, fifo, is_send: bool) -> bool:
@@ -519,6 +738,61 @@ class _Train:
             self.publish_releases(fifo, ext)
         return True
 
+    def unblock(self, sess) -> bool:
+        """Invite the CK behind the FIFO ``sess`` last failed on, and
+        extend the app lane there if it has one; True when the lane
+        produced work."""
+        planner = self.planner
+        macro = self.macro_lanes is not None
+        if sess.blocked_on is not None:
+            self.try_join(planner.consumer_ck.get(id(sess.blocked_on)))
+            return macro and self.extend_lane(sess.blocked_on, False)
+        if sess.starved_on is not None:
+            self.try_join(planner.producer_ck.get(id(sess.starved_on)))
+            return macro and self.extend_lane(sess.starved_on, True)
+        return False
+
+    def sweep_pair(self, producer, consumer, fifo) -> bool:
+        """Move a coupled pair one joint round; True when a round landed
+        or a lane moved.
+
+        A landed round feeds the app lanes on the pair's far sides at
+        once, so the next round does not first fail on them. A round
+        that failed on a lane retries once the lane moved; one that
+        waits on a session of the train keeps the pair, quiet until that
+        session publishes; any other failure splits the pair, and its
+        sessions try their rounds alone again.
+        """
+        max_takes = self.max_takes
+        moved = False
+        while producer.takes + producer.pattern.n_takes <= max_takes \
+                and consumer.takes + consumer.pattern.n_takes <= max_takes \
+                and not (producer.done or consumer.done):
+            if self.validate_coupled(producer, consumer, fifo):
+                if self.macro_lanes is not None:
+                    inputs = producer.arb.inputs
+                    for j in producer.pattern.inputs_used:
+                        self.extend_lane(inputs[j], True)
+                    for out in consumer.pattern.target_fifos:
+                        self.extend_lane(out, False)
+                return True
+            failed = self.joint_fail
+            if failed is None or failed.done:
+                break
+            if self.unblock(failed):
+                moved = True
+                continue
+            if failed.blocked_on is not None:
+                waits, other = failed.blocked_on, self.feeds
+            else:
+                waits, other = failed.starved_on, self.stager
+            if waits is not fifo and id(waits) in other:
+                return moved  # a session of the train will free it
+            break
+        del self.pairs[id(producer)], self.pairs[id(consumer)]
+        producer.dirty = consumer.dirty = True
+        return moved
+
     def sweep(self) -> None:
         """Ping-pong: sweep sessions until no round makes progress.
 
@@ -530,8 +804,8 @@ class _Train:
         every session of a lane-fed chain one round, and a chain's sweep
         period is its round, not a ping-pong of two.
         """
-        planner = self.planner
         order = self.order
+        pairs = self.pairs
         max_takes = self.max_takes
         macro = self.macro_lanes is not None
         ff = self.ff
@@ -541,24 +815,31 @@ class _Train:
             sweeps += 1
             progress = False
             for sess in order:
+                coupled = pairs.get(id(sess))
+                if coupled is not None:
+                    if sess is coupled[0] and (sess.dirty
+                                               or coupled[1].dirty) \
+                            and self.sweep_pair(*coupled):
+                        progress = True
+                    if id(sess) in pairs:
+                        continue  # the pair moves when its producer does
                 while not sess.done and sess.dirty and \
                         sess.takes + sess.pattern.n_takes <= max_takes:
                     if self.validate_round(sess):
                         progress = True
                         break
                     sess.dirty = False
-                    if sess.blocked_on is not None:
-                        self.try_join(
-                            planner.consumer_ck.get(id(sess.blocked_on)))
-                        if macro and self.extend_lane(sess.blocked_on,
-                                                      False):
+                    coupled = self.coupled_peer(sess)
+                    if coupled is not None:
+                        if self.validate_coupled(*coupled):
                             progress = True
-                    elif sess.starved_on is not None:
-                        self.try_join(
-                            planner.producer_ck.get(id(sess.starved_on)))
-                        if macro and self.extend_lane(sess.starved_on,
-                                                      True):
+                            break
+                        failed = self.joint_fail
+                        if failed is not None and failed is not sess \
+                                and self.unblock(failed):
                             progress = True
+                    if self.unblock(sess):
+                        progress = True
             if not ff.dead and macro and max_takes == MACRO_MAX_TAKES:
                 if ff_close_chain(self):
                     progress = True  # new sessions need a sweep before ff

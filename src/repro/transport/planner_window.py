@@ -662,11 +662,13 @@ class WindowPattern:
     """
 
     __slots__ = ("delta", "idx0", "reads0", "events", "n_takes",
-                 "inputs_used", "takes_per_input", "target_fifos", "sigs")
+                 "inputs_used", "takes_per_input", "target_fifos", "sigs",
+                 "rotations")
 
     def __init__(self, delta, idx0, reads0, ops_rel, obs_rel,
                  sigs=()) -> None:
         self.sigs = sigs  # the window signatures one round cycles through
+        self.rotations: dict = {}  # phase -> this round begun there
         self.delta = delta    # round length in cycles
         self.idx0 = idx0      # arbiter pointer at every round boundary
         self.reads0 = reads0  # open R-round reads at every round boundary
@@ -723,6 +725,21 @@ class WindowPattern:
             if tgt not in tfifos:
                 tfifos.append(tgt)
         self.target_fifos = tuple(tfifos)
+
+    def at_phase(self, phase):
+        """The round begun at window ``phase`` of its cycle: the same
+        windows rotated, so a CK that stopped between two windows of a
+        round replicates from where it stopped. Its boundary state is
+        that window's start state, and a whole number of its rounds
+        leaves the CK at the same phase."""
+        if phase == 0:
+            return self
+        pat = self.rotations.get(phase)
+        if pat is None:
+            sigs = self.sigs
+            pat = self.rotations[phase] = _compile_pattern(
+                [(sig, None) for sig in sigs[phase:] + sigs[:phase]])
+        return pat
 
 
 def _compile_pattern(entries):

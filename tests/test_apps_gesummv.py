@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.apps.blas import gesummv_reference
 from repro.apps.gesummv import GesummvModel, run_distributed_sim, run_single_sim
 from repro.core.config import MemoryConfig
+from repro.simulation import memory
 
 
 def _random_problem(n, seed=0, m=None):
@@ -68,6 +69,52 @@ def test_distributed_speedup_when_memory_bound():
     _, t_single = run_single_sim(1.0, 1.0, A, B, x)
     _, t_dist = run_distributed_sim(1.0, 1.0, A, B, x)
     assert t_single / t_dist > 1.6
+
+
+def _run_recording_banks(monkeypatch, run, banks, ghost):
+    """``run`` on boards of ``banks`` DDR banks, every bank with a second
+    registered reader if ``ghost``; returns the result, the elapsed time,
+    each bank's ``total_granted`` and how many reads were booked at once."""
+    made, booked = [], []
+    init, book = memory.MemoryBank.__init__, memory.MemoryBank.book
+
+    def bank_init(bank, *args, **kwargs):
+        init(bank, *args, **kwargs)
+        made.append(bank)
+        if ghost:
+            bank.readers.add("ghost")
+
+    def spy_book(bank, elements):
+        booked.append(elements)
+        return book(bank, elements)
+
+    monkeypatch.setattr(memory.MemoryBank, "__init__", bank_init)
+    monkeypatch.setattr(memory.MemoryBank, "book", spy_book)
+    A, B, x = _random_problem(40, seed=6, m=72)
+    y, us = run(1.5, -0.5, A, B, x, memory=MemoryConfig(num_banks=banks))
+    monkeypatch.undo()
+    return y, us, [bank.total_granted for bank in made], len(booked)
+
+
+@pytest.mark.parametrize("banks", [1, 2, 4])
+@pytest.mark.parametrize("run", [run_single_sim, run_distributed_sim],
+                         ids=["single", "distributed"])
+def test_a_sole_reader_books_each_row_at_once(monkeypatch, run, banks):
+    """A GEMV reading banks no other kernel reads books each row in one
+    resume; a second registered reader on every bank forces the
+    per-cycle grant loop. Both give the same cycles, result and per-bank
+    grants. With one bank ``run_single_sim`` hands both GEMVs the same
+    ports, so that program runs the loop either way: a bank is shared by
+    reading kernels, not by ports."""
+    y, us, granted, books = _run_recording_banks(monkeypatch, run, banks,
+                                                 ghost=False)
+    y_loop, us_loop, granted_loop, books_loop = _run_recording_banks(
+        monkeypatch, run, banks, ghost=True)
+    assert books_loop == 0
+    assert (books == 0) == (run is run_single_sim and banks == 1)
+    assert us == us_loop
+    assert granted == granted_loop and sum(granted) == 2 * 40 * 72
+    np.testing.assert_array_equal(y, y_loop)
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,7 @@ here:
 import numpy as np
 import pytest
 
-from repro import NOCTUA, SMI_FLOAT, SMIProgram, noctua_bus
+from repro import NOCTUA, SMI_FLOAT, SMIProgram, noctua_bus, noctua_torus
 from repro.codegen.metadata import OpDecl
 from repro.core.config import hardware_preset
 from repro.core.errors import SimulationError
@@ -55,9 +55,10 @@ BURST = DEEP.with_(macro_cruise=False)
 N = 65536
 
 
-def _run_stream(config, n=N, width=8, fold_watermark=None, hops=1):
+def _run_stream(config, n=N, width=8, fold_watermark=None, hops=1,
+                topology=noctua_bus, pop_width=None):
     """Deep-preset p2p stream over ``hops``; returns (result, stats)."""
-    prog = SMIProgram(noctua_bus(), config=config)
+    prog = SMIProgram(topology(), config=config)
     data = np.arange(n, dtype=np.float32) % 1024
 
     def snd(smi):
@@ -68,7 +69,7 @@ def _run_stream(config, n=N, width=8, fold_watermark=None, hops=1):
 
     def rcv(smi):
         ch = smi.open_recv_channel(n, SMI_FLOAT, 0, 0)
-        out = yield from ch.pop_vec(n, width=width)
+        out = yield from ch.pop_vec(n, width=pop_width or width)
         smi.store("sum", float(np.sum(out)))
         smi.store("ok", bool(np.array_equal(out, data)))
         smi.store("end", smi.cycle)
@@ -735,9 +736,13 @@ def test_chain_closure_rewalks_only_when_stale(monkeypatch):
     assert res.engine.fifo_stats() == ref.engine.fifo_stats()
 
 
-@pytest.mark.parametrize("config, hops", [(NOCTUA, 4), (DEEP, 1)],
-                         ids=["noctua-4hop", "deep-1hop"])
-def test_train_ledgers_keep_the_per_fifo_order(config, hops, monkeypatch):
+@pytest.mark.parametrize(
+    "config, hops, topology",
+    [(NOCTUA, 4, noctua_bus), (DEEP, 1, noctua_bus),
+     (NOCTUA.with_(read_burst=16), 1, noctua_torus)],
+    ids=["noctua-4hop", "deep-1hop", "r16-torus"])
+def test_train_ledgers_keep_the_per_fifo_order(config, hops, topology,
+                                               monkeypatch):
     """A validated round publishes one run per FIFO it touched; what each
     ledger then holds must be what the round validated, in FIFO order.
     At every train end: each hooked consumer's virtual supply ends with
@@ -777,9 +782,59 @@ def test_train_ledgers_keep_the_per_fifo_order(config, hops, monkeypatch):
 
     monkeypatch.setattr(planner_window._TargetCursor, "commit", spy)
     monkeypatch.setattr(planner_train, "_train_debug", at_train_end)
-    _res, stats = _run_stream(config, n=1 << 14, hops=hops)
+    _res, stats = _run_stream(config, n=1 << 14, hops=hops,
+                              topology=topology)
     assert stats.ff_jumps >= 1
     assert sum(checked) > 0, checked
+
+
+# ----------------------------------------------------------------------
+# Rounds longer than an interior FIFO (ROADMAP item 6)
+# ----------------------------------------------------------------------
+R16 = NOCTUA.with_(read_burst=16)
+
+
+@pytest.mark.parametrize("n", [2800, 28000])
+def test_a_round_longer_than_its_hand_off_jumps(monkeypatch, n):
+    """Read burst 16 on the torus, 1 hop (``small_msgs``' ``injection_R16``
+    program): a 34-cycle round moves 16 packets through the 8-deep
+    ``cks0 -> cks1`` and ``ckr3 -> ckr0`` hand-offs, so neither session
+    of a hand-off can validate its round before the other's (every train
+    ended at round 0). Their rounds validate as one joint round, the
+    trains replicate and the stream jumps, on the specification's
+    cycles and per-FIFO counts."""
+    joint = []
+    validate = planner_train._Train.validate_coupled
+
+    def spy(train, *args):
+        ok = validate(train, *args)
+        joint.append(ok)
+        return ok
+
+    monkeypatch.setattr(planner_train._Train, "validate_coupled", spy)
+    res, stats = _run_stream(R16, n=n, topology=noctua_torus)
+    monkeypatch.undo()
+    ref, _ = _run_stream(R16.with_(burst_mode=False), n=n,
+                         topology=noctua_torus)
+    assert any(joint), "no joint round validated"
+    assert stats.replicated_rounds > 0
+    assert stats.ff_jumps >= 1
+    _assert_same_trajectory(res, ref, 1)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: a push_vec or pop_vec width that does not divide the "
+    "7-float packet (3) never jumps; a push width 3 replicates no round"))
+@pytest.mark.parametrize("config, hops, widths", [
+    (NOCTUA, 1, (3, 8)), (NOCTUA, 1, (8, 3)), (DEEP, 1, (3, 8)),
+    (NOCTUA, 4, (3, 8))], ids=["noctua-1hop-3/8", "noctua-1hop-8/3",
+                               "deep-1hop-3/8", "noctua-4hop-3/8"])
+def test_a_width_three_stream_jumps(config, hops, widths):
+    """The 4-hop 3/8 stream costs ~270 ms against ~20 ms at 8/8."""
+    push, pop = widths
+    _res, stats = _run_stream(config, n=1 << 14, width=push, pop_width=pop,
+                              hops=hops)
+    assert stats.ff_jumps >= 1
 
 
 def test_max_cycles_inside_a_shifted_span():

@@ -135,3 +135,24 @@ def test_bank_utilization_metric():
     assert bank.total_granted == 50
     assert bank.utilization(eng.cycle) == pytest.approx(1.0)
     assert bank.utilization(0) == 0.0
+
+
+def test_a_booked_read_refuses_other_grants():
+    eng = Engine()
+    bank = MemoryBank(eng, "b0", width_elements=16)
+    bank.readers.add("gemv")
+    assert bank.sole_reader()
+    assert bank.book(40) == 3 and bank.total_granted == 40
+    with pytest.raises(SimulationError, match="booked until 3"):
+        bank.grant(1)
+
+
+def test_a_sole_reader_needs_the_whole_cycle_budget():
+    eng = Engine()
+    bank = MemoryBank(eng, "b0", width_elements=16)
+    bank.readers.add("gemv")
+    bank.grant(4)  # an unregistered port took part of this cycle's budget
+    assert not bank.sole_reader()
+    other = MemoryBank(eng, "b1", width_elements=16)
+    other.readers.update(("gemvA", "gemvB"))
+    assert not other.sole_reader()

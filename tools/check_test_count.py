@@ -8,8 +8,10 @@ suite still exits green. Each CI job therefore runs::
     python tools/check_test_count.py JOB [pytest selection args...]
 
 before its real pytest invocation. The tool collects (``--collect-only``)
-with exactly the job's selection, compares the count against the
-committed baseline in ``tools/test_counts.json``, and prints the delta.
+with exactly the job's selection — ``JOBS[JOB]`` when no arguments
+follow the job name, which is how CI calls it, so each selection lives
+in one place — compares the count against the committed baseline in
+``tools/test_counts.json``, and prints the delta.
 Any mismatch fails: a shrink is the regression this guards against, and
 a growth must be acknowledged by re-running with ``--update`` and
 committing the new baseline alongside the tests that moved it.
@@ -25,10 +27,10 @@ from pathlib import Path
 
 BASELINE = Path(__file__).resolve().parent / "test_counts.json"
 
-#: Canonical pytest selection per CI job — the same argument vectors the
-#: workflow passes on the command line (kept in sync with
-#: ``.github/workflows/ci.yml``). ``tools/update_test_counts.py`` uses
-#: this map to refresh every baseline in one invocation.
+#: Canonical pytest selection per CI job: what a bare
+#: ``check_test_count.py JOB`` collects (``.github/workflows/ci.yml``
+#: calls it bare), and what ``tools/update_test_counts.py`` uses to
+#: refresh every baseline in one invocation.
 JOBS: dict[str, list[str]] = {
     "tier1": ["-m", "not slow"],
     "slow": ["-m", "slow"],
@@ -68,6 +70,8 @@ def main(argv: list[str]) -> int:
         raise SystemExit(
             "usage: check_test_count.py [--update] JOB [pytest args...]")
     job, pytest_args = argv[0], argv[1:]
+    if not pytest_args and job in JOBS:
+        pytest_args = JOBS[job]
     counts = json.loads(BASELINE.read_text()) if BASELINE.exists() else {}
     got = collect_count(pytest_args)
     want = counts.get(job)
@@ -78,7 +82,7 @@ def main(argv: list[str]) -> int:
         print(f"{job}: baseline set to {got}")
         return 0
     update_cmd = (f"python tools/update_test_counts.py {job}"
-                  if job in JOBS else
+                  if job in JOBS and pytest_args == JOBS[job] else
                   "python tools/check_test_count.py --update "
                   + " ".join([job, *pytest_args]))
     if want is None:
