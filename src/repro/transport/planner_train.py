@@ -63,7 +63,7 @@ class _ReplicaSession:
                  "snap_ready", "snap_iter", "ptr", "avail", "take_cycles",
                  "rounds", "takes", "blocked_on", "starved_on",
                  "hz_cache", "stage_cursors", "done", "dirty", "last_fail",
-                 "frontier", "pending")
+                 "frontier", "pending", "sent")
 
     def __init__(self, ck, pattern, start, now) -> None:
         self.ck = ck
@@ -99,6 +99,7 @@ class _ReplicaSession:
         self.last_fail = None   # (event, X, detail) of the last failure
         self.frontier = start   # no unpublished stage of a joint round earlier
         self.pending = None     # a validated round's state, until it lands
+        self.sent: dict = {}    # id(fifo) -> entries a joint round published
 
     def ensure(self, j, k) -> bool:
         """Extend input ``j``'s snapshot to >= ``k`` items if they exist."""
@@ -189,7 +190,7 @@ class _Train:
         # Whether ff_close_chain's last walk may have gone stale: set by
         # supply published for a CK outside the train.
         self.closure_stale = True
-        self.joint = None  # the sessions still running a joint round
+        self.joint = None  # id(session) -> (session, peers) of a joint round
         self.joint_fail = None  # the session whose round failed a joint one
         self.pairs: dict = {}   # id(session) -> (producer, consumer, fifo)
         self.hook_inputs(origin)
@@ -329,34 +330,17 @@ class _Train:
     def validate_round(self, sess) -> bool:
         """Validate ``sess``'s next pattern round on its own; on success
         land it (publish and advance the session)."""
-        if not self.precheck(sess, None):
-            return False
-        next(self.round_steps(sess, None), None)  # never waits alone
+        self.run_round(sess, None)
         if sess.pending is None:
             return False
         self.land_round(sess, None)
         return True
 
-    def precheck(self, sess, coupled) -> bool:
-        """O(inputs) demand precheck: a round needs its full take count
-        per input (committed plus already-published virtual supply) —
-        without it, walking the events just to fail is wasted work. The
-        input ``coupled`` names gets its supply from a joint round."""
-        avail = sess.avail
-        inputs = sess.arb.inputs
-        for j, need in sess.pattern.takes_per_input:
-            if avail[j] < need and id(inputs[j]) != coupled:
-                sess.starved_on = inputs[j]
-                sess.blocked_on = None
-                sess.last_fail = ('precheck', j, need, avail[j])
-                return False
-        return True
-
-    def round_steps(self, sess, peers):
-        """Generator: validate ``sess``'s next pattern round (after its
-        :meth:`precheck`). It leaves the round's ``(pos, takes, runs)``
-        on ``sess.pending`` when the round validates, and ``None`` there
-        (the failure recorded on the session) when it does not.
+    def run_round(self, sess, peers) -> bool:
+        """Validate ``sess``'s next pattern round. It leaves the round's
+        ``(pos, takes, runs)`` on ``sess.pending`` when the round
+        validates, and ``None`` there (the failure recorded on the
+        session) when it does not.
 
         The round's state lives in locals: the snapshot columns, position
         and take run of the input its last event read, and the free /
@@ -371,12 +355,26 @@ class _Train:
         the round needs what that session's round has not published yet
         — a slot its takes free, an item it stages, its frontier past a
         silence observation — it publishes its own runs on the coupled
-        FIFO so far and yields until the peer moves. With ``peers`` None
-        it never yields.
+        FIFO so far and returns True: the coordinator runs it again from
+        its start once the peer moved. A rerun walks the same prefix to
+        the same outcomes (the ledgers it read only grew at their tails,
+        the peer's frontier only rose) and publishes only past what
+        ``sess.sent`` says is out. With ``peers`` None it returns False.
         """
         sess.pending = None
         ck_s = sess.ck
         inputs = sess.arb.inputs
+        avail = sess.avail
+        # O(inputs) demand precheck: a round needs its full take count
+        # per input (committed plus already-published virtual supply) —
+        # without it, walking the events just to fail is wasted work. A
+        # coupled input's supply comes with the peer's round.
+        for j, need in sess.pattern.takes_per_input:
+            if avail[j] < need and not (peers and id(inputs[j]) in peers):
+                sess.starved_on = inputs[j]
+                sess.blocked_on = None
+                sess.last_fail = ('precheck', j, need, avail[j])
+                return False
         joint = self.joint
         route = ck_s._route
         route_memo = ck_s._route_memo
@@ -391,7 +389,6 @@ class _Train:
         pos = sess.ptr.copy()
         takes: dict = {}
         runs: dict = {}
-        sent: dict = {}  # id(coupled fifo) -> entries its peer has seen
         jc = -1         # the input in locals
         items = ready = xs = None
         p = 0
@@ -412,31 +409,30 @@ class _Train:
                     q, rd = p, ready
                 else:
                     q, rd = pos[j], snap_ready[j]
-                peer = peers.get(id(inputs[j])) if peers else None
-                if peer is not None:
-                    lat = inputs[j].latency
-                    while not (q < len(rd) or sess.ensure(j, q + 1)) \
-                            and peer.frontier + lat <= X \
-                            and id(peer) in joint:
-                        self.publish_joint(sess, peers, takes, runs, sent)
-                        sess.frontier = X
-                        yield
                 if q < len(rd) or sess.ensure(j, q + 1):
                     if rd[q] <= X:
                         fail = ('early-arrival', j, X, rd[q])
                         fatal = True  # an arrival beat the pattern's rhythm
                         break
-                elif peer is None or peer.frontier + lat <= X:
-                    hz = sess.hz_cache.get(j)
-                    if hz is None:
-                        hz = sess.hz_cache[j] = \
-                            inputs[j].supply_horizon(self.memo)
-                    if hz <= X and _silent_hz(ck_s, inputs[j], X) <= X \
-                            and not ff_silent(self, sess, j, X):
-                        sess.starved_on = inputs[j]
-                        sess.blocked_on = None
-                        fail = ('no-horizon', j, X, hz)
-                        break
+                    continue
+                peer = peers.get(id(inputs[j])) if peers else None
+                if peer is not None:
+                    if peer.frontier + inputs[j].latency > X:
+                        continue  # its unpublished stages land later
+                    if id(peer) in joint:
+                        self.publish_joint(sess, peers, takes, runs)
+                        sess.frontier = X
+                        return True
+                hz = sess.hz_cache.get(j)
+                if hz is None:
+                    hz = sess.hz_cache[j] = \
+                        inputs[j].supply_horizon(self.memo)
+                if hz <= X and _silent_hz(ck_s, inputs[j], X) <= X \
+                        and not ff_silent(self, sess, j, X):
+                    sess.starved_on = inputs[j]
+                    sess.blocked_on = None
+                    fail = ('no-horizon', j, X, hz)
+                    break
                 continue
             if j != jc:
                 if jc >= 0:
@@ -446,20 +442,18 @@ class _Train:
                 ready = snap_ready[j]
                 p = pos[j]
                 xs = takes.get(j)
-            if peers and p >= len(items):
-                peer = peers.get(id(inputs[j]))
-                if peer is not None:
-                    lat = inputs[j].latency
-                    while not sess.ensure(j, p + 1) \
-                            and peer.frontier + lat <= X \
-                            and id(peer) in joint:
-                        self.publish_joint(sess, peers, takes, runs, sent)
-                        sess.frontier = X
-                        yield
             # A take, or (kind 2) the readable witness of a rotation: the
             # head must be visible by X.
             if (p >= len(items) and not sess.ensure(j, p + 1)) \
                     or ready[p] > X:
+                peer = peers.get(id(inputs[j])) if peers else None
+                if peer is not None and p >= len(items) \
+                        and peer.frontier + inputs[j].latency <= X \
+                        and id(peer) in joint:
+                    # The peer may still stage the head in time.
+                    self.publish_joint(sess, peers, takes, runs)
+                    sess.frontier = X
+                    return True
                 sess.starved_on = inputs[j]
                 sess.blocked_on = None
                 fail = ('witness-missing' if kind else 'take-starved',
@@ -504,25 +498,22 @@ class _Train:
             s = next_free if next_free > X else X
             if free > 0:
                 free -= 1
+            elif rel_ptr < len(rels):
+                floor = rels[rel_ptr] + 1
+                rel_ptr += 1
+                if floor > s:
+                    s = floor
             else:
-                if peers and rel_ptr >= len(rels):
-                    peer = peers.get(id(out))
-                    if peer is not None:
-                        while rel_ptr >= len(rels) and id(peer) in joint:
-                            self.publish_joint(sess, peers, takes, runs,
-                                               sent)
-                            sess.frontier = X
-                            yield
-                if rel_ptr < len(rels):
-                    floor = rels[rel_ptr] + 1
-                    rel_ptr += 1
-                    if floor > s:
-                        s = floor
-                else:
-                    sess.blocked_on = cur.fifo
-                    sess.starved_on = None
-                    fail = ('no-slot', j, X, cur.fifo.name)
-                    break
+                peer = peers.get(id(out)) if peers else None
+                if peer is not None and id(peer) in joint:
+                    # The peer's takes may still free the slot.
+                    self.publish_joint(sess, peers, takes, runs)
+                    sess.frontier = X
+                    return True
+                sess.blocked_on = cur.fifo
+                sess.starved_on = None
+                fail = ('no-slot', j, X, cur.fifo.name)
+                break
             expected = T + rel_s
             if s != expected:
                 if s > expected:
@@ -551,12 +542,13 @@ class _Train:
                 run[2] = rel_ptr
                 run[3] = next_free
             if peers:
-                self.publish_joint(sess, peers, takes, runs, sent)
+                self.publish_joint(sess, peers, takes, runs)
             sess.pending = pos, takes, runs
-            return
+            return False
         if fatal:
             sess.done = True
         sess.last_fail = fail
+        return False
 
     def land_round(self, sess, coupled) -> None:
         """Write the validated ``sess.pending`` round back and publish it
@@ -590,10 +582,11 @@ class _Train:
         sess.blocked_on = None
         sess.starved_on = None
 
-    def publish_joint(self, sess, peers, takes, runs, sent) -> None:
+    def publish_joint(self, sess, peers, takes, runs) -> None:
         """Publish what a joint round has validated on its coupled FIFOs
-        since it last did (``sent`` counts the entries already out)."""
+        past what it published before (``sess.sent`` counts those)."""
         inputs = sess.arb.inputs
+        sent = sess.sent
         for j, xs in takes.items():
             fid = id(inputs[j])
             k = sent.get(fid, 0)
@@ -649,11 +642,11 @@ class _Train:
         """Validate the next rounds of two sessions coupled through
         ``fifo`` as one event stream; both land or neither does.
 
-        Each round runs as a :meth:`round_steps` generator, resumed in
-        turn: a stage into ``fifo`` becomes the consumer's supply
+        Each round runs (:meth:`run_round`) until it waits on the other,
+        in turn: a stage into ``fifo`` becomes the consumer's supply
         (visible at ``s + latency``), a take from it a release the
         producer may stage after (at ``x + 1``), each published as the
-        generator waits. A waiting session's ``frontier`` is the cycle of
+        round waits. A waiting session's ``frontier`` is the cycle of
         the event it waits at — nothing it has yet to stage lands
         earlier — and a settled one's is its next round's base. A pass
         in which no ledger grew, no frontier moved and no round settled
@@ -667,20 +660,16 @@ class _Train:
         n_rels = len(rels) if rels else 0
         n_items = len(pend[0]) if pend else 0
         self.joint_fail = None
-        for sess in (producer, consumer):
-            if not self.precheck(sess, fid):
-                self.joint_fail = sess
-                producer.dirty = consumer.dirty = False
-                return False
-        live = self.joint = {}  # id(session) -> (session, its round)
+        live = self.joint = {}  # id(session) -> (session, its peers)
         for sess, peer in ((producer, consumer), (consumer, producer)):
             sess.frontier = sess.T
-            live[id(sess)] = (sess, self.round_steps(sess, {fid: peer}))
+            sess.sent = {}
+            live[id(sess)] = (sess, {fid: peer})
         mark = None
         ok = True
         while live and ok:
-            for key, (sess, steps) in list(live.items()):
-                if next(steps, live) is not live:
+            for key, (sess, peers) in list(live.items()):
+                if self.run_round(sess, peers):
                     continue  # waits on its peer
                 del live[key]
                 if sess.pending is None:
@@ -717,6 +706,7 @@ class _Train:
             cur = self.cursor_fifo.get(fid)
             if cur is not None:
                 del cur.rels[-n:]
+        producer.pending = consumer.pending = None
         producer.dirty = consumer.dirty = False
         return False
 
