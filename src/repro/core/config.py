@@ -92,17 +92,18 @@ class HardwareConfig:
         literal per-flit interpretation, which is the specification
         every other plane is checked against.
     macro_cruise:
-        Whole-program analytical fast-forward (macro-cruise) on the
-        burst plane: the supply planner registers every plane of the
-        program (CK processes, support kernels, the app channels' burst
-        endpoints) and, whenever a replication train stalls on an
-        application endpoint whose channel is asleep inside a proven
-        deterministic burst plan, extends that plan arithmetically in
-        the same engine event — staging/taking with the exact per-flit
-        cycles — instead of waiting for the channel's next wake. Once
-        a train's sweeps settle into a proven period the planner jumps
-        whole spans of the steady state in closed form, and the engine
-        clock crosses each span in one event per plane. Cycle-exact
+        Analytical stream fast-forward (macro-cruise) on the burst
+        plane: the app channels' burst endpoints register their
+        sleeping vector bursts as lanes with the supply planner, and
+        whenever a replication train stalls on an application endpoint
+        whose channel is asleep inside a proven deterministic burst
+        plan, the train extends that plan arithmetically in the same
+        engine event — staging/taking with the exact per-flit cycles —
+        instead of waiting for the channel's next wake. Once a stream's
+        chain settles into a proven period the planner jumps the steady
+        state in closed form, proving each chain on its own (nothing
+        outside the chain is assumed quiet), and the engine clock
+        crosses the span in one event per plane. Cycle-exact
         like the plane beneath it (the fuzz suite pins flit / burst /
         default / sharded equality); every fast-forward window also
         asserts its closed-form span against the pattern arithmetic.

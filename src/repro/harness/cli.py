@@ -14,7 +14,7 @@ Usage::
 simulation backend (``sequential`` / ``sharded`` / ``process``, see
 :mod:`repro.shard`) with ``--shards`` fabric partitions — so any
 experiment runs under any buffer regime and execution backend without
-code edits; ``--no-macro-cruise`` switches the whole-program analytical
+code edits; ``--no-macro-cruise`` switches the per-stream analytical
 fast-forward (see docs/ARCHITECTURE.md, "Macro-cruise fast-forward";
 on by default) off for the chosen preset. ``--trace out.json`` turns on the
 cycle-domain flight recorder (see docs/ARCHITECTURE.md,
@@ -128,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-macro-cruise", dest="macro_cruise",
                         action="store_false",
                         help="run the simulated points on the burst plane "
-                             "without the whole-program analytical "
+                             "without the per-stream analytical "
                              "fast-forward (on by default)")
     parser.add_argument("--trace", default=None, metavar="OUT",
                         help="record a cycle-domain trace of the simulated "

@@ -33,7 +33,7 @@ class PlannerStats:
     number of Δ-shifted pattern rounds committed in bulk (the sum of all
     session lengths).
 
-    Macro-cruise (whole-program fast-forward) adds ``ff_cycles``: the
+    Macro-cruise (the per-stream fast-forward) adds ``ff_cycles``: the
     sum, over the trains whose sessions and lanes resolved into relay
     chains (the fast-forward armed; the engine dispatched no events
     inside them), of each train's span, its longest per-session

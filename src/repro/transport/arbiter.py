@@ -98,6 +98,7 @@ from typing import Callable, Generator
 from ..core.errors import SimulationError
 from ..simulation.conditions import RESUME, TICK, AnyReadable, WaitCycles
 from ..simulation.fifo import Fifo
+from .planner import PATTERN_MAX_PERIOD
 
 
 #: ``WaitCycles(k)`` at index ``k``: the wake-up scan's sleep for every
@@ -123,11 +124,10 @@ class PollingArbiter:
     #: CK's windows had paid — a replicated train or a landed jump since
     #: its previous attempt; a committed window that has not paid yet is
     #: neutral for the first ``PLAN_WINDOW_ALLOWANCE`` of them (what the
-    #: pattern detector needs to confirm its longest period:
-    #: ``2 * planner.PATTERN_MAX_PERIOD``) and a miss after that, like
-    #: an attempt that proved nothing. (Backing off changes only
-    #: wall-clock speed where planning is cycle-neutral. One known
-    #: exception: the (1024, 1024) sequential-sends program of
+    #: pattern detector needs to confirm its longest period) and a miss
+    #: after that, like an attempt that proved nothing. (Backing off
+    #: changes only wall-clock speed where planning is cycle-neutral.
+    #: One known exception: the (1024, 1024) sequential-sends program of
     #: ``tests/test_channels_p2p.py`` deadlocks on the burst plane, as
     #: the specification does, only because planning backs off; without
     #: the backoff it completes — a window / train planning fault,
@@ -135,7 +135,7 @@ class PollingArbiter:
     PLAN_MISS_LIMIT = 2
     PLAN_SKIP_POLLS = 256
     PLAN_SKIP_MAX = 8192
-    PLAN_WINDOW_ALLOWANCE = 6
+    PLAN_WINDOW_ALLOWANCE = 2 * PATTERN_MAX_PERIOD
 
     def __init__(self, inputs: list[Fifo], read_burst: int) -> None:
         if not inputs:

@@ -476,10 +476,10 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
     ``config.macro_cruise`` additionally marks every app-facing stream
     endpoint (p2p send and receive endpoints) with the planner as its
     ``macro_host``, so sleeping ``push_vec``/``pop_vec`` bursts register
-    extendable lanes there, and records every support kernel in the
-    planner's plane registry — the global cruise condition consults it
-    before raising the per-train take budget (an unfinished support
-    kernel is an unproven plane, so macro degrades to ordinary trains).
+    extendable lanes there. Support kernels need no registration of
+    their own: the fast-forward proves each stream's chain alone, and a
+    support kernel's ``send_ep`` producer registration above is what
+    bounds a chain hop observing its traffic.
     """
     sp = SupplyPlanner(macro=config.macro_cruise, pinned=pinned)
     cks = [ck for rt in ranks.values()
@@ -532,6 +532,4 @@ def _wire_supply_planner(ranks: dict[int, RankTransport],
                 fifo.macro_host = sp
             for fifo in rt.recv_endpoints.values():
                 fifo.macro_host = sp
-            for kernel in rt.support_kernels.values():
-                sp.support_planes.append(kernel)
     return sp

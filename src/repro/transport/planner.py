@@ -45,15 +45,15 @@ very FIFOs whose conditions would have woken them.
 **This module owns** :class:`SupplyPlanner` — the entry point, the
 commit of a window's resume state, pattern detection, the cascade, the
 lane registry behind engagement's live state and the macro-cruise
-registry (app lanes, support planes, relay FIFOs). *When* a CK consults
-it is engagement, decided outside: the
-builder's route mark, the lane registry's ``live`` attribute and the
-arbiter's plan-miss backstop (``docs/ARCHITECTURE.md``, "Engagement") —
-nothing in here backs off, skips or gives up. **It reads** the arbiters'
-resume / pattern fields, parked CKs' input heads and horizons, process
-wait states. **It may mutate** the planner's cross-event state — all of
-which lives on the :class:`~repro.transport.arbiter.PollingArbiter`
-(``_idx`` / ``_resume_reads`` / ``_plan_until`` / ``_resume_state`` and the
+registry (app lanes, relay FIFOs). *When* a CK consults it is
+engagement, decided outside: the builder's route mark, the lane
+registry's ``live`` attribute and the arbiter's plan-miss backstop
+(``docs/ARCHITECTURE.md``, "Engagement") — nothing in here backs off,
+skips or gives up. **It reads** the arbiters' resume / pattern fields,
+parked CKs' input heads and horizons, process wait states. **It may
+mutate** the planner's cross-event state — all of which lives on the
+:class:`~repro.transport.arbiter.PollingArbiter` (``_idx`` /
+``_resume_reads`` / ``_plan_until`` / ``_resume_state`` and the
 ``_pattern*`` fields; see that module's docstring for the field-by-field
 contract) — ``PlannerStats`` and the engine's wake schedule; FIFOs only
 through ``plan_window`` and ``replicate_train``.
@@ -64,8 +64,8 @@ from __future__ import annotations
 from collections import deque
 
 from ..simulation.stats import PlannerStats
-from .planner_train import MACRO_MAX_TAKES, replicate_train
-from .planner_window import PLAN_MAX_TAKES, _compile_pattern, plan_window
+from .planner_train import replicate_train
+from .planner_window import _compile_pattern, plan_window
 
 #: Total co-plan / extension attempts per cascade (per initiating event).
 CASCADE_BUDGET = 64
@@ -148,10 +148,6 @@ class SupplyPlanner:
         #: :class:`repro.core.channel._SendLane` / ``_RecvLane``); a lane
         #: registers for the duration of one sleeping vector burst.
         self.app_lanes: dict[int, object] = {}
-        #: Plane registry for the global cruise condition: every support
-        #: kernel the builder wired (CK planes prove themselves per
-        #: resource inside the train; app planes prove via their lanes).
-        self.support_planes: list = []
         #: id(fifo) of every transit FIFO (CK-internal hand-offs, links
         #: between two of this planner's CKs): the fast-forward chain
         #: resolver walks *through* these and must terminate only on app
@@ -174,7 +170,7 @@ class SupplyPlanner:
             self.consumer_ck[id(fifo)] = consumer
 
     # ------------------------------------------------------------------
-    # Macro-cruise plane registry
+    # Lane registry (engagement's live state, macro-cruise's app lanes)
     # ------------------------------------------------------------------
     def reads(self, length: int) -> bool:
         """Whether a vector burst of ``length`` elements should publish
@@ -209,24 +205,6 @@ class SupplyPlanner:
                     engine.trace.emit(
                         self._live_since, "span", "planner", "live",
                         dur=engine.cycle - self._live_since)
-
-    def macro_take_budget(self) -> int:
-        """Per-train take budget under the global cruise condition.
-
-        The raised :data:`MACRO_MAX_TAKES` budget applies only when every
-        plane outside the train's own proof obligations is covered: app
-        kernels by registered lanes (checked per resource at extension
-        time) and every support plane provably silent (finished, or never
-        started). Any unproven plane keeps the ordinary budget — the
-        macro fast-forward degrades to ordinary trains, never guesses.
-        """
-        if not (self.macro and self.app_lanes):
-            return PLAN_MAX_TAKES
-        for plane in self.support_planes:
-            proc = getattr(plane, "proc", plane)
-            if proc is not None and not proc.finished:
-                return PLAN_MAX_TAKES
-        return MACRO_MAX_TAKES
 
     # ------------------------------------------------------------------
     # Entry point (CK.process -> PollingArbiter.run -> here)

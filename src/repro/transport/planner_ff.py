@@ -12,8 +12,8 @@ at equal rates but possibly unequal round sizes (an interior relay's
 every lcm(round sizes) packets;
 :meth:`_FastForward.ff_apply`'s guard battery reduces the candidate to
 committed facts (conservation along every hop, Δ-shift of every tracked
-list, horizon / budget / slot bounds) and lands ``R`` periods as what
-the proof says they are — **a time shift, not packets**: the train's
+list, message-end / horizon / slot bounds) and lands ``R`` periods as
+what the proof says they are — **a time shift, not packets**: the train's
 commit lands the validated prefix through its ordinary bursts, then
 every chain FIFO takes ``(n = R·ppp, δ = R·ΔT, floor)`` through
 :meth:`repro.simulation.fifo.Fifo.shift` (rows, pending releases and
@@ -330,7 +330,7 @@ def ff_silent(train, sess, j, X) -> bool:
     up to the full FIFO and stopped on its slots) *is* that
     knowledge. Macro-only: the plain burst plane keeps its trains.
     """
-    if train.macro_lanes is None or _ff_veto('silence'):
+    if not train.planner.macro or _ff_veto('silence'):
         return False
     floors = {id(s.ck.proc): s.T for s in train.order}
     floors[id(sess.ck.proc)] = X
@@ -338,18 +338,19 @@ def ff_silent(train, sess, j, X) -> bool:
 
 
 def ff_close_chain(train) -> bool:
-    """Join the whole relay pipeline around the train (macro only).
+    """Join the whole relay pipeline around the train (app lanes
+    registered only).
 
     Ordinary trains grow on demand — a peer joins when a session
     blocks on its slots or starves on its supply. In a deep-buffer
     steady state the interior hops of a relay chain do neither
     (every FIFO holds its bandwidth-delay product), so a multi-hop
     program shatters into per-CK trains and the chain resolver
-    never sees the whole stream. Under the raised macro budget,
-    walk every session's inputs upstream and targets downstream
-    and invite those CKs too; ``try_join``'s own preconditions
-    (confirmed contiguous pattern, demand precheck) still decide.
-    Returns True when the train grew.
+    never sees the whole stream. While a stream's lanes are
+    registered, walk every session's inputs upstream and targets
+    downstream and invite those CKs too; ``try_join``'s own
+    preconditions (confirmed contiguous pattern, demand precheck)
+    still decide. Returns True when the train grew.
 
     The walk re-runs only when ``train.closure_stale`` says its last
     result may have changed. A train lives inside one engine event, so
@@ -632,12 +633,12 @@ class _FastForward:
             lists += lattices
         epp = ls.chan.dtype.elements_per_packet
         dE = ppp * epp  # stream elements shipped per period
-        # ---- the O(1) bounds on R (in periods) come first: message end
-        # on both lanes — the tail is left to the sweeps — and the take
-        # budget. A message-end refusal is final: the remainder only
-        # shrinks, so the chain is not probed again for this message
-        # (a stream ending just below arming pays one cheap refusal, not
-        # an O(lattice) proof per sweep).
+        # ---- the O(1) bound on R (in periods) comes first: message end
+        # on both lanes — the tail is left to the sweeps. It is final:
+        # the remainder only shrinks, so the chain is not probed again
+        # for this message (a stream ending just below arming pays one
+        # cheap refusal, not an O(lattice) proof per sweep). A jump is a
+        # time shift, so no take budget bounds it; the guards below do.
         g0 = lr.got
         R = (len(ls.values) - ls.i) // dE - 1
         r_b = (lr.n - g0) // dE - 1
@@ -647,13 +648,9 @@ class _FastForward:
             ls.ff_spent = True
             return self.ff_abort(engine, 'budget', -1,
                                  "message ends within three periods")
-        r_msg = R
-        for hop in hops:
-            r_b = (train.max_takes - hop.sess.takes) // ppp - 1
-            if r_b < R:
-                R = r_b
-        if R < 2 or _ff_veto('budget'):
+        if _ff_veto('budget'):
             return self.ff_abort(engine, 'budget')
+        r_msg = R
         # Every tracked list appended exactly one period's packets.
         if any(c - b != ppp for b, c in zip(lensB, lensC)):
             return False

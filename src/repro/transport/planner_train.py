@@ -35,14 +35,14 @@ from __future__ import annotations
 
 from ..core.errors import RoutingError
 from .planner_ff import _FastForward, ff_close_chain, ff_silent
-from .planner_window import (PLAN_MAX_TAKES, PlanResult, _land_lanes,
-                             _silent_hz, _TargetCursor)
+from .planner_window import (PlanResult, _land_lanes, _silent_hz,
+                             _TargetCursor)
 
-#: Take budget per train when macro-cruise has every live plane proven
-#: (registered app lanes on both stream ends, support planes quiet):
-#: with the app endpoints extending arithmetically inside the train,
-#: the only externalities left are message boundaries, so a train may
-#: fast-forward the whole steady state of a message in one event.
+#: Safety bound on validated takes per session per train. Trains are
+#: re-proved round by round from committed facts, so nothing outside the
+#: train's own proofs needs the bound to be small; with registered app
+#: lanes extending both stream ends inside the train, a train may
+#: validate a message's whole steady state in one event.
 MACRO_MAX_TAKES = 1 << 22
 
 
@@ -155,7 +155,7 @@ class _Train:
     :func:`replicate_train`). ``sweep`` validates, ``commit`` lands."""
 
     __slots__ = ("planner", "engine", "memo", "cursors", "stamp", "now",
-                 "macro_lanes", "max_takes", "lanes_used",
+                 "macro_lanes", "lanes_used",
                  "origin", "sessions", "order", "feeds", "stager", "v_rels",
                  "v_items", "cursor_fifo", "ff", "closure_stale", "joint",
                  "joint_fail", "pairs")
@@ -168,13 +168,10 @@ class _Train:
         self.cursors = cursors
         self.stamp = stamp
         self.now = now = engine.cycle
-        # Macro-cruise: app-side channel lanes this train may extend. The
-        # take budget is raised only under the global cruise condition (see
-        # SupplyPlanner.macro_take_budget); each lane still proves itself
-        # per resource before any extension.
-        self.macro_lanes = planner.app_lanes if planner.macro else None
-        self.max_takes = planner.macro_take_budget() if self.macro_lanes \
-            else PLAN_MAX_TAKES
+        # Macro-cruise: app-side channel lanes this train may extend (the
+        # live registry — the burst plane without macro-cruise registers
+        # none); each lane proves itself per resource before any extension.
+        self.macro_lanes = planner.app_lanes
         self.lanes_used: dict = {}   # id(lane) -> lane joined to this train
         arb = ck.arbiter
         self.origin = origin = _ReplicaSession(
@@ -197,8 +194,6 @@ class _Train:
 
     def lane_of(self, fifo):
         """The extendable app lane on ``fifo``, joined to the train."""
-        if self.macro_lanes is None:
-            return None
         lane = self.macro_lanes.get(id(fifo))
         if lane is None or not lane.extendable():
             return None
@@ -283,12 +278,11 @@ class _Train:
             # The one input of a try_join precheck that moves inside a
             # train: the peer may pass it now.
             self.closure_stale = True
-        if self.macro_lanes is not None:
-            # A stage into an app receive endpoint: virtual supply for
-            # the sleeping pop_vec's lane.
-            lane = self.lane_of(fifo)
-            if lane is not None and not lane.is_send:
-                lane.add_supply(pkts, ready)
+        # A stage into an app receive endpoint: virtual supply for the
+        # sleeping pop_vec's lane.
+        lane = self.lane_of(fifo)
+        if lane is not None and not lane.is_send:
+            lane.add_supply(pkts, ready)
 
     def publish_releases(self, fifo, xs) -> None:
         """Publish a run of validated takes from ``fifo`` (at cycles
@@ -301,12 +295,12 @@ class _Train:
         peer = self.stager.get(fid)
         if peer is not None:
             peer.dirty = True  # a freed slot may unblock a blocked round
-        elif self.macro_lanes is not None:
-            # A take from an app send endpoint: virtual slot releases for
-            # the sleeping push_vec's lane.
-            lane = self.lane_of(fifo)
-            if lane is not None and lane.is_send:
-                lane.add_releases(xs)
+            return
+        # A take from an app send endpoint: virtual slot releases for the
+        # sleeping push_vec's lane.
+        lane = self.lane_of(fifo)
+        if lane is not None and lane.is_send:
+            lane.add_releases(xs)
 
     def target_cursor(self, out):
         """The cascade's cursor for routing target ``out``, re-read once
@@ -633,7 +627,7 @@ class _Train:
             return None
         if not ok or peer is sess or peer.dirty or peer.done \
                 or peer.pattern.delta != sess.pattern.delta \
-                or peer.takes + peer.pattern.n_takes > self.max_takes \
+                or peer.takes + peer.pattern.n_takes > MACRO_MAX_TAKES \
                 or fifo.producers != (producer.ck.proc,):
             return None
         return producer, consumer, fifo
@@ -733,13 +727,12 @@ class _Train:
         extend the app lane there if it has one; True when the lane
         produced work."""
         planner = self.planner
-        macro = self.macro_lanes is not None
         if sess.blocked_on is not None:
             self.try_join(planner.consumer_ck.get(id(sess.blocked_on)))
-            return macro and self.extend_lane(sess.blocked_on, False)
+            return self.extend_lane(sess.blocked_on, False)
         if sess.starved_on is not None:
             self.try_join(planner.producer_ck.get(id(sess.starved_on)))
-            return macro and self.extend_lane(sess.starved_on, True)
+            return self.extend_lane(sess.starved_on, True)
         return False
 
     def sweep_pair(self, producer, consumer, fifo) -> bool:
@@ -753,18 +746,17 @@ class _Train:
         session publishes; any other failure splits the pair, and its
         sessions try their rounds alone again.
         """
-        max_takes = self.max_takes
+        cap = MACRO_MAX_TAKES
         moved = False
-        while producer.takes + producer.pattern.n_takes <= max_takes \
-                and consumer.takes + consumer.pattern.n_takes <= max_takes \
+        while producer.takes + producer.pattern.n_takes <= cap \
+                and consumer.takes + consumer.pattern.n_takes <= cap \
                 and not (producer.done or consumer.done):
             if self.validate_coupled(producer, consumer, fifo):
-                if self.macro_lanes is not None:
-                    inputs = producer.arb.inputs
-                    for j in producer.pattern.inputs_used:
-                        self.extend_lane(inputs[j], True)
-                    for out in consumer.pattern.target_fifos:
-                        self.extend_lane(out, False)
+                inputs = producer.arb.inputs
+                for j in producer.pattern.inputs_used:
+                    self.extend_lane(inputs[j], True)
+                for out in consumer.pattern.target_fifos:
+                    self.extend_lane(out, False)
                 return True
             failed = self.joint_fail
             if failed is None or failed.done:
@@ -796,8 +788,7 @@ class _Train:
         """
         order = self.order
         pairs = self.pairs
-        max_takes = self.max_takes
-        macro = self.macro_lanes is not None
+        lanes = self.macro_lanes
         ff = self.ff
         sweeps = 0
         progress = True
@@ -814,7 +805,7 @@ class _Train:
                     if id(sess) in pairs:
                         continue  # the pair moves when its producer does
                 while not sess.done and sess.dirty and \
-                        sess.takes + sess.pattern.n_takes <= max_takes:
+                        sess.takes + sess.pattern.n_takes <= MACRO_MAX_TAKES:
                     if self.validate_round(sess):
                         progress = True
                         break
@@ -830,7 +821,10 @@ class _Train:
                             progress = True
                     if self.unblock(sess):
                         progress = True
-            if not ff.dead and macro and max_takes == MACRO_MAX_TAKES:
+            # Every chain runs from a send lane to a recv lane: with no
+            # lane registered (always so without macro-cruise) there is
+            # nothing to close or prove.
+            if not ff.dead and lanes:
                 if ff_close_chain(self):
                     progress = True  # new sessions need a sweep before ff
                 elif ff.ff_try(self):

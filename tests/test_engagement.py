@@ -258,10 +258,10 @@ def test_going_live_over_settle_parked_kernels(hops, want, monkeypatch):
 
 
 def test_long_stream_beside_a_bcast():
-    """Mixed program: the planes agree, the collective's CKs off the
-    stream's route make no attempt and are never co-planned, and the
-    route's own CKs back off — any collective declaration keeps every
-    transit FIFO flow-live and its support kernels never finish, so
+    """Mixed program: the planes agree cycle for cycle and FIFO for
+    FIFO, the collective's CKs off the stream's route make no attempt
+    and are never co-planned, and the route's own CKs back off — any
+    collective declaration keeps every transit FIFO flow-live, so
     windows stay horizon-short and no train forms (before the backstop:
     2 144 attempts for 997 windows and no jump on this very program)."""
     n_bcast = 64
@@ -280,6 +280,13 @@ def test_long_stream_beside_a_bcast():
             for plane, config in _planes(NOCTUA).items()}
     assert runs["default"].cycles == runs["burst"].cycles \
         == runs["flit"].cycles
+    ref = runs["flit"].engine.fifo_stats()
+    for plane in ("burst", "default"):
+        fifos = runs[plane].engine.fifo_stats()
+        assert fifos.keys() == ref.keys(), plane
+        for name, row in ref.items():
+            for key in ("pushes", "pops"):
+                assert fifos[name][key] == row[key], (plane, name, key)
     transport = runs["default"].transport
     stats = collect_planner_stats(transport)
     assert stats.live_spans == 1 and 0 < stats.attempts < 200

@@ -837,6 +837,26 @@ def test_a_width_three_stream_jumps(config, hops, widths):
     assert stats.ff_jumps >= 1
 
 
+@pytest.mark.parametrize("preset", [NOCTUA, DEEP], ids=["noctua", "deep"])
+@pytest.mark.parametrize("hops", [1, 4])
+@pytest.mark.parametrize("widths", [(5, 7), (7, 5), (6, 6)],
+                         ids=["5/7", "7/5", "6/6"])
+def test_a_stream_straddling_the_packet_jumps(preset, hops, widths):
+    """Vector widths that straddle the 7-float packet: the lanes' steady
+    state repeats only over several sweeps, so these jumps are what
+    ``_FFHistory``'s hyperperiod search (``FF_MAX_P``) is for — capped
+    at two sweeps, none of them lands and the 4-hop ``NOCTUA`` 5/7
+    stream runs ~4x slower. Each jumps on the specification's
+    trajectory."""
+    push, pop = widths
+    res, stats = _run_stream(preset, n=1 << 14, width=push, pop_width=pop,
+                             hops=hops)
+    ref, _ = _run_stream(preset.with_(burst_mode=False), n=1 << 14,
+                         width=push, pop_width=pop, hops=hops)
+    assert stats.ff_jumps >= 1
+    _assert_same_trajectory(res, ref, hops)
+
+
 def test_max_cycles_inside_a_shifted_span():
     """A run cut inside a shifted span: the cut lands on the cycle, the
     raw counters hold the committed future events (as after any early

@@ -3,7 +3,7 @@
 The analytic jump (``ff_apply`` in :mod:`repro.transport.planner_ff`) only
 commits after a battery of guards proves the extrapolation sound along
 the whole relay chain: per-hop element conservation, release/readiness
-lattice checks, the closed-form horizon/budget bounds (min over the
+lattice checks, the closed-form message-end / horizon bounds (min over the
 chain), per-hop slot-release caps, and the shiftability of every chain
 FIFO (a jump lands as one time shift per FIFO). The randomized fuzz sweep
 (``tests/test_burst_fuzz.py``) perturbs these paths stochastically;
@@ -115,7 +115,7 @@ def reference():
     ("horizon", LAST_HOP),  # observation-horizon cap on the last hop
     ("rel-lattice", -1),    # off-lattice sender release (chain-wide)
     ("recv-lattice", -1),   # off-lattice recv-lane readiness
-    ("budget", -1),         # closed-form take-budget floor
+    ("budget", -1),         # the message-end bound's seam
     ("standing", 0),        # frozen standing backlog on the first hop
     ("shift", 7),           # a mid-chain FIFO that cannot take the shift
     ("no-period", -1),      # the detector never offers a period

@@ -4,8 +4,8 @@ their counts.
 
 Loops over :mod:`repro.simulation`, the polling arbiter and one reduce
 support kernel only — no CKs, no links, no planner — plus one loop over
-the planner's replication trains and two build-only loops, all three on
-the repo benchmark's own programs::
+the planner's replication trains, one long stream and two build-only
+loops, all on the repo benchmark's own program shapes::
 
     PYTHONPATH=src python tools/engine_micro.py [--repeat N] [--json]
 
@@ -55,6 +55,12 @@ the repo benchmark's own programs::
                 asserted: the jumps of the
                 bus(4) four-flow program ((0,1), (1,2), (2,1), (3,2),
                 ``NOCTUA``, 2^14 floats) and its refusals per chain.
+
+``long_jump``   one 2^25-float (128 MiB) 4-hop ``NOCTUA`` stream,
+                width 8 (ms per run, ~0.3 GiB peak). Asserted: it lands
+                exactly one jump, ends at cycle 9 587 901 and delivers
+                its payload bit for bit — a jump is a time shift, so no
+                take budget may cut it into two.
 
 ``build_pingpong_1hop`` / ``build_injection`` a build-only
                 ``run(max_cycles=0)`` of ``small_msgs``' 1-hop ping-pong
@@ -143,6 +149,8 @@ EXPECTED = {
     "jump_land": {"r10": 918, "r10000": 918},
     # Uniform-stream jumps per shard count.
     "chains": {"s1": 15, "s2": 14, "s4": 12},
+    # The long stream's jumps and end cycle, and its payload check.
+    "long_jump": {"jumps": 1, "cycles": 9_587_901, "payload": "intact"},
     # Ranks / processes (two kernels included) / FIFOs a build holds.
     "build_pingpong_1hop": {"ranks": 2, "processes": 8, "fifos": 18},
     "build_injection": {"ranks": 2, "processes": 18, "fifos": 80},
@@ -165,6 +173,9 @@ TRAIN = workloads.stream_op("train", noctua_bus, 4,
 UNIFORM = workloads.uniform_stream_op(np.zeros((16, 4096), np.float32))
 CHAIN_SHARDS = (1, 2, 4)
 FOUR_FLOWS = ((0, 1), (1, 2), (2, 1), (3, 2))
+
+#: The ``long_jump`` row's stream: floats and hops.
+LONG_JUMP_N, LONG_JUMP_HOPS = 1 << 25, 4
 
 JUMP_FIFOS = 3
 JUMP_PPP, JUMP_PERIOD = 16, 32      # one packet per link slot
@@ -437,6 +448,24 @@ def count_chains() -> dict:
     return {f"s{k}": _uniform_run(k)[0] for k in CHAIN_SHARDS}
 
 
+def long_jump() -> tuple[dict, float]:
+    """``(jumps / cycles / payload, ms)`` of the long 4-hop stream.
+
+    The payload is compared in place: the benchmark's byte-string check
+    would copy both 128 MiB arrays."""
+    data = np.arange(LONG_JUMP_N, dtype=np.float32)
+    op = workloads.stream_op("long_jump", noctua_bus, LONG_JUMP_HOPS, data)
+    t0 = time.perf_counter()
+    res, _ = op.run(NOCTUA)
+    wall = time.perf_counter() - t0
+    assert res.completed, res.reason
+    got = res.store(LONG_JUMP_HOPS, "data")
+    intact = got.dtype == data.dtype and np.array_equal(got, data)
+    return {"jumps": collect_planner_stats(res.transport).ff_jumps,
+            "cycles": res.cycles,
+            "payload": "intact" if intact else "differs"}, wall * 1e3
+
+
 def four_flows() -> tuple[int, Counter]:
     """Jumps of the bus(4) four-flow program and its ``unresolved``
     refusals, counted per ``(send endpoint, reason)``."""
@@ -535,6 +564,10 @@ def main(argv: list[str]) -> int:
         **counts, "four_flow_jumps": jumps,
         "four_flow_refusals": {f"{chain}: {why}": n
                                for (chain, why), n in refusals.items()}}
+    counts, wall = long_jump()
+    if counts != EXPECTED["long_jump"]:
+        failures.append(f"long_jump: {counts} != {EXPECTED['long_jump']}")
+    report["long_jump"] = {"ms": round(wall, 1), **counts}
     for name in BUILDS:
         counts = count_build(name)
         if counts != EXPECTED[name]:
@@ -573,6 +606,9 @@ def main(argv: list[str]) -> int:
               f"{len(FOUR_FLOWS)} jump; refusals per chain:")
         for what, n in sorted(row["four_flow_refusals"].items()):
             print(f"    {n:4d}  {what}")
+        row = report["long_jump"]
+        print(f"long_jump     {row['ms']:9.1f} ms  jumps {row['jumps']}  "
+              f"cycles {row['cycles']}  payload {row['payload']}")
         for name in BUILDS:
             row = report[name]
             print(f"{name:20} {row['us_per_build']:9.1f} us/build  "
