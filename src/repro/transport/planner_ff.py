@@ -258,9 +258,7 @@ class _RelayHop:
                 else:
                     b = 0
             elif kind == 1:
-                hz = sess.hz_cache.get(j)
-                if hz is None:
-                    hz = sess.hz_cache[j] = inputs[j].supply_horizon(memo)
+                hz = inputs[j].supply_horizon(memo)
                 b = (hz - T - rel_c - 1) // delta + 1
             else:
                 b = 0  # witness needs an item that is not there

@@ -62,7 +62,7 @@ class _ReplicaSession:
     __slots__ = ("ck", "arb", "pattern", "start", "T", "snap_items",
                  "snap_ready", "snap_iter", "ptr", "avail", "take_cycles",
                  "rounds", "takes", "blocked_on", "starved_on",
-                 "hz_cache", "stage_cursors", "done", "dirty", "last_fail",
+                 "stage_cursors", "done", "dirty", "last_fail",
                  "frontier", "pending", "sent")
 
     def __init__(self, ck, pattern, start, now) -> None:
@@ -92,7 +92,6 @@ class _ReplicaSession:
         self.takes = 0
         self.blocked_on = None
         self.starved_on = None
-        self.hz_cache: dict = {}
         self.stage_cursors: dict = {}  # id(cursor) -> cursor (this CK's)
         self.done = False
         self.dirty = True       # something changed since the last failure
@@ -158,7 +157,7 @@ class _Train:
                  "macro_lanes", "lanes_used",
                  "origin", "sessions", "order", "feeds", "stager", "v_rels",
                  "v_items", "cursor_fifo", "ff", "closure_stale", "joint",
-                 "joint_fail", "pairs")
+                 "joint_fail")
 
     def __init__(self, planner, ck, engine, start, memo, cursors,
                  stamp) -> None:
@@ -189,7 +188,6 @@ class _Train:
         self.closure_stale = True
         self.joint = None  # id(session) -> (session, peers) of a joint round
         self.joint_fail = None  # the session whose round failed a joint one
-        self.pairs: dict = {}   # id(session) -> (producer, consumer, fifo)
         self.hook_inputs(origin)
 
     def lane_of(self, fifo):
@@ -417,10 +415,7 @@ class _Train:
                         self.publish_joint(sess, peers, takes, runs)
                         sess.frontier = X
                         return True
-                hz = sess.hz_cache.get(j)
-                if hz is None:
-                    hz = sess.hz_cache[j] = \
-                        inputs[j].supply_horizon(self.memo)
+                hz = inputs[j].supply_horizon(self.memo)
                 if hz <= X and _silent_hz(ck_s, inputs[j], X) <= X \
                         and not ff_silent(self, sess, j, X):
                     sess.starved_on = inputs[j]
@@ -683,8 +678,6 @@ class _Train:
             self.land_round(producer, fid)
             self.land_round(consumer, fid)
             producer.dirty = consumer.dirty = True
-            self.pairs[id(producer)] = self.pairs[id(consumer)] = \
-                (producer, consumer, fifo)
             return True
         # Cut the tentative entries back: the consumer's snapshot and the
         # train's ledger of stages, the ledger and cursor of releases.
@@ -735,46 +728,6 @@ class _Train:
             return self.extend_lane(sess.starved_on, True)
         return False
 
-    def sweep_pair(self, producer, consumer, fifo) -> bool:
-        """Move a coupled pair one joint round; True when a round landed
-        or a lane moved.
-
-        A landed round feeds the app lanes on the pair's far sides at
-        once, so the next round does not first fail on them. A round
-        that failed on a lane retries once the lane moved; one that
-        waits on a session of the train keeps the pair, quiet until that
-        session publishes; any other failure splits the pair, and its
-        sessions try their rounds alone again.
-        """
-        cap = MACRO_MAX_TAKES
-        moved = False
-        while producer.takes + producer.pattern.n_takes <= cap \
-                and consumer.takes + consumer.pattern.n_takes <= cap \
-                and not (producer.done or consumer.done):
-            if self.validate_coupled(producer, consumer, fifo):
-                inputs = producer.arb.inputs
-                for j in producer.pattern.inputs_used:
-                    self.extend_lane(inputs[j], True)
-                for out in consumer.pattern.target_fifos:
-                    self.extend_lane(out, False)
-                return True
-            failed = self.joint_fail
-            if failed is None or failed.done:
-                break
-            if self.unblock(failed):
-                moved = True
-                continue
-            if failed.blocked_on is not None:
-                waits, other = failed.blocked_on, self.feeds
-            else:
-                waits, other = failed.starved_on, self.stager
-            if waits is not fifo and id(waits) in other:
-                return moved  # a session of the train will free it
-            break
-        del self.pairs[id(producer)], self.pairs[id(consumer)]
-        producer.dirty = consumer.dirty = True
-        return moved
-
     def sweep(self) -> None:
         """Ping-pong: sweep sessions until no round makes progress.
 
@@ -784,10 +737,11 @@ class _Train:
         app lane extended for a failed session publishes to it at once,
         so the session retries within the sweep: each sweep then moves
         every session of a lane-fed chain one round, and a chain's sweep
-        period is its round, not a ping-pong of two.
+        period is its round, not a ping-pong of two. A solo round that
+        fails waiting on its peer's same round retries jointly with that
+        peer (:meth:`coupled_peer`); no pair outlives the joint round.
         """
         order = self.order
-        pairs = self.pairs
         lanes = self.macro_lanes
         ff = self.ff
         sweeps = 0
@@ -796,14 +750,6 @@ class _Train:
             sweeps += 1
             progress = False
             for sess in order:
-                coupled = pairs.get(id(sess))
-                if coupled is not None:
-                    if sess is coupled[0] and (sess.dirty
-                                               or coupled[1].dirty) \
-                            and self.sweep_pair(*coupled):
-                        progress = True
-                    if id(sess) in pairs:
-                        continue  # the pair moves when its producer does
                 while not sess.done and sess.dirty and \
                         sess.takes + sess.pattern.n_takes <= MACRO_MAX_TAKES:
                     if self.validate_round(sess):

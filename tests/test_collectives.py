@@ -52,6 +52,22 @@ def run_bcast(topology, n, root, dtype=SMI_FLOAT, comm_indices=None,
     return res, {r: res.stores.get((r, "bcast")) for r in actual_members}
 
 
+@pytest.mark.parametrize("burst", [True, False], ids=["default", "flit"])
+@pytest.mark.parametrize("scheme", ["linear", "tree"])
+@pytest.mark.parametrize("ranks,members", [(1, None), (2, [1])],
+                         ids=["bus1", "bus2-sub"])
+def test_one_rank_bcast_drains_the_root_s_pushes(ranks, members, scheme,
+                                                 burst):
+    """A one-rank communicator has no successor or child: the root's
+    support kernel drains the app's pushes, one element per cycle."""
+    res, outs = run_bcast(bus(ranks), 20, root=0, comm_indices=members,
+                          config=NOCTUA.with_(burst_mode=burst),
+                          scheme=scheme)
+    assert res.cycles == 20
+    (out,) = outs.values()
+    np.testing.assert_allclose(out, [float(i) for i in range(20)])
+
+
 def test_bcast_from_rank0_torus():
     res, outs = run_bcast(noctua_torus(), 25, root=0)
     expect = [float(i) for i in range(25)]

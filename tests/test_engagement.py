@@ -20,8 +20,7 @@ from repro import (NOCTUA, NOCTUA_DEEP, SMI_FLOAT, OpDecl, SMIProgram,
 from repro.harness import planner_summary
 from repro.simulation.stats import collect_planner_stats
 from repro.transport.arbiter import PollingArbiter
-from repro.transport.planner import (LANE_LIVE_MIN, PATTERN_MAX_PERIOD,
-                                     SupplyPlanner)
+from repro.transport.planner import LANE_LIVE_MIN, SupplyPlanner
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks" / "profile"))
@@ -41,10 +40,6 @@ def _planes(preset):
     return {"flit": preset.with_(burst_mode=False),
             "burst": preset.with_(macro_cruise=False),
             "default": preset}
-
-
-def test_the_allowance_is_the_detector_s():
-    assert PollingArbiter.PLAN_WINDOW_ALLOWANCE == 2 * PATTERN_MAX_PERIOD
 
 
 @pytest.mark.parametrize("name", STAY_OUT)
@@ -129,6 +124,23 @@ def _stream(config, n, hops, topology=noctua_bus, repeats=1, extra=None):
     assert res.completed, res.reason
     assert np.array_equal(res.store(hops, "data"), data)
     return res
+
+
+def test_the_allowance_earns_the_stream_s_jump(monkeypatch):
+    """The unpaid windows a CK may commit before its misses count
+    (``PLAN_WINDOW_ALLOWANCE``) are what let its pattern confirm: at the
+    default a 2^13-float 1-hop stream lands its jump; with none, the
+    backoff cuts in first, and the same cycles take more trains and no
+    jump."""
+    res = _stream(NOCTUA, 1 << 13, 1)
+    stats = collect_planner_stats(res.transport)
+    assert stats.ff_jumps == 1
+    monkeypatch.setattr(PollingArbiter, "PLAN_WINDOW_ALLOWANCE", 0)
+    starved_res = _stream(NOCTUA, 1 << 13, 1)
+    starved = collect_planner_stats(starved_res.transport)
+    assert starved_res.cycles == res.cycles
+    assert starved.ff_jumps == 0
+    assert starved.replications > stats.replications
 
 
 @pytest.mark.parametrize("preset", [NOCTUA, NOCTUA_DEEP],

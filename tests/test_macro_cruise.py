@@ -823,6 +823,20 @@ def test_a_round_longer_than_its_hand_off_jumps(monkeypatch, n):
 
 
 @pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: with 4-deep hand-offs every R16 train validates "
+    "exactly one round, so the stream never jumps"))
+def test_a_round_four_times_its_hand_off_jumps():
+    """The same 1-hop R16 stream with ``inter_ck_fifo_depth=4``: a round
+    moves 16 packets through 4-deep hand-offs. Cycles equal the
+    specification's, but the 2 800-float stream runs 46 trains of one
+    round each (16 trains, 78 rounds at depth 8) and no jump; at 28 000
+    floats it costs ~0.3-0.5 s against ~15-30 ms at depth 8."""
+    _res, stats = _run_stream(R16.with_(inter_ck_fifo_depth=4), n=2800,
+                              topology=noctua_torus)
+    assert stats.ff_jumps >= 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 6: a push_vec or pop_vec width that does not divide the "
     "7-float packet (3) never jumps; a push width 3 replicates no round"))
 @pytest.mark.parametrize("config, hops, widths", [

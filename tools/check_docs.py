@@ -39,7 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Markdown files whose anchors and relative links are verified.
-CHECKED_DOCS = ("docs/ARCHITECTURE.md", "README.md", "benchmarks/README.md")
+CHECKED_DOCS = ("docs/ARCHITECTURE.md", "docs/HISTORY.md", "README.md",
+                "benchmarks/README.md")
 
 #: Sections the architecture doc must keep (each is the written contract
 #: for one subsystem the code references by name); listed as the heading
