@@ -36,11 +36,11 @@ def gemv_kernel(
 
     The kernel registers as a reader of every port's bank when called
     (before any kernel runs). A row whose banks are all distinct and all
-    read by this kernel alone is granted in one resume and its read
-    cycles counted down by the engine (:meth:`MemoryBank.book`,
-    :meth:`~repro.simulation.engine.Engine.ticks`): the same cycles,
-    dispatches and ``total_granted`` as the per-cycle grant loop, which
-    runs whenever another kernel shares a bank.
+    read by this kernel alone is booked in one call
+    (:meth:`MemoryBank.book`) and its read cycles then counted down one
+    ``TICK`` each: the same cycles, dispatches and ``total_granted`` as
+    the per-cycle grant loop, which runs whenever another kernel shares
+    a bank.
     """
     n_rows, n_cols = A.shape
     if len(x) != n_cols:
@@ -63,7 +63,6 @@ def _gemv_rows(ports, A, x, out, scale) -> Generator:
                for p in range(n_ports)]
     banks = [port.bank for port in ports]
     distinct = len(set(map(id, banks))) == n_ports
-    engine = banks[0].engine
     for i in range(n_rows):
         # All banks stream their column stripe *concurrently*: each cycle
         # the kernel pulls up to bank-width elements from every stripe, so
@@ -72,8 +71,8 @@ def _gemv_rows(ports, A, x, out, scale) -> Generator:
         if distinct and all(bank.sole_reader() for bank in banks):
             cycles = max(bank.book(stripe)
                          for bank, stripe in zip(banks, stripes))
-            if cycles:
-                yield engine.ticks(cycles)
+            for _ in range(cycles):
+                yield TICK
         else:
             remaining = list(stripes)
             while any(remaining):

@@ -143,14 +143,3 @@ def fabric_summary(transport, topology) -> str:
     return (f"built {built} of {topology.num_ranks} ranks — {processes} "
             f"processes, {fifos} FIFOs; {topology.num_ranks - built} ranks "
             "reached by no declared flow")
-
-
-def dispatch_summary(engine) -> str:
-    """One-line event-substrate summary for benchmark reports: process
-    steps dispatched, and how many of them an engine-side continuation
-    answered without resuming the process's generator (see
-    :mod:`repro.simulation.engine`, "Continuations")."""
-    return (
-        f"engine: {engine.elided_steps:,} of {engine.steps:,} dispatches "
-        "resumed no generator"
-    )

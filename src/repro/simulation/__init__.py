@@ -5,14 +5,13 @@ event-skipping, cycle-accurate simulator in which SMI's transport layer, the
 applications, and the network links run as communicating processes.
 """
 
-from .conditions import (RESUME, TICK, AnyReadable, CanPop, CanPush,
-                         SimEvent, WaitCycles)
+from .conditions import (TICK, AnyReadable, CanPop, CanPush, SimEvent,
+                         WaitCycles)
 from .engine import Engine, Process, RunResult
 from .fifo import Fifo
 from .memory import BoardMemory, MemoryBank, MemoryPort
 
 __all__ = [
-    "RESUME",
     "TICK",
     "AnyReadable",
     "CanPop",

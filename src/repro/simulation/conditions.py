@@ -17,11 +17,6 @@ Processes normally do not yield FIFO conditions directly; they use the
 ``yield from fifo.push(x)`` / ``item = yield from fifo.pop()`` helpers which
 implement the one-item-per-cycle handshake of a hardware FIFO port.
 
-:data:`RESUME` is not a condition a generator yields: it is what an
-*engine-side continuation* (``Process.continuation``, see
-:mod:`repro.simulation.engine`) returns to have its generator resumed in
-its place; anything else it returns is one of the conditions above.
-
 Waiters
 -------
 
@@ -60,20 +55,6 @@ class _Tick:
 
 #: The unique "advance one cycle" condition.
 TICK = _Tick()
-
-
-class _Resume:
-    """Singleton: a continuation's "resume the generator now"."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "RESUME"
-
-
-#: What an engine-side continuation returns instead of a condition when
-#: the step is the generator's after all.
-RESUME = _Resume()
 
 
 class WaitCycles:

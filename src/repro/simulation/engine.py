@@ -17,9 +17,8 @@ commits — beside a small heap of the distinct *far* cycles (link latency,
 is the process (or FIFO) itself: no sequence number, no tuple. One
 executor, :meth:`Engine._run_cycle`, runs a cycle for :meth:`Engine.run`
 and :meth:`Engine.run_until` alike: FIFO commits first, then every process
-of the cycle with the step (a generator resume, or a pending
-continuation) and the dispatch of what it yielded inlined (``TICK`` /
-``WaitCycles`` tested first).
+of the cycle with its generator resume and the dispatch of what it
+yielded inlined (``TICK`` / ``WaitCycles`` tested first).
 
 Determinism: processes scheduled for the same cycle run in the order they
 were scheduled, so a simulation is exactly reproducible run-to-run. The
@@ -39,24 +38,6 @@ others; a persistent :class:`~repro.simulation.conditions.AnyReadable`
 (a CK's fixed input set) is armed by storing the process on it — O(1),
 nothing allocated. Either way the registrations that exist are exactly
 those of currently parked processes.
-
-Continuations: a step that would only re-arm a wait need not resume
-its generator. A module may leave a one-shot callable on its process
-(``proc.continuation = fn``, from within its own step); the process's
-next dispatch — in its own run-list slot, wherever a yield, a wake or a
-commit put it — calls ``fn()`` instead of ``gen.send``. ``fn`` returns
-:data:`~repro.simulation.conditions.RESUME` (the generator is resumed
-then and there, as if no continuation had been set) or the condition to
-dispatch exactly as if the generator had yielded it, and may leave the
-next continuation behind. The calendar, the order of steps within a
-cycle, every commit armed and every ``dispatch`` / ``park`` / ``wake``
-trace event are those of the generator-only run: only the Python resume
-is gone (``Engine.elided_steps`` counts them). A continuation may touch
-only its owner's state, and :meth:`Engine.preempt` drops a pending one —
-a firm wake is for the generator. Users: the polling arbiter's settle
-and wake-scan steps (:mod:`repro.transport.arbiter`), and the cycle
-countdown of :meth:`Engine.ticks` (the reduce roots' combine in
-:mod:`repro.transport.collectives`, a GEMV row in :mod:`repro.apps.blas`).
 
 Burst timing: the burst fast path (gated by ``HardwareConfig.burst_mode``)
 moves whole runs of items in a single process step and then yields one
@@ -96,8 +77,8 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator
 
 from ..core.errors import DeadlockError, SimulationError
-from .conditions import (RESUME, TICK, AnyReadable, CanPop, CanPush,
-                         SimEvent, WaitCycles)
+from .conditions import (TICK, AnyReadable, CanPop, CanPush, SimEvent,
+                         WaitCycles)
 
 #: Safety bound on process steps within a single cycle (combinational loop).
 MAX_STEPS_PER_CYCLE = 10_000
@@ -105,6 +86,8 @@ MAX_STEPS_PER_CYCLE = 10_000
 #: "Provably never" horizon for supply-schedule queries (finished
 #: producers, flow-dead FIFOs).
 FOREVER = 1 << 62
+
+from .fifo import Fifo  # noqa: E402  (fifo.py imports FOREVER from here)
 
 
 def _cond_desc(waiting) -> str:
@@ -140,12 +123,10 @@ class Process:
         "finished",
         "result",
         "done",
-        "continuation",
         "_last_step_cycle",
         "_steps_this_cycle",
         "_waiting_on",
         "_scheduled_for",
-        "_ticks_left",
     )
 
     def __init__(self, name: str, gen: Generator, daemon: bool) -> None:
@@ -155,9 +136,6 @@ class Process:
         self.finished = False
         self.result: Any = None
         self.done = SimEvent(f"{name}.done")
-        # One-shot engine-side continuation (module docstring): what the
-        # next dispatch calls instead of resuming ``gen``; None otherwise.
-        self.continuation: Callable[[], Any] | None = None
         self._last_step_cycle = -1
         self._steps_this_cycle = 0
         # What the process is parked on (a condition, the tuple of
@@ -165,13 +143,6 @@ class Process:
         # running or has a calendar entry; and the cycle of that entry.
         self._waiting_on: Any = None
         self._scheduled_for = 0
-        self._ticks_left = 0  # cycles an ``Engine.ticks`` countdown owes
-
-    def _tick_down(self):
-        self._ticks_left -= 1
-        if self._ticks_left:
-            self.continuation = self._tick_down
-        return TICK
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         state = "finished" if self.finished else f"waiting on {self._waiting_on!r}"
@@ -229,11 +200,9 @@ class Engine:
         # whose clock ran ahead of it (see Fifo.counts_at). None (the
         # sequential default) leaves folding unrestricted.
         self.stats_fold_limit: int | None = None
-        # Process steps dispatched (added up once per cycle), and how
-        # many of them a continuation answered without resuming the
-        # generator (counted on that path only). Reporting only.
+        # Process steps dispatched (added up once per cycle). Reporting
+        # only.
         self.steps = 0
-        self.elided_steps = 0
         # Flight recorder (repro.trace.TraceRecorder) or None. None is
         # the zero-overhead-off contract: every instrumented site in
         # the engine, FIFOs, links, arbiter and planner guards its emit
@@ -277,24 +246,8 @@ class Engine:
         self._schedule(proc, max(start_cycle, self.cycle))
         return proc
 
-    def ticks(self, cycles: int):
-        """``yield engine.ticks(k)`` from a process step: ``k >= 1``
-        cycles of ``TICK`` in which the process touches nothing another
-        process can see. The first is the one yielded; the rest are
-        answered by an engine-side continuation, so all ``k`` dispatches
-        keep their calendar slots — a ``WaitCycles(k)`` would wake from a
-        far bucket, ahead of the cycle's next-list entries — and the
-        generator is resumed once, after the last."""
-        if cycles > 1:
-            proc = self._current_proc
-            proc._ticks_left = cycles - 1
-            proc.continuation = proc._tick_down
-        return TICK
-
     def fifo(self, name: str, capacity: int, latency: int = 1):
         """Create a :class:`~repro.simulation.fifo.Fifo` owned by this engine."""
-        from .fifo import Fifo
-
         return Fifo(self, name, capacity, latency)
 
     def event(self, name: str = "event") -> SimEvent:
@@ -511,10 +464,8 @@ class Engine:
         planner hands it a firm wake instead. A parked process is
         disarmed (its registrations withdrawn) and a sleeping one gives
         up its old calendar entry, so neither leaves anything stale
-        behind. A pending continuation is dropped: the firm wake runs
-        the generator, which is who the planner left its state for. The
-        process running this very step cannot be preempted: what it
-        yields next is what schedules it.
+        behind. The process running this very step cannot be preempted:
+        what it yields next is what schedules it.
         """
         if proc is self._current_proc:
             raise SimulationError(
@@ -527,7 +478,6 @@ class Engine:
                             args={"at": cycle})
         if proc.finished:
             return
-        proc.continuation = None
         if proc._waiting_on is not None:
             self._disarm(proc)
         else:
@@ -673,18 +623,8 @@ class Engine:
                 if trace is not None:
                     trace.emit(cycle, "dispatch", proc.name, "step")
                 self._current_proc = proc
-                step = proc.continuation
                 try:
-                    if step is None:
-                        cond = proc.gen.send(None)
-                    else:
-                        # One-shot: ``step`` may leave the next one.
-                        proc.continuation = None
-                        cond = step()
-                        if cond is RESUME:
-                            cond = proc.gen.send(None)
-                        else:
-                            self.elided_steps += 1
+                    cond = proc.gen.send(None)
                 except StopIteration as stop:
                     self._finish(proc, stop.value)
                     continue

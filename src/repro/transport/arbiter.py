@@ -17,16 +17,6 @@ The arbiter below reproduces that behaviour cycle-by-cycle:
   number of scan cycles the hardware pointer would have spent reaching the
   readable input, so the timing is identical to literal polling.
 
-Only a grant needs the loop's generator. A cycle in which the kernel
-closes a round, polls an empty input, parks, or charges its wake-up scan
-is answered by an *engine-side continuation* (``Process.continuation``,
-:mod:`repro.simulation.engine`): :meth:`PollingArbiter._settle` after a
-cycle's ``TICK``, :meth:`PollingArbiter._wake_scan` after a park. Each
-runs in the kernel's own calendar slot and returns what the loop would
-have yielded there, so every dispatch, park, wake and commit of the
-literal loop happens where it did — a sparse kernel just resumes its
-generator once per granted packet instead of three times.
-
 In burst mode the loop's full resume state lives on the arbiter object
 rather than in generator locals, so the supply-schedule planner
 (:mod:`repro.transport.planner`) can plan windows for this kernel from a
@@ -67,14 +57,10 @@ Resume-state fields (the contract between this loop and the planner):
     not co-plannable), ``"window"`` (sleeping off a committed window —
     extendable from ``_plan_until``), or ``"parked"`` (blocked on a
     wait-any of all inputs — co-plannable after an emulated wake-up).
-    The settle rule: a continuation stores exactly what the loop would
-    have (``_settle`` parks with ``"parked"`` and the pointer one past
-    the last input polled; ``_wake_scan`` sets ``"run"`` as it charges
-    the scan), and stands aside (``RESUME``, nothing stored) while the
-    planner is live — so the generator, resumed in a state other than
-    ``"run"``, knows the wake-up is still its own to perform: a
-    co-planner's ``preempt`` dropped the continuation, or the planner
-    went live while the kernel sat parked.
+    A park stores ``"parked"`` with the pointer one past the last input
+    polled; the woken loop sets ``"run"`` as it charges the scan (or, if
+    a co-planner's ``preempt`` woke it with ``_coplanned`` set, picks
+    up the committed window instead).
 ``_coplanned`` / ``_blocked_on`` / ``_starved_on``
     Cross-event mailboxes: a peer's cascade marks a parked kernel whose
     wake it pre-planned, and every window records which FIFO's unknown
@@ -96,7 +82,7 @@ from __future__ import annotations
 from typing import Callable, Generator
 
 from ..core.errors import SimulationError
-from ..simulation.conditions import RESUME, TICK, AnyReadable, WaitCycles
+from ..simulation.conditions import TICK, AnyReadable, WaitCycles
 from ..simulation.fifo import Fifo
 from .planner import PATTERN_MAX_PERIOD
 
@@ -114,8 +100,7 @@ class PollingArbiter:
                  "_resume_reads", "_plan_until",
                  "_resume_state", "_coplanned", "_blocked_on",
                  "_starved_on", "_pattern", "_pattern_hist",
-                 "_pattern_phase", "_pattern_end", "_engine", "_planner",
-                 "_proc")
+                 "_pattern_phase", "_pattern_end")
 
     #: Consecutive planner misses before backing off, and how many polls
     #: to skip planning for once backed off — doubling on every repeat up
@@ -164,8 +149,6 @@ class PollingArbiter:
         self._pattern_hist: list = []  # recent (signature, end) windows
         self._pattern_phase = 0       # next expected window in the cycle
         self._pattern_end = 0         # absolute end of the pattern's train
-        # What the continuations need of ``run``'s arguments (set there).
-        self._engine = self._planner = self._proc = None
         while len(_SCAN_WAITS) <= len(inputs):
             _SCAN_WAITS.append(WaitCycles(len(_SCAN_WAITS)))
 
@@ -218,9 +201,7 @@ class PollingArbiter:
         ``writable`` / ``wait_writable()`` / ``stage(packet)``). The loop
         stalls on the output's backpressure (for a link, its line-rate
         pacing too), stages, and the cycle ends: one packet is accepted
-        per cycle at most. The cycles in between are :meth:`_settle`'s and
-        :meth:`_wake_scan`'s (module docstring); this generator runs once
-        per granted packet, and wherever the planner must look.
+        per cycle at most.
 
         ``ck``, if given, is the owning kernel; its ``supply_planner``
         (:class:`repro.transport.planner.SupplyPlanner`, which the
@@ -246,10 +227,6 @@ class PollingArbiter:
         n = len(inputs)
         burst = self.read_burst
         planner = ck.supply_planner if ck is not None else None
-        self._engine = engine
-        self._planner = planner
-        self._proc = proc = engine._current_proc
-        settle = self._settle
         # A committed window can be outstanding only where this loop
         # re-enters after a plan of its own, a window's sleep or a
         # co-planned wake (peers plan a CK only while it sleeps a window
@@ -257,9 +234,7 @@ class PollingArbiter:
         covered = True
         while True:
             if self._resume_state != "run":
-                # Woken from a park whose wake-scan continuation stood
-                # aside (the planner is live) or was dropped by a
-                # co-planner's preempt: the wake-up is this loop's.
+                # Woken from a park.
                 self._resume_state = "run"
                 if self._coplanned:
                     # A peer's cascade planned our window while we were
@@ -279,7 +254,7 @@ class PollingArbiter:
                             if planner.plan(ck, engine, -1, scan) is not None:
                                 covered = True
                                 continue
-                        yield WaitCycles(scan)
+                        yield _SCAN_WAITS[scan]
             if planner is not None:
                 if covered:
                     until = self._plan_until
@@ -322,10 +297,6 @@ class PollingArbiter:
                     self._resume_reads = reads
                 else:
                     self._idx = (self._idx + 1) % n
-                if planner is None or not planner.live:
-                    # (While the planner is live every step is this
-                    # generator's: it gets its look at each.)
-                    proc.continuation = settle
                 yield TICK
             elif resume_reads >= 0:
                 # The open round's input ran dry: close the round.
@@ -335,59 +306,10 @@ class PollingArbiter:
                 self._idx = (self._idx + 1) % n
                 if self._wait_any.holds(engine.cycle):
                     # Some other input has data: the scan costs this cycle.
-                    if planner is None or not planner.live:
-                        proc.continuation = settle
                     yield TICK
                 else:
                     # Nothing anywhere: park until any input becomes
                     # readable; the wake-up then charges the scan
                     # distance the hardware pointer would have travelled.
                     self._resume_state = "parked"
-                    proc.continuation = self._wake_scan
                     yield self._wait_any
-
-    def _settle(self):
-        """Continuation of a cycle's ``TICK``: exactly the transitions
-        :meth:`run` makes between two grants with the planner not live —
-        close an open round whose input ran dry, poll the next input,
-        and either spend a cycle on it (another input holds data) or
-        park. A grant is the generator's (``RESUME``), and so is every
-        step while the planner is live: it gets its look at each."""
-        planner = self._planner
-        if planner is not None and planner.live:
-            return RESUME
-        n = len(self.inputs)
-        idx = self._idx
-        ahead = self._wait_any.scan(idx, self._engine.cycle)
-        if ahead == 0:
-            return RESUME
-        if self._resume_reads >= 0:
-            # The open round's input ran dry: close the round; the next
-            # input is polled in the same cycle.
-            self._resume_reads = -1
-            idx += 1
-            if ahead == 1 < n:
-                self._idx = idx % n
-                return RESUME
-        self._idx = (idx + 1) % n
-        if ahead < n:
-            # Some other input has data: the scan costs this cycle.
-            self._proc.continuation = self._settle
-            return TICK
-        # Nothing anywhere: park; the wake-up charges the scan distance.
-        self._resume_state = "parked"
-        self._proc.continuation = self._wake_scan
-        return self._wait_any
-
-    def _wake_scan(self):
-        """Continuation of a park: the woken kernel's pointer scan, slept
-        as ``WaitCycles(scan)`` — the generator next runs at the grant.
-        Stands aside, ``_resume_state`` untouched, while the planner is
-        live: the loop fuses the scan into a plan."""
-        planner = self._planner
-        if planner is not None and planner.live:
-            return RESUME
-        self._resume_state = "run"
-        scan = self._wait_any.scan(self._idx, self._engine.cycle)
-        self._idx = (self._idx + scan) % len(self.inputs)
-        return _SCAN_WAITS[scan] if scan else RESUME

@@ -28,11 +28,9 @@ Every loop here is the per-element specification: an element that
 crosses a FIFO is staged or taken, and stalls, in its own cycle. The one
 stretch that faces no FIFO — the reduce root (linear or tree) folding a
 received packet into its tile buffer, one element per cycle — combines
-the packet with one array operation and counts the cycles down through
-the engine-side countdown (:meth:`~repro.simulation.engine.Engine.ticks`,
-a ``Process.continuation`` in :mod:`repro.simulation.engine`): the same
-dispatches in the same calendar slots, two generator resumes per packet
-instead of one per element plus one.
+the packet with one array operation and then yields one ``TICK`` per
+element: the same dispatches in the same calendar slots as the
+per-element loop.
 
 Support kernels are *generic* hardware: per-operation parameters (count,
 root, communicator) arrive at run time as a descriptor written by the
@@ -379,7 +377,8 @@ class ReduceKernel(SupportKernel):
                         # (the only reader of ``acc``) expects.
                         acc[off:end] = op.combine(acc[off:end],
                                                   pkt.elements())
-                        yield recv_ep.engine.ticks(end - off)
+                        for _ in range(end - off):
+                            yield TICK
                     progress[pkt.src] = end
                     remote_done = min(progress.values())
                 elif app_in.readable and local_done < tile_size:

@@ -190,7 +190,8 @@ class TreeReduceKernel(SupportKernel):
                         # the packet's element cycles down.
                         acc[off:end] = op.combine(acc[off:end],
                                                   pkt.elements())
-                        yield self.recv_ep.engine.ticks(end - off)
+                        for _ in range(end - off):
+                            yield TICK
                     progress[pkt.src] = end
                 elif self.app_in.readable and local_done < tile_size:
                     value = self.app_in.take()

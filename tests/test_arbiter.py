@@ -185,14 +185,14 @@ def test_accept_counter():
 
 
 # ----------------------------------------------------------------------
-# Position preservation: the continuation-driven loop against a literal
-# transcript of the generator-only loop it replaced
+# Position preservation: the arbiter's loop against a literal transcript
+# of the polling specification
 # ----------------------------------------------------------------------
 class _TranscriptArbiter(PollingArbiter):
-    """The specification loop as it stood before engine-side
-    continuations (the parent commit's ``PollingArbiter.run`` with
-    ``ck=None``, and ``ck._forward`` / ``_stage_with_backpressure`` as
-    they were): every step resumes the generator. Test-only."""
+    """The polling specification written out literally (``run`` with
+    ``ck=None``, the forward to the output as its own generator frame,
+    the wake-up scan as a pointer walk): the reference the arbiter's
+    loop is checked against. Test-only."""
 
     def run(self, route, engine, ck=None):
         def forward(pkt):
@@ -310,65 +310,23 @@ def _play_schedule(arbiter_cls, schedule):
     return {"end": end, "events": tape.events, "parks": tape.parks,
             "fifos": counts, "accepted": arb.packets_accepted,
             "state": (arb._idx, arb._resume_reads, arb._resume_state),
-            "steps": eng.steps}, eng.elided_steps
+            "steps": eng.steps}
 
 
 @settings(max_examples=300, deadline=None)
 @given(schedule=_schedules)
-# An arrival landing exactly one cycle after a grant (the settle step
-# must see it), one landing while the wake-up scan is being charged, a
-# 1-deep output that a stalling consumer keeps full, and an R-round
-# that runs dry and is closed by the settle step.
+# An arrival landing exactly one cycle after a grant, one landing while
+# the wake-up scan is being charged, a 1-deep output that a stalling
+# consumer keeps full, and an R-round that runs dry and is closed.
 @example(schedule=(1, 2, 2, 1, 0, [[0], [], [2]], [0]))
 @example(schedule=(1, 8, 8, 1, 2, [[], [], [], [5, 0], [6]], [0]))
 @example(schedule=(2, 1, 1, 1, 3, [[0, 0, 0, 0], [1, 0, 0]], [7, 0, 3]))
 @example(schedule=(8, 8, 2, 2, 1, [[0, 0, 0, 4, 0], [3], [9, 0]], [2]))
-def test_continuations_keep_every_calendar_position(schedule):
-    """One generator resume per granted packet, and nothing else moves:
+def test_arbiter_keeps_every_calendar_position_of_the_transcript(schedule):
+    """The arbiter's loop is the literal polling loop, step for step:
     the same ``(cycle, kind, track)`` trace — every dispatch, park, wake,
     stage, take and grant, in order — the same pointer and round state
     at every park, the same per-FIFO pushes / pops / occupancy peaks and
-    the same end cycle as the loop that resumed its generator for every
-    step."""
-    want, elided = _play_schedule(_TranscriptArbiter, schedule)
-    assert elided == 0
-    got, elided = _play_schedule(PollingArbiter, schedule)
-    assert got == want
-    grants = got["accepted"]
-    if grants:
-        assert elided > 0
-
-
-def test_sparse_arbiter_resumes_its_generator_once_per_packet():
-    """Wake-up scan, grant, settle-and-park: three dispatches per packet
-    of a sparse input set, one of them a generator resume."""
-    import sys
-
-    eng = Engine()
-    inputs = [eng.fifo(f"in{i}", capacity=4) for i in range(5)]
-    out = []
-    arb = _run_arbiter(eng, inputs, read_burst=1, out=out, stop_after=None)
-    resumes = [0]
-    code = PollingArbiter.run.__code__
-
-    def count(frame, event, _arg):
-        # (This arbiter's only: a collected generator of an earlier test
-        # is entered once more, to be closed.)
-        if event == "call" and frame.f_code is code \
-                and frame.f_locals["self"] is arb:
-            resumes[0] += 1
-
-    def producer():
-        for i in range(50):
-            inputs[(3 * i) % 5].stage(i)
-            yield WaitCycles(9)
-
-    eng.spawn(producer, "p")
-    sys.setprofile(count)
-    try:
-        eng.run()
-    finally:
-        sys.setprofile(None)
-    assert arb.packets_accepted == 50
-    assert resumes[0] == 50 + 1          # + the first run, which parks
-    assert eng.elided_steps == 2 * 50    # the scan's sleep, the settle
+    the same end cycle as the transcript."""
+    assert _play_schedule(PollingArbiter, schedule) == \
+        _play_schedule(_TranscriptArbiter, schedule)

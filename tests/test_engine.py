@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import DeadlockError, SimulationError
-from repro.simulation import (RESUME, TICK, AnyReadable, Engine, SimEvent,
-                              WaitCycles)
+from repro.simulation import TICK, AnyReadable, Engine, SimEvent, WaitCycles
 from repro.simulation.conditions import CanPop, CanPush
 
 
@@ -425,11 +424,7 @@ class ReferenceEngine(Engine):
     ``(cycle, global scheduling sequence number)``; a process carries a
     token that every scheduling bumps, and an entry whose token is stale
     is dropped when it reaches the top. (This is the calendar the run
-    lists replaced; waits use the engine's registrations.) The
-    continuation rule, as the obvious algorithm too: an entry that
-    reaches the top with a continuation pending calls it there instead
-    of resuming the generator — ``RESUME`` resumes it after all — and a
-    ``preempt`` forgets it."""
+    lists replaced; waits use the engine's registrations.)"""
 
     def __init__(self):
         super().__init__()
@@ -467,15 +462,6 @@ class ReferenceEngine(Engine):
 
     def _stale(self, proc, token):
         return proc.finished or token != self._tokens[proc]
-
-    def preempt(self, proc, cycle):
-        assert proc is not self._current_proc
-        if proc.finished:
-            return
-        proc.continuation = None
-        if proc._waiting_on is not None:
-            self._disarm(proc)
-        self._push(proc, max(cycle, self.cycle))
 
     def _dispatch(self, proc, cond):
         kind = type(cond)
@@ -519,11 +505,8 @@ class ReferenceEngine(Engine):
                 if self._stale(proc, token):
                     continue
                 self._current_proc = proc
-                step, proc.continuation = proc.continuation, None
                 try:
-                    cond = RESUME if step is None else step()
-                    if cond is RESUME:
-                        cond = proc.gen.send(None)
+                    cond = proc.gen.send(None)
                 except StopIteration as stop:
                     self._finish(proc, stop.value)
                     continue
@@ -531,33 +514,6 @@ class ReferenceEngine(Engine):
                     self._current_proc = None
                 self._dispatch(proc, cond)
         return self._result("completed")
-
-
-class _ContinuationAtTheWake(Engine):
-    """Seeded mutation: a woken watcher's continuation runs from the
-    commit that wakes it, and what it returns is scheduled from there —
-    not in the process's run-list slot. (The measured-and-rejected
-    "schedule the scan from the commit phase" variant.)"""
-
-    def _wake_watcher(self, watch):
-        proc = watch.proc
-        step = proc.continuation
-        if step is None:
-            return super()._wake_watcher(watch)
-        proc.continuation = None
-        watch.proc = proc._waiting_on = None
-        cond = step()
-        delay = 0 if cond is RESUME else 1 if cond is TICK else cond.cycles
-        self._schedule(proc, self.cycle + delay)
-
-
-class _ContinuationOutlivesPreempt(Engine):
-    """Seeded mutation: ``preempt`` leaves a pending continuation be."""
-
-    def preempt(self, proc, cycle):
-        step = proc.continuation
-        super().preempt(proc, cycle)
-        proc.continuation = step
 
 
 _HORIZON = 80
@@ -577,8 +533,7 @@ _op = st.one_of(
     st.tuples(st.just("pop"), st.integers(2, _N_FIFOS - 1)),
     st.tuples(st.just("pop_either"), st.integers(0, _N_EVENTS - 1)),
     st.tuples(st.just("burst_take"), st.integers(2, _N_FIFOS - 1)),
-    st.tuples(st.just("pop_any"), st.integers(0, 3)),
-    st.tuples(st.just("ticks"), st.integers(2, 5)),
+    st.just(("pop_any",)),
 )
 _scripts = st.lists(
     st.tuples(st.integers(0, 3), st.lists(_op, max_size=14)),
@@ -596,31 +551,11 @@ def _play(engine, scripts, shapes):
     inputs = AnyReadable(fifos[:2])
     procs = []
 
-    def pop_from(group, cond, then=None):
+    def pop_from(group, cond):
         while not any(f.readable for f in group):
-            if then is not None:
-                engine._current_proc.continuation = then
             yield cond
         next(f for f in group if f.readable).take()
         yield TICK
-
-    def sleeps(cycles, name, n):
-        # A continuation of a park: the woken process sleeps ``cycles``
-        # more (its wake-up scan) before its generator sees the item.
-        def step():
-            log.append((name, n, "woken", engine.cycle))
-            return WaitCycles(cycles) if cycles else RESUME
-        return step
-
-    def countdown(proc, left):
-        # ``left`` more cycles of TICK that resume no generator.
-        def step():
-            nonlocal left
-            left -= 1
-            if left:
-                proc.continuation = step
-            return TICK
-        return step
 
     def body(name, owner, ops):
         for n, op in enumerate(ops):
@@ -661,12 +596,7 @@ def _play(engine, scripts, shapes):
                 if f.readable:
                     f.take_burst([engine.cycle])
             elif kind == "pop_any" and owner:
-                yield from pop_from(fifos[:2], inputs,
-                                    sleeps(op[1], name, n))
-            elif kind == "ticks":
-                proc = engine._current_proc
-                proc.continuation = countdown(proc, op[1] - 1)
-                yield TICK
+                yield from pop_from(fifos[:2], inputs)
         log.append((name, "end", engine.cycle))
 
     for i, (start, ops) in enumerate(scripts):
@@ -695,34 +625,16 @@ def _play(engine, scripts, shapes):
     return log
 
 
-def _matches_the_reference_model(engine_cls):
-    @settings(max_examples=300, deadline=None, derandomize=True,
-              database=None)
-    @given(scripts=_scripts, shapes=_shapes)
-    def check(scripts, shapes):
-        assert _play(engine_cls(), scripts, shapes) == \
-            _play(ReferenceEngine(), scripts, shapes)
-    check()
-
-
-def test_step_order_matches_the_reference_model():
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scripts=_scripts, shapes=_shapes)
+def test_step_order_matches_the_reference_model(scripts, shapes):
     """"Processes scheduled for the same cycle run in the order they were
     scheduled" — over random mixes of TICK, WaitCycles(k), same-cycle
     satisfied waits, single / tuple / AnyReadable parks, set_event,
-    preempt of sleeping and of parked processes, commits armed for the
-    current cycle during phase 2, and engine-side continuations: of a
-    park (the woken process sleeps on before its generator runs) and of
-    a TICK (a countdown), either of which a preempt may cut short."""
-    _matches_the_reference_model(Engine)
-
-
-@pytest.mark.parametrize("mutant", [_ContinuationAtTheWake,
-                                    _ContinuationOutlivesPreempt])
-def test_reference_model_kills_the_continuation_mutants(mutant):
-    """The same 300 examples tell a continuation run anywhere but in its
-    process's slot, and one that survives a preempt, from the contract."""
-    with pytest.raises(AssertionError):
-        _matches_the_reference_model(mutant)
+    preempt of sleeping and of parked processes, and commits armed for the
+    current cycle during phase 2."""
+    assert _play(Engine(), scripts, shapes) == \
+        _play(ReferenceEngine(), scripts, shapes)
 
 
 @pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])

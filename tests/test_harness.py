@@ -59,18 +59,6 @@ def test_comparison_render_contains_units():
     assert "paper [us]" in text and "measured [us]" in text
 
 
-def test_dispatch_summary_renders_the_engine_counters():
-    from types import SimpleNamespace
-
-    from repro.harness import dispatch_summary
-    from repro.simulation import Engine
-
-    assert dispatch_summary(Engine()) == \
-        "engine: 0 of 0 dispatches resumed no generator"
-    assert dispatch_summary(SimpleNamespace(steps=4002, elided_steps=2000)) \
-        == "engine: 2,000 of 4,002 dispatches resumed no generator"
-
-
 @pytest.mark.parametrize("peer, line", [
     (1, "built 2 of 8 ranks — 6 processes, 18 FIFOs; 6 ranks reached by "
         "no declared flow"),

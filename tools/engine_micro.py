@@ -26,8 +26,8 @@ loops, all on the repo benchmark's own program shapes::
 
 ``reduce_root`` a :class:`ReduceKernel` root fed one 7-element packet
                 every 8 cycles (ns per packet): a cycle to take it, then
-                one per element — combined at once, counted down by an
-                engine-side continuation.
+                one per element — combined at once, then one ``TICK``
+                per element.
 
 ``train``       ``stream_shallow``'s 4-hop stream (2^17 floats, ``NOCTUA``,
                 it jumps) with ``_Train.validate_round`` timed (ns per
@@ -74,12 +74,7 @@ Seconds are printed next to ``calib`` (the frozen calibration loop of
 the repo benchmark) because this box is too noisy for a threshold; the
 *counts* — dispatches, parks and commits scheduled per loop — are exact
 and asserted: a substrate change that adds an event per item fails here
-before it shows up as seconds anywhere. So is the number of dispatches
-that resumed a generator (``resumes``: the rest were answered by an
-engine-side continuation, ``Engine.elided_steps``): a ``park5`` arbiter
-is dispatched three times per item — wake-up scan, grant, settle-and-
-park — and resumed once; the reduce root eight times per packet and
-resumed twice.
+before it shows up as seconds anywhere.
 """
 
 from __future__ import annotations
@@ -124,24 +119,19 @@ REDUCE_PACKETS = 2000      # 7 SMI_FLOAT elements each, one per 8 cycles
 #: for the ``park5`` loops (the heap-of-tuples scheduler they replaced
 #: armed the same commits here, but one per *stage* on real workloads,
 #: where dead waiter entries made every FIFO look waited-on) — three of
-#: the four the arbiter's, one of those a generator resume (``resumes``
-#: = producer steps + 1 per item; it was 3 per item before engine-side
-#: continuations, with the same dispatches, parks and commits). Per
-#: packet, ``reduce_root`` is 1 producer step + 8 of the root's, 2 of
-#: them resumes (take; combine) and 6 the countdown's.
+#: the four the arbiter's (wake-up scan, grant, settle-and-park). Per
+#: packet, ``reduce_root`` is 1 producer step + 8 of the root's (the
+#: take's cycle, then one per element).
 EXPECTED = {
-    "tick": {"dispatch": 120_060, "resumes": 120_060, "park": 0,
-             "commits": 0},
-    "pushpop": {"dispatch": 40_003, "resumes": 40_003, "park": 1,
-                "commits": 1},
-    "pushpop_full": {"dispatch": 80_001, "resumes": 80_001, "park": 39_999,
+    "tick": {"dispatch": 120_060, "park": 0, "commits": 0},
+    "pushpop": {"dispatch": 40_003, "park": 1, "commits": 1},
+    "pushpop_full": {"dispatch": 80_001, "park": 39_999,
                      "commits": 20_000},
-    "park5_dense": {"dispatch": 256_032, "resumes": 128_032,
-                    "park": 64_016, "commits": 64_000},
-    "park5_sparse": {"dispatch": 16_002, "resumes": 8002, "park": 4001,
+    "park5_dense": {"dispatch": 256_032, "park": 64_016,
+                    "commits": 64_000},
+    "park5_sparse": {"dispatch": 16_002, "park": 4001,
                      "commits": 4000},
-    "reduce_root": {"dispatch": 18_002, "resumes": 6003, "park": 1,
-                    "commits": 1},
+    "reduce_root": {"dispatch": 18_002, "park": 1, "commits": 1},
     # Validated rounds, the publication calls they made, and the calls
     # that tried to join a peer CK to a train.
     "train": {"rounds": 387, "publications": 774, "try_joins": 921},
@@ -391,9 +381,8 @@ def count_loop(name: str) -> dict:
     LOOPS[name](engine)
     assert engine.run().completed
     assert engine.steps == counter.kinds["dispatch"]
-    return {"dispatch": engine.steps,
-            "resumes": engine.steps - engine.elided_steps,
-            "park": counter.kinds["park"], "commits": len(armed)}
+    return {"dispatch": engine.steps, "park": counter.kinds["park"],
+            "commits": len(armed)}
 
 
 def _fifo_entries(fifo) -> int:
@@ -591,8 +580,7 @@ def main(argv: list[str]) -> int:
                 continue
             unit = "dispatch" if name == "tick" else "item"
             print(f"{name:13s} {row['ns_per_unit']:9.1f} ns/{unit}  "
-                  f"dispatches {row['dispatch']}  "
-                  f"resumes {row['resumes']}  parks {row['park']}  "
+                  f"dispatches {row['dispatch']}  parks {row['park']}  "
                   f"commits {row['commits']}")
         row = report["jump_land"]
         print("jump_land     " + "  ".join(
